@@ -1,0 +1,1 @@
+"""lds_bench: the repo's benchmark -- see README.md and /BENCHMARK.json."""

@@ -150,6 +150,8 @@ class ErasureCode(ABC):
         if len(lengths) != 1:
             raise DecodingError("coded elements have inconsistent lengths")
         (total_length,) = lengths
+        if total_length == 0:
+            raise DecodingError("empty coded element: zero stripes")
         if total_length % self.element_size:
             raise DecodingError("coded element length is not a whole number of stripes")
         stripes = total_length // self.element_size
@@ -211,6 +213,8 @@ class RegeneratingCode(ErasureCode):
     ) -> bytes:
         """Byte-level helper computation (handles striping)."""
         element = GF256.as_array(helper_element)
+        if element.size == 0:
+            raise RepairError("empty helper element: zero stripes")
         if element.size % self.element_size:
             raise RepairError("helper element length is not a whole number of stripes")
         stripes = element.size // self.element_size
@@ -232,6 +236,8 @@ class RegeneratingCode(ErasureCode):
         if len(lengths) != 1:
             raise RepairError("helper messages have inconsistent lengths")
         (total,) = lengths
+        if total == 0:
+            raise RepairError("empty helper message: zero stripes")
         if total % self.helper_size:
             raise RepairError("helper message length is not a whole number of stripes")
         stripes = total // self.helper_size

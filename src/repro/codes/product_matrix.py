@@ -179,7 +179,7 @@ class ProductMatrixMBRCode(RegeneratingCode):
         element = np.asarray(helper_element, dtype=np.uint8).reshape(-1)
         if element.size != self._alpha:
             raise RepairError("helper element has the wrong length")
-        failed_row = self.encoding_matrix.row(failed_index)
+        failed_row = self.encoding_matrix[failed_index]
         # Helper j sends psi_j M psi_f^t, a single symbol.
         return np.array([GF256.dot(element, failed_row)], dtype=np.uint8)
 
@@ -192,6 +192,8 @@ class ProductMatrixMBRCode(RegeneratingCode):
                 f"PM-MBR repair requires d={self.d} distinct helpers, got {len(helpers)}"
             )
         psi_helpers = self.encoding_matrix.submatrix(helpers)  # d x d
+        if any(np.size(helper_data[i]) != self._beta for i in helpers):
+            raise RepairError("helper messages have the wrong length")
         received = np.array(
             [int(np.asarray(helper_data[i], dtype=np.uint8).reshape(-1)[0]) for i in helpers],
             dtype=np.uint8,
@@ -241,6 +243,8 @@ class ProductMatrixMSRCode(RegeneratingCode):
         # Full Vandermonde Psi (n x d); Phi is its first k-1 columns and
         # lambda_i = x_i^{k-1} where x_i is the i-th evaluation point.
         self.encoding_matrix: GFMatrix = vandermonde_matrix(n, d)
+        #: The n x (k-1) matrix Phi (first k-1 columns of Psi).
+        self.phi: GFMatrix = self.encoding_matrix.submatrix(range(n), range(k - 1))
         self._points = [GF256.exp(i) for i in range(n)]
         self._lambdas = [GF256.pow(x, k - 1) for x in self._points]
         if len(set(self._lambdas)) != n:
@@ -264,11 +268,6 @@ class ProductMatrixMSRCode(RegeneratingCode):
     @property
     def helper_size(self) -> int:
         return self._beta
-
-    @property
-    def phi(self) -> GFMatrix:
-        """The n x (k-1) matrix Phi (first k-1 columns of Psi)."""
-        return self.encoding_matrix.submatrix(range(self.n), range(self.k - 1))
 
     # -- message-matrix packing ------------------------------------------------
 
@@ -389,7 +388,7 @@ class ProductMatrixMSRCode(RegeneratingCode):
         element = np.asarray(helper_element, dtype=np.uint8).reshape(-1)
         if element.size != self._alpha:
             raise RepairError("helper element has the wrong length")
-        failed_phi = self.phi.row(failed_index)
+        failed_phi = self.phi[failed_index]
         # Helper j sends psi_j M phi_f^t, a single symbol.
         return np.array([GF256.dot(element, failed_phi)], dtype=np.uint8)
 
@@ -402,6 +401,8 @@ class ProductMatrixMSRCode(RegeneratingCode):
                 f"PM-MSR repair requires d={self.d} distinct helpers, got {len(helpers)}"
             )
         psi_helpers = self.encoding_matrix.submatrix(helpers)  # d x d
+        if any(np.size(helper_data[i]) != self._beta for i in helpers):
+            raise RepairError("helper messages have the wrong length")
         received = np.array(
             [int(np.asarray(helper_data[i], dtype=np.uint8).reshape(-1)[0]) for i in helpers],
             dtype=np.uint8,

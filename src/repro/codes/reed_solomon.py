@@ -64,6 +64,8 @@ class ReedSolomonCode(ErasureCode):
             if not 0 <= index < self.n:
                 raise DecodingError(f"invalid symbol index {index}")
         submatrix = self.generator.submatrix(indices)
+        if any(np.size(elements[i]) != 1 for i in indices):
+            raise DecodingError("coded elements have the wrong length")
         received = np.array(
             [int(np.asarray(elements[i], dtype=np.uint8).reshape(-1)[0]) for i in indices],
             dtype=np.uint8,

@@ -2,10 +2,11 @@
 
 The field is constructed with the primitive polynomial
 ``x^8 + x^4 + x^3 + x + 1`` (0x11B, the polynomial used by AES) and the
-generator element 3, which is primitive for this polynomial.  Multiplication
-and division are implemented with logarithm / exponential lookup tables so
-that scalar operations are O(1) and vectorised operations map to numpy
-table lookups.
+generator element 3, which is primitive for this polynomial.  Scalar
+multiplication and division use logarithm / exponential lookup tables;
+every vectorised product is one gather from a precomputed 256 x 256
+product table (``_MUL[a, b] == a * b``), so no zero masking and no
+widening to a larger integer type is needed.
 
 All elements are represented as Python ints (or numpy ``uint8`` arrays) in
 the range ``0..255``.  Addition and subtraction are both XOR.
@@ -69,6 +70,29 @@ def _build_inverse_table() -> np.ndarray:
 _INV_TABLE = _build_inverse_table()
 
 
+def _build_product_table() -> np.ndarray:
+    """Precompute every product: ``table[a, b] == a * b`` (64 KiB of uint8).
+
+    Row and column 0 stay zero; the rest is one gather of
+    ``exp[log a + log b]`` over the 255 x 255 non-zero pairs.
+    """
+    logs = _LOG_TABLE[1:]
+    table = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.uint8)
+    table[1:, 1:] = _EXP_TABLE[logs[:, None] + logs[None, :]]
+    return table
+
+
+_MUL = _build_product_table()
+
+
+def _element(value) -> int:
+    """Return ``value`` as an int, rejecting anything outside ``0..255``."""
+    value = int(value)
+    if not 0 <= value < FIELD_SIZE:
+        raise ValueError(f"{value} is not a GF(2^8) element (0..255)")
+    return value
+
+
 class GF256:
     """Namespace of scalar and vectorised GF(2^8) operations.
 
@@ -96,8 +120,8 @@ class GF256:
     @classmethod
     def mul(cls, a: int, b: int) -> int:
         """Return the product ``a * b`` in GF(2^8)."""
-        a = int(a)
-        b = int(b)
+        a = _element(a)
+        b = _element(b)
         if a == 0 or b == 0:
             return 0
         return int(_EXP_TABLE[_LOG_TABLE[a] + _LOG_TABLE[b]])
@@ -108,8 +132,8 @@ class GF256:
 
         Raises :class:`ZeroDivisionError` when ``b`` is zero.
         """
-        a = int(a)
-        b = int(b)
+        a = _element(a)
+        b = _element(b)
         if b == 0:
             raise ZeroDivisionError("division by zero in GF(2^8)")
         if a == 0:
@@ -124,15 +148,15 @@ class GF256:
 
         Raises :class:`ZeroDivisionError` for ``a == 0``.
         """
-        a = int(a)
+        a = _element(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return int(_INV_TABLE[a])
 
     @classmethod
     def pow(cls, a: int, exponent: int) -> int:
-        """Return ``a`` raised to a non-negative integer power."""
-        a = int(a)
+        """Return ``a`` raised to an integer power."""
+        a = _element(a)
         if exponent < 0:
             return cls.pow(cls.inv(a), -exponent)
         if a == 0:
@@ -147,7 +171,7 @@ class GF256:
     @classmethod
     def log(cls, a: int) -> int:
         """Return the discrete log of ``a`` with respect to the generator."""
-        a = int(a)
+        a = _element(a)
         if a == 0:
             raise ValueError("zero has no discrete logarithm")
         return int(_LOG_TABLE[a])
@@ -168,33 +192,18 @@ class GF256:
 
     @classmethod
     def mul_vec(cls, a, b) -> np.ndarray:
-        """Element-wise product of two equally shaped vectors."""
-        a_arr = cls.as_array(a).astype(np.int32)
-        b_arr = cls.as_array(b).astype(np.int32)
-        result = _EXP_TABLE[_LOG_TABLE[a_arr] + _LOG_TABLE[b_arr]]
-        result = np.where((a_arr == 0) | (b_arr == 0), 0, result)
-        return result.astype(np.uint8)
+        """Element-wise product of two equally shaped (or broadcastable) arrays."""
+        return _MUL[cls.as_array(a), cls.as_array(b)]
 
     @classmethod
     def scale_vec(cls, scalar: int, vector) -> np.ndarray:
         """Multiply every element of ``vector`` by ``scalar``."""
-        scalar = int(scalar)
-        vec = cls.as_array(vector)
-        if scalar == 0:
-            return np.zeros_like(vec)
-        if scalar == 1:
-            return vec.copy()
-        log_s = _LOG_TABLE[scalar]
-        vec32 = vec.astype(np.int32)
-        result = _EXP_TABLE[_LOG_TABLE[vec32] + log_s]
-        result = np.where(vec32 == 0, 0, result)
-        return result.astype(np.uint8)
+        return _MUL[_element(scalar)][cls.as_array(vector)]
 
     @classmethod
     def dot(cls, a, b) -> int:
         """Inner product of two vectors in GF(2^8)."""
-        products = cls.mul_vec(a, b)
-        return int(np.bitwise_xor.reduce(products)) if products.size else 0
+        return int(np.bitwise_xor.reduce(cls.mul_vec(a, b)))
 
     @classmethod
     def matmul(cls, a, b) -> np.ndarray:

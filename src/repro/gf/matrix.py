@@ -136,8 +136,7 @@ class GFMatrix:
 
     def scale(self, scalar: int) -> "GFMatrix":
         """Multiply every entry by ``scalar``."""
-        rows = [GF256.scale_vec(scalar, self._data[i]) for i in range(self.rows)]
-        return GFMatrix(np.vstack(rows)) if rows else GFMatrix.zeros(0, self.cols)
+        return GFMatrix(GF256.scale_vec(scalar, self._data))
 
     def hstack(self, other: "GFMatrix") -> "GFMatrix":
         """Concatenate horizontally."""
@@ -163,8 +162,8 @@ class GFMatrix:
         Returns ``(reduced, augmented, pivot_columns)``.  ``augmented`` is
         ``None`` when no augment matrix was supplied.
         """
-        work = self._data.astype(np.uint8).copy()
-        aug = None if augment is None else augment.astype(np.uint8).copy()
+        work = self._data.copy()
+        aug = None if augment is None else augment.astype(np.uint8)
         rows, cols = work.shape
         pivot_cols: list[int] = []
         pivot_row = 0
@@ -172,13 +171,10 @@ class GFMatrix:
             if pivot_row >= rows:
                 break
             # Find a pivot in this column at or below pivot_row.
-            pivot = None
-            for r in range(pivot_row, rows):
-                if work[r, col]:
-                    pivot = r
-                    break
-            if pivot is None:
+            candidates = np.flatnonzero(work[pivot_row:, col])
+            if candidates.size == 0:
                 continue
+            pivot = pivot_row + int(candidates[0])
             if pivot != pivot_row:
                 work[[pivot_row, pivot]] = work[[pivot, pivot_row]]
                 if aug is not None:
@@ -188,19 +184,14 @@ class GFMatrix:
             work[pivot_row] = GF256.scale_vec(inv, work[pivot_row])
             if aug is not None:
                 aug[pivot_row] = GF256.scale_vec(inv, aug[pivot_row])
-            # Eliminate the column from every other row.
-            for r in range(rows):
-                if r == pivot_row:
-                    continue
-                factor = int(work[r, col])
-                if factor:
-                    work[r] = np.bitwise_xor(
-                        work[r], GF256.scale_vec(factor, work[pivot_row])
-                    )
-                    if aug is not None:
-                        aug[r] = np.bitwise_xor(
-                            aug[r], GF256.scale_vec(factor, aug[pivot_row])
-                        )
+            # Eliminate the column from every other row at once: the outer
+            # product factors x pivot-row, with the pivot row's own factor
+            # zeroed so it is left alone.
+            factors = work[:, col, None].copy()
+            factors[pivot_row] = 0
+            work ^= GF256.mul_vec(factors, work[pivot_row])
+            if aug is not None:
+                aug ^= GF256.mul_vec(factors, aug[pivot_row])
             pivot_cols.append(col)
             pivot_row += 1
         return work, aug, pivot_cols
@@ -222,10 +213,9 @@ class GFMatrix:
         """
         if self.rows != self.cols:
             raise SingularMatrixError("only square matrices can be inverted")
-        reduced, aug, pivots = self._eliminate(np.eye(self.rows, dtype=np.uint8))
+        _, aug, pivots = self._eliminate(np.eye(self.rows, dtype=np.uint8))
         if len(pivots) != self.rows:
             raise SingularMatrixError("matrix is singular")
-        del reduced
         return GFMatrix(aug)
 
     def solve(self, rhs) -> np.ndarray:

@@ -17,6 +17,11 @@ crucial property for LDS is that during repair a helper node computes its
 helper symbol from its own content and the *identity of the failed node
 only* -- it does not need to know which other nodes act as helpers
 (Section II-c of the paper).
+
+Every inverse either construction needs is that of a few rows of its fixed
+encoding matrix, which :meth:`~repro.gf.matrix.GFMatrix.inverse_of_rows`
+memoises: a helper set or a reader quorum is inverted once, not once per
+stripe.
 """
 
 from __future__ import annotations
@@ -34,6 +39,40 @@ from repro.codes.regenerating import (
 from repro.gf.builders import vandermonde_matrix
 from repro.gf.gf256 import GF256
 from repro.gf.matrix import GFMatrix, SingularMatrixError
+
+
+def _repair_column(
+    code: RegeneratingCode, failed_index: int, helper_data: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """Solve ``Psi_helpers @ x = received`` for one block of either construction.
+
+    The helpers are the ``d`` lowest indices given (``failed_index`` apart);
+    ``x`` is the message matrix times the vector every helper projected its
+    element on (``M psi_f^t`` for MBR, ``M phi_f^t`` for MSR).  Indices are
+    range-checked before any matrix is touched, so only row sets of the
+    encoding matrix are ever inverted.
+    """
+    helpers = sorted(idx for idx in helper_data if idx != failed_index)
+    if not 0 <= failed_index < code.n or (
+        helpers and not (0 <= helpers[0] and helpers[-1] < code.n)
+    ):
+        raise RepairError("helper or failed index out of range")
+    if len(helpers) < code.d:
+        raise RepairError(
+            f"repair requires d={code.d} distinct helpers, got {len(helpers)}"
+        )
+    helpers = helpers[: code.d]
+    if any(np.size(helper_data[i]) != code.helper_size for i in helpers):
+        raise RepairError("helper messages have the wrong length")
+    received = np.array(
+        [int(np.asarray(helper_data[i], dtype=np.uint8).reshape(-1)[0]) for i in helpers],
+        dtype=np.uint8,
+    )
+    try:
+        inverse = code.encoding_matrix.inverse_of_rows(helpers)  # d x d
+    except SingularMatrixError as exc:  # pragma: no cover - defensive
+        raise RepairError("helper rows are not invertible") from exc
+    return GF256.matmul(inverse, received[:, None]).reshape(-1)
 
 
 class ProductMatrixMBRCode(RegeneratingCode):
@@ -112,7 +151,7 @@ class ProductMatrixMBRCode(RegeneratingCode):
                 cursor += 1
         return GFMatrix(matrix)
 
-    def _unpack_message_matrix(self, s_block: GFMatrix, t_block: GFMatrix) -> np.ndarray:
+    def _unpack_message_matrix(self, s_block: np.ndarray, t_block: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`_message_matrix` given recovered S and T."""
         k, d = self.k, self.d
         block = np.zeros(self._file_size, dtype=np.uint8)
@@ -143,30 +182,23 @@ class ProductMatrixMBRCode(RegeneratingCode):
         for index in indices:
             if not 0 <= index < self.n:
                 raise DecodingError(f"invalid element index {index}")
-        k, d = self.k, self.d
+        k = self.k
         received = np.vstack(
             [np.asarray(elements[i], dtype=np.uint8).reshape(-1) for i in indices]
         )
         if received.shape[1] != self._alpha:
             raise DecodingError("coded elements have the wrong length")
-        psi = self.encoding_matrix.submatrix(indices)  # k x d
-        phi = psi.submatrix(range(k), range(k))  # k x k, invertible
         try:
-            phi_inverse = phi.inverse()
+            # Phi: the chosen rows of Psi, first k columns (k x k, invertible).
+            phi_inverse = self.encoding_matrix.inverse_of_rows(indices, k)
         except SingularMatrixError as exc:  # pragma: no cover - defensive
             raise DecodingError("selected rows are not decodable") from exc
-        if d > k:
-            delta = psi.submatrix(range(k), range(k, d))  # k x (d - k)
-            # The last d - k columns of the received matrix equal Phi @ T.
-            phi_t = GFMatrix(received[:, k:d].copy())
-            t_block = phi_inverse.matmul(phi_t)
-            # The first k columns equal Phi @ S + Delta @ T^t.
-            correction = delta.matmul(t_block.transpose())
-            phi_s = GFMatrix(received[:, :k].copy()) + correction
-        else:
-            t_block = GFMatrix.zeros(k, 0)
-            phi_s = GFMatrix(received[:, :k].copy())
-        s_block = phi_inverse.matmul(phi_s)
+        delta = self.encoding_matrix[indices, k:]  # k x (d - k)
+        # The last d - k columns of the received matrix equal Phi @ T.
+        t_block = GF256.matmul(phi_inverse, received[:, k:])
+        # The first k columns equal Phi @ S + Delta @ T^t.
+        phi_s = received[:, :k] ^ GF256.matmul(delta, t_block.T)
+        s_block = GF256.matmul(phi_inverse, phi_s)
         return self._unpack_message_matrix(s_block, t_block)
 
     # -- repair ---------------------------------------------------------------
@@ -186,25 +218,9 @@ class ProductMatrixMBRCode(RegeneratingCode):
     def repair_block(
         self, failed_index: int, helper_data: Mapping[int, np.ndarray]
     ) -> np.ndarray:
-        helpers = sorted(idx for idx in helper_data if idx != failed_index)[: self.d]
-        if len(helpers) < self.d:
-            raise RepairError(
-                f"PM-MBR repair requires d={self.d} distinct helpers, got {len(helpers)}"
-            )
-        psi_helpers = self.encoding_matrix.submatrix(helpers)  # d x d
-        if any(np.size(helper_data[i]) != self._beta for i in helpers):
-            raise RepairError("helper messages have the wrong length")
-        received = np.array(
-            [int(np.asarray(helper_data[i], dtype=np.uint8).reshape(-1)[0]) for i in helpers],
-            dtype=np.uint8,
-        )
-        try:
-            # Psi_helpers @ (M psi_f^t) = received  =>  M psi_f^t.
-            column = psi_helpers.solve(received)
-        except SingularMatrixError as exc:  # pragma: no cover - defensive
-            raise RepairError("helper rows are not invertible") from exc
-        # Because M is symmetric, (M psi_f^t)^t == psi_f M, the failed element.
-        return np.asarray(column, dtype=np.uint8).reshape(-1)
+        # Psi_helpers @ (M psi_f^t) = received  =>  M psi_f^t.  Because M is
+        # symmetric, (M psi_f^t)^t == psi_f M, the failed element.
+        return _repair_column(self, failed_index, helper_data)
 
     def __repr__(self) -> str:
         return f"ProductMatrixMBRCode(n={self.n}, k={self.k}, d={self.d})"
@@ -281,8 +297,8 @@ class ProductMatrixMSRCode(RegeneratingCode):
                 cursor += 1
         return matrix
 
-    def _symbols_from_symmetric(self, matrix: GFMatrix) -> List[int]:
-        size = matrix.rows
+    def _symbols_from_symmetric(self, matrix: np.ndarray) -> List[int]:
+        size = matrix.shape[0]
         symbols = []
         for i in range(size):
             for j in range(i, size):
@@ -344,39 +360,37 @@ class ProductMatrixMSRCode(RegeneratingCode):
                 p_value = GF256.add(int(c_matrix[i, j]), GF256.mul(lambdas[i], q_value))
                 q_matrix[i, j] = q_value
                 p_matrix[i, j] = p_value
-        s1 = self._recover_symmetric(p_matrix, phi_dc)
-        s2 = self._recover_symmetric(q_matrix, phi_dc)
+        try:
+            s1 = self._recover_symmetric(p_matrix, indices)
+            s2 = self._recover_symmetric(q_matrix, indices)
+        except SingularMatrixError as exc:  # pragma: no cover - defensive
+            raise DecodingError("PM-MSR decoding matrix is singular") from exc
         half = (k * (k - 1)) // 2
         block = np.zeros(self._file_size, dtype=np.uint8)
         block[:half] = self._symbols_from_symmetric(s1)
         block[half:] = self._symbols_from_symmetric(s2)
         return block
 
-    def _recover_symmetric(self, off_diagonal: np.ndarray, phi_dc: GFMatrix) -> GFMatrix:
+    def _recover_symmetric(self, off_diagonal: np.ndarray, indices: List[int]) -> np.ndarray:
         """Recover a symmetric S from the off-diagonal of Phi_DC S Phi_DC^t.
 
-        Row ``i`` of the product restricted to columns ``j != i`` equals
+        ``indices`` are the rows of ``Phi`` that make up ``Phi_DC``.  Row
+        ``i`` of the product restricted to columns ``j != i`` equals
         ``phi_i S`` multiplied by the (k-1) x (k-1) invertible matrix formed
         by the other rows of ``Phi_DC``; inverting it yields ``phi_i S`` for
-        every i, and stacking k-1 of those rows recovers S.
+        any i, and stacking those of the first k-1 nodes (any k-1 rows of
+        Phi_DC are invertible) recovers S.
         """
         k = self.k
-        rows_phi_s = np.zeros((k, self.k - 1), dtype=np.uint8)
-        for i in range(k):
-            other_rows = [j for j in range(k) if j != i]
-            phi_others = phi_dc.submatrix(other_rows)  # (k-1) x (k-1)
-            # Values phi_i S phi_j^t for j != i.
-            rhs = np.array([int(off_diagonal[i, j]) for j in other_rows], dtype=np.uint8)
-            try:
-                # phi_others @ (S phi_i^t) = rhs  =>  S phi_i^t, i.e. (phi_i S)^t.
-                rows_phi_s[i] = phi_others.solve(rhs)
-            except SingularMatrixError as exc:  # pragma: no cover - defensive
-                raise DecodingError("PM-MSR decoding matrix is singular") from exc
-        # Any k-1 rows of Phi_DC are invertible; use the first k-1.
-        selection = list(range(self.k - 1))
-        phi_square = phi_dc.submatrix(selection)
-        stacked = GFMatrix(rows_phi_s[selection, :].copy())
-        return phi_square.inverse().matmul(stacked)
+        rows_phi_s = np.zeros((k - 1, k - 1), dtype=np.uint8)
+        for i in range(k - 1):
+            others = [j for j in range(k) if j != i]
+            # phi_others @ (S phi_i^t) = the values phi_i S phi_j^t for j != i
+            # =>  S phi_i^t, i.e. (phi_i S)^t.
+            inverse = self.phi.inverse_of_rows([indices[j] for j in others])
+            rows_phi_s[i] = GF256.matmul(inverse, off_diagonal[i, others][:, None]).reshape(-1)
+        inverse = self.phi.inverse_of_rows(indices[: k - 1])
+        return GF256.matmul(inverse, rows_phi_s)
 
     # -- repair --------------------------------------------------------------------
 
@@ -395,22 +409,7 @@ class ProductMatrixMSRCode(RegeneratingCode):
     def repair_block(
         self, failed_index: int, helper_data: Mapping[int, np.ndarray]
     ) -> np.ndarray:
-        helpers = sorted(idx for idx in helper_data if idx != failed_index)[: self.d]
-        if len(helpers) < self.d:
-            raise RepairError(
-                f"PM-MSR repair requires d={self.d} distinct helpers, got {len(helpers)}"
-            )
-        psi_helpers = self.encoding_matrix.submatrix(helpers)  # d x d
-        if any(np.size(helper_data[i]) != self._beta for i in helpers):
-            raise RepairError("helper messages have the wrong length")
-        received = np.array(
-            [int(np.asarray(helper_data[i], dtype=np.uint8).reshape(-1)[0]) for i in helpers],
-            dtype=np.uint8,
-        )
-        try:
-            column = psi_helpers.solve(received)  # M phi_f^t, length d = 2(k-1)
-        except SingularMatrixError as exc:  # pragma: no cover - defensive
-            raise RepairError("helper rows are not invertible") from exc
+        column = _repair_column(self, failed_index, helper_data)  # M phi_f^t, length d = 2(k-1)
         half = self.k - 1
         s1_phi = column[:half]
         s2_phi = column[half:]

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.codes.base import DecodingError, ErasureCode
 from repro.gf.builders import systematic_vandermonde, vandermonde_matrix
+from repro.gf.gf256 import GF256
 from repro.gf.matrix import GFMatrix, SingularMatrixError
 
 
@@ -63,7 +64,6 @@ class ReedSolomonCode(ErasureCode):
         for index in indices:
             if not 0 <= index < self.n:
                 raise DecodingError(f"invalid symbol index {index}")
-        submatrix = self.generator.submatrix(indices)
         if any(np.size(elements[i]) != 1 for i in indices):
             raise DecodingError("coded elements have the wrong length")
         received = np.array(
@@ -71,9 +71,10 @@ class ReedSolomonCode(ErasureCode):
             dtype=np.uint8,
         )
         try:
-            return submatrix.solve(received)
+            inverse = self.generator.inverse_of_rows(indices)  # k x k
         except SingularMatrixError as exc:  # pragma: no cover - defensive
             raise DecodingError("received symbols do not span the payload") from exc
+        return GF256.matmul(inverse, received[:, None]).reshape(-1)
 
     # -- cost accounting ----------------------------------------------------
 

@@ -10,11 +10,18 @@ implementation easy to audit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import index as as_index
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.gf.gf256 import GF256
+
+#: Most row-subset inverses kept by :meth:`GFMatrix.inverse_of_rows`.  One
+#: (n, k, d) code needs at most C(n, d) + C(n, k) of them; the protocol's
+#: helper and reader quorums draw on far fewer.
+_ROW_INVERSE_CACHE_SIZE = 1024
 
 
 class SingularMatrixError(ValueError):
@@ -218,6 +225,25 @@ class GFMatrix:
             raise SingularMatrixError("matrix is singular")
         return GFMatrix(aug)
 
+    def inverse_of_rows(self, rows: Sequence[int], width: int | None = None) -> np.ndarray:
+        """Return the inverse of the square block ``self[rows, :width]``.
+
+        ``width`` defaults to every column.  The result is a pure function of
+        this matrix's entries and the selection, so it is memoised on exactly
+        those (process-wide: code objects built from equal encoding matrices
+        share the entries) and handed out read-only.  Raises
+        :class:`SingularMatrixError` like :meth:`inverse`; failures are not
+        memoised.  A row outside ``0..rows-1`` (a negative one would wrap) or
+        a width outside ``0..cols`` is an :class:`IndexError`.
+        """
+        rows = tuple(as_index(row) for row in rows)
+        width = self.cols if width is None else as_index(width)
+        if any(not 0 <= row < self.rows for row in rows):
+            raise IndexError(f"rows {rows} out of range for {self.rows} rows")
+        if not 0 <= width <= self.cols:
+            raise IndexError(f"width {width} out of range for {self.cols} columns")
+        return _inverse_of_rows(self._data.tobytes(), self.cols, rows, width)
+
     def solve(self, rhs) -> np.ndarray:
         """Solve ``self @ x = rhs`` for a uniquely determined ``x``.
 
@@ -236,6 +262,14 @@ class GFMatrix:
         inverse = self.inverse()
         solution = GF256.matmul(inverse.data, rhs_arr)
         return solution.reshape(-1) if vector_input else solution
+
+
+@lru_cache(maxsize=_ROW_INVERSE_CACHE_SIZE)
+def _inverse_of_rows(entries: bytes, cols: int, rows: tuple, width: int) -> np.ndarray:
+    matrix = np.frombuffer(entries, dtype=np.uint8).reshape(-1, cols)
+    inverse = GFMatrix(matrix[list(rows), :width]).inverse().data
+    # A view of immutable bytes: read-only, and ``setflags`` cannot undo it.
+    return np.frombuffer(inverse.tobytes(), dtype=np.uint8).reshape(inverse.shape)
 
 
 __all__ = ["GFMatrix", "SingularMatrixError"]

@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.codes.base import DecodingError, RepairError
 from repro.codes.layered import LayeredCode
+from repro.gf import matrix as matrix_module
+from repro.gf.matrix import GFMatrix
 
 
 @pytest.fixture
@@ -108,3 +111,39 @@ class TestCosts:
         # one stored element (alpha = d*beta), which keeps the read cost Theta(1).
         mbr = LayeredCode(n1=5, n2=6, k=3, d=4)
         assert mbr.costs.regeneration_fraction == mbr.costs.element_fraction
+
+
+def test_one_helper_set_and_one_reader_quorum_invert_once_each(monkeypatch):
+    """Work done, as a count: 50 multi-stripe elements regenerated through
+    two code objects (two shards) with one helper set invert the helper rows
+    of the shared encoding matrix once; 20 decodes from one set of k L1
+    servers invert once more."""
+    inversions = []
+    original = GFMatrix.inverse
+
+    def counting(self):
+        inversions.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(GFMatrix, "inverse", counting)
+    matrix_module._inverse_of_rows.cache_clear()
+
+    shards = [LayeredCode(n1=5, n2=7, k=3, d=5), LayeredCode(n1=5, n2=7, k=3, d=5)]
+    helpers = [0, 2, 3, 5, 6]
+    rng = np.random.default_rng(12)
+    for round_number in range(50):
+        code = shards[round_number % 2]
+        l1_server = round_number % code.n1
+        value = rng.integers(0, 256, size=100, dtype=np.uint8).tobytes()
+        stored = code.encode_for_backend(value)
+        assert len(stored[0].data) > code.code.element_size  # multi-stripe
+        messages = {l2: code.helper_data(l2, stored[l2], l1_server) for l2 in helpers}
+        element = code.regenerate_l1_element(l1_server, messages)
+        assert element.data == code.code.encode(value)[l1_server].data
+    assert inversions == [(5, 5)]
+
+    for code in shards * 10:
+        value = rng.integers(0, 256, size=100, dtype=np.uint8).tobytes()
+        coded = code.code.encode(value)
+        assert code.decode_from_l1({i: coded[i].data for i in (0, 2, 4)}) == value
+    assert inversions == [(5, 5), (3, 3)]

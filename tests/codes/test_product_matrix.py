@@ -42,8 +42,8 @@ class TestMBRConstruction:
         block = random_block(code.block_size, seed=4)
         matrix = code._message_matrix(block)
         k = code.k
-        s_block = matrix.submatrix(range(k), range(k))
-        t_block = matrix.submatrix(range(k), range(k, code.d))
+        s_block = matrix[:k, :k]
+        t_block = matrix[:k, k:]
         assert np.array_equal(code._unpack_message_matrix(s_block, t_block), block)
 
 
@@ -186,3 +186,52 @@ class TestMSR:
         encoded = code.encode_block(random_block(code.block_size))
         with pytest.raises(DecodingError):
             code.decode_block({0: encoded[0]})
+
+
+class TestRepairIndexRange:
+    """``repair`` / ``repair_block`` refuse indices outside ``0..n-1``: a
+    negative one must not wrap round to a row counted from the end."""
+
+    CODES = [ProductMatrixMBRCode(n=12, k=3, d=5), ProductMatrixMSRCode(n=12, k=3)]
+
+    @staticmethod
+    def helper_messages(code, payload, failed, helpers):
+        elements = code.encode(payload)
+        return {i: code.helper_data(i, elements[i].data, failed) for i in helpers}
+
+    @pytest.mark.parametrize("code", CODES, ids=["mbr", "msr"])
+    @pytest.mark.parametrize("bad", [-1, -12, 12, 99])
+    def test_helper_index_out_of_range(self, code, bad):
+        messages = self.helper_messages(code, b"two stripes of payload", 0, range(5, 5 + code.d))
+        stray = dict(list(messages.items())[:-1])
+        stray[bad] = messages[4 + code.d]
+        with pytest.raises(RepairError, match="out of range"):
+            code.repair(0, stray)
+        with pytest.raises(RepairError, match="out of range"):
+            code.repair_block(0, {i: np.frombuffer(data[:1], np.uint8)
+                                  for i, data in stray.items()})
+        # A stray index is refused even when d good helpers remain.
+        with pytest.raises(RepairError, match="out of range"):
+            code.repair(0, {**messages, bad: messages[5]})
+
+    @pytest.mark.parametrize("code", CODES, ids=["mbr", "msr"])
+    @pytest.mark.parametrize("bad", [-1, -12, 12, 99])
+    def test_failed_index_out_of_range(self, code, bad):
+        messages = self.helper_messages(code, b"two stripes of payload", 0, range(1, 1 + code.d))
+        with pytest.raises(RepairError, match="out of range"):
+            code.repair(bad, messages)
+        with pytest.raises(RepairError, match="out of range"):
+            code.repair_block(bad, {i: np.frombuffer(data[:1], np.uint8)
+                                    for i, data in messages.items()})
+
+    @pytest.mark.parametrize("code", CODES, ids=["mbr", "msr"])
+    def test_both_ends_of_the_range_are_accepted(self, code):
+        payload = b"two stripes of payload"
+        elements = code.encode(payload)
+        last = code.n - 1
+        # Node 0 from helpers that include n-1, and node n-1 from helpers
+        # that include 0.
+        high = self.helper_messages(code, payload, 0, range(code.n - code.d, code.n))
+        assert code.repair(0, high) == elements[0]
+        low = self.helper_messages(code, payload, last, range(code.d))
+        assert code.repair(last, low) == elements[last]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gf_oracle
+from repro.gf import matrix as matrix_module
 from repro.gf.gf256 import GF256
 from repro.gf.matrix import GFMatrix, SingularMatrixError
 
@@ -19,7 +20,13 @@ def matrices(rows, cols):
 
 @st.composite
 def matmul_operands(draw):
-    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    # Inner dimension 0 and 1 and the 1 x 1 product are drawn often, not
+    # only when the integers happen to land there.
+    rows, inner, cols = draw(st.one_of(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+        st.tuples(st.integers(1, 6), st.sampled_from([0, 1]), st.integers(1, 6)),
+        st.just((1, 1, 1)),
+    ))
     return draw(matrices(rows, inner)), draw(matrices(inner, cols)), (rows, inner, cols)
 
 
@@ -84,6 +91,39 @@ def test_matmul(operands):
     expected = gf_oracle.matmul(a, b, cols)
     assert result.tolist() == expected
     assert GFMatrix(a_arr).matmul(GFMatrix(b_arr)).data.tolist() == expected
+    # Non-contiguous views of the same operands: a transposed copy turned
+    # back, and every other row / column of a twice-as-large array.
+    assert GF256.matmul(a_arr.T.copy().T, b_arr.T.copy().T).tolist() == expected
+    wide_a = np.repeat(np.repeat(a_arr, 2, axis=0), 2, axis=1)
+    wide_b = np.repeat(np.repeat(b_arr, 2, axis=0), 2, axis=1)
+    assert GF256.matmul(wide_a[::2, ::2], wide_b[::2, ::2]).tolist() == expected
+
+
+def test_matmul_of_255_row_operands():
+    # As tall as the largest code (n = 255), on either side, as arrays and
+    # as nested lists.
+    rng = np.random.default_rng(255)
+    tall = rng.integers(0, 256, size=(255, 4), dtype=np.uint8)
+    small = rng.integers(0, 256, size=(4, 3), dtype=np.uint8)
+    expected = gf_oracle.matmul(tall.tolist(), small.tolist())
+    assert GF256.matmul(tall, small).tolist() == expected
+    assert GF256.matmul(tall.tolist(), small.tolist()).tolist() == expected
+    flat = rng.integers(0, 256, size=(2, 255), dtype=np.uint8)
+    assert GF256.matmul(flat, tall).tolist() \
+        == gf_oracle.matmul(flat.tolist(), tall.tolist())
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1, 2, 3], [[1], [2], [3]]),            # 1-D left operand
+    ([[1, 2, 3]], [1, 2, 3]),                # 1-D right operand
+    (b"\x01\x02", [[1], [2]]),               # bytes are 1-D
+    (np.zeros((2, 2, 2), np.uint8), [[1, 2], [3, 4]]),
+    ([[1, 2, 3]], [[1], [2]]),               # inner dimensions differ
+    (np.zeros((2, 0), np.uint8), np.zeros((1, 2), np.uint8)),
+])
+def test_matmul_still_rejects_malformed_operands(a, b):
+    with pytest.raises(ValueError, match="2-D operands|shape mismatch"):
+        GF256.matmul(a, b)
 
 
 @settings(max_examples=200)
@@ -113,6 +153,105 @@ def test_solve(rows, data):
     column = [row[0] for row in rhs]
     assert GFMatrix(rows).solve(column).tolist() \
         == [row[0] for row in gf_oracle.matmul(inverse, [[v] for v in column])]
+
+
+class TestInverseOfRows:
+    def setup_method(self):
+        matrix_module._inverse_of_rows.cache_clear()
+
+    @given(st.integers(1, 6), st.data())
+    def test_matches_the_oracle_on_any_row_subset_and_width(self, width, data):
+        rows = data.draw(st.integers(width, 9))
+        cols = data.draw(st.integers(width, width + 2))
+        entries = data.draw(matrices(rows, cols))
+        if data.draw(st.booleans()):
+            entries[-1] = list(entries[0])  # a singular selection, often
+        chosen = data.draw(st.permutations(range(rows)))[:width]
+        expected = gf_oracle.inverse([entries[r][:width] for r in chosen])
+        matrix = GFMatrix(entries)
+        for _ in range(2):  # a miss, then a hit (or a second failure)
+            if expected is None:
+                with pytest.raises(SingularMatrixError):
+                    matrix.inverse_of_rows(chosen, width)
+            else:
+                assert matrix.inverse_of_rows(chosen, width).tolist() == expected
+        if cols == width and expected is not None:
+            assert matrix.inverse_of_rows(chosen).tolist() == expected
+
+    def test_is_keyed_on_entries_not_on_the_object(self, monkeypatch):
+        calls = []
+        original = GFMatrix.inverse
+
+        def counting(self):
+            calls.append(self.shape)
+            return original(self)
+
+        monkeypatch.setattr(GFMatrix, "inverse", counting)
+        first = GFMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10], [1, 1, 1]])
+        twin = first.copy()
+        a = first.inverse_of_rows([0, 2, 3])
+        assert twin.inverse_of_rows([0, 2, 3]) is a
+        assert first.inverse_of_rows((0, 2, 3), 3) is a
+        assert first.inverse_of_rows(np.array([0, 2, 3])) is a
+        assert calls == [(3, 3)]
+        # Another selection, another order, another width, or entries that
+        # differ in a single byte: new work.
+        first.inverse_of_rows([0, 1, 3])
+        first.inverse_of_rows([2, 0, 3])
+        first.inverse_of_rows([0, 2], 2)
+        twin[0, 0] = 9
+        changed = twin.inverse_of_rows([0, 2, 3])
+        assert len(calls) == 5
+        assert changed is not a
+        assert changed.tolist() == gf_oracle.inverse(
+            [[9, 2, 3], [7, 8, 10], [1, 1, 1]])
+        # Same bytes, other shape: 2 x 6 is not 4 x 3.
+        reshaped = GFMatrix(first.data.reshape(2, 6))
+        assert reshaped.inverse_of_rows([0, 1], 2).tolist() == gf_oracle.inverse(
+            [[1, 2], [7, 8]])
+
+    def test_result_is_read_only_and_failures_are_not_kept(self):
+        matrix = GFMatrix([[1, 2], [2, 4], [3, 5]])
+        inverse = matrix.inverse_of_rows([0, 2])
+        assert inverse.dtype == np.uint8 and not inverse.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            inverse[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            inverse ^= 1
+        with pytest.raises(ValueError):
+            inverse.setflags(write=True)  # it does not own its memory
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                matrix.inverse_of_rows([0, 1])  # row 1 = 2 * row 0
+            with pytest.raises(SingularMatrixError):
+                matrix.inverse_of_rows([0, 0])  # the same row twice
+            with pytest.raises(SingularMatrixError):
+                matrix.inverse_of_rows([0, 1, 2])  # 3 x 2 is not square
+        assert matrix_module._inverse_of_rows.cache_info().currsize == 1
+        assert matrix.inverse_of_rows([0, 2]) is inverse
+
+    def test_rows_and_width_outside_the_matrix_are_refused(self):
+        matrix = GFMatrix([[1, 2], [3, 5], [7, 9]])
+        for rows in ([0, -1], [-3, 1], [0, 3], [99, 0]):
+            with pytest.raises(IndexError):
+                matrix.inverse_of_rows(rows)
+        for width in (-1, 3):
+            with pytest.raises(IndexError):
+                matrix.inverse_of_rows([0, 1], width)
+        with pytest.raises(TypeError):
+            matrix.inverse_of_rows([0.0, 1.0])
+        assert matrix_module._inverse_of_rows.cache_info().currsize == 0
+        assert matrix.inverse_of_rows([0, 2]).tolist() == gf_oracle.inverse([[1, 2], [7, 9]])
+
+    def test_the_table_is_bounded(self):
+        bound = matrix_module._ROW_INVERSE_CACHE_SIZE
+        assert matrix_module._inverse_of_rows.cache_info().maxsize == bound
+        # One entry per distinct one-row selection of a tall matrix, more of
+        # them than the table holds.
+        for low in range(1, 256):
+            for high in range(1, 6):
+                GFMatrix([[low], [high]]).inverse_of_rows([0], 1)
+        assert matrix_module._inverse_of_rows.cache_info().currsize == bound
 
 
 class TestScalarRange:

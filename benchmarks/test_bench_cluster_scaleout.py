@@ -3,14 +3,13 @@
 Drives the same Zipf-skewed keyed workload through sharded clusters of
 increasing pool counts and reports:
 
-* virtual-time makespan (the busiest shard's clock when the workload
-  drains) and throughput in operations per unit virtual time -- more
+* virtual-time makespan (the global clock when the workload drains) and
+  throughput in operations per unit virtual time -- more
   pools spread the per-key load so the makespan should not degrade as the
   cluster grows;
 * placement balance (coefficient of variation of shards per pool) and
   storage balance (CV of the normalised L1+L2 storage cost per pool) --
-  consistent hashing should keep both CVs moderate at every size;
-* router batching efficiency (operations per flushed batch).
+  consistent hashing should keep both CVs moderate at every size.
 
 There is no paper analogue (the paper stops at the single-deployment
 analysis); this benchmark characterises the new cluster layer itself.
@@ -23,9 +22,9 @@ import time
 from bench_utils import emit_table
 
 from repro import (
+    ClusterSimulation,
     KeyedWorkloadRunner,
     LDSConfig,
-    ShardedCluster,
     WorkloadGenerator,
 )
 from repro.cluster.ring import RingBalance
@@ -37,7 +36,7 @@ DURATION = 400.0
 
 def _run_cluster(num_pools: int):
     config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
-    cluster = ShardedCluster(config, [f"pool-{i}" for i in range(num_pools)])
+    cluster = ClusterSimulation(config, [f"pool-{i}" for i in range(num_pools)])
     keys = [f"obj-{i}" for i in range(NUM_KEYS)]
     generator = WorkloadGenerator(seed=23, client_spacing=60.0)
     workload = generator.zipf_keyed(
@@ -48,15 +47,12 @@ def _run_cluster(num_pools: int):
     report = KeyedWorkloadRunner(cluster.router).run(workload)
     wall = time.perf_counter() - started
 
-    makespan = max(
-        shard.system.simulator.now for shard in cluster.router.shards.values()
-    )
+    makespan = cluster.now
     throughput = len(workload) / makespan if makespan else 0.0
     shard_cv = cluster.router.shard_balance().coefficient_of_variation
     storage_cv = RingBalance.from_counts(
         cluster.storage_by_pool()
     ).coefficient_of_variation
-    stats = cluster.router_stats
     return {
         "report": report,
         "wall": wall,
@@ -64,7 +60,6 @@ def _run_cluster(num_pools: int):
         "throughput": throughput,
         "shard_cv": shard_cv,
         "storage_cv": storage_cv,
-        "mean_batch": stats.mean_batch_size,
         "shards": len(cluster.router.shards),
     }
 
@@ -84,14 +79,13 @@ def test_bench_cluster_scaleout():
             f"{outcome['throughput']:.3f}",
             f"{outcome['shard_cv']:.3f}",
             f"{outcome['storage_cv']:.3f}",
-            f"{outcome['mean_batch']:.1f}",
             f"{outcome['wall'] * 1000:.0f}",
         ))
     emit_table(
         "cluster_scaleout",
         f"Zipf keyed workload ({NUM_OPERATIONS} ops, {NUM_KEYS} keys) vs pool count",
         ("pools", "shards", "makespan", "ops/time", "shard CV",
-         "storage CV", "mean batch", "wall ms"),
+         "storage CV", "wall ms"),
         rows,
     )
     # Growing the cluster must not degrade virtual-time throughput: the
@@ -107,7 +101,7 @@ def test_bench_cluster_scaleout():
 def test_bench_cluster_scaleout_balance_large_keyspace():
     """With a production-sized keyspace the placement balance tightens."""
     config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
-    cluster = ShardedCluster(config, [f"pool-{i}" for i in range(8)])
+    cluster = ClusterSimulation(config, [f"pool-{i}" for i in range(8)])
     keys = [f"obj-{i}" for i in range(20_000)]
     balance = cluster.membership.ring.balance(keys)
     emit_table(

@@ -12,9 +12,9 @@ Run with:  PYTHONPATH=src python examples/cluster_scaleout.py
 """
 
 from repro import (
+    ClusterSimulation,
     KeyedWorkloadRunner,
     LDSConfig,
-    ShardedCluster,
     WorkloadGenerator,
 )
 
@@ -22,7 +22,7 @@ from repro import (
 def main() -> None:
     config = LDSConfig(n1=5, n2=6, f1=1, f2=1)
     pools = [f"pool-{i}" for i in range(4)]
-    cluster = ShardedCluster(
+    cluster = ClusterSimulation(
         config, pools,
         repair_min_interval=8.0, repair_max_concurrent=2,
         repair_detection_delay=2.0,
@@ -35,7 +35,7 @@ def main() -> None:
     workload = generator.zipf_keyed(
         keys, num_operations=256, write_fraction=0.4, duration=500.0, s=1.2,
     )
-    report = KeyedWorkloadRunner(cluster.router).run(workload)
+    report = KeyedWorkloadRunner(cluster).run(workload)
     counts = cluster.shard_counts()
     print(f"\nphase 1: {len(workload)} operations over {len(cluster.router.shards)} "
           f"shards ({workload.description})")
@@ -47,12 +47,12 @@ def main() -> None:
           f"{report.write_latency.p95:.1f}")
     print(f"  read  latency p50/p95: {report.read_latency.p50:.1f}/"
           f"{report.read_latency.p95:.1f}")
-    print(f"  batching: {cluster.router_stats.batches_flushed} batches, "
-          f"mean size {cluster.router_stats.mean_batch_size:.1f}, "
-          f"largest {cluster.router_stats.largest_batch}")
+    print(f"  interleaving: {cluster.interleaving.events_total} events from "
+          f"{len(cluster.kernel.sources())} sources on one clock, "
+          f"switch rate {cluster.interleaving.switch_rate:.2f}")
 
     # Make sure every key has a shard so the failure drill touches them all.
-    cluster.router.ensure_shards(keys)
+    cluster.ensure_shards(keys)
     cluster.run_until_idle()
 
     # -- phase 2: fail one back-end node of the busiest pool -------------------
@@ -61,7 +61,11 @@ def main() -> None:
     affected = cluster.router.shards_on_pool(busiest)
     print(f"\nphase 2: failing node {victim} "
           f"({len(affected)} shards lose one coded element)")
-    cluster.fail_node(victim, time=0.0)
+    cluster.fail_node(victim)
+    # The crash is stamped "now" on the global clock; pump up to that
+    # instant so it has landed on every shard, including idle ones whose
+    # own clocks lag behind.
+    cluster.run(until=cluster.now)
     degraded = sum(1 for s in affected if s.system.alive_l2_count() < config.n2)
     print(f"  degraded shards immediately after the crash: {degraded}")
 
@@ -69,7 +73,7 @@ def main() -> None:
     followup = generator.keyed_random(
         keys, num_operations=64, write_fraction=0.5, duration=200.0,
     )
-    KeyedWorkloadRunner(cluster.router).run(followup)
+    KeyedWorkloadRunner(cluster).run(followup)
     cluster.run_until_idle()
 
     # -- phase 3: verify the repair restored full redundancy ------------------

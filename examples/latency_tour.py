@@ -97,14 +97,13 @@ def freeze_wait_scenario():
     )
     key = "frozen-key"
     simulation.ensure_shards([key])
-    simulation.cluster.write(key, b"v1")
+    simulation.write(key, b"v1")
     simulation.run_until_idle()
     group = simulation.replicas.groups[key]
-    simulation.cluster.fail_pool(group.primary_pool,
-                                 time=simulation.kernel.now)
+    simulation.fail_pool(group.primary_pool, time=simulation.kernel.now)
     for reader in range(3):
-        simulation.cluster.router.invoke_read(key, reader=reader,
-                                              session=f"r{reader}")
+        simulation.router.invoke_read(key, reader=reader,
+                                      session=f"r{reader}")
     simulation.run_until_idle()
     return telemetry.latency
 

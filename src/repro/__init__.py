@@ -23,8 +23,8 @@ with every substrate it depends on:
   replica groups with pluggable read routing and pool-loss failover;
 * ``repro.sim`` -- the global-clock simulation kernel: one merged event
   pump over every per-shard simulator, a declarative scenario engine, and
-  the :class:`ClusterSimulation` harness for cross-shard timing
-  experiments;
+  :class:`ClusterSimulation`, the cluster facade (membership + router +
+  repair, pre-wired on that kernel);
 * ``repro.obs`` -- simulation-time observability: the metrics registry,
   kernel-driven time-series sampling, per-operation Chrome trace spans,
   and pump profiling -- all pure observation (telemetry on or off, runs
@@ -85,7 +85,6 @@ from repro.cluster import (
     RebalancePlan,
     RepairScheduler,
     ReplicationConfig,
-    ShardedCluster,
     make_read_policy,
 )
 from repro.sim import (
@@ -138,7 +137,6 @@ __all__ = [
     "RepairScheduler",
     "ReplicationConfig",
     "make_read_policy",
-    "ShardedCluster",
     "GlobalScheduler",
     "ClusterSimulation",
     "Scenario",

@@ -19,9 +19,10 @@ serve millions of objects:
 * :mod:`repro.cluster.replicas` -- :class:`ReplicaCoordinator`, the
   replica-group layer: r-way placement via ``HashRing.nodes_for``,
   follower stores fed by kernel-scheduled replication lag, pluggable
-  read-routing policies, and deterministic failover on pool loss;
-* :mod:`repro.cluster.deployment` -- :class:`ShardedCluster`, the facade
-  wiring all of the above together.
+  read-routing policies, and deterministic failover on pool loss.
+
+:class:`repro.sim.harness.ClusterSimulation` is the facade wiring all of
+the above together on the global simulation kernel.
 """
 
 from repro.cluster.ring import HashRing, RingBalance, derive_seed, stable_hash
@@ -54,7 +55,6 @@ from repro.cluster.replicas import (
     RoundRobinPolicy,
     make_read_policy,
 )
-from repro.cluster.deployment import ShardedCluster
 
 __all__ = [
     "HashRing",
@@ -88,5 +88,4 @@ __all__ = [
     "ReplicationConfig",
     "RoundRobinPolicy",
     "make_read_policy",
-    "ShardedCluster",
 ]

@@ -503,9 +503,8 @@ class ReplicaCoordinator:
     """Owns every replica group of one :class:`ObjectRouter`.
 
     Wired by the router itself when its :class:`ReplicationConfig` has
-    ``r > 1``; requires the global simulation kernel (replication lag,
-    follower reads and failover are kernel events -- legacy per-shard
-    clocks cannot express them).
+    ``r > 1``; replication lag, follower reads and failover are events on
+    the router's global kernel.
     """
 
     def __init__(self, router, config: ReplicationConfig,
@@ -590,13 +589,7 @@ class ReplicaCoordinator:
 
     @property
     def kernel(self):
-        kernel = self.router.kernel
-        if kernel is None:
-            raise RuntimeError(
-                "replica groups run on the global clock; attach a "
-                "GlobalScheduler before driving an r>1 cluster"
-            )
-        return kernel
+        return self.router.kernel
 
     def _now(self) -> float:
         return self.kernel.now

@@ -15,20 +15,14 @@ shard and injected into its simulator in one pass per flush, so a workload
 touching thousands of keys performs one dispatch walk per shard instead of
 one per operation.  ``run_until_idle`` flushes automatically.
 
-Two execution backends drive the shards:
-
-* **legacy (default)** -- ``run_until_idle`` flushes every batch and runs
-  each shard's simulator to quiescence sequentially; shard clocks are
-  independent and cross-shard timing is not modelled;
-* **global kernel** -- after :meth:`ObjectRouter.attach_kernel`, every
-  shard simulator is registered as an event source of a
-  :class:`~repro.sim.kernel.GlobalScheduler` and ``run_until_idle``
-  delegates to the kernel's merged event pump, so operations, repairs and
-  migrations on different shards interleave on one monotonic global
-  clock.  Each shard's registration offset maps its local clock onto the
-  global one; :meth:`shard_now` / :meth:`schedule_on_shard` let
-  cluster-level components (the repair scheduler, scenario engines) speak
-  global time without knowing the mapping.
+Every shard simulator is registered as an event source of the router's
+:class:`~repro.sim.kernel.GlobalScheduler`, and ``run_until_idle`` pumps
+the kernel's merged event queue, so operations, repairs and migrations on
+different shards interleave on one monotonic global clock.  Each shard's
+registration offset maps its local clock onto the global one;
+:meth:`shard_now` / :meth:`schedule_on_shard` let cluster-level components
+(the repair scheduler, scenario engines) speak global time without knowing
+the mapping.
 
 Failures and rebalancing:
 
@@ -299,10 +293,9 @@ _EPOCH_SUFFIX_RE = re.compile(r"@e\d+$")
 class ObjectRouter:
     """Routes keyed read/write operations to per-shard LDS instances."""
 
-    def __init__(self, config: LDSConfig, membership: Membership, *,
+    def __init__(self, config: LDSConfig, membership: Membership, kernel, *,
                  writers_per_shard: int = 1, readers_per_shard: int = 1,
                  latency_factory: Optional[Callable[[str, str], LatencyModel]] = None,
-                 encode_cache_size: int = 64,
                  replication: Optional[ReplicationConfig] = None,
                  read_policy: Union[str, ReadRoutingPolicy] = "primary",
                  telemetry=None) -> None:
@@ -313,7 +306,6 @@ class ObjectRouter:
         self.membership = membership
         self.writers_per_shard = writers_per_shard
         self.readers_per_shard = readers_per_shard
-        self.encode_cache_size = encode_cache_size
         if latency_factory is None:
             latency_factory = lambda pool, key: BoundedLatencyModel(
                 seed=stable_hash(f"{pool}:{key}") & 0xFFFFFFFF
@@ -361,15 +353,13 @@ class ObjectRouter:
         #: (object_id, op_id) -> handle, recorded at flush while tracing so
         #: shard completion hooks can close the right root span.
         self._op_handles: Dict[tuple, str] = {}
-        #: Global simulation kernel, or None for the legacy per-shard loop.
-        self._kernel = None
+        #: The :class:`~repro.sim.kernel.GlobalScheduler` every shard
+        #: simulator registers with; the one clock the cluster runs on.
+        self.kernel = kernel
         #: object_id -> global-clock offset of its simulator (kept for
         #: retired epochs so their histories can still be mapped).
         self._kernel_offsets: Dict[str, float] = {}
-        #: (time, key, source_pool, target_pool) per migration.  The time
-        #: is global under the kernel; in legacy mode it is the retiring
-        #: shard's *local* drain time (legacy shard clocks are mutually
-        #: incomparable, so do not sort the log across shards there).
+        #: (global time, key, source_pool, target_pool) per migration.
         self.migration_log: List[tuple] = []
         #: Replica-group coordinator (None when replication is off, i.e.
         #: r <= 1 -- the pre-replica single-copy behaviour, bit for bit).
@@ -381,44 +371,9 @@ class ObjectRouter:
 
     # -- global kernel ---------------------------------------------------------
 
-    @property
-    def kernel(self):
-        """The attached :class:`~repro.sim.kernel.GlobalScheduler` (or None)."""
-        return self._kernel
-
-    def attach_kernel(self, kernel) -> None:
-        """Multiplex every shard (existing and future) onto a global clock.
-
-        After attachment, :meth:`run_until_idle` pumps the kernel's merged
-        event queue instead of looping shards to idle.  Detaching is not
-        supported: the offsets woven into shard histories assume the global
-        timeline stays in force.
-
-        Attaching mid-flight anchors each live shard's *current* local time
-        to the current global time, so pre-attach operations map to global
-        times at or below the attach instant.  Epochs retired before the
-        attach are stacked backwards behind their successor's start (each
-        legacy epoch restarts its clock at 0, so only their real-time
-        *order* is recoverable, which is exactly what the drain barrier
-        guaranteed).
-        """
-        if self._kernel is not None:
-            raise RuntimeError("a global kernel is already attached")
-        self._kernel = kernel
-        for key in sorted(self._shards):
-            shard = self._shards[key]
-            self._register_shard_source(shard)
-            base = self._kernel_offsets[shard.object_id]
-            for epoch in range(shard.epoch - 1, -1, -1):
-                history = shard.retired_histories[epoch]
-                end = max((op.responded_at if op.responded_at is not None
-                           else op.invoked_at for op in history), default=0.0)
-                base -= end
-                self._kernel_offsets[_object_id(key, epoch)] = base
-
     def _register_shard_source(self, shard: Shard,
                                offset: Optional[float] = None) -> None:
-        source = self._kernel.register_simulator(
+        source = self.kernel.register_simulator(
             shard.system.simulator, name=f"shard:{shard.object_id}",
             offset=offset,
         )
@@ -429,12 +384,10 @@ class ObjectRouter:
         shard.time_shift = -source.offset
 
     def _offset(self, shard: Shard) -> float:
-        if self._kernel is None:
-            return 0.0
         return self._kernel_offsets.get(shard.object_id, 0.0)
 
     def shard_now(self, shard: Shard) -> float:
-        """The shard's clock on the global timeline (local time in legacy mode)."""
+        """The shard's clock on the global timeline."""
         return shard.system.simulator.now + self._offset(shard)  # simlint: disable=SD03 -- this *is* the sanctioned accessor
 
     def schedule_on_shard(self, shard: Shard, at: float, callback) -> None:
@@ -442,8 +395,8 @@ class ObjectRouter:
         the shard's clock when ``at`` already passed)."""
         simulator = shard.system.simulator
         local = max(at - self._offset(shard), simulator.now)
-        if local > at - self._offset(shard) and self._kernel is not None:
-            sanitizer = self._kernel.sanitizer
+        if local > at - self._offset(shard):
+            sanitizer = self.kernel.sanitizer
             if sanitizer is not None:
                 sanitizer.note_clamp(
                     "shard", f"shard:{shard.object_id}",
@@ -470,8 +423,7 @@ class ObjectRouter:
         shard = self._build_shard(key, pool, epoch=0,
                                   initial_value=self.config.initial_value)
         self._shards[key] = shard
-        if self._kernel is not None:
-            self._register_shard_source(shard)
+        self._register_shard_source(shard)
         if self.replicas is not None:
             self.replicas.ensure_group(key, shard)
         self._announce_shard(shard)
@@ -493,7 +445,6 @@ class ObjectRouter:
             num_readers=self.readers_per_shard,
             latency_model=self._latency_factory(pool, key),
             object_id=_object_id(key, epoch),
-            encode_cache_size=self.encode_cache_size,
         )
         shard = Shard(key=key, pool=pool, epoch=epoch, system=system)
         if self._trace is not None or self.operation_observers:
@@ -575,10 +526,10 @@ class ObjectRouter:
     def check_workload_clients(self, workload) -> None:
         """Reject a workload addressing more per-shard clients than exist.
 
-        Catching this up front turns a bare ``IndexError`` at flush (or,
-        under the kernel, at an arbitrary virtual arrival time) into an
-        immediate, named error.  Duck-typed over anything iterable with
-        ``operations`` carrying ``kind`` / ``client_index``.
+        Catching this up front turns a bare ``IndexError`` at an arbitrary
+        virtual arrival time into an immediate, named error.  Duck-typed
+        over anything iterable with ``operations`` carrying ``kind`` /
+        ``client_index``.
         """
         for operation in workload.operations:
             limit = (self.writers_per_shard if operation.kind == WRITE
@@ -691,7 +642,7 @@ class ObjectRouter:
         handle = self._new_handle(key, REPLICA_EPOCH)
         return handle
 
-    # -- workload arrivals (kernel mode) ---------------------------------------------
+    # -- workload arrivals ------------------------------------------------------------
 
     def add_workload(self, workload, start: float = 0.0,
                      on_handle=None) -> int:
@@ -703,20 +654,14 @@ class ObjectRouter:
         creating the shard at that instant if the key is new -- when the
         global clock reaches ``start + operation.at``.  A window that
         already passed is shifted forward *uniformly* (preserving relative
-        spacing, hence per-client well-formedness, exactly like the legacy
-        batch ratchet).  Every arrival is stamped with the operation's
+        spacing, hence per-client well-formedness, exactly like the
+        per-shard batch ratchet).  Every arrival is stamped with the operation's
         session identity (``ScheduledOperation.session_id``), so merged
         histories carry the cross-shard client sessions the session
         auditor groups by.  ``on_handle(kind, handle)`` is invoked for
         every injected operation so callers can collect handles for cost
         reporting.  Returns the number of arrivals scheduled.
         """
-        if self._kernel is None:
-            raise RuntimeError(
-                "add_workload schedules kernel arrival events; attach a "
-                "GlobalScheduler first (or use KeyedWorkloadRunner's legacy "
-                "batch path)"
-            )
         self.check_workload_clients(workload)
         operations = workload.sorted_operations()
         # Validate before scheduling anything so a bad workload is
@@ -728,12 +673,12 @@ class ObjectRouter:
                     "workload must carry one"
                 )
         if operations:
-            start = max(start, self._kernel.now - operations[0].at)
+            start = max(start, self.kernel.now - operations[0].at)
         for operation in operations:
             # max() guards against floating-point rounding pushing the
             # earliest shifted arrival epsilon below the global clock.
-            at = max(start + operation.at, self._kernel.now)
-            self._kernel.schedule_at(
+            at = max(start + operation.at, self.kernel.now)
+            self.kernel.schedule_at(
                 at, lambda operation=operation, at=at:
                     self._arrive(operation, at, on_handle)
             )
@@ -805,18 +750,10 @@ class ObjectRouter:
         return 0 if shard is None else self._flush_shard(shard)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Flush all batches, then run to quiescence.
-
-        With a kernel attached this pumps the merged global event queue
-        (cross-shard interleaving); otherwise it is the legacy loop running
-        each shard's simulator to idle in turn.
-        """
+        """Flush all batches, then pump the merged global event queue to
+        quiescence."""
         self.flush()
-        if self._kernel is not None:
-            self._kernel.run_until_idle(max_events=max_events)
-            return
-        for shard in self._shards.values():
-            shard.system.run_until_idle(max_events=max_events)
+        self.kernel.run_until_idle(max_events=max_events)
 
     # -- synchronous convenience API ------------------------------------------------
 
@@ -835,11 +772,8 @@ class ObjectRouter:
         key, _epoch, _ = self._handles[handle]
         shard = self._shards[key]
         self._flush_shard(shard)
-        if self._kernel is None:
-            op_id = self._handles[handle][2]
-            return shard.system.run_until_complete(op_id)
-        # Under the kernel, other shards' events must keep flowing while we
-        # wait, so pump the merged queue instead of this shard alone.
+        # Other shards' events must keep flowing while we wait, so pump the
+        # merged queue instead of this shard alone.
         # Resolution goes through :meth:`result`, which also covers
         # follower-served and failover-deferred replica reads.
         executed = 0
@@ -847,7 +781,7 @@ class ObjectRouter:
             found = self.result(handle)
             if found is not None:
                 return found
-            if not self._kernel.step():
+            if not self.kernel.step():
                 raise RuntimeError(
                     f"operation {handle} did not complete (global queue empty)"
                 )
@@ -916,25 +850,18 @@ class ObjectRouter:
         epoch by :meth:`check_atomicity` because each migration epoch has
         its own initial value.
 
-        With ``global_clock`` (kernel mode only), every timestamp is shifted
-        by its epoch's registration offset so operations from different
-        shards become comparable on the one global timeline.  Every epoch
-        must have a recorded offset (live shards register on attach or
-        creation; retired epochs keep theirs, and pre-attach epochs are
-        backfilled by :meth:`attach_kernel`) -- a missing offset is a
-        bookkeeping bug and raises instead of silently mis-placing the
-        epoch at shift 0.
+        With ``global_clock``, every timestamp is shifted by its epoch's
+        registration offset so operations from different shards become
+        comparable on the one global timeline.  Every epoch must have a
+        recorded offset (shards register at creation and retired epochs
+        keep theirs) -- a missing offset is a bookkeeping bug and raises
+        instead of silently mis-placing the epoch at shift 0.
         """
-        if global_clock and self._kernel is None:
-            raise RuntimeError(
-                "global-clock histories need an attached kernel; legacy "
-                "shard clocks are mutually incomparable"
-            )
-        if self.replicas is not None and self._kernel is not None:
+        if self.replicas is not None:
             # Replicated histories are always global-clock: follower reads
             # are recorded with kernel timestamps, and merging them with
             # unshifted local shard clocks would silently misorder the
-            # history (replication requires the kernel anyway).
+            # history.
             global_clock = True
         merged = History(initial_value=self.config.initial_value)
         for history in self._all_histories():
@@ -946,9 +873,9 @@ class ObjectRouter:
                     if shift is None:
                         raise RuntimeError(
                             f"epoch {op.object_id!r} has no global-clock "
-                            "offset: it was never registered with the kernel "
-                            "nor backfilled at attach time, so its operations "
-                            "cannot be placed on the global timeline"
+                            "offset: it was never registered with the kernel, "
+                            "so its operations cannot be placed on the global "
+                            "timeline"
                         )
                 else:
                     shift = 0.0
@@ -1009,11 +936,8 @@ class ObjectRouter:
 
     def _crash_slot(self, shard: Shard, role: str, index: int,
                     at: Optional[float] = None) -> None:
-        """Crash one server slot of a shard, clamping ``at`` to the shard clock.
-
-        ``at`` is a global time under the kernel (membership events carry
-        global timestamps there) and a shard-local time in legacy mode.
-        """
+        """Crash one server slot of a shard, clamping the global time ``at``
+        (membership events carry global timestamps) to the shard clock."""
         simulator = shard.system.simulator
         when = None
         if at is not None:
@@ -1099,36 +1023,31 @@ class ObjectRouter:
         )
         self._retired_comm_cost += shard.system.communication_cost
         retired = shard.retired_histories + [shard.system.history()]
-        drained_at = self.shard_now(shard)
-        if self._kernel is not None:
-            # The new epoch starts at the migration instant or at the
-            # retiring epoch's last foreground activity, whichever is
-            # later.  Neither a lagging shard clock (long idle) nor a
-            # fast-forwarded one (the inline drain executes any future
-            # callbacks, e.g. rate-limited repairs, against the retiring
-            # epoch) may drag the epoch boundary off the global timeline.
-            # Internal operations (the migration's own copy read, which
-            # runs after the drain and inherits its inflated clock) do not
-            # anchor the boundary; they are invisible in merged histories.
-            history_end = max(
-                (op.responded_at if op.responded_at is not None
-                 else op.invoked_at for op in retired[-1]
-                 if (op.object_id, op.op_id) not in self._internal_ops),
-                default=0.0,
-            )
-            drained_at = max(self._kernel.now,
-                             self._offset(shard) + history_end)
-            self._kernel.unregister(f"shard:{shard.object_id}")
+        # The new epoch starts at the migration instant or at the retiring
+        # epoch's last foreground activity, whichever is later.  Neither a
+        # lagging shard clock (long idle) nor a fast-forwarded one (the
+        # inline drain executes any future callbacks, e.g. rate-limited
+        # repairs, against the retiring epoch) may drag the epoch boundary
+        # off the global timeline.  Internal operations (the migration's
+        # own copy read, which runs after the drain and inherits its
+        # inflated clock) do not anchor the boundary; they are invisible
+        # in merged histories.
+        history_end = max(
+            (op.responded_at if op.responded_at is not None
+             else op.invoked_at for op in retired[-1]
+             if (op.object_id, op.op_id) not in self._internal_ops),
+            default=0.0,
+        )
+        drained_at = max(self.kernel.now, self._offset(shard) + history_end)
+        self.kernel.unregister(f"shard:{shard.object_id}")
         replacement = self._build_shard(move.key, move.target,
                                         epoch=shard.epoch + 1,
                                         initial_value=carried)
         replacement.retired_histories = retired
         self._shards[move.key] = replacement
-        if self._kernel is not None:
-            # The new epoch's local time 0 is the instant the old epoch
-            # drained, preserving real-time order between epochs on the
-            # global timeline.
-            self._register_shard_source(replacement, offset=drained_at)
+        # The new epoch's local time 0 is the instant the old epoch drained,
+        # preserving real-time order between epochs on the global timeline.
+        self._register_shard_source(replacement, offset=drained_at)
         self._announce_shard(replacement)
         self.stats.migrations += 1
         self.migration_log.append((drained_at, move.key, move.source, move.target))
@@ -1149,9 +1068,6 @@ class ObjectRouter:
         it; the caller (the replica coordinator) flushes them once it has
         finished its own promotion bookkeeping.
         """
-        if self._kernel is None:
-            raise RuntimeError("failover is a global-clock operation; "
-                               "attach a kernel first")
         shard = self._shards[key]
         epoch_key = (key, shard.epoch)
         self._archived_results[epoch_key] = dict(shard.system.results)
@@ -1160,8 +1076,8 @@ class ObjectRouter:
         )
         self._retired_comm_cost += shard.system.communication_cost
         retired = shard.retired_histories + [shard.system.history()]
-        promoted_at = self._kernel.now
-        self._kernel.unregister(f"shard:{shard.object_id}")
+        promoted_at = self.kernel.now
+        self.kernel.unregister(f"shard:{shard.object_id}")
         replacement = self._build_shard(key, target_pool,
                                         epoch=shard.epoch + 1,
                                         initial_value=carried_value

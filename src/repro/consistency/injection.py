@@ -336,7 +336,7 @@ def inject_under_replication(simulation, count: int = 1,
     """
     if count < 1:
         raise ValueError("at least one hole is required")
-    router = simulation.cluster.router
+    router = simulation.router
     shards = router._shards
     index = simulation.config.n2 - 1 if l2_index is None else l2_index
     holes = []
@@ -374,7 +374,7 @@ def inject_withheld_repair(simulation,
     no failure would schedule any repair (no shards exist yet).
     """
     membership = simulation.membership
-    router = simulation.cluster.router
+    router = simulation.router
     when = simulation.kernel.now
     if node_id is None:
         pools_with_shards = {shard.pool for shard in router._shards.values()}
@@ -391,7 +391,7 @@ def inject_withheld_repair(simulation,
                 "no eligible withheld-repair site: no pool with live shards "
                 "has an alive L2 node (run a workload to create shards first)"
             )
-    simulation.cluster.fail_node(node_id, time=when)
+    simulation.fail_node(node_id, time=when)
     withheld = simulation.repair.withhold_node(node_id)
     if not withheld:
         raise InjectionError(

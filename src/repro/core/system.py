@@ -32,14 +32,16 @@ from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 
+#: Distinct values whose backend encoding each system memoises (oldest out).
+ENCODE_CACHE_SIZE = 64
+
 
 class LDSSystem:
     """A fully wired, simulated deployment of the LDS algorithm."""
 
     def __init__(self, config: LDSConfig, num_writers: int = 1, num_readers: int = 1,
                  latency_model: Optional[LatencyModel] = None,
-                 object_id: str = "object-0",
-                 encode_cache_size: int = 64) -> None:
+                 object_id: str = "object-0") -> None:
         if num_writers < 0 or num_readers < 0:
             raise ValueError("client counts must be non-negative")
         self.config = config
@@ -48,7 +50,6 @@ class LDSSystem:
         self.network = Network(simulator=self.simulator, latency_model=latency_model)
         self.code: LayeredCode = config.build_code()
         self._encode_cache: Dict[bytes, Dict[int, object]] = {}
-        self._encode_cache_size = encode_cache_size
         self._wrap_encode_cache()
         self.storage = StorageCostTracker(object_id=object_id)
         self.recorder = OperationRecorder(initial_value=config.initial_value)
@@ -99,8 +100,6 @@ class LDSSystem:
         so for simulation efficiency the (deterministic) encoding is shared.
         This is purely an engineering optimisation -- it does not change any
         message or state of the protocol."""
-        if self._encode_cache_size <= 0:
-            return
         original = self.code.encode_for_backend
 
         def cached(value: bytes):
@@ -109,7 +108,7 @@ class LDSSystem:
             if hit is not None:
                 return hit
             encoded = original(key)
-            if len(self._encode_cache) >= self._encode_cache_size:
+            if len(self._encode_cache) >= ENCODE_CACHE_SIZE:
                 self._encode_cache.pop(next(iter(self._encode_cache)))
             self._encode_cache[key] = encoded
             return encoded

@@ -101,7 +101,7 @@ class AvailabilityAssessment:
 class AvailabilityMonitor:
     """Periodic fragment-presence sampling over a ``ClusterSimulation``.
 
-    Duck-typed over the harness (needs ``kernel``, ``cluster``,
+    Duck-typed over the harness (needs ``kernel``, ``router``,
     ``repair``, ``membership``); drives the same self-re-arming probe
     cadence as the sampler.
     """
@@ -188,7 +188,7 @@ class AvailabilityMonitor:
         samples the cluster's current state without kernel involvement.
         """
         simulation = self.simulation
-        router = simulation.cluster.router
+        router = simulation.router
         shards = router._shards
         keys = sorted(shards)
         if not keys:
@@ -268,7 +268,7 @@ class AvailabilityMonitor:
     def assessment(self) -> AvailabilityAssessment:
         confidence: Dict[str, float] = {}
         minimum = 1.0 if self.samples_by_object else 0.0
-        router = self.simulation.cluster.router
+        router = self.simulation.router
         shards = router._shards
         for key, samples in sorted(self.samples_by_object.items()):
             shard = shards.get(key)

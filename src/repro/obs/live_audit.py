@@ -56,7 +56,7 @@ DEFAULT_AUDIT_INTERVAL = 25.0
 class LiveAuditProbe:
     """Online session auditing over a ``ClusterSimulation``.
 
-    Duck-typed over the harness (needs ``kernel``, ``cluster``,
+    Duck-typed over the harness (needs ``kernel``, ``router``,
     ``replicas``); register before the first shard exists -- the
     constructor subscribes to the router's operation observers, and
     shards install their completion hook at build time.
@@ -67,9 +67,6 @@ class LiveAuditProbe:
                  trace=None) -> None:
         if interval <= 0:
             raise ValueError("the audit interval must be positive")
-        if simulation.kernel is None:
-            raise RuntimeError("live auditing needs a kernel-driven cluster "
-                               "(shard-local clocks are mutually incomparable)")
         self.simulation = simulation
         self.interval = float(interval)
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -107,7 +104,7 @@ class LiveAuditProbe:
         self._g_entries_peak = registry.gauge(
             "audit_tracked_entries_peak",
             "high-water mark of per-operation audit state (retention bound)")
-        router = simulation.cluster.router
+        router = simulation.router
         router.operation_observers.append(self._on_completion)
 
     # -- the feed ---------------------------------------------------------------
@@ -120,7 +117,7 @@ class LiveAuditProbe:
         """Translate and consume everything the feed buffered."""
         if not self._buffer:
             return
-        router = self.simulation.cluster.router
+        router = self.simulation.router
         internal = router._internal_ops
         sessions = router._op_sessions
         buffered, self._buffer = self._buffer, []
@@ -149,7 +146,7 @@ class LiveAuditProbe:
 
     def _watermarks(self, keys) -> dict:
         simulation = self.simulation
-        router = simulation.cluster.router
+        router = simulation.router
         kernel = simulation.kernel
         replica_floor: dict = {}
         replicas = simulation.replicas
@@ -256,7 +253,7 @@ class LiveAuditProbe:
     def _incomplete_skips(self) -> tuple:
         """Skip counts of operations with no response: the batch auditor's
         eligibility rules applied to everything the feed never delivers."""
-        router = self.simulation.cluster.router
+        router = self.simulation.router
         internal = router._internal_ops
         sessions = router._op_sessions
         unsessioned = 0

@@ -46,7 +46,7 @@ LAG_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 class ClusterSampler:
     """Periodic cluster-health probe over a ``ClusterSimulation``.
 
-    Duck-typed over the harness (needs ``kernel``, ``cluster``,
+    Duck-typed over the harness (needs ``kernel``, ``router``,
     ``replicas``, ``repair``, ``membership``), so anything exposing that
     surface samples the same way.
     """
@@ -119,8 +119,7 @@ class ClusterSampler:
 
     def sample(self, tick: float) -> dict:
         """One cluster-health row at virtual time ``tick``."""
-        cluster = self.simulation.cluster
-        router = cluster.router
+        router = self.simulation.router
         stats = router.stats
 
         by_shard = {}

@@ -14,10 +14,10 @@ actually simulated instead of serialised away:
   (:class:`Scenario` / :class:`ScenarioEngine`) of crash/recover, pool
   join/leave, latency-regime shifts and workload phases, with four shipped
   scenarios;
-* :mod:`repro.sim.harness` -- :class:`ClusterSimulation`, the facade
-  wiring a seeded :class:`~repro.cluster.deployment.ShardedCluster` to the
-  kernel and exposing workload arrival scheduling, scenario application
-  and the merged global timeline;
+* :mod:`repro.sim.harness` -- :class:`ClusterSimulation`, the cluster
+  facade wiring seeded membership, router and repair scheduler to the
+  kernel and exposing keyed driving, failure injection, workload arrival
+  scheduling, scenario application and the merged global timeline;
 * :mod:`repro.sim.sanitizer` -- :class:`KernelSanitizer`, opt-in runtime
   invariant checking on the pump (clock monotonicity, local-past
   scheduling, probe purity, pending-map leaks) with zero fingerprint

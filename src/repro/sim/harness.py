@@ -1,17 +1,24 @@
-"""The global-clock cluster harness.
+"""The cluster facade: membership + router + repair on one global clock.
 
-:class:`ClusterSimulation` is the one-stop entry point for cross-shard
-timing experiments: it builds a :class:`~repro.cluster.deployment.ShardedCluster`
-whose every stochastic component derives from one root seed, attaches a
-:class:`~repro.sim.kernel.GlobalScheduler`, wraps every per-shard latency
-model in a shared :class:`~repro.net.latency.LatencyRegime` (so scenarios
-can shift the whole cluster between latency regimes), and exposes:
+:class:`ClusterSimulation` is the one-stop entry point for cluster
+experiments: it builds a :class:`~repro.cluster.membership.Membership`
+with one full node set per named pool, an
+:class:`~repro.cluster.router.ObjectRouter` over it driven by a
+:class:`~repro.sim.kernel.GlobalScheduler`, and a
+:class:`~repro.cluster.repair.RepairScheduler` subscribed to failures.
+Every stochastic component derives from one root seed, and every
+per-shard latency model is wrapped in a shared
+:class:`~repro.net.latency.LatencyRegime` (so scenarios can shift the
+whole cluster between latency regimes).  It exposes:
 
-* the keyed driving API (``invoke_write`` / ``invoke_read`` /
-  ``run_until_idle`` / ``history`` / ``check_atomicity`` / ...), so
+* the keyed driving API (``write`` / ``read`` / ``invoke_write`` /
+  ``invoke_read`` / ``run_until_idle`` / ``history`` /
+  ``check_atomicity`` / ...), so
   :class:`~repro.workloads.runner.KeyedWorkloadRunner` drives it exactly
-  like a router -- except arrivals, repairs and migrations now interleave
-  on one global clock;
+  like a router, with arrivals, repairs and migrations interleaving on
+  the global clock;
+* node failure injection and pool join/leave with automatic rebalancing
+  (``fail_node`` / ``fail_pool`` / ``add_pool`` / ``remove_pool``);
 * :meth:`add_workload` -- schedule a keyed workload's operations as timed
   *arrival events* on the kernel (each operation is injected into its
   shard at its nominal global time, creating the shard then if needed);
@@ -23,25 +30,50 @@ can shift the whole cluster between latency regimes), and exposes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from dataclasses import replace as dc_replace
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from typing import Union
-
-from repro.cluster.deployment import ShardedCluster, seeded_latency_factory
-from repro.cluster.repair import GAVE_UP
+from repro.cluster.membership import ClusterNode, Membership, MembershipEvent
+from repro.cluster.placement import RebalancePlan
+from repro.cluster.repair import GAVE_UP, RepairScheduler
 from repro.cluster.replicas import ReadRoutingPolicy, ReplicationConfig
+from repro.cluster.ring import derive_seed
+from repro.cluster.router import ObjectRouter
 from repro.consistency.history import History
 from repro.consistency.linearizability import AtomicityViolation
 from repro.consistency.sessions import ClusterAuditReport, check_sessions
 from repro.core.config import LDSConfig
-from repro.net.latency import LatencyRegime
+from repro.core.results import OperationResult
+from repro.net.latency import (
+    BoundedLatencyModel,
+    LatencyModel,
+    LatencyRegime,
+    ScaledLatencyModel,
+)
 from repro.sim.kernel import GlobalScheduler, KernelStats
 from repro.sim.scenario import Scenario, ScenarioEngine
 from repro.workloads.generator import Workload
 
 
+def seeded_latency_factory(seed, regime: LatencyRegime
+                           ) -> Callable[[str, str], LatencyModel]:
+    """The seeded per-shard latency factory.
+
+    Every (pool, key) pair gets a :class:`BoundedLatencyModel` whose seed
+    derives from the root seed, so one root seed fixes every latency draw
+    in the cluster, wrapped in the shared ``regime`` so scenario scripts
+    can shift the whole cluster's latency at once.
+    """
+    def factory(pool: str, key: str) -> LatencyModel:
+        base = BoundedLatencyModel(seed=derive_seed(seed, "latency", pool, key))
+        return ScaledLatencyModel(base, regime)
+
+    return factory
+
+
 class ClusterSimulation:
-    """A sharded cluster driven end to end by one global simulation kernel."""
+    """A multi-pool, multi-object LDS deployment with background repair,
+    driven end to end by one global simulation kernel."""
 
     def __init__(self, config: LDSConfig, pool_names: List[str], *,
                  seed: int = 0, record_trace: bool = False,
@@ -56,6 +88,12 @@ class ClusterSimulation:
                  telemetry=None, live_audit: bool = False,
                  latency: bool = False,
                  sanitize: bool = False) -> None:
+        if not pool_names:
+            raise ValueError("a cluster needs at least one pool")
+        self.config = config
+        #: Root RNG seed.  Every stochastic component (per-shard latency
+        #: models, replica distances, repair jitter) derives its own seed
+        #: from it, so one seed fixes the entire global event order.
         self.seed = seed
         self.kernel = GlobalScheduler(record_trace=record_trace)
         self.latency_regime = LatencyRegime()
@@ -90,28 +128,36 @@ class ClusterSimulation:
         #: observational: a run with telemetry attached produces the same
         #: kernel fingerprint and histories as the same seed without it.
         self.telemetry = telemetry
-        self.cluster = ShardedCluster(
-            config, pool_names,
-            vnodes=vnodes,
+        self.membership = Membership.for_pools(pool_names, n1=config.n1,
+                                               n2=config.n2, vnodes=vnodes)
+        if replication is not None and seed is not None \
+                and replication.seed is None:
+            # Thread the root seed into replica distances / lag jitter
+            # unless the caller pinned one explicitly.
+            replication = dc_replace(replication,
+                                     seed=derive_seed(seed, "replicas"))
+        self.router = ObjectRouter(
+            config, self.membership, self.kernel,
             writers_per_shard=writers_per_shard,
             readers_per_shard=readers_per_shard,
-            latency_factory=seeded_latency_factory(seed,
-                                                   regime=self.latency_regime),
-            repair_min_interval=repair_min_interval,
-            repair_max_concurrent=repair_max_concurrent,
-            repair_detection_delay=repair_detection_delay,
-            repair_slot_jitter=repair_slot_jitter,
-            seed=seed,
+            latency_factory=seeded_latency_factory(seed, self.latency_regime),
             replication=replication,
             read_policy=read_policy,
             telemetry=telemetry,
         )
-        self.cluster.attach_kernel(self.kernel)
-        if self.cluster.replicas is not None:
+        self.repair = RepairScheduler(
+            self.router,
+            min_interval=repair_min_interval,
+            max_concurrent=repair_max_concurrent,
+            detection_delay=repair_detection_delay,
+            slot_jitter=repair_slot_jitter,
+            seed=None if seed is None else derive_seed(seed, "repair"),
+        )
+        if self.replicas is not None:
             # Follower-read latency scales with the shared regime, so a
             # latency-shift action slows replica serves like protocol
             # traffic.
-            self.cluster.replicas.latency_regime = self.latency_regime
+            self.replicas.latency_regime = self.latency_regime
         if telemetry is not None:
             telemetry.attach(self)
         if sanitize:
@@ -120,38 +166,22 @@ class ClusterSimulation:
             # Purely observational: a sanitized run produces the same
             # kernel fingerprint as the same seed without it.
             sanitizer = self.kernel.enable_sanitizer()
-            if self.cluster.replicas is not None:
-                for name, mapping in self.cluster.replicas.sanitizer_watches():
+            if self.replicas is not None:
+                for name, mapping in self.replicas.sanitizer_watches():
                     sanitizer.watch_map(name, mapping)
         self.engine = ScenarioEngine(self)
 
     # -- conveniences over the wired parts ---------------------------------------
 
     @property
-    def config(self) -> LDSConfig:
-        return self.cluster.config
-
-    @property
-    def router(self):
-        return self.cluster.router
-
-    @property
-    def membership(self):
-        return self.cluster.membership
-
-    @property
-    def repair(self):
-        return self.cluster.repair
-
-    @property
     def replicas(self):
         """The replica-group coordinator (None when replication is off)."""
-        return self.cluster.replicas
+        return self.router.replicas
 
     def read_distribution(self):
         """Per-replica read counts / routing hit rates of the run so far."""
         from repro.workloads.metrics import ReadDistribution
-        return ReadDistribution.from_router_stats(self.cluster.router.stats)
+        return ReadDistribution.from_router_stats(self.router.stats)
 
     @property
     def now(self) -> float:
@@ -173,58 +203,67 @@ class ClusterSimulation:
         failure scripted early in a scenario would only touch the few
         shards that happen to exist by then.
         """
-        self.cluster.router.ensure_shards(keys)
+        self.router.ensure_shards(keys)
 
     # -- workload arrivals ----------------------------------------------------------
 
     @property
     def arrivals(self) -> int:
         """Count of operations injected through kernel arrival events."""
-        return self.cluster.router.stats.arrivals
+        return self.router.stats.arrivals
 
     def add_workload(self, workload: Workload, start: float = 0.0,
                      on_handle=None) -> int:
         """Schedule a keyed workload's operations as kernel arrival events
         (see :meth:`ObjectRouter.add_workload`, the single implementation)."""
-        return self.cluster.router.add_workload(workload, start=start,
-                                                on_handle=on_handle)
+        return self.router.add_workload(workload, start=start,
+                                        on_handle=on_handle)
 
     def check_workload_clients(self, workload: Workload) -> None:
         """Reject a workload addressing more per-shard clients than exist
         (e.g. the flash-crowd scenario's second client population on a
         default one-client simulation) -- see the router's check."""
-        self.cluster.router.check_workload_clients(workload)
+        self.router.check_workload_clients(workload)
 
     # -- the keyed driving API (KeyedDrivableSystem) ----------------------------------
+
+    def write(self, key: str, value: bytes,
+              writer: Union[int, str] = 0) -> OperationResult:
+        """Write ``key`` and pump the global clock until the write completes."""
+        return self.router.write(key, value, writer=writer)
+
+    def read(self, key: str, reader: Union[int, str] = 0) -> OperationResult:
+        """Read ``key`` and pump the global clock until the read completes."""
+        return self.router.read(key, reader=reader)
 
     def invoke_write(self, key: str, value: bytes, writer=0,
                      at: Optional[float] = None,
                      session: Optional[str] = None,
                      via: Optional[str] = None) -> str:
-        return self.cluster.invoke_write(key, value, writer=writer, at=at,
-                                         session=session, via=via)
+        return self.router.invoke_write(key, value, writer=writer, at=at,
+                                        session=session, via=via)
 
     def invoke_read(self, key: str, reader=0,
                     at: Optional[float] = None,
                     session: Optional[str] = None) -> str:
-        return self.cluster.invoke_read(key, reader=reader, at=at,
-                                        session=session)
+        return self.router.invoke_read(key, reader=reader, at=at,
+                                       session=session)
 
     def flush_key(self, key: str) -> int:
-        return self.cluster.flush_key(key)
+        return self.router.flush_key(key)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         if self.telemetry is not None:
             # Work may have been added since the sampler wound down.
             self.telemetry.ensure_sampler_armed()
-        self.cluster.router.flush()
+        self.router.flush()
         self.kernel.run(until=until, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         if self.telemetry is not None:
             self.telemetry.ensure_sampler_armed()
-        self.cluster.run_until_idle(max_events=max_events)
+        self.router.run_until_idle(max_events=max_events)
 
     def run_report(self) -> str:
         """The telemetry run report (requires a telemetry bundle)."""
@@ -233,10 +272,10 @@ class ClusterSimulation:
         return self.telemetry.report(self)
 
     def history(self, global_clock: bool = True) -> History:
-        return self.cluster.history(global_clock=global_clock)
+        return self.router.history(global_clock=global_clock)
 
     def check_atomicity(self) -> Optional[AtomicityViolation]:
-        return self.cluster.check_atomicity()
+        return self.router.check_atomicity()
 
     def audit(self) -> ClusterAuditReport:
         """The post-run correctness verdict of the whole simulation.
@@ -271,11 +310,61 @@ class ClusterSimulation:
         )
 
     def operation_cost(self, handle: str) -> float:
-        return self.cluster.operation_cost(handle)
+        return self.router.operation_cost(handle)
 
     @property
     def communication_cost(self) -> float:
-        return self.cluster.communication_cost
+        return self.router.communication_cost
+
+    def shard_counts(self) -> Dict[str, int]:
+        return self.router.shard_counts()
+
+    def storage_by_pool(self) -> Dict[str, float]:
+        return self.router.storage_by_pool()
+
+    # -- membership operations -----------------------------------------------------------
+    #
+    # ``time`` is a global time and defaults to the current one: a
+    # membership event stamped in the global past would place its repairs
+    # on the timeline before the failure that caused them.
+
+    def _time(self, time: Optional[float]) -> float:
+        return self.now if time is None else time
+
+    def fail_node(self, node_id: str,
+                  time: Optional[float] = None) -> MembershipEvent:
+        """Crash one pool node; the repair scheduler takes it from there."""
+        return self.membership.fail(node_id, time=self._time(time))
+
+    def fail_pool(self, pool: str,
+                  time: Optional[float] = None) -> List[MembershipEvent]:
+        """Crash every alive node of a pool (correlated pool loss).
+
+        The kill is atomic at the membership level (every listener sees
+        the pool already down); with replica groups that is the signal
+        driving primary failover and follower re-provisioning (see
+        :mod:`repro.cluster.replicas`).  Without replicas the pool's
+        shards simply stall until an administrator migrates them away.
+        """
+        return self.membership.fail_pool(pool, time=self._time(time))
+
+    def add_pool(self, pool: str, time: Optional[float] = None,
+                 weight: float = 1.0) -> RebalancePlan:
+        """Join a new pool (full node set) and rebalance onto it."""
+        time = self._time(time)
+        self.membership.join_pool(pool, n1=self.config.n1, n2=self.config.n2,
+                                  weight=weight, time=time)
+        return self.router.rebalance(reason=f"join {pool}", time=time)
+
+    def remove_pool(self, pool: str,
+                    time: Optional[float] = None) -> RebalancePlan:
+        """Drain a pool out of the ring and migrate its shards away."""
+        time = self._time(time)
+        self.membership.leave_pool(pool, time=time)
+        return self.router.rebalance(reason=f"leave {pool}", time=time)
+
+    def node(self, node_id: str) -> ClusterNode:
+        return self.membership.node(node_id)
 
     # -- scenarios -----------------------------------------------------------------------
 
@@ -317,12 +406,12 @@ class ClusterSimulation:
             if task.completed_at is not None:
                 entries.append((task.completed_at, "repair-done",
                                 f"{task.key} l2-{task.l2_index}"))
-        for time, key, source, target in self.cluster.router.migration_log:
+        for time, key, source, target in self.router.migration_log:
             entries.append((time, "migrate", f"{key}: {source} -> {target}"))
-        if self.cluster.replicas is not None:
+        if self.replicas is not None:
             # primary-down / promote / follower-lost / follower-provisioned
             # / read-repair.
-            entries.extend(self.cluster.replicas.failover_log)
+            entries.extend(self.replicas.failover_log)
         for time, kind, detail in self.engine.log:
             entries.append((time, kind, detail))
         entries.sort(key=lambda entry: entry[0])
@@ -335,7 +424,8 @@ class ClusterSimulation:
             f"sources={len(self.kernel.sources())}, "
             f"events={stats.events_total}, "
             f"switch_rate={stats.switch_rate:.2f}, "
-            f"{self.cluster.describe()})"
+            f"pools={len(self.membership.pools)}, "
+            f"shards={len(self.router.shards)}, {self.config.describe()})"
         )
 
 

@@ -2,7 +2,7 @@
 
 Each :class:`~repro.core.system.LDSSystem` owns a private
 :class:`~repro.net.simulator.Simulator`, so a sharded cluster is a federation
-of independent event queues.  Running them one after another (the legacy
+of independent event queues.  Running them one after another (a per-shard
 ``run_until_idle`` loop) destroys every cross-shard timing phenomenon:
 background repair slots never compete with foreground load, migrations never
 overlap writes, and correlated failures collapse into sequential ones.
@@ -138,7 +138,6 @@ class GlobalScheduler:
 
     def __init__(self, record_trace: bool = False) -> None:
         self._sources: Dict[str, SimulatorSource] = {}
-        self._retired_offsets: Dict[str, float] = {}
         self._now = 0.0
         #: Lazy min-heap over source head times: (global_time, registration
         #: order, source name, entry version).  An entry is valid only while
@@ -200,7 +199,6 @@ class GlobalScheduler:
         source.order = self._registrations
         self._registrations += 1
         self._sources[name] = source
-        self._retired_offsets.pop(name, None)
         simulator.set_head_listener(lambda: self._push_head(name))
         self._push_head(name)
         if self._sanitizer is not None:
@@ -210,30 +208,20 @@ class GlobalScheduler:
     def unregister(self, name: str) -> None:
         """Drop a source (e.g. a drained pre-migration shard).
 
-        The offset stays queryable through :meth:`offset_of` for
-        inspection; the authoritative history-to-global mapping lives with
-        the owner of the source (the router keeps its own per-epoch offset
-        map, which also covers epochs that never were kernel sources).
+        The history-to-global mapping lives with the owner of the source
+        (the router keeps its own per-epoch offset map).
         """
         source = self._sources.pop(name)
         source.simulator.set_head_listener(None)
         if self._sanitizer is not None:
             self._sanitizer.detach_source(source)
         self._heap_versions.pop(name, None)
-        self._retired_offsets[name] = source.offset
 
     def source(self, name: str) -> SimulatorSource:
         return self._sources[name]
 
     def sources(self) -> List[SimulatorSource]:
         return list(self._sources.values())
-
-    def offset_of(self, name: str) -> float:
-        """Offset of a live *or retired* source."""
-        live = self._sources.get(name)
-        if live is not None:
-            return live.offset
-        return self._retired_offsets[name]
 
     # -- kernel events -----------------------------------------------------------
 

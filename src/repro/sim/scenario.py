@@ -9,7 +9,7 @@ load changes land *between* foreground protocol events exactly where the
 timeline puts them, instead of between whole run-to-idle passes.
 
 Eight scenarios ship with the engine, covering the cross-shard phenomena
-the legacy per-shard loop could never exhibit:
+a per-shard run-to-idle loop could never exhibit:
 
 * :func:`repair_under_load` -- a back-end node dies mid-workload and the
   rate-limited background repairs compete with foreground Zipf traffic;
@@ -129,27 +129,26 @@ class ScenarioEngine:
 
     def _apply(self, action: ScenarioAction) -> None:
         simulation = self.simulation
-        cluster = simulation.cluster
         now = simulation.kernel.now
         detail = action.label or action.target
         if action.kind == FAIL_NODE:
-            cluster.fail_node(action.target, time=now)
+            simulation.fail_node(action.target, time=now)
         elif action.kind == RECOVER_NODE:
             # The repair scheduler usually beats scripted recovery; only
             # flip nodes that are actually still down.
-            node = cluster.node(action.target)
+            node = simulation.node(action.target)
             if node.status == FAILED:
-                cluster.membership.recover(action.target, time=now)
+                simulation.membership.recover(action.target, time=now)
             else:
                 detail = f"{detail} (already {node.status})"
         elif action.kind == JOIN_POOL:
-            plan = cluster.add_pool(action.target, time=now, weight=action.weight)
+            plan = simulation.add_pool(action.target, time=now, weight=action.weight)
             detail = f"{detail} ({len(plan.moves)} shards migrated)"
         elif action.kind == LEAVE_POOL:
-            plan = cluster.remove_pool(action.target, time=now)
+            plan = simulation.remove_pool(action.target, time=now)
             detail = f"{detail} ({len(plan.moves)} shards migrated)"
         elif action.kind == KILL_POOL:
-            events = cluster.fail_pool(action.target, time=now)
+            events = simulation.fail_pool(action.target, time=now)
             detail = f"{detail} ({len(events)} nodes down)"
         elif action.kind == LATENCY_SHIFT:
             simulation.set_latency_scale(action.scale)

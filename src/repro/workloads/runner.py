@@ -112,12 +112,7 @@ class WorkloadRunner:
 
 
 class KeyedDrivableSystem(Protocol):
-    """The keyed driving API of the cluster router (and its facades).
-
-    ``kernel`` / ``add_workload`` carry the kernel-mode contract: when
-    ``kernel`` is non-None the runner schedules the workload through
-    ``add_workload`` instead of batch-injecting operations itself.
-    """
+    """The keyed driving API of the cluster router (and its facade)."""
 
     def invoke_write(self, key: str, value: bytes, writer=0,
                      at: Optional[float] = None,
@@ -125,9 +120,6 @@ class KeyedDrivableSystem(Protocol):
 
     def invoke_read(self, key: str, reader=0, at: Optional[float] = None,
                     session: Optional[str] = None) -> str: ...
-
-    @property
-    def kernel(self): ...
 
     def add_workload(self, workload: "Workload", start: float = 0.0,
                      on_handle=None) -> int: ...
@@ -151,17 +143,17 @@ class KeyedWorkloadRunner:
     epoch), so unlike :class:`WorkloadRunner` this runner delegates the
     check instead of running the tag checker over the merged history.
 
-    When the target system carries a global simulation kernel (a non-None
-    ``kernel`` attribute -- an :class:`~repro.cluster.router.ObjectRouter`
-    or :class:`~repro.cluster.deployment.ShardedCluster` after
-    ``attach_kernel``, or a :class:`~repro.sim.harness.ClusterSimulation`),
-    operations are scheduled as timed *arrival events* on the kernel
-    instead of being pre-batched, so the workload interleaves with
-    background repairs, migrations and other shards' traffic on one global
-    clock.  Without a kernel the legacy batch-then-drain path runs,
-    byte-for-byte compatible with previous releases.
+    Operations are scheduled as timed *arrival events* on the system's
+    global kernel (``add_workload`` on an
+    :class:`~repro.cluster.router.ObjectRouter` or a
+    :class:`~repro.sim.harness.ClusterSimulation`), so the workload
+    interleaves with background repairs, migrations and other shards'
+    traffic on one global clock.  Arrival semantics (per-operation timed
+    injection, uniform forward shift of past-due windows, key and client
+    validation, arrival counting) live in that one place; this runner only
+    collects the handles for cost reporting.
 
-    On both paths every operation is stamped with its *session identity*
+    Every operation is stamped with its *session identity*
     (:attr:`~repro.workloads.generator.ScheduledOperation.session_id` --
     explicit, or the default pairing writer ``i`` and reader ``i`` as one
     logical client), which the router preserves end to end into the merged
@@ -178,63 +170,16 @@ class KeyedWorkloadRunner:
         """Schedule every keyed operation, run to quiescence, and summarise."""
         write_ops: List[str] = []
         read_ops: List[str] = []
-        if getattr(self.system, "kernel", None) is not None:
-            self._schedule_arrivals(workload, write_ops, read_ops)
-        else:
-            self._inject_batches(workload, write_ops, read_ops)
+
+        def collect(kind: str, handle: str) -> None:
+            (write_ops if kind == WRITE else read_ops).append(handle)
+
+        self.system.add_workload(workload, on_handle=collect)
         self.system.run_until_idle(max_events=max_events)
 
         history = self.system.history()
         violation = self.system.check_atomicity() if self.check_atomicity else None
         return _assemble_report(self.system, history, violation, write_ops, read_ops)
-
-    @staticmethod
-    def _require_key(operation) -> None:
-        if operation.key is None:
-            raise ValueError(
-                "keyed workloads require every operation to carry a key; "
-                "use WorkloadRunner for single-object workloads"
-            )
-
-    def _inject_batches(self, workload: Workload, write_ops: List[str],
-                        read_ops: List[str]) -> None:
-        """Legacy path: queue everything up front, one batch per shard.
-
-        Operations are stamped with their session identity exactly like
-        kernel arrivals, so merged histories carry sessions on both paths
-        (the auditor itself still needs global-clock timestamps, which only
-        the kernel provides).
-        """
-        for operation in workload.sorted_operations():
-            self._require_key(operation)
-            if operation.kind == WRITE:
-                handle = self.system.invoke_write(
-                    operation.key, operation.value or b"",
-                    writer=operation.client_index, at=operation.at,
-                    session=operation.session_id,
-                )
-                write_ops.append(handle)
-            else:
-                handle = self.system.invoke_read(
-                    operation.key, reader=operation.client_index, at=operation.at,
-                    session=operation.session_id,
-                )
-                read_ops.append(handle)
-
-    def _schedule_arrivals(self, workload: Workload,
-                           write_ops: List[str], read_ops: List[str]) -> None:
-        """Kernel path: every operation arrives at its nominal global time.
-
-        Arrival semantics (per-operation timed injection, uniform forward
-        shift of past-due windows, key and client validation, arrival
-        counting) live in one place -- ``add_workload`` on the router /
-        cluster / simulation -- and this runner only collects the handles
-        for cost reporting.
-        """
-        def collect(kind: str, handle: str) -> None:
-            (write_ops if kind == WRITE else read_ops).append(handle)
-
-        self.system.add_workload(workload, on_handle=collect)
 
 
 __all__ = [

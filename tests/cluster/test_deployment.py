@@ -1,22 +1,22 @@
-"""ShardedCluster facade and keyed workload integration."""
+"""ClusterSimulation facade and keyed workload integration."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import (
+    ClusterSimulation,
     KeyedWorkloadRunner,
     LDSConfig,
-    ShardedCluster,
     WorkloadGenerator,
     ZipfKeySampler,
 )
 
 
 @pytest.fixture
-def cluster() -> ShardedCluster:
+def cluster() -> ClusterSimulation:
     config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
-    return ShardedCluster(config, [f"pool-{i}" for i in range(3)])
+    return ClusterSimulation(config, [f"pool-{i}" for i in range(3)])
 
 
 def test_facade_drives_keyed_operations(cluster):
@@ -36,7 +36,7 @@ def test_zipf_workload_end_to_end(cluster):
     assert report.incomplete_operations == 0
     assert report.write_latency.count + report.read_latency.count == 80
     assert report.total_communication_cost > 0
-    assert cluster.router_stats.operations_flushed == 80
+    assert cluster.router.stats.operations_flushed == 80
 
 
 def test_zipf_sampler_skews_toward_low_ranks():
@@ -51,7 +51,7 @@ def test_zipf_sampler_skews_toward_low_ranks():
 def test_keyed_runner_rejects_keyless_operations(cluster):
     generator = WorkloadGenerator(seed=1)
     workload = generator.sequential(num_writes=1, num_reads=1)
-    with pytest.raises(ValueError, match="carry a key"):
+    with pytest.raises(ValueError, match="must carry one"):
         KeyedWorkloadRunner(cluster.router).run(workload)
 
 

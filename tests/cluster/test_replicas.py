@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.deployment import ShardedCluster
 from repro.cluster.membership import FAILED
 from repro.cluster.replicas import (
     FAILING_OVER,
@@ -22,7 +21,6 @@ from repro.consistency.sessions import check_sessions
 from repro.core.config import LDSConfig
 from repro.core.tags import INITIAL_TAG
 from repro.sim.harness import ClusterSimulation
-from repro.sim.kernel import GlobalScheduler
 
 
 @pytest.fixture
@@ -32,14 +30,12 @@ def config() -> LDSConfig:
 
 def build_cluster(config, *, r=3, policy="round-robin", pools=4, seed=11,
                   **replication_kwargs):
-    cluster = ShardedCluster(
+    cluster = ClusterSimulation(
         config, [f"pool-{i}" for i in range(pools)], seed=seed,
         replication=ReplicationConfig(r=r, **replication_kwargs),
         read_policy=policy,
     )
-    kernel = GlobalScheduler()
-    cluster.attach_kernel(kernel)
-    return cluster, kernel
+    return cluster, cluster.kernel
 
 
 class TestPlacement:
@@ -59,19 +55,11 @@ class TestPlacement:
         assert len(group.pools()) == 2  # primary + one follower
 
     def test_r1_disables_the_subsystem_entirely(self, config):
-        cluster = ShardedCluster(config, ["pool-0", "pool-1"],
+        cluster = ClusterSimulation(config, ["pool-0", "pool-1"],
                                  replication=ReplicationConfig(r=1))
         assert cluster.replicas is None
-        cluster_none = ShardedCluster(config, ["pool-0", "pool-1"])
+        cluster_none = ClusterSimulation(config, ["pool-0", "pool-1"])
         assert cluster_none.replicas is None
-
-    def test_replication_requires_the_global_kernel(self, config):
-        cluster = ShardedCluster(
-            config, ["pool-0", "pool-1"],
-            replication=ReplicationConfig(r=2),
-        )
-        with pytest.raises(RuntimeError, match="global clock"):
-            cluster.write("obj-0", b"x")
 
     def test_unknown_policy_is_rejected(self):
         with pytest.raises(ValueError, match="unknown read routing policy"):
@@ -122,7 +110,7 @@ class TestReadRouting:
         cluster.run_until_idle()
         for _ in range(4):
             assert cluster.read("obj-0").value == b"v1"
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.primary_reads == 4
         assert stats.follower_reads == 0
         assert stats.policy_hit_rate == 1.0
@@ -134,7 +122,7 @@ class TestReadRouting:
         for _ in range(6):
             assert cluster.read("obj-0").value == b"v1"
         group = cluster.replicas.groups["obj-0"]
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.primary_reads == 2
         assert stats.follower_reads == 4
         for pool in group.pools():
@@ -151,7 +139,7 @@ class TestReadRouting:
         expected = min(distances, key=distances.get)
         for _ in range(3):
             assert cluster.read("obj-0").value == b"v1"
-        assert cluster.router_stats.reads_by_replica == {expected: 3}
+        assert cluster.router.stats.reads_by_replica == {expected: 3}
 
     def test_least_loaded_balances_serve_counts(self, config):
         cluster, _ = build_cluster(config, policy="least-loaded")
@@ -159,7 +147,7 @@ class TestReadRouting:
         cluster.run_until_idle()
         for _ in range(9):
             assert cluster.read("obj-0").value == b"v1"
-        counts = cluster.router_stats.reads_by_replica
+        counts = cluster.router.stats.reads_by_replica
         assert sorted(counts.values()) == [3, 3, 3]
 
     def test_follower_read_carries_the_replica_client_id(self, config):
@@ -215,7 +203,7 @@ class TestSessionGuard:
         written = cluster.router.result(write)
         for handle in handles:
             assert cluster.router.result(handle).tag == written.tag
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.session_fallbacks == 3  # one per rejected choice
         assert stats.follower_reads == 0
         assert stats.policy_hit_rate < 1.0
@@ -263,7 +251,7 @@ class TestFailover:
         # Primary-bound traffic freezes: the read defers, the write queues.
         read = cluster.router.invoke_read("k", session="r")
         write = cluster.router.invoke_write("k", b"v2", session="w")
-        assert cluster.router_stats.failover_deferrals == 1
+        assert cluster.router.stats.failover_deferrals == 1
         cluster.run_until_idle()
         assert group.status == NORMAL
         assert group.epoch == 1
@@ -284,12 +272,12 @@ class TestFailover:
         cluster.run_until_idle()
         group = cluster.replicas.groups["k"]
         cluster.fail_pool(group.primary_pool, time=kernel.now)
-        before = cluster.router_stats.follower_reads
+        before = cluster.router.stats.follower_reads
         handles = [cluster.router.invoke_read("k") for _ in range(4)]
         cluster.run_until_idle()
         for handle in handles:
             assert cluster.router.result(handle).value == b"v1"
-        assert cluster.router_stats.follower_reads == before + 4
+        assert cluster.router.stats.follower_reads == before + 4
         assert group.status == NORMAL  # failover completed afterwards
 
     def test_catch_up_applies_unreplicated_acked_writes(self, config):
@@ -304,16 +292,16 @@ class TestFailover:
             handle = simulation.invoke_write("k", value, session="s")
             simulation.flush_key("k")
             simulation.run(until=simulation.now + 40.0)
-            assert simulation.cluster.router.result(handle) is not None
+            assert simulation.router.result(handle) is not None
         group = simulation.replicas.groups["k"]
         victim = group.primary_pool
         # No apply event has fired (lag 1000), yet both writes were acked.
         assert all(s.version == (0, INITIAL_TAG) for s in group.live_followers())
-        simulation.cluster.fail_pool(victim, time=simulation.now)
+        simulation.fail_pool(victim, time=simulation.now)
         read = simulation.invoke_read("k", session="s2")
         simulation.run_until_idle()
         assert simulation.replicas.stats.catch_up_records == 2
-        assert simulation.cluster.router.result(read).value == b"v2"
+        assert simulation.router.result(read).value == b"v2"
         assert simulation.audit().ok
 
     def test_dead_pool_is_not_falsely_recovered_by_repair(self, config):
@@ -350,7 +338,7 @@ class TestFailover:
                     and not op.is_complete]
         assert len(stranded) == 1
         # The routing counter still records the dispatch.
-        assert cluster.router_stats.reads_by_replica[pool_a] == 1
+        assert cluster.router.stats.reads_by_replica[pool_a] == 1
 
     def test_losing_a_follower_pool_reprovisions_elsewhere(self, config):
         cluster, kernel = build_cluster(config, r=2, policy="round-robin",
@@ -419,20 +407,20 @@ class TestFailover:
             handle = simulation.invoke_write("k", value, session="s")
             simulation.flush_key("k")
             simulation.run(until=simulation.now + 40.0)
-            assert simulation.cluster.router.result(handle) is not None
+            assert simulation.router.result(handle) is not None
         group = simulation.replicas.groups["k"]
         first, second = [s.pool for s in group.live_followers()]
         kill_at = simulation.now
-        simulation.cluster.fail_pool(group.primary_pool, time=kill_at)
+        simulation.fail_pool(group.primary_pool, time=kill_at)
         # Promotion starts at kill+5 and seats at kill+15 (2 records x 5);
         # the chosen successor's pool dies in between.
         simulation.run(until=kill_at + 8.0)
-        simulation.cluster.fail_pool(first, time=simulation.now)
+        simulation.fail_pool(first, time=simulation.now)
         write = simulation.invoke_write("k", b"v3", session="s")
         simulation.run_until_idle()
         assert group.status == NORMAL
         assert group.primary_pool == second
-        assert simulation.cluster.router.result(write).value == b"v3"
+        assert simulation.router.result(write).value == b"v3"
         assert simulation.audit().ok
 
     def test_provision_target_dying_in_the_delay_retries_elsewhere(self, config):
@@ -477,9 +465,9 @@ class TestFailover:
         for _ in range(6):
             cluster.read(key)
         assert "pool-0" not in {
-            pool for pool in cluster.router_stats.reads_by_replica
+            pool for pool in cluster.router.stats.reads_by_replica
             if pool in group.pools()
-        } or cluster.router_stats.reads_by_replica.get("pool-0", 0) == 0
+        } or cluster.router.stats.reads_by_replica.get("pool-0", 0) == 0
 
     def test_rebalance_skips_keys_owned_by_the_failover_path(self, config):
         # add_pool right after a pool kill: migrating a dead-pool primary
@@ -592,16 +580,16 @@ class TestFailover:
             handle = simulation.invoke_write("k", value, session="s")
             simulation.flush_key("k")
             simulation.run(until=simulation.now + 40.0)
-            assert simulation.cluster.router.result(handle) is not None
+            assert simulation.router.result(handle) is not None
         group = simulation.replicas.groups["k"]
         kill_at = simulation.now
-        simulation.cluster.fail_pool(group.primary_pool, time=kill_at)
+        simulation.fail_pool(group.primary_pool, time=kill_at)
         # Promotion starts at kill+5 and seats at kill+25 (2 records x 10);
         # a fresh-session read in between is served by a follower that has
         # applied nothing yet.
         degraded = simulation.invoke_read("k", session="fresh")
         simulation.run(until=kill_at + 15.0)
-        result = simulation.cluster.router.result(degraded)
+        result = simulation.router.result(degraded)
         assert result is not None
         assert result.tag == INITIAL_TAG, "catch-up must not leak early"
         simulation.run_until_idle()
@@ -677,7 +665,7 @@ class TestQuorumReads:
         read = cluster.read("obj-0")
         assert read.value == b"v2"
         assert read.tag == result.tag
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.quorum_reads == 1
         assert stats.quorum_depths == {2: 1}
 
@@ -695,7 +683,7 @@ class TestQuorumReads:
                     if s.version == group.latest_version]
         assert len(repaired) == 1
         assert repaired[0].value == b"v1"
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.read_repairs == 1
         assert cluster.replicas.stats.read_repair_records == 1
         assert cluster.replicas.replication_cost == before + 1.0
@@ -722,7 +710,7 @@ class TestQuorumReads:
         assert kernel.now < 900.0
         assert all(s.version == (0, INITIAL_TAG)
                    for s in group.live_followers())
-        assert cluster.router_stats.read_repairs == 0
+        assert cluster.router.stats.read_repairs == 0
         cluster.run_until_idle()  # the lag fan-out eventually applies
         assert all(s.value == b"v1" for s in group.live_followers())
 
@@ -744,7 +732,7 @@ class TestQuorumReads:
         cluster.run_until_idle()
         for handle in handles:
             assert cluster.router.result(handle).tag == written.tag
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.session_fallbacks == 1
         assert cluster.router.incomplete_operations() == 0
         assert check_sessions(cluster.history(global_clock=True)).ok
@@ -785,7 +773,7 @@ class TestQuorumReads:
         result = cluster.router.result(handle)
         assert result is not None, "the quorum read must degrade, not hang"
         assert result.value == b"v1"
-        assert cluster.router_stats.quorum_depths.get(1) == 1
+        assert cluster.router.stats.quorum_depths.get(1) == 1
         assert cluster.replicas.incomplete_reads() == 0
 
     def test_quorum_with_every_member_dead_strands_truthfully(self, config):
@@ -842,7 +830,7 @@ class TestWriteForwarding:
         # The forwarding hop is charged on the kernel clock before the
         # primary even sees the write.
         assert result.invoked_at >= started + 5.0 * 0.5  # distance >= 0.5
-        assert cluster.router_stats.forwarded_writes == 1
+        assert cluster.router.stats.forwarded_writes == 1
         assert cluster.read("obj-0").value == b"v2"
 
     def test_via_primary_queues_directly(self, config):
@@ -854,7 +842,7 @@ class TestWriteForwarding:
                                              via=group.primary_pool)
         cluster.run_until_idle()
         assert cluster.router.result(handle).value == b"v2"
-        assert cluster.router_stats.forwarded_writes == 0
+        assert cluster.router.stats.forwarded_writes == 0
 
     def test_nearest_ingress_forwards_follower_arrivals(self, config):
         cluster, _ = build_cluster(config, policy="primary",
@@ -863,7 +851,7 @@ class TestWriteForwarding:
         for i in range(8):
             cluster.write(f"obj-{i}", b"x")
         cluster.run_until_idle()
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.forwarded_writes > 0
         for i in range(8):
             assert cluster.read(f"obj-{i}").value == b"x"
@@ -886,7 +874,7 @@ class TestWriteForwarding:
         assert group.epoch == 1
         result = cluster.router.result(handle)
         assert result is not None and result.value == b"v2"
-        assert cluster.router_stats.forwarded_writes == 1
+        assert cluster.router.stats.forwarded_writes == 1
         assert cluster.read("k").value == b"v2"
         assert cluster.check_atomicity() is None
         assert check_sessions(cluster.history(global_clock=True)).ok
@@ -947,7 +935,7 @@ class TestRoutingFallbackAccounting:
         # back to the primary and be counted as a *retired* fallback,
         # distinct from the session-guard counter.
         assert cluster.read("obj-0").value == b"v1"
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.retired_fallbacks == 1
         assert stats.session_fallbacks == 0
         assert stats.primary_reads == 1
@@ -966,7 +954,7 @@ class TestRoutingFallbackAccounting:
                    for i in range(3)]
         cluster.run_until_idle()
         del handles
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.session_fallbacks >= 1
         assert stats.retired_fallbacks == 0
 
@@ -999,19 +987,19 @@ class TestRoutingFallbackAccounting:
         cluster.run_until_idle()  # runs past the lag: followers catch up
         for handle in stalled:
             assert cluster.router.result(handle) is not None
-        fallbacks = cluster.router_stats.session_fallbacks
+        fallbacks = cluster.router.stats.session_fallbacks
         assert fallbacks >= 2
         # Post-catch-up, the cycle resumes exactly where it was parked and
         # serves every replica its fair share: 3 reads -> one each.
         group = cluster.replicas.groups["obj-0"]
-        before = dict(cluster.router_stats.reads_by_replica)
+        before = dict(cluster.router.stats.reads_by_replica)
         for i in range(3):
             assert cluster.read("obj-0", reader=0).value == b"v1"
-        after = cluster.router_stats.reads_by_replica
+        after = cluster.router.stats.reads_by_replica
         gained = {pool: after.get(pool, 0) - before.get(pool, 0)
                   for pool in group.pools()}
         assert sorted(gained.values()) == [1, 1, 1], gained
-        assert cluster.router_stats.session_fallbacks == fallbacks
+        assert cluster.router.stats.session_fallbacks == fallbacks
 
 
 class TestStrandedReadAccounting:
@@ -1057,7 +1045,7 @@ class TestReviewRegressions:
         cluster.run_until_idle()
         for handle in handles:
             assert cluster.router.result(handle) is not None
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.session_fallbacks == 1
         assert stats.quorum_reads == 3
         assert stats.primary_reads == 0  # the fallback stays a quorum read
@@ -1069,10 +1057,10 @@ class TestReviewRegressions:
         cluster.run_until_idle()
         with pytest.raises(ValueError, match="no replica"):
             cluster.router.invoke_write("obj-0", b"v2", via="pool-nope")
-        assert cluster.router_stats.forwarded_writes == 0
+        assert cluster.router.stats.forwarded_writes == 0
 
     def test_via_requires_replica_groups(self, config):
-        cluster = ShardedCluster(config, ["pool-0", "pool-1"])
+        cluster = ClusterSimulation(config, ["pool-0", "pool-1"])
         with pytest.raises(ValueError, match="replica groups"):
             cluster.invoke_write("obj-0", b"v1", via="pool-1")
 
@@ -1186,23 +1174,23 @@ class TestReviewRegressions:
             assert cluster.router.result(handle) is not None
         assert healthy.reads_served > 0, "healthy follower was starved"
         assert lagging.reads_served == 0
-        stats = cluster.router_stats
+        stats = cluster.router.stats
         assert stats.follower_reads == healthy.reads_served
         assert check_sessions(cluster.history(global_clock=True)).ok
 
     def test_the_quorum_pool_name_is_reserved(self, config):
         with pytest.raises(ValueError, match="reserved"):
-            ShardedCluster(config, ["quorum", "pool-1"],
+            ClusterSimulation(config, ["quorum", "pool-1"],
                            replication=ReplicationConfig(r=2))
         with pytest.raises(ValueError, match="reserved"):
-            ShardedCluster(config, ["quorum/east", "pool-1"],
+            ClusterSimulation(config, ["quorum/east", "pool-1"],
                            replication=ReplicationConfig(r=2))
         cluster, _ = build_cluster(config)
         with pytest.raises(ValueError, match="reserved"):
             cluster.add_pool("quorum")
         # Without replica groups there is no quorum client-id namespace
         # to collide with; the name stays usable.
-        ShardedCluster(config, ["quorum", "pool-1"])
+        ClusterSimulation(config, ["quorum", "pool-1"])
 
     def test_primary_ingress_during_freeze_is_not_a_forward(self, config):
         # A write arriving *at the primary pool* never pays a forwarding
@@ -1221,4 +1209,4 @@ class TestReviewRegressions:
         cluster.run_until_idle()
         assert group.status == NORMAL
         assert cluster.router.result(handle).value == b"v2"
-        assert cluster.router_stats.forwarded_writes == 0
+        assert cluster.router.stats.forwarded_writes == 0

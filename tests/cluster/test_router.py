@@ -8,6 +8,7 @@ from repro.cluster.membership import Membership
 from repro.cluster.router import ObjectRouter
 from repro.core.config import LDSConfig
 from repro.net.latency import FixedLatencyModel
+from repro.sim.kernel import GlobalScheduler
 
 POOLS = ["pool-0", "pool-1", "pool-2"]
 
@@ -21,7 +22,7 @@ def config() -> LDSConfig:
 def router(config) -> ObjectRouter:
     membership = Membership.for_pools(POOLS, n1=config.n1, n2=config.n2)
     return ObjectRouter(
-        config, membership,
+        config, membership, GlobalScheduler(),
         latency_factory=lambda pool, key: FixedLatencyModel(tau0=1, tau1=1, tau2=10),
     )
 
@@ -164,33 +165,8 @@ class TestMigration:
 
 
 class TestGlobalClockOffsets:
-    def test_pre_attach_epochs_are_backfilled_onto_the_global_timeline(
-            self, router):
-        """Regression: an epoch retired before attach_kernel must map onto
-        the global timeline via the backfilled offset -- strictly before
-        its successor epoch -- rather than being silently shifted by 0."""
-        from repro.cluster.placement import ShardMove
-        from repro.sim.kernel import GlobalScheduler
-
-        router.write("obj-0", b"v0")
-        source = router.shards["obj-0"].pool
-        target = next(p for p in router.membership.pools if p != source)
-        router.migrate(ShardMove(key="obj-0", source=source, target=target))
-        router.write("obj-0", b"v1")
-        router.attach_kernel(GlobalScheduler())
-        router.write("obj-0", b"v2")
-        history = router.history(global_clock=True)
-        epoch0 = [op for op in history if op.object_id == "obj-0"]
-        epoch1 = [op for op in history if op.object_id == "obj-0@e1"]
-        assert epoch0 and epoch1
-        assert (max(op.responded_at for op in epoch0)
-                <= min(op.invoked_at for op in epoch1))
-
     def test_missing_offset_raises_instead_of_misplacing_the_epoch(
             self, router):
-        from repro.sim.kernel import GlobalScheduler
-
-        router.attach_kernel(GlobalScheduler())
         router.write("obj-0", b"x")
         del router._kernel_offsets["obj-0"]
         with pytest.raises(RuntimeError, match="offset"):

@@ -90,7 +90,7 @@ class TestSilentHoles:
 class TestCalibratedQuiet:
     def test_a_pending_repair_is_protected_not_silent(self):
         simulation = build()
-        simulation.cluster.fail_node("pool-0/l2-0", time=simulation.now)
+        simulation.fail_node("pool-0/l2-0", time=simulation.now)
         # Pump just past the crash delivery but short of the repair's
         # detection delay: fragments missing, backlog still covering them.
         simulation.kernel.run(until=simulation.now + 0.5)
@@ -107,7 +107,7 @@ class TestCalibratedQuiet:
 
     def test_a_dead_pool_is_an_outage_not_silent_decay(self):
         simulation = build()
-        simulation.cluster.fail_pool("pool-0", time=simulation.now)
+        simulation.fail_pool("pool-0", time=simulation.now)
         simulation.kernel.run(until=simulation.now + 0.5)
         monitor = sample(simulation)
         assessment = monitor.assessment()
@@ -160,7 +160,7 @@ class TestBacklogAgeWeighting:
         """Fail a node, let the monitor see its backlog, then withhold
         the repair -- an *aged* silent hole the watchlist remembers."""
         simulation = monitor.simulation
-        simulation.cluster.fail_node("pool-0/l2-0", time=simulation.now)
+        simulation.fail_node("pool-0/l2-0", time=simulation.now)
         simulation.kernel.run(until=simulation.now + 0.5)
         assert simulation.repair.pending_slots()
         outcomes = monitor.tick()  # backlog observed -> watchlist stamped
@@ -198,7 +198,7 @@ class TestBacklogAgeWeighting:
         simulation = build()
         monitor = AvailabilityMonitor(simulation, samples_per_epoch=4,
                                       backlog_priority=2, seed=5)
-        simulation.cluster.fail_node("pool-0/l2-0", time=simulation.now)
+        simulation.fail_node("pool-0/l2-0", time=simulation.now)
         simulation.kernel.run(until=simulation.now + 0.5)
         monitor.tick()
         assert monitor._watchlist

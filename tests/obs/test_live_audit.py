@@ -156,15 +156,6 @@ class TestOnlineDetection:
 
 
 class TestProbeRequirements:
-    def test_live_audit_requires_a_kernel(self):
-        from repro.obs.live_audit import LiveAuditProbe
-
-        class NoKernel:
-            kernel = None
-
-        with pytest.raises(RuntimeError):
-            LiveAuditProbe(NoKernel())
-
     def test_interval_must_be_positive(self):
         from repro.obs.live_audit import LiveAuditProbe
         simulation = ClusterSimulation(CONFIG, POOLS[:2], seed=1)

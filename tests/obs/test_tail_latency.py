@@ -415,7 +415,7 @@ class TestLatencyEndToEnd:
         simulation = build_simulation(telemetry)
         tracker = telemetry.latency
         assert tracker.open_count() == 0
-        stats = simulation.cluster.router.stats
+        stats = simulation.router.stats
         by_class = {cls: tracker.sketch(cls).count
                     for cls in tracker.classes()}
         assert by_class["forwarded-write"] == stats.forwarded_writes

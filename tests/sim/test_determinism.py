@@ -103,10 +103,9 @@ class TestGlobalDeterminism:
         fixed sequence of derive_seed(None, 'repair')."""
         import random
 
-        from repro.cluster.deployment import ShardedCluster
-
         config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
-        cluster = ShardedCluster(config, POOLS, repair_slot_jitter=2.0)
+        cluster = ClusterSimulation(config, POOLS, seed=None,
+                                    repair_slot_jitter=2.0)
         buggy_constant = random.Random(derive_seed(None, "repair")).random()
         draws = [cluster.repair._rng.random() for _ in range(3)]
         assert draws[0] != buggy_constant  # collision odds ~2^-53

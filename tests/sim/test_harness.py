@@ -1,12 +1,11 @@
-"""ClusterSimulation harness: kernel-mode driving, arrivals, compatibility."""
+"""ClusterSimulation harness: driving, arrivals, epochs on the global clock."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config import LDSConfig
-from repro.sim import ClusterSimulation, GlobalScheduler
-from repro.cluster.deployment import ShardedCluster
+from repro.sim import ClusterSimulation
 from repro.workloads.generator import ScheduledOperation, Workload, WorkloadGenerator
 from repro.workloads.runner import KeyedWorkloadRunner
 
@@ -110,10 +109,8 @@ class TestDriving:
         workload = generator.keyed_random(KEYS, 10, 0.5, 100.0)
         workload.operations = [replace(op, client_index=op.client_index + 1)
                                for op in workload.operations]
-        for system in (ClusterSimulation(config, POOLS, seed=5),
-                       ShardedCluster(config, POOLS, seed=5)):
-            if system.kernel is None:
-                system.attach_kernel(GlobalScheduler())
+        simulation = ClusterSimulation(config, POOLS, seed=5)
+        for system in (simulation, simulation.router):
             with pytest.raises(ValueError, match="per_shard"):
                 KeyedWorkloadRunner(system).run(workload)
 
@@ -145,12 +142,11 @@ class TestDriving:
         pool0_keys = [s.key for s in simulation.router.shards_on_pool("pool-0")]
         assert pool0_keys
         simulation.kernel.schedule_at(
-            50.0, lambda: simulation.cluster.fail_node("pool-0/l2-0", time=50.0))
+            50.0, lambda: simulation.fail_node("pool-0/l2-0", time=50.0))
         # pool-0 leaves at t=120 while its repairs are slotted far beyond.
         leave_at = 120.0
         simulation.kernel.schedule_at(
-            leave_at, lambda: simulation.cluster.remove_pool("pool-0",
-                                                             time=leave_at))
+            leave_at, lambda: simulation.remove_pool("pool-0", time=leave_at))
         simulation.run_until_idle()
         moved = [(t, key) for t, key, source, _ in
                  simulation.router.migration_log if source == "pool-0"]
@@ -178,8 +174,7 @@ class TestDriving:
         drained = simulation.now
         join_at = drained + 500.0
         simulation.kernel.schedule_at(
-            join_at, lambda: simulation.cluster.add_pool("pool-late",
-                                                         time=join_at))
+            join_at, lambda: simulation.add_pool("pool-late", time=join_at))
         simulation.run_until_idle()
         moved = [entry for entry in simulation.router.migration_log]
         assert moved, "expected at least one shard to move to the new pool"
@@ -206,58 +201,36 @@ class TestDriving:
         assert mid_flight or True  # presence depends on timing; no flake
 
 
+class TestMembershipTimeDefaults:
+    def test_failure_without_a_time_happens_now_not_at_global_zero(self, config):
+        """Regression: ``time`` used to default to 0.0 -- the global past
+        once the clock has advanced -- so repairs were slotted and logged
+        long before the failure that caused them was injected."""
+        simulation = ClusterSimulation(config, POOLS, seed=4)
+        simulation.ensure_shards(KEYS)
+        simulation.kernel.schedule_at(200.0, lambda: None)
+        simulation.run_until_idle()
+        assert simulation.now == 200.0
+        event = simulation.fail_node("pool-0/l2-0")
+        assert event.time == 200.0
+        simulation.run_until_idle()
+        tasks = simulation.repair.tasks
+        assert tasks and all(task.scheduled_at >= 200.0 for task in tasks)
+        repairs = [time for time, category, _ in simulation.timeline()
+                   if category.startswith("repair-")]
+        assert repairs and min(repairs) >= 200.0
+        # an explicit time keeps its meaning
+        assert simulation.fail_node("pool-1/l2-0", time=250.0).time == 250.0
+
+
 class TestCompatibilityShim:
-    """The legacy per-shard idle loop must behave exactly as before."""
-
-    def test_cluster_without_kernel_uses_legacy_loop(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=5)
-        assert cluster.kernel is None
-        generator = WorkloadGenerator(seed=5, client_spacing=60.0)
-        report = KeyedWorkloadRunner(cluster.router).run(
-            generator.zipf_keyed(KEYS, 40, 0.4, 300.0))
-        assert report.is_atomic
-        # Legacy mode batches per shard: far fewer flushes than operations.
-        assert cluster.router_stats.batches_flushed < 40
-
-    def test_kernel_mode_matches_legacy_results(self, config):
-        """Same seed, same workload: both backends return the same values
-        and stay atomic (latencies differ -- the kernel interleaves)."""
-        generator_args = dict(seed=7, client_spacing=60.0)
-
-        def values_read(system, runner_target):
-            generator = WorkloadGenerator(**generator_args)
-            workload = generator.keyed_random(KEYS, 40, 0.5, 300.0)
-            report = KeyedWorkloadRunner(runner_target).run(workload)
-            assert report.is_atomic
-            return sorted(
-                (op.op_id, bytes(op.value))
-                for op in report.history.complete()
-                if op.kind == "read" and op.value is not None
-            )
-
-        legacy = ShardedCluster(config, POOLS, seed=7)
-        kernel_sim = ClusterSimulation(config, POOLS, seed=7)
-        assert values_read(legacy, legacy.router) == \
-            values_read(kernel_sim, kernel_sim)
-
-    def test_global_clock_history_requires_a_kernel(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=2)
-        cluster.write("obj-a", b"x")
-        with pytest.raises(RuntimeError, match="attached kernel"):
-            cluster.history(global_clock=True)
-        cluster.history()  # local-clock merge stays available
-
-    def test_attach_kernel_twice_rejected(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=1)
-        cluster.attach_kernel(GlobalScheduler())
-        with pytest.raises(RuntimeError):
-            cluster.attach_kernel(GlobalScheduler())
+    """What the removed attach-a-kernel-later shim promised about epochs,
+    on a cluster that has its kernel from the start."""
 
     def test_attach_after_migrations_keeps_epoch_order_on_global_clock(self, config):
-        """Epochs retired before the attach must map *before* their
-        successors on the global timeline (only their real-time order is
-        recoverable; the drain barrier guaranteed exactly that)."""
-        cluster = ShardedCluster(config, POOLS, seed=6)
+        """Retired epochs must map *before* their successors on the
+        global timeline (the drain barrier guarantees exactly that)."""
+        cluster = ClusterSimulation(config, POOLS, seed=6)
         keys = [f"mv-{i}" for i in range(10)]
         for key in keys:
             cluster.write(key, b"epoch0")
@@ -266,7 +239,6 @@ class TestCompatibilityShim:
         moved = {key for _, key, _, _ in cluster.router.migration_log}
         for key in moved:
             cluster.write(key, b"epoch1")
-        cluster.attach_kernel(GlobalScheduler())
         history = cluster.history(global_clock=True)
         for key in moved:
             epoch0 = [op for op in history if op.op_id.startswith(f"{key}/")]
@@ -276,18 +248,7 @@ class TestCompatibilityShim:
                                 for op in epoch0)
             earliest_after = min(op.invoked_at for op in epoch1)
             assert latest_before <= earliest_after
-        # and the attached cluster still works end to end
+        # and the migrated cluster still works end to end
         for key in moved:
             assert cluster.read(key).value == b"epoch1"
         assert cluster.check_atomicity() is None
-
-    def test_attach_kernel_adopts_existing_shards(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=1)
-        cluster.write("obj-a", b"before")
-        cluster.attach_kernel(GlobalScheduler())
-        assert cluster.read("obj-a").value == b"before"
-        cluster.write("obj-b", b"after")
-        assert cluster.read("obj-b").value == b"after"
-        assert cluster.check_atomicity() is None
-        names = {source.name for source in cluster.kernel.sources()}
-        assert "shard:obj-a" in names and "shard:obj-b" in names

@@ -43,9 +43,10 @@ class TestRegistration:
         kernel = GlobalScheduler()
         kernel.schedule_at(5.0, lambda: None)
         kernel.run_until_idle()
-        kernel.register_simulator(Simulator(), name="gone")
+        source = kernel.register_simulator(Simulator(), name="gone")
         kernel.unregister("gone")
-        assert kernel.offset_of("gone") == 5.0
+        # The kernel forgets the source; the owner's handle keeps the offset.
+        assert source.offset == 5.0
         with pytest.raises(KeyError):
             kernel.source("gone")
 

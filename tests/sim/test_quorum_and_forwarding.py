@@ -60,7 +60,7 @@ class TestQuorumReadsUnderLag:
         # The lag is longer than the burst window, so merges must have
         # observed (and repaired) genuinely stale stores.
         assert distribution.read_repairs > 0
-        assert simulation.cluster.router.incomplete_operations() == 0
+        assert simulation.router.incomplete_operations() == 0
         report = simulation.audit()
         assert report.ok, report.describe()
 
@@ -124,7 +124,7 @@ class TestForwardedWritesDuringFailover:
         assert distribution.forwarded_writes > 0, distribution.describe()
         stats = simulation.replicas.stats
         assert stats.promotions >= 1
-        assert simulation.cluster.router.incomplete_operations() == 0
+        assert simulation.router.incomplete_operations() == 0
         report = simulation.audit()
         assert report.ok, report.describe()
 

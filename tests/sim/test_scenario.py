@@ -81,7 +81,7 @@ class TestRepairUnderLoadInterleaving:
 
     def test_repairs_happened_and_node_recovered(self, simulation):
         assert simulation.repair.stats.repairs_completed >= 1
-        assert simulation.cluster.node("pool-0/l2-0").status == "alive"
+        assert simulation.node("pool-0/l2-0").status == "alive"
 
     def test_migrations_happened(self, simulation):
         assert simulation.router.stats.migrations >= 1
@@ -149,8 +149,8 @@ class TestShippedScenarios:
         assert all(op.is_complete for op in simulation.history())
         # The L2 node was repaired and recovered; the L1 node needs no
         # repair (the protocol tolerates f1 edge crashes natively).
-        assert simulation.cluster.node("pool-0/l2-0").status == "alive"
-        assert simulation.cluster.node("pool-0/l1-0").status == "failed"
+        assert simulation.node("pool-0/l2-0").status == "alive"
+        assert simulation.node("pool-0/l1-0").status == "failed"
         assert simulation.repair.stats.repairs_completed >= 1
 
     def test_flash_crowd(self, config):

@@ -131,13 +131,12 @@ class TestTelemetryActuallyObserved:
             telemetry=telemetry,
         )
         simulation.ensure_shards(["k"])
-        simulation.cluster.write("k", b"v1")
+        simulation.write("k", b"v1")
         simulation.run_until_idle()
         group = simulation.replicas.groups["k"]
-        simulation.cluster.fail_pool(group.primary_pool,
-                                     time=simulation.kernel.now)
-        read = simulation.cluster.router.invoke_read("k", session="r")
-        assert simulation.cluster.router.stats.failover_deferrals == 1
+        simulation.fail_pool(group.primary_pool, time=simulation.kernel.now)
+        read = simulation.router.invoke_read("k", session="r")
+        assert simulation.router.stats.failover_deferrals == 1
         simulation.run_until_idle()
         span, = telemetry.trace.spans("freeze-wait")
         assert span["args"]["parent"] == read

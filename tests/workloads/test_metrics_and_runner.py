@@ -75,15 +75,14 @@ class TestRunnerWithBaselines:
 
 
 class TestKeyedRunnerSessions:
-    def test_legacy_batch_path_stamps_sessions(self):
-        """Without a kernel the runner still stamps every operation's
-        session identity, so merged histories carry sessions on both
-        execution paths."""
-        from repro.cluster.deployment import ShardedCluster
+    def test_runner_stamps_sessions(self):
+        """The runner stamps every operation's session identity, so merged
+        histories carry the cross-shard client sessions."""
+        from repro.sim import ClusterSimulation
         from repro.workloads.runner import KeyedWorkloadRunner
 
-        cluster = ShardedCluster(LDSConfig(n1=3, n2=4, f1=1, f2=1),
-                                 ["pool-0", "pool-1"], seed=5)
+        cluster = ClusterSimulation(LDSConfig(n1=3, n2=4, f1=1, f2=1),
+                                    ["pool-0", "pool-1"], seed=5)
         generator = WorkloadGenerator(seed=5, client_spacing=60.0)
         workload = generator.keyed_random([f"k{i}" for i in range(4)],
                                           12, 0.5, 300.0)

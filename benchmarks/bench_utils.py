@@ -9,26 +9,25 @@ survive pytest output capturing.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, Sequence
 
+from repro import WorkloadGenerator
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+#: The fixed-seed 4-pool cluster shape the replica-layer benches share.
+SEED = 19
+POOLS = [f"pool-{i}" for i in range(4)]
 
-def emit_json(filename: str, payload) -> str:
-    """Persist a machine-readable result next to the text tables.
 
-    ``filename`` is taken verbatim (e.g. ``BENCH_quorum_reads.json``) so
-    downstream tooling can address the artefact by a stable name; returns
-    the written path.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, filename)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+def zipf_workload(write_fraction: float):
+    """240 Zipf(1.1) operations over 24 keys in 900 time units."""
+    generator = WorkloadGenerator(seed=SEED, client_spacing=60.0)
+    return generator.zipf_keyed(
+        [f"obj-{i}" for i in range(24)], 240,
+        write_fraction=write_fraction, duration=900.0, s=1.1,
+    )
 
 
 def emit_table(experiment: str, title: str, header: Sequence[str],

@@ -10,7 +10,7 @@ the identical verdict.
 
 This benchmark replays the auditor's worst case -- a dense single-hot-key
 session stream, where the batch working set is the entire run -- at
-increasing scales and records both peak state and wall time.  The
+increasing scales and records the peak state of both.  The
 headline metric is ``peak_ratio_16x``: the streaming auditor's peak
 tracked entries at 16x the operations, relative to 1x.  Flat retention
 means it stays near 1.0; the asserted bound is 2.0.
@@ -21,15 +21,12 @@ There is no paper analogue; this characterises the live-audit subsystem
 
 from __future__ import annotations
 
-import time
-
-from bench_utils import emit_json, emit_table
+from bench_utils import emit_table
 
 from repro.consistency.history import History, Operation, READ, WRITE
 from repro.consistency.sessions import check_sessions
 from repro.consistency.streaming import replay_history
 
-SEED = 23  # fixed by construction: the stream below is deterministic
 SCALES = (1, 4, 16)
 BASE_OPERATIONS = 400
 SESSIONS = ("s0", "s1")
@@ -59,19 +56,14 @@ def hot_key_stream(operations: int) -> History:
 
 def test_bench_audit_scaling():
     rows = []
-    metrics = {}
+    batch_sizes = {}
     peaks = {}
     for scale in SCALES:
         operations = BASE_OPERATIONS * scale
         history = hot_key_stream(operations)
 
-        started = time.perf_counter()
         batch = check_sessions(history)
-        batch_wall = time.perf_counter() - started
-
-        started = time.perf_counter()
         auditor = replay_history(history, advance_every=ADVANCE_EVERY)
-        stream_wall = time.perf_counter() - started
         streamed = auditor.report()
 
         # Verdict equivalence at every scale, asserted where measured.
@@ -81,41 +73,20 @@ def test_bench_audit_scaling():
 
         # The batch working set is every eligible operation; the
         # streaming peak is the high-water mark of retained state.
-        batch_entries = batch.operations_checked
-        stream_peak = auditor.peak_tracked_entries
-        peaks[scale] = stream_peak
-        rows.append((f"{scale}x", operations, batch_entries, stream_peak,
-                     f"{batch_wall * 1e3:.1f}", f"{stream_wall * 1e3:.1f}"))
-        metrics[f"scale_{scale}x"] = {
-            "operations": operations,
-            "batch_entries": batch_entries,
-            "stream_peak_entries": stream_peak,
-            "batch_wall_s": batch_wall,
-            "stream_wall_s": stream_wall,
-        }
+        batch_sizes[scale] = batch.operations_checked
+        peaks[scale] = auditor.peak_tracked_entries
+        rows.append((f"{scale}x", operations, batch_sizes[scale],
+                     peaks[scale]))
 
     peak_ratio = peaks[SCALES[-1]] / peaks[SCALES[0]]
-    batch_ratio = (metrics[f"scale_{SCALES[-1]}x"]["batch_entries"]
-                   / metrics[f"scale_{SCALES[0]}x"]["batch_entries"])
-    metrics["peak_ratio_16x"] = peak_ratio
-    metrics["batch_ratio_16x"] = batch_ratio
+    batch_ratio = batch_sizes[SCALES[-1]] / batch_sizes[SCALES[0]]
 
     emit_table(
         "audit_scaling",
         "streaming vs batch session audit state (hot-key stream)",
-        ["scale", "operations", "batch entries", "stream peak",
-         "batch ms", "stream ms"],
-        rows + [("16x/1x", "", f"{batch_ratio:.1f}x", f"{peak_ratio:.2f}x",
-                 "", "")],
+        ["scale", "operations", "batch entries", "stream peak"],
+        rows + [("16x/1x", "", f"{batch_ratio:.1f}x", f"{peak_ratio:.2f}x")],
     )
-    emit_json("BENCH_audit_scaling.json", {
-        "name": "audit_scaling",
-        "seed": SEED,
-        "config": {"base_operations": BASE_OPERATIONS,
-                   "scales": list(SCALES), "sessions": len(SESSIONS),
-                   "advance_every": ADVANCE_EVERY},
-        "metrics": metrics,
-    })
 
     # The acceptance bound: 16x the operations, at most 2x the peak
     # retained state -- while the batch working set grows linearly.

@@ -17,8 +17,6 @@ analysis); this benchmark characterises the new cluster layer itself.
 
 from __future__ import annotations
 
-import time
-
 from bench_utils import emit_table
 
 from repro import (
@@ -43,9 +41,7 @@ def _run_cluster(num_pools: int):
         keys, num_operations=NUM_OPERATIONS, write_fraction=0.4,
         duration=DURATION, s=1.2,
     )
-    started = time.perf_counter()
     report = KeyedWorkloadRunner(cluster.router).run(workload)
-    wall = time.perf_counter() - started
 
     makespan = cluster.now
     throughput = len(workload) / makespan if makespan else 0.0
@@ -55,7 +51,6 @@ def _run_cluster(num_pools: int):
     ).coefficient_of_variation
     return {
         "report": report,
-        "wall": wall,
         "makespan": makespan,
         "throughput": throughput,
         "shard_cv": shard_cv,
@@ -79,13 +74,12 @@ def test_bench_cluster_scaleout():
             f"{outcome['throughput']:.3f}",
             f"{outcome['shard_cv']:.3f}",
             f"{outcome['storage_cv']:.3f}",
-            f"{outcome['wall'] * 1000:.0f}",
         ))
     emit_table(
         "cluster_scaleout",
         f"Zipf keyed workload ({NUM_OPERATIONS} ops, {NUM_KEYS} keys) vs pool count",
         ("pools", "shards", "makespan", "ops/time", "shard CV",
-         "storage CV", "wall ms"),
+         "storage CV"),
         rows,
     )
     # Growing the cluster must not degrade virtual-time throughput: the

@@ -5,7 +5,7 @@ coded element via repair downloads only ``d * beta = alpha`` symbols,
 whereas a Reed-Solomon style recreation downloads ``k`` full elements
 (the whole object).  This benchmark measures the actual bytes moved by
 the implemented codes for a sweep of (k, d) and compares with the
-normalised formulas, alongside wall-clock encode/repair timings.
+normalised formulas.
 """
 
 import pytest
@@ -63,8 +63,8 @@ def run_experiment():
     return rows
 
 
-def test_bench_repair_bandwidth(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_bench_repair_bandwidth():
+    rows = run_experiment()
     for row in rows:
         mbr_paper, mbr_measured = float(row[1]), float(row[2])
         rs_measured = float(row[4])
@@ -76,20 +76,3 @@ def test_bench_repair_bandwidth(benchmark):
     # Shape: the repair advantage grows as k grows.
     fractions = [float(row[2]) for row in rows]
     assert fractions[-1] < fractions[0]
-
-
-def test_bench_mbr_repair_wall_clock(benchmark):
-    code = ProductMatrixMBRCode(n=16, k=5, d=8)
-    elements = code.encode(PAYLOAD)
-    helpers = {i: code.helper_data(i, elements[i].data, 0) for i in range(1, code.d + 1)}
-
-    repaired = benchmark(code.repair, 0, helpers)
-    assert repaired.data == elements[0].data
-
-
-def test_bench_rs_decode_wall_clock(benchmark):
-    code = ReedSolomonCode(n=16, k=5)
-    elements = code.encode(PAYLOAD)
-
-    decoded = benchmark(code.decode, elements[: code.k])
-    assert decoded == PAYLOAD

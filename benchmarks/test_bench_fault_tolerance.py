@@ -10,9 +10,6 @@ latency / cost inflation caused by failures relative to a failure-free run
 of the same workload.
 """
 
-import pytest
-
-from repro.consistency.linearizability import check_atomicity_by_tags
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.net.failures import FailureInjector
@@ -79,21 +76,9 @@ def run_experiment():
     return rows
 
 
-def test_bench_fault_tolerance(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_bench_fault_tolerance():
+    rows = run_experiment()
     for row in rows:
         assert row[2] == row[3]                  # liveness: every operation completed
         assert row[4] == f"{len(SEEDS)}/{len(SEEDS)}"  # safety: every run atomic
         assert float(row[5].rstrip("x")) < 3.0   # failures do not blow up latency
-
-
-def test_bench_failure_free_vs_faulty_single_run(benchmark):
-    """Wall-clock cost of simulating one faulty randomized workload."""
-    config = LDSConfig(n1=5, n2=6, f1=1, f2=1)
-
-    def run():
-        return _run_once(config, seed=9, inject_failures=True)
-
-    report = benchmark(run)
-    assert report.incomplete_operations == 0
-    assert report.is_atomic

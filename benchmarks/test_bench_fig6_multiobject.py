@@ -97,8 +97,8 @@ def run_simulated_validation():
     return rows
 
 
-def test_bench_fig6_analytical_curves(benchmark):
-    rows = benchmark.pedantic(run_analytical_figure, rounds=1, iterations=1)
+def test_bench_fig6_analytical_curves():
+    rows = run_analytical_figure()
     # Shape of Figure 6: L2 grows linearly with N and dominates for large N,
     # the L1 bound is constant, and the per-object L2 cost is < 3 (vs 100 for
     # replication).
@@ -111,8 +111,8 @@ def test_bench_fig6_analytical_curves(benchmark):
     assert float(rows[0][3]) < 3.0
 
 
-def test_bench_fig6_simulated_fleet(benchmark):
-    rows = benchmark.pedantic(run_simulated_validation, rounds=1, iterations=1)
+def test_bench_fig6_simulated_fleet():
+    rows = run_simulated_validation()
     for row in rows:
         measured_l1, l1_bound = float(row[1]), float(row[2])
         measured_l2, paper_l2 = float(row[3]), float(row[4])

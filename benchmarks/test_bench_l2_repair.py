@@ -7,8 +7,6 @@ alternative of decoding the full value from k surviving servers and
 re-encoding the lost element (what a Reed-Solomon back-end would do).
 """
 
-import pytest
-
 from repro.core.config import LDSConfig
 from repro.core.repair import BackendRepairCoordinator
 from repro.core.system import LDSSystem
@@ -51,8 +49,8 @@ def run_experiment():
     return rows
 
 
-def test_bench_l2_repair(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_bench_l2_repair():
+    rows = run_experiment()
     for row in rows:
         repair_download = float(row[1])
         naive_download = float(row[2])

@@ -11,20 +11,18 @@ tau2 = mu * tau1, and checks them against the closed-form bounds:
 
 The second half drives the cluster-level tail-latency observability
 stack (``repro.obs.latency``) under the same heavy-lag quorum regime as
-``test_bench_quorum_reads`` and emits machine-readable per-class
-p50/p99/p999 percentiles plus the dominant critical-path phase of each
-class's p99+ band to ``benchmarks/results/BENCH_latency.json`` -- the
-quorum-width / tail-latency trade-off in percentiles, not just means.
+``test_bench_quorum_reads`` and tabulates per-class p50/p99/p999
+percentiles plus the dominant critical-path phase of each class's p99+
+band (``benchmarks/results/tail_latency.txt``) -- the quorum-width /
+tail-latency trade-off in percentiles, not just means.
 """
-
-import pytest
 
 from repro.core.analysis import latency_bounds
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel
 
-from bench_utils import emit_json, emit_table
+from bench_utils import POOLS, SEED, emit_table, zipf_workload
 
 MU_SWEEP = [2.0, 5.0, 10.0, 20.0]
 RUNS_PER_POINT = 5
@@ -65,86 +63,46 @@ def run_experiment():
     return rows
 
 
-def test_bench_latency_bounds(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_bench_latency_bounds():
+    rows = run_experiment()
     for row in rows:
         assert float(row[2]) <= float(row[1]) + 1e-9
         assert float(row[4]) <= float(row[3]) + 1e-9
         assert float(row[6]) <= float(row[5]) + 1e-9
 
 
-def test_bench_read_latency_simulation_speed(benchmark):
-    """Wall-clock time of a quiescent (regenerating) read simulation."""
-    config = LDSConfig(n1=7, n2=9, f1=2, f2=2)
-    system = LDSSystem(config, latency_model=BoundedLatencyModel(seed=1))
-    system.write(b"warm value")
-    system.run_until_idle()
-
-    def one_read():
-        return system.read()
-
-    result = benchmark(one_read)
-    assert result.value == b"warm value"
-
-
 # -- cluster tail-latency percentiles vs read_quorum ---------------------------
 
-TAIL_SEED = 19
-TAIL_KEYS = 24
-TAIL_OPERATIONS = 240
-TAIL_WRITE_FRACTION = 0.3
-TAIL_DURATION = 900.0
 TAIL_REPLICATION_LAG = 500.0
-TAIL_POOLS = [f"pool-{i}" for i in range(4)]
-TAIL_QUANTILES = ("p50", "p99", "p999")
-
-
-def _tail_workload():
-    from repro import WorkloadGenerator
-
-    generator = WorkloadGenerator(seed=TAIL_SEED, client_spacing=60.0)
-    return generator.zipf_keyed(
-        [f"obj-{i}" for i in range(TAIL_KEYS)],
-        TAIL_OPERATIONS, write_fraction=TAIL_WRITE_FRACTION,
-        duration=TAIL_DURATION, s=1.1,
-    )
 
 
 def _tail_run(read_quorum: int):
+    """Per-class latency summary of one sweep point."""
     from repro import (ClusterSimulation, KeyedWorkloadRunner,
                        ReplicationConfig)
 
     config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
     simulation = ClusterSimulation(
-        config, TAIL_POOLS, seed=TAIL_SEED, latency=True,
+        config, POOLS, seed=SEED, latency=True,
         replication=ReplicationConfig(r=3,
                                       replication_lag=TAIL_REPLICATION_LAG,
                                       read_quorum=read_quorum),
         read_policy="quorum",
     )
-    KeyedWorkloadRunner(simulation).run(_tail_workload())
+    KeyedWorkloadRunner(simulation).run(zipf_workload(0.3))
     audit = simulation.audit()
     assert audit.ok, audit.describe()
-    tracker = simulation.telemetry.latency
-    classes = {}
-    for op_class, row in tracker.summary().items():
-        classes[op_class] = {
-            "count": row["count"],
-            **{q: round(row[q], 3) for q in TAIL_QUANTILES},
-            "dominant_p99_phase": row["dominant_p99_phase"],
-        }
-    return {"read_quorum": read_quorum, "classes": classes,
-            "stranded": tracker.stranded}
+    return simulation.telemetry.latency.summary()
 
 
 def test_bench_tail_latency_quantiles():
-    runs = [_tail_run(q) for q in (1, 2, 3)]
+    runs = {q: _tail_run(q) for q in (1, 2, 3)}
 
     rows = []
-    for run in runs:
-        for op_class, stats in sorted(run["classes"].items()):
+    for read_quorum, classes in runs.items():
+        for op_class, stats in sorted(classes.items()):
             rows.append((
-                f"q={run['read_quorum']}", op_class, stats["count"],
+                f"q={read_quorum}", op_class, stats["count"],
                 f"{stats['p50']:.1f}", f"{stats['p99']:.1f}",
                 f"{stats['p999']:.1f}", stats["dominant_p99_phase"],
             ))
@@ -158,25 +116,9 @@ def test_bench_tail_latency_quantiles():
 
     # Every sweep point must observe quorum reads with a full percentile
     # ladder and a critical-path attribution for the tail.
-    for run in runs:
-        assert "quorum-read" in run["classes"], run
-        stats = run["classes"]["quorum-read"]
+    for classes in runs.values():
+        assert "quorum-read" in classes, classes
+        stats = classes["quorum-read"]
         assert stats["count"] > 0
         assert stats["p50"] <= stats["p99"] <= stats["p999"]
         assert stats["dominant_p99_phase"]
-
-    emit_json("BENCH_latency.json", {
-        "name": "tail_latency",
-        "seed": TAIL_SEED,
-        "experiment": "tail_latency",
-        "config": {
-            "r": 3, "pools": len(TAIL_POOLS), "keys": TAIL_KEYS,
-            "operations": TAIL_OPERATIONS,
-            "write_fraction": TAIL_WRITE_FRACTION,
-            "replication_lag": TAIL_REPLICATION_LAG,
-            "read_policy": "quorum",
-            "read_quorum_sweep": [run["read_quorum"] for run in runs],
-        },
-        "metrics": {f"q{run['read_quorum']}": run["classes"]
-                    for run in runs},
-    })

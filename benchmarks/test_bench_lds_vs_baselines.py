@@ -8,8 +8,6 @@ all three systems and reports per-operation communication cost, storage
 cost and operation latency.
 """
 
-import pytest
-
 from repro.baselines.abd import ABDSystem
 from repro.baselines.cas import CASSystem
 from repro.core.config import LDSConfig
@@ -76,8 +74,8 @@ def run_experiment():
     return rows
 
 
-def test_bench_lds_vs_baselines(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_bench_lds_vs_baselines():
+    rows = run_experiment()
     lds_row, abd_row, cas_row = rows
     assert all(row[-1] == "yes" for row in rows)
     # Storage: the coded back-end beats replication by a wide margin
@@ -93,13 +91,3 @@ def test_bench_lds_vs_baselines(benchmark):
     # Client-visible write latency does not pay the slow back-end link
     # (tau2 = 10): a single L1<->L2 round trip would already cost 20.
     assert float(lds_row[4]) < 20.0
-
-
-def test_bench_abd_write_simulation_speed(benchmark):
-    system = ABDSystem(n=N_SERVERS, latency_model=FixedLatencyModel())
-
-    def one_write():
-        return system.write(b"abd bench")
-
-    result = benchmark(one_write)
-    assert result.kind == "write"

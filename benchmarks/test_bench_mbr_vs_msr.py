@@ -64,8 +64,8 @@ def run_experiment():
     return rows
 
 
-def test_bench_mbr_vs_msr(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_bench_mbr_vs_msr():
+    rows = run_experiment()
     for row in rows:
         mbr_read_paper, mbr_read_meas = float(row[1]), float(row[2])
         msr_read_paper, msr_read_meas = float(row[3]), float(row[4])

@@ -11,9 +11,6 @@ while a narrow quorum under heavy lag spends a quarter of its reads on
 expensive full protocol fallbacks at the primary -- which is why *mean*
 read latency drops as the quorum widens in this regime.
 
-Alongside the text table the run emits machine-readable results to
-``benchmarks/results/BENCH_quorum_reads.json`` for downstream tooling.
-
 There is no paper analogue for the sweep itself; the quorum discovery it
 characterises is the paper's reader-side tag query, transplanted onto the
 replica layer (the ROADMAP's quorum-reads / read-repair items).
@@ -21,33 +18,16 @@ replica layer (the ROADMAP's quorum-reads / read-repair items).
 
 from __future__ import annotations
 
-import time
-
-from bench_utils import emit_json, emit_table
+from bench_utils import POOLS, SEED, emit_table, zipf_workload
 
 from repro import (
     ClusterSimulation,
     KeyedWorkloadRunner,
     LDSConfig,
     ReplicationConfig,
-    WorkloadGenerator,
 )
 
-NUM_KEYS = 24
-OPERATIONS = 240
-WRITE_FRACTION = 0.3
-DURATION = 900.0
 REPLICATION_LAG = 500.0
-SEED = 19
-POOLS = [f"pool-{i}" for i in range(4)]
-
-
-def _workload():
-    generator = WorkloadGenerator(seed=SEED, client_spacing=60.0)
-    return generator.zipf_keyed(
-        [f"obj-{i}" for i in range(NUM_KEYS)],
-        OPERATIONS, write_fraction=WRITE_FRACTION, duration=DURATION, s=1.1,
-    )
 
 
 def _run(read_quorum: int, read_repair: bool):
@@ -60,16 +40,13 @@ def _run(read_quorum: int, read_repair: bool):
                                       read_repair=read_repair),
         read_policy="quorum",
     )
-    started = time.perf_counter()
-    report = KeyedWorkloadRunner(simulation).run(_workload())
-    wall = time.perf_counter() - started
+    report = KeyedWorkloadRunner(simulation).run(zipf_workload(0.3))
     distribution = simulation.read_distribution()
     audit = simulation.audit()
     assert audit.ok, audit.describe()
     return {
         "read_quorum": read_quorum,
         "read_repair": read_repair,
-        "wall_s": wall,
         "mean_read_latency": report.read_latency.mean,
         "p95_read_latency": report.read_latency.p95,
         "quorum_reads": distribution.quorum_reads,
@@ -90,7 +67,6 @@ def test_bench_quorum_reads():
                                            else " (no repair)")
         return (
             label,
-            f"{run['wall_s'] * 1e3:.1f}",
             f"{run['mean_read_latency']:.1f}",
             f"{run['p95_read_latency']:.1f}",
             f"{run['mean_quorum_depth']:.2f}",
@@ -103,37 +79,10 @@ def test_bench_quorum_reads():
         "quorum_reads",
         "read latency / session fallbacks vs read_quorum "
         f"(r=3, lag={REPLICATION_LAG:g}, fixed write load)",
-        ["read_quorum", "wall ms", "mean read lat", "p95 read lat",
+        ["read_quorum", "mean read lat", "p95 read lat",
          "mean depth", "fallback rate", "read repairs", "replica traffic"],
         [row(run) for run in runs] + [row(lag_only)],
     )
-    def label(run):
-        suffix = "" if run["read_repair"] else "_no_repair"
-        return f"q{run['read_quorum']}{suffix}"
-
-    emit_json("BENCH_quorum_reads.json", {
-        "name": "quorum_reads",
-        "seed": SEED,
-        "experiment": "quorum_reads",
-        "config": {
-            "r": 3, "pools": len(POOLS), "seed": SEED,
-            "keys": NUM_KEYS, "operations": OPERATIONS,
-            "write_fraction": WRITE_FRACTION,
-            "replication_lag": REPLICATION_LAG,
-        },
-        # The cross-PR trajectory keys: one flat indicator set per
-        # configuration (see benchmarks/test_results_schema.py).
-        "metrics": {
-            label(run): {
-                "mean_read_latency": run["mean_read_latency"],
-                "session_fallback_rate": run["session_fallback_rate"],
-                "read_repairs": run["read_repairs"],
-                "wall_s": run["wall_s"],
-            }
-            for run in runs + [lag_only]
-        },
-        "runs": runs + [lag_only],
-    })
 
     by_quorum = {run["read_quorum"]: run for run in runs}
     # Every merge resolved at full depth (nothing died in this sweep).

@@ -13,32 +13,14 @@ read path (the ROADMAP's "route reads to the nearest replica" item).
 
 from __future__ import annotations
 
-import time
-
-from bench_utils import emit_json, emit_table
+from bench_utils import POOLS, SEED, emit_table, zipf_workload
 
 from repro import (
     ClusterSimulation,
     KeyedWorkloadRunner,
     LDSConfig,
     ReplicationConfig,
-    WorkloadGenerator,
 )
-
-NUM_KEYS = 24
-OPERATIONS = 240
-WRITE_FRACTION = 0.25
-DURATION = 900.0
-SEED = 19
-POOLS = [f"pool-{i}" for i in range(4)]
-
-
-def _workload():
-    generator = WorkloadGenerator(seed=SEED, client_spacing=60.0)
-    return generator.zipf_keyed(
-        [f"obj-{i}" for i in range(NUM_KEYS)],
-        OPERATIONS, write_fraction=WRITE_FRACTION, duration=DURATION, s=1.1,
-    )
 
 
 def _run(r: int):
@@ -48,16 +30,12 @@ def _run(r: int):
         replication=ReplicationConfig(r=r, replication_lag=25.0),
         read_policy="round-robin",
     )
-    started = time.perf_counter()
-    report = KeyedWorkloadRunner(simulation).run(_workload())
-    wall = time.perf_counter() - started
+    report = KeyedWorkloadRunner(simulation).run(zipf_workload(0.25))
     distribution = simulation.read_distribution()
     audit = simulation.audit()
     assert audit.ok, audit.describe()
     replicas = simulation.replicas
     return {
-        "wall": wall,
-        "reads": OPERATIONS - report.history.writes().__len__(),
         "read_latency": report.read_latency.mean,
         "distribution": distribution,
         "replication_cost": 0.0 if replicas is None else replicas.total_cost,
@@ -67,23 +45,12 @@ def _run(r: int):
 def test_bench_replica_reads():
     rows = []
     smoke = {}
-    metrics = {}
     for r in (1, 2, 3):
         run = _run(r)
         distribution = run["distribution"]
         smoke[r] = distribution
-        metrics[f"r{r}"] = {
-            "wall_s": run["wall"],
-            "reads_per_s_wall": run["reads"] / run["wall"],
-            "mean_read_latency": run["read_latency"],
-            "follower_fraction": distribution.follower_fraction,
-            "serve_cv": distribution.coefficient_of_variation,
-            "replication_cost": run["replication_cost"],
-        }
         rows.append((
             r,
-            f"{run['wall'] * 1e3:.1f}",
-            f"{run['reads'] / run['wall']:,.0f}",
             f"{run['read_latency']:.1f}",
             f"{distribution.follower_fraction:.2f}",
             f"{distribution.coefficient_of_variation:.2f}",
@@ -94,19 +61,10 @@ def test_bench_replica_reads():
     emit_table(
         "replica_reads",
         "read routing vs replication factor (round-robin, fixed write load)",
-        ["r", "wall ms", "reads/s (wall)", "mean read latency",
-         "follower share", "serve CV", "policy hit rate", "replication cost"],
+        ["r", "mean read latency", "follower share", "serve CV",
+         "policy hit rate", "replication cost"],
         rows,
     )
-    emit_json("BENCH_replica_reads.json", {
-        "name": "replica_reads",
-        "seed": SEED,
-        "config": {"pools": len(POOLS), "keys": NUM_KEYS,
-                   "operations": OPERATIONS,
-                   "write_fraction": WRITE_FRACTION,
-                   "replication_lag": 25.0, "read_policy": "round-robin"},
-        "metrics": metrics,
-    })
 
     # The balance claims the table makes, asserted so the benchmark doubles
     # as a smoke test: replication actually offloads the primaries.

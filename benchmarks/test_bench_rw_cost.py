@@ -32,8 +32,9 @@ def _measure(n: int, f: int):
     quiescent_read = system.read()
     read_cost_idle = system.operation_cost(quiescent_read.op_id)
     # A read overlapping a concurrent write (delta > 0 regime).
-    system.invoke_write(b"bench-value-2", writer=1, at=system.simulator.now)
-    concurrent_read_op = system.invoke_read(reader=0, at=system.simulator.now + 0.5)
+    now = system.simulator.now  # simlint: disable=SD03 -- stand-alone LDSSystem: no kernel, its simulator is the only clock
+    system.invoke_write(b"bench-value-2", writer=1, at=now)
+    concurrent_read_op = system.invoke_read(reader=0, at=now + 0.5)
     system.run_until_idle()
     read_cost_busy = system.operation_cost(concurrent_read_op)
     return config, write_cost, read_cost_idle, read_cost_busy
@@ -62,25 +63,11 @@ def run_experiment():
     return rows
 
 
-def test_bench_write_and_read_cost(benchmark):
+def test_bench_write_and_read_cost():
     """Measured costs must match Lemma V.2 exactly across the sweep."""
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    rows = run_experiment()
     assert len(rows) == len(SWEEP)
     for row in rows:
         assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-6)   # write
         assert float(row[3]) == pytest.approx(float(row[4]), rel=1e-6)   # read, delta = 0
         assert float(row[6]) <= float(row[5]) + 1e-6                     # read, delta > 0 bounded
-
-
-def test_bench_single_write_operation_latency(benchmark):
-    """Wall-clock cost of simulating one write on a mid-size system."""
-    config = LDSConfig.symmetric(n=12, f=3)
-
-    def one_write():
-        system = LDSSystem(config, latency_model=FixedLatencyModel())
-        system.write(b"timed write")
-        system.run_until_idle()
-        return system
-
-    system = benchmark(one_write)
-    assert system.storage.l1_cost == 0.0

@@ -16,8 +16,8 @@ telemetry pillar on (``Telemetry.full()``):
   forward-hop and replication-apply children, read roots with quorum
   legs and read-repair instants -- as Chrome ``trace_event`` JSON you
   can open in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``;
-* the **pump profile** attributes every kernel event to its event type,
-  flamegraph-ready via folded-stack lines.
+* the **latency tracker** folds the same spans into per-op-class
+  percentiles and critical-path phases (the report's latency section).
 
 The tour then re-runs the identical scenario with telemetry *off* and
 checks the governing invariant plus the acceptance criteria: the kernel

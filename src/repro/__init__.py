@@ -26,9 +26,9 @@ with every substrate it depends on:
   :class:`ClusterSimulation`, the cluster facade (membership + router +
   repair, pre-wired on that kernel);
 * ``repro.obs`` -- simulation-time observability: the metrics registry,
-  kernel-driven time-series sampling, per-operation Chrome trace spans,
-  and pump profiling -- all pure observation (telemetry on or off, runs
-  are byte-identical).
+  kernel-driven time-series sampling and per-operation Chrome trace
+  spans -- all pure observation (telemetry on or off, runs are
+  byte-identical).
 
 Quickstart::
 

@@ -72,8 +72,17 @@ class RepairStats:
     repairs_completed: int = 0
     repairs_skipped: int = 0
     retries: int = 0
-    gave_up: int = 0
+    #: Abandoned with nothing left to repair (see ``RepairScheduler._moot``).
+    moot: int = 0
+    #: Abandoned with the slot still degraded: ``max_attempts`` exhausted,
+    #: or withheld by a fault drill.
+    failed: int = 0
     total_download_fraction: float = 0.0
+
+    @property
+    def gave_up(self) -> int:
+        """Every abandoned task, whatever the reason."""
+        return self.moot + self.failed
 
 
 class RepairScheduler:
@@ -166,23 +175,40 @@ class RepairScheduler:
 
     # -- rate limiting ------------------------------------------------------------
 
+    def _moot(self, task: RepairTask) -> bool:
+        """True when there is nothing left for ``task`` to repair.
+
+        The shard is gone; or it moved pools (migration, or a replica-group
+        failover retired the degraded epoch), so the replacement does not
+        host the failed slot; or the whole pool is dead and in-pool
+        regeneration has no live helpers (with replica groups the
+        coordinator fails the shard over instead).
+        """
+        shard = self.router.shards.get(task.key)
+        return (shard is None
+                or (task.pool is not None and shard.pool != task.pool)
+                or not self.membership.pool_alive(shard.pool))
+
+    def _give_up(self, task: RepairTask, *, moot: bool) -> None:
+        task.status = GAVE_UP
+        if moot:
+            self.stats.moot += 1
+        else:
+            self.stats.failed += 1
+        self._task_finished(task)
+
     def _dispatch(self, task: RepairTask) -> None:
         """Assign the earliest rate-limiter slot at or after ``ready_at``.
 
-        Tasks already known doomed -- no shard, shard moved pools, or the
-        whole pool dead -- give up *before* booking a rate-limiter slot,
-        or each dead task would push every later (viable) repair's start
-        time out by ``min_interval``.  The same conditions are re-checked
-        at execution time because they can also become true afterwards.
+        Moot tasks give up *before* booking a rate-limiter slot, or each
+        dead task would push every later (viable) repair's start time out
+        by ``min_interval``.  :meth:`_execute` re-checks because a task can
+        also become moot after it was scheduled.
         """
-        shard = self.router.shards.get(task.key)
-        if shard is None or (task.pool is not None
-                             and shard.pool != task.pool) \
-                or not self.membership.pool_alive(shard.pool):
-            task.status = GAVE_UP
-            self.stats.gave_up += 1
-            self._task_finished(task)
+        if self._moot(task):
+            self._give_up(task, moot=True)
             return
+        shard = self.router.shards[task.key]
         slot_index = min(range(len(self._slots)), key=lambda i: self._slots[i])
         start = max(task.ready_at, self._slots[slot_index])
         if self.slot_jitter > 0:
@@ -201,28 +227,10 @@ class RepairScheduler:
             # by an availability drill): the booked slot fires into a task
             # that no longer exists.
             return
-        shard = self.router.shards.get(task.key)
-        if shard is None:  # migrated away since scheduling
-            task.status = GAVE_UP
-            self.stats.gave_up += 1
-            self._task_finished(task)
+        if self._moot(task):
+            self._give_up(task, moot=True)
             return
-        if task.pool is not None and shard.pool != task.pool:
-            # The shard moved pools (migration, or a replica-group failover
-            # retired the degraded epoch): the replacement shard does not
-            # host the failed slot, so there is nothing left to repair.
-            task.status = GAVE_UP
-            self.stats.gave_up += 1
-            self._task_finished(task)
-            return
-        if not self.membership.pool_alive(shard.pool):
-            # In-pool regeneration needs live helper slots; a fully dead
-            # pool has none.  With replica groups the coordinator fails the
-            # shard over instead; either way this task cannot succeed.
-            task.status = GAVE_UP
-            self.stats.gave_up += 1
-            self._task_finished(task)
-            return
+        shard = self.router.shards[task.key]
         server = shard.system.l2_servers[task.l2_index]
         if not server.crashed:
             # Already whole (e.g. the shard migrated to a fresh epoch and
@@ -238,9 +246,7 @@ class RepairScheduler:
             report = coordinator.repair(task.l2_index)
         except RepairError:
             if task.attempts >= self.max_attempts:
-                task.status = GAVE_UP
-                self.stats.gave_up += 1
-                self._task_finished(task)
+                self._give_up(task, moot=False)
                 return
             # Not repairable yet (e.g. offloads still in flight): go back
             # through the rate limiter after a back-off.
@@ -317,16 +323,13 @@ class RepairScheduler:
         silently stops serving one failed node.  Used by
         ``inject_withheld_repair`` to prove the sampling availability
         monitor notices holes the repair backlog no longer covers."""
-        withheld: List[RepairTask] = []
-        for task in self.tasks:
-            if task.node_id == node_id and task.status in (QUEUED, SCHEDULED):
-                task.status = GAVE_UP
-                self.stats.gave_up += 1
-                withheld.append(task)
-        # Settle the node's outstanding count through the normal finish
-        # path (it will not report recovery: the tasks are not DONE).
+        withheld = [task for task in self.tasks
+                    if task.node_id == node_id
+                    and task.status in (QUEUED, SCHEDULED)]
+        # The normal finish path settles the node's outstanding count (it
+        # will not report recovery: none of these tasks is DONE).
         for task in withheld:
-            self._task_finished(task)
+            self._give_up(task, moot=False)
         return withheld
 
     def reports(self) -> List[Tuple[str, L2RepairReport]]:

@@ -19,7 +19,6 @@ fixtures under ``tests/lint/``, inline suppression pragmas, and a CLI::
     python -m repro.lint src/ path2 # scan explicit paths
     python -m repro.lint --list-rules
     python -m repro.lint --format sarif --output scan.sarif src
-    python -m repro.lint --baseline lint-baseline.json examples
     python -m repro.lint --changed origin/main src
 
 Scans are *whole-program*: every requested file is parsed up front into
@@ -51,10 +50,9 @@ A deliberate exception is annotated in place::
 
 The justification after ``--`` is required by convention; under
 ``--require-justification`` (the weekly audit workflow) a bare pragma
-is an ``E003`` error.  For incremental adoption the CLI speaks JSON and
-SARIF 2.1.0 (:mod:`repro.lint.output`) and supports a committed
-fingerprint baseline plus a git-diff-aware ``--changed`` mode
-(:mod:`repro.lint.baseline`).
+is an ``E003`` error.  The CLI speaks JSON and SARIF 2.1.0
+(:mod:`repro.lint.output`, findings carry line-content fingerprints)
+and has a git-diff-aware ``--changed`` mode (:mod:`repro.lint.baseline`).
 
 The static pass is paired with a *runtime* sanitizer for what static
 analysis cannot see: :meth:`repro.sim.kernel.GlobalScheduler.enable_sanitizer`

@@ -7,17 +7,14 @@ what the pragmas are hiding); ``--select`` narrows to specific rules;
 ``--require-justification`` additionally fails on pragmas without a
 ``-- why`` trailer.
 
-Incremental-adoption surface::
+Reporting surface::
 
     python -m repro.lint --format sarif --output scan.sarif src
-    python -m repro.lint --write-baseline lint-baseline.json examples
-    python -m repro.lint --baseline lint-baseline.json examples
     python -m repro.lint --changed origin/main src
 
 ``--changed BASE`` still parses every requested file (whole-program
 rules need the full call graph) but only reports findings in files git
-says changed since ``BASE``; ``--baseline`` drops findings whose
-line-content fingerprint is in the committed ledger.
+says changed since ``BASE``.
 """
 
 from __future__ import annotations
@@ -63,11 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="output format (default: text)")
     parser.add_argument("--output", metavar="FILE",
                         help="write the report to FILE instead of stdout")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="suppress findings fingerprinted in FILE")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="record current findings as the accepted "
-                             "baseline and exit 0")
     parser.add_argument("--changed", metavar="BASE",
                         help="report only findings in files git changed "
                              "since BASE (whole program is still analysed)")
@@ -95,19 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.changed:
             changed = baseline_mod.changed_files(args.changed)
             findings = baseline_mod.restrict_to_changed(findings, changed)
-
-        if args.write_baseline:
-            count = baseline_mod.write_baseline(
-                args.write_baseline, findings, cache)
-            print(f"baseline: recorded {count} finding(s) in "
-                  f"{args.write_baseline}", file=sys.stderr)
-            return 0
-
-        suppressed = 0
-        if args.baseline:
-            accepted = baseline_mod.load_baseline(args.baseline)
-            findings, suppressed = baseline_mod.apply_baseline(
-                findings, accepted, cache)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -126,9 +105,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--")
         for rule_id in sorted(counts):
             print(f"{rule_id}: {counts[rule_id]}")
-    if suppressed:
-        print(f"baseline: suppressed {suppressed} known finding(s)",
-              file=sys.stderr)
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1

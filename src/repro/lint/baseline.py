@@ -1,18 +1,13 @@
-"""Finding fingerprints, the committed baseline, and diff-aware scans.
+"""Finding fingerprints and diff-aware scans.
 
-New rule families land on an existing tree without a flag-day cleanup:
-``--write-baseline lint-baseline.json`` records every current finding
-as a *fingerprint*, and subsequent scans with ``--baseline`` report
-only findings not in that ledger.  CI fails on regressions while the
-baseline burns down incrementally.
-
-A fingerprint deliberately ignores line *numbers*: it is a short SHA-1
-over ``(rule id, normalised path, stripped text of the flagged source
-line)``, so inserting code above a baselined finding does not
-invalidate the ledger, while editing the flagged line itself (or fixing
-it) does.  Identical lines in one file share a fingerprint; the
-baseline therefore stores an *occurrence count* per fingerprint and a
-scan suppresses at most that many occurrences.
+A fingerprint identifies a finding across edits for the JSON / SARIF
+reports (:mod:`repro.lint.output`): it deliberately ignores line
+*numbers* -- a short SHA-1 over ``(rule id, normalised path, stripped
+text of the flagged source line)`` -- so inserting code above a finding
+keeps its identity, while editing the flagged line itself (or fixing it)
+does not.  There is no accepted-findings ledger: every scanned tree is
+held clean outright, and a deliberate exception is an inline pragma
+with its justification next to the code.
 
 ``changed_files(base)`` backs the ``--changed BASE`` mode: the scan
 still parses the whole program (cross-module propagation needs every
@@ -23,16 +18,11 @@ plus untracked files -- are reported.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import subprocess
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.engine import Finding, LintError
-
-#: Schema version of the baseline file; bump on incompatible changes.
-BASELINE_VERSION = 1
-
 
 def normalise_path(path: str) -> str:
     normalized = path.replace(os.sep, "/")
@@ -82,67 +72,6 @@ def compute_fingerprints(findings: Sequence[Finding],
     return [fingerprint(f, cache.line(f.path, f.line)) for f in findings]
 
 
-def write_baseline(path: str, findings: Sequence[Finding],
-                   cache: Optional[SourceCache] = None) -> int:
-    """Record the findings as the accepted baseline; returns the count."""
-    counts: Dict[str, int] = {}
-    for print_ in compute_fingerprints(findings, cache):
-        counts[print_] = counts.get(print_, 0) + 1
-    payload = {
-        "version": BASELINE_VERSION,
-        "tool": "repro.lint",
-        "findings": len(findings),
-        "fingerprints": {key: counts[key] for key in sorted(counts)},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return len(findings)
-
-
-def load_baseline(path: str) -> Dict[str, int]:
-    """Fingerprint -> accepted occurrence count from a baseline file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise LintError(f"cannot read baseline {path!r}: {exc}")
-    except ValueError as exc:
-        raise LintError(f"baseline {path!r} is not valid JSON: {exc}")
-    if not isinstance(payload, dict) \
-            or payload.get("version") != BASELINE_VERSION \
-            or not isinstance(payload.get("fingerprints"), dict):
-        raise LintError(f"baseline {path!r} has an unrecognised format "
-                        f"(expected version {BASELINE_VERSION})")
-    fingerprints: Dict[str, int] = {}
-    for key, count in payload["fingerprints"].items():
-        if not isinstance(count, int) or count < 0:
-            raise LintError(f"baseline {path!r}: bad count for {key!r}")
-        fingerprints[str(key)] = count
-    return fingerprints
-
-
-def apply_baseline(findings: Sequence[Finding], accepted: Dict[str, int],
-                   cache: Optional[SourceCache] = None,
-                   ) -> Tuple[List[Finding], int]:
-    """Drop baselined findings; returns (fresh findings, suppressed count).
-
-    Each fingerprint suppresses at most its recorded occurrence count,
-    so a baselined pattern that *multiplies* still fails the scan.
-    """
-    remaining = dict(accepted)
-    fresh: List[Finding] = []
-    suppressed = 0
-    for finding, print_ in zip(findings,
-                               compute_fingerprints(findings, cache)):
-        if remaining.get(print_, 0) > 0:
-            remaining[print_] -= 1
-            suppressed += 1
-        else:
-            fresh.append(finding)
-    return fresh, suppressed
-
-
 def changed_files(base: str, repo_root: str = ".") -> Set[str]:
     """Real paths of ``.py`` files changed since ``base`` (plus untracked)."""
     def run(*argv: str) -> List[str]:
@@ -173,8 +102,6 @@ def restrict_to_changed(findings: Sequence[Finding],
 
 
 __all__ = [
-    "BASELINE_VERSION", "SourceCache", "normalise_path",
-    "apply_baseline", "changed_files", "compute_fingerprints",
-    "fingerprint", "load_baseline", "restrict_to_changed",
-    "write_baseline",
+    "SourceCache", "normalise_path", "changed_files",
+    "compute_fingerprints", "fingerprint", "restrict_to_changed",
 ]

@@ -132,18 +132,6 @@ class Simulator:
             heapq.heappop(self._queue)
         return self._queue[0].time if self._queue else None
 
-    def head_callback(self) -> Optional[Callable[[], None]]:
-        """The callback :meth:`step` would run next, or None when idle.
-
-        Cancelled events at the head are discarded as a side effect (as in
-        :meth:`peek_time`).  Used by the global kernel's pump profiler to
-        attribute the upcoming event to its callback's qualified name
-        before executing it.
-        """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].callback if self._queue else None
-
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
         while self._queue:

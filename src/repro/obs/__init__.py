@@ -1,14 +1,13 @@
-"""Simulation-time observability: metrics, sampling, tracing, profiling.
+"""Simulation-time observability: metrics, sampling, tracing.
 
-The four pillars (see ISSUE/README "Observability"):
+The three pillars (see ISSUE/README "Observability"):
 
 * :mod:`repro.obs.registry` -- the metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`, with labels);
 * :mod:`repro.obs.sampler` -- kernel-driven time-series probes of
   cluster health, exported as JSONL;
 * :mod:`repro.obs.trace` -- per-operation spans in Chrome
-  ``trace_event`` JSON (open in Perfetto / ``chrome://tracing``);
-* :mod:`repro.obs.profile` -- per-event-type pump attribution.
+  ``trace_event`` JSON (open in Perfetto / ``chrome://tracing``).
 
 Two audit-grade probes build on the same kernel probe source:
 
@@ -59,7 +58,6 @@ from repro.obs.latency import (
     SpanSinkFanout,
 )
 from repro.obs.live_audit import DEFAULT_AUDIT_INTERVAL, LiveAuditProbe
-from repro.obs.profile import PumpProfile
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -90,7 +88,6 @@ __all__ = [
     "ClusterSampler",
     "TraceRecorder",
     "TS_SCALE",
-    "PumpProfile",
     "Telemetry",
     "render_run_report",
     "AvailabilityAssessment",

@@ -1,9 +1,9 @@
 """The terminal run report: one readable page per simulation run.
 
-``render_run_report`` folds the four telemetry pillars -- registry
-counters, the sampler's time series, trace-span counts, and the pump
-profile -- into the kind of summary you want printed at the end of an
-example or benchmark run.  Everything here formats data that already
+``render_run_report`` folds the telemetry pillars -- registry counters,
+the sampler's time series, latency percentiles and trace-span counts --
+into the kind of summary you want printed at the end of an example or
+benchmark run.  Everything here formats data that already
 exists; nothing is computed from the live simulation except cheap
 snapshot reads (repair stats, shard counts).
 """
@@ -45,6 +45,7 @@ def render_run_report(simulation, telemetry) -> str:
         f"dispatched={repair.stats.dispatched} "
         f"completed={repair.stats.repairs_completed} "
         f"retries={repair.stats.retries} gave_up={repair.stats.gave_up} "
+        f"(moot={repair.stats.moot} failed={repair.stats.failed}) "
         f"outstanding={repair.outstanding_repairs()}"
     )
 
@@ -162,12 +163,6 @@ def render_run_report(simulation, telemetry) -> str:
             f"{len(trace.spans('read '))} read spans, "
             f"{len(trace.open_handles())} never closed"
         )
-
-    profile = getattr(telemetry, "pump_profile", None)
-    if profile is not None and profile.events:
-        lines.append("")
-        lines.append("-- pump profile --")
-        lines.append(profile.render())
 
     return "\n".join(lines)
 

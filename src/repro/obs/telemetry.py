@@ -1,4 +1,4 @@
-"""The telemetry facade: one object configuring all four pillars.
+"""The telemetry facade: one object configuring every pillar.
 
 Construct a :class:`Telemetry`, hand it to
 :class:`~repro.sim.harness.ClusterSimulation` (``telemetry=``), and the
@@ -10,7 +10,6 @@ harness threads it through the cluster:
   replica layers emit per-operation spans into;
 * ``sample_interval=<units>`` starts a :class:`ClusterSampler` on the
   kernel's telemetry probe source;
-* ``profile=True`` enables the kernel's pump profiling hooks;
 * ``live_audit=True`` runs the streaming session auditor online
   (:class:`~repro.obs.live_audit.LiveAuditProbe`) -- usually requested
   through ``ClusterSimulation(live_audit=True)``;
@@ -25,9 +24,9 @@ harness threads it through the cluster:
   burn rates against per-op-class targets (implies ``latency``).
 
 Every pillar defaults to off except the registry (which costs a few
-dict entries); :meth:`Telemetry.full` turns the four passive pillars on
-(the audit pillars stay opt-in: they change the *audit path*, not the
-execution, and ``full()`` keeps its historical meaning).  None of the
+dict entries); :meth:`Telemetry.full` turns the passive pillars on
+(tracer, sampler, latency; the audit pillars stay opt-in: they change
+the *audit path*, not the execution).  None of the
 pillars perturbs the simulation -- see the module docs of
 :mod:`repro.obs.sampler` and :mod:`repro.sim.kernel` for why runs stay
 byte-identical with telemetry on or off.
@@ -38,7 +37,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.availability import (
-    DEFAULT_AVAILABILITY_INTERVAL,
     DEFAULT_SAMPLES_PER_EPOCH,
     AvailabilityMonitor,
 )
@@ -57,7 +55,6 @@ class Telemetry:
     def __init__(self, *, registry: Optional[MetricsRegistry] = None,
                  trace: bool = False,
                  sample_interval: Optional[float] = None,
-                 profile: bool = False,
                  live_audit: bool = False,
                  audit_interval: float = DEFAULT_AUDIT_INTERVAL,
                  availability_interval: Optional[float] = None,
@@ -70,7 +67,6 @@ class Telemetry:
         self.trace: Optional[TraceRecorder] = \
             TraceRecorder() if trace else None
         self.sample_interval = sample_interval
-        self.profile = bool(profile)
         self.live_audit = bool(live_audit)
         self.audit_interval = audit_interval
         self.availability_interval = availability_interval
@@ -88,27 +84,15 @@ class Telemetry:
             self.latency = LatencyTracker(registry=self.registry)
         #: Filled by :meth:`attach`.
         self.sampler: Optional[ClusterSampler] = None
-        self.pump_profile = None
         self.auditor: Optional[LiveAuditProbe] = None
         self.availability: Optional[AvailabilityMonitor] = None
         self.slo: Optional[SLOTracker] = None
 
     @classmethod
     def full(cls, sample_interval: float = DEFAULT_INTERVAL) -> "Telemetry":
-        """Everything on: registry + sampler + tracer + pump profile +
+        """Every passive pillar on: registry + sampler + tracer +
         latency decomposition."""
-        return cls(trace=True, sample_interval=sample_interval, profile=True,
-                   latency=True)
-
-    @classmethod
-    def audited(cls, sample_interval: float = DEFAULT_INTERVAL,
-                availability_interval: float = DEFAULT_AVAILABILITY_INTERVAL,
-                ) -> "Telemetry":
-        """``full()`` plus the online audit pillars: live session auditing
-        and sampled availability monitoring."""
-        return cls(trace=True, sample_interval=sample_interval, profile=True,
-                   live_audit=True,
-                   availability_interval=availability_interval)
+        return cls(trace=True, sample_interval=sample_interval, latency=True)
 
     def enable_latency(self) -> None:
         """Turn the latency pillar on (idempotent).
@@ -180,8 +164,6 @@ class Telemetry:
                 trace=self.trace,
             )
             self.slo.start()
-        if self.profile:
-            self.pump_profile = simulation.kernel.enable_profiling()
 
     def ensure_sampler_armed(self) -> None:
         """Re-arm every probe cadence (harness calls this before pumping)."""

@@ -36,15 +36,12 @@ designed to leave that fingerprint untouched:
   (:mod:`repro.obs.live_audit`) and the availability monitor
   (:mod:`repro.obs.availability`) are all probe families on this
   source;
-* :meth:`GlobalScheduler.enable_profiling` attributes every executed
-  event to its callback's qualified name (count, simulated-time and
-  wall-time), feeding the flamegraph work; off by default, and the
-  per-event cost when off is a single ``is None`` check;
 * :meth:`GlobalScheduler.enable_sanitizer` turns on runtime invariant
   checking (clock monotonicity, no scheduling into a source's local
   past, probe purity, pending-map leaks -- see
-  :mod:`repro.sim.sanitizer`) with the same off-cost and the same
-  byte-identity guarantee.
+  :mod:`repro.sim.sanitizer`); off by default, the per-event cost when
+  off is a single ``is None`` check, and a sanitized run keeps the same
+  fingerprint.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.simulator import EventHandle, Simulator
@@ -158,11 +154,8 @@ class GlobalScheduler:
         self._fingerprint = 0
         #: Lazily created on the first :meth:`schedule_probe`.
         self._telemetry_source: Optional[SimulatorSource] = None
-        #: Pump profile (:class:`repro.obs.profile.PumpProfile`) or None.
-        self._profile = None
         #: Runtime sanitizer (:class:`repro.sim.sanitizer.KernelSanitizer`)
-        #: or None; like the profile, checked with a single ``is None``
-        #: per event when off.
+        #: or None; checked with a single ``is None`` per event when off.
         self._sanitizer = None
         # The kernel's own queue carries scenario actions and workload
         # arrivals; registering it first makes kernel events win every tie
@@ -286,25 +279,6 @@ class GlobalScheduler:
             if name != TELEMETRY_SOURCE
         )
 
-    # -- pump profiling ------------------------------------------------------------
-
-    def enable_profiling(self):
-        """Turn on per-event-type pump attribution; returns the profile.
-
-        Idempotent.  The profile never feeds the fingerprint or the clock,
-        so profiled runs stay byte-identical to unprofiled ones.
-        """
-        if self._profile is None:
-            from repro.obs.profile import PumpProfile
-
-            self._profile = PumpProfile()
-        return self._profile
-
-    @property
-    def profile(self):
-        """The active :class:`PumpProfile`, or None when profiling is off."""
-        return self._profile
-
     # -- runtime sanitizer ---------------------------------------------------------
 
     def enable_sanitizer(self, strict: bool = True):
@@ -410,11 +384,7 @@ class GlobalScheduler:
     def _execute(self, head: Tuple[float, str]) -> None:
         time, name = head
         source = self._sources[name]
-        profile = self._profile
         sanitizer = self._sanitizer
-        if profile is not None:
-            label = profile.label_for(source)
-            wall_started = perf_counter()  # simlint: disable=ND02 -- wall-clock profiling only; never feeds sim state
         if name == TELEMETRY_SOURCE:
             # Observation-only probe: run it, keep its head indexed, and
             # leave the clock / stats / fingerprint / trace exactly as a
@@ -426,13 +396,9 @@ class GlobalScheduler:
             self._push_head(name)
             if sanitizer is not None:
                 sanitizer.after_probe(probe_snapshot)
-            if profile is not None:
-                profile.record(name, label, 0.0,
-                               perf_counter() - wall_started)  # simlint: disable=ND02 -- wall-clock profiling only; never feeds sim state
             return
         if sanitizer is not None:
             sanitizer.before_event(source, time)
-        sim_delta = time - self._now
         self._now = time
         source.step()
         if sanitizer is not None:
@@ -448,9 +414,6 @@ class GlobalScheduler:
         )
         if self.record_trace:
             self.trace.append((time, name))
-        if profile is not None:
-            profile.record(name, label, sim_delta,
-                           perf_counter() - wall_started)  # simlint: disable=ND02 -- wall-clock profiling only; never feeds sim state
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:

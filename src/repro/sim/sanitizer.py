@@ -41,10 +41,10 @@ ultimately rests on:
 
 In strict mode (the default) the first violation raises
 :class:`SanitizerError`; in recording mode violations accumulate on
-:attr:`KernelSanitizer.violations` for post-run assertions.  Like the
-pump profiler, the sanitizer never feeds the fingerprint, the clock or
-the stats, so a sanitized run is byte-identical to an unsanitized one;
-the per-event cost when off is a single ``is None`` check.
+:attr:`KernelSanitizer.violations` for post-run assertions.  The
+sanitizer never feeds the fingerprint, the clock or the stats, so a
+sanitized run is byte-identical to an unsanitized one; the per-event
+cost when off is a single ``is None`` check.
 """
 
 from __future__ import annotations

@@ -161,7 +161,8 @@ def test_tasks_complete_even_with_inflight_offloads(config):
 def test_gave_up_dispatch_releases_slot_and_counts(config):
     """Regression: a dispatch-time give-up must neither book a rate-limiter
     slot (which would push every later repair out by min_interval) nor be
-    dropped from the gave_up statistic."""
+    dropped from the gave_up statistic -- which tells "moot" (nothing left
+    to repair) from "failed" (abandoned while still degraded)."""
     from repro.cluster.repair import GAVE_UP, RepairTask
 
     router, scheduler = build_cluster(config, min_interval=50.0)
@@ -173,9 +174,16 @@ def test_gave_up_dispatch_releases_slot_and_counts(config):
     scheduler._dispatch(ghost)
     assert ghost.status == GAVE_UP
     assert ghost.scheduled_at is None, "a never-run task must not hold a slot time"
-    assert scheduler.stats.gave_up == 1
+    # Nothing was left to repair: that is "moot", not a failed repair.
+    stats = scheduler.stats
+    assert (stats.moot, stats.failed, stats.gave_up) == (1, 0, 1)
     # The slot was not consumed: the first real repair of the same node
     # still starts right after detection, not min_interval later.
     router.membership.fail("pool-0/l2-0", time=0.0)
     times = scheduler.scheduled_times()
     assert times and times[0] < 50.0
+    # Abandoning repairs whose slots are still degraded is "failed".
+    withheld = scheduler.withhold_node("pool-0/l2-0")
+    assert withheld and all(task.status == GAVE_UP for task in withheld)
+    assert (stats.moot, stats.failed) == (1, len(withheld))
+    assert stats.gave_up == 1 + len(withheld)

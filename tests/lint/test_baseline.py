@@ -1,5 +1,5 @@
-"""Tests for fingerprints, the baseline ledger, the diff-aware
-``--changed`` mode, and the incremental-adoption CLI surface."""
+"""Tests for fingerprints, the diff-aware ``--changed`` mode, and the
+machine-readable CLI surface."""
 
 from __future__ import annotations
 
@@ -8,16 +8,8 @@ import os
 import subprocess
 import sys
 
-import pytest
-
-from repro.lint.baseline import (
-    SourceCache,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.engine import Finding, LintError
+from repro.lint.baseline import fingerprint
+from repro.lint.engine import Finding
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -45,57 +37,6 @@ def test_fingerprint_ignores_line_numbers_not_content():
         != fingerprint(_finding(), "x = worse()")
     assert fingerprint(_finding(rule="ND01"), "x = bad()") \
         != fingerprint(_finding(rule="ND02"), "x = bad()")
-
-
-def test_baseline_round_trip_counts_occurrences(tmp_path):
-    cache = SourceCache({"pkg/a.py": "dup()\ndup()\ndup()\n"})
-    two = [_finding(line=1), _finding(line=2)]  # identical line content
-    ledger = tmp_path / "baseline.json"
-    assert write_baseline(str(ledger), two, cache) == 2
-    accepted = load_baseline(str(ledger))
-    assert sum(accepted.values()) == 2
-
-    # The same two findings are fully suppressed...
-    fresh, suppressed = apply_baseline(two, accepted, cache)
-    assert (fresh, suppressed) == ([], 2)
-    # ...but a third occurrence of the same pattern is fresh.
-    three = two + [_finding(line=3)]
-    fresh, suppressed = apply_baseline(three, accepted, cache)
-    assert suppressed == 2
-    assert [f.line for f in fresh] == [3]
-
-
-def test_baseline_rejects_unrecognised_format(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"version": 99, "fingerprints": {}}))
-    with pytest.raises(LintError):
-        load_baseline(str(bad))
-    bad.write_text("not json")
-    with pytest.raises(LintError):
-        load_baseline(str(bad))
-
-
-def test_cli_write_then_scan_with_baseline(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(BAD_MODULE)
-    ledger = tmp_path / "lint-baseline.json"
-
-    result = _run("--write-baseline", str(ledger), str(target))
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "recorded 1 finding(s)" in result.stderr
-
-    result = _run("--baseline", str(ledger), str(target))
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "suppressed 1 known finding(s)" in result.stderr
-
-    # A new hazard alongside the baselined one still fails the scan.
-    target.write_text(BAD_MODULE + "also = random.random()\n")
-    result = _run("--baseline", str(ledger), str(target))
-    assert result.returncode == 1
-    assert result.stdout.count("ND01") == 1
-
-    result = _run("--baseline", str(tmp_path / "missing.json"), str(target))
-    assert result.returncode == 2
 
 
 def test_cli_format_json_and_sarif(tmp_path):

@@ -1,4 +1,5 @@
-"""The self-scan gate: the repo's own source must lint clean.
+"""The self-scan gate: the repo's own source, examples and benches must
+lint clean outright -- there is no baseline of accepted findings.
 
 Shells out to ``python -m repro.lint`` exactly as CI does, so the CLI
 surface (argument parsing, exit codes, default target) is covered too.
@@ -9,6 +10,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+
+import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -23,8 +26,17 @@ def _run(*args: str) -> subprocess.CompletedProcess:
         capture_output=True, text=True, env=env, cwd=REPO_ROOT)
 
 
-def test_self_scan_is_clean():
-    result = _run(os.path.join(SRC, "repro"))
+@pytest.mark.parametrize("tree", ["src/repro", "examples", "benchmarks"])
+def test_self_scan_is_clean(tree):
+    result = _run(os.path.join(REPO_ROOT, tree))
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_library_never_reads_the_wall_clock():
+    # Pragma-blind: not even a justified exception under src/repro.
+    # benchmarks/lds_bench is the only code that reads the host clock.
+    result = _run("--no-pragmas", "--select", "ND02",
+                  os.path.join(SRC, "repro"))
     assert result.returncode == 0, result.stdout + result.stderr
 
 

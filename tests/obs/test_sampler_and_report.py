@@ -127,11 +127,11 @@ class TestRunReport:
         simulation, _ = run
         report = simulation.run_report()
         for heading in ("== run report ==", "-- routing --", "-- repair --",
-                        "-- time series", "-- metrics --", "-- trace --",
-                        "-- pump profile --"):
+                        "-- latency (", "-- time series", "-- metrics --",
+                        "-- trace --"):
             assert heading in report
         assert "dispatched=" in report
-        assert "gave_up=" in report
+        assert "gave_up=" in report and "(moot=" in report
 
     def test_run_report_requires_telemetry(self):
         config = LDSConfig(n1=3, n2=4, f1=1, f2=1)

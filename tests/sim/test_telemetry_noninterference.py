@@ -2,7 +2,7 @@
 
 The governing invariant of ``repro.obs`` (and of the kernel's telemetry
 probe source) is that turning every pillar on -- registry, sampler,
-tracer, pump profile -- changes *nothing* about the simulated execution:
+tracer, latency tracker -- changes *nothing* about the simulated execution:
 same kernel fingerprint, same merged timeline, same histories, same
 audit verdict.  These tests pin that down on a fixed-seed
 ``quorum_reads_under_lag`` run, and additionally prove the probe events
@@ -98,7 +98,7 @@ class TestTelemetryActuallyObserved:
         assert telemetry.trace.events
         assert not telemetry.trace.open_handles()
         assert telemetry.sampler.samples
-        assert telemetry.pump_profile.events > 0
+        assert telemetry.latency.records
         assert telemetry.registry.get("router_arrivals").value > 0
 
     def test_lag_series_rises_then_collapses(self, runs):

@@ -209,8 +209,8 @@ class GF256:
     def matmul(cls, a, b) -> np.ndarray:
         """Matrix product of two 2-D uint8 arrays over GF(2^8).
 
-        Implemented row-by-row using the vectorised scale/add primitives;
-        adequate for the modest matrix sizes used by the code layer.
+        One gather of every ``a[i, j] * b[j, c]`` product from the
+        256 x 256 table, then one XOR-reduce over the inner dimension.
         """
         a_arr = cls.as_array(a)
         b_arr = cls.as_array(b)
@@ -220,18 +220,8 @@ class GF256:
             raise ValueError(
                 f"shape mismatch: {a_arr.shape} x {b_arr.shape}"
             )
-        rows, inner = a_arr.shape
-        cols = b_arr.shape[1]
-        result = np.zeros((rows, cols), dtype=np.uint8)
-        for i in range(rows):
-            acc = np.zeros(cols, dtype=np.uint8)
-            row = a_arr[i]
-            for j in range(inner):
-                coeff = int(row[j])
-                if coeff:
-                    acc = np.bitwise_xor(acc, cls.scale_vec(coeff, b_arr[j]))
-            result[i] = acc
-        return result
+        products = _MUL[a_arr[:, :, None], b_arr[None, :, :]]
+        return np.bitwise_xor.reduce(products, axis=1)
 
 
 __all__ = ["GF256", "FIELD_SIZE", "PRIMITIVE_POLY", "GENERATOR"]

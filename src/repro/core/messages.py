@@ -9,7 +9,7 @@ count 1, coded elements count ``alpha / B``, repair-helper data counts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, TypeVar
 
 from repro.core.tags import Tag
 from repro.net.messages import Message
@@ -127,12 +127,15 @@ class AckCodeElem(Message):
 class QueryCodeElem(Message):
     """regenerate-from-L2: an L1 server asks all L2 servers for helper data.
 
-    ``reader_id`` identifies the outstanding read this regeneration serves
-    and ``l1_index`` is the code-symbol index the helper data must target.
+    ``reader_id`` identifies the outstanding read this regeneration serves,
+    ``l1_index`` is the code-symbol index the helper data must target and
+    ``regen_id`` is the requester's sequence number for this regeneration
+    (echoed in the reply so that stale replies can be told apart).
     """
 
     reader_id: str = ""
     l1_index: int = 0
+    regen_id: Optional[int] = None
 
 
 @dataclass
@@ -142,6 +145,24 @@ class SendHelperElem(Message):
     reader_id: str = ""
     tag: Tag = field(default_factory=Tag.initial)
     helper_data: bytes = b""
+    regen_id: Optional[int] = None
+
+
+_Handler = TypeVar("_Handler")
+
+
+def inherited_handler(table: Dict[type, _Handler],
+                      message_type: type) -> Optional[_Handler]:
+    """The miss path of a ``type(message)`` dispatch table.
+
+    A subclass of a protocol message is handled like its nearest base in
+    ``table``; None means the message is unknown to the receiver.
+    """
+    for base in message_type.__mro__[1:]:
+        handler = table.get(base)
+        if handler is not None:
+            return handler
+    return None
 
 
 __all__ = [
@@ -160,4 +181,5 @@ __all__ = [
     "AckCodeElem",
     "QueryCodeElem",
     "SendHelperElem",
+    "inherited_handler",
 ]

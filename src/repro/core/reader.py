@@ -42,8 +42,10 @@ class Reader(Process):
         super().__init__(pid, link_class=CLIENT)
         self.config = config
         self.code = code
+        self._l1_pids = tuple(config.l1_pids)
+        self._l1_quorum = config.l1_quorum
         self._operation_counter = 0
-        self._l1_index = {pid: i for i, pid in enumerate(config.l1_pids)}
+        self._l1_index = {pid: i for i, pid in enumerate(self._l1_pids)}
         # In-flight operation state.
         self._phase: Optional[str] = None
         self._op_id: Optional[str] = None
@@ -81,7 +83,7 @@ class Reader(Process):
         self._chosen_tag = None
         self._chosen_value = None
         self._phase = "get-committed-tag"
-        for server in self.config.l1_pids:
+        for server in self._l1_pids:
             self.send(server, msg.QueryCommittedTag(op_id=self._op_id))
         return self._op_id
 
@@ -90,14 +92,10 @@ class Reader(Process):
     def on_message(self, sender: str, message: Message) -> None:
         if message.op_id != self._op_id or self._phase is None:
             return
-        if self._phase == "get-committed-tag" and isinstance(
-            message, msg.QueryCommittedTagResponse
-        ):
-            self._handle_committed_tag(sender, message)
-        elif self._phase == "get-data" and isinstance(message, msg.QueryDataResponse):
-            self._handle_data_response(sender, message)
-        elif self._phase == "put-tag" and isinstance(message, msg.PutTagAck):
-            self._handle_put_tag_ack(sender, message)
+        kind = type(message)
+        entry = self._HANDLERS.get(kind) or msg.inherited_handler(self._HANDLERS, kind)
+        if entry is not None and entry[0] == self._phase:
+            entry[1](self, sender, message)
 
     # -- phase 1: get-committed-tag ---------------------------------------------------------
 
@@ -108,11 +106,11 @@ class Reader(Process):
         self._responders.add(sender)
         if message.tag > self._requested_tag:
             self._requested_tag = message.tag
-        if len(self._responders) < self.config.l1_quorum:
+        if len(self._responders) < self._l1_quorum:
             return
         self._phase = "get-data"
         self._responders = set()
-        for server in self.config.l1_pids:
+        for server in self._l1_pids:
             self.send(
                 server,
                 msg.QueryData(requested_tag=self._requested_tag, op_id=self._op_id),
@@ -142,7 +140,7 @@ class Reader(Process):
         }
 
     def _try_finish_get_data(self) -> None:
-        if len(self._responders) < self.config.l1_quorum:
+        if len(self._responders) < self._l1_quorum:
             return
         decodable = self._decodable_tags()
         if not self._value_candidates and not decodable:
@@ -172,7 +170,7 @@ class Reader(Process):
         self._chosen_value = value
         self._phase = "put-tag"
         self._responders = set()
-        for server in self.config.l1_pids:
+        for server in self._l1_pids:
             self.send(server, msg.PutTag(tag=chosen_tag, op_id=self._op_id))
 
     # -- phase 3: put-tag --------------------------------------------------------------------------
@@ -181,7 +179,7 @@ class Reader(Process):
         if sender in self._responders:
             return
         self._responders.add(sender)
-        if len(self._responders) < self.config.l1_quorum:
+        if len(self._responders) < self._l1_quorum:
             return
         result = OperationResult(
             op_id=self._op_id or "",
@@ -198,6 +196,13 @@ class Reader(Process):
         self._callback = None
         if callback is not None:
             callback(result)
+
+    #: message type -> (the phase that accepts it, its handler)
+    _HANDLERS = {
+        msg.QueryCommittedTagResponse: ("get-committed-tag", _handle_committed_tag),
+        msg.QueryDataResponse: ("get-data", _handle_data_response),
+        msg.PutTagAck: ("put-tag", _handle_put_tag_ack),
+    }
 
 
 __all__ = ["Reader", "CompletionCallback"]

@@ -59,6 +59,12 @@ class L1Server(Process):
         initial_tag = Tag.initial()
         #: The list L: tag -> value bytes, or None for ⊥ (garbage-collected).
         self.list_storage: Dict[Tag, Optional[bytes]] = {initial_tag: None}
+        #: max{t : (t, *) ∈ L}; tags enter L only through ``_store_value``
+        #: and ``_note_tag``, which keep it current.
+        self._max_list_tag: Tag = initial_tag
+        #: The tags of L that currently hold a value, in insertion order
+        #: (what garbage collection has to look at).
+        self._valued_tags: Dict[Tag, None] = {}
         #: Committed tag tc.
         self.committed_tag: Tag = initial_tag
         #: Γ: outstanding readers, keyed by reader process id.
@@ -85,6 +91,10 @@ class L1Server(Process):
             relay_set=config.broadcast_relay_pids,
         )
         self._element_fraction = float(code.costs.element_fraction)
+        self._l1_quorum = config.l1_quorum
+        self._l2_quorum = config.l2_quorum
+        self._l2_pids = tuple(config.l2_pids)
+        self._l2_index = {pid: i for i, pid in enumerate(self._l2_pids)}
 
     # ------------------------------------------------------------------------
     # helpers on the list L
@@ -92,7 +102,7 @@ class L1Server(Process):
 
     def max_list_tag(self) -> Tag:
         """max{t : (t, *) ∈ L}."""
-        return max(self.list_storage)
+        return self._max_list_tag
 
     def value_for(self, tag: Tag) -> Optional[bytes]:
         """The value stored under ``tag`` or None when absent / garbage collected."""
@@ -100,51 +110,48 @@ class L1Server(Process):
 
     def _store_value(self, tag: Tag, value: bytes) -> None:
         self.list_storage[tag] = value
+        self._valued_tags[tag] = None
+        if tag > self._max_list_tag:
+            self._max_list_tag = tag
         if self.storage_tracker is not None:
             self.storage_tracker.value_added(self.now, self.pid, tag, 1.0)
 
+    def _note_tag(self, tag: Tag) -> None:
+        """Record ``tag`` in L as (tag, ⊥) metadata unless it is there already."""
+        if tag not in self.list_storage:
+            self.list_storage[tag] = None
+            if tag > self._max_list_tag:
+                self._max_list_tag = tag
+
     def _drop_value(self, tag: Tag) -> None:
         """Replace (tag, value) by (tag, ⊥), keeping the tag as metadata."""
-        if self.list_storage.get(tag) is not None:
+        if tag in self._valued_tags:
+            del self._valued_tags[tag]
             self.list_storage[tag] = None
             if self.storage_tracker is not None:
                 self.storage_tracker.value_removed(self.now, self.pid, tag)
 
     def _garbage_collect_older_than(self, tag: Tag) -> None:
         """Drop every value whose tag is strictly smaller than ``tag``."""
-        for stored_tag in list(self.list_storage):
-            if stored_tag < tag:
-                self._drop_value(stored_tag)
-
-    def _l1_storage_cost(self) -> float:
-        """Normalised temporary storage currently held by this server."""
-        return float(sum(1 for value in self.list_storage.values() if value is not None))
+        for stored_tag in [t for t in self._valued_tags if t < tag]:
+            self._drop_value(stored_tag)
 
     # ------------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------------
 
     def on_message(self, sender: str, message: Message) -> None:
-        if isinstance(message, BroadcastEnvelope):
-            inner = self.broadcaster.handle(message)
-            if isinstance(inner, msg.CommitTag):
-                self._broadcast_resp(inner)
-            return
-        if isinstance(message, msg.QueryTag):
-            self._get_tag_resp(sender, message)
-        elif isinstance(message, msg.PutData):
-            self._put_data_resp(sender, message)
-        elif isinstance(message, msg.QueryCommittedTag):
-            self._get_committed_tag_resp(sender, message)
-        elif isinstance(message, msg.QueryData):
-            self._get_data_resp(sender, message)
-        elif isinstance(message, msg.PutTag):
-            self._put_tag_resp(sender, message)
-        elif isinstance(message, msg.AckCodeElem):
-            self._write_to_l2_complete(message)
-        elif isinstance(message, msg.SendHelperElem):
-            self._regenerate_from_l2_complete(sender, message)
+        kind = type(message)
+        handler = self._HANDLERS.get(kind) or msg.inherited_handler(self._HANDLERS, kind)
         # Unknown messages are ignored.
+        if handler is not None:
+            handler(self, sender, message)
+
+    def _consume_broadcast(self, sender: str, envelope: BroadcastEnvelope) -> None:
+        """Relay / consume a broadcast copy; a COMMIT-TAG runs broadcast-resp."""
+        inner = self.broadcaster.handle(envelope)
+        if isinstance(inner, msg.CommitTag):
+            self._broadcast_resp(inner)
 
     # ------------------------------------------------------------------------
     # write path (Figure 2, lines 3-27)
@@ -167,7 +174,7 @@ class L1Server(Process):
             # acking: a quorum peer answering a later get-tag query from its
             # list must see this tag, otherwise two writes can pick the same
             # tag and atomicity breaks.
-            self.list_storage.setdefault(incoming_tag, None)
+            self._note_tag(incoming_tag)
             self.send(writer, msg.PutDataAck(tag=incoming_tag, op_id=message.op_id))
 
     def _broadcast_resp(self, message: msg.CommitTag) -> None:
@@ -178,7 +185,7 @@ class L1Server(Process):
         self.commit_counter[tag] = self.commit_counter.get(tag, 0) + 1
         if (
             tag in self.list_storage
-            and self.commit_counter[tag] >= self.config.l1_quorum
+            and self.commit_counter[tag] >= self._l1_quorum
             and tag not in self._acked_tags
         ):
             self._acked_tags.add(tag)
@@ -201,7 +208,7 @@ class L1Server(Process):
         # Keep the committed tag in L as metadata even when its value never
         # reached this server (commit broadcast ahead of put-data), so
         # get-tag queries never under-report the maximum tag.
-        self.list_storage.setdefault(tag, None)
+        self._note_tag(tag)
         value = self.value_for(tag)
         if value is not None:
             self._serve_registered_readers(tag, value)
@@ -235,7 +242,7 @@ class L1Server(Process):
         coded_elements = self.code.encode_for_backend(value)
         for l2_index, element in coded_elements.items():
             self.send(
-                self.config.l2_pid(l2_index),
+                self._l2_pids[l2_index],
                 msg.WriteCodeElem(
                     tag=tag,
                     coded_element=element.data,
@@ -244,13 +251,13 @@ class L1Server(Process):
                 ),
             )
 
-    def _write_to_l2_complete(self, message: msg.AckCodeElem) -> None:
+    def _write_to_l2_complete(self, sender: str, message: msg.AckCodeElem) -> None:
         """Count WRITE-CODE-ELEM acks; garbage collect the value once done."""
         tag = message.tag
         if tag not in self.write_counter:
             return
         self.write_counter[tag] += 1
-        if self.write_counter[tag] == self.config.l2_quorum:
+        if self.write_counter[tag] == self._l2_quorum:
             self._drop_value(tag)
 
     # ------------------------------------------------------------------------
@@ -300,24 +307,23 @@ class L1Server(Process):
         regen_id = self._regen_ids[reader]
         self.read_counter[reader] = 0
         self.helper_store[reader] = []
-        for l2_index in range(self.config.n2):
-            request = msg.QueryCodeElem(
-                reader_id=reader, l1_index=self.index, op_id=op_id,
-            )
-            request.payload["regen_id"] = regen_id
-            self.send(self.config.l2_pid(l2_index), request)
+        request = msg.QueryCodeElem(
+            reader_id=reader, l1_index=self.index, regen_id=regen_id, op_id=op_id,
+        )
+        for l2_pid in self._l2_pids:
+            self.send(l2_pid, request)
 
     def _regenerate_from_l2_complete(self, sender: str, message: msg.SendHelperElem) -> None:
         """Collect helper data; once n2 - f2 responses arrived, try to regenerate."""
         reader = message.reader_id
-        if message.payload.get("regen_id") != self._regen_ids.get(reader):
+        if message.regen_id != self._regen_ids.get(reader):
             return  # stale response from an earlier regeneration
-        l2_index = self.config.l2_pids.index(sender)
+        l2_index = self._l2_index[sender]
         self.read_counter[reader] = self.read_counter.get(reader, 0) + 1
         self.helper_store.setdefault(reader, []).append(
             (l2_index, message.tag, message.helper_data)
         )
-        if self.read_counter[reader] != self.config.l2_quorum:
+        if self.read_counter[reader] != self._l2_quorum:
             return
         helpers = self.helper_store.pop(reader, [])
         self.read_counter.pop(reader, None)
@@ -379,7 +385,7 @@ class L1Server(Process):
                 self._commit_tag(incoming_tag)
             else:
                 self.committed_tag = incoming_tag
-                self.list_storage.setdefault(incoming_tag, None)
+                self._note_tag(incoming_tag)
                 fallback = self._highest_value_below(incoming_tag)
                 if fallback is not None:
                     self._serve_registered_readers(fallback[0], fallback[1])
@@ -388,13 +394,19 @@ class L1Server(Process):
 
     def _highest_value_below(self, tag: Tag) -> Optional[Tuple[Tag, bytes]]:
         """max{t : t < tag ∧ (t, v) ∈ L with an actual value}, with its value."""
-        best: Optional[Tuple[Tag, bytes]] = None
-        for stored_tag, value in self.list_storage.items():
-            if value is None or not stored_tag < tag:
-                continue
-            if best is None or stored_tag > best[0]:
-                best = (stored_tag, value)
-        return best
+        best = max((t for t in self._valued_tags if t < tag), default=None)
+        return None if best is None else (best, self.list_storage[best])
+
+    _HANDLERS = {
+        BroadcastEnvelope: _consume_broadcast,
+        msg.QueryTag: _get_tag_resp,
+        msg.PutData: _put_data_resp,
+        msg.QueryCommittedTag: _get_committed_tag_resp,
+        msg.QueryData: _get_data_resp,
+        msg.PutTag: _put_tag_resp,
+        msg.AckCodeElem: _write_to_l2_complete,
+        msg.SendHelperElem: _regenerate_from_l2_complete,
+    }
 
 
 __all__ = ["L1Server"]

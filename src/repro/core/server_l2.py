@@ -49,11 +49,11 @@ class L2Server(Process):
     # -- message dispatch -------------------------------------------------------
 
     def on_message(self, sender: str, message: Message) -> None:
-        if isinstance(message, msg.WriteCodeElem):
-            self._write_to_l2_resp(sender, message)
-        elif isinstance(message, msg.QueryCodeElem):
-            self._regenerate_from_l2_resp(sender, message)
+        kind = type(message)
+        handler = self._HANDLERS.get(kind) or msg.inherited_handler(self._HANDLERS, kind)
         # Unknown messages are ignored (crash-stop model, no byzantine behaviour).
+        if handler is not None:
+            handler(self, sender, message)
 
     # -- handlers ----------------------------------------------------------------
 
@@ -79,15 +79,19 @@ class L2Server(Process):
             stored=self.stored_element,
             l1_server=message.l1_index,
         )
-        response = msg.SendHelperElem(
+        self.send(sender, msg.SendHelperElem(
             reader_id=message.reader_id,
             tag=self.stored_tag,
             helper_data=helper,
+            regen_id=message.regen_id,
             data_size=self._helper_fraction,
             op_id=message.op_id,
-        )
-        response.payload["regen_id"] = message.payload.get("regen_id")
-        self.send(sender, response)
+        ))
+
+    _HANDLERS = {
+        msg.WriteCodeElem: _write_to_l2_resp,
+        msg.QueryCodeElem: _regenerate_from_l2_resp,
+    }
 
 
 __all__ = ["L2Server"]

@@ -10,13 +10,16 @@ initial tag is ``(0, "")``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Tag:
-    """A version tag ``(z, writer_id)`` with the paper's total order."""
+    """A version tag ``(z, writer_id)`` with the paper's total order.
+
+    The dataclass generates equality, hashing and all four ordering
+    methods from the ``(z, writer_id)`` field tuple; each comparison
+    returns ``NotImplemented`` for anything that is not a tag.
+    """
 
     z: int
     writer_id: str = ""
@@ -24,19 +27,6 @@ class Tag:
     def __post_init__(self) -> None:
         if self.z < 0:
             raise ValueError("tag counter must be non-negative")
-
-    def __lt__(self, other: "Tag") -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return (self.z, self.writer_id) < (other.z, other.writer_id)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return (self.z, self.writer_id) == (other.z, other.writer_id)
-
-    def __hash__(self) -> int:
-        return hash((self.z, self.writer_id))
 
     def next_tag(self, writer_id: str) -> "Tag":
         """The tag a writer creates after observing this one (``z + 1``)."""

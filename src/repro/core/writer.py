@@ -34,6 +34,8 @@ class Writer(Process):
     def __init__(self, pid: str, config: LDSConfig) -> None:
         super().__init__(pid, link_class=CLIENT)
         self.config = config
+        self._l1_pids = tuple(config.l1_pids)
+        self._l1_quorum = config.l1_quorum
         self._operation_counter = 0
         # State of the in-flight operation (None when idle).
         self._phase: Optional[str] = None
@@ -72,7 +74,7 @@ class Writer(Process):
         self._max_tag = Tag.initial()
         self._write_tag = None
         self._phase = "get-tag"
-        for server in self.config.l1_pids:
+        for server in self._l1_pids:
             self.send(server, msg.QueryTag(op_id=self._op_id))
         return self._op_id
 
@@ -81,10 +83,10 @@ class Writer(Process):
     def on_message(self, sender: str, message: Message) -> None:
         if message.op_id != self._op_id or self._phase is None:
             return
-        if self._phase == "get-tag" and isinstance(message, msg.QueryTagResponse):
-            self._handle_tag_response(sender, message)
-        elif self._phase == "put-data" and isinstance(message, msg.PutDataAck):
-            self._handle_put_data_ack(sender, message)
+        kind = type(message)
+        entry = self._HANDLERS.get(kind) or msg.inherited_handler(self._HANDLERS, kind)
+        if entry is not None and entry[0] == self._phase:
+            entry[1](self, sender, message)
 
     def _handle_tag_response(self, sender: str, message: msg.QueryTagResponse) -> None:
         if sender in self._responders:
@@ -92,13 +94,13 @@ class Writer(Process):
         self._responders.add(sender)
         if message.tag > self._max_tag:
             self._max_tag = message.tag
-        if len(self._responders) < self.config.l1_quorum:
+        if len(self._responders) < self._l1_quorum:
             return
         # Move to the put-data phase with the new, strictly larger tag.
         self._write_tag = self._max_tag.next_tag(self.pid)
         self._phase = "put-data"
         self._responders = set()
-        for server in self.config.l1_pids:
+        for server in self._l1_pids:
             self.send(
                 server,
                 msg.PutData(
@@ -111,7 +113,7 @@ class Writer(Process):
         if message.tag != self._write_tag or sender in self._responders:
             return
         self._responders.add(sender)
-        if len(self._responders) < self.config.l1_quorum:
+        if len(self._responders) < self._l1_quorum:
             return
         result = OperationResult(
             op_id=self._op_id or "",
@@ -128,6 +130,12 @@ class Writer(Process):
         self._callback = None
         if callback is not None:
             callback(result)
+
+    #: message type -> (the phase that accepts it, its handler)
+    _HANDLERS = {
+        msg.QueryTagResponse: ("get-tag", _handle_tag_response),
+        msg.PutDataAck: ("put-data", _handle_put_data_ack),
+    }
 
 
 __all__ = ["Writer", "CompletionCallback"]

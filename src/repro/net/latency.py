@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 #: Link-class labels used by the processes.
 CLIENT = "client"
@@ -30,7 +30,8 @@ def link_type(sender_class: str, receiver_class: str) -> str:
     """Classify a link into one of the paper's three categories.
 
     Links that the paper does not use (e.g. client <-> L2) are mapped onto
-    the closest category so that experimental variations still run.
+    the closest category so that experimental variations still run.  The
+    category names double as the tau attribute names of the models below.
     """
     classes = {sender_class, receiver_class}
     if classes == {L1}:
@@ -63,16 +64,18 @@ class FixedLatencyModel(LatencyModel):
         self.tau0 = tau0
         self.tau1 = tau1
         self.tau2 = tau2
-
-    def _value(self, sender_class: str, receiver_class: str) -> float:
-        kind = link_type(sender_class, receiver_class)
-        return {"tau0": self.tau0, "tau1": self.tau1, "tau2": self.tau2}[kind]
-
-    def delay(self, sender_class: str, receiver_class: str) -> float:
-        return self._value(sender_class, receiver_class)
+        #: (sender class, receiver class) -> tau, filled on first use.
+        self._by_link: Dict[Tuple[str, str], float] = {}
 
     def bound(self, sender_class: str, receiver_class: str) -> float:
-        return self._value(sender_class, receiver_class)
+        link = (sender_class, receiver_class)
+        tau = self._by_link.get(link)
+        if tau is None:
+            tau = self._by_link[link] = getattr(self, link_type(*link))
+        return tau
+
+    #: Deterministic: every message takes exactly its link's bound.
+    delay = bound
 
 
 class BoundedLatencyModel(FixedLatencyModel):
@@ -91,7 +94,7 @@ class BoundedLatencyModel(FixedLatencyModel):
         self._rng = random.Random(seed)
 
     def delay(self, sender_class: str, receiver_class: str) -> float:
-        bound = self._value(sender_class, receiver_class)
+        bound = self.bound(sender_class, receiver_class)
         return self._rng.uniform(self.minimum_fraction * bound, bound)
 
 

@@ -42,12 +42,13 @@ class CommunicationCostTracker:
 
     def record(self, message: Message) -> None:
         """Record one sent message."""
-        self.total += message.data_size
+        size, kind, op_id = message.data_size, message.kind, message.op_id
+        self.total += size
         self.messages_sent += 1
-        self.by_kind[message.kind] += message.data_size
-        self.messages_by_kind[message.kind] += 1
-        if message.op_id is not None:
-            self.by_operation[message.op_id] += message.data_size
+        self.by_kind[kind] += size
+        self.messages_by_kind[kind] += 1
+        if op_id is not None:
+            self.by_operation[op_id] += size
 
     def operation_cost(self, op_id: str) -> float:
         """Total normalised data sent on behalf of ``op_id``."""
@@ -115,27 +116,32 @@ class Network:
         transmitted, independent of whether the destination survives to
         consume it).
         """
-        if sender not in self.processes:
+        processes = self.processes
+        sender_process = processes.get(sender)
+        if sender_process is None:
             raise ValueError(f"unknown sender {sender!r}")
-        if destination not in self.processes:
+        destination_process = processes.get(destination)
+        if destination_process is None:
             raise ValueError(f"unknown destination {destination!r}")
-        sender_process = self.processes[sender]
         if sender_process.crashed:
             return
         self.costs.record(message)
         delay = self.latency_model.delay(
-            sender_process.link_class, self.processes[destination].link_class
+            sender_process.link_class, destination_process.link_class
         )
-        self.simulator.schedule(delay, lambda: self._deliver(sender, destination, message))
 
-    def _deliver(self, sender: str, destination: str, message: Message) -> None:
-        process = self.processes.get(destination)
-        if process is None or process.crashed:
-            self.dropped_to_crashed += 1
-            return
-        for hook in self._delivery_hooks:
-            hook(sender, destination, message)
-        process.on_message(sender, message)
+        def deliver() -> None:
+            # Resolved on delivery: repair may have swapped the process.
+            process = self.processes.get(destination)
+            if process is None or process.crashed:
+                self.dropped_to_crashed += 1
+                return
+            if self._delivery_hooks:
+                for hook in self._delivery_hooks:
+                    hook(sender, destination, message)
+            process.on_message(sender, message)
+
+        self.simulator.schedule(delay, deliver)
 
     # -- execution ------------------------------------------------------------------
 

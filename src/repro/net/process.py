@@ -55,7 +55,8 @@ class Process:
         """
         if self.crashed:
             return
-        self.network.send(self.pid, destination, message)
+        # The ``network`` property only runs (and raises) when unattached.
+        (self._network or self.network).send(self.pid, destination, message)
 
     def schedule(self, delay: float, callback) -> None:
         """Schedule a local step after ``delay`` (skipped if crashed by then)."""

@@ -8,46 +8,41 @@ executions are fully deterministic given the latency model's random seed.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
-
-@dataclass(order=True)
-class _Event:
-    """A scheduled callback; ordered by (time, sequence number)."""
-
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+# A queued event is a plain ``[time, sequence, callback]`` list, so the
+# heap orders events with C-level list comparison.  Sequence numbers are
+# unique: the callback is never compared.  Cancelling clears the callback.
 
 
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
 
-    def __init__(self, event: _Event) -> None:
+    __slots__ = ("_event",)
+
+    def __init__(self, event: list) -> None:
         self._event = event
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already ran."""
-        self._event.cancelled = True
+        self._event[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._event[2] is None
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._event[0]
 
 
 class Simulator:
     """A single-threaded discrete-event simulator with a virtual clock."""
 
     def __init__(self) -> None:
-        self._queue: List[_Event] = []
+        self._queue: List[list] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -113,9 +108,10 @@ class Simulator:
             self._schedule_guard(time)
         if time < self._now:
             raise ValueError("cannot schedule an event in the past")
-        event = _Event(time=time, sequence=next(self._counter), callback=callback)
-        heapq.heappush(self._queue, event)
-        if self._head_listener is not None and self._queue[0] is event:
+        event = [time, next(self._counter), callback]
+        queue = self._queue
+        heappush(queue, event)
+        if queue[0] is event and self._head_listener is not None:
             self._head_listener()
         return EventHandle(event)
 
@@ -128,19 +124,24 @@ class Simulator:
         kernel in :mod:`repro.sim.kernel`) merge many simulators onto one
         clock without executing anything.
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue:
+            time, _sequence, callback = queue[0]
+            if callback is not None:
+                return time
+            heappop(queue)
+        return None
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time, _sequence, callback = heappop(queue)
+            if callback is None:
                 continue
-            self._now = event.time
+            self._now = time
             self._events_processed += 1
-            event.callback()
+            callback()
             return True
         return False
 
@@ -151,17 +152,13 @@ class Simulator:
         while self._queue:
             if max_events is not None and executed >= max_events:
                 return
-            event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and event.time > until:
+            time = self.peek_time()
+            if time is None:
+                break
+            if until is not None and time > until:
                 self._now = until
                 return
-            heapq.heappop(self._queue)
-            self._now = event.time
-            self._events_processed += 1
-            event.callback()
+            self.step()
             executed += 1
         if until is not None and until > self._now:
             self._now = until

@@ -46,9 +46,10 @@ designed to leave that fingerprint untouched:
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import zlib
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.simulator import EventHandle, Simulator
@@ -70,18 +71,13 @@ class SimulatorSource:
         self.events_executed = 0
         #: Registration order; the kernel breaks global-time ties by it.
         self.order = 0
+        #: Version of the one live kernel heap entry for this source's head.
+        self.head_version = 0
 
     def next_time(self) -> Optional[float]:
         """Global time of the source's next pending event (None when idle)."""
         local = self.simulator.peek_time()
         return None if local is None else self.offset + local
-
-    def step(self) -> bool:
-        """Run exactly one event of the underlying simulator."""
-        ran = self.simulator.step()
-        if ran:
-            self.events_executed += 1
-        return ran
 
     def to_global(self, local_time: float) -> float:
         return self.offset + local_time
@@ -108,15 +104,6 @@ class KernelStats:
     context_switches: int = 0
     _last_source: Optional[str] = None
 
-    def record(self, source_name: str) -> None:
-        self.events_total += 1
-        self.events_by_source[source_name] = (
-            self.events_by_source.get(source_name, 0) + 1
-        )
-        if self._last_source is not None and self._last_source != source_name:
-            self.context_switches += 1
-        self._last_source = source_name
-
     @property
     def switch_rate(self) -> float:
         """Fraction of event transitions that crossed source boundaries."""
@@ -136,17 +123,17 @@ class GlobalScheduler:
         self._sources: Dict[str, SimulatorSource] = {}
         self._now = 0.0
         #: Lazy min-heap over source head times: (global_time, registration
-        #: order, source name, entry version).  An entry is valid only while
-        #: its version matches ``_heap_versions[name]`` and its time matches
-        #: the source's current head; anything else is discarded (and
-        #: refreshed) on pop, so stale entries are tolerated instead of
-        #: removed eagerly.  Sources push fresh entries through their
-        #: simulator's head listener whenever scheduling moves a head
+        #: order, unique entry version, source).  An entry is valid only
+        #: while its version is the source's ``head_version`` and its time
+        #: matches the source's current head; anything else is discarded
+        #: (and refreshed) when it surfaces, so stale entries are tolerated
+        #: instead of removed eagerly.  Sources push fresh entries through
+        #: their simulator's head listener whenever scheduling moves a head
         #: earlier, which keeps the heap sound without rescanning every
         #: source per event: each step costs O(log S) instead of O(S).
-        self._heap: List[Tuple[float, int, str, int]] = []
-        self._heap_versions: Dict[str, int] = {}
-        self._registrations = 0
+        self._heap: List[tuple] = []
+        self._versions = itertools.count(1)
+        self._orders = itertools.count()
         self.stats = KernelStats()
         self.record_trace = record_trace
         #: Full (global_time, source_name) trace when ``record_trace`` is on.
@@ -189,11 +176,10 @@ class GlobalScheduler:
         if offset is None:
             offset = self._now - simulator.now
         source = SimulatorSource(name=name, simulator=simulator, offset=offset)
-        source.order = self._registrations
-        self._registrations += 1
+        source.order = next(self._orders)
         self._sources[name] = source
-        simulator.set_head_listener(lambda: self._push_head(name))
-        self._push_head(name)
+        simulator.set_head_listener(lambda: self._index_head(source))
+        self._index_head(source)
         if self._sanitizer is not None:
             self._sanitizer.attach_source(source)
         return source
@@ -208,7 +194,7 @@ class GlobalScheduler:
         source.simulator.set_head_listener(None)
         if self._sanitizer is not None:
             self._sanitizer.detach_source(source)
-        self._heap_versions.pop(name, None)
+        source.head_version = 0
 
     def source(self, name: str) -> SimulatorSource:
         return self._sources[name]
@@ -306,40 +292,20 @@ class GlobalScheduler:
 
     # -- the event pump -------------------------------------------------------------
 
-    def _push_head(self, name: str) -> None:
-        """(Re)index a source's current head time in the heap."""
-        source = self._sources.get(name)
-        if source is None:
+    def _index_head(self, source: SimulatorSource) -> None:
+        """Push a fresh heap entry for a source's current head (if any)."""
+        local = source.simulator.peek_time()
+        if local is None:
+            source.head_version = 0
             return
-        time = source.next_time()
-        if time is None:
-            return
-        version = self._heap_versions.get(name, 0) + 1
-        self._heap_versions[name] = version
-        heapq.heappush(self._heap, (time, source.order, name, version))
+        version = source.head_version = next(self._versions)
+        heappush(self._heap, (source.offset + local, source.order, version, source))
 
-    def _pop_valid(self) -> Optional[Tuple[float, int, str, int]]:
-        """Pop the earliest heap entry that still describes a real head."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            time, _order, name, version = entry
-            source = self._sources.get(name)
-            if source is None or version != self._heap_versions.get(name):
-                continue
-            actual = source.next_time()
-            if actual is None:
-                continue
-            if actual != time:
-                # The head moved without a listener notification (an event
-                # at the front was cancelled): refresh and keep looking.
-                self._push_head(name)
-                continue
-            return entry
-        return None
+    def _select(self) -> Optional[tuple]:
+        """The heap entry of the source that runs next (None when all idle).
 
-    def peek(self) -> Optional[Tuple[float, str]]:
-        """Global time and source of the next event, or None when all idle.
-
+        The top entry is validated where it sits; only entries that turn
+        out stale are popped (and, when the head merely moved, refreshed).
         A source whose head event maps before the global clock (possible
         when a simulator was attached mid-flight, or when a lagging shard
         schedules "now" locally) is clamped to *now* -- the global clock
@@ -347,68 +313,94 @@ class GlobalScheduler:
         *now* -- go to the earliest-registered source, exactly as the
         pre-heap linear scan resolved them.
         """
-        best = self._pop_valid()
-        if best is None:
-            return None
-        if best[0] > self._now:
-            # All other valid entries are at or after this raw time, so the
-            # heap's (time, registration order) minimum is the winner.
-            heapq.heappush(self._heap, best)
-            return best[0], best[2]
-        # One or more heads are clamped to the current global time; among
-        # everything effectively at *now* the first-registered source wins,
-        # regardless of how far behind its raw head time is.
-        clamped = [best]
-        while True:
-            entry = self._pop_valid()
-            if entry is None:
-                break
-            if entry[0] <= self._now:
-                clamped.append(entry)
+        heap = self._heap
+        clamped: List[tuple] = []
+        while heap:
+            entry = heap[0]
+            time, _order, version, source = entry
+            if version != source.head_version:
+                heappop(heap)
+                continue
+            local = source.simulator.peek_time()
+            if local is None or source.offset + local != time:
+                # The head moved without a listener notification (an event
+                # at the front was cancelled): refresh and keep looking.
+                heappop(heap)
+                self._index_head(source)
+            elif time > self._now:
+                break  # the (time, registration order) minimum after *now*
             else:
-                heapq.heappush(self._heap, entry)
-                break
-        winner = min(clamped, key=lambda entry: entry[1])
-        for entry in clamped:
-            heapq.heappush(self._heap, entry)
-        return self._now, winner[2]
+                clamped.append(heappop(heap))
+        else:
+            entry = None
+        if not clamped:
+            return entry
+        # Among everything effectively at *now* the first-registered source
+        # wins, regardless of how far behind its raw head time is.
+        for due in clamped:
+            heappush(heap, due)
+        return min(clamped, key=lambda due: due[1])
+
+    def peek(self) -> Optional[Tuple[float, str]]:
+        """Global time and source of the next event, or None when all idle."""
+        entry = self._select()
+        return None if entry is None else (max(entry[0], self._now), entry[3].name)
 
     def step(self) -> bool:
         """Execute the globally earliest pending event; False when idle."""
-        head = self.peek()
-        if head is None:
+        entry = self._select()
+        if entry is None:
             return False
-        self._execute(head)
+        self._execute(entry)
         return True
 
-    def _execute(self, head: Tuple[float, str]) -> None:
-        time, name = head
-        source = self._sources[name]
+    def _execute(self, entry: tuple) -> None:
+        time, _order, version, source = entry
+        name = source.name
         sanitizer = self._sanitizer
+        simulator = source.simulator
         if name == TELEMETRY_SOURCE:
-            # Observation-only probe: run it, keep its head indexed, and
-            # leave the clock / stats / fingerprint / trace exactly as a
-            # telemetry-free run would have them.  The sanitizer's write
-            # barrier verifies that "exactly" at runtime.
+            # Observation-only probe: run it (``_select`` refreshes its stale
+            # entry) and leave the clock / stats / fingerprint / trace
+            # exactly as a telemetry-free run would have them.  The
+            # sanitizer's write barrier verifies that "exactly" at runtime.
             if sanitizer is not None:
                 probe_snapshot = sanitizer.before_probe()
-            source.step()
-            self._push_head(name)
+            simulator.step()
+            source.events_executed += 1
             if sanitizer is not None:
                 sanitizer.after_probe(probe_snapshot)
             return
+        if time < self._now:
+            time = self._now
         if sanitizer is not None:
             sanitizer.before_event(source, time)
         self._now = time
-        source.step()
+        simulator.step()
+        source.events_executed += 1
         if sanitizer is not None:
             sanitizer.after_event(source)
-        # The executed source's head moved; its old heap entry is stale
-        # (version bump) and the new head gets indexed.  Heads of *other*
-        # sources the event scheduled onto were re-indexed synchronously by
-        # their simulators' head listeners.
-        self._push_head(name)
-        self.stats.record(name)
+        # Re-index the executed source (head listeners did so for any other
+        # source the event scheduled onto): while ``entry`` is still live
+        # and the top, the successor takes its place with one sift.  It is
+        # not when the event moved this source's head earlier or dropped the
+        # source (a newer version is live), or put a lagging or, at this
+        # instant, earlier-registered source ahead.  Then, as when the
+        # source went idle, ``entry`` stays behind: its time is no later
+        # than the head it stands for, so ``_select`` meets it in time and
+        # discards or refreshes it.
+        if source.head_version == version and self._heap[0] is entry:
+            local = simulator.peek_time()
+            if local is not None:
+                source.head_version = version = next(self._versions)
+                heapreplace(self._heap, (source.offset + local, source.order, version, source))
+        stats = self.stats
+        stats.events_total += 1
+        stats.events_by_source[name] = stats.events_by_source.get(name, 0) + 1
+        if stats._last_source != name:
+            if stats._last_source is not None:
+                stats.context_switches += 1
+            stats._last_source = name
         self._fingerprint = zlib.crc32(
             f"{name}@{time!r}".encode(), self._fingerprint
         )
@@ -426,12 +418,11 @@ class GlobalScheduler:
         while True:
             if max_events is not None and executed >= max_events:
                 return
-            head = self.peek()
-            if head is None:
+            entry = self._select()
+            if entry is None or (
+                    until is not None and max(entry[0], self._now) > until):
                 break
-            if until is not None and head[0] > until:
-                break
-            self._execute(head)
+            self._execute(entry)
             executed += 1
         if until is not None and until > self._now:
             self._now = until

@@ -1,11 +1,17 @@
 """Focused unit tests for L1 server state transitions (Figure 2 invariants)."""
 
-import pytest
+from dataclasses import dataclass
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import messages as msg
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.core.tags import Tag
+from repro.net.broadcast import BroadcastEnvelope
 from repro.net.latency import FixedLatencyModel
+from repro.net.messages import Message
 
 
 def build_system():
@@ -117,3 +123,66 @@ class TestInternalOperations:
             server.committed_tag >= result.tag and server.max_list_tag() >= result.tag
             for server in servers
         )
+
+
+@dataclass
+class UrgentPutData(msg.PutData):
+    """A protocol message subclass: must be handled like its base."""
+
+    priority: int = 0
+
+
+class TestDispatch:
+    def test_unknown_messages_are_ignored(self):
+        system = build_system()
+        server = system.l1_servers[0]
+        server.on_message("nobody", Message(kind="garbage"))
+        assert server.list_storage == {Tag.initial(): None}
+        assert system.network.costs.messages_sent == 0
+
+    def test_a_subclass_dispatches_like_its_base(self):
+        system = build_system()
+        server = system.l1_servers[0]
+        tag = Tag(1, "writer-0")
+        server.on_message("writer-0", UrgentPutData(tag=tag, value=b"v", op_id="w"))
+        assert server.value_for(tag) == b"v"
+        assert server.max_list_tag() == tag
+
+
+_TAGS = st.builds(Tag, st.integers(min_value=1, max_value=5),
+                  st.sampled_from(["writer-0", "writer-1"]))
+
+
+@st.composite
+def _protocol_messages(draw):
+    """(sender, message): one step of Figure 2 that touches the list L."""
+    kind = draw(st.sampled_from(["put-data", "commit", "put-tag", "ack", "get-tag"]))
+    tag = draw(_TAGS)
+    if kind == "put-data":
+        return tag.writer_id, msg.PutData(tag=tag, value=bytes([tag.z]), op_id="w")
+    if kind == "commit":
+        sender = f"l1-{draw(st.integers(min_value=1, max_value=4))}"
+        return sender, BroadcastEnvelope(
+            broadcast_id=(sender, draw(st.integers(min_value=0, max_value=10**6))),
+            inner=msg.CommitTag(tag=tag, op_id="w"))
+    if kind == "put-tag":
+        return "reader-0", msg.PutTag(tag=tag, op_id="r")
+    if kind == "ack":
+        return f"l2-{draw(st.integers(min_value=0, max_value=5))}", \
+            msg.AckCodeElem(tag=tag, op_id="w")
+    return "writer-0", msg.QueryTag(op_id="w")
+
+
+class TestListBookkeeping:
+    @given(st.lists(_protocol_messages(), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_running_maximum_and_valued_set_track_the_list(self, steps):
+        system = build_system()
+        server = system.l1_servers[0]
+        for sender, message in steps:
+            server.on_message(sender, message)
+            valued = {t for t, v in server.list_storage.items() if v is not None}
+            assert server.max_list_tag() == max(server.list_storage)
+            assert set(server._valued_tags) == valued
+            assert {tag for pid, tag in system.storage._l1_current
+                    if pid == server.pid} == valued

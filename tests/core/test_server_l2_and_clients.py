@@ -51,8 +51,8 @@ class TestL2Server:
         system.write(b"value for helpers")
         system.run_until_idle()
         target = system.l2_servers[0]
-        request = msg.QueryCodeElem(reader_id="reader-0", l1_index=2, op_id="read-op")
-        request.payload["regen_id"] = 7
+        request = msg.QueryCodeElem(reader_id="reader-0", l1_index=2, regen_id=7,
+                                    op_id="read-op")
         captured = []
         target.send = lambda dest, message: captured.append((dest, message))  # type: ignore[assignment]
         target.on_message(system.config.l1_pid(2), request)
@@ -60,7 +60,7 @@ class TestL2Server:
         assert destination == system.config.l1_pid(2)
         assert isinstance(response, msg.SendHelperElem)
         assert response.tag == target.stored_tag
-        assert response.payload["regen_id"] == 7
+        assert response.regen_id == 7
         assert response.data_size == pytest.approx(float(system.code.costs.helper_fraction))
 
     def test_unknown_messages_are_ignored(self):
@@ -68,6 +68,17 @@ class TestL2Server:
         target = system.l2_servers[0]
         target.on_message("nobody", Message(kind="garbage"))
         assert target.stored_tag == Tag.initial()
+
+    def test_a_subclass_dispatches_like_its_base(self):
+        class PaddedWriteCodeElem(msg.WriteCodeElem):
+            pass
+
+        system = build_system()
+        target = system.l2_servers[0]
+        newer_tag = Tag(3, "writer-0")
+        target.on_message(system.config.l1_pid(0), PaddedWriteCodeElem(
+            tag=newer_tag, coded_element=target.stored_element.data))
+        assert target.stored_tag == newer_tag
 
 
 class TestClientEdgeCases:

@@ -30,6 +30,25 @@ class TestTagOrder:
     def test_comparison_with_non_tag(self):
         assert Tag(1, "a").__eq__(42) is NotImplemented
 
+    def test_all_six_comparisons_agree_with_tuple_order(self):
+        import operator
+
+        tags = [Tag(0, ""), Tag(1, "a"), Tag(1, "b"), Tag(2, ""), Tag(2, "a")]
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge,
+                        operator.eq, operator.ne):
+            for left in tags:
+                for right in tags:
+                    assert compare(left, right) is compare(
+                        (left.z, left.writer_id), (right.z, right.writer_id))
+
+    def test_every_comparison_refuses_a_plain_tuple(self):
+        tag = Tag(1, "a")
+        for method in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            assert getattr(tag, method)((1, "a")) is NotImplemented
+        assert tag != (1, "a")
+        with pytest.raises(TypeError):
+            tag < (2, "a")
+
     def test_next_tag_is_strictly_larger(self):
         tag = Tag(7, "zzz")
         successor = tag.next_tag("aaa")

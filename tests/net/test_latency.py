@@ -9,6 +9,8 @@ from repro.net.latency import (
     BoundedLatencyModel,
     ExponentialLatencyModel,
     FixedLatencyModel,
+    LatencyRegime,
+    ScaledLatencyModel,
     UniformLatencyModel,
     link_type,
 )
@@ -45,6 +47,49 @@ class TestFixedLatency:
     def test_positive_latencies_required(self):
         with pytest.raises(ValueError):
             FixedLatencyModel(tau0=0)
+
+
+class TestLinkTable:
+    """The per-link table must answer exactly what ``link_type`` would."""
+
+    CLASSES = (CLIENT, L1, L2)
+
+    def test_every_pair_matches_link_type_first_and_repeated(self):
+        model = FixedLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0)
+        scaled = ScaledLatencyModel(model, LatencyRegime(scale=2.0))
+        for sender in self.CLASSES:        # client <-> L2 included
+            for receiver in self.CLASSES:
+                expected = getattr(model, link_type(sender, receiver))
+                for _ in range(2):         # the miss, then the table hit
+                    assert model.delay(sender, receiver) == expected
+                    assert model.bound(sender, receiver) == expected
+                    assert scaled.bound(sender, receiver) == 2.0 * expected
+        assert link_type(CLIENT, L2) == link_type(L2, CLIENT) == "tau2"
+
+    def test_bounded_model_draws_inside_the_tabled_bound(self):
+        model = BoundedLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0, seed=5)
+        for sender in self.CLASSES:
+            for receiver in self.CLASSES:
+                bound = getattr(model, link_type(sender, receiver))
+                assert model.bound(sender, receiver) == bound
+                assert 0.1 * bound <= model.delay(sender, receiver) <= bound
+
+    def test_seeded_delays_are_the_recorded_ones(self):
+        # Recorded before the table replaced the per-message set + dict:
+        # same float arithmetic and RNG draw order, so the same delays.
+        links = [(CLIENT, L1), (L1, L1), (L1, L2), (L2, L1), (L1, CLIENT),
+                 (CLIENT, L2), (L1, L1), (L2, L2), (CLIENT, CLIENT), (L1, L2)]
+        recorded = [
+            0.7828989766996923, 0.23576425653205174, 6.858410257358684,
+            1.6519265800078848, 1.1645876077520405, 4.29120025221327,
+            0.15219903229723614, 5.566921598704782, 0.26749218519557283,
+            4.902811152961473,
+        ]
+        first, second = (BoundedLatencyModel(tau0=1.0, tau1=2.0, tau2=10.0,
+                                             minimum_fraction=0.1, seed=7)
+                         for _ in range(2))
+        assert [first.delay(a, b) for a, b in links] == recorded
+        assert [second.delay(a, b) for a, b in links] == recorded
 
 
 class TestBoundedLatency:

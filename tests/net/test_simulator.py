@@ -247,3 +247,55 @@ class TestCancellation:
         handle.cancel()
         simulator.run_until_idle()
         assert fired == ["a", "c"]
+
+    def test_cancel_after_the_event_ran_leaves_later_events_untouched(self):
+        simulator = Simulator()
+        fired = []
+        handle = simulator.schedule(1.0, lambda: fired.append("ran"))
+        simulator.schedule(2.0, lambda: fired.append("later"))
+        assert simulator.step()
+        handle.cancel()  # a no-op: the event already ran
+        assert simulator.pending_events == 1
+        simulator.run_until_idle()
+        assert fired == ["ran", "later"]
+        assert simulator.events_processed == 2
+
+    def test_handle_reports_its_time_before_and_after_the_run(self):
+        simulator = Simulator()
+        handle = simulator.schedule(2.5, lambda: None)
+        assert handle.time == 2.5 and not handle.cancelled
+        simulator.run_until_idle()
+        assert handle.time == 2.5 and not handle.cancelled
+
+
+class TestHeapOrdering:
+    def test_ten_thousand_equal_time_events_stay_fifo(self):
+        simulator = Simulator()
+        fired = []
+        for i in range(10_000):
+            simulator.schedule_at(1.0, lambda i=i: fired.append(i))
+        simulator.run_until_idle()
+        assert fired == list(range(10_000))
+
+    def test_callbacks_are_never_compared(self):
+        class Callback:
+            """Callable, with every ordering comparison an error."""
+
+            def __init__(self, log, name):
+                self.log, self.name = log, name
+
+            def __call__(self):
+                self.log.append(self.name)
+
+            def __lt__(self, other):
+                raise AssertionError("the heap compared two callbacks")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        simulator = Simulator()
+        log = []
+        for name in "abcdef":
+            simulator.schedule_at(1.0, Callback(log, name))
+        simulator.schedule_at(0.5, Callback(log, "first"))
+        simulator.run_until_idle()
+        assert log == ["first", *"abcdef"]

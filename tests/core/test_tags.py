@@ -1,5 +1,7 @@
 """Unit tests for version tags."""
 
+import operator
+
 import pytest
 
 from repro.core.tags import INITIAL_TAG, Tag
@@ -31,8 +33,6 @@ class TestTagOrder:
         assert Tag(1, "a").__eq__(42) is NotImplemented
 
     def test_all_six_comparisons_agree_with_tuple_order(self):
-        import operator
-
         tags = [Tag(0, ""), Tag(1, "a"), Tag(1, "b"), Tag(2, ""), Tag(2, "a")]
         for compare in (operator.lt, operator.le, operator.gt, operator.ge,
                         operator.eq, operator.ne):

@@ -1,17 +1,21 @@
 """Common interfaces for the code layer.
 
-Every code exposes two views:
+Every code is linear, so all ``S`` stripes of a value go through the same
+small matrices: a code implements each operation **once**, as an array
+computation with a stripe axis (``_encode_stripes`` and friends), and the
+base classes derive both public views from it:
 
-* a **block view** -- ``encode_block`` / ``decode_block`` operate on a
-  fixed-size block of ``block_size`` GF(2^8) symbols (one byte per symbol)
-  and produce per-server coded elements of ``element_size`` symbols; and
 * a **byte view** -- ``encode`` / ``decode`` operate on arbitrary byte
   strings by striping them across as many blocks as needed and prefixing
   the payload with its length, so that round-tripping restores the exact
-  bytes.
+  bytes; one array-level call per value, whatever its length; and
+* a **block view** -- ``encode_block`` / ``decode_block`` operate on one
+  block of ``block_size`` GF(2^8) symbols (one byte per symbol) and
+  per-server coded elements of ``element_size`` symbols: the one-stripe
+  case of the same call.
 
 Regenerating codes additionally expose the repair interface
-(``helper_symbols`` / ``repair_element``) that the LDS internal
+(``helper_data`` / ``repair`` and their block forms) that the LDS internal
 ``regenerate-from-L2`` operation relies on.
 """
 
@@ -20,11 +24,9 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence, Type
 
 import numpy as np
-
-from repro.gf.gf256 import GF256
 
 #: Number of bytes used to record the original payload length in the
 #: striped byte-level encoding.
@@ -55,6 +57,26 @@ class CodedElement:
         return len(self.data)
 
 
+def _as_bytes(symbols) -> bytes:
+    """``symbols`` (bytes, or anything array-like of GF(2^8) symbols) as bytes."""
+    if isinstance(symbols, (bytes, bytearray)):
+        return symbols
+    return np.asarray(symbols, dtype=np.uint8).tobytes()
+
+
+def _stripe_count(pieces, width: int, error: Type[ValueError], what: str) -> int:
+    """How many stripes of ``width`` symbols each of ``pieces`` holds."""
+    lengths = {len(piece) for piece in pieces}
+    if len(lengths) != 1:
+        raise error(f"{what}s have inconsistent lengths")
+    (total,) = lengths
+    if total == 0:
+        raise error(f"empty {what}: zero stripes")
+    if total % width:
+        raise error(f"{what} length is not a whole number of stripes")
+    return total // width
+
+
 class ErasureCode(ABC):
     """Abstract base class for all codes in :mod:`repro.codes`."""
 
@@ -63,7 +85,7 @@ class ErasureCode(ABC):
     #: Number of symbols sufficient for decoding.
     k: int
 
-    # -- block-level interface (must be provided by subclasses) -----------
+    # -- what a code provides -----------------------------------------------
 
     @property
     @abstractmethod
@@ -76,12 +98,13 @@ class ErasureCode(ABC):
         """Number of symbols stored per server per block (alpha)."""
 
     @abstractmethod
-    def encode_block(self, block: np.ndarray) -> List[np.ndarray]:
-        """Encode one block of ``block_size`` symbols into ``n`` elements."""
+    def _encode_stripes(self, stripes: np.ndarray) -> np.ndarray:
+        """Encode ``(S, B)`` payload stripes into ``(n, S, alpha)`` elements."""
 
     @abstractmethod
-    def decode_block(self, elements: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Decode one block from coded elements keyed by symbol index."""
+    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
+        """Decode ``(S, B)`` stripes from the ``(k, S, alpha)`` elements of the
+        ``k`` distinct in-range symbol ``indices`` (ascending)."""
 
     # -- derived size properties -------------------------------------------
 
@@ -95,19 +118,16 @@ class ErasureCode(ABC):
         """Size of one coded element as a fraction of the payload (alpha / B)."""
         return self.element_size / self.block_size
 
-    # -- byte-level interface ----------------------------------------------
+    # -- striping -----------------------------------------------------------
 
     def _padded_payload(self, data: bytes) -> np.ndarray:
         """Length-prefix and zero-pad ``data`` to a whole number of blocks."""
         payload = struct.pack(">I", len(data)) + bytes(data)
-        block = self.block_size
-        padding = (-len(payload)) % block
-        padded = payload + b"\x00" * padding
-        return np.frombuffer(padded, dtype=np.uint8).copy()
+        return np.frombuffer(payload + bytes(-len(payload) % self.block_size), dtype=np.uint8)
 
     def _strip_payload(self, symbols: np.ndarray) -> bytes:
         """Inverse of :meth:`_padded_payload`."""
-        raw = symbols.astype(np.uint8).tobytes()
+        raw = symbols.astype(np.uint8, copy=False).tobytes()
         if len(raw) < _LENGTH_HEADER:
             raise DecodingError("decoded payload shorter than length header")
         (length,) = struct.unpack(">I", raw[:_LENGTH_HEADER])
@@ -121,55 +141,69 @@ class ErasureCode(ABC):
         total = data_length + _LENGTH_HEADER
         return max(1, -(-total // self.block_size))
 
+    # -- encode: both views ---------------------------------------------------
+
     def encode(self, data: bytes) -> List[CodedElement]:
         """Encode arbitrary bytes into ``n`` coded elements.
 
         The elements concatenate the per-stripe coded symbols, so each
         element has length ``stripe_count * element_size`` bytes.
         """
-        symbols = self._padded_payload(data)
-        stripes = symbols.reshape(-1, self.block_size)
-        outputs: List[List[np.ndarray]] = [[] for _ in range(self.n)]
-        for stripe in stripes:
-            encoded = self.encode_block(stripe)
-            for index, element in enumerate(encoded):
-                outputs[index].append(element)
+        stripes = self._padded_payload(data).reshape(-1, self.block_size)
         return [
-            CodedElement(index=i, data=np.concatenate(parts).astype(np.uint8).tobytes())
-            for i, parts in enumerate(outputs)
+            CodedElement(index=index, data=element.tobytes())
+            for index, element in enumerate(self._encode_stripes(stripes))
         ]
+
+    def encode_block(self, block: np.ndarray) -> List[np.ndarray]:
+        """Encode one block of ``block_size`` symbols into ``n`` elements."""
+        block = np.asarray(block, dtype=np.uint8)
+        if block.size != self.block_size:
+            raise ValueError(
+                f"block must contain B={self.block_size} symbols, got {block.size}"
+            )
+        return list(self._encode_stripes(block.reshape(1, -1))[:, 0])
+
+    # -- decode: both views ---------------------------------------------------
 
     def decode(self, elements: Sequence[CodedElement]) -> bytes:
         """Decode the original bytes from any sufficient set of elements."""
         if not elements:
             raise DecodingError("no coded elements supplied")
-        by_index: Dict[int, np.ndarray] = {}
-        for element in elements:
-            by_index[element.index] = GF256.as_array(element.data)
-        lengths = {arr.size for arr in by_index.values()}
-        if len(lengths) != 1:
-            raise DecodingError("coded elements have inconsistent lengths")
-        (total_length,) = lengths
-        if total_length == 0:
-            raise DecodingError("empty coded element: zero stripes")
-        if total_length % self.element_size:
-            raise DecodingError("coded element length is not a whole number of stripes")
-        stripes = total_length // self.element_size
-        decoded_blocks = []
-        for stripe in range(stripes):
-            start = stripe * self.element_size
-            stop = start + self.element_size
-            stripe_elements = {idx: arr[start:stop] for idx, arr in by_index.items()}
-            decoded_blocks.append(self.decode_block(stripe_elements))
-        symbols = np.concatenate(decoded_blocks)
-        return self._strip_payload(symbols)
+        pieces = {element.index: _as_bytes(element.data) for element in elements}
+        stripes = _stripe_count(
+            pieces.values(), self.element_size, DecodingError, "coded element"
+        )
+        return self._strip_payload(self._decode(pieces, stripes))
+
+    def decode_block(self, elements: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Decode one block from coded elements keyed by symbol index."""
+        pieces = {index: _as_bytes(element) for index, element in elements.items()}
+        return self._decode(pieces, 1)[0]
+
+    def _decode(self, pieces: Mapping[int, bytes], stripes: int) -> np.ndarray:
+        """Decode ``(stripes, B)`` symbols from the ``k`` lowest indices given."""
+        if len(pieces) < self.k:
+            raise DecodingError(
+                f"{type(self).__name__} decode requires k={self.k} elements, "
+                f"got {len(pieces)}"
+            )
+        indices = sorted(pieces)[: self.k]
+        if not (0 <= indices[0] and indices[-1] < self.n):
+            raise DecodingError(f"invalid element index among {indices}")
+        width = self.element_size
+        if any(len(pieces[index]) != stripes * width for index in indices):
+            raise DecodingError("coded elements have the wrong length")
+        received = np.frombuffer(b"".join([pieces[index] for index in indices]), np.uint8)
+        return self._decode_stripes(indices, received.reshape(self.k, stripes, width))
 
 
 class RegeneratingCode(ErasureCode):
     """Base class for codes that additionally support node repair.
 
-    Subclasses must provide the per-block repair primitives; the byte-level
-    ``helper_data`` / ``repair`` methods handle striping.
+    Subclasses provide the two array-level repair primitives; the byte-level
+    ``helper_data`` / ``repair`` and the block-level ``helper_symbols_block``
+    / ``repair_block`` are the many-stripe and one-stripe calls of them.
     """
 
     #: Number of helpers contacted during repair.
@@ -181,10 +215,9 @@ class RegeneratingCode(ErasureCode):
         """Symbols sent by one helper per block (beta)."""
 
     @abstractmethod
-    def helper_symbols_block(
-        self, helper_index: int, helper_element: np.ndarray, failed_index: int
-    ) -> np.ndarray:
-        """Compute the ``beta`` helper symbols one helper sends for a repair.
+    def _helper_stripes(self, element: np.ndarray, failed_index: int) -> np.ndarray:
+        """The ``(S, beta)`` helper symbols a node holding the ``(S, alpha)``
+        ``element`` sends for the repair of ``failed_index``.
 
         The computation must depend only on the helper's own element and the
         identity of the failed node -- *not* on which other servers end up
@@ -193,10 +226,12 @@ class RegeneratingCode(ErasureCode):
         """
 
     @abstractmethod
-    def repair_block(
-        self, failed_index: int, helper_data: Mapping[int, np.ndarray]
+    def _repair_stripes(
+        self, failed_index: int, helpers: List[int], received: np.ndarray
     ) -> np.ndarray:
-        """Rebuild the failed node's element for one block from helper data."""
+        """Rebuild the failed node's ``(S, alpha)`` element from the
+        ``(d, S, beta)`` symbols of the ``d`` distinct in-range ``helpers``
+        (ascending)."""
 
     @property
     def helper_fraction(self) -> float:
@@ -208,22 +243,36 @@ class RegeneratingCode(ErasureCode):
         """Total repair download as a fraction of the payload (d * beta / B)."""
         return self.d * self.helper_size / self.block_size
 
+    # -- helper data: both views ------------------------------------------------
+
     def helper_data(
         self, helper_index: int, helper_element: bytes, failed_index: int
     ) -> bytes:
-        """Byte-level helper computation (handles striping)."""
-        element = GF256.as_array(helper_element)
-        if element.size == 0:
-            raise RepairError("empty helper element: zero stripes")
-        if element.size % self.element_size:
-            raise RepairError("helper element length is not a whole number of stripes")
-        stripes = element.size // self.element_size
-        pieces = []
-        for stripe in range(stripes):
-            start = stripe * self.element_size
-            chunk = element[start : start + self.element_size]
-            pieces.append(self.helper_symbols_block(helper_index, chunk, failed_index))
-        return np.concatenate(pieces).astype(np.uint8).tobytes()
+        """Helper symbols for every stripe of a stored element, as bytes."""
+        element = _as_bytes(helper_element)
+        stripes = _stripe_count(
+            (element,), self.element_size, RepairError, "helper element"
+        )
+        return self._helper(helper_index, element, failed_index, stripes).tobytes()
+
+    def helper_symbols_block(
+        self, helper_index: int, helper_element: np.ndarray, failed_index: int
+    ) -> np.ndarray:
+        """Compute the ``beta`` helper symbols one helper sends for a repair."""
+        return self._helper(helper_index, _as_bytes(helper_element), failed_index, 1)[0]
+
+    def _helper(
+        self, helper_index: int, element: bytes, failed_index: int, stripes: int
+    ) -> np.ndarray:
+        if not 0 <= helper_index < self.n or not 0 <= failed_index < self.n:
+            raise RepairError("helper or failed index out of range")
+        width = self.element_size
+        if len(element) != stripes * width:
+            raise RepairError("helper element has the wrong length")
+        symbols = np.frombuffer(element, dtype=np.uint8)
+        return self._helper_stripes(symbols.reshape(stripes, width), failed_index)
+
+    # -- repair: both views -------------------------------------------------------
 
     def repair(self, failed_index: int, helper_data: Mapping[int, bytes]) -> CodedElement:
         """Byte-level repair of a coded element from helper responses."""
@@ -231,24 +280,43 @@ class RegeneratingCode(ErasureCode):
             raise RepairError(
                 f"repair needs at least d={self.d} helpers, got {len(helper_data)}"
             )
-        arrays = {idx: GF256.as_array(data) for idx, data in helper_data.items()}
-        lengths = {arr.size for arr in arrays.values()}
-        if len(lengths) != 1:
-            raise RepairError("helper messages have inconsistent lengths")
-        (total,) = lengths
-        if total == 0:
-            raise RepairError("empty helper message: zero stripes")
-        if total % self.helper_size:
-            raise RepairError("helper message length is not a whole number of stripes")
-        stripes = total // self.helper_size
-        pieces = []
-        for stripe in range(stripes):
-            start = stripe * self.helper_size
-            stop = start + self.helper_size
-            per_stripe = {idx: arr[start:stop] for idx, arr in arrays.items()}
-            pieces.append(self.repair_block(failed_index, per_stripe))
-        data = np.concatenate(pieces).astype(np.uint8).tobytes()
-        return CodedElement(index=failed_index, data=data)
+        pieces = {index: _as_bytes(data) for index, data in helper_data.items()}
+        stripes = _stripe_count(
+            pieces.values(), self.helper_size, RepairError, "helper message"
+        )
+        repaired = self._repair(failed_index, pieces, stripes)
+        return CodedElement(index=failed_index, data=repaired.tobytes())
+
+    def repair_block(
+        self, failed_index: int, helper_data: Mapping[int, np.ndarray]
+    ) -> np.ndarray:
+        """Rebuild the failed node's element for one block from helper data."""
+        pieces = {index: _as_bytes(data) for index, data in helper_data.items()}
+        return self._repair(failed_index, pieces, 1)[0]
+
+    def _repair(
+        self, failed_index: int, pieces: Mapping[int, bytes], stripes: int
+    ) -> np.ndarray:
+        """Repair from the ``d`` lowest helper indices given (``failed_index``
+        apart).  Every index is range-checked before any matrix is touched,
+        so only row sets of the encoding matrix are ever inverted."""
+        helpers = sorted(index for index in pieces if index != failed_index)
+        if not 0 <= failed_index < self.n or (
+            helpers and not (0 <= helpers[0] and helpers[-1] < self.n)
+        ):
+            raise RepairError("helper or failed index out of range")
+        if len(helpers) < self.d:
+            raise RepairError(
+                f"repair requires d={self.d} distinct helpers, got {len(helpers)}"
+            )
+        helpers = helpers[: self.d]
+        width = self.helper_size
+        if any(len(pieces[index]) != stripes * width for index in helpers):
+            raise RepairError("helper messages have the wrong length")
+        received = np.frombuffer(b"".join([pieces[index] for index in helpers]), np.uint8)
+        return self._repair_stripes(
+            failed_index, helpers, received.reshape(self.d, stripes, width)
+        )
 
 
 __all__ = [

@@ -26,7 +26,8 @@ stripe.
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from abc import abstractmethod
+from typing import List
 
 import numpy as np
 
@@ -41,41 +42,114 @@ from repro.gf.gf256 import GF256
 from repro.gf.matrix import GFMatrix, SingularMatrixError
 
 
-def _repair_column(
-    code: RegeneratingCode, failed_index: int, helper_data: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Solve ``Psi_helpers @ x = received`` for one block of either construction.
+#: ``1 / x`` for every field element ``x`` (entry 0 is unused).
+_INVERSES = np.array([0] + [GF256.inv(x) for x in range(1, 256)], dtype=np.uint8)
 
-    The helpers are the ``d`` lowest indices given (``failed_index`` apart);
-    ``x`` is the message matrix times the vector every helper projected its
-    element on (``M psi_f^t`` for MBR, ``M phi_f^t`` for MSR).  Indices are
-    range-checked before any matrix is touched, so only row sets of the
-    encoding matrix are ever inverted.
+
+def _symmetric_index(size: int, first: int) -> np.ndarray:
+    """Payload positions ``first, first + 1, ...`` laid out as a symmetric
+    ``size x size`` matrix, upper triangle row by row."""
+    index = np.zeros((size, size), dtype=np.intp)
+    upper = np.triu_indices(size)
+    index[upper] = np.arange(first, first + upper[0].size)
+    return np.maximum(index, index.T)
+
+
+class _ProductMatrixCode(RegeneratingCode):
+    """What the two constructions share.
+
+    Node ``i`` stores ``psi_i @ M_s`` for every stripe ``s``, with ``Psi`` an
+    ``n x d`` Vandermonde matrix and ``M_s`` the ``d x alpha`` message matrix
+    of the stripe, so a value of ``S`` stripes is the single product
+    ``Psi @ [M_1 | ... | M_S]``.  Helper ``j`` projects its element on the
+    first ``alpha`` entries ``v_f`` of ``psi_f`` (``beta = 1``), and a repair
+    solves ``Psi_helpers @ x_s = received_s`` for ``x_s = M_s v_f`` in one
+    product over all stripes.  A subclass supplies the layout of ``M`` (an
+    index map), how ``x`` folds into the failed node's element, and decode.
+
+    Args:
+        message_index: ``d x alpha``; entry ``(i, j)`` is the position in the
+            block of the payload symbol ``M[i, j]``, or ``file_size`` where
+            ``M`` is identically zero.
     """
-    helpers = sorted(idx for idx in helper_data if idx != failed_index)
-    if not 0 <= failed_index < code.n or (
-        helpers and not (0 <= helpers[0] and helpers[-1] < code.n)
-    ):
-        raise RepairError("helper or failed index out of range")
-    if len(helpers) < code.d:
-        raise RepairError(
-            f"repair requires d={code.d} distinct helpers, got {len(helpers)}"
-        )
-    helpers = helpers[: code.d]
-    if any(np.size(helper_data[i]) != code.helper_size for i in helpers):
-        raise RepairError("helper messages have the wrong length")
-    received = np.array(
-        [int(np.asarray(helper_data[i], dtype=np.uint8).reshape(-1)[0]) for i in helpers],
-        dtype=np.uint8,
-    )
-    try:
-        inverse = code.encoding_matrix.inverse_of_rows(helpers)  # d x d
-    except SingularMatrixError as exc:  # pragma: no cover - defensive
-        raise RepairError("helper rows are not invertible") from exc
-    return GF256.matmul(inverse, received[:, None]).reshape(-1)
+
+    def __init__(self, n: int, k: int, d: int, file_size: int,
+                 message_index: np.ndarray) -> None:
+        if n > 255:
+            raise ValueError("GF(2^8) product-matrix codes support at most n = 255")
+        self.n = n
+        self.k = k
+        self.d = d
+        self._alpha = message_index.shape[1]
+        self._file_size = file_size
+        self.encoding_matrix: GFMatrix = vandermonde_matrix(n, d)
+        self._message_index = message_index
+        # Where each payload symbol first sits in M (row-major), to unpack it.
+        _, first = np.unique(message_index, return_index=True)
+        self._payload_entries = np.unravel_index(first[:file_size], message_index.shape)
+        #: v_f for every f, each as an alpha x 1 column.
+        self._helper_columns = self.encoding_matrix.data[:, : self._alpha, None]
+
+    # -- size properties ----------------------------------------------------
+
+    @property
+    def block_size(self) -> int:
+        return self._file_size
+
+    @property
+    def element_size(self) -> int:
+        return self._alpha
+
+    @property
+    def helper_size(self) -> int:
+        return 1
+
+    # -- message-matrix packing ----------------------------------------------
+
+    def _message_matrices(self, stripes: np.ndarray) -> np.ndarray:
+        """Pack ``(S, B)`` payload stripes into their ``S`` message matrices,
+        a ``(d, S, alpha)`` array, with one gather (slot ``B`` holds zero)."""
+        slots = np.zeros((len(stripes), self._file_size + 1), dtype=np.uint8)
+        slots[:, :-1] = stripes
+        return slots[:, self._message_index].transpose(1, 0, 2)
+
+    def _payload_of(self, matrices: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_message_matrices`; the leading rows of ``M``
+        suffice as long as they hold every payload symbol."""
+        rows, cols = self._payload_entries
+        return matrices[rows, :, cols].T
+
+    # -- encode / repair -------------------------------------------------------
+
+    def _encode_stripes(self, stripes: np.ndarray) -> np.ndarray:
+        message = self._message_matrices(stripes).reshape(self.d, -1)
+        coded = GF256.matmul(self.encoding_matrix.data, message)
+        return coded.reshape(self.n, len(stripes), self._alpha)
+
+    def _helper_stripes(self, element: np.ndarray, failed_index: int) -> np.ndarray:
+        # Helper j sends psi_j M_s v_f, a single symbol per stripe.
+        return GF256.matmul(element, self._helper_columns[failed_index])
+
+    def _repair_stripes(
+        self, failed_index: int, helpers: List[int], received: np.ndarray
+    ) -> np.ndarray:
+        try:
+            inverse = self.encoding_matrix.inverse_of_rows(helpers)  # d x d
+        except SingularMatrixError as exc:  # pragma: no cover - defensive
+            raise RepairError("helper rows are not invertible") from exc
+        # Column s is M_s v_f.
+        columns = GF256.matmul(inverse, received.reshape(self.d, -1))
+        return self._element_from_columns(failed_index, columns).T
+
+    @abstractmethod
+    def _element_from_columns(self, failed_index: int, columns: np.ndarray) -> np.ndarray:
+        """Fold the ``d x S`` repair columns ``M_s v_f`` into ``(psi_f M_s)^t``."""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, k={self.k}, d={self.d})"
 
 
-class ProductMatrixMBRCode(RegeneratingCode):
+class ProductMatrixMBRCode(_ProductMatrixCode):
     """Exact-repair MBR code via the product-matrix construction.
 
     Parameters ``(n, k, d)`` with ``k <= d <= n - 1`` and ``n <= 255``.
@@ -96,137 +170,41 @@ class ProductMatrixMBRCode(RegeneratingCode):
     def __init__(self, n: int, k: int, d: int) -> None:
         if not 1 <= k <= d <= n - 1:
             raise ValueError("PM-MBR requires 1 <= k <= d <= n - 1")
-        if n > 255:
-            raise ValueError("GF(2^8) product-matrix codes support at most n = 255")
-        self.n = n
-        self.k = k
-        self.d = d
-        self._alpha = d
-        self._beta = 1
-        self._file_size = k * d - (k * (k - 1)) // 2
-        self.encoding_matrix: GFMatrix = vandermonde_matrix(n, d)
-
-    # -- size properties ----------------------------------------------------
+        file_size = k * d - (k * (k - 1)) // 2
+        index = np.full((d, d), file_size, dtype=np.intp)  # the zero block
+        index[:k, :k] = _symmetric_index(k, 0)
+        index[:k, k:] = np.arange(file_size - k * (d - k), file_size).reshape(k, d - k)
+        index[k:, :k] = index[:k, k:].T
+        super().__init__(n, k, d, file_size, index)
 
     @property
     def parameters(self) -> RegeneratingCodeParameters:
         """The ``{(n, k, d)(alpha, beta)}`` parameter tuple at the MBR point."""
         return mbr_parameters(self.n, self.k, self.d)
 
-    @property
-    def block_size(self) -> int:
-        return self._file_size
-
-    @property
-    def element_size(self) -> int:
-        return self._alpha
-
-    @property
-    def helper_size(self) -> int:
-        return self._beta
-
-    # -- message-matrix packing ----------------------------------------------
-
-    def _message_matrix(self, block: np.ndarray) -> GFMatrix:
-        """Pack ``B`` payload symbols into the symmetric d x d message matrix."""
-        block = np.asarray(block, dtype=np.uint8)
-        if block.size != self._file_size:
-            raise ValueError(
-                f"block must contain B={self._file_size} symbols, got {block.size}"
-            )
-        k, d = self.k, self.d
-        matrix = np.zeros((d, d), dtype=np.uint8)
-        cursor = 0
-        # Fill the upper triangle (incl. diagonal) of the k x k block S.
-        for i in range(k):
-            for j in range(i, k):
-                matrix[i, j] = block[cursor]
-                matrix[j, i] = block[cursor]
-                cursor += 1
-        # Fill T (k x (d - k)) and its transpose.
-        for i in range(k):
-            for j in range(k, d):
-                matrix[i, j] = block[cursor]
-                matrix[j, i] = block[cursor]
-                cursor += 1
-        return GFMatrix(matrix)
-
-    def _unpack_message_matrix(self, s_block: np.ndarray, t_block: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`_message_matrix` given recovered S and T."""
-        k, d = self.k, self.d
-        block = np.zeros(self._file_size, dtype=np.uint8)
-        cursor = 0
-        for i in range(k):
-            for j in range(i, k):
-                block[cursor] = s_block[i, j]
-                cursor += 1
-        for i in range(k):
-            for j in range(d - k):
-                block[cursor] = t_block[i, j]
-                cursor += 1
-        return block
-
-    # -- encode / decode ------------------------------------------------------
-
-    def encode_block(self, block: np.ndarray) -> List[np.ndarray]:
-        message = self._message_matrix(block)
-        codeword = self.encoding_matrix.matmul(message)
-        return [codeword.row(i) for i in range(self.n)]
-
-    def decode_block(self, elements: Mapping[int, np.ndarray]) -> np.ndarray:
-        if len(elements) < self.k:
-            raise DecodingError(
-                f"PM-MBR decode requires k={self.k} elements, got {len(elements)}"
-            )
-        indices = sorted(elements)[: self.k]
-        for index in indices:
-            if not 0 <= index < self.n:
-                raise DecodingError(f"invalid element index {index}")
-        k = self.k
-        received = np.vstack(
-            [np.asarray(elements[i], dtype=np.uint8).reshape(-1) for i in indices]
-        )
-        if received.shape[1] != self._alpha:
-            raise DecodingError("coded elements have the wrong length")
+    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
+        k, extra, count = self.k, self.d - self.k, received.shape[1]
         try:
             # Phi: the chosen rows of Psi, first k columns (k x k, invertible).
             phi_inverse = self.encoding_matrix.inverse_of_rows(indices, k)
         except SingularMatrixError as exc:  # pragma: no cover - defensive
             raise DecodingError("selected rows are not decodable") from exc
         delta = self.encoding_matrix[indices, k:]  # k x (d - k)
-        # The last d - k columns of the received matrix equal Phi @ T.
-        t_block = GF256.matmul(phi_inverse, received[:, k:])
-        # The first k columns equal Phi @ S + Delta @ T^t.
-        phi_s = received[:, :k] ^ GF256.matmul(delta, t_block.T)
-        s_block = GF256.matmul(phi_inverse, phi_s)
-        return self._unpack_message_matrix(s_block, t_block)
+        # The last d - k columns of each received matrix equal Phi @ T_s.
+        t_blocks = GF256.matmul(phi_inverse, received[:, :, k:].reshape(k, count * extra))
+        t_blocks = t_blocks.reshape(k, count, extra)
+        # The first k columns equal Phi @ S_s + Delta @ T_s^t.
+        delta_t = GF256.matmul(delta, t_blocks.transpose(2, 1, 0).reshape(extra, count * k))
+        phi_s = received[:, :, :k].reshape(k, count * k) ^ delta_t
+        s_blocks = GF256.matmul(phi_inverse, phi_s).reshape(k, count, k)
+        return self._payload_of(np.concatenate([s_blocks, t_blocks], axis=2))
 
-    # -- repair ---------------------------------------------------------------
-
-    def helper_symbols_block(
-        self, helper_index: int, helper_element: np.ndarray, failed_index: int
-    ) -> np.ndarray:
-        if not 0 <= helper_index < self.n or not 0 <= failed_index < self.n:
-            raise RepairError("helper or failed index out of range")
-        element = np.asarray(helper_element, dtype=np.uint8).reshape(-1)
-        if element.size != self._alpha:
-            raise RepairError("helper element has the wrong length")
-        failed_row = self.encoding_matrix[failed_index]
-        # Helper j sends psi_j M psi_f^t, a single symbol.
-        return np.array([GF256.dot(element, failed_row)], dtype=np.uint8)
-
-    def repair_block(
-        self, failed_index: int, helper_data: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        # Psi_helpers @ (M psi_f^t) = received  =>  M psi_f^t.  Because M is
-        # symmetric, (M psi_f^t)^t == psi_f M, the failed element.
-        return _repair_column(self, failed_index, helper_data)
-
-    def __repr__(self) -> str:
-        return f"ProductMatrixMBRCode(n={self.n}, k={self.k}, d={self.d})"
+    def _element_from_columns(self, failed_index: int, columns: np.ndarray) -> np.ndarray:
+        # M is symmetric, so (M psi_f^t)^t == psi_f M, the failed element.
+        return columns
 
 
-class ProductMatrixMSRCode(RegeneratingCode):
+class ProductMatrixMSRCode(_ProductMatrixCode):
     """Exact-repair MSR code via the product-matrix construction (d = 2k - 2).
 
     Per block: ``alpha = k - 1``, ``beta = 1`` and ``B = k (k - 1)`` (so the
@@ -248,131 +226,41 @@ class ProductMatrixMSRCode(RegeneratingCode):
         d = 2 * k - 2
         if d > n - 1:
             raise ValueError("PM-MSR at d = 2k - 2 requires n >= 2k - 1")
-        if n > 255:
-            raise ValueError("GF(2^8) product-matrix codes support at most n = 255")
-        self.n = n
-        self.k = k
-        self.d = d
-        self._alpha = k - 1
-        self._beta = 1
-        self._file_size = k * (k - 1)
-        # Full Vandermonde Psi (n x d); Phi is its first k-1 columns and
-        # lambda_i = x_i^{k-1} where x_i is the i-th evaluation point.
-        self.encoding_matrix: GFMatrix = vandermonde_matrix(n, d)
-        #: The n x (k-1) matrix Phi (first k-1 columns of Psi).
-        self.phi: GFMatrix = self.encoding_matrix.submatrix(range(n), range(k - 1))
-        self._points = [GF256.exp(i) for i in range(n)]
-        self._lambdas = [GF256.pow(x, k - 1) for x in self._points]
-        if len(set(self._lambdas)) != n:
+        half = (k * (k - 1)) // 2
+        index = np.vstack([_symmetric_index(k - 1, 0), _symmetric_index(k - 1, half)])
+        super().__init__(n, k, d, 2 * half, index)
+        # Phi is the first k - 1 columns of Psi; lambda_i = x_i^{k-1} is the next.
+        self._lambdas = self.encoding_matrix.data[:, k - 1]
+        if len(set(self._lambdas.tolist())) != n:
             raise ValueError("encoding points do not give distinct lambda values")
-
-    # -- size properties ------------------------------------------------------
+        #: 1 / (lambda_i + lambda_j); the diagonal (never used) reads 0.
+        self._lambda_gap_inverses = _INVERSES[self._lambdas[:, None] ^ self._lambdas]
 
     @property
     def parameters(self) -> RegeneratingCodeParameters:
         """The ``{(n, k, d)(alpha, beta)}`` parameter tuple at the MSR point."""
         return msr_parameters(self.n, self.k, self.d)
 
-    @property
-    def block_size(self) -> int:
-        return self._file_size
-
-    @property
-    def element_size(self) -> int:
-        return self._alpha
-
-    @property
-    def helper_size(self) -> int:
-        return self._beta
-
-    # -- message-matrix packing ------------------------------------------------
-
-    def _symmetric_from_symbols(self, symbols: np.ndarray, size: int) -> np.ndarray:
-        matrix = np.zeros((size, size), dtype=np.uint8)
-        cursor = 0
-        for i in range(size):
-            for j in range(i, size):
-                matrix[i, j] = symbols[cursor]
-                matrix[j, i] = symbols[cursor]
-                cursor += 1
-        return matrix
-
-    def _symbols_from_symmetric(self, matrix: np.ndarray) -> List[int]:
-        size = matrix.shape[0]
-        symbols = []
-        for i in range(size):
-            for j in range(i, size):
-                symbols.append(int(matrix[i, j]))
-        return symbols
-
-    def _message_matrix(self, block: np.ndarray) -> GFMatrix:
-        block = np.asarray(block, dtype=np.uint8)
-        if block.size != self._file_size:
-            raise ValueError(
-                f"block must contain B={self._file_size} symbols, got {block.size}"
-            )
-        half = (self.k * (self.k - 1)) // 2
-        s1 = self._symmetric_from_symbols(block[:half], self.k - 1)
-        s2 = self._symmetric_from_symbols(block[half:], self.k - 1)
-        return GFMatrix(np.vstack([s1, s2]))
-
-    # -- encode / decode ---------------------------------------------------------
-
-    def encode_block(self, block: np.ndarray) -> List[np.ndarray]:
-        message = self._message_matrix(block)
-        codeword = self.encoding_matrix.matmul(message)
-        return [codeword.row(i) for i in range(self.n)]
-
-    def decode_block(self, elements: Mapping[int, np.ndarray]) -> np.ndarray:
-        if len(elements) < self.k:
-            raise DecodingError(
-                f"PM-MSR decode requires k={self.k} elements, got {len(elements)}"
-            )
-        indices = sorted(elements)[: self.k]
-        for index in indices:
-            if not 0 <= index < self.n:
-                raise DecodingError(f"invalid element index {index}")
-        k = self.k
-        alpha = self._alpha
-        received = GFMatrix(
-            np.vstack(
-                [np.asarray(elements[i], dtype=np.uint8).reshape(-1) for i in indices]
-            )
-        )
-        if received.cols != alpha:
-            raise DecodingError("coded elements have the wrong length")
-        phi_dc = self.phi.submatrix(indices)  # k x (k-1)
-        lambdas = [self._lambdas[i] for i in indices]
-        # C = Phi_DC S1 Phi_DC^t + Lambda_DC Phi_DC S2 Phi_DC^t = P + Lambda Q.
-        c_matrix = received.matmul(phi_dc.transpose())  # k x k
-        p_matrix = np.zeros((k, k), dtype=np.uint8)
-        q_matrix = np.zeros((k, k), dtype=np.uint8)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                # Solve P_ij + lambda_i Q_ij = C_ij ; P_ij + lambda_j Q_ij = C_ji.
-                numerator = GF256.add(int(c_matrix[i, j]), int(c_matrix[j, i]))
-                denominator = GF256.add(lambdas[i], lambdas[j])
-                if denominator == 0:
-                    raise DecodingError("lambda values are not distinct")
-                q_value = GF256.div(numerator, denominator)
-                p_value = GF256.add(int(c_matrix[i, j]), GF256.mul(lambdas[i], q_value))
-                q_matrix[i, j] = q_value
-                p_matrix[i, j] = p_value
+    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
+        k, alpha, count = self.k, self._alpha, received.shape[1]
+        phi_dc = self.encoding_matrix[indices, :alpha]  # k x (k-1)
+        # C_s = Phi_DC S1 Phi_DC^t + Lambda_DC Phi_DC S2 Phi_DC^t = P_s + Lambda Q_s,
+        # held as c[i, s, j].
+        c = GF256.matmul(received.reshape(-1, alpha), phi_dc.T).reshape(k, count, k)
+        # Off the diagonal, P_ij + lambda_i Q_ij = C_ij and P_ij + lambda_j Q_ij = C_ji.
+        gaps = self._lambda_gap_inverses[np.ix_(indices, indices)]
+        q = GF256.mul_vec(c ^ c.transpose(2, 1, 0), gaps[:, None, :])
+        p = c ^ GF256.mul_vec(self._lambdas[indices][:, None, None], q)
         try:
-            s1 = self._recover_symmetric(p_matrix, indices)
-            s2 = self._recover_symmetric(q_matrix, indices)
+            s1 = self._recover_symmetric(p, indices)
+            s2 = self._recover_symmetric(q, indices)
         except SingularMatrixError as exc:  # pragma: no cover - defensive
             raise DecodingError("PM-MSR decoding matrix is singular") from exc
-        half = (k * (k - 1)) // 2
-        block = np.zeros(self._file_size, dtype=np.uint8)
-        block[:half] = self._symbols_from_symmetric(s1)
-        block[half:] = self._symbols_from_symmetric(s2)
-        return block
+        return self._payload_of(np.concatenate([s1, s2]))
 
     def _recover_symmetric(self, off_diagonal: np.ndarray, indices: List[int]) -> np.ndarray:
-        """Recover a symmetric S from the off-diagonal of Phi_DC S Phi_DC^t.
+        """Recover every stripe's symmetric S from the off-diagonal of
+        ``Phi_DC S Phi_DC^t``, given as ``[i, s, j]``; returns ``[a, s, b]``.
 
         ``indices`` are the rows of ``Phi`` that make up ``Phi_DC``.  Row
         ``i`` of the product restricted to columns ``j != i`` equals
@@ -381,44 +269,24 @@ class ProductMatrixMSRCode(RegeneratingCode):
         any i, and stacking those of the first k-1 nodes (any k-1 rows of
         Phi_DC are invertible) recovers S.
         """
-        k = self.k
-        rows_phi_s = np.zeros((k - 1, k - 1), dtype=np.uint8)
-        for i in range(k - 1):
+        k, alpha, count = self.k, self._alpha, off_diagonal.shape[1]
+        rows_phi_s = np.empty((alpha, alpha, count), dtype=np.uint8)
+        for i in range(alpha):
             others = [j for j in range(k) if j != i]
             # phi_others @ (S phi_i^t) = the values phi_i S phi_j^t for j != i
-            # =>  S phi_i^t, i.e. (phi_i S)^t.
-            inverse = self.phi.inverse_of_rows([indices[j] for j in others])
-            rows_phi_s[i] = GF256.matmul(inverse, off_diagonal[i, others][:, None]).reshape(-1)
-        inverse = self.phi.inverse_of_rows(indices[: k - 1])
-        return GF256.matmul(inverse, rows_phi_s)
+            # =>  S phi_i^t, i.e. (phi_i S)^t, one column per stripe.
+            inverse = self.encoding_matrix.inverse_of_rows(
+                [indices[j] for j in others], alpha)
+            rows_phi_s[i] = GF256.matmul(inverse, off_diagonal[i][:, others].T)
+        inverse = self.encoding_matrix.inverse_of_rows(indices[:alpha], alpha)
+        symmetric = GF256.matmul(inverse, rows_phi_s.reshape(alpha, -1))
+        return symmetric.reshape(alpha, alpha, count).transpose(0, 2, 1)
 
-    # -- repair --------------------------------------------------------------------
-
-    def helper_symbols_block(
-        self, helper_index: int, helper_element: np.ndarray, failed_index: int
-    ) -> np.ndarray:
-        if not 0 <= helper_index < self.n or not 0 <= failed_index < self.n:
-            raise RepairError("helper or failed index out of range")
-        element = np.asarray(helper_element, dtype=np.uint8).reshape(-1)
-        if element.size != self._alpha:
-            raise RepairError("helper element has the wrong length")
-        failed_phi = self.phi[failed_index]
-        # Helper j sends psi_j M phi_f^t, a single symbol.
-        return np.array([GF256.dot(element, failed_phi)], dtype=np.uint8)
-
-    def repair_block(
-        self, failed_index: int, helper_data: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        column = _repair_column(self, failed_index, helper_data)  # M phi_f^t, length d = 2(k-1)
-        half = self.k - 1
-        s1_phi = column[:half]
-        s2_phi = column[half:]
-        lam = self._lambdas[failed_index]
-        # Node content: phi_f S1 + lambda_f phi_f S2 = (S1 phi_f^t)^t + lambda_f (S2 phi_f^t)^t.
-        return np.bitwise_xor(s1_phi, GF256.scale_vec(lam, s2_phi))
-
-    def __repr__(self) -> str:
-        return f"ProductMatrixMSRCode(n={self.n}, k={self.k}, d={self.d})"
+    def _element_from_columns(self, failed_index: int, columns: np.ndarray) -> np.ndarray:
+        # Node content: phi_f S1 + lambda_f phi_f S2
+        #             = (S1 phi_f^t)^t + lambda_f (S2 phi_f^t)^t.
+        half = self._alpha
+        return columns[:half] ^ GF256.scale_vec(self._lambdas[failed_index], columns[half:])
 
 
 __all__ = ["ProductMatrixMBRCode", "ProductMatrixMSRCode"]

@@ -14,7 +14,7 @@ available so that the first ``k`` coded symbols equal the payload.
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import List
 
 import numpy as np
 
@@ -46,35 +46,18 @@ class ReedSolomonCode(ErasureCode):
     def element_size(self) -> int:
         return 1
 
-    # -- block-level codec --------------------------------------------------
+    # -- codec ----------------------------------------------------------------
 
-    def encode_block(self, block: np.ndarray) -> List[np.ndarray]:
-        block = np.asarray(block, dtype=np.uint8)
-        if block.size != self.k:
-            raise ValueError(f"block must contain k={self.k} symbols")
-        codeword = self.generator.matvec(block)
-        return [np.array([codeword[i]], dtype=np.uint8) for i in range(self.n)]
+    def _encode_stripes(self, stripes: np.ndarray) -> np.ndarray:
+        # Column s of G @ stripes^t is the codeword of stripe s.
+        return GF256.matmul(self.generator.data, stripes.T)[:, :, None]
 
-    def decode_block(self, elements: Mapping[int, np.ndarray]) -> np.ndarray:
-        if len(elements) < self.k:
-            raise DecodingError(
-                f"Reed-Solomon decode requires k={self.k} elements, got {len(elements)}"
-            )
-        indices = sorted(elements)[: self.k]
-        for index in indices:
-            if not 0 <= index < self.n:
-                raise DecodingError(f"invalid symbol index {index}")
-        if any(np.size(elements[i]) != 1 for i in indices):
-            raise DecodingError("coded elements have the wrong length")
-        received = np.array(
-            [int(np.asarray(elements[i], dtype=np.uint8).reshape(-1)[0]) for i in indices],
-            dtype=np.uint8,
-        )
+    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
         try:
             inverse = self.generator.inverse_of_rows(indices)  # k x k
         except SingularMatrixError as exc:  # pragma: no cover - defensive
             raise DecodingError("received symbols do not span the payload") from exc
-        return GF256.matmul(inverse, received[:, None]).reshape(-1)
+        return GF256.matmul(inverse, received.reshape(self.k, -1)).T
 
     # -- cost accounting ----------------------------------------------------
 

@@ -10,11 +10,11 @@ protocol code.
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import List
 
 import numpy as np
 
-from repro.codes.base import DecodingError, ErasureCode
+from repro.codes.base import ErasureCode
 
 
 class ReplicationCode(ErasureCode):
@@ -37,20 +37,11 @@ class ReplicationCode(ErasureCode):
     def element_size(self) -> int:
         return self._block_size
 
-    def encode_block(self, block: np.ndarray) -> List[np.ndarray]:
-        block = np.asarray(block, dtype=np.uint8)
-        if block.size != self.block_size:
-            raise ValueError("block has wrong size")
-        return [block.copy() for _ in range(self.n)]
+    def _encode_stripes(self, stripes: np.ndarray) -> np.ndarray:
+        return np.repeat(stripes[None], self.n, axis=0)
 
-    def decode_block(self, elements: Mapping[int, np.ndarray]) -> np.ndarray:
-        if not elements:
-            raise DecodingError("replication decode requires at least one element")
-        for index, element in elements.items():
-            if not 0 <= index < self.n:
-                raise DecodingError(f"invalid replica index {index}")
-            return np.asarray(element, dtype=np.uint8).copy()
-        raise DecodingError("unreachable")  # pragma: no cover
+    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
+        return received[0]
 
     def __repr__(self) -> str:
         return f"ReplicationCode(n={self.n})"

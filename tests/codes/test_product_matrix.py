@@ -34,17 +34,23 @@ class TestMBRConstruction:
 
     def test_message_matrix_is_symmetric(self):
         code = ProductMatrixMBRCode(n=8, k=3, d=5)
-        matrix = code._message_matrix(random_block(code.block_size, seed=3))
-        assert matrix.is_symmetric()
+        stripes = random_block(4 * code.block_size, seed=3).reshape(4, -1)
+        matrices = code._message_matrices(stripes)
+        assert matrices.shape == (5, 4, 5)  # (d, S, d)
+        for stripe in range(4):
+            matrix = matrices[:, stripe, :]
+            assert np.array_equal(matrix, matrix.T)
+            assert matrix[:code.k].any() and not matrix[code.k:, code.k:].any()
 
     def test_message_matrix_roundtrip(self):
-        code = ProductMatrixMBRCode(n=8, k=3, d=5)
-        block = random_block(code.block_size, seed=4)
-        matrix = code._message_matrix(block)
-        k = code.k
-        s_block = matrix[:k, :k]
-        t_block = matrix[:k, k:]
-        assert np.array_equal(code._unpack_message_matrix(s_block, t_block), block)
+        for code in (ProductMatrixMBRCode(n=8, k=3, d=5), ProductMatrixMBRCode(n=6, k=4, d=4),
+                     ProductMatrixMSRCode(n=8, k=4)):
+            stripes = random_block(3 * code.block_size, seed=4).reshape(3, -1)
+            matrices = code._message_matrices(stripes)
+            assert np.array_equal(code._payload_of(matrices), stripes)
+            if isinstance(code, ProductMatrixMBRCode):
+                # [S, T], the first k rows, is all that decode recovers.
+                assert np.array_equal(code._payload_of(matrices[:code.k]), stripes)
 
 
 class TestMBRDecode:

@@ -131,8 +131,7 @@ class LayeredCode:
             self.l2_symbol_index(l2_server): data
             for l2_server, data in helper_messages.items()
         }
-        repaired = self.code.repair(self.l1_symbol_index(l1_server), translated)
-        return CodedElement(index=self.l1_symbol_index(l1_server), data=repaired.data)
+        return self.code.repair(self.l1_symbol_index(l1_server), translated)
 
     def decode_from_l1(self, elements: Mapping[int, bytes]) -> bytes:
         """Decode the value from coded elements held by >= k L1 servers (code C1)."""

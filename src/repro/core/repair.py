@@ -135,9 +135,7 @@ class BackendRepairCoordinator:
         pid = self.config.l2_pid(index)
         replacement = L2Server(
             pid=pid, index=index, code=self.code, initial_tag=tag,
-            initial_element=CodedElement(index=self.code.l2_symbol_index(index),
-                                         data=element.data),
-            storage_tracker=self.system.storage,
+            initial_element=element, storage_tracker=self.system.storage,
         )
         # Swap the process in the network registry and the system's server list.
         self.system.network.processes[pid] = replacement

@@ -41,6 +41,7 @@ class L2Server(Process):
         self.stored_tag = initial_tag
         self.stored_element = initial_element
         self.storage_tracker = storage_tracker
+        self._symbol_index = code.l2_symbol_index(index)
         self._element_fraction = float(code.costs.element_fraction)
         self._helper_fraction = float(code.costs.helper_fraction)
         if storage_tracker is not None:
@@ -61,7 +62,7 @@ class L2Server(Process):
         """write-to-L2-resp: keep the pair with the larger tag, always ack."""
         if message.tag > self.stored_tag:
             self.stored_tag = message.tag
-            self.stored_element = CodedElement(index=self.code.l2_symbol_index(self.index),
+            self.stored_element = CodedElement(index=self._symbol_index,
                                                data=message.coded_element)
             if self.storage_tracker is not None:
                 self.storage_tracker.l2_element_stored(self.pid, self._element_fraction)

@@ -54,6 +54,8 @@ class LDSSystem:
         self.storage = StorageCostTracker(object_id=object_id)
         self.recorder = OperationRecorder(initial_value=config.initial_value)
         self.results: Dict[str, OperationResult] = {}
+        #: (client pid, kind) -> operation ids allocated so far.
+        self._op_sequences: Dict[tuple, int] = {}
         #: Callbacks invoked (synchronously, at the response event) for
         #: every completed operation.  The cluster's replica coordinator
         #: uses this to fan committed writes out to follower stores and to
@@ -137,13 +139,9 @@ class LDSSystem:
 
     def _allocate_op_id(self, client_pid: str, kind: str) -> str:
         """Allocate a unique operation id for a client at scheduling time."""
-        sequences = getattr(self, "_op_sequences", None)
-        if sequences is None:
-            sequences = {}
-            self._op_sequences = sequences
         key = (client_pid, kind)
-        sequences[key] = sequences.get(key, 0) + 1
-        return f"{client_pid}:{kind}-{sequences[key]}"
+        sequence = self._op_sequences[key] = self._op_sequences.get(key, 0) + 1
+        return f"{client_pid}:{kind}-{sequence}"
 
     def invoke_write(self, value: bytes, writer: Union[int, str] = 0,
                      at: Optional[float] = None) -> str:

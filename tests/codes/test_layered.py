@@ -8,6 +8,7 @@ import pytest
 from repro.codes.base import DecodingError, RepairError
 from repro.codes.layered import LayeredCode
 from repro.gf import matrix as matrix_module
+from repro.gf.gf256 import GF256
 from repro.gf.matrix import GFMatrix
 
 
@@ -147,3 +148,46 @@ def test_one_helper_set_and_one_reader_quorum_invert_once_each(monkeypatch):
         coded = code.code.encode(value)
         assert code.decode_from_l1({i: coded[i].data for i in (0, 2, 4)}) == value
     assert inversions == [(5, 5), (3, 3)]
+
+
+def test_products_per_call_do_not_depend_on_the_stripe_count(monkeypatch):
+    """Work done, as a count: with the inverses memoised, every operation on
+    a value is a fixed number of ``GF256.matmul`` calls -- one to encode, one
+    per helper reply, one to regenerate, three to decode -- and no ``dot`` or
+    ``mul_vec``, whether the value has 1 stripe or 40."""
+    calls = []
+    for name in ("matmul", "dot", "mul_vec"):
+        original = getattr(GF256, name).__func__
+
+        def counting(cls, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(cls, *args)
+
+        monkeypatch.setattr(GF256, name, classmethod(counting))
+
+    def counted(operation, *args):
+        calls.clear()
+        return operation(*args), list(calls)
+
+    code = LayeredCode(n1=5, n2=7, k=3, d=5)
+
+    def products(value):
+        stored, encode = counted(code.encode_for_backend, value)
+        messages, helper = {}, []
+        for l2 in (0, 2, 3, 5, 6):
+            messages[l2], made = counted(code.helper_data, l2, stored[l2], 1)
+            helper.append(made)
+        element, regenerate = counted(code.regenerate_l1_element, 1, messages)
+        coded = code.code.encode(value)
+        elements = {0: coded[0].data, 1: element.data, 4: coded[4].data}
+        decoded, decode = counted(code.decode_from_l1, elements)
+        assert decoded == value
+        return encode, helper, regenerate, decode
+
+    one_stripe, forty_stripes = bytes(range(8)), bytes(range(238)) * 2
+    assert code.code.stripe_count(len(one_stripe)) == 1
+    assert code.code.stripe_count(len(forty_stripes)) == 40
+    products(one_stripe)  # warms the inverse memo
+    expected = (["matmul"], [["matmul"]] * 5, ["matmul"], ["matmul"] * 3)
+    assert products(one_stripe) == expected
+    assert products(forty_stripes) == expected

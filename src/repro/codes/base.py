@@ -77,6 +77,15 @@ def _stripe_count(pieces, width: int, error: Type[ValueError], what: str) -> int
     return total // width
 
 
+def _stacked(pieces: Mapping[int, bytes], chosen: List[int], stripes: int, width: int,
+             error: Type[ValueError], what: str) -> np.ndarray:
+    """The ``chosen`` pieces as one ``(len(chosen), stripes, width)`` array."""
+    if any(len(pieces[index]) != stripes * width for index in chosen):
+        raise error(f"{what}s have the wrong length")
+    joined = b"".join([pieces[index] for index in chosen])
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(chosen), stripes, width)
+
+
 class ErasureCode(ABC):
     """Abstract base class for all codes in :mod:`repro.codes`."""
 
@@ -191,11 +200,8 @@ class ErasureCode(ABC):
         indices = sorted(pieces)[: self.k]
         if not (0 <= indices[0] and indices[-1] < self.n):
             raise DecodingError(f"invalid element index among {indices}")
-        width = self.element_size
-        if any(len(pieces[index]) != stripes * width for index in indices):
-            raise DecodingError("coded elements have the wrong length")
-        received = np.frombuffer(b"".join([pieces[index] for index in indices]), np.uint8)
-        return self._decode_stripes(indices, received.reshape(self.k, stripes, width))
+        return self._decode_stripes(indices, _stacked(
+            pieces, indices, stripes, self.element_size, DecodingError, "coded element"))
 
 
 class RegeneratingCode(ErasureCode):
@@ -264,6 +270,7 @@ class RegeneratingCode(ErasureCode):
     def _helper(
         self, helper_index: int, element: bytes, failed_index: int, stripes: int
     ) -> np.ndarray:
+        """The ``(stripes, beta)`` helper symbols of one stored element."""
         if not 0 <= helper_index < self.n or not 0 <= failed_index < self.n:
             raise RepairError("helper or failed index out of range")
         width = self.element_size
@@ -310,13 +317,8 @@ class RegeneratingCode(ErasureCode):
                 f"repair requires d={self.d} distinct helpers, got {len(helpers)}"
             )
         helpers = helpers[: self.d]
-        width = self.helper_size
-        if any(len(pieces[index]) != stripes * width for index in helpers):
-            raise RepairError("helper messages have the wrong length")
-        received = np.frombuffer(b"".join([pieces[index] for index in helpers]), np.uint8)
-        return self._repair_stripes(
-            failed_index, helpers, received.reshape(self.d, stripes, width)
-        )
+        return self._repair_stripes(failed_index, helpers, _stacked(
+            pieces, helpers, stripes, self.helper_size, RepairError, "helper message"))
 
 
 __all__ = [

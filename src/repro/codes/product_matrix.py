@@ -42,10 +42,6 @@ from repro.gf.gf256 import GF256
 from repro.gf.matrix import GFMatrix, SingularMatrixError
 
 
-#: ``1 / x`` for every field element ``x`` (entry 0 is unused).
-_INVERSES = np.array([0] + [GF256.inv(x) for x in range(1, 256)], dtype=np.uint8)
-
-
 def _symmetric_index(size: int, first: int) -> np.ndarray:
     """Payload positions ``first, first + 1, ...`` laid out as a symmetric
     ``size x size`` matrix, upper triangle row by row."""
@@ -234,7 +230,8 @@ class ProductMatrixMSRCode(_ProductMatrixCode):
         if len(set(self._lambdas.tolist())) != n:
             raise ValueError("encoding points do not give distinct lambda values")
         #: 1 / (lambda_i + lambda_j); the diagonal (never used) reads 0.
-        self._lambda_gap_inverses = _INVERSES[self._lambdas[:, None] ^ self._lambdas]
+        inverses = np.array([0] + [GF256.inv(x) for x in range(1, 256)], dtype=np.uint8)
+        self._lambda_gap_inverses = inverses[self._lambdas[:, None] ^ self._lambdas]
 
     @property
     def parameters(self) -> RegeneratingCodeParameters:

@@ -5,33 +5,20 @@ Python-level ``call`` events only -- no C calls, no host clock -- so the
 number is exact for a given interpreter and says how many Python frames one
 event costs on the net -> sim -> core path and in the code layer below it.
 Wall time is ``lds_bench``'s job; this only keeps the frame count from
-creeping back unnoticed.
+creeping back unnoticed.  Two rows, as two tests rather than one
+parametrised one because the first test's id is pinned.
 """
 
 import sys
 from pathlib import Path
 
-import pytest
-
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
-#: ``(workload, scale, kernel events at seed 1, Python-level calls per event
-#: measured on CPython 3.11)``; 3.12 inlines comprehensions, so it can only
-#: read lower.  ``pump_small`` (one stripe per value) read 29.54 before the
-#: whole-value codec and 51.75 before messages were made cheap.
-#: ``regen_large`` has 11 stripes per value and read **83.87** while the
-#: codec walked a value stripe by stripe: what a value costs the code layer
-#: must not depend on its size, so this row stays under 35 whatever else moves.
-MEASURED = [
-    ("pump_small", 1 / 40, 2727, 28.66),
-    ("regen_large", 1 / 4, 3114, 30.07),
-]
 
-
-@pytest.mark.parametrize("workload, scale, expected_events, measured", MEASURED,
-                         ids=[row[0] for row in MEASURED])
-def test_python_calls_per_kernel_event_stay_within_budget(
-        monkeypatch, workload, scale, expected_events, measured):
+def check_calls_per_event(monkeypatch, workload, scale, expected_events, measured):
+    """``measured`` is Python-level calls per kernel event on CPython 3.11
+    (3.12 inlines comprehensions, so it can only read lower); the budget is
+    10% above it."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     from lds_bench.workloads import BY_NAME, build
 
@@ -51,7 +38,21 @@ def test_python_calls_per_kernel_event_stay_within_budget(
         sys.setprofile(previous)
     events = simulation.kernel.stats.events_total
     assert events == expected_events
-    budget = min(measured * 1.10, 35.0)
+    budget = measured * 1.10
     assert calls / events <= budget, (
         f"{calls} Python calls for {events} events = {calls / events:.2f} per "
         f"event, over the budget of {budget:.2f} ({measured} measured + 10%)")
+
+
+def test_python_calls_per_kernel_event_stay_within_budget(monkeypatch):
+    # pump_small, one stripe per value: 28.66 (78,165 calls); 29.54 before
+    # the whole-value codec, 51.75 before messages were made cheap.
+    check_calls_per_event(monkeypatch, "pump_small", 1 / 40, 2727, 28.66)
+
+
+def test_calls_per_event_do_not_grow_with_the_value_size(monkeypatch):
+    # regen_large, 11 stripes per value: 30.07 (93,652 calls); **83.87**
+    # while the codec walked a value stripe by stripe.  What a value costs
+    # the code layer must not depend on its size: the budget here (33.08)
+    # may follow the message path down, but never goes above 35.
+    check_calls_per_event(monkeypatch, "regen_large", 1 / 4, 3114, 30.07)

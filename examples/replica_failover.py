@@ -93,7 +93,7 @@ def main() -> int:
     if not report.ok:
         failures.append("the audit reported violations")
 
-    history = simulation.history(global_clock=True)
+    history = simulation.history()
     if any(is_follower_read(op) for op in history):
         injection = inject_stale_follower_read(history)
         injected = check_sessions(injection.history)

@@ -97,6 +97,11 @@ from repro.consistency.sessions import join_object_id
 from repro.core.results import OperationResult
 from repro.core.tags import INITIAL_TAG, Tag
 
+#: Sentinel epoch marking a router handle owned by the replica layer
+#: (a follower-served or failover-deferred read, or a forwarded write in
+#: flight, with no LDS op id yet).
+REPLICA_EPOCH = "replica"
+
 #: Replica-group states.
 NORMAL = "normal"
 FAILING_OVER = "failing-over"
@@ -817,7 +822,7 @@ class ReplicaCoordinator:
         """
         self.router.shard(key)  # also creates the group
         group = self.groups[key]
-        handle = self.router._new_replica_handle(key)
+        handle = self.router._new_handle(key, REPLICA_EPOCH)
         now = self._now()
         # A late-scheduled arrival (nominal ``at`` already in the past)
         # dispatches at the clock, never before it -- on *every* path, so
@@ -1252,7 +1257,7 @@ class ReplicaCoordinator:
             return self.router._queue_write(
                 key, value, writer=writer,
                 at=None if at is None else dispatch_at, session=session)
-        handle = self.router._new_replica_handle(key)
+        handle = self.router._new_handle(key, REPLICA_EPOCH)
         self.router.stats.forwarded_writes += 1
         # Validation above plus the ingress discipline guarantee a live
         # follower store here (the primary case queued directly).

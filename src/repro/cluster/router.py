@@ -18,11 +18,14 @@ one per operation.  ``run_until_idle`` flushes automatically.
 Every shard simulator is registered as an event source of the router's
 :class:`~repro.sim.kernel.GlobalScheduler`, and ``run_until_idle`` pumps
 the kernel's merged event queue, so operations, repairs and migrations on
-different shards interleave on one monotonic global clock.  Each shard's
-registration offset maps its local clock onto the global one;
-:meth:`shard_now` / :meth:`schedule_on_shard` let cluster-level components
-(the repair scheduler, scenario engines) speak global time without knowing
-the mapping.
+different shards interleave on one monotonic global clock.  There is one
+time domain: a shard's simulator is created with its clock at the global
+instant of the shard's birth, so its recorder, results and storage samples
+carry global timestamps and nothing is ever translated.  A shard still has
+its own *queue*, and therefore its own clock reading, which lags the
+kernel's while the shard is idle and runs ahead of it while
+:meth:`migrate` drains the shard inline; :meth:`shard_now` /
+:meth:`schedule_on_shard` are the accessors that account for that.
 
 Failures and rebalancing:
 
@@ -55,6 +58,7 @@ from repro.cluster.placement import (
     diff_replica_placements,
 )
 from repro.cluster.replicas import (
+    REPLICA_EPOCH,
     ReadRoutingPolicy,
     ReplicaCoordinator,
     ReplicationConfig,
@@ -70,6 +74,7 @@ from repro.core.config import LDSConfig
 from repro.core.results import OperationResult
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, LatencyModel
+from repro.net.simulator import Simulator
 from repro.obs.registry import MetricsRegistry
 
 
@@ -94,11 +99,13 @@ class Shard:
     pool: str
     epoch: int
     system: LDSSystem
+    #: The global instant the epoch's clock started at.
+    born_at: float
     pending: List[_PendingOp] = field(default_factory=list)
     #: Histories of previous epochs (pre-migration), oldest first.
     retired_histories: List[History] = field(default_factory=list)
-    #: Monotone offset mapping nominal workload times onto the shard clock
-    #: (grows when a batch arrives after its nominal window already passed).
+    #: Monotone shift applied to nominal workload times (grows when a
+    #: batch arrives after its nominal window already passed).
     time_shift: float = 0.0
 
     @property
@@ -275,15 +282,6 @@ for _attr in RouterStats._SCALARS:
 del _attr
 
 
-def _object_id(key: str, epoch: int) -> str:
-    return join_object_id(key, epoch)
-
-
-#: Sentinel epoch marking a handle owned by the replica read router
-#: (a follower-served or failover-deferred read with no LDS op id).
-REPLICA_EPOCH = "replica"
-
-
 #: Keys must not end in the router's own epoch suffix, or merged-history
 #: object ids would be ambiguous (key 'a@e2' vs epoch 2 of key 'a') and the
 #: session auditor's (key, epoch) parsing would fold unrelated keys together.
@@ -356,9 +354,6 @@ class ObjectRouter:
         #: The :class:`~repro.sim.kernel.GlobalScheduler` every shard
         #: simulator registers with; the one clock the cluster runs on.
         self.kernel = kernel
-        #: object_id -> global-clock offset of its simulator (kept for
-        #: retired epochs so their histories can still be mapped).
-        self._kernel_offsets: Dict[str, float] = {}
         #: (global time, key, source_pool, target_pool) per migration.
         self.migration_log: List[tuple] = []
         #: Replica-group coordinator (None when replication is off, i.e.
@@ -371,37 +366,25 @@ class ObjectRouter:
 
     # -- global kernel ---------------------------------------------------------
 
-    def _register_shard_source(self, shard: Shard,
-                               offset: Optional[float] = None) -> None:
-        source = self.kernel.register_simulator(
-            shard.system.simulator, name=f"shard:{shard.object_id}",
-            offset=offset,
-        )
-        self._kernel_offsets[shard.object_id] = source.offset
-        # Workload times are global under the kernel; seed the shard's
-        # nominal->local mapping with the registration offset so a batch
-        # scheduled at global t lands at local t - offset.
-        shard.time_shift = -source.offset
-
-    def _offset(self, shard: Shard) -> float:
-        return self._kernel_offsets.get(shard.object_id, 0.0)
-
     def shard_now(self, shard: Shard) -> float:
-        """The shard's clock on the global timeline."""
-        return shard.system.simulator.now + self._offset(shard)  # simlint: disable=SD03 -- this *is* the sanctioned accessor
+        """The shard's own clock reading: the time of the last event its
+        queue ran.  It lags ``kernel.now`` while the shard is idle and
+        runs ahead of it during :meth:`migrate`'s inline drain, so it is
+        "now" only for code running inside one of the shard's events."""
+        return shard.system.simulator.now  # simlint: disable=SD03 -- this *is* the sanctioned accessor
 
     def schedule_on_shard(self, shard: Shard, at: float, callback) -> None:
-        """Schedule a callback on a shard at global time ``at`` (clamped to
-        the shard's clock when ``at`` already passed)."""
+        """Schedule a callback on a shard's queue at time ``at`` (clamped
+        to the shard's clock when that already passed ``at``)."""
         simulator = shard.system.simulator
-        local = max(at - self._offset(shard), simulator.now)
-        if local > at - self._offset(shard):
+        effective = max(at, simulator.now)
+        if effective > at:
             sanitizer = self.kernel.sanitizer
             if sanitizer is not None:
                 sanitizer.note_clamp(
                     "shard", f"shard:{shard.object_id}",
-                    requested=at, effective=local + self._offset(shard))
-        simulator.schedule_at(local, callback)
+                    requested=at, effective=effective)
+        simulator.schedule_at(effective, callback)
 
     # -- shard management -----------------------------------------------------
 
@@ -421,9 +404,9 @@ class ObjectRouter:
             )
         pool = self.membership.pool_for(key)
         shard = self._build_shard(key, pool, epoch=0,
-                                  initial_value=self.config.initial_value)
+                                  initial_value=self.config.initial_value,
+                                  born_at=self.kernel.now)
         self._shards[key] = shard
-        self._register_shard_source(shard)
         if self.replicas is not None:
             self.replicas.ensure_group(key, shard)
         self._announce_shard(shard)
@@ -435,7 +418,9 @@ class ObjectRouter:
             self.shard(key)
 
     def _build_shard(self, key: str, pool: str, epoch: int,
-                     initial_value: bytes) -> Shard:
+                     initial_value: bytes, born_at: float) -> Shard:
+        """Build an epoch whose clock starts at the global instant
+        ``born_at`` and register its queue with the kernel."""
         config = self.config
         if initial_value != config.initial_value:
             config = dc_replace(config, initial_value=initial_value)
@@ -444,9 +429,13 @@ class ObjectRouter:
             num_writers=self.writers_per_shard,
             num_readers=self.readers_per_shard,
             latency_model=self._latency_factory(pool, key),
-            object_id=_object_id(key, epoch),
+            object_id=join_object_id(key, epoch),
+            simulator=Simulator(start=born_at),
         )
-        shard = Shard(key=key, pool=pool, epoch=epoch, system=system)
+        shard = Shard(key=key, pool=pool, epoch=epoch, system=system,
+                      born_at=born_at)
+        self.kernel.register_simulator(system.simulator,
+                                       name=f"shard:{shard.object_id}")
         if self._trace is not None or self.operation_observers:
             # Pure observation: close root spans (and record the protocol
             # phase) and feed the completion observers when the shard
@@ -479,15 +468,13 @@ class ObjectRouter:
         if handle is None:
             # Internal traffic (migration copy reads) carries no handle.
             return
-        offset = self._offset(shard)
-        invoked = result.invoked_at + offset
-        responded = result.responded_at + offset
         self._trace.child_span(
-            handle, f"protocol-{result.kind}", "protocol", invoked, responded,
+            handle, f"protocol-{result.kind}", "protocol",
+            result.invoked_at, result.responded_at,
             args={"op_id": result.op_id, "epoch": shard.epoch,
                   "pool": shard.pool},
         )
-        self._trace.end_op(handle, responded,
+        self._trace.end_op(handle, result.responded_at,
                            args={"kind": result.kind, "tag": str(result.tag)})
 
     def _announce_shard(self, shard: Shard) -> None:
@@ -635,11 +622,6 @@ class ObjectRouter:
             self._handles[handle][1] = shard.epoch
         shard.pending.append(_PendingOp(handle=handle, kind=READ, client=reader,
                                         at=at, session=session))
-        return handle
-
-    def _new_replica_handle(self, key: str) -> str:
-        """A handle owned by the replica read router (no LDS op id yet)."""
-        handle = self._new_handle(key, REPLICA_EPOCH)
         return handle
 
     # -- workload arrivals ------------------------------------------------------------
@@ -836,7 +818,7 @@ class ObjectRouter:
 
     # -- histories and atomicity -----------------------------------------------------------
 
-    def history(self, global_clock: bool = False) -> History:
+    def history(self) -> History:
         """All operations across all shards and epochs, in one merged history.
 
         Operation and client ids are qualified with the epoch's object id so
@@ -850,48 +832,26 @@ class ObjectRouter:
         epoch by :meth:`check_atomicity` because each migration epoch has
         its own initial value.
 
-        With ``global_clock``, every timestamp is shifted by its epoch's
-        registration offset so operations from different shards become
-        comparable on the one global timeline.  Every epoch must have a
-        recorded offset (shards register at creation and retired epochs
-        keep theirs) -- a missing offset is a bookkeeping bug and raises
-        instead of silently mis-placing the epoch at shift 0.
+        Timestamps are the epochs' recorders' own: every shard simulator
+        is born on the global clock, so operations from different shards
+        and epochs (and follower-served reads, stamped by the kernel) are
+        comparable as they stand.
         """
-        if self.replicas is not None:
-            # Replicated histories are always global-clock: follower reads
-            # are recorded with kernel timestamps, and merging them with
-            # unshifted local shard clocks would silently misorder the
-            # history.
-            global_clock = True
         merged = History(initial_value=self.config.initial_value)
         for history in self._all_histories():
             for op in history.operations:
                 if (op.object_id, op.op_id) in self._internal_ops:
                     continue
-                if global_clock:
-                    shift = self._kernel_offsets.get(op.object_id)
-                    if shift is None:
-                        raise RuntimeError(
-                            f"epoch {op.object_id!r} has no global-clock "
-                            "offset: it was never registered with the kernel, "
-                            "so its operations cannot be placed on the global "
-                            "timeline"
-                        )
-                else:
-                    shift = 0.0
                 merged.add(dc_replace(
                     op,
                     op_id=f"{op.object_id}/{op.op_id}",
                     client_id=f"{op.object_id}/{op.client_id}",
-                    invoked_at=op.invoked_at + shift,
-                    responded_at=(None if op.responded_at is None
-                                  else op.responded_at + shift),
                     session=self._op_sessions.get((op.object_id, op.op_id)),
                 ))
         if self.replicas is not None:
-            # Follower-served reads: recorded with *global* timestamps and
-            # their session identity already attached, and kept out of the
-            # shard histories so per-epoch atomicity stays primary-only.
+            # Follower-served reads carry their session identity already
+            # and are kept out of the shard histories so per-epoch
+            # atomicity stays primary-only.
             for history in self.replicas.histories():
                 for op in history.operations:
                     merged.add(op)
@@ -936,14 +896,9 @@ class ObjectRouter:
 
     def _crash_slot(self, shard: Shard, role: str, index: int,
                     at: Optional[float] = None) -> None:
-        """Crash one server slot of a shard, clamping the global time ``at``
-        (membership events carry global timestamps) to the shard clock."""
-        simulator = shard.system.simulator
-        when = None
-        if at is not None:
-            local = at - self._offset(shard)
-            if local > simulator.now:
-                when = local
+        """Crash one server slot of a shard at time ``at``, or right away
+        when the shard's clock already reached it."""
+        when = at if at is not None and at > self.shard_now(shard) else None
         if role == L1_ROLE:
             if index < self.config.n1:
                 shard.system.crash_l1(index, at=when)
@@ -958,8 +913,10 @@ class ObjectRouter:
 
     # -- rebalancing -----------------------------------------------------------------------
 
-    def pending_rebalance(self, reason: str = "", time: float = 0.0) -> RebalancePlan:
-        """The deterministic plan aligning current shards with the ring.
+    def pending_rebalance(self, reason: str = "",
+                          time: Optional[float] = None) -> RebalancePlan:
+        """The deterministic plan aligning current shards with the ring,
+        stamped ``time`` (the current global time unless given).
 
         With replica groups the plan is replica-aware: primary moves become
         shard migrations exactly as before, and changes to the follower
@@ -968,6 +925,8 @@ class ObjectRouter:
         executed by the coordinator (drop immediately, provision after the
         configured copy delay).
         """
+        if time is None:
+            time = self.kernel.now
         if self.replicas is not None:
             before = self.replicas.current_placement()
             after = self.replicas.desired_placement()
@@ -977,8 +936,13 @@ class ObjectRouter:
         after = self.membership.placement(before)
         return diff_placements(before, after, reason=reason, time=time)
 
-    def rebalance(self, reason: str = "", time: float = 0.0) -> RebalancePlan:
+    def rebalance(self, reason: str = "",
+                  time: Optional[float] = None) -> RebalancePlan:
         """Compute the pending plan and migrate every moved shard.
+
+        ``time`` stamps the plan and starts the followers' copy delay; it
+        defaults to the current global time (a plan stamped in the global
+        past would skip the delay).
 
         With replica groups, moves whose key is mid-failover are skipped:
         a migration drains the source with a protocol copy-read, which the
@@ -994,7 +958,8 @@ class ObjectRouter:
                 continue
             self.migrate(move)
         if self.replicas is not None:
-            self.replicas.apply_follower_changes(plan.follower_changes, time)
+            self.replicas.apply_follower_changes(plan.follower_changes,
+                                                 plan.time)
         return plan
 
     def migrate(self, move: ShardMove) -> Shard:
@@ -1024,30 +989,28 @@ class ObjectRouter:
         self._retired_comm_cost += shard.system.communication_cost
         retired = shard.retired_histories + [shard.system.history()]
         # The new epoch starts at the migration instant or at the retiring
-        # epoch's last foreground activity, whichever is later.  Neither a
-        # lagging shard clock (long idle) nor a fast-forwarded one (the
-        # inline drain executes any future callbacks, e.g. rate-limited
-        # repairs, against the retiring epoch) may drag the epoch boundary
-        # off the global timeline.  Internal operations (the migration's
-        # own copy read, which runs after the drain and inherits its
-        # inflated clock) do not anchor the boundary; they are invisible
-        # in merged histories.
-        history_end = max(
-            (op.responded_at if op.responded_at is not None
-             else op.invoked_at for op in retired[-1]
-             if (op.object_id, op.op_id) not in self._internal_ops),
-            default=0.0,
-        )
-        drained_at = max(self.kernel.now, self._offset(shard) + history_end)
+        # epoch's last foreground activity (its birth, if it saw none),
+        # whichever is later.  Neither a lagging shard clock (long idle)
+        # nor a fast-forwarded one (the inline drain executes any future
+        # callbacks, e.g. rate-limited repairs, against the retiring epoch)
+        # may drag the epoch boundary off the global timeline.  Internal
+        # operations (the migration's own copy read, which runs after the
+        # drain and inherits its inflated clock) do not anchor the
+        # boundary; they are invisible in merged histories.
+        drained_at = max(
+            self.kernel.now, shard.born_at,
+            *(op.responded_at if op.responded_at is not None
+              else op.invoked_at for op in retired[-1]
+              if (op.object_id, op.op_id) not in self._internal_ops))
         self.kernel.unregister(f"shard:{shard.object_id}")
+        # The new epoch's clock starts at the instant the old epoch drained,
+        # preserving real-time order between epochs on the global timeline.
         replacement = self._build_shard(move.key, move.target,
                                         epoch=shard.epoch + 1,
-                                        initial_value=carried)
+                                        initial_value=carried,
+                                        born_at=drained_at)
         replacement.retired_histories = retired
         self._shards[move.key] = replacement
-        # The new epoch's local time 0 is the instant the old epoch drained,
-        # preserving real-time order between epochs on the global timeline.
-        self._register_shard_source(replacement, offset=drained_at)
         self._announce_shard(replacement)
         self.stats.migrations += 1
         self.migration_log.append((drained_at, move.key, move.source, move.target))
@@ -1082,7 +1045,8 @@ class ObjectRouter:
                                         epoch=shard.epoch + 1,
                                         initial_value=carried_value
                                         if carried_value is not None
-                                        else self.config.initial_value)
+                                        else self.config.initial_value,
+                                        born_at=promoted_at)
         replacement.retired_histories = retired
         # Operations frozen during the failover window carry over; they
         # execute on the promoted epoch.
@@ -1091,7 +1055,6 @@ class ObjectRouter:
         for op in replacement.pending:
             self._handles[op.handle][1] = replacement.epoch
         self._shards[key] = replacement
-        self._register_shard_source(replacement, offset=promoted_at)
         self._announce_shard(replacement)
         return replacement
 

@@ -38,9 +38,10 @@ clean and any reported violation is a real bug (or an injected one; see
 :mod:`repro.consistency.injection`).
 
 The auditor therefore requires a history whose timestamps are mutually
-comparable: use ``history(global_clock=True)`` (unshifted per-shard
-clocks would produce false verdicts across epochs).  Operations without a session, incomplete operations, and
-operations without a tag are skipped (and counted in the report).
+comparable, which every cluster history is (each shard simulator is born
+on the global clock).  Operations without a session, incomplete
+operations, and operations without a tag are skipped (and counted in the
+report).
 
 In the style of Wing & Gong's checker the audit covers every
 precedence-ordered pair, but via running maxima (a guarantee holds

@@ -41,12 +41,15 @@ class LDSSystem:
 
     def __init__(self, config: LDSConfig, num_writers: int = 1, num_readers: int = 1,
                  latency_model: Optional[LatencyModel] = None,
-                 object_id: str = "object-0") -> None:
+                 object_id: str = "object-0",
+                 simulator: Optional[Simulator] = None) -> None:
         if num_writers < 0 or num_readers < 0:
             raise ValueError("client counts must be non-negative")
         self.config = config
         self.object_id = object_id
-        self.simulator = Simulator()
+        #: The event queue the deployment runs on; the cluster router
+        #: passes one whose clock starts at the shard's birth instant.
+        self.simulator = simulator if simulator is not None else Simulator()
         self.network = Network(simulator=self.simulator, latency_model=latency_model)
         self.code: LayeredCode = config.build_code()
         self._encode_cache: Dict[bytes, Dict[int, object]] = {}

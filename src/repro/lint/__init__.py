@@ -6,10 +6,9 @@ of telemetry -- rests on one invariant: *fixed-seed runs are
 byte-identical, always*.  That invariant is easy to break silently: an
 unordered ``set`` iteration that feeds event emission, an unseeded
 ``random`` call, a wall-clock read leaking into virtual time, a probe
-that mutates protocol state, a shard-local timestamp compared against
-the kernel's global clock without the offset translation.  End-to-end
-fingerprint tests catch such a regression only after the fact, and only
-when a test happens to cross the broken path.
+that mutates protocol state, an idle shard's lagging clock read as
+"now".  End-to-end fingerprint tests catch such a regression only after
+the fact, and only when a test happens to cross the broken path.
 
 This package checks conformance *before* the run: an AST-based analyzer
 (stdlib :mod:`ast`, no dependencies) with a small rule engine, per-rule
@@ -23,10 +22,9 @@ fixtures under ``tests/lint/``, inline suppression pragmas, and a CLI::
 
 Scans are *whole-program*: every requested file is parsed up front into
 one :class:`repro.lint.engine.ProjectContext` carrying a project symbol
-table and call graph (:mod:`repro.lint.callgraph`) and an
-interprocedural time-domain taint analysis (:mod:`repro.lint.dataflow`).
+table and call graph (:mod:`repro.lint.callgraph`).
 
-Rules come in four families:
+Rules come in three families:
 
 * **generic nondeterminism** (``ND01``..``ND05``): unseeded module-level
   RNG calls, wall-clock reads, unordered ``set`` iteration feeding
@@ -38,11 +36,11 @@ Rules come in four families:
 * **protocol discipline** (``SD01``..``SD04``): observability modules
   reaching mutating cluster APIs (directly or through the call graph),
   scheduling at literal absolute times, raw cross-source simulator
-  clock access, and unwatchable in-flight bookkeeping;
-* **time-domain taint** (``TD01``..``TD03``): cross-domain comparison,
-  arithmetic, and scheduling between shard-local clocks, the kernel's
-  global clock, and host wall time -- propagated through assignments,
-  attributes, returns, and call boundaries.
+  clock access, and unwatchable in-flight bookkeeping.
+
+There is no time-domain family: every simulator is born on the global
+clock, so a timestamp in the wrong domain can no longer be written, and
+``ND02`` keeps host wall time out of virtual time.
 
 A deliberate exception is annotated in place::
 

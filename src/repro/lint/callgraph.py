@@ -1,7 +1,7 @@
 """Whole-program symbol table, call graph, and purity inference.
 
 The module-local rules (ND/SD tiers) see one AST at a time; the
-whole-program rules (TD/RP tiers, and SD01's transitive form) need to
+whole-program rules (the RP tier and SD01's transitive form) need to
 answer questions that span modules: *which function does this call
 resolve to?* and *does that function, transitively, mutate protocol
 state?*  This module builds that index from the already-parsed
@@ -15,8 +15,8 @@ Resolution is deliberately conservative.  A call resolves to
   the alias fixpoint is inherited from the engine's ``_ImportMap``),
 * the enclosing class's method for ``self.method()`` calls, or
 * for a bare attribute call ``obj.method()``: every project function
-  named ``method``.  Callers that need precision (purity propagation,
-  summary lookup) only use this bucket when it is *unambiguous* -- one
+  named ``method``.  Callers that need precision (purity propagation)
+  only use this bucket when it is *unambiguous* -- one
   candidate project-wide -- so a common name like ``run`` never smears
   impurity across unrelated classes.
 
@@ -58,16 +58,6 @@ class FunctionInfo:
     def qualname(self) -> str:
         owner = f"{self.cls}." if self.cls else ""
         return f"{self.module}:{owner}{self.name}"
-
-    @property
-    def params(self) -> List[str]:
-        if isinstance(self.node, ast.Module):
-            return []
-        args = self.node.args
-        names = [a.arg for a in args.posonlyargs + args.args]
-        if names and self.cls is not None and names[0] in ("self", "cls"):
-            names = names[1:]
-        return names
 
     @property
     def body(self) -> List[ast.stmt]:

@@ -177,16 +177,18 @@ class RuleSD02(Rule):
 class RuleSD03(Rule):
     """Raw cross-source simulator access outside the sanctioned accessors.
 
-    A per-shard simulator's clock is *local*: comparing or scheduling
-    against it from outside without the source's kernel offset breaks
-    the global ordering (the exact bug class the kernel's clamped-head
-    logic and ``schedule_probe``'s past-clamp exist to contain).  Any
+    Every simulator runs on the global clock, but each still has its own
+    queue, so its clock *reading* is not ``kernel.now``: it lags while
+    the source is idle and runs ahead while ``ObjectRouter.migrate``
+    drains the source inline.  Comparing or scheduling against the raw
+    reading from outside lands events in the source's past or at a stale
+    "now" (the bug class the kernel's clamped-head logic and
+    ``schedule_probe``'s past-clamp exist to contain).  Any
     ``<expr>.simulator.now`` / ``<expr>.simulator.schedule*`` where the
     receiver is not ``self`` must go through ``router.shard_now()`` /
-    ``router.schedule_on_shard()`` / ``SimulatorSource.to_global``
-    instead.  The simulator-owning layers (``net/``, the kernel and its
-    runtime sanitizer) are out of scope; the accessor implementations
-    themselves carry justified pragmas.
+    ``router.schedule_on_shard()`` instead.  The simulator-owning layers
+    (``net/``, the kernel and its runtime sanitizer) are out of scope;
+    the accessor implementations themselves carry justified pragmas.
     """
 
     rule_id = "SD03"
@@ -214,9 +216,10 @@ class RuleSD03(Rule):
                 continue  # the owner touching its own simulator
             findings.append(ctx.finding(
                 self, node,
-                f"cross-source access to .simulator.{node.attr}: local "
-                f"clocks are only comparable through the kernel offset; use "
-                f"shard_now()/schedule_on_shard()/to_global()"))
+                f"cross-source access to .simulator.{node.attr}: a "
+                f"source's clock lags the kernel's while it is idle and "
+                f"runs ahead during an inline drain; use "
+                f"shard_now()/schedule_on_shard()"))
         return findings
 
 

@@ -173,7 +173,7 @@ class ProjectRule(Rule):
     """A rule that sees the whole program at once.
 
     Project rules consume the shared :class:`ProjectContext` (symbol
-    table, call graph, dataflow summaries) built over every parse-clean
+    table, call graph, purity summaries) built over every parse-clean
     module of the scan; findings still attach to individual modules and
     are suppressed by that module's pragmas exactly like module-local
     findings.  Single-file scans simply run them over a one-module
@@ -195,7 +195,6 @@ class ProjectContext:
         self.by_path: Dict[str, ModuleContext] = {
             ctx.path: ctx for ctx in self.modules}
         self._index = None
-        self._timeflow = None
         self._purity = None
 
     @property
@@ -207,14 +206,6 @@ class ProjectContext:
         return self._index
 
     @property
-    def timeflow(self):
-        """The interprocedural time-domain taint analysis (run once)."""
-        if self._timeflow is None:
-            from repro.lint.dataflow import analyze_timeflow
-            self._timeflow = analyze_timeflow(self.index)
-        return self._timeflow
-
-    @property
     def purity(self):
         """Impure functions -> witness chains (computed once)."""
         if self._purity is None:
@@ -223,14 +214,13 @@ class ProjectContext:
 
 
 def all_rules() -> List[Rule]:
-    """Every shipped rule; ids are unique and sorted (ND, RP, SD, TD)."""
+    """Every shipped rule; ids are unique and sorted (ND, RP, SD)."""
     from repro.lint.discipline import DISCIPLINE_RULES
     from repro.lint.nondeterminism import NONDETERMINISM_RULES
     from repro.lint.provenance import PROVENANCE_RULES
-    from repro.lint.timedomain import TIMEDOMAIN_RULES
 
     return [cls() for cls in NONDETERMINISM_RULES + PROVENANCE_RULES
-            + DISCIPLINE_RULES + TIMEDOMAIN_RULES]
+            + DISCIPLINE_RULES]
 
 
 def known_rule_ids() -> Set[str]:

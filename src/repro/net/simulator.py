@@ -39,12 +39,17 @@ class EventHandle:
 
 
 class Simulator:
-    """A single-threaded discrete-event simulator with a virtual clock."""
+    """A single-threaded discrete-event simulator with a virtual clock.
 
-    def __init__(self) -> None:
+    The clock starts at ``start``: a simulator created mid-run by the
+    global kernel is born at the global instant, so its timestamps are
+    global time from the first event.
+    """
+
+    def __init__(self, start: float = 0.0) -> None:
         self._queue: List[list] = []
         self._counter = itertools.count()
-        self._now = 0.0
+        self._now = start
         self._events_processed = 0
         #: Invoked whenever a newly scheduled event becomes the queue head
         #: (see :meth:`set_head_listener`).

@@ -5,11 +5,10 @@
 the simulation, on the kernel's dedicated telemetry source -- the same
 non-perturbing machinery as :class:`~repro.obs.sampler.ClusterSampler`.
 The feed is push-based and O(1) per operation: the router's completion
-observers buffer every finished operation (primary-shard completions in
-raw shard-local form, replica serves already merged), and each probe
-tick drains the buffer into the auditor, translates shard-local times
-onto the global clock, computes the per-key **watermarks**, and lets
-the auditor check and retire state.
+observers buffer every finished operation (primary-shard completions as
+raw results, replica serves already merged), and each probe tick drains
+the buffer into the auditor in merged-history form, computes the per-key
+**watermarks**, and lets the auditor check and retire state.
 
 The watermark for a key is the earliest global invocation time a
 not-yet-delivered operation on that key could still carry::
@@ -76,8 +75,8 @@ class LiveAuditProbe:
         #: JSONL rows, one per detected violation.
         self.rows: List[dict] = []
         #: Raw completion feed, drained at each probe tick:
-        #: ``(shard, result)`` for primary completions (shard-local
-        #: times), ``(None, operation)`` for replica serves (merged).
+        #: ``(shard, result)`` for primary completions,
+        #: ``(None, operation)`` for replica serves (merged form).
         self._buffer: List[tuple] = []
         self._armed = False
         self._next_tick = 0.0
@@ -110,11 +109,11 @@ class LiveAuditProbe:
     # -- the feed ---------------------------------------------------------------
 
     def _on_completion(self, shard, payload) -> None:
-        """Router observer: buffer one completion (O(1), no translation)."""
+        """Router observer: buffer one completion (O(1))."""
         self._buffer.append((shard, payload))
 
     def _drain(self) -> None:
-        """Translate and consume everything the feed buffered."""
+        """Consume everything the feed buffered, in merged-history form."""
         if not self._buffer:
             return
         router = self.simulation.router
@@ -123,21 +122,19 @@ class LiveAuditProbe:
         buffered, self._buffer = self._buffer, []
         for shard, payload in buffered:
             if shard is None:
-                # Replica serve: already merged-form, global-clock,
-                # session attached.
+                # Replica serve: already merged-form, session attached.
                 self.auditor.consume(payload)
                 continue
             object_id = shard.object_id
             result = payload
             if (object_id, result.op_id) in internal:
                 continue  # migration copy reads are not client traffic
-            offset = router._offset(shard)
             self.auditor.consume(Operation(
                 op_id=f"{object_id}/{result.op_id}",
                 client_id=f"{object_id}/{result.client_id}",
                 kind=result.kind, object_id=object_id, value=result.value,
-                invoked_at=result.invoked_at + offset,
-                responded_at=result.responded_at + offset,
+                invoked_at=result.invoked_at,
+                responded_at=result.responded_at,
                 tag=result.tag,
                 session=sessions.get((object_id, result.op_id)),
             ))
@@ -161,11 +158,9 @@ class LiveAuditProbe:
             mark = kernel.now
             shard = shards.get(key)
             if shard is not None:
-                offset = router._offset(shard)
                 for op in shard.system.recorder.pending_operations():
-                    invoked = op.invoked_at + offset
-                    if invoked < mark:
-                        mark = invoked
+                    if op.invoked_at < mark:
+                        mark = op.invoked_at
             floor = replica_floor.get(key)
             if floor is not None and floor < mark:
                 mark = floor

@@ -12,8 +12,8 @@ actually simulated instead of serialised away:
   ordering under a fixed seed;
 * :mod:`repro.sim.scenario` -- declarative timed scripts
   (:class:`Scenario` / :class:`ScenarioEngine`) of crash/recover, pool
-  join/leave, latency-regime shifts and workload phases, with four shipped
-  scenarios;
+  join/leave, latency-regime shifts and workload phases, with eight
+  shipped scenarios;
 * :mod:`repro.sim.harness` -- :class:`ClusterSimulation`, the cluster
   facade wiring seeded membership, router and repair scheduler to the
   kernel and exposing keyed driving, failure injection, workload arrival

@@ -272,7 +272,9 @@ class ClusterSimulation:
         return self.telemetry.report(self)
 
     def history(self, global_clock: bool = True) -> History:
-        return self.router.history(global_clock=global_clock)
+        # The keyword is accepted and ignored (there is one clock) only
+        # because benchmarks/lds_bench/repetition.py still passes it.
+        return self.router.history()
 
     def check_atomicity(self) -> Optional[AtomicityViolation]:
         return self.router.check_atomicity()
@@ -301,7 +303,7 @@ class ClusterSimulation:
         if auditor is not None:
             sessions = auditor.report()
         else:
-            sessions = check_sessions(self.history(global_clock=True))
+            sessions = check_sessions(self.history())
         return ClusterAuditReport(
             atomicity=self.check_atomicity(),
             sessions=sessions,
@@ -390,7 +392,7 @@ class ClusterSimulation:
         foreground operations across shards on one clock.
         """
         entries: List[Tuple[float, str, str]] = []
-        for op in self.history(global_clock=True):
+        for op in self.history():
             label = f"{op.kind} {op.op_id}"
             entries.append((op.invoked_at, "invoke", label))
             if op.responded_at is not None:

@@ -11,11 +11,15 @@ The :class:`GlobalScheduler` fixes that by multiplexing any number of
 per-shard simulators -- plus its own kernel event queue for scenario actions
 and workload arrivals -- onto **one monotonic global clock**:
 
-* every registered simulator becomes a :class:`SimulatorSource` with a fixed
-  ``offset`` mapping its local clock onto the global one (``global = offset +
-  local``); a shard created at global time *g* simply gets ``offset = g``;
+* every registered simulator becomes a :class:`SimulatorSource`.  There is
+  one time domain: a simulator is born on the global clock
+  (``Simulator(start=kernel.now)`` for a shard created mid-run), so its
+  timestamps *are* global times and nothing is translated.  What a source
+  keeps of its own is a queue and a clock reading: the reading *lags* the
+  kernel's while the source is idle (a head it schedules before *now* is
+  clamped to *now*) and runs *ahead* while its owner drains it inline;
 * each :meth:`step` picks the source whose next pending event has the
-  smallest global time and executes exactly that one event, so events from
+  smallest time and executes exactly that one event, so events from
   different shards interleave exactly as their timestamps dictate;
 * ties are broken by source registration order, and each simulator's own
   queue is FIFO at equal times, so the merged order is a pure function of
@@ -37,7 +41,7 @@ designed to leave that fingerprint untouched:
   (:mod:`repro.obs.availability`) are all probe families on this
   source;
 * :meth:`GlobalScheduler.enable_sanitizer` turns on runtime invariant
-  checking (clock monotonicity, no scheduling into a source's local
+  checking (clock monotonicity, no scheduling into a source's own
   past, probe purity, pending-map leaks -- see
   :mod:`repro.sim.sanitizer`); off by default, the per-event cost when
   off is a single ``is None`` check, and a sanitized run keeps the same
@@ -62,12 +66,11 @@ TELEMETRY_SOURCE = "telemetry"
 
 
 class SimulatorSource:
-    """One per-shard simulator adapted onto the global clock."""
+    """One simulator's event queue as a named source of the merged pump."""
 
-    def __init__(self, name: str, simulator: Simulator, offset: float = 0.0) -> None:
+    def __init__(self, name: str, simulator: Simulator) -> None:
         self.name = name
         self.simulator = simulator
-        self.offset = offset
         self.events_executed = 0
         #: Registration order; the kernel breaks global-time ties by it.
         self.order = 0
@@ -75,20 +78,8 @@ class SimulatorSource:
         self.head_version = 0
 
     def next_time(self) -> Optional[float]:
-        """Global time of the source's next pending event (None when idle)."""
-        local = self.simulator.peek_time()
-        return None if local is None else self.offset + local
-
-    def to_global(self, local_time: float) -> float:
-        return self.offset + local_time
-
-    def to_local(self, global_time: float) -> float:
-        return global_time - self.offset
-
-    @property
-    def global_now(self) -> float:
-        """The source's local clock expressed on the global timeline."""
-        return self.offset + self.simulator.now
+        """Time of the source's next pending event (None when idle)."""
+        return self.simulator.peek_time()
 
 
 @dataclass
@@ -149,7 +140,7 @@ class GlobalScheduler:
         # against shard events at the same global time, so an arrival at t
         # is injected before the shards advance past t.
         self._kernel_sim = Simulator()
-        self.register_simulator(self._kernel_sim, name=KERNEL_SOURCE, offset=0.0)
+        self.register_simulator(self._kernel_sim, name=KERNEL_SOURCE)
 
     # -- source registry --------------------------------------------------------
 
@@ -162,20 +153,17 @@ class GlobalScheduler:
     def events_processed(self) -> int:
         return self.stats.events_total
 
-    def register_simulator(self, simulator: Simulator, name: str,
-                           offset: Optional[float] = None) -> SimulatorSource:
-        """Adopt a simulator as an event source on the global clock.
+    def register_simulator(self, simulator: Simulator,
+                           name: str) -> SimulatorSource:
+        """Adopt a simulator as an event source of the merged pump.
 
-        When ``offset`` is omitted the simulator's *current* local time is
-        aligned with the *current* global time, which is the right thing
-        both for fresh simulators (local 0 == now) and for simulators
-        attached after they already ran on their own.
+        Its times are taken as global times, so a simulator joining
+        mid-run is created with ``Simulator(start=kernel.now)`` (or the
+        later instant its owner's timeline resumes at).
         """
         if name in self._sources:
             raise ValueError(f"duplicate event source {name!r}")
-        if offset is None:
-            offset = self._now - simulator.now
-        source = SimulatorSource(name=name, simulator=simulator, offset=offset)
+        source = SimulatorSource(name=name, simulator=simulator)
         source.order = next(self._orders)
         self._sources[name] = source
         simulator.set_head_listener(lambda: self._index_head(source))
@@ -185,11 +173,7 @@ class GlobalScheduler:
         return source
 
     def unregister(self, name: str) -> None:
-        """Drop a source (e.g. a drained pre-migration shard).
-
-        The history-to-global mapping lives with the owner of the source
-        (the router keeps its own per-epoch offset map).
-        """
+        """Drop a source (e.g. a drained pre-migration shard)."""
         source = self._sources.pop(name)
         source.simulator.set_head_listener(None)
         if self._sanitizer is not None:
@@ -237,20 +221,19 @@ class GlobalScheduler:
             raise ValueError("cannot schedule a probe in the global past")
         if self._telemetry_source is None:
             self._telemetry_source = self.register_simulator(
-                Simulator(), name=TELEMETRY_SOURCE, offset=self._now
+                Simulator(start=self._now), name=TELEMETRY_SOURCE
             )
-        source = self._telemetry_source
-        # The telemetry source's local clock may legitimately be ahead of
-        # the global clock: final drain ticks run beyond the last
-        # foreground event without advancing ``now``.  A probe re-arming
-        # from global time (e.g. two probe families with different
-        # intervals) must not land in the source's local past.
-        local = max(source.to_local(time), source.simulator.now)
-        if self._sanitizer is not None and local > source.to_local(time):
+        simulator = self._telemetry_source.simulator
+        # The telemetry source's clock may legitimately be ahead of the
+        # global clock: final drain ticks run beyond the last foreground
+        # event without advancing ``now``.  A probe re-arming from the
+        # global clock (e.g. two probe families with different intervals)
+        # must not land in the source's own past.
+        effective = max(time, simulator.now)
+        if self._sanitizer is not None and effective > time:
             self._sanitizer.note_clamp(
-                "probe", TELEMETRY_SOURCE,
-                requested=time, effective=source.to_global(local))
-        return source.simulator.schedule_at(local, callback)
+                "probe", TELEMETRY_SOURCE, requested=time, effective=effective)
+        return simulator.schedule_at(effective, callback)
 
     def pending_work(self) -> bool:
         """True while any non-telemetry source has a pending event.
@@ -272,7 +255,7 @@ class GlobalScheduler:
 
         Idempotent (``strict`` only applies on first call).  The
         sanitizer guards clock monotonicity, scheduling into a source's
-        local past, probe purity and end-of-run pending-map leaks (see
+        own past, probe purity and end-of-run pending-map leaks (see
         :mod:`repro.sim.sanitizer`).  It never feeds the fingerprint,
         the clock or the stats, so a sanitized run stays byte-identical
         to an unsanitized one.
@@ -294,24 +277,23 @@ class GlobalScheduler:
 
     def _index_head(self, source: SimulatorSource) -> None:
         """Push a fresh heap entry for a source's current head (if any)."""
-        local = source.simulator.peek_time()
-        if local is None:
+        head = source.simulator.peek_time()
+        if head is None:
             source.head_version = 0
             return
         version = source.head_version = next(self._versions)
-        heappush(self._heap, (source.offset + local, source.order, version, source))
+        heappush(self._heap, (head, source.order, version, source))
 
     def _select(self) -> Optional[tuple]:
         """The heap entry of the source that runs next (None when all idle).
 
         The top entry is validated where it sits; only entries that turn
         out stale are popped (and, when the head merely moved, refreshed).
-        A source whose head event maps before the global clock (possible
-        when a simulator was attached mid-flight, or when a lagging shard
-        schedules "now" locally) is clamped to *now* -- the global clock
-        never moves backwards.  Ties -- including everything clamped to
-        *now* -- go to the earliest-registered source, exactly as the
-        pre-heap linear scan resolved them.
+        A source whose head event lies before the global clock (a lagging
+        shard scheduled at its own "now") is clamped to *now* -- the
+        global clock never moves backwards.  Ties -- including everything
+        clamped to *now* -- go to the earliest-registered source, exactly
+        as the pre-heap linear scan resolved them.
         """
         heap = self._heap
         clamped: List[tuple] = []
@@ -321,8 +303,7 @@ class GlobalScheduler:
             if version != source.head_version:
                 heappop(heap)
                 continue
-            local = source.simulator.peek_time()
-            if local is None or source.offset + local != time:
+            if source.simulator.peek_time() != time:
                 # The head moved without a listener notification (an event
                 # at the front was cancelled): refresh and keep looking.
                 heappop(heap)
@@ -390,10 +371,10 @@ class GlobalScheduler:
         # than the head it stands for, so ``_select`` meets it in time and
         # discards or refreshes it.
         if source.head_version == version and self._heap[0] is entry:
-            local = simulator.peek_time()
-            if local is not None:
+            head = simulator.peek_time()
+            if head is not None:
                 source.head_version = version = next(self._versions)
-                heapreplace(self._heap, (source.offset + local, source.order, version, source))
+                heapreplace(self._heap, (head, source.order, version, source))
         stats = self.stats
         stats.events_total += 1
         stats.events_by_source[name] = stats.events_by_source.get(name, 0) + 1

@@ -8,13 +8,15 @@ that every determinism and noninterference guarantee in this repo
 ultimately rests on:
 
 ``clock-regression``
-    Per-source local clocks and the global clock are monotonically
+    Every source's own clock and the global clock are monotonically
     non-decreasing.  A callback that rewinds a simulator's clock (or a
     kernel bug that executes an event before *now*) corrupts every
     subsequent timestamp.
 
 ``past-schedule``
-    No foreground event is scheduled into its source's local past.  The
+    No foreground event is scheduled into its source's own past (a
+    source's clock lags the global one while idle and runs ahead of it
+    during an inline drain, so "past" is judged against that clock).  The
     underlying :class:`~repro.net.simulator.Simulator` raises a bare
     ``ValueError`` for this; the sanitizer's schedule guard sees the
     attempt first and reports it with source context, and keeps a
@@ -28,7 +30,7 @@ ultimately rests on:
 ``probe-mutation``
     Telemetry probes are pure observation.  Around every probe the
     sanitizer snapshots the foreground surface (global clock,
-    fingerprint, event counts, and each non-telemetry source's local
+    fingerprint, event counts, and each non-telemetry source's own
     clock, queue depth and head time) and verifies the probe left all
     of it untouched -- the runtime twin of the static ``SD01`` rule and
     of the telemetry-on/off byte-identity suites.
@@ -108,7 +110,7 @@ class KernelSanitizer:
         self.clamps: List[ClampEvent] = []
         self.events_checked = 0
         self.probes_checked = 0
-        #: Per-source high-water mark of the local clock.
+        #: Per-source high-water mark of the source's own clock.
         self._local_marks: Dict[str, float] = {}
         self._watches: List[Tuple[str, Sized]] = []
 
@@ -132,7 +134,7 @@ class KernelSanitizer:
 
         if source.name == TELEMETRY_SOURCE:
             # Probe scheduling goes through the kernel's re-arm clamp,
-            # which already forbids the local past; guarding it again
+            # which already forbids the source's past; guarding it again
             # would only tax the observation path.
             return
         self._local_marks[source.name] = source.simulator.now
@@ -143,14 +145,12 @@ class KernelSanitizer:
         source.simulator.set_schedule_guard(None)
         self._local_marks.pop(source.name, None)
 
-    def _on_schedule(self, source, local_time: float) -> None:
-        if local_time < source.simulator.now:
+    def _on_schedule(self, source, time: float) -> None:
+        if time < source.simulator.now:
             self._report(
                 PAST_SCHEDULE, source.name,
-                f"schedule_at(local={local_time!r}) is before the source's "
-                f"local clock {source.simulator.now!r} "
-                f"(global {source.to_global(local_time)!r} < "
-                f"{source.global_now!r})")
+                f"schedule_at({time!r}) is before the source's own clock "
+                f"{source.simulator.now!r}")
 
     # -- per-event monotonicity --------------------------------------------------
 
@@ -168,7 +168,7 @@ class KernelSanitizer:
         if mark is not None and local_now < mark:
             self._report(
                 CLOCK_REGRESSION, source.name,
-                f"local clock moved backwards: {local_now!r} < high-water "
+                f"source clock moved backwards: {local_now!r} < high-water "
                 f"mark {mark!r} (a callback rewound the clock)")
         else:
             self._local_marks[source.name] = local_now

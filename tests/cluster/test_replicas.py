@@ -207,7 +207,7 @@ class TestSessionGuard:
         assert stats.session_fallbacks == 3  # one per rejected choice
         assert stats.follower_reads == 0
         assert stats.policy_hit_rate < 1.0
-        report = check_sessions(cluster.history(global_clock=True))
+        report = check_sessions(cluster.history())
         assert report.ok
 
     def test_disabling_the_guard_makes_stale_reads_detectable(self, config):
@@ -226,7 +226,7 @@ class TestSessionGuard:
                    for i in range(3)]
         cluster.run_until_idle()
         del handles
-        report = check_sessions(cluster.history(global_clock=True))
+        report = check_sessions(cluster.history())
         assert not report.ok
         assert any(v.guarantee in ("read-your-writes", "monotonic-reads")
                    for v in report.violations)
@@ -260,7 +260,7 @@ class TestFailover:
         assert cluster.router.result(write).value == b"v2"
         assert cluster.router.result(read) is not None
         assert cluster.check_atomicity() is None
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
         # Redundancy is restored: a replacement follower was provisioned.
         assert len(group.live_followers()) == 2
         assert victim not in group.pools()
@@ -492,7 +492,7 @@ class TestFailover:
             assert cluster.read(f"obj-{i}").value == f"v{i}".encode()
         cluster.run_until_idle()
         assert cluster.check_atomicity() is None
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
     def test_rebalance_after_failover_avoids_the_dead_pool(self, config):
         # The ring still lists a killed pool (failures do not change
@@ -735,7 +735,7 @@ class TestQuorumReads:
         stats = cluster.router.stats
         assert stats.session_fallbacks == 1
         assert cluster.router.incomplete_operations() == 0
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
     def test_guardless_stale_quorum_is_caught_by_the_auditor(self, config):
         cluster, kernel = build_cluster(config, policy="quorum",
@@ -751,7 +751,7 @@ class TestQuorumReads:
                    for i in range(2)]
         cluster.run_until_idle()
         del handles
-        report = check_sessions(cluster.history(global_clock=True))
+        report = check_sessions(cluster.history())
         assert not report.ok
         assert any(v.guarantee in ("read-your-writes", "monotonic-reads")
                    for v in report.violations)
@@ -877,7 +877,7 @@ class TestWriteForwarding:
         assert cluster.router.stats.forwarded_writes == 1
         assert cluster.read("k").value == b"v2"
         assert cluster.check_atomicity() is None
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
 
 class _StickyPolicy(ReadRoutingPolicy):
@@ -910,7 +910,7 @@ class TestRoutingFallbackAccounting:
         cluster.run_until_idle()
         assert cluster.router.result(late) is not None
         assert cluster.router.result(future) is not None
-        history = cluster.history(global_clock=True)
+        history = cluster.history()
         invoked = sorted(op.invoked_at for op in history if op.kind == READ)
         assert len(invoked) == 2
         # The late read is clamped to ~t; the future read keeps its
@@ -1100,7 +1100,7 @@ class TestReviewRegressions:
         future = cluster.router.invoke_read("obj-0", at=t + 200.0)
         cluster.run_until_idle()
         assert cluster.router.result(late).value == b"v2"
-        history = cluster.history(global_clock=True)
+        history = cluster.history()
         read_at = [op.invoked_at for op in history if op.kind == READ]
         assert read_at == [pytest.approx(t + 200.0)]
         del future
@@ -1176,7 +1176,7 @@ class TestReviewRegressions:
         assert lagging.reads_served == 0
         stats = cluster.router.stats
         assert stats.follower_reads == healthy.reads_served
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
     def test_the_quorum_pool_name_is_reserved(self, config):
         with pytest.raises(ValueError, match="reserved"):

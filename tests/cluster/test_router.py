@@ -5,9 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.membership import Membership
+from repro.cluster.replicas import ReplicationConfig
 from repro.cluster.router import ObjectRouter
 from repro.core.config import LDSConfig
 from repro.net.latency import FixedLatencyModel
+from repro.sim import (
+    ClusterSimulation,
+    migration_under_load,
+    replica_failover_under_load,
+)
 from repro.sim.kernel import GlobalScheduler
 
 POOLS = ["pool-0", "pool-1", "pool-2"]
@@ -163,14 +169,116 @@ class TestMigration:
         assert len(router.history().reads()) == before_reads
         assert router.check_atomicity() is None
 
-
-class TestGlobalClockOffsets:
-    def test_missing_offset_raises_instead_of_misplacing_the_epoch(
+    def test_back_to_back_migrations_keep_the_epochs_in_real_time_order(
             self, router):
-        router.write("obj-0", b"x")
-        del router._kernel_offsets["obj-0"]
-        with pytest.raises(RuntimeError, match="offset"):
-            router.history(global_clock=True)
+        from repro.cluster.placement import ShardMove
+        router.write("obj-0", b"first")
+        # Not pumped: the inline drain completes this write *ahead* of the
+        # kernel clock, and the next epoch is born where it responded.
+        router.invoke_write("obj-0", b"second")
+        first = router.shards["obj-0"].pool
+        second, third = (pool for pool in POOLS if pool != first)
+        router.migrate(ShardMove(key="obj-0", source=first, target=second))
+        drained_at = router.migration_log[-1][0]
+        assert drained_at > router.kernel.now
+        # The new epoch sees no operation before it moves again: the third
+        # epoch must still begin after the first one's last response.
+        router.migrate(ShardMove(key="obj-0", source=second, target=third))
+        assert router.migration_log[-1][0] == drained_at
+        assert router.read("obj-0").value == b"second"
+        [late_read] = router.history().reads()
+        assert late_read.invoked_at >= drained_at
+
+    def test_a_bare_rebalance_is_stamped_now_and_pays_the_copy_delay(self):
+        config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
+        replication = ReplicationConfig(r=2)
+        simulation = ClusterSimulation(config, ["p0", "p1", "p2"], seed=3,
+                                       replication=replication)
+        for i in range(12):
+            simulation.write(f"k{i}", b"v")
+        simulation.run(until=1000.0)
+        simulation.membership.join_pool("p3", n1=config.n1, n2=config.n2,
+                                        time=simulation.now)
+        assert simulation.router.pending_rebalance().time == 1000.0
+        plan = simulation.router.rebalance(reason="bare")
+        simulation.run_until_idle()
+        assert plan.time == 1000.0
+        provisioned = [time for time, kind, _ in simulation.replicas.failover_log
+                       if kind == "follower-provisioned"]
+        assert provisioned
+        assert set(provisioned) == {1000.0 + replication.provision_delay}
+
+
+class TestOneTimeDomain:
+    """Every epoch's own recorder runs on the global clock from its first
+    event, so the merged history translates nothing."""
+
+    @staticmethod
+    def _run(scenario_name: str):
+        config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
+        keys = [f"obj-{i}" for i in range(12)]
+        if scenario_name == "migration_under_load":
+            simulation = ClusterSimulation(config, POOLS[:2], seed=11)
+            scenario = migration_under_load(keys, "pool-9", seed=11,
+                                            operations=80, join_at=150.0)
+        else:
+            simulation = ClusterSimulation(
+                config, POOLS + ["pool-3"], seed=7,
+                replication=ReplicationConfig(r=3, replication_lag=25.0,
+                                              failover_detection_delay=12.0))
+            scenario = replica_failover_under_load(keys, "pool-0", seed=7,
+                                                   operations=120)
+        simulation.ensure_shards(keys)
+        simulation.apply(scenario)
+        return simulation
+
+    @staticmethod
+    def _epoch_births(simulation) -> dict:
+        """(key, epoch) -> the instant the logs say the epoch began."""
+        starts = [(time, key) for time, key, _source, _target
+                  in simulation.router.migration_log]
+        if simulation.replicas is not None:
+            starts += [(time, detail.split(":")[0]) for time, kind, detail
+                       in simulation.replicas.failover_log
+                       if kind == "promote"]
+        births: dict = {}
+        for time, key in sorted(starts):
+            epoch = 1 + sum(1 for born_key, _ in births if born_key == key)
+            births[(key, epoch)] = time
+        return births
+
+    @pytest.mark.parametrize("scenario_name", ["migration_under_load",
+                                               "replica_failover_under_load"])
+    def test_epochs_record_global_time_from_their_birth(self, scenario_name):
+        simulation = self._run(scenario_name)
+        router = simulation.router
+        births = self._epoch_births(simulation)
+        assert births and min(births.values()) > 0.0
+        merged = {op.op_id: op for op in router.history()}
+        late_operations = 0
+        for shard in router.shards.values():
+            epochs = shard.retired_histories + [shard.system.history()]
+            assert len(epochs) == shard.epoch + 1
+            for epoch, recorded in enumerate(epochs):
+                born = births[(shard.key, epoch)] if epoch else 0.0
+                for op in recorded:
+                    assert op.invoked_at >= born, (op.object_id, op.op_id)
+                    late_operations += epoch > 0
+                    shown = merged.get(f"{op.object_id}/{op.op_id}")
+                    if shown is not None:  # internal copy reads are not
+                        assert (shown.invoked_at, shown.responded_at) \
+                            == (op.invoked_at, op.responded_at)
+        assert late_operations
+
+    def test_a_shard_first_used_late_starts_at_the_global_instant(
+            self, router):
+        router.kernel.run(until=500.0)
+        result = router.write("late", b"x")
+        [recorded] = router.shards["late"].system.history()
+        assert 500.0 <= recorded.invoked_at == result.invoked_at
+        [merged] = router.history()
+        assert (merged.invoked_at, merged.responded_at) \
+            == (recorded.invoked_at, recorded.responded_at)
 
 
 class TestSessionThreading:

@@ -220,7 +220,7 @@ SCENARIOS = scenario_simulations()
 @pytest.fixture(scope="module")
 def scenario_histories():
     """Each scenario run once per module; the tests share the histories."""
-    return {name: build().history(global_clock=True)
+    return {name: build().history()
             for name, build in SCENARIOS}
 
 

@@ -14,6 +14,10 @@ which order -- per epoch every operation's id, kind, tag and value read,
 per key the order in which operations responded -- with every timestamp
 left out.  A change that re-records a fingerprint has to leave the digest,
 the counts, the cost per operation and the audit verdict where they are.
+It happened once: when every shard simulator came to be born on the global
+clock, an epoch starting after t = 0 (a migration, a failover) computes
+``(birth + a) + b`` where it used to compute ``birth + (a + b)``; the five
+rows with such an epoch carry their old fingerprint in a comment.
 """
 
 import zlib
@@ -80,7 +84,8 @@ RECORDED = {
                     1973940145, 6.1979166666666625),
     "write_heavy": (1226215423, 865, 848,
                     1388629248, 14.062499999999991),
-    "replica_faults": (1569939775, 4651, 3455,
+    # fingerprint 1569939775 before
+    "replica_faults": (4025494608, 4651, 3455,
                        2581904042, 4.016319444444444),
 }
 
@@ -173,19 +178,23 @@ SCENARIOS = {
 RECORDED_SCENARIOS = {
     "repair-under-load": (2294967946, 2700, 2570,
                           1713728249, 9.783333333333333),
-    "migration-under-load": (1432714149, 2714, 2536,
+    # fingerprint 1432714149 before
+    "migration-under-load": (1177596956, 2714, 2536,
                              1146416987, 10.366666666666667),
     "correlated-pool-failure": (2190895864, 2508, 2373,
                                 2848213499, 8.958333333333334),
     "flash-crowd": (3637184724, 4954, 4731,
                     1781343314, 9.709090909090909),
-    "replica-failover-under-load": (2380529788, 2212, 1983,
+    # fingerprint 2380529788 before
+    "replica-failover-under-load": (4249336568, 2212, 1983,
                                     2814127661, 6.670886075949367),
-    "degraded-reads-during-catch-up": (2895632883, 3498, 2706,
+    # fingerprint 2895632883 before
+    "degraded-reads-during-catch-up": (2720841203, 3498, 2706,
                                        2611372809, 7.260504201680672),
     "quorum-reads-under-lag": (3388774046, 2857, 2444,
                                3976139252, 7.191666666666666),
-    "forwarded-writes-during-failover": (2443290197, 3220, 2820,
+    # fingerprint 2443290197 before
+    "forwarded-writes-during-failover": (2774484673, 3220, 2820,
                                          733725266, 10.1),
 }
 

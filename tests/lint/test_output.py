@@ -13,8 +13,8 @@ def _findings():
     return [
         Finding(rule="ND01", path="pkg/a.py", line=3, col=9,
                 message="unseeded call"),
-        Finding(rule="TD01", path="pkg/b.py", line=7, col=1,
-                message="cross-domain comparison"),
+        Finding(rule="SD03", path="pkg/b.py", line=7, col=1,
+                message="cross-source clock access"),
         Finding(rule=BARE_PRAGMA, path="pkg/a.py", line=5, col=1,
                 message="pragma carries no justification"),
     ]
@@ -31,7 +31,7 @@ def test_json_payload_shape():
     payload = json.loads(render_json(_findings(), _cache()))
     assert payload["version"] == 1
     assert payload["tool"] == "repro.lint"
-    assert payload["counts"] == {"E003": 1, "ND01": 1, "TD01": 1}
+    assert payload["counts"] == {"E003": 1, "ND01": 1, "SD03": 1}
     entries = payload["findings"]
     assert len(entries) == 3
     first = entries[0]
@@ -72,10 +72,10 @@ def test_sarif_rule_descriptors_carry_titles():
     payload = json.loads(render_sarif([], SourceCache({})))
     driver = payload["runs"][0]["tool"]["driver"]
     by_id = {rule["id"]: rule for rule in driver["rules"]}
-    assert by_id["TD01"]["shortDescription"]["text"] \
-        == "cross-domain time comparison"
-    assert by_id["TD01"]["defaultConfiguration"]["level"] == "warning"
-    assert "fullDescription" in by_id["TD01"]
+    assert by_id["SD03"]["shortDescription"]["text"] \
+        == "raw cross-source simulator clock access"
+    assert by_id["SD03"]["defaultConfiguration"]["level"] == "warning"
+    assert "fullDescription" in by_id["SD03"]
 
 
 def test_empty_scan_renders_valid_documents():

@@ -29,9 +29,6 @@ CASES = {
     "sd02": ("SD02", 2),
     "sd03": ("SD03", 4),
     "sd04": ("SD04", 5),
-    "td01": ("TD01", 3),
-    "td02": ("TD02", 2),
-    "td03": ("TD03", 3),
 }
 
 #: Rules scoped by path live under a matching fixture subdirectory:

@@ -43,15 +43,15 @@ def test_library_never_reads_the_wall_clock():
 def test_list_rules_names_every_shipped_rule():
     result = _run("--list-rules")
     assert result.returncode == 0
-    for rule_id in ("ND01", "ND02", "ND03", "ND04", "ND05",
-                    "RP01", "RP02",
-                    "SD01", "SD02", "SD03", "SD04",
-                    "TD01", "TD02", "TD03"):
-        assert rule_id in result.stdout
+    # Two header lines, then one row per rule -- these and nothing else.
+    listed = [line.split()[0] for line in result.stdout.splitlines()[2:]]
+    assert listed == ["ND01", "ND02", "ND03", "ND04", "ND05",
+                      "RP01", "RP02",
+                      "SD01", "SD02", "SD03", "SD04"]
 
 
 def test_new_families_scan_src_clean():
-    result = _run("--select", "TD01,TD02,TD03,RP01,RP02",
+    result = _run("--select", "RP01,RP02",
                   os.path.join(SRC, "repro"))
     assert result.returncode == 0, result.stdout + result.stderr
 

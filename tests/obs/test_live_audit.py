@@ -48,7 +48,7 @@ class TestNonPerturbation:
 
     def test_live_verdict_equals_batch_verdict(self):
         live = run_quorum(True)
-        batch = check_sessions(live.history(global_clock=True))
+        batch = check_sessions(live.history())
         streamed = live.audit().sessions
         assert streamed.describe() == batch.describe()
         assert Counter(map(str, streamed.violations)) == \

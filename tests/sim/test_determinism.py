@@ -57,7 +57,7 @@ class TestGlobalDeterminism:
         def signature(simulation):
             history = sorted(
                 (op.op_id, op.invoked_at, op.responded_at)
-                for op in simulation.history(global_clock=True)
+                for op in simulation.history()
             )
             repairs = [(t.key, t.scheduled_at, t.completed_at, t.status)
                        for t in simulation.repair.tasks]

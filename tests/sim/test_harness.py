@@ -36,7 +36,7 @@ class TestDriving:
         simulation.add_workload(workload)
         simulation.run_until_idle()
         assert simulation.arrivals == 40
-        history = simulation.history(global_clock=True)
+        history = simulation.history()
         nominal = {op.at for op in workload.operations}
         # Global invocation times equal the nominal workload times (each
         # arrival is injected exactly when the global clock reaches it).
@@ -72,7 +72,7 @@ class TestDriving:
             generator.keyed_random(KEYS, 30, 0.5, 300.0))
         assert second.is_atomic
         assert second.incomplete_operations == 0
-        late = [op for op in simulation.history(global_clock=True)
+        late = [op for op in simulation.history()
                 if op.invoked_at >= advanced]
         # the second workload kept its spread instead of firing all at once
         assert len({op.invoked_at for op in late}) > 10
@@ -87,7 +87,7 @@ class TestDriving:
         simulation.run_until_idle()
         assert simulation.check_atomicity() is None
         invoked = sorted(op.invoked_at
-                         for op in simulation.history(global_clock=True))
+                         for op in simulation.history())
         # the earliest operation lands exactly at the clock, the rest keep
         # their relative spacing behind it
         assert invoked[0] == pytest.approx(500.0)
@@ -158,7 +158,7 @@ class TestDriving:
         key = moved[0][1]
         write_at = simulation.now
         simulation.router.write(key, b"after-migration")
-        late = [op for op in simulation.history(global_clock=True)
+        late = [op for op in simulation.history()
                 if op.value == b"after-migration"]
         assert late and late[0].invoked_at <= write_at + 1e-6
         assert simulation.check_atomicity() is None
@@ -182,7 +182,7 @@ class TestDriving:
         # a write after the migration lands after the join on the global clock
         key = moved[0][1]
         simulation.router.write(key, b"late")
-        late_ops = [op for op in simulation.history(global_clock=True)
+        late_ops = [op for op in simulation.history()
                     if op.value == b"late"]
         assert late_ops and all(op.invoked_at >= join_at for op in late_ops)
         assert simulation.check_atomicity() is None
@@ -239,7 +239,7 @@ class TestCompatibilityShim:
         moved = {key for _, key, _, _ in cluster.router.migration_log}
         for key in moved:
             cluster.write(key, b"epoch1")
-        history = cluster.history(global_clock=True)
+        history = cluster.history()
         for key in moved:
             epoch0 = [op for op in history if op.op_id.startswith(f"{key}/")]
             epoch1 = [op for op in history if op.op_id.startswith(f"{key}@e1/")]

@@ -15,38 +15,16 @@ def _recorder(kernel, log, name):
 
 
 class TestRegistration:
-    def test_fresh_simulator_aligns_local_zero_with_global_now(self):
-        kernel = GlobalScheduler()
-        kernel.schedule_at(10.0, lambda: None)
-        kernel.run_until_idle()
-        source = kernel.register_simulator(Simulator(), name="late")
-        assert source.offset == 10.0
-        assert source.to_global(0.0) == 10.0
-        assert source.to_local(12.0) == 2.0
-
-    def test_already_run_simulator_aligns_current_times(self):
-        kernel = GlobalScheduler()
-        simulator = Simulator()
-        simulator.schedule(7.0, lambda: None)
-        simulator.run_until_idle()
-        source = kernel.register_simulator(simulator, name="veteran")
-        assert source.offset == -7.0
-        assert source.global_now == 0.0
-
     def test_duplicate_names_rejected(self):
         kernel = GlobalScheduler()
         kernel.register_simulator(Simulator(), name="a")
         with pytest.raises(ValueError):
             kernel.register_simulator(Simulator(), name="a")
 
-    def test_unregistered_source_keeps_its_offset_on_record(self):
+    def test_unregistered_source_is_forgotten(self):
         kernel = GlobalScheduler()
-        kernel.schedule_at(5.0, lambda: None)
-        kernel.run_until_idle()
-        source = kernel.register_simulator(Simulator(), name="gone")
+        kernel.register_simulator(Simulator(), name="gone")
         kernel.unregister("gone")
-        # The kernel forgets the source; the owner's handle keeps the offset.
-        assert source.offset == 5.0
         with pytest.raises(KeyError):
             kernel.source("gone")
 
@@ -66,16 +44,18 @@ class TestMergedOrdering:
         assert log == [("a1", 1.0), ("b2", 2.0), ("b4", 4.0), ("a5", 5.0)]
         assert kernel.stats.context_switches == 2  # a->b and b->a
 
-    def test_offsets_shift_a_source_onto_the_global_timeline(self):
+    def test_a_source_born_late_keeps_its_own_timestamps(self):
         kernel = GlobalScheduler()
         log = []
-        early, late = Simulator(), Simulator()
+        early, late = Simulator(), Simulator(start=10.0)
         kernel.register_simulator(early, name="early")
-        kernel.register_simulator(late, name="late", offset=10.0)
+        kernel.register_simulator(late, name="late")
         early.schedule(11.0, _recorder(kernel, log, "early11"))
-        late.schedule(0.5, _recorder(kernel, log, "late-local-0.5"))
+        late.schedule(0.5, lambda: log.append(("late10.5", late.now)))
         kernel.run_until_idle()
-        assert log == [("late-local-0.5", 10.5), ("early11", 11.0)]
+        # The late source's clock *is* the global clock: nothing is shifted.
+        assert log == [("late10.5", 10.5), ("early11", 11.0)]
+        assert kernel.now == 11.0
 
     def test_ties_break_by_registration_order(self):
         kernel = GlobalScheduler()
@@ -117,7 +97,7 @@ class TestMergedOrdering:
         kernel.schedule_at(10.0, lambda: None)
         kernel.run_until_idle()
         lagging = Simulator()
-        kernel.register_simulator(lagging, name="lagging", offset=0.0)
+        kernel.register_simulator(lagging, name="lagging")
         lagging.schedule(1.0, _recorder(kernel, log, "late-event"))
         kernel.run_until_idle()
         # The event's nominal global time (1.0) already passed; it runs
@@ -204,8 +184,8 @@ class TestStatsAndTrace:
 
     def test_trace_records_global_times_and_sources(self):
         kernel = GlobalScheduler(record_trace=True)
-        shard = Simulator()
-        kernel.register_simulator(shard, name="shard", offset=100.0)
+        shard = Simulator(start=100.0)
+        kernel.register_simulator(shard, name="shard")
         shard.schedule(1.0, lambda: None)
         kernel.schedule_at(50.0, lambda: None)
         kernel.run_until_idle()

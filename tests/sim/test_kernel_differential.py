@@ -30,12 +30,10 @@ class ReferencePump:
         self.trace = []
         self.stats = KernelStats()
         self.fingerprint = 0
-        self.register_simulator(Simulator(), KERNEL_SOURCE, offset=0.0)
+        self.register_simulator(Simulator(), KERNEL_SOURCE)
 
-    def register_simulator(self, simulator, name, offset=None):
-        if offset is None:
-            offset = self.now - simulator.now
-        source = SimpleNamespace(name=name, simulator=simulator, offset=offset)
+    def register_simulator(self, simulator, name):
+        source = SimpleNamespace(name=name, simulator=simulator)
         self._sources[name] = source  # dicts keep registration order
         return source
 
@@ -47,17 +45,17 @@ class ReferencePump:
 
     def schedule_probe(self, time, callback):
         source = self._sources.get(TELEMETRY_SOURCE) or self.register_simulator(
-            Simulator(), TELEMETRY_SOURCE, offset=self.now)
-        local = max(time - source.offset, source.simulator.now)
-        return source.simulator.schedule_at(local, callback)
+            Simulator(start=self.now), TELEMETRY_SOURCE)
+        return source.simulator.schedule_at(
+            max(time, source.simulator.now), callback)
 
     def step(self) -> bool:
         best = None
         for source in self._sources.values():
-            local = source.simulator.peek_time()
-            if local is None:
+            head = source.simulator.peek_time()
+            if head is None:
                 continue
-            time = max(source.offset + local, self.now)
+            time = max(head, self.now)
             if best is None or time < best[0]:  # strict: ties keep the first
                 best = (time, source)
         if best is None:
@@ -85,11 +83,11 @@ def drive(pump, seed: int, max_events: int = 400):
 
     def add_source():
         made[0] += 1
-        simulator = Simulator()
-        # None aligns with *now*; a negative shift lags, so heads clamp.
-        shift = rng.choice([None, None, 0.0, -3.0, -12.5, 4.0])
-        offset = None if shift is None else pump.now + shift
-        pump.register_simulator(simulator, f"s{made[0]}", offset=offset)
+        # Born at *now*, behind it (a lagging clock, so heads clamp) or
+        # ahead of it (an epoch resuming where an inline drain ended).
+        shift = rng.choice([0.0, 0.0, 0.0, -3.0, -12.5, 4.0])
+        simulator = Simulator(start=pump.now + shift)
+        pump.register_simulator(simulator, f"s{made[0]}")
         for _ in range(rng.randrange(4)):
             plant(simulator, f"s{made[0]}")
 
@@ -108,9 +106,9 @@ def drive(pump, seed: int, max_events: int = 400):
                 plant(source.simulator, source.name)
             elif move == 4:                   # onto another source, at exactly now
                 source = rng.choice(targets())
-                local = max(pump.now - source.offset, source.simulator.now)
                 handles.append(source.simulator.schedule_at(
-                    local, lambda n=source.name: act(n)))
+                    max(pump.now, source.simulator.now),
+                    lambda n=source.name: act(n)))
             elif move == 5 and handles:       # cancel (often a head)
                 handles.pop(rng.randrange(len(handles))).cancel()
             elif move == 6 and made[0] < 6:   # a source joins mid-run
@@ -155,6 +153,6 @@ def test_the_scripts_reach_the_cases_they_are_meant_to():
         same_instant += sum(a == b for a, b in zip(times, times[1:]))
         probes += len(probe_log)
         left += any(name not in names for _, name in trace)
-        clamped += any(s.offset + s.simulator.now < pump.now - 1.0
+        clamped += any(s.simulator.now < pump.now - 1.0
                        for s in pump.sources() if s.simulator.events_processed)
     assert min(clamped, same_instant, probes, left) > 0

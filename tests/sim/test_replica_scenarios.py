@@ -85,7 +85,7 @@ class TestReplicaFailoverUnderLoad:
 
     def test_stale_follower_injection_is_detected(self, config):
         simulation = run_failover(config, "round-robin")
-        history = simulation.history(global_clock=True)
+        history = simulation.history()
         assert any(is_follower_read(op) for op in history)
         injection = inject_stale_follower_read(history)
         report = check_sessions(injection.history)
@@ -120,7 +120,7 @@ class TestDegradedReadsDuringCatchUp:
                 windows.append((down_at.pop(key), time))
         assert windows
         degraded = [
-            op for op in simulation.history(global_clock=True)
+            op for op in simulation.history()
             if is_follower_read(op)
             and any(start <= op.invoked_at <= end for start, end in windows)
         ]

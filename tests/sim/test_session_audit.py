@@ -62,7 +62,7 @@ class TestScenariosAuditClean:
         # The audit must span migration epochs, not dodge them.
         assert simulation.router.stats.migrations >= 1
         report = _audited(simulation)
-        epochs = {op.object_id for op in simulation.history(global_clock=True)}
+        epochs = {op.object_id for op in simulation.history()}
         assert any("@e" in object_id for object_id in epochs)
         assert report.sessions.operations_checked == 120
 
@@ -85,7 +85,7 @@ class TestScenariosAuditClean:
         report = _audited(simulation)
         # Calm and crowd populations are audited as separate sessions.
         assert report.sessions.sessions_checked == 2
-        sessions = set(simulation.history(global_clock=True).sessions())
+        sessions = set(simulation.history().sessions())
         assert sessions == {"client-0", "crowd-1"}
 
 
@@ -101,7 +101,7 @@ class TestInjectionOnScenarioHistories:
             KEYS, "pool-0/l2-0", seed=11, operations=160,
             duration=600.0, fail_at=120.0,
         ))
-        history = simulation.history(global_clock=True)
+        history = simulation.history()
         assert check_sessions(history).ok
         return history
 
@@ -122,7 +122,7 @@ class TestSessionThreading:
         simulation.invoke_read("b", at=50.0, session="alice")
         simulation.invoke_write("c", b"y", at=100.0, session="bob")
         simulation.run_until_idle()
-        history = simulation.history(global_clock=True)
+        history = simulation.history()
         by_session = {}
         for op in history:
             by_session.setdefault(op.session, []).append(op.object_id)
@@ -137,6 +137,6 @@ class TestSessionThreading:
         workload = generator.keyed_random(KEYS[:4], 20, 0.5, 400.0)
         simulation.add_workload(workload)
         simulation.run_until_idle()
-        history = simulation.history(global_clock=True)
+        history = simulation.history()
         assert len(history) == 20
         assert all(op.session == "client-0" for op in history)

@@ -77,10 +77,6 @@ class SimulatorSource:
         #: Version of the one live kernel heap entry for this source's head.
         self.head_version = 0
 
-    def next_time(self) -> Optional[float]:
-        """Time of the source's next pending event (None when idle)."""
-        return self.simulator.peek_time()
-
 
 @dataclass
 class KernelStats:
@@ -243,7 +239,7 @@ class GlobalScheduler:
         drained simulation pumping forever.
         """
         return any(
-            source.next_time() is not None
+            source.simulator.peek_time() is not None
             for name, source in self._sources.items()
             if name != TELEMETRY_SOURCE
         )

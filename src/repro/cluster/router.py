@@ -694,7 +694,7 @@ class ObjectRouter:
         batch = sorted(shard.pending,
                        key=lambda op: op.at if op.at is not None else -1.0)
         shard.pending = []
-        now = shard.system.simulator.now  # simlint: disable=SD03 -- batch ratchet reads the owned shard's local clock
+        now = shard.system.simulator.now  # simlint: disable=SD03 -- the batch ratchet needs the owned shard's own clock reading, lag included
         # A shard's clock only moves forward.  When a batch's nominal window
         # has already passed (e.g. a fresh workload on a shard that just ran
         # to quiescence), shift the *whole batch* forward uniformly: relative

@@ -8,6 +8,7 @@ matrices filled upper triangle row by row, the RS Vandermonde generator.
 """
 
 import hashlib
+import struct
 import sys
 from pathlib import Path
 
@@ -18,8 +19,12 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "gf"))
 import gf_oracle  # noqa: E402
 
+from repro.codes.layered import LayeredCode  # noqa: E402
 from repro.codes.product_matrix import ProductMatrixMBRCode, ProductMatrixMSRCode  # noqa: E402
 from repro.codes.reed_solomon import ReedSolomonCode  # noqa: E402
+from repro.core import messages as msg  # noqa: E402
+from repro.core.server_l2 import L2Server  # noqa: E402
+from repro.core.tags import Tag  # noqa: E402
 
 
 def vandermonde(rows, cols):
@@ -88,6 +93,34 @@ def test_block_view_equals_the_docstring_construction(drawn, data):
     assert {j: s.tolist() for j, s in symbols.items()} \
         == {j: [gf_oracle.dot(expected[j], projection)] for j in helpers}
     assert code.repair_block(failed, symbols).tolist() == expected[failed]
+
+
+@pytest.mark.parametrize("stripes", [1, 11])
+@pytest.mark.parametrize("point", ["mbr", "msr"])
+def test_every_l2_server_sends_every_l1_index_psi_j_m_v_f(point, stripes):
+    """What an L2 server answers a ``QueryCodeElem`` with, for every (L2
+    server, L1 index) pair and asked twice, is ``psi_j M_s v_f`` per stripe,
+    with ``M_s`` built from the length-prefixed, zero-padded value."""
+    layered = LayeredCode(n1=5, n2=6, k=3, d=4, operating_point=point)
+    code = layered.code
+    value = bytes(range(7, 7 + stripes * code.block_size - 4))
+    payload = (struct.pack(">I", len(value)) + value).ljust(stripes * code.block_size, b"\0")
+    blocks = [payload[at:at + code.block_size]
+              for at in range(0, len(payload), code.block_size)]
+    assert len(blocks) == stripes == code.stripe_count(len(value))
+    elements = [reference_elements(code, block) for block in blocks]  # [s][j] = psi_j M_s
+    projections = vandermonde(code.n, code.element_size)  # [f] = v_f
+    stored = layered.encode_for_backend(value)
+    for l2_index in range(layered.n2):
+        server = L2Server(f"l2-{l2_index}", l2_index, layered, Tag(1, "w"), stored[l2_index])
+        sent = []
+        server.send = lambda destination, message: sent.append(message)
+        for l1_index in list(range(layered.n1)) * 2:
+            server.on_message("l1", msg.QueryCodeElem(l1_index=l1_index))
+            assert sent[-1].tag == Tag(1, "w")
+            assert list(sent[-1].helper_data) == [
+                gf_oracle.dot(stripe[layered.n1 + l2_index], projections[l1_index])
+                for stripe in elements]
 
 
 @pytest.mark.parametrize("code, digest", [

@@ -63,6 +63,38 @@ class TestL2Server:
         assert response.regen_id == 7
         assert response.data_size == pytest.approx(float(system.code.costs.helper_fraction))
 
+    def test_helper_data_follows_the_stored_pair_and_only_a_higher_tag_moves_it(self):
+        system = build_system()
+        first = system.write(b"the first value")
+        system.run_until_idle()
+        target = system.l2_servers[3]
+        captured = []
+        target.send = lambda dest, message: captured.append(message)  # type: ignore[assignment]
+
+        def helper(l1_index):
+            target.on_message(system.config.l1_pid(l1_index),
+                              msg.QueryCodeElem(l1_index=l1_index))
+            return captured[-1].tag, captured[-1].helper_data
+
+        def fresh(value, l1_index):
+            # Straight from the code, bypassing the server.
+            element = system.code.code.encode(value)[system.code.l2_symbol_index(3)]
+            return system.code.code.helper_data(element.index, element.data, l1_index)
+
+        before = [helper(l1_index) for l1_index in range(5)]
+        assert before == [(first.tag, fresh(b"the first value", i)) for i in range(5)]
+        other = system.code.encode_for_backend(b"another value!!")[3].data
+        for tag in (Tag.initial(), first.tag):  # lower, equal: element and helpers stay
+            target.on_message(system.config.l1_pid(0),
+                              msg.WriteCodeElem(tag=tag, coded_element=other))
+            assert [helper(l1_index) for l1_index in range(5)] == before
+        higher = Tag(first.tag.z + 1, "writer-1")
+        target.on_message(system.config.l1_pid(0),
+                          msg.WriteCodeElem(tag=higher, coded_element=other))
+        after = [helper(l1_index) for l1_index in range(5)]
+        assert after == [(higher, fresh(b"another value!!", i)) for i in range(5)]
+        assert after != [(higher, data) for _, data in before]
+
     def test_unknown_messages_are_ignored(self):
         system = build_system()
         target = system.l2_servers[0]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Type
+from typing import List, Mapping, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -221,14 +221,16 @@ class RegeneratingCode(ErasureCode):
         """Symbols sent by one helper per block (beta)."""
 
     @abstractmethod
-    def _helper_stripes(self, element: np.ndarray, failed_index: int) -> np.ndarray:
-        """The ``(S, beta)`` helper symbols a node holding the ``(S, alpha)``
-        ``element`` sends for the repair of ``failed_index``.
+    def _helper_stripes(self, element: np.ndarray, failed_indices: Sequence[int]) -> np.ndarray:
+        """The ``(S, F * beta)`` helper symbols a node holding the ``(S, alpha)``
+        ``element`` sends for the repair of each of the ``F`` ``failed_indices``
+        (``beta`` symbols per target, targets in the order given).
 
         The computation must depend only on the helper's own element and the
         identity of the failed node -- *not* on which other servers end up
         being helpers.  This is the property of the product-matrix codes the
-        LDS algorithm relies on (Section II-c of the paper).
+        LDS algorithm relies on (Section II-c of the paper), and what makes
+        the helper data of every target one product over a stored element.
         """
 
     @abstractmethod
@@ -255,29 +257,39 @@ class RegeneratingCode(ErasureCode):
         self, helper_index: int, helper_element: bytes, failed_index: int
     ) -> bytes:
         """Helper symbols for every stripe of a stored element, as bytes."""
+        return self.helper_data_for(helper_index, helper_element, (failed_index,))[0]
+
+    def helper_data_for(
+        self, helper_index: int, helper_element: bytes, failed_indices: Sequence[int]
+    ) -> Tuple[bytes, ...]:
+        """:meth:`helper_data` for each of ``failed_indices``, from one product."""
         element = _as_bytes(helper_element)
         stripes = _stripe_count(
             (element,), self.element_size, RepairError, "helper element"
         )
-        return self._helper(helper_index, element, failed_index, stripes).tobytes()
+        symbols = self._helper(helper_index, element, failed_indices, stripes)
+        beta = self.helper_size
+        raw = symbols.reshape(stripes, len(failed_indices), beta).transpose(1, 0, 2).tobytes()
+        return tuple(raw[at:at + stripes * beta] for at in range(0, len(raw), stripes * beta))
 
     def helper_symbols_block(
         self, helper_index: int, helper_element: np.ndarray, failed_index: int
     ) -> np.ndarray:
         """Compute the ``beta`` helper symbols one helper sends for a repair."""
-        return self._helper(helper_index, _as_bytes(helper_element), failed_index, 1)[0]
+        return self._helper(helper_index, _as_bytes(helper_element), (failed_index,), 1)[0]
 
     def _helper(
-        self, helper_index: int, element: bytes, failed_index: int, stripes: int
+        self, helper_index: int, element: bytes, failed_indices: Sequence[int], stripes: int
     ) -> np.ndarray:
-        """The ``(stripes, beta)`` helper symbols of one stored element."""
-        if not 0 <= helper_index < self.n or not 0 <= failed_index < self.n:
+        """The ``(stripes, F * beta)`` helper symbols of one stored element."""
+        if not 0 <= helper_index < self.n or not all(
+                0 <= failed_index < self.n for failed_index in failed_indices):
             raise RepairError("helper or failed index out of range")
         width = self.element_size
         if len(element) != stripes * width:
             raise RepairError("helper element has the wrong length")
         symbols = np.frombuffer(element, dtype=np.uint8)
-        return self._helper_stripes(symbols.reshape(stripes, width), failed_index)
+        return self._helper_stripes(symbols.reshape(stripes, width), failed_indices)
 
     # -- repair: both views -------------------------------------------------------
 

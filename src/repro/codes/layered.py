@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping
+from functools import lru_cache
+from typing import Dict, Mapping, Tuple
 
 from repro.codes.base import CodedElement, DecodingError, RegeneratingCode, RepairError
 from repro.codes.product_matrix import ProductMatrixMBRCode, ProductMatrixMSRCode
@@ -42,6 +43,18 @@ class LayeredCodeCosts:
     regeneration_fraction: Fraction
     #: Total permanent storage across L2 (n2 * alpha / B).
     backend_storage_fraction: Fraction
+
+
+@lru_cache(maxsize=None)
+def _regenerating_code(operating_point: str, n: int, k: int, d: int) -> RegeneratingCode:
+    """The code ``C``: immutable, so every system on one parameter set shares it."""
+    if operating_point == "mbr":
+        return ProductMatrixMBRCode(n, k, d)
+    if operating_point == "msr":
+        if d != 2 * k - 2:
+            raise ValueError("the product-matrix MSR construction requires d = 2k - 2")
+        return ProductMatrixMSRCode(n, k)
+    raise ValueError(f"unknown operating point {operating_point!r}")
 
 
 class LayeredCode:
@@ -67,17 +80,17 @@ class LayeredCode:
         self.n1 = n1
         self.n2 = n2
         self.operating_point = operating_point.lower()
-        total = n1 + n2
-        if self.operating_point == "mbr":
-            self.code: RegeneratingCode = ProductMatrixMBRCode(total, k, d)
-        elif self.operating_point == "msr":
-            if d != 2 * k - 2:
-                raise ValueError("the product-matrix MSR construction requires d = 2k - 2")
-            self.code = ProductMatrixMSRCode(total, k)
-        else:
-            raise ValueError(f"unknown operating point {operating_point!r}")
+        self.code = _regenerating_code(self.operating_point, n1 + n2, k, d)
         self.k = k
         self.d = d
+        params = self.code.parameters
+        #: The normalised message/storage sizes used for cost accounting.
+        self.costs = LayeredCodeCosts(
+            element_fraction=params.storage_per_node,
+            helper_fraction=params.helper_per_node,
+            regeneration_fraction=params.repair_bandwidth,
+            backend_storage_fraction=Fraction(n2) * params.storage_per_node,
+        )
 
     # -- index mapping --------------------------------------------------------
 
@@ -103,17 +116,19 @@ class LayeredCode:
             for l2_server in range(self.n2)
         }
 
-    def helper_data(self, l2_server: int, stored: CodedElement, l1_server: int) -> bytes:
-        """Helper data an L2 server computes for repairing an L1 symbol.
+    def helper_data(self, l2_server: int, stored: CodedElement) -> Tuple[bytes, ...]:
+        """Helper data an L2 server computes for repairing each L1 symbol:
+        entry ``j`` is what it sends L1 server ``j``, all ``n1`` from one product.
 
         Only the identity of the requesting L1 server is needed -- the L2
         server does not know (and must not need to know) which other L2
-        servers will also act as helpers.
+        servers will also act as helpers -- so the answer to every request
+        is fixed once the element is stored.
         """
-        return self.code.helper_data(
+        return self.code.helper_data_for(
             helper_index=self.l2_symbol_index(l2_server),
             helper_element=stored.data,
-            failed_index=self.l1_symbol_index(l1_server),
+            failed_indices=range(self.n1),  # the L1 symbols of C
         )
 
     def regenerate_l1_element(self, l1_server: int,
@@ -161,19 +176,6 @@ class LayeredCode:
             for l2_server, data in elements.items()
         ]
         return self.code.decode(coded)
-
-    # -- normalised costs -------------------------------------------------------
-
-    @property
-    def costs(self) -> LayeredCodeCosts:
-        """The normalised message/storage sizes used for cost accounting."""
-        params = self.code.parameters
-        return LayeredCodeCosts(
-            element_fraction=params.storage_per_node,
-            helper_fraction=params.helper_per_node,
-            regeneration_fraction=params.repair_bandwidth,
-            backend_storage_fraction=Fraction(self.n2) * params.storage_per_node,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -27,7 +27,7 @@ stripe.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class _ProductMatrixCode(RegeneratingCode):
         # Where each payload symbol first sits in M (row-major), to unpack it.
         _, first = np.unique(message_index, return_index=True)
         self._payload_entries = np.unravel_index(first[:file_size], message_index.shape)
-        #: v_f for every f, each as an alpha x 1 column.
-        self._helper_columns = self.encoding_matrix.data[:, : self._alpha, None]
+        #: v_f for every f, as the columns of an alpha x n matrix.
+        self._helper_columns = self.encoding_matrix.data[:, : self._alpha].T
 
     # -- size properties ----------------------------------------------------
 
@@ -122,9 +122,9 @@ class _ProductMatrixCode(RegeneratingCode):
         coded = GF256.matmul(self.encoding_matrix.data, message)
         return coded.reshape(self.n, len(stripes), self._alpha)
 
-    def _helper_stripes(self, element: np.ndarray, failed_index: int) -> np.ndarray:
-        # Helper j sends psi_j M_s v_f, a single symbol per stripe.
-        return GF256.matmul(element, self._helper_columns[failed_index])
+    def _helper_stripes(self, element: np.ndarray, failed_indices: Sequence[int]) -> np.ndarray:
+        # Helper j sends psi_j M_s v_f, a single symbol per stripe and target.
+        return GF256.matmul(element, self._helper_columns[:, list(failed_indices)])
 
     def _repair_stripes(
         self, failed_index: int, helpers: List[int], received: np.ndarray

@@ -105,11 +105,11 @@ class BackendRepairCoordinator:
         for index, server in sorted(survivors.items()):
             if server.stored_tag != repair_tag:
                 continue
-            helpers[self.code.l2_symbol_index(index)] = self.code.code.helper_data(
-                helper_index=self.code.l2_symbol_index(index),
-                helper_element=server.stored_element.data,
-                failed_index=failed_symbol,
-            )
+            # The target is an L2 symbol, so this is the code's own
+            # single-target entry, not the L2 server's memo of L1 targets.
+            symbol = self.code.l2_symbol_index(index)
+            helpers[symbol] = self.code.code.helper_data(
+                symbol, server.stored_element.data, failed_symbol)
             if len(helpers) == self.config.d:
                 break
         repaired = self.code.code.repair(failed_symbol, helpers)

@@ -17,7 +17,7 @@ initial tag ``t0``.  It participates in two internal operations:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.codes.base import CodedElement
 from repro.codes.layered import LayeredCode
@@ -40,6 +40,10 @@ class L2Server(Process):
         self.code = code
         self.stored_tag = initial_tag
         self.stored_element = initial_element
+        #: Helper data of ``stored_element`` for every L1 index, filled by the
+        #: first regenerate-from-L2 after a store.  Simulator state, not
+        #: modelled storage: it is a pure function of the stored element.
+        self._helpers: Optional[Tuple[bytes, ...]] = None
         self.storage_tracker = storage_tracker
         self._symbol_index = code.l2_symbol_index(index)
         self._element_fraction = float(code.costs.element_fraction)
@@ -64,6 +68,7 @@ class L2Server(Process):
             self.stored_tag = message.tag
             self.stored_element = CodedElement(index=self._symbol_index,
                                                data=message.coded_element)
+            self._helpers = None
             if self.storage_tracker is not None:
                 self.storage_tracker.l2_element_stored(self.pid, self._element_fraction)
         self.send(sender, msg.AckCodeElem(tag=message.tag, op_id=message.op_id))
@@ -73,17 +78,16 @@ class L2Server(Process):
 
         The helper data targets the code symbol of the requesting L1 server
         (``message.l1_index``); it is computed from this server's stored
-        element only.
+        element only, so once per element, for every L1 server at once.
         """
-        helper = self.code.helper_data(
-            l2_server=self.index,
-            stored=self.stored_element,
-            l1_server=message.l1_index,
-        )
+        helpers = self._helpers
+        if helpers is None:
+            helpers = self._helpers = self.code.helper_data(
+                l2_server=self.index, stored=self.stored_element)
         self.send(sender, msg.SendHelperElem(
             reader_id=message.reader_id,
             tag=self.stored_tag,
-            helper_data=helper,
+            helper_data=helpers[message.l1_index],
             regen_id=message.regen_id,
             data_size=self._helper_fraction,
             op_id=message.op_id,

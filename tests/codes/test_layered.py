@@ -62,7 +62,7 @@ class TestProtocolOperations:
         l1_elements = {}
         for l1_server in range(3):  # k = 3 servers regenerate their symbols
             helpers = {
-                l2: layered.helper_data(l2, backend[l2], l1_server) for l2 in range(4)
+                l2: layered.helper_data(l2, backend[l2])[l1_server] for l2 in range(4)
             }
             regenerated = layered.regenerate_l1_element(l1_server, helpers)
             l1_elements[l1_server] = regenerated.data
@@ -71,15 +71,15 @@ class TestProtocolOperations:
     def test_regenerate_from_any_d_of_the_l2_servers(self, layered):
         value = b"any d helpers suffice"
         backend = layered.encode_for_backend(value)
-        helpers_a = {l2: layered.helper_data(l2, backend[l2], 1) for l2 in (0, 1, 2, 3)}
-        helpers_b = {l2: layered.helper_data(l2, backend[l2], 1) for l2 in (2, 3, 4, 5)}
+        helpers_a = {l2: layered.helper_data(l2, backend[l2])[1] for l2 in (0, 1, 2, 3)}
+        helpers_b = {l2: layered.helper_data(l2, backend[l2])[1] for l2 in (2, 3, 4, 5)}
         element_a = layered.regenerate_l1_element(1, helpers_a)
         element_b = layered.regenerate_l1_element(1, helpers_b)
         assert element_a.data == element_b.data
 
     def test_regenerate_requires_d_helpers(self, layered):
         backend = layered.encode_for_backend(b"x")
-        helpers = {0: layered.helper_data(0, backend[0], 0)}
+        helpers = {0: layered.helper_data(0, backend[0])[0]}
         with pytest.raises(RepairError):
             layered.regenerate_l1_element(0, helpers)
 
@@ -138,7 +138,7 @@ def test_one_helper_set_and_one_reader_quorum_invert_once_each(monkeypatch):
         value = rng.integers(0, 256, size=100, dtype=np.uint8).tobytes()
         stored = code.encode_for_backend(value)
         assert len(stored[0].data) > code.code.element_size  # multi-stripe
-        messages = {l2: code.helper_data(l2, stored[l2], l1_server) for l2 in helpers}
+        messages = {l2: code.helper_data(l2, stored[l2])[l1_server] for l2 in helpers}
         element = code.regenerate_l1_element(l1_server, messages)
         assert element.data == code.code.encode(value)[l1_server].data
     assert inversions == [(5, 5)]
@@ -153,7 +153,8 @@ def test_one_helper_set_and_one_reader_quorum_invert_once_each(monkeypatch):
 def test_products_per_call_do_not_depend_on_the_stripe_count(monkeypatch):
     """Work done, as a count: with the inverses memoised, every operation on
     a value is a fixed number of ``GF256.matmul`` calls -- one to encode, one
-    per helper reply, one to regenerate, three to decode -- and no ``dot`` or
+    per stored element for its helper replies to all n1 servers, one to
+    regenerate, three to decode -- and no ``dot`` or
     ``mul_vec``, whether the value has 1 stripe or 40."""
     calls = []
     for name in ("matmul", "dot", "mul_vec"):
@@ -175,7 +176,8 @@ def test_products_per_call_do_not_depend_on_the_stripe_count(monkeypatch):
         stored, encode = counted(code.encode_for_backend, value)
         messages, helper = {}, []
         for l2 in (0, 2, 3, 5, 6):
-            messages[l2], made = counted(code.helper_data, l2, stored[l2], 1)
+            replies, made = counted(code.helper_data, l2, stored[l2])
+            messages[l2] = replies[1]
             helper.append(made)
         element, regenerate = counted(code.regenerate_l1_element, 1, messages)
         coded = code.code.encode(value)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.codes.base import RepairError
+from repro.core import messages as msg
 from repro.core.config import LDSConfig
 from repro.core.repair import BackendRepairCoordinator
 from repro.core.system import LDSSystem
@@ -49,6 +50,29 @@ class TestRepairBasics:
         system.run_until_idle()
         assert system.read().value == b"after repair"
         assert system.l2_servers[3].stored_tag.z == 2
+
+    def test_replacement_starts_with_an_empty_memo_and_helps_from_the_repaired_element(self):
+        system = build_system()
+        system.write(b"before the crash")
+        system.run_until_idle()
+        system.read()  # every L2 server, 2 included, now holds helper data of this element
+        assert system.l2_servers[2]._helpers is not None
+        system.crash_l2(2)
+        result = system.write(b"written while server 2 is down", writer=1)
+        system.run_until_idle()
+        BackendRepairCoordinator(system).repair(2)
+        replacement = system.l2_servers[2]
+        assert replacement._helpers is None
+        sent = []
+        replacement.send = lambda destination, message: sent.append(message)
+        for l1_index in range(system.config.n1):
+            replacement.on_message(system.config.l1_pid(l1_index),
+                                   msg.QueryCodeElem(l1_index=l1_index))
+        element = system.code.code.encode(b"written while server 2 is down")[
+            system.code.l2_symbol_index(2)]
+        assert [(reply.tag, reply.helper_data) for reply in sent] == [
+            (result.tag, system.code.code.helper_data(element.index, element.data, l1_index))
+            for l1_index in range(system.config.n1)]
 
     def test_repair_of_initial_state_server(self):
         system = build_system()

@@ -63,7 +63,7 @@ class TestL2Server:
         assert response.regen_id == 7
         assert response.data_size == pytest.approx(float(system.code.costs.helper_fraction))
 
-    def test_helper_data_follows_the_stored_pair_and_only_a_higher_tag_moves_it(self):
+    def test_helper_memo_follows_the_stored_pair_and_only_a_higher_tag_drops_it(self):
         system = build_system()
         first = system.write(b"the first value")
         system.run_until_idle()
@@ -81,19 +81,31 @@ class TestL2Server:
             element = system.code.code.encode(value)[system.code.l2_symbol_index(3)]
             return system.code.code.helper_data(element.index, element.data, l1_index)
 
+        computed = []
+        compute = system.code.helper_data
+        system.code.helper_data = lambda **kwargs: computed.append(kwargs) or compute(**kwargs)
+
+        assert target._helpers is None  # nothing asked since the store
         before = [helper(l1_index) for l1_index in range(5)]
         assert before == [(first.tag, fresh(b"the first value", i)) for i in range(5)]
+        memo = target._helpers
+        assert memo == tuple(data for _, data in before)
         other = system.code.encode_for_backend(b"another value!!")[3].data
-        for tag in (Tag.initial(), first.tag):  # lower, equal: element and helpers stay
+        for tag in (Tag.initial(), first.tag):  # lower, equal: element and memo stay
             target.on_message(system.config.l1_pid(0),
                               msg.WriteCodeElem(tag=tag, coded_element=other))
+            assert target._helpers is memo
             assert [helper(l1_index) for l1_index in range(5)] == before
         higher = Tag(first.tag.z + 1, "writer-1")
         target.on_message(system.config.l1_pid(0),
                           msg.WriteCodeElem(tag=higher, coded_element=other))
+        assert target._helpers is None  # dropped with the element it described
         after = [helper(l1_index) for l1_index in range(5)]
         assert after == [(higher, fresh(b"another value!!", i)) for i in range(5)]
         assert after != [(higher, data) for _, data in before]
+        # Fifteen requests, two stored elements: two computations.
+        assert [call["stored"].data for call in computed] \
+            == [system.code.encode_for_backend(b"the first value")[3].data, other]
 
     def test_unknown_messages_are_ignored(self):
         system = build_system()

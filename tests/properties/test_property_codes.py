@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.codes.layered import LayeredCode
 from repro.codes.product_matrix import ProductMatrixMBRCode, ProductMatrixMSRCode
 from repro.codes.reed_solomon import ReedSolomonCode
+from repro.gf.gf256 import GF256
 
 payloads = st.binary(min_size=0, max_size=200)
 
@@ -85,6 +86,32 @@ class TestProductMatrixProperties:
         assert once == again
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([ProductMatrixMBRCode(n=9, k=3, d=5), ProductMatrixMSRCode(n=9, k=4)]),
+           st.integers(min_value=1, max_value=11), st.data())
+    def test_helper_data_for_any_targets_is_one_projection_per_target(self, code, stripes, data):
+        # Any bytes of the right length (no codeword needed) and any targets,
+        # repeats and the helper itself included, in any order: entry i is
+        # element_s . v_f for f = targets[i], v_f the first alpha entries of psi_f.
+        alpha = code.element_size
+        element = data.draw(st.binary(min_size=stripes * alpha, max_size=stripes * alpha))
+        helper = data.draw(st.integers(0, code.n - 1))
+        targets = data.draw(st.lists(st.integers(0, code.n - 1), max_size=12))
+
+        def projection(stripe, failed):
+            total = 0
+            for symbol, weight in zip(stripe, code.encoding_matrix.data[failed, :alpha]):
+                total ^= GF256.mul(symbol, int(weight))
+            return total
+
+        expected = tuple(
+            bytes(projection(element[at:at + alpha], failed)
+                  for at in range(0, len(element), alpha))
+            for failed in targets)
+        assert code.helper_data_for(helper, element, targets) == expected
+        assert tuple(code.helper_data(helper, element, failed) for failed in targets) == expected
+
+
 class TestLayeredCodeProperties:
     @settings(max_examples=20, deadline=None)
     @given(payloads, st.integers(min_value=0, max_value=4))
@@ -94,7 +121,7 @@ class TestLayeredCodeProperties:
         l2_choices = [(i + rotation) % 6 for i in range(4)]
         l1_elements = {}
         for l1_server in range(3):
-            helpers = {l2: code.helper_data(l2, backend[l2], l1_server) for l2 in l2_choices}
+            helpers = {l2: code.helper_data(l2, backend[l2])[l1_server] for l2 in l2_choices}
             l1_elements[l1_server] = code.regenerate_l1_element(l1_server, helpers).data
         assert code.decode_from_l1(l1_elements) == payload
 

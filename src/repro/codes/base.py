@@ -268,9 +268,8 @@ class RegeneratingCode(ErasureCode):
             (element,), self.element_size, RepairError, "helper element"
         )
         symbols = self._helper(helper_index, element, failed_indices, stripes)
-        beta = self.helper_size
-        raw = symbols.reshape(stripes, len(failed_indices), beta).transpose(1, 0, 2).tobytes()
-        return tuple(raw[at:at + stripes * beta] for at in range(0, len(raw), stripes * beta))
+        per_target = symbols.reshape(stripes, len(failed_indices), self.helper_size)
+        return tuple(target.tobytes() for target in per_target.transpose(1, 0, 2))
 
     def helper_symbols_block(
         self, helper_index: int, helper_element: np.ndarray, failed_index: int

@@ -80,7 +80,7 @@ class LayeredCode:
         self.n1 = n1
         self.n2 = n2
         self.operating_point = operating_point.lower()
-        self.code = _regenerating_code(self.operating_point, n1 + n2, k, d)
+        self.code: RegeneratingCode = _regenerating_code(self.operating_point, n1 + n2, k, d)
         self.k = k
         self.d = d
         params = self.code.parameters

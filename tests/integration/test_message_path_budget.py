@@ -76,6 +76,7 @@ def test_helper_data_is_computed_once_per_stored_element(monkeypatch, seed):
 
     spec = BY_NAME["regen_large"].scaled(1 / 4)
     writes = sum(kind == "write" for kind, *_ in generate_inputs(spec, seed)[0])
+    assert writes == 3
     computed = []
     compute = LayeredCode.helper_data
 
@@ -87,4 +88,4 @@ def test_helper_data_is_computed_once_per_stored_element(monkeypatch, seed):
     simulation, scenario, _attempted = build(spec, seed)
     simulation.apply(scenario)
     n2 = 7  # lds_bench's LDSConfig(n1=5, n2=7, f1=1, f2=1)
-    assert writes == 3 and 0 < len(computed) <= n2 * (spec.keys + writes)
+    assert 0 < len(computed) <= n2 * (spec.keys + writes)

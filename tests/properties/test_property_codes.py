@@ -85,7 +85,6 @@ class TestProductMatrixProperties:
         again = code.helper_data(helper, elements[helper].data, failed)
         assert once == again
 
-
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([ProductMatrixMBRCode(n=9, k=3, d=5), ProductMatrixMSRCode(n=9, k=4)]),
            st.integers(min_value=1, max_value=11), st.data())

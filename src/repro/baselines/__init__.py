@@ -7,9 +7,10 @@ The paper positions LDS against two families of prior work:
 * **erasure-code-based** single-layer algorithms in the style of Cadambe,
   Lynch, Médard and Musial [6] -- implemented in :mod:`repro.baselines.cas`.
 
-Both run on the same network substrate and expose the same driving API as
-:class:`repro.core.system.LDSSystem`, so the benchmark harness can swap
-algorithms without changing the workload code.
+Both are :class:`repro.core.system.RegisterSystem` subclasses, like
+:class:`repro.core.system.LDSSystem`, and their clients are
+:class:`repro.core.results.Client` processes, so the benchmark harness can
+swap algorithms without changing the workload code.
 """
 
 from repro.baselines.abd import ABDSystem

@@ -20,16 +20,15 @@ Figure 6 discussion quotes for a replicated back-end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import List, Optional
 
-from repro.consistency.history import History, OperationRecorder, READ, WRITE
-from repro.core.results import OperationResult
+from repro.consistency.history import READ, WRITE
+from repro.core.results import Client
+from repro.core.system import RegisterSystem
 from repro.core.tags import Tag
-from repro.net.latency import CLIENT, L1, LatencyModel
+from repro.net.latency import L1, LatencyModel
 from repro.net.messages import Message
-from repro.net.network import Network
 from repro.net.process import Process
-from repro.net.simulator import Simulator
 
 
 # -- messages -------------------------------------------------------------------
@@ -98,41 +97,24 @@ class ABDServer(Process):
 
 # -- clients -----------------------------------------------------------------------------
 
-class ABDWriter(Process):
+class ABDWriter(Client):
     """ABD writer: query-tag then put-data, both against a majority."""
 
     def __init__(self, pid: str, server_pids: List[str], quorum: int) -> None:
-        super().__init__(pid, link_class=CLIENT)
+        super().__init__(pid)
         self.server_pids = server_pids
         self.quorum = quorum
-        self._counter = 0
-        self._phase: Optional[str] = None
-        self._op_id: Optional[str] = None
         self._value: bytes = b""
-        self._callback: Optional[Callable[[OperationResult], None]] = None
-        self._invoked_at = 0.0
-        self._responders: Set[str] = set()
         self._max_tag = Tag.initial()
         self._write_tag: Optional[Tag] = None
 
-    @property
-    def busy(self) -> bool:
-        return self._phase is not None
-
     def write(self, value: bytes, callback=None, op_id=None) -> str:
-        if self.busy:
-            raise RuntimeError(f"writer {self.pid} already has an operation in flight")
-        self._counter += 1
-        self._op_id = op_id or f"{self.pid}:write-{self._counter}"
+        op_id = self._begin(WRITE, "query", callback, op_id)
         self._value = bytes(value)
-        self._callback = callback
-        self._invoked_at = self.now
-        self._responders = set()
         self._max_tag = Tag.initial()
-        self._phase = "query"
         for server in self.server_pids:
-            self.send(server, AbdQueryTag(op_id=self._op_id))
-        return self._op_id
+            self.send(server, AbdQueryTag(op_id=op_id))
+        return op_id
 
     def on_message(self, sender: str, message: Message) -> None:
         if message.op_id != self._op_id or self._phase is None:
@@ -159,52 +141,26 @@ class ABDWriter(Process):
             self._responders.add(sender)
             if len(self._responders) < self.quorum:
                 return
-            result = OperationResult(
-                op_id=self._op_id or "", client_id=self.pid, kind=WRITE,
-                tag=self._write_tag or Tag.initial(), value=self._value,
-                invoked_at=self._invoked_at, responded_at=self.now,
-            )
-            callback = self._callback
-            self._phase = None
-            self._op_id = None
-            if callback is not None:
-                callback(result)
+            self._finish(WRITE, self._write_tag or Tag.initial(), self._value)
 
 
-class ABDReader(Process):
+class ABDReader(Client):
     """ABD reader: query-data then write-back, both against a majority."""
 
     def __init__(self, pid: str, server_pids: List[str], quorum: int) -> None:
-        super().__init__(pid, link_class=CLIENT)
+        super().__init__(pid)
         self.server_pids = server_pids
         self.quorum = quorum
-        self._counter = 0
-        self._phase: Optional[str] = None
-        self._op_id: Optional[str] = None
-        self._callback: Optional[Callable[[OperationResult], None]] = None
-        self._invoked_at = 0.0
-        self._responders: Set[str] = set()
         self._best_tag = Tag.initial()
         self._best_value: bytes = b""
 
-    @property
-    def busy(self) -> bool:
-        return self._phase is not None
-
     def read(self, callback=None, op_id=None) -> str:
-        if self.busy:
-            raise RuntimeError(f"reader {self.pid} already has an operation in flight")
-        self._counter += 1
-        self._op_id = op_id or f"{self.pid}:read-{self._counter}"
-        self._callback = callback
-        self._invoked_at = self.now
-        self._responders = set()
+        op_id = self._begin(READ, "query", callback, op_id)
         self._best_tag = Tag.initial()
         self._best_value = b""
-        self._phase = "query"
         for server in self.server_pids:
-            self.send(server, AbdQueryData(op_id=self._op_id))
-        return self._op_id
+            self.send(server, AbdQueryData(op_id=op_id))
+        return op_id
 
     def on_message(self, sender: str, message: Message) -> None:
         if message.op_id != self._op_id or self._phase is None:
@@ -234,21 +190,12 @@ class ABDReader(Process):
             self._responders.add(sender)
             if len(self._responders) < self.quorum:
                 return
-            result = OperationResult(
-                op_id=self._op_id or "", client_id=self.pid, kind=READ,
-                tag=self._best_tag, value=self._best_value,
-                invoked_at=self._invoked_at, responded_at=self.now,
-            )
-            callback = self._callback
-            self._phase = None
-            self._op_id = None
-            if callback is not None:
-                callback(result)
+            self._finish(READ, self._best_tag, self._best_value)
 
 
 # -- system facade -------------------------------------------------------------------------
 
-class ABDSystem:
+class ABDSystem(RegisterSystem):
     """A simulated single-layer ABD deployment with the LDSSystem driving API."""
 
     def __init__(self, n: int, f: Optional[int] = None, num_writers: int = 1,
@@ -260,121 +207,21 @@ class ABDSystem:
             f = (n - 1) // 2
         if not f < n / 2:
             raise ValueError("ABD requires f < n / 2")
+        super().__init__(object_id, initial_value, latency_model)
         self.n = n
         self.f = f
         self.quorum = n - f  # a majority when f is maximal; always intersects.
-        self.object_id = object_id
         self.initial_value = initial_value
-        self.simulator = Simulator()
-        self.network = Network(simulator=self.simulator, latency_model=latency_model)
-        self.recorder = OperationRecorder(initial_value=initial_value)
-        self.results: Dict[str, OperationResult] = {}
-
         self.server_pids = [f"abd-{i}" for i in range(n)]
-        self.servers = [ABDServer(pid, initial_value) for pid in self.server_pids]
-        self.network.register_all(self.servers)
-        self.writers = [
-            ABDWriter(f"writer-{i}", self.server_pids, self.quorum) for i in range(num_writers)
-        ]
-        self.readers = [
-            ABDReader(f"reader-{i}", self.server_pids, self.quorum) for i in range(num_readers)
-        ]
-        self.network.register_all(self.writers)
-        self.network.register_all(self.readers)
-
-    # -- driving API (mirrors LDSSystem) ----------------------------------------------
-
-    def _record_completion(self, result: OperationResult) -> None:
-        self.results[result.op_id] = result
-        self.recorder.respond(
-            result.op_id, time=result.responded_at,
-            value=result.value if result.kind == READ else None, tag=result.tag,
-        )
-
-    def _allocate_op_id(self, client_pid: str, kind: str) -> str:
-        sequences = getattr(self, "_op_sequences", None)
-        if sequences is None:
-            sequences = {}
-            self._op_sequences = sequences
-        key = (client_pid, kind)
-        sequences[key] = sequences.get(key, 0) + 1
-        return f"{client_pid}:{kind}-{sequences[key]}"
-
-    def invoke_write(self, value: bytes, writer: Union[int, str] = 0,
-                     at: Optional[float] = None) -> str:
-        client = self.writers[writer] if isinstance(writer, int) else next(
-            w for w in self.writers if w.pid == writer
-        )
-        op_id = self._allocate_op_id(client.pid, "write")
-
-        def start() -> None:
-            started = client.write(bytes(value), self._record_completion, op_id=op_id)
-            self.recorder.invoke(started, client_id=client.pid, kind=WRITE,
-                                 object_id=self.object_id, value=bytes(value),
-                                 time=self.simulator.now)
-
-        if at is None:
-            start()
-        else:
-            self.simulator.schedule_at(at, start)
-        return op_id
-
-    def invoke_read(self, reader: Union[int, str] = 0, at: Optional[float] = None) -> str:
-        client = self.readers[reader] if isinstance(reader, int) else next(
-            r for r in self.readers if r.pid == reader
-        )
-        op_id = self._allocate_op_id(client.pid, "read")
-
-        def start() -> None:
-            started = client.read(self._record_completion, op_id=op_id)
-            self.recorder.invoke(started, client_id=client.pid, kind=READ,
-                                 object_id=self.object_id, value=None,
-                                 time=self.simulator.now)
-
-        if at is None:
-            start()
-        else:
-            self.simulator.schedule_at(at, start)
-        return op_id
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        self.network.run(until=until, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        self.network.run_until_idle(max_events=max_events)
-
-    def run_until_complete(self, op_id: str, max_events: int = 10_000_000) -> OperationResult:
-        executed = 0
-        while op_id not in self.results:
-            if not self.simulator.step():
-                raise RuntimeError(f"operation {op_id} did not complete")
-            executed += 1
-            if executed > max_events:
-                raise RuntimeError(f"operation {op_id} exceeded the event budget")
-        return self.results[op_id]
-
-    def write(self, value: bytes, writer: Union[int, str] = 0) -> OperationResult:
-        return self.run_until_complete(self.invoke_write(value, writer=writer))
-
-    def read(self, reader: Union[int, str] = 0) -> OperationResult:
-        return self.run_until_complete(self.invoke_read(reader=reader))
+        self.servers = self._register(ABDServer(pid, initial_value) for pid in self.server_pids)
+        self.writers = self._register(
+            ABDWriter(f"writer-{i}", self.server_pids, self.quorum) for i in range(num_writers))
+        self.readers = self._register(
+            ABDReader(f"reader-{i}", self.server_pids, self.quorum) for i in range(num_readers))
 
     def crash_server(self, index: int, at: Optional[float] = None) -> None:
-        pid = self.server_pids[index]
-        if at is None:
-            self.network.crash(pid)
-        else:
-            self.simulator.schedule_at(at, lambda: self.network.crash(pid))
-
-    def history(self) -> History:
-        return self.recorder.history()
-
-    def operation_cost(self, op_id: str) -> float:
-        return self.network.costs.operation_cost(op_id)
-
-    @property
-    def communication_cost(self) -> float:
-        return self.network.costs.total
+        """Crash the ``index``-th server (immediately or at a virtual time)."""
+        self._crash(self.server_pids[index], at)
 
     @property
     def storage_cost(self) -> float:

@@ -7,11 +7,20 @@ permanent (L2) storage.  Because the instances are fully independent, the
 aggregate storage cost of the multi-object system is exactly the sum of
 the per-instance costs at every point in time.
 
-:class:`MultiObjectSystem` therefore drives one :class:`~repro.core.system.LDSSystem`
-per object along a *shared virtual timeline* (the same workload schedule
-and latency bounds in every instance) and aggregates the per-instance
-storage event logs into system-wide L1/L2 time series.  This reproduces
-the quantity plotted in Figure 6.
+:class:`MultiObjectSystem` therefore builds one :class:`~repro.core.system.LDSSystem`
+per object on **one shared** :class:`~repro.net.simulator.Simulator`, runs
+that one event queue, and aggregates the per-instance storage event logs
+into system-wide L1/L2 time series.  This reproduces the quantity plotted
+in Figure 6.
+
+Sharing the queue changes nothing an instance records.  Events are
+ordered by ``(time, sequence)`` and sequence numbers follow scheduling
+order; an instance's events are scheduled only by its own earlier events
+(or by the caller, before the run), and each instance draws its delays
+from its own latency model, so any two events of one instance keep their
+relative order -- the instance runs exactly as it would alone.  What
+moves is each instance's ``simulator.now`` after a run: it is the fleet's
+clock, the time of the last event of *any* object.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, LatencyModel
+from repro.net.simulator import Simulator
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,7 @@ class MultiObjectStorageSample:
 
 
 class MultiObjectSystem:
-    """``N`` independent LDS instances driven over a shared timeline."""
+    """``N`` independent LDS instances on one event queue."""
 
     def __init__(self, config: LDSConfig, num_objects: int,
                  latency_factory: Optional[Callable[[int], LatencyModel]] = None,
@@ -52,6 +62,8 @@ class MultiObjectSystem:
         self._rng = random.Random(seed)
         if latency_factory is None:
             latency_factory = lambda index: BoundedLatencyModel(seed=index)
+        #: The one event queue (and clock) every instance runs on.
+        self.simulator = Simulator()
         self.systems: List[LDSSystem] = [
             LDSSystem(
                 config,
@@ -59,6 +71,7 @@ class MultiObjectSystem:
                 num_readers=readers_per_object,
                 latency_model=latency_factory(index),
                 object_id=f"object-{index}",
+                simulator=self.simulator,
             )
             for index in range(num_objects)
         ]
@@ -106,12 +119,11 @@ class MultiObjectSystem:
     # -- execution ----------------------------------------------------------------------
 
     def run_all(self, until: Optional[float] = None) -> None:
-        """Run every instance (each has its own simulator but a shared timeline)."""
-        for system in self.systems:
-            if until is None:
-                system.run_until_idle()
-            else:
-                system.run(until=until)
+        """Run the fleet's event queue to quiescence, or up to ``until``."""
+        if until is None:
+            self.simulator.run_until_idle()
+        else:
+            self.simulator.run(until=until)
 
     # -- aggregation -----------------------------------------------------------------------
 

@@ -20,38 +20,28 @@ distinct server identities and keeps every data response it has seen.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.codes.base import DecodingError
 from repro.codes.layered import LayeredCode
 from repro.core import messages as msg
 from repro.core.config import LDSConfig
-from repro.core.results import OperationResult
+from repro.core.results import Client, CompletionCallback
 from repro.core.tags import Tag
-from repro.net.latency import CLIENT
 from repro.net.messages import Message
-from repro.net.process import Process
-
-CompletionCallback = Callable[[OperationResult], None]
 
 
-class Reader(Process):
+class Reader(Client):
     """A client that performs read operations against the L1 layer."""
 
     def __init__(self, pid: str, config: LDSConfig, code: LayeredCode) -> None:
-        super().__init__(pid, link_class=CLIENT)
+        super().__init__(pid)
         self.config = config
         self.code = code
         self._l1_pids = tuple(config.l1_pids)
         self._l1_quorum = config.l1_quorum
-        self._operation_counter = 0
         self._l1_index = {pid: i for i, pid in enumerate(self._l1_pids)}
         # In-flight operation state.
-        self._phase: Optional[str] = None
-        self._op_id: Optional[str] = None
-        self._callback: Optional[CompletionCallback] = None
-        self._invoked_at = 0.0
-        self._responders: Set[str] = set()
         self._requested_tag = Tag.initial()
         self._value_candidates: Dict[Tag, bytes] = {}
         self._coded_candidates: Dict[Tag, Dict[int, bytes]] = {}
@@ -60,32 +50,18 @@ class Reader(Process):
 
     # -- public API -----------------------------------------------------------------
 
-    @property
-    def busy(self) -> bool:
-        """True while an operation is in flight."""
-        return self._phase is not None
-
     def read(self, callback: Optional[CompletionCallback] = None,
              op_id: Optional[str] = None) -> str:
         """Invoke a read operation; returns the operation id."""
-        if self.busy:
-            raise RuntimeError(f"reader {self.pid} already has an operation in flight")
-        if self.crashed:
-            raise RuntimeError(f"reader {self.pid} has crashed")
-        self._operation_counter += 1
-        self._op_id = op_id or f"{self.pid}:read-{self._operation_counter}"
-        self._callback = callback
-        self._invoked_at = self.now
-        self._responders = set()
+        op_id = self._begin("read", "get-committed-tag", callback, op_id)
         self._requested_tag = Tag.initial()
         self._value_candidates = {}
         self._coded_candidates = {}
         self._chosen_tag = None
         self._chosen_value = None
-        self._phase = "get-committed-tag"
         for server in self._l1_pids:
-            self.send(server, msg.QueryCommittedTag(op_id=self._op_id))
-        return self._op_id
+            self.send(server, msg.QueryCommittedTag(op_id=op_id))
+        return op_id
 
     # -- message handling ---------------------------------------------------------------
 
@@ -181,21 +157,7 @@ class Reader(Process):
         self._responders.add(sender)
         if len(self._responders) < self._l1_quorum:
             return
-        result = OperationResult(
-            op_id=self._op_id or "",
-            client_id=self.pid,
-            kind="read",
-            tag=self._chosen_tag or Tag.initial(),
-            value=self._chosen_value,
-            invoked_at=self._invoked_at,
-            responded_at=self.now,
-        )
-        callback = self._callback
-        self._phase = None
-        self._op_id = None
-        self._callback = None
-        if callback is not None:
-            callback(result)
+        self._finish("read", self._chosen_tag or Tag.initial(), self._chosen_value)
 
     #: message type -> (the phase that accepts it, its handler)
     _HANDLERS = {

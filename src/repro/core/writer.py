@@ -15,68 +15,40 @@ which the protocol tolerates.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set
+from typing import Optional
 
 from repro.core import messages as msg
 from repro.core.config import LDSConfig
-from repro.core.results import OperationResult
+from repro.core.results import Client, CompletionCallback
 from repro.core.tags import Tag
-from repro.net.latency import CLIENT
 from repro.net.messages import Message
-from repro.net.process import Process
-
-CompletionCallback = Callable[[OperationResult], None]
 
 
-class Writer(Process):
+class Writer(Client):
     """A client that performs write operations against the L1 layer."""
 
     def __init__(self, pid: str, config: LDSConfig) -> None:
-        super().__init__(pid, link_class=CLIENT)
+        super().__init__(pid)
         self.config = config
         self._l1_pids = tuple(config.l1_pids)
         self._l1_quorum = config.l1_quorum
-        self._operation_counter = 0
-        # State of the in-flight operation (None when idle).
-        self._phase: Optional[str] = None
-        self._op_id: Optional[str] = None
+        # State of the in-flight operation.
         self._value: Optional[bytes] = None
-        self._callback: Optional[CompletionCallback] = None
-        self._invoked_at = 0.0
-        self._responders: Set[str] = set()
         self._max_tag = Tag.initial()
         self._write_tag: Optional[Tag] = None
 
     # -- public API ---------------------------------------------------------------
 
-    @property
-    def busy(self) -> bool:
-        """True while an operation is in flight."""
-        return self._phase is not None
-
     def write(self, value: bytes, callback: Optional[CompletionCallback] = None,
               op_id: Optional[str] = None) -> str:
-        """Invoke a write operation; returns the operation id.
-
-        Raises :class:`RuntimeError` if the previous operation has not
-        completed (clients are well-formed).
-        """
-        if self.busy:
-            raise RuntimeError(f"writer {self.pid} already has an operation in flight")
-        if self.crashed:
-            raise RuntimeError(f"writer {self.pid} has crashed")
-        self._operation_counter += 1
-        self._op_id = op_id or f"{self.pid}:write-{self._operation_counter}"
+        """Invoke a write operation; returns the operation id."""
+        op_id = self._begin("write", "get-tag", callback, op_id)
         self._value = bytes(value)
-        self._callback = callback
-        self._invoked_at = self.now
-        self._responders = set()
         self._max_tag = Tag.initial()
         self._write_tag = None
-        self._phase = "get-tag"
         for server in self._l1_pids:
-            self.send(server, msg.QueryTag(op_id=self._op_id))
-        return self._op_id
+            self.send(server, msg.QueryTag(op_id=op_id))
+        return op_id
 
     # -- message handling -------------------------------------------------------------
 
@@ -115,21 +87,7 @@ class Writer(Process):
         self._responders.add(sender)
         if len(self._responders) < self._l1_quorum:
             return
-        result = OperationResult(
-            op_id=self._op_id or "",
-            client_id=self.pid,
-            kind="write",
-            tag=self._write_tag or Tag.initial(),
-            value=self._value,
-            invoked_at=self._invoked_at,
-            responded_at=self.now,
-        )
-        callback = self._callback
-        self._phase = None
-        self._op_id = None
-        self._callback = None
-        if callback is not None:
-            callback(result)
+        self._finish("write", self._write_tag or Tag.initial(), self._value)
 
     #: message type -> (the phase that accepts it, its handler)
     _HANDLERS = {

@@ -1,10 +1,11 @@
 """Workload execution against any of the simulated systems.
 
-The runner only relies on the small driving API that
-:class:`~repro.core.system.LDSSystem`, :class:`~repro.baselines.abd.ABDSystem`
-and :class:`~repro.baselines.cas.CASSystem` share: ``invoke_write``,
-``invoke_read``, ``run_until_idle``, ``history``, ``operation_cost`` and
-``communication_cost``.
+:class:`WorkloadRunner` drives a single-object register through the
+driving API of :class:`~repro.core.system.RegisterSystem`, the base of
+:class:`~repro.core.system.LDSSystem`,
+:class:`~repro.baselines.abd.ABDSystem` and
+:class:`~repro.baselines.cas.CASSystem`.  :class:`KeyedWorkloadRunner`
+drives the keyed API of the cluster router (:class:`KeyedDrivableSystem`).
 """
 
 from __future__ import annotations
@@ -17,25 +18,9 @@ from repro.consistency.linearizability import (
     AtomicityViolation,
     check_atomicity_by_tags,
 )
+from repro.core.system import RegisterSystem
 from repro.workloads.generator import Workload
 from repro.workloads.metrics import LatencySummary, summarize_latencies
-
-
-class DrivableSystem(Protocol):
-    """The driving API every simulated register system exposes."""
-
-    def invoke_write(self, value: bytes, writer=0, at: Optional[float] = None) -> str: ...
-
-    def invoke_read(self, reader=0, at: Optional[float] = None) -> str: ...
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None: ...
-
-    def history(self) -> History: ...
-
-    def operation_cost(self, op_id: str) -> float: ...
-
-    @property
-    def communication_cost(self) -> float: ...
 
 
 @dataclass
@@ -81,9 +66,9 @@ def _assemble_report(system, history: History, violation: Optional[AtomicityViol
 
 
 class WorkloadRunner:
-    """Executes a :class:`Workload` against a drivable system."""
+    """Executes a :class:`Workload` against a single-object register."""
 
-    def __init__(self, system: DrivableSystem, check_atomicity: bool = True) -> None:
+    def __init__(self, system: RegisterSystem, check_atomicity: bool = True) -> None:
         self.system = system
         self.check_atomicity = check_atomicity
 
@@ -183,7 +168,6 @@ class KeyedWorkloadRunner:
 
 
 __all__ = [
-    "DrivableSystem",
     "KeyedDrivableSystem",
     "KeyedWorkloadRunner",
     "WorkloadReport",

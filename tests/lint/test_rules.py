@@ -1,9 +1,10 @@
 """Per-rule fixture suites: every rule has true-positive and
 false-positive fixtures under ``tests/lint/fixtures/``.
 
-The TP fixture must produce only findings of its own rule (the exact
-expected count, so trigger drift is caught); the FP fixture must scan
-completely clean under the full rule set.
+The TP fixture must produce exactly the pinned ``(rule, line, col)``
+findings (all of its own rule, so trigger drift in either direction is
+caught); the FP fixture must scan completely clean under the full rule
+set.
 """
 
 from __future__ import annotations
@@ -16,19 +17,24 @@ from repro.lint.engine import lint_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-#: fixture stem -> (rule id, expected true-positive count).
+#: fixture stem -> the exact ``(rule, line, col)`` findings of its TP fixture.
 CASES = {
-    "nd01": ("ND01", 5),
-    "nd02": ("ND02", 3),
-    "nd03": ("ND03", 4),
-    "nd04": ("ND04", 3),
-    "nd05": ("ND05", 4),
-    "rp01": ("RP01", 3),
-    "rp02": ("RP02", 2),
-    "sd01": ("SD01", 3),
-    "sd02": ("SD02", 2),
-    "sd03": ("SD03", 4),
-    "sd04": ("SD04", 5),
+    "nd01": [("ND01", 8, 10), ("ND01", 9, 12), ("ND01", 10, 9),
+             ("ND01", 11, 13), ("ND01", 15, 5)],
+    "nd02": [("ND02", 7, 11), ("ND02", 8, 9), ("ND02", 9, 8)],
+    "nd03": [("ND03", 5, 13), ("ND03", 8, 11), ("ND03", 9, 29),
+             ("ND03", 10, 9)],
+    "nd04": [("ND04", 5, 41), ("ND04", 9, 30), ("ND04", 10, 46)],
+    "nd05": [("ND05", 6, 28), ("ND05", 11, 32), ("ND05", 16, 18),
+             ("ND05", 20, 25)],
+    "rp01": [("RP01", 9, 21), ("RP01", 10, 21), ("RP01", 13, 9)],
+    "rp02": [("RP02", 11, 16), ("RP02", 21, 17)],
+    "sd01": [("SD01", 9, 9), ("SD01", 10, 9), ("SD01", 11, 9)],
+    "sd02": [("SD02", 5, 5), ("SD02", 6, 5)],
+    "sd03": [("SD03", 5, 5), ("SD03", 6, 12), ("SD03", 10, 5),
+             ("SD03", 10, 33)],
+    "sd04": [("SD04", 11, 9), ("SD04", 12, 9), ("SD04", 13, 9),
+             ("SD04", 23, 9), ("SD04", 24, 9)],
 }
 
 #: Rules scoped by path live under a matching fixture subdirectory:
@@ -43,11 +49,8 @@ def _fixture_path(stem: str, kind: str) -> str:
 
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_true_positive_fixture_fails_its_rule(stem):
-    rule_id, expected = CASES[stem]
     findings = lint_file(_fixture_path(stem, "tp"))
-    assert findings, f"{stem}_tp.py produced no findings"
-    assert {f.rule for f in findings} == {rule_id}
-    assert len(findings) == expected
+    assert [(f.rule, f.line, f.col) for f in findings] == CASES[stem]
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
@@ -58,6 +61,6 @@ def test_false_positive_fixture_scans_clean(stem):
 
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_select_isolates_the_rule(stem):
-    rule_id, expected = CASES[stem]
+    rule_id = CASES[stem][0][0]
     findings = lint_file(_fixture_path(stem, "tp"), select=[rule_id])
-    assert len(findings) == expected
+    assert [(f.rule, f.line, f.col) for f in findings] == CASES[stem]

@@ -1,10 +1,8 @@
-"""Tier 2: protocol-discipline rules (SD01..SD04).
+"""Protocol-discipline rules (SD03, SD04).
 
 These rules know this codebase: which layers own the simulators, which
-APIs mutate protocol state, and which accessors are the sanctioned way
-to touch another source's clock.  They encode three invariants the
-end-to-end suites enforce dynamically (telemetry non-interference,
-fingerprint identity, clamped-head pump order) as cheap static checks.
+accessors are the sanctioned way to touch another source's clock, and
+which coordinator state the runtime sanitizer can watch.
 """
 
 from __future__ import annotations
@@ -12,166 +10,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.lint.engine import (
-    Finding,
-    ModuleContext,
-    ProjectContext,
-    ProjectRule,
-    Rule,
-    dotted_name,
-)
-
-#: Protocol-mutating methods of the router / replica coordinator /
-#: membership / repair scheduler / kernel foreground API.  A module
-#: under ``obs/`` calling any of these on a non-``self`` receiver is
-#: perturbing the simulation it claims to observe.  The observation
-#: surface (``schedule_probe``, ``pending_work``, ``pending_slots``,
-#: registry instruments, ``operation_observers.append``) is not listed,
-#: so the pure-probe pattern passes untouched.
-MUTATING_CALLS = frozenset({
-    # router / cluster front-end
-    "invoke_write", "invoke_read", "add_workload", "flush_key",
-    "ensure_shards", "migrate_shard", "failover_shard",
-    "notify_replica_completion", "schedule_on_shard",
-    # membership transitions
-    "fail", "recover", "fail_pool", "join_pool", "leave_pool",
-    # repair scheduler
-    "schedule_node_repairs", "withhold_node",
-    # replica coordinator
-    "catch_up", "promote", "apply_record",
-    # kernel / simulator foreground scheduling and pumping
-    "schedule", "schedule_at", "run_until_idle", "set_latency_scale",
-})
-
-
-class RuleSD01(ProjectRule):
-    """Observability modules must not mutate protocol state.
-
-    The telemetry-on/off byte-identity gate rests on every probe being
-    pure observation.  Two triggers:
-
-    * **direct** -- a call from an ``obs/`` module to a known mutating
-      router/replica/membership/repair/kernel API on any non-``self``
-      receiver (the original module-local check);
-    * **transitive** -- a call from an ``obs/`` module to a helper
-      (resolved through the project call graph: local defs, import
-      aliases, unique method names) whose body *transitively* reaches a
-      mutating API.  Purity is propagated over the whole program by
-      :meth:`repro.lint.callgraph.ProjectIndex.compute_purity`, so a
-      probe laundering a mutation through ``cluster/`` helpers is
-      flagged at the probe's call site with the witness chain.
-
-    Probe classes that *deliberately* drive sanctioned machinery (none
-    today) annotate the call site with a justified pragma.
-    """
-
-    rule_id = "SD01"
-    title = "obs/ module reaches a mutating protocol API"
-
-    def check_project(self, project: ProjectContext) -> List[Finding]:
-        findings: List[Finding] = []
-        purity = None  # computed on first demand: obs/ modules only
-        for ctx in project.modules:
-            if not ctx.is_obs_module:
-                continue
-            direct_nodes = set()
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                if func.attr not in MUTATING_CALLS:
-                    continue
-                # A probe driving its own machinery (``self.tick()``) is
-                # its own business; the same method reached through a
-                # held protocol reference
-                # (``self.simulation.repair.fail(...)``) is interference
-                # and stays flagged.
-                if dotted_name(func.value) == "self":
-                    continue
-                direct_nodes.add(id(node))
-                findings.append(ctx.finding(
-                    self, node,
-                    f"obs/ module calls mutating API .{func.attr}() -- "
-                    f"probes must be pure observation (noninterference)"))
-
-            if purity is None:
-                purity = project.purity
-            index = project.index
-            for caller in index.functions:
-                if caller.ctx is not ctx:
-                    continue
-                for call, callee in index.precise_callees(caller):
-                    if id(call) in direct_nodes:
-                        continue  # already reported as a direct mutation
-                    if callee.ctx.is_obs_module:
-                        continue  # its own body carries the direct finding
-                    if callee.ctx.is_simulator_layer:
-                        # The kernel/sanitizer/net implementation of the
-                        # sanctioned observation surface (schedule_probe,
-                        # pending_work) legitimately touches raw
-                        # simulators; abusing a *mutating* kernel API
-                        # from obs/ is caught by the direct check above.
-                        continue
-                    chain = purity.get(callee)
-                    if chain is None:
-                        continue
-                    hops = " -> ".join([f"{callee.name}()"] + chain)
-                    findings.append(ctx.finding(
-                        self, call,
-                        f"obs/ module reaches mutating API through helper "
-                        f"{hops} -- probes must be pure observation "
-                        f"(noninterference)"))
-        return findings
-
-
-class RuleSD02(Rule):
-    """Absolute-time scheduling must derive from a clock accessor.
-
-    ``schedule_at`` / ``schedule_probe`` with a *literal* absolute time
-    pins an event to a wall position on the virtual timeline regardless
-    of where the clock actually is -- correct only at t=0 setup, and
-    even there fragile against harness refactors that pre-advance the
-    clock.  Derive the argument from ``kernel.now`` / ``shard_now()``
-    (or use the relative ``schedule(delay, ...)`` form, which this rule
-    deliberately does not flag).
-    """
-
-    rule_id = "SD02"
-    title = "literal absolute time in schedule_at/schedule_probe"
-
-    _ABSOLUTE_SCHEDULERS = ("schedule_at", "schedule_probe")
-
-    def check(self, ctx: ModuleContext) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            if name not in self._ABSOLUTE_SCHEDULERS:
-                continue
-            time_arg = None
-            if node.args:
-                time_arg = node.args[0]
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "time":
-                        time_arg = kw.value
-            if isinstance(time_arg, ast.Constant) \
-                    and isinstance(time_arg.value, (int, float)) \
-                    and not isinstance(time_arg.value, bool):
-                findings.append(ctx.finding(
-                    self, node,
-                    f"{name}({time_arg.value!r}, ...) hard-codes an absolute "
-                    f"virtual time; derive it from a clock accessor "
-                    f"(kernel.now / shard_now())"))
-        return findings
+from repro.lint.engine import Finding, ModuleContext, Rule
 
 
 class RuleSD03(Rule):
@@ -203,7 +42,7 @@ class RuleSD03(Rule):
         if ctx.is_simulator_layer:
             return []
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Attribute) \
                     or node.attr not in self._CLOCK_ATTRS:
                 continue
@@ -262,7 +101,7 @@ class RuleSD04(Rule):
         if "cluster" not in ctx.parts and "sim" not in ctx.parts:
             return []
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             methods = {item.name for item in node.body
@@ -301,7 +140,6 @@ class RuleSD04(Rule):
         return findings
 
 
-DISCIPLINE_RULES = [RuleSD01, RuleSD02, RuleSD03, RuleSD04]
+DISCIPLINE_RULES = [RuleSD03, RuleSD04]
 
-__all__ = ["DISCIPLINE_RULES", "MUTATING_CALLS",
-           "RuleSD01", "RuleSD02", "RuleSD03", "RuleSD04"]
+__all__ = ["DISCIPLINE_RULES", "RuleSD03", "RuleSD04"]

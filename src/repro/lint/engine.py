@@ -1,36 +1,39 @@
 """The rule engine: contexts, pragmas, findings, and the scan driver.
 
 The engine is deliberately small.  A :class:`Rule` sees one parsed
-module at a time through a :class:`ModuleContext` (source, AST, path
-parts for scoping, and an import-alias resolver) and yields
-:class:`Finding` objects.  The engine then subtracts everything an
-inline pragma suppresses::
+module at a time through a :class:`ModuleContext` (source, AST, the
+AST's nodes walked once, path parts for scoping, and an import-alias
+resolver) and returns :class:`Finding` objects.  The engine then
+subtracts everything an inline pragma suppresses::
 
-    self._rng = random.Random()  # simlint: disable=ND01 -- calibration only
+    wall = perf_counter()  # simlint: disable=ND02 -- host timing only
     # simlint: disable-file=SD03 -- this module *is* the accessor layer
 
-``disable=`` suppresses the named rules on that physical line (the line
-of the flagged AST node); ``disable-file=`` suppresses them for the
-whole module.  Text after ``--`` is the justification; the engine keeps
-it in :attr:`ModuleContext.pragma_justifications` so tooling can reject
-bare pragmas if it wants to.  A pragma naming a rule the engine does not
-know is itself reported (``E002``) -- a typo in a suppression must not
-silently re-enable the finding on review.
+A pragma is a comment: the engine reads :mod:`tokenize` ``COMMENT``
+tokens, so pragma text inside a docstring (like the two lines above) or
+a string literal suppresses nothing.  ``disable=`` suppresses the named
+rules on that physical line (the line of the flagged AST node);
+``disable-file=`` suppresses them for the whole module.  Text after
+``--`` is the justification: a pragma without one is reported
+(``E003``), and so is a pragma naming a rule the engine does not know
+(``E002``) -- a typo in a suppression must not silently re-enable the
+finding on review.
 
-Rules never import each other and hold no state between modules, so the
-scan is trivially restartable and order-independent: findings are
-reported sorted by ``(path, line, column, rule)``.
+Rules never import each other and hold no state between modules, so
+findings are reported sorted by ``(path, line, column, rule)``.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
+import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-#: ``# simlint: disable=ND01,SD02 -- why`` / ``# simlint: disable-file=...``
+#: A ``simlint: disable=RULE[,RULE] -- why`` (or ``disable-file=``) comment.
 _PRAGMA_RE = re.compile(
     r"#\s*simlint:\s*disable(?P<scope>-file)?\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
@@ -65,33 +68,31 @@ class LintError(Exception):
     """Raised for engine misuse (unknown rule selection, bad path)."""
 
 
-class _ImportMap(ast.NodeVisitor):
-    """Resolves local names to canonical dotted import paths.
+def _import_names(nodes: List[ast.AST]) -> Dict[str, str]:
+    """Local names -> canonical dotted import paths.
 
     ``import numpy as np`` maps ``np`` -> ``numpy``; ``from random
     import shuffle as mix`` maps ``mix`` -> ``random.shuffle``.  Names
     not bound by an import resolve to nothing, so a local variable that
-    happens to be called ``random`` never triggers the RNG rules.
+    happens to be called ``random`` never resolves to the module.
     """
-
-    def __init__(self) -> None:
-        self.names: Dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.asname is not None:
-                self.names[alias.asname] = alias.name
-            else:
-                # ``import numpy.random`` binds the *root* name only.
-                root = alias.name.split(".")[0]
-                self.names[root] = root
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None or node.level:
-            return  # relative imports cannot name stdlib hazards
-        for alias in node.names:
-            bound = alias.asname if alias.asname is not None else alias.name
-            self.names[bound] = f"{node.module}.{alias.name}"
+    names: Dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    names[alias.asname] = alias.name
+                else:
+                    # ``import numpy.random`` binds the *root* name only.
+                    root = alias.name.split(".")[0]
+                    names[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.module is not None \
+                and not node.level:
+            # Relative imports cannot name stdlib hazards.
+            for alias in node.names:
+                bound = alias.asname if alias.asname is not None else alias.name
+                names[bound] = f"{node.module}.{alias.name}"
+    return names
 
 
 def dotted_name(node: ast.expr) -> Optional[str]:
@@ -113,20 +114,15 @@ class ModuleContext:
     path: str
     source: str
     tree: ast.Module
-    #: Normalised path components, used for scoping (``"obs" in parts``).
+    #: Normalised path components, used for scoping (``"sim" in parts``).
     parts: Tuple[str, ...]
-    imports: Dict[str, str] = field(default_factory=dict)
+    #: Every node of ``tree`` in :func:`ast.walk` order, walked once.
+    nodes: List[ast.AST]
+    imports: Dict[str, str]
     #: line -> rules disabled on that line.
     line_pragmas: Dict[int, Set[str]] = field(default_factory=dict)
     #: rules disabled for the whole module.
     file_pragmas: Set[str] = field(default_factory=set)
-    #: (line, rule) -> justification text after ``--`` (may be empty).
-    pragma_justifications: Dict[Tuple[int, str], str] = field(
-        default_factory=dict)
-
-    @property
-    def is_obs_module(self) -> bool:
-        return "obs" in self.parts
 
     @property
     def is_simulator_layer(self) -> bool:
@@ -169,50 +165,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that sees the whole program at once.
-
-    Project rules consume the shared :class:`ProjectContext` (symbol
-    table, call graph, purity summaries) built over every parse-clean
-    module of the scan; findings still attach to individual modules and
-    are suppressed by that module's pragmas exactly like module-local
-    findings.  Single-file scans simply run them over a one-module
-    project, so fixtures and ``lint_source`` keep working unchanged.
-    """
-
-    def check(self, ctx: ModuleContext) -> List[Finding]:
-        return []
-
-    def check_project(self, project: "ProjectContext") -> List[Finding]:
-        raise NotImplementedError
-
-
-class ProjectContext:
-    """The whole scanned program: modules plus lazily-built analyses."""
-
-    def __init__(self, modules: Sequence[ModuleContext]) -> None:
-        self.modules = list(modules)
-        self.by_path: Dict[str, ModuleContext] = {
-            ctx.path: ctx for ctx in self.modules}
-        self._index = None
-        self._purity = None
-
-    @property
-    def index(self):
-        """The project symbol table / call graph (built once)."""
-        if self._index is None:
-            from repro.lint.callgraph import build_index
-            self._index = build_index(self.modules)
-        return self._index
-
-    @property
-    def purity(self):
-        """Impure functions -> witness chains (computed once)."""
-        if self._purity is None:
-            self._purity = self.index.compute_purity()
-        return self._purity
-
-
 def all_rules() -> List[Rule]:
     """Every shipped rule; ids are unique and sorted (ND, RP, SD)."""
     from repro.lint.discipline import DISCIPLINE_RULES
@@ -223,39 +175,45 @@ def all_rules() -> List[Rule]:
             + DISCIPLINE_RULES]
 
 
-def known_rule_ids() -> Set[str]:
-    return {rule.rule_id for rule in all_rules()}
+def pragmas(source: str) -> Iterator[Tuple[int, int, "re.Match[str]"]]:
+    """``(line, column, match)`` for every pragma *comment* in ``source``."""
+    if "simlint" not in source:
+        return
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _PRAGMA_RE.search(token.string)
+        if match is not None:
+            yield token.start[0], token.start[1] + match.start() + 1, match
 
 
 def _collect_pragmas(ctx: ModuleContext, known: Set[str],
                      diagnostics: List[Finding]) -> None:
-    for lineno, line in enumerate(ctx.source.splitlines(), start=1):
-        match = _PRAGMA_RE.search(line)
-        if match is None:
-            continue
+    for line, col, match in pragmas(ctx.source):
         rules = {r.strip() for r in match.group("rules").split(",") if r.strip()}
         why = (match.group("why") or "").strip()
         for rule_id in sorted(rules):
             if rule_id not in known:
                 diagnostics.append(Finding(
-                    rule=UNKNOWN_PRAGMA_RULE, path=ctx.path, line=lineno,
-                    col=match.start() + 1,
-                    message=f"pragma names unknown rule {rule_id!r}"))
+                    rule=UNKNOWN_PRAGMA_RULE, path=ctx.path, line=line,
+                    col=col, message=f"pragma names unknown rule {rule_id!r}"))
                 continue
             if match.group("scope"):
                 ctx.file_pragmas.add(rule_id)
             else:
-                ctx.line_pragmas.setdefault(lineno, set()).add(rule_id)
-            ctx.pragma_justifications[(lineno, rule_id)] = why
+                ctx.line_pragmas.setdefault(line, set()).add(rule_id)
+            if not why:
+                diagnostics.append(Finding(
+                    rule=BARE_PRAGMA, path=ctx.path, line=line, col=1,
+                    message=f"pragma suppressing {rule_id} carries no "
+                            f"justification; add '-- why' or remove it"))
 
 
-def _select(rules: Optional[Sequence[Rule]],
-            select: Optional[Iterable[str]]) -> List[Rule]:
-    active = list(rules) if rules is not None else all_rules()
+def _select(select: Optional[Iterable[str]]) -> List[Rule]:
+    active = all_rules()
     if select is not None:
         wanted = set(select)
-        known = {rule.rule_id for rule in active}
-        unknown = wanted - known
+        unknown = wanted - {rule.rule_id for rule in active}
         if unknown:
             raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
         active = [rule for rule in active if rule.rule_id in wanted]
@@ -272,10 +230,9 @@ def _build_context(source: str, path: str) -> Tuple[Optional[ModuleContext],
         return None, Finding(rule=SYNTAX_ERROR, path=path,
                              line=exc.lineno or 0, col=(exc.offset or 0),
                              message=f"file does not parse: {exc.msg}")
-    imports = _ImportMap()
-    imports.visit(tree)
+    nodes = list(ast.walk(tree))
     return ModuleContext(path=path, source=source, tree=tree, parts=parts,
-                         imports=imports.names), None
+                         nodes=nodes, imports=_import_names(nodes)), None
 
 
 def _suppressed(ctx: ModuleContext, found: Finding) -> bool:
@@ -283,78 +240,28 @@ def _suppressed(ctx: ModuleContext, found: Finding) -> bool:
             or found.rule in ctx.line_pragmas.get(found.line, ()))
 
 
-def lint_sources(entries: Sequence[Tuple[str, str]], *,
-                 rules: Optional[Sequence[Rule]] = None,
-                 select: Optional[Iterable[str]] = None,
-                 respect_pragmas: bool = True,
-                 require_justification: bool = False) -> List[Finding]:
-    """Scan ``(path, source)`` modules as one program; sorted findings.
-
-    Module-local rules run per module; :class:`ProjectRule` subclasses
-    run once over the whole set (symbol table and call graph span every
-    parse-clean module), with their findings suppressed by the owning
-    module's pragmas.  ``require_justification`` additionally reports a
-    ``E003`` diagnostic for every pragma whose ``--`` justification is
-    missing or empty.
-    """
-    active = _select(rules, select)
-    known = known_rule_ids()
+def _lint(entries: Iterable[Tuple[str, str]],
+          select: Optional[Iterable[str]]) -> List[Finding]:
+    """Scan ``(path, source)`` modules; sorted findings."""
+    active = _select(select)
+    known = {rule.rule_id for rule in all_rules()}
     findings: List[Finding] = []
-    contexts: List[ModuleContext] = []
     for path, source in entries:
         ctx, error = _build_context(source, path)
         if ctx is None:
             findings.append(error)
             continue
         _collect_pragmas(ctx, known, findings)
-        contexts.append(ctx)
-
-    project = ProjectContext(contexts)
-    for ctx in contexts:
         for rule in active:
-            if isinstance(rule, ProjectRule):
-                continue
-            for found in rule.check(ctx):
-                if respect_pragmas and _suppressed(ctx, found):
-                    continue
-                findings.append(found)
-    for rule in active:
-        if not isinstance(rule, ProjectRule):
-            continue
-        for found in rule.check_project(project):
-            ctx = project.by_path.get(found.path)
-            if respect_pragmas and ctx is not None \
-                    and _suppressed(ctx, found):
-                continue
-            findings.append(found)
-
-    if require_justification:
-        for ctx in contexts:
-            for (line, rule_id), why in sorted(
-                    ctx.pragma_justifications.items()):
-                if not why:
-                    findings.append(Finding(
-                        rule=BARE_PRAGMA, path=ctx.path, line=line, col=1,
-                        message=f"pragma suppressing {rule_id} carries no "
-                                f"justification; add '-- why' or remove it"))
+            findings.extend(found for found in rule.check(ctx)
+                            if not _suppressed(ctx, found))
     return sorted(findings, key=lambda f: f.sort_key)
 
 
 def lint_source(source: str, path: str = "<string>", *,
-                rules: Optional[Sequence[Rule]] = None,
-                select: Optional[Iterable[str]] = None,
-                respect_pragmas: bool = True,
-                require_justification: bool = False) -> List[Finding]:
+                select: Optional[Iterable[str]] = None) -> List[Finding]:
     """Scan one module's source text; returns sorted findings."""
-    return lint_sources([(path, source)], rules=rules, select=select,
-                        respect_pragmas=respect_pragmas,
-                        require_justification=require_justification)
-
-
-def lint_file(path: str, **kwargs) -> List[Finding]:
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    return lint_source(source, path=path, **kwargs)
+    return _lint([(path, source)], select)
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -375,24 +282,20 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
     return sorted(dict.fromkeys(collected))
 
 
-def lint_paths(paths: Iterable[str], **kwargs) -> List[Finding]:
-    """Scan files and directory trees *as one program*; sorted findings.
+def lint_paths(paths: Iterable[str], *,
+               select: Optional[Iterable[str]] = None) -> List[Finding]:
+    """Scan files and directory trees; sorted findings."""
+    def entries():
+        for filename in iter_python_files(paths):
+            with open(filename, "r", encoding="utf-8") as fh:
+                yield filename, fh.read()
 
-    All files are parsed up front so whole-program rules see every
-    module: a probe in ``obs/`` calling a helper defined in ``cluster/``
-    is resolved across the file boundary.
-    """
-    entries: List[Tuple[str, str]] = []
-    for filename in iter_python_files(paths):
-        with open(filename, "r", encoding="utf-8") as fh:
-            entries.append((filename, fh.read()))
-    return lint_sources(entries, **kwargs)
+    return _lint(entries(), select)
 
 
 __all__ = [
-    "Finding", "LintError", "ModuleContext", "ProjectContext",
-    "ProjectRule", "Rule",
-    "all_rules", "dotted_name", "iter_python_files",
-    "lint_file", "lint_paths", "lint_source", "lint_sources",
+    "Finding", "LintError", "ModuleContext", "Rule",
+    "all_rules", "dotted_name", "iter_python_files", "lint_paths",
+    "lint_source", "pragmas",
     "BARE_PRAGMA", "SYNTAX_ERROR", "UNKNOWN_PRAGMA_RULE",
 ]

@@ -1,35 +1,20 @@
-"""Tier 1: generic nondeterminism rules (ND01..ND05).
+"""Generic nondeterminism rules (ND02, ND03, ND05).
 
-These rules encode the repository's determinism discipline: every
-stochastic choice flows from an explicitly seeded ``random.Random``
-instance, virtual time is the only clock, and nothing order-sensitive
-ever iterates an unordered container.  Each rule documents its exact
-trigger and its known blind spots -- the static pass is a tripwire, not
-a proof; the runtime sanitizer (:mod:`repro.sim.sanitizer`) covers what
-the AST cannot see.
+These rules encode the parts of the repository's determinism discipline
+that no runtime check sees: virtual time is the only clock, nothing
+order-sensitive iterates an unordered container, and no call leaves
+state behind in a shared default.  Each rule documents its exact trigger
+and its known blind spots -- the static pass is a tripwire, not a proof.
+An unseeded RNG or an ``id()`` ordering key needs no rule: the
+determinism tests and the pinned fingerprints fail on the first run.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.engine import Finding, ModuleContext, Rule, dotted_name
-
-#: ``random`` module-level callables that are fine: seeded-instance
-#: constructors.  Everything else on the module draws from the shared,
-#: implicitly seeded global state.
-_ALLOWED_RANDOM = {"random.Random"}
-
-#: numpy RNG constructors that are deterministic *when given a seed*.
-_SEEDABLE_NUMPY = {
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "numpy.random.SeedSequence",
-    "numpy.random.PCG64",
-    "numpy.random.Philox",
-    "numpy.random.RandomState",
-}
 
 #: Wall-clock reads.  ``perf_counter`` is included deliberately: its
 #: only legitimate use here is wall-time *profiling* that never feeds
@@ -72,48 +57,6 @@ def _annotation_is_set(node: Optional[ast.expr]) -> bool:
     return name.split(".")[-1] in {n.split(".")[-1] for n in _SET_ANNOTATIONS}
 
 
-class RuleND01(Rule):
-    """Unseeded module-level RNG calls.
-
-    Flags any call into the ``random`` module's global state
-    (``random.random()``, ``random.shuffle`` -- including from-imports)
-    and any ``numpy.random`` module-level call; zero-argument
-    constructions of seedable RNGs (``random.Random()``,
-    ``np.random.default_rng()``) are flagged too.  Seeded instances
-    (``random.Random(seed)``) are the sanctioned pattern.
-    """
-
-    rule_id = "ND01"
-    title = "unseeded global RNG call"
-
-    def check(self, ctx: ModuleContext) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = ctx.resolve_call(node.func)
-            if target is None:
-                continue
-            if target in _ALLOWED_RANDOM or target in _SEEDABLE_NUMPY:
-                if not node.args and not node.keywords:
-                    findings.append(ctx.finding(
-                        self, node,
-                        f"{target}() without a seed is entropy-seeded; pass "
-                        f"an explicit seed"))
-                continue
-            if target.startswith("random.") or target == "random":
-                findings.append(ctx.finding(
-                    self, node,
-                    f"call to {target} draws from the global RNG; use a "
-                    f"seeded random.Random instance"))
-            elif target.startswith("numpy.random."):
-                findings.append(ctx.finding(
-                    self, node,
-                    f"call to {target} draws from numpy's global RNG; use a "
-                    f"seeded Generator"))
-        return findings
-
-
 class RuleND02(Rule):
     """Wall-clock reads in simulation code.
 
@@ -129,7 +72,7 @@ class RuleND02(Rule):
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = ctx.resolve_call(node.func)
@@ -141,29 +84,22 @@ class RuleND02(Rule):
         return findings
 
 
-class _SetTypeIndex(ast.NodeVisitor):
-    """Module-wide index of set-typed attributes and set-returning defs."""
-
-    def __init__(self) -> None:
-        self.set_attrs: Set[str] = set()
-        self.set_funcs: Set[str] = set()
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if _annotation_is_set(node.annotation):
+def _set_typed_names(nodes: List[ast.AST]) -> Tuple[Set[str], Set[str]]:
+    """Module-wide set-typed attribute names and set-returning def names."""
+    attrs: Set[str] = set()
+    funcs: Set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.AnnAssign) \
+                and _annotation_is_set(node.annotation):
             target = node.target
             if isinstance(target, ast.Attribute):
-                self.set_attrs.add(target.attr)
+                attrs.add(target.attr)
             elif isinstance(target, ast.Name):
-                self.set_attrs.add(target.id)
-        self.generic_visit(node)
-
-    def _visit_func(self, node) -> None:
-        if _annotation_is_set(node.returns):
-            self.set_funcs.add(node.name)
-        self.generic_visit(node)
-
-    visit_FunctionDef = _visit_func
-    visit_AsyncFunctionDef = _visit_func
+                attrs.add(target.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and _annotation_is_set(node.returns):
+            funcs.add(node.name)
+    return attrs, funcs
 
 
 def _walk_scope(body: List[ast.stmt]):
@@ -185,17 +121,17 @@ class _ScopeSets:
     drop the name rather than risk a false positive.
     """
 
-    def __init__(self, index: _SetTypeIndex, ctx: ModuleContext) -> None:
-        self.index = index
-        self.ctx = ctx
+    def __init__(self, set_attrs: Set[str], set_funcs: Set[str]) -> None:
+        self.set_attrs = set_attrs
+        self.set_funcs = set_funcs
         self.names: Set[str] = set()
 
-    def collect(self, body: List[ast.stmt]) -> None:
+    def collect(self, nodes: List[ast.AST]) -> None:
         # Two passes so ``x = set(); y = x`` resolves ``y``: the first
         # pass seeds ``self.names``, the second re-evaluates with it.
         for _ in range(2):
             set_assigned: Dict[str, bool] = {}
-            for node in _walk_scope(body):
+            for node in nodes:
                 targets: List[ast.expr] = []
                 value: Optional[ast.expr] = None
                 if isinstance(node, ast.Assign):
@@ -220,7 +156,7 @@ class _ScopeSets:
         if isinstance(node, ast.Name):
             return node.id in self.names
         if isinstance(node, ast.Attribute):
-            return node.attr in self.index.set_attrs
+            return node.attr in self.set_attrs
         if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)):
             return self.is_set_expr(node.left) or self.is_set_expr(node.right)
@@ -229,12 +165,12 @@ class _ScopeSets:
             if isinstance(func, ast.Name):
                 if func.id in ("set", "frozenset"):
                     return True
-                return func.id in self.index.set_funcs
+                return func.id in self.set_funcs
             if isinstance(func, ast.Attribute):
                 if func.attr in _SET_COMBINATORS \
                         and self.is_set_expr(func.value):
                     return True
-                return func.attr in self.index.set_funcs
+                return func.attr in self.set_funcs
         return False
 
 
@@ -262,20 +198,21 @@ class RuleND03(Rule):
     title = "unordered set iteration"
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
-        index = _SetTypeIndex()
-        index.visit(ctx.tree)
+        set_attrs, set_funcs = _set_typed_names(ctx.nodes)
         findings: List[Finding] = []
-        self._check_scope(ctx, index, ctx.tree.body, findings)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_scope(ctx, index, node.body, findings)
+        bodies = [ctx.tree.body] + [
+            node.body for node in ctx.nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for body in bodies:
+            nodes = list(_walk_scope(body))
+            scope = _ScopeSets(set_attrs, set_funcs)
+            scope.collect(nodes)
+            self._check_scope(ctx, scope, nodes, findings)
         return findings
 
-    def _check_scope(self, ctx: ModuleContext, index: _SetTypeIndex,
-                     body: List[ast.stmt], findings: List[Finding]) -> None:
-        scope = _ScopeSets(index, ctx)
-        scope.collect(body)
-        for node in _walk_scope(body):
+    def _check_scope(self, ctx: ModuleContext, scope: _ScopeSets,
+                     nodes: List[ast.AST], findings: List[Finding]) -> None:
+        for node in nodes:
             if isinstance(node, ast.For) and scope.is_set_expr(node.iter):
                 findings.append(ctx.finding(
                     self, node.iter,
@@ -306,42 +243,6 @@ class RuleND03(Rule):
                         "nondeterministic order; sort first"))
 
 
-class RuleND04(Rule):
-    """``id()`` / ``hash()`` inside ordering keys.
-
-    ``id`` is an allocation address and ``hash`` of strings is salted
-    per process (PYTHONHASHSEED): either one inside a ``sorted``/
-    ``min``/``max``/``.sort`` key makes the order vary across runs.
-    """
-
-    rule_id = "ND04"
-    title = "id()/hash() in an ordering key"
-
-    def check(self, ctx: ModuleContext) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            is_order_call = (
-                (isinstance(func, ast.Name)
-                 and func.id in ("sorted", "min", "max"))
-                or (isinstance(func, ast.Attribute) and func.attr == "sort")
-            )
-            if not is_order_call:
-                continue
-            for child in node.args + [kw.value for kw in node.keywords]:
-                for inner in ast.walk(child):
-                    if isinstance(inner, ast.Call) \
-                            and isinstance(inner.func, ast.Name) \
-                            and inner.func.id in ("id", "hash"):
-                        findings.append(ctx.finding(
-                            self, inner,
-                            f"{inner.func.id}() in an ordering key varies "
-                            f"across processes/runs; derive a stable key"))
-        return findings
-
-
 class RuleND05(Rule):
     """Mutable default arguments.
 
@@ -360,7 +261,7 @@ class RuleND05(Rule):
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.Lambda)):
                 continue
@@ -384,7 +285,6 @@ class RuleND05(Rule):
         return findings
 
 
-NONDETERMINISM_RULES = [RuleND01, RuleND02, RuleND03, RuleND04, RuleND05]
+NONDETERMINISM_RULES = [RuleND02, RuleND03, RuleND05]
 
-__all__ = ["NONDETERMINISM_RULES", "RuleND01", "RuleND02", "RuleND03",
-           "RuleND04", "RuleND05"]
+__all__ = ["NONDETERMINISM_RULES", "RuleND02", "RuleND03", "RuleND05"]

@@ -1,20 +1,14 @@
-"""Tier 3: RNG-stream provenance rules (RP01..RP02).
+"""RNG-stream provenance (RP01).
 
 The reproduction's determinism contract is *one root seed*: every
 stochastic component draws from its own ``random.Random`` / numpy
 ``Generator`` whose seed is derived through
 :func:`repro.cluster.ring.derive_seed` (position-sensitive, stable
-across processes) from the root.  Two ways to silently break that
-contract survive the module-local ND01 check:
-
-* a stream constructed from a seed that does **not** descend from the
-  root -- a literal, an ad-hoc ``seed + 1`` mangle, a ``hash()`` -- or a
-  live stream re-seeded mid-run (``rng.seed(...)``), which resets the
-  draw sequence out from under every other consumer (**RP01**);
-* one stream *shared* between two consumers -- passed to two different
-  components or stored under two names -- so their draw orders couple:
-  adding an event to one shard reorders the other's randomness
-  (**RP02**).
+across processes) from the root.  A stream constructed from a seed that
+does **not** descend from the root -- a literal, an ad-hoc ``seed + 1``
+mangle, a ``hash()`` -- or a live stream re-seeded mid-run
+(``rng.seed(...)``) still replays byte for byte, so no determinism test
+notices it; it only stops the root seed from choosing that stream.
 
 Sanctioned seed provenance is syntactic and deliberately generous: a
 ``derive_seed(...)`` call, or any name/attribute carrying a ``seed``
@@ -25,9 +19,9 @@ i.e. a seed that was *handed in* rather than invented locally.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
-from repro.lint.engine import Finding, ModuleContext, Rule, dotted_name
+from repro.lint.engine import Finding, ModuleContext, Rule
 
 #: Constructors that mint an RNG stream (canonical, import-resolved).
 RNG_CONSTRUCTORS = frozenset({
@@ -35,16 +29,6 @@ RNG_CONSTRUCTORS = frozenset({
     "numpy.random.default_rng",
     "numpy.random.Generator",
     "numpy.random.RandomState",
-})
-
-#: Method names that *draw from* a stream -- calls through these are the
-#: stream's own business, not an escape to another consumer.
-_DRAW_METHODS = frozenset({
-    "random", "randint", "randrange", "uniform", "choice", "choices",
-    "sample", "shuffle", "gauss", "normal", "expovariate", "betavariate",
-    "integers", "standard_normal", "getrandbits", "triangular",
-    "vonmisesvariate", "paretovariate", "weibullvariate", "lognormvariate",
-    "bytes", "seed", "getstate", "setstate", "jumped", "spawn",
 })
 
 
@@ -107,8 +91,9 @@ class RuleRP01(Rule):
     ``.seed(...)`` re-seeding of a live stream -- even with a derived
     seed, resetting the sequence mid-run yanks the draw order out from
     under every other holder; construct a fresh stream instead.
-    Zero-argument constructions are ND01's finding and are not
-    double-reported here.
+    Zero-argument (entropy-seeded) constructions and the module-level
+    global RNG are left alone: their runs differ every time, which the
+    determinism tests catch.
     """
 
     rule_id = "RP01"
@@ -117,17 +102,17 @@ class RuleRP01(Rule):
     def check(self, ctx: ModuleContext) -> List[Finding]:
         provenance = _SeedProvenance(ctx)
         rng_names = _collect_rng_names(ctx)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 provenance.note_assignment(node.targets[0], node.value)
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if _is_rng_constructor(ctx, node):
                 seed = _seed_argument(node)
                 if seed is None:
-                    continue  # unseeded: ND01 territory
+                    continue  # unseeded: the determinism tests catch it
                 if not provenance.is_sanctioned(seed):
                     findings.append(ctx.finding(
                         self, node,
@@ -141,7 +126,7 @@ class RuleRP01(Rule):
                 if canonical is not None and (
                         canonical.startswith("random.")
                         or canonical.startswith("numpy.random.")):
-                    continue  # the module-level global RNG: ND01's finding
+                    continue  # the module-level global RNG
                 if not _is_rng_receiver(receiver, rng_names):
                     continue
                 findings.append(ctx.finding(
@@ -155,7 +140,7 @@ class RuleRP01(Rule):
 def _collect_rng_names(ctx: ModuleContext) -> Set[str]:
     """Bare names and ``self.<attr>`` attrs bound to RNG constructions."""
     names: Set[str] = set()
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         value: Optional[ast.expr] = None
         targets: List[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -184,150 +169,6 @@ def _is_rng_receiver(node: ast.expr, rng_names: Set[str]) -> bool:
     return tail in rng_names or "rng" in tail.lower()
 
 
-class RuleRP02(Rule):
-    """One RNG stream reaching two consumers.
+PROVENANCE_RULES = [RuleRP01]
 
-    A stream's draw order is part of the determinism fingerprint of
-    every component that holds it: hand the same instance to two
-    components (two constructor calls, two helper sinks, or two stored
-    names) and adding one draw to either reorders the other.  Tracks
-    streams from their construction -- local variables inside a
-    function, ``self.<attr>`` across one class's methods -- and flags
-    every escape after the first distinct one.  Draw calls
-    (``rng.random()``, ``rng.choice(...)``) are not escapes, and neither
-    is passing the stream repeatedly to the *same* consumer.
-    """
-
-    rule_id = "RP02"
-    title = "RNG stream shared by two consumers"
-
-    def check(self, ctx: ModuleContext) -> List[Finding]:
-        findings: List[Finding] = []
-        for body, locals_, attrs in _rp02_scopes(ctx):
-            streams = _streams_in_scope(ctx, body, track_locals=locals_,
-                                        track_attrs=attrs)
-            for stream, escapes in streams.items():
-                escapes.sort(key=lambda e: (getattr(e[1], "lineno", 0),
-                                            getattr(e[1], "col_offset", 0)))
-                distinct: Dict[str, ast.AST] = {}
-                ordered: List[Tuple[str, ast.AST]] = []
-                for sink, node in escapes:
-                    if sink not in distinct:
-                        distinct[sink] = node
-                        ordered.append((sink, node))
-                if len(ordered) < 2:
-                    continue
-                sinks = ", ".join(sink for sink, _ in ordered)
-                for sink, node in ordered[1:]:
-                    findings.append(ctx.finding(
-                        self, node,
-                        f"RNG stream {stream!r} is shared by multiple "
-                        f"consumers ({sinks}); shared streams couple their "
-                        f"draw order -- derive one stream per consumer via "
-                        f"derive_seed"))
-        return findings
-
-
-def _rp02_scopes(ctx: ModuleContext):
-    """(statements, track_locals, track_attrs) triples.
-
-    Local-variable streams are tracked inside their own function (or the
-    module body); ``self.<attr>`` streams are tracked over the *whole
-    class* -- the methods concatenated -- so a ``self._rng`` built in
-    ``__init__`` and escaped from two different methods is one stream.
-    Each kind is tracked in exactly one scope, so no escape is counted
-    twice.
-    """
-    yield ctx.tree.body, True, False
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body, True, False
-        elif isinstance(node, ast.ClassDef):
-            methods: List[ast.stmt] = []
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods.extend(item.body)
-            yield methods, False, True
-
-
-def _streams_in_scope(ctx: ModuleContext, body: List[ast.stmt], *,
-                      track_locals: bool,
-                      track_attrs: bool) -> Dict[str, List[Tuple[str, ast.AST]]]:
-    """stream name -> [(sink key, node)] escapes inside one scope."""
-    streams: Set[str] = set()
-    for node in _shallow_walk(body):
-        value: Optional[ast.expr] = None
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not isinstance(value, ast.Call) \
-                or not _is_rng_constructor(ctx, value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and track_locals:
-                streams.add(target.id)
-            elif isinstance(target, ast.Attribute) and track_attrs \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                streams.add(f"self.{target.attr}")
-
-    escapes: Dict[str, List[Tuple[str, ast.AST]]] = {s: [] for s in streams}
-    if not streams:
-        return escapes
-
-    def stream_of(expr: ast.expr) -> Optional[str]:
-        if isinstance(expr, ast.Name) and expr.id in streams:
-            return expr.id
-        if isinstance(expr, ast.Attribute) \
-                and isinstance(expr.value, ast.Name) \
-                and expr.value.id == "self" \
-                and f"self.{expr.attr}" in streams:
-            return f"self.{expr.attr}"
-        return None
-
-    for node in _shallow_walk(body):
-        if isinstance(node, ast.Call):
-            func = node.func
-            # A draw through the stream's own methods is not an escape.
-            if isinstance(func, ast.Attribute) \
-                    and stream_of(func.value) is not None \
-                    and func.attr in _DRAW_METHODS:
-                continue
-            callee = dotted_name(func) or (
-                func.attr if isinstance(func, ast.Attribute) else "<call>")
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                stream = stream_of(arg)
-                if stream is not None:
-                    escapes[stream].append((f"{callee}()", node))
-        elif isinstance(node, ast.Assign):
-            stream = stream_of(node.value)
-            if stream is None:
-                continue
-            for target in node.targets:
-                alias = None
-                if isinstance(target, ast.Name):
-                    alias = target.id
-                elif isinstance(target, ast.Attribute):
-                    alias = f".{target.attr}"
-                if alias is not None and alias != stream:
-                    escapes[stream].append((f"alias {alias}", node))
-    return escapes
-
-
-def _shallow_walk(body: List[ast.stmt]):
-    """Walk statements without descending into nested def/class scopes."""
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-PROVENANCE_RULES = [RuleRP01, RuleRP02]
-
-__all__ = ["PROVENANCE_RULES", "RNG_CONSTRUCTORS", "RuleRP01", "RuleRP02"]
+__all__ = ["PROVENANCE_RULES", "RNG_CONSTRUCTORS", "RuleRP01"]

@@ -32,8 +32,8 @@ ultimately rests on:
     sanitizer snapshots the foreground surface (global clock,
     fingerprint, event counts, and each non-telemetry source's own
     clock, queue depth and head time) and verifies the probe left all
-    of it untouched -- the runtime twin of the static ``SD01`` rule and
-    of the telemetry-on/off byte-identity suites.
+    of it untouched -- the per-probe twin of the telemetry-on/off
+    byte-identity suites.
 
 ``pending-leak``
     Registered pending-invocation maps (see :meth:`watch_map`) must be

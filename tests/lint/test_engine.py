@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.lint.__main__ import main
 from repro.lint.engine import (
     SYNTAX_ERROR,
     UNKNOWN_PRAGMA_RULE,
@@ -14,41 +15,41 @@ from repro.lint.engine import (
     lint_source,
 )
 
-UNSEEDED = "import random\nvalue = random.random()\n"
+WALL_CLOCK = "import time\nvalue = time.time()\n"
 
 
 class TestPragmas:
     def test_line_pragma_suppresses_the_named_rule(self):
-        source = ("import random\n"
-                  "value = random.random()"
-                  "  # simlint: disable=ND01 -- calibration only\n")
+        source = ("import time\n"
+                  "value = time.time()"
+                  "  # simlint: disable=ND02 -- calibration only\n")
         assert lint_source(source) == []
 
     def test_line_pragma_only_covers_its_own_line(self):
-        source = ("import random\n"
-                  "a = random.random()  # simlint: disable=ND01 -- here\n"
-                  "b = random.random()\n")
+        source = ("import time\n"
+                  "a = time.time()  # simlint: disable=ND02 -- here\n"
+                  "b = time.time()\n")
         findings = lint_source(source)
-        assert [(f.rule, f.line) for f in findings] == [("ND01", 3)]
+        assert [(f.rule, f.line) for f in findings] == [("ND02", 3)]
 
     def test_line_pragma_does_not_cover_other_rules(self):
-        source = ("import random\n"
-                  "value = random.random()  # simlint: disable=ND02 -- wrong\n")
-        assert [f.rule for f in lint_source(source)] == ["ND01"]
+        source = ("import time\n"
+                  "value = time.time()  # simlint: disable=ND05 -- wrong\n")
+        assert [f.rule for f in lint_source(source)] == ["ND02"]
 
     def test_file_pragma_suppresses_module_wide(self):
-        source = ("# simlint: disable-file=ND01 -- calibration module\n"
-                  "import random\n"
-                  "a = random.random()\n"
-                  "b = random.random()\n")
+        source = ("# simlint: disable-file=ND02 -- calibration module\n"
+                  "import time\n"
+                  "a = time.time()\n"
+                  "b = time.time()\n")
         assert lint_source(source) == []
 
-    def test_no_pragmas_mode_reveals_suppressed_findings(self):
-        source = ("import random\n"
-                  "value = random.random()"
-                  "  # simlint: disable=ND01 -- hidden\n")
-        findings = lint_source(source, respect_pragmas=False)
-        assert [f.rule for f in findings] == ["ND01"]
+    def test_pragma_text_in_a_string_suppresses_nothing(self):
+        docstring = '"""\n# simlint: disable-file=ND02 -- x\n"""\n' + WALL_CLOCK
+        assert [f.rule for f in lint_source(docstring)] == ["ND02"]
+        same_line = ("import time\n"
+                     "value = (time.time(), '# simlint: disable=ND02 -- x')\n")
+        assert [f.rule for f in lint_source(same_line)] == ["ND02"]
 
     def test_unknown_rule_in_pragma_is_reported(self):
         source = "x = 1  # simlint: disable=ND99 -- typo\n"
@@ -56,11 +57,23 @@ class TestPragmas:
         assert [f.rule for f in findings] == [UNKNOWN_PRAGMA_RULE]
         assert "ND99" in findings[0].message
 
+    def test_bare_pragma_fails_the_default_scan(self, tmp_path, capsys):
+        bare = tmp_path / "bare.py"
+        bare.write_text("import time\n"
+                        "value = time.time()  # simlint: disable=ND02\n")
+        assert main([str(bare)]) == 1
+        assert "E003" in capsys.readouterr().out
+
+        justified = tmp_path / "justified.py"
+        justified.write_text(
+            "import time\n"
+            "value = time.time()  # simlint: disable=ND02 -- calibration\n")
+        assert main([str(justified)]) == 0
+
     def test_multi_rule_pragma(self):
-        source = ("import random\n"
-                  "from time import time\n"
-                  "value = random.random() + time()"
-                  "  # simlint: disable=ND01,ND02 -- drill\n")
+        source = ("import time\n"
+                  "def stamp(log=[]): return log + [time.time()]"
+                  "  # simlint: disable=ND02,ND05 -- drill\n")
         assert lint_source(source) == []
 
 
@@ -70,21 +83,20 @@ class TestDiagnostics:
         assert [f.rule for f in findings] == [SYNTAX_ERROR]
 
     def test_findings_carry_location_and_format(self):
-        findings = lint_source(UNSEEDED, path="pkg/mod.py")
+        findings = lint_source(WALL_CLOCK, path="pkg/mod.py")
         assert len(findings) == 1
         finding = findings[0]
         assert finding.path == "pkg/mod.py"
         assert finding.line == 2
         assert finding.format().startswith("pkg/mod.py:2:")
-        assert "ND01" in finding.format()
+        assert "ND02" in finding.format()
 
 
 class TestSelection:
     def test_select_narrows_to_named_rules(self):
-        source = ("import random\n"
-                  "from time import time\n"
-                  "value = random.random() + time()\n")
-        assert {f.rule for f in lint_source(source)} == {"ND01", "ND02"}
+        source = ("import time\n"
+                  "def stamp(log=[]): return log + [time.time()]\n")
+        assert {f.rule for f in lint_source(source)} == {"ND02", "ND05"}
         assert {f.rule for f in lint_source(source, select=["ND02"])} \
             == {"ND02"}
 
@@ -100,15 +112,15 @@ class TestSelection:
 
 class TestTraversal:
     def test_directory_scan_collects_sorted_python_files(self, tmp_path):
-        (tmp_path / "b.py").write_text(UNSEEDED)
+        (tmp_path / "b.py").write_text(WALL_CLOCK)
         (tmp_path / "a.py").write_text("x = 1\n")
         (tmp_path / "__pycache__").mkdir()
-        (tmp_path / "__pycache__" / "c.py").write_text(UNSEEDED)
+        (tmp_path / "__pycache__" / "c.py").write_text(WALL_CLOCK)
         (tmp_path / "notes.txt").write_text("not python")
         files = iter_python_files([str(tmp_path)])
         assert [f.rsplit("/", 1)[-1] for f in files] == ["a.py", "b.py"]
         findings = lint_paths([str(tmp_path)])
-        assert [f.rule for f in findings] == ["ND01"]
+        assert [f.rule for f in findings] == ["ND02"]
 
     def test_missing_path_is_an_error(self):
         with pytest.raises(LintError):

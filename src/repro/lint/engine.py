@@ -175,7 +175,7 @@ def all_rules() -> List[Rule]:
             + DISCIPLINE_RULES]
 
 
-def pragmas(source: str) -> Iterator[Tuple[int, int, "re.Match[str]"]]:
+def pragmas(source: str) -> Iterator[Tuple[int, int, re.Match]]:
     """``(line, column, match)`` for every pragma *comment* in ``source``."""
     if "simlint" not in source:
         return
@@ -209,17 +209,6 @@ def _collect_pragmas(ctx: ModuleContext, known: Set[str],
                             f"justification; add '-- why' or remove it"))
 
 
-def _select(select: Optional[Iterable[str]]) -> List[Rule]:
-    active = all_rules()
-    if select is not None:
-        wanted = set(select)
-        unknown = wanted - {rule.rule_id for rule in active}
-        if unknown:
-            raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        active = [rule for rule in active if rule.rule_id in wanted]
-    return active
-
-
 def _build_context(source: str, path: str) -> Tuple[Optional[ModuleContext],
                                                     Optional[Finding]]:
     normalized = path.replace(os.sep, "/")
@@ -243,8 +232,14 @@ def _suppressed(ctx: ModuleContext, found: Finding) -> bool:
 def _lint(entries: Iterable[Tuple[str, str]],
           select: Optional[Iterable[str]]) -> List[Finding]:
     """Scan ``(path, source)`` modules; sorted findings."""
-    active = _select(select)
-    known = {rule.rule_id for rule in all_rules()}
+    active = all_rules()
+    known = {rule.rule_id for rule in active}
+    if select is not None:
+        wanted = set(select)
+        unknown = wanted - known
+        if unknown:
+            raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
+        active = [rule for rule in active if rule.rule_id in wanted]
     findings: List[Finding] = []
     for path, source in entries:
         ctx, error = _build_context(source, path)

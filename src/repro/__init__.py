@@ -40,109 +40,96 @@ Quickstart::
     print(system.read().value)
 """
 
-from repro.core.config import LDSConfig
-from repro.core.system import LDSSystem
-from repro.core.tags import Tag
-from repro.core.multi_object import MultiObjectSystem
-from repro.baselines import ABDSystem, CASSystem
-from repro.codes import (
-    LayeredCode,
-    ProductMatrixMBRCode,
-    ProductMatrixMSRCode,
-    ReedSolomonCode,
-    ReplicationCode,
-)
-from repro.consistency import (
-    ClusterAuditReport,
-    History,
-    LinearizabilityChecker,
-    SessionAuditReport,
-    SessionViolation,
-    check_atomicity_by_tags,
-    check_sessions,
-    inject_session_violation,
-)
-from repro.net import (
-    BoundedLatencyModel,
-    ExponentialLatencyModel,
-    FixedLatencyModel,
-    Network,
-    Simulator,
-)
-from repro.workloads import (
-    KeyedWorkloadRunner,
-    UniformKeySampler,
-    Workload,
-    WorkloadGenerator,
-    WorkloadRunner,
-    ZipfKeySampler,
-)
-from repro.cluster import (
-    ClusterNode,
-    HashRing,
-    Membership,
-    ObjectRouter,
-    RebalancePlan,
-    RepairScheduler,
-    ReplicationConfig,
-    make_read_policy,
-)
-from repro.sim import (
-    ClusterSimulation,
-    GlobalScheduler,
-    Scenario,
-    ScenarioAction,
-    ScenarioEngine,
-)
-from repro.obs import MetricsRegistry, Telemetry
+import sys
+from types import ModuleType
+
+
+class _ExportFirstPackage(ModuleType):
+    """A package one of whose exports shares its name with a submodule
+    (``repro.obs.critical_path`` is both a function and its module).
+
+    The import system binds every loaded submodule onto its package; here
+    that binding is dropped so the name keeps resolving to the export.
+    """
+
+    def __setattr__(self, name, value):
+        if not (isinstance(value, ModuleType) and name in self.__all__):
+            super().__setattr__(name, value)
+
+
+def _lazy_exports(package, table):
+    """PEP 562 hooks for ``package``: each exported name imports its module
+    ``package.<table[name]>`` on first use and is then cached in the
+    package namespace, so importing a package costs only its own body."""
+    namespace = vars(sys.modules[package])
+    if any(name == source for name, source in table.items()):
+        sys.modules[package].__class__ = _ExportFirstPackage
+
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        # __import__, not importlib, so ``-X importtime`` sees the import.
+        module = f"{package}.{table[name]}"
+        __import__(module)
+        value = namespace[name] = getattr(sys.modules[module], name)
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | table.keys())
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "LDSConfig": "core.config",
+    "LDSSystem": "core.system",
+    "MultiObjectSystem": "core.multi_object",
+    "Tag": "core.tags",
+    "ABDSystem": "baselines.abd",
+    "CASSystem": "baselines.cas",
+    "LayeredCode": "codes.layered",
+    "ProductMatrixMBRCode": "codes.product_matrix",
+    "ProductMatrixMSRCode": "codes.product_matrix",
+    "ReedSolomonCode": "codes.reed_solomon",
+    "ReplicationCode": "codes.replication",
+    "History": "consistency.history",
+    "LinearizabilityChecker": "consistency.linearizability",
+    "check_atomicity_by_tags": "consistency.linearizability",
+    "ClusterAuditReport": "consistency.sessions",
+    "SessionAuditReport": "consistency.sessions",
+    "SessionViolation": "consistency.sessions",
+    "check_sessions": "consistency.sessions",
+    "inject_session_violation": "consistency.injection",
+    "Simulator": "net.simulator",
+    "Network": "net.network",
+    "FixedLatencyModel": "net.latency",
+    "BoundedLatencyModel": "net.latency",
+    "ExponentialLatencyModel": "net.latency",
+    "Workload": "workloads.generator",
+    "WorkloadGenerator": "workloads.generator",
+    "WorkloadRunner": "workloads.runner",
+    "KeyedWorkloadRunner": "workloads.runner",
+    "UniformKeySampler": "workloads.generator",
+    "ZipfKeySampler": "workloads.generator",
+    "ClusterNode": "cluster.membership",
+    "HashRing": "cluster.ring",
+    "Membership": "cluster.membership",
+    "ObjectRouter": "cluster.router",
+    "RebalancePlan": "cluster.placement",
+    "RepairScheduler": "cluster.repair",
+    "ReplicationConfig": "cluster.read_policy",
+    "make_read_policy": "cluster.read_policy",
+    "GlobalScheduler": "sim.kernel",
+    "ClusterSimulation": "sim.harness",
+    "Scenario": "sim.scenario",
+    "ScenarioAction": "sim.scenario",
+    "ScenarioEngine": "sim.scenario",
+    "MetricsRegistry": "obs.registry",
+    "Telemetry": "obs.telemetry",
+}
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "LDSConfig",
-    "LDSSystem",
-    "MultiObjectSystem",
-    "Tag",
-    "ABDSystem",
-    "CASSystem",
-    "LayeredCode",
-    "ProductMatrixMBRCode",
-    "ProductMatrixMSRCode",
-    "ReedSolomonCode",
-    "ReplicationCode",
-    "History",
-    "LinearizabilityChecker",
-    "check_atomicity_by_tags",
-    "ClusterAuditReport",
-    "SessionAuditReport",
-    "SessionViolation",
-    "check_sessions",
-    "inject_session_violation",
-    "Simulator",
-    "Network",
-    "FixedLatencyModel",
-    "BoundedLatencyModel",
-    "ExponentialLatencyModel",
-    "Workload",
-    "WorkloadGenerator",
-    "WorkloadRunner",
-    "KeyedWorkloadRunner",
-    "UniformKeySampler",
-    "ZipfKeySampler",
-    "ClusterNode",
-    "HashRing",
-    "Membership",
-    "ObjectRouter",
-    "RebalancePlan",
-    "RepairScheduler",
-    "ReplicationConfig",
-    "make_read_policy",
-    "GlobalScheduler",
-    "ClusterSimulation",
-    "Scenario",
-    "ScenarioAction",
-    "ScenarioEngine",
-    "MetricsRegistry",
-    "Telemetry",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

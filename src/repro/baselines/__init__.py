@@ -13,7 +13,11 @@ Both are :class:`repro.core.system.RegisterSystem` subclasses, like
 swap algorithms without changing the workload code.
 """
 
-from repro.baselines.abd import ABDSystem
-from repro.baselines.cas import CASSystem
+from repro import _lazy_exports
 
-__all__ = ["ABDSystem", "CASSystem"]
+_EXPORTS = {
+    "ABDSystem": "abd",
+    "CASSystem": "cas",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -25,67 +25,40 @@ serve millions of objects:
 the above together on the global simulation kernel.
 """
 
-from repro.cluster.ring import HashRing, RingBalance, derive_seed, stable_hash
-from repro.cluster.placement import (
-    FollowerChange,
-    RebalancePlan,
-    ShardMove,
-    diff_placements,
-    diff_replica_placements,
-    placement_of,
-    replica_placement_of,
-)
-from repro.cluster.membership import (
-    ClusterNode,
-    Membership,
-    MembershipEvent,
-)
-from repro.cluster.router import ObjectRouter, RouterStats, Shard
-from repro.cluster.repair import RepairScheduler, RepairStats, RepairTask
-from repro.cluster.replicas import (
-    FollowerStore,
-    LeastLoadedPolicy,
-    NearestPolicy,
-    PrimaryOnlyPolicy,
-    QuorumReadPolicy,
-    ReadRoutingPolicy,
-    ReplicaCoordinator,
-    ReplicaGroup,
-    ReplicationConfig,
-    RoundRobinPolicy,
-    make_read_policy,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "HashRing",
-    "RingBalance",
-    "derive_seed",
-    "stable_hash",
-    "FollowerChange",
-    "RebalancePlan",
-    "ShardMove",
-    "diff_placements",
-    "diff_replica_placements",
-    "placement_of",
-    "replica_placement_of",
-    "ClusterNode",
-    "Membership",
-    "MembershipEvent",
-    "ObjectRouter",
-    "RouterStats",
-    "Shard",
-    "RepairScheduler",
-    "RepairStats",
-    "RepairTask",
-    "FollowerStore",
-    "LeastLoadedPolicy",
-    "NearestPolicy",
-    "PrimaryOnlyPolicy",
-    "QuorumReadPolicy",
-    "ReadRoutingPolicy",
-    "ReplicaCoordinator",
-    "ReplicaGroup",
-    "ReplicationConfig",
-    "RoundRobinPolicy",
-    "make_read_policy",
-]
+_EXPORTS = {
+    "HashRing": "ring",
+    "RingBalance": "ring",
+    "derive_seed": "ring",
+    "stable_hash": "ring",
+    "FollowerChange": "placement",
+    "RebalancePlan": "placement",
+    "ShardMove": "placement",
+    "diff_placements": "placement",
+    "diff_replica_placements": "placement",
+    "placement_of": "placement",
+    "replica_placement_of": "placement",
+    "ClusterNode": "membership",
+    "Membership": "membership",
+    "MembershipEvent": "membership",
+    "ObjectRouter": "router",
+    "RouterStats": "router",
+    "Shard": "router",
+    "RepairScheduler": "repair",
+    "RepairStats": "repair",
+    "RepairTask": "repair",
+    "FollowerStore": "replicas",
+    "LeastLoadedPolicy": "read_policy",
+    "NearestPolicy": "read_policy",
+    "PrimaryOnlyPolicy": "read_policy",
+    "QuorumReadPolicy": "read_policy",
+    "ReadRoutingPolicy": "read_policy",
+    "ReplicaCoordinator": "replicas",
+    "ReplicaGroup": "replicas",
+    "ReplicationConfig": "read_policy",
+    "RoundRobinPolicy": "read_policy",
+    "make_read_policy": "read_policy",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

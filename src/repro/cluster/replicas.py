@@ -17,24 +17,14 @@ replication log and schedules one apply event per follower at
 staleness is a first-class, simulated quantity rather than an accident of
 execution order.
 
-**Reads** are dispatched by a pluggable :class:`ReadRoutingPolicy`:
-
-* ``primary`` -- every read runs the full protocol read at the primary;
-* ``round-robin`` -- reads cycle deterministically over the group;
-* ``nearest`` -- reads go to the replica with the smallest seeded
-  *distance* (its effective service latency scales with the shared
-  :class:`~repro.net.latency.LatencyRegime`, so regime shifts slow
-  follower reads exactly like protocol traffic);
-* ``least-loaded`` -- reads go to the replica with the fewest in-flight
-  (then fewest served) reads;
-* ``quorum`` -- the paper-faithful mode: each read queries
-  ``read_quorum`` of the r stores (a rotating window over the canonical
-  replica order), merges their ``(epoch, tag)`` versions and returns the
-  maximum-version value.  A merge that observes a store *below* the
-  merged maximum triggers **read repair** -- the lagging store is caught
-  up from the replication log at the merge instant instead of waiting
-  out the replication lag (``read_repair=False`` restores lag-only
-  catch-up for comparison).
+**Reads** are dispatched by a pluggable
+:class:`~repro.cluster.read_policy.ReadRoutingPolicy` (``primary``,
+``round-robin``, ``nearest``, ``least-loaded`` or ``quorum``).  Under
+``quorum``, a merge that observes a store *below* the merged maximum
+triggers **read repair** -- the lagging store is caught up from the
+replication log at the merge instant instead of waiting out the
+replication lag (``read_repair=False`` restores lag-only catch-up for
+comparison).
 
 **Write forwarding.**  With ``write_ingress="nearest"`` (or an explicit
 ``via=`` pool on ``invoke_write``) a write arrives at the client's
@@ -78,7 +68,6 @@ sequence is reproducible event for event.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -90,107 +79,19 @@ from repro.cluster.membership import (
     MembershipEvent,
 )
 from repro.cluster.placement import DROP_FOLLOWER
+from repro.cluster.read_policy import (  # re-exported (see __all__)
+    FAILING_OVER, NORMAL, REPLICA_EPOCH, UNSERVICEABLE, LeastLoadedPolicy,
+    NearestPolicy, PrimaryOnlyPolicy, QuorumReadPolicy, ReadRoutingPolicy,
+    ReplicaView, ReplicationConfig, RoundRobinPolicy, make_read_policy)
 from repro.cluster.ring import derive_seed
-from repro.consistency.history import History, Operation, READ, WRITE
-from repro.consistency.injection import REPLICA_CLIENT_PREFIX
-from repro.consistency.sessions import join_object_id
+from repro.consistency.history import (
+    READ, REPLICA_CLIENT_PREFIX, WRITE, History, Operation, join_object_id)
 from repro.core.results import OperationResult
 from repro.core.tags import INITIAL_TAG, Tag
-
-#: Sentinel epoch marking a router handle owned by the replica layer
-#: (a follower-served or failover-deferred read, or a forwarded write in
-#: flight, with no LDS op id yet).
-REPLICA_EPOCH = "replica"
-
-#: Replica-group states.
-NORMAL = "normal"
-FAILING_OVER = "failing-over"
-#: Terminal state: the primary died and no live follower remained.
-UNSERVICEABLE = "unserviceable"
 
 #: A replica version: the (migration epoch, protocol tag) pair, ordered
 #: lexicographically -- identical to the session auditor's versions.
 Version = Tuple[int, Tag]
-
-
-@dataclass(frozen=True)
-class ReplicationConfig:
-    """Tuning knobs of the replica-group subsystem.
-
-    ``r=1`` (the default) disables the subsystem entirely: the router
-    behaves exactly like the pre-replica cluster.
-    """
-
-    #: Replicas per key (primary + r-1 followers), capped at the pool count.
-    r: int = 1
-    #: Virtual time between a write committing at the primary and a
-    #: follower applying it.
-    replication_lag: float = 30.0
-    #: Extra, seeded per-(follower, record) apply delay in [0, lag_jitter).
-    lag_jitter: float = 0.0
-    #: Base service time of a follower read (scaled by the replica's
-    #: seeded distance and the shared latency regime).
-    follower_read_latency: float = 2.0
-    #: Time between a pool dying and its groups starting promotion.
-    failover_detection_delay: float = 10.0
-    #: Catch-up cost per unapplied log record during promotion.
-    catch_up_per_record: float = 1.0
-    #: Delay before a replacement follower is seeded on a new pool.
-    provision_delay: float = 25.0
-    #: Normalised communication cost charged per follower read served.
-    follower_read_cost: float = 1.0
-    #: Normalised communication cost charged per record applied / copied.
-    replication_unit_cost: float = 1.0
-    #: Route a follower read back to the primary when the follower has
-    #: not applied the session's floor version yet.  Disabling this is a
-    #: *fault injection*: stale follower reads reach clients and the
-    #: session auditor must catch them.
-    session_guard: bool = True
-    #: Stores queried per read under the ``quorum`` routing policy (the
-    #: paper's r'-of-r discovery quorum).  None defaults to a majority
-    #: (``r // 2 + 1``); must stay within [1, r].  Setting it with any
-    #: other policy is a configuration error (the knob would silently do
-    #: nothing).
-    read_quorum: Optional[int] = None
-    #: When a quorum merge observes a store below the merged maximum
-    #: version, apply the group's log to it immediately (kernel-clocked at
-    #: the merge instant) instead of waiting out the replication lag.
-    #: Disable to measure lag-only catch-up.
-    read_repair: bool = True
-    #: Base one-hop latency of forwarding a write from the ingress replica
-    #: to the primary (scaled by the ingress store's seeded distance and
-    #: the shared latency regime, exactly like follower reads).
-    forward_latency: float = 2.0
-    #: Where writes enter the group: ``"primary"`` assumes clients know
-    #: the primary (the pre-forwarding behaviour, bit for bit); with
-    #: ``"nearest"`` every write arrives at the client's seeded-nearest
-    #: replica pool and is *forwarded* to the primary when that pool is a
-    #: follower -- including during a failover freeze, where the
-    #: forwarded write queues at the frozen primary slot and flushes into
-    #: the promoted epoch.
-    write_ingress: str = "primary"
-    #: Seed for replica distances and lag jitter (derive_seed'd per use).
-    #: None means unpinned: facades thread their root seed in; a bare
-    #: router just derives from None (still deterministic).
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("the replication factor must be at least 1")
-        for name in ("replication_lag", "lag_jitter", "follower_read_latency",
-                     "failover_detection_delay", "catch_up_per_record",
-                     "provision_delay", "follower_read_cost",
-                     "replication_unit_cost", "forward_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.read_quorum is not None and \
-                not 1 <= self.read_quorum <= self.r:
-            raise ValueError("read_quorum must be within [1, r]")
-        if self.write_ingress not in ("primary", "nearest"):
-            raise ValueError(
-                f"unknown write ingress {self.write_ingress!r}; "
-                "choose 'primary' or 'nearest'"
-            )
 
 
 @dataclass(frozen=True)
@@ -255,163 +156,6 @@ class FollowerStore:
         return (f"FollowerStore({self.key!r}@{self.pool!r}, "
                 f"version={self.version}, applies={self.applies})")
 
-
-@dataclass(frozen=True)
-class ReplicaView:
-    """A policy-facing snapshot of one replica at read-dispatch time."""
-
-    pool: str
-    is_primary: bool
-    distance: float
-    reads_in_flight: int
-    reads_served: int
-    #: Position in the group's canonical order (primary first).
-    order: int
-
-
-class ReadRoutingPolicy(ABC):
-    """Chooses which replica serves a read.
-
-    ``choose`` receives the candidates able to serve *right now* (the
-    primary is absent while its group is failing over, dead followers are
-    dropped) and returns the chosen pool, or ``None`` to wait for the
-    primary.  The coordinator may still override a follower choice back
-    to the primary to preserve the session guarantees; that override is
-    counted against the policy's hit rate, not hidden.
-    """
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def choose(self, key: str, candidates: List[ReplicaView]) -> Optional[str]:
-        """Return the pool to read from (``None`` = wait for the primary)."""
-
-    def rejected(self, key: str, pool: str) -> None:
-        """The coordinator could not honor ``choose``'s answer for ``key``
-        (session guard override, or the chosen store turned out retired).
-
-        Stateful policies use this to undo the turn they spent on the
-        rejected choice, so a temporarily lagging replica keeps its place
-        in a deterministic cycle instead of being skipped for good.  The
-        default is a no-op (stateless policies have nothing to undo).
-        """
-
-
-class PrimaryOnlyPolicy(ReadRoutingPolicy):
-    """Every read runs the full protocol read at the primary."""
-
-    name = "primary"
-
-    def choose(self, key: str, candidates: List[ReplicaView]) -> Optional[str]:
-        for view in candidates:
-            if view.is_primary:
-                return view.pool
-        return None
-
-
-class RoundRobinPolicy(ReadRoutingPolicy):
-    """Reads cycle deterministically over the group's replicas."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
-
-    def choose(self, key: str, candidates: List[ReplicaView]) -> Optional[str]:
-        if not candidates:
-            return None
-        index = self._counters.get(key, 0)
-        self._counters[key] = index + 1
-        return candidates[index % len(candidates)].pool
-
-    def rejected(self, key: str, pool: str) -> None:
-        # Give the turn back: the rejected replica is re-offered on the
-        # next read, so a lagging follower resumes its place in the cycle
-        # the moment it catches up instead of losing a turn per rejection.
-        self._counters[key] = max(0, self._counters.get(key, 1) - 1)
-
-
-class QuorumReadPolicy(ReadRoutingPolicy):
-    """Reads fan out to a quorum of stores and merge their versions.
-
-    The paper resolves every read by querying a *quorum* of servers,
-    taking the maximum tag and reading that version; this policy is the
-    replica layer's analogue: each read queries ``read_quorum`` of the
-    group's r stores (the primary answers from its committed log head at
-    store-read latency, followers from their applied state), the
-    coordinator merges the ``(epoch, tag)`` versions and returns the
-    maximum-version value.  The quorum *window* rotates deterministically
-    over the canonical replica order per key, so successive reads spread
-    load and periodically form follower-only quorums -- the case where a
-    lagging store loses the merge and (with ``read_repair``) is caught up
-    on the spot.
-    """
-
-    name = "quorum"
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
-
-    def choose(self, key: str, candidates: List[ReplicaView]) -> Optional[str]:
-        chosen = self.choose_quorum(key, candidates, 1)
-        return chosen[0] if chosen else None
-
-    def choose_quorum(self, key: str, candidates: List[ReplicaView],
-                      quorum: int) -> List[str]:
-        """The pools to query: ``quorum`` consecutive candidates starting
-        at a per-key rotating offset (distinct by construction)."""
-        if not candidates:
-            return []
-        quorum = min(quorum, len(candidates))
-        start = self._counters.get(key, 0)
-        self._counters[key] = start + 1
-        return [candidates[(start + i) % len(candidates)].pool
-                for i in range(quorum)]
-
-
-class NearestPolicy(ReadRoutingPolicy):
-    """Reads go to the replica with the smallest seeded distance."""
-
-    name = "nearest"
-
-    def choose(self, key: str, candidates: List[ReplicaView]) -> Optional[str]:
-        if not candidates:
-            return None
-        return min(candidates, key=lambda v: (v.distance, v.order)).pool
-
-
-class LeastLoadedPolicy(ReadRoutingPolicy):
-    """Reads go to the replica with the fewest in-flight (then served) reads."""
-
-    name = "least-loaded"
-
-    def choose(self, key: str, candidates: List[ReplicaView]) -> Optional[str]:
-        if not candidates:
-            return None
-        return min(candidates,
-                   key=lambda v: (v.reads_in_flight, v.reads_served, v.order)).pool
-
-
-_POLICIES = {
-    PrimaryOnlyPolicy.name: PrimaryOnlyPolicy,
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    QuorumReadPolicy.name: QuorumReadPolicy,
-    NearestPolicy.name: NearestPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
-}
-
-
-def make_read_policy(spec: Union[str, ReadRoutingPolicy]) -> ReadRoutingPolicy:
-    """Resolve a policy name (or pass an instance through)."""
-    if isinstance(spec, ReadRoutingPolicy):
-        return spec
-    try:
-        return _POLICIES[spec]()
-    except KeyError:
-        raise ValueError(
-            f"unknown read routing policy {spec!r}; "
-            f"choose one of {sorted(_POLICIES)}"
-        ) from None
 
 
 class ReplicaGroup:

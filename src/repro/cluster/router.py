@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.cluster.membership import FAIL, L1_ROLE, Membership, MembershipEvent
 from repro.cluster.placement import (
@@ -57,25 +57,23 @@ from repro.cluster.placement import (
     diff_placements,
     diff_replica_placements,
 )
-from repro.cluster.replicas import (
+from repro.cluster.read_policy import (
     REPLICA_EPOCH,
     ReadRoutingPolicy,
-    ReplicaCoordinator,
     ReplicationConfig,
 )
 from repro.cluster.ring import RingBalance, stable_hash
-from repro.consistency.history import History, READ, WRITE
-from repro.consistency.linearizability import (
-    AtomicityViolation,
-    check_atomicity_by_tags,
-)
-from repro.consistency.sessions import join_object_id
+from repro.consistency.history import History, READ, WRITE, join_object_id
 from repro.core.config import LDSConfig
 from repro.core.results import OperationResult
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, LatencyModel
 from repro.net.simulator import Simulator
 from repro.obs.registry import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.replicas import ReplicaCoordinator
+    from repro.consistency.linearizability import AtomicityViolation
 
 
 @dataclass
@@ -360,6 +358,7 @@ class ObjectRouter:
         #: r <= 1 -- the pre-replica single-copy behaviour, bit for bit).
         self.replicas: Optional[ReplicaCoordinator] = None
         if replication is not None and replication.r > 1:
+            from repro.cluster.replicas import ReplicaCoordinator
             self.replicas = ReplicaCoordinator(self, replication,
                                                read_policy=read_policy)
         membership.subscribe(self._on_membership_event)
@@ -867,6 +866,7 @@ class ObjectRouter:
 
     def check_atomicity(self) -> Optional[AtomicityViolation]:
         """Check every epoch of every shard; returns the first violation found."""
+        from repro.consistency.linearizability import check_atomicity_by_tags
         for history in self._all_histories():
             violation = check_atomicity_by_tags(history)
             if violation is not None:

@@ -20,32 +20,23 @@ This package contains every code family the paper references:
   (Section II-c of the paper).
 """
 
-from repro.codes.base import CodedElement, DecodingError, ErasureCode, RepairError
-from repro.codes.replication import ReplicationCode
-from repro.codes.reed_solomon import ReedSolomonCode
-from repro.codes.regenerating import (
-    RegeneratingCodeParameters,
-    cut_set_bound,
-    mbr_parameters,
-    msr_parameters,
-)
-from repro.codes.product_matrix import ProductMatrixMBRCode, ProductMatrixMSRCode
-from repro.codes.rlnc import RandomLinearNetworkCode
-from repro.codes.layered import LayeredCode
+from repro import _lazy_exports
 
-__all__ = [
-    "CodedElement",
-    "DecodingError",
-    "ErasureCode",
-    "RepairError",
-    "ReplicationCode",
-    "ReedSolomonCode",
-    "RegeneratingCodeParameters",
-    "cut_set_bound",
-    "mbr_parameters",
-    "msr_parameters",
-    "ProductMatrixMBRCode",
-    "ProductMatrixMSRCode",
-    "RandomLinearNetworkCode",
-    "LayeredCode",
-]
+_EXPORTS = {
+    "CodedElement": "base",
+    "DecodingError": "base",
+    "ErasureCode": "base",
+    "RepairError": "base",
+    "ReplicationCode": "replication",
+    "ReedSolomonCode": "reed_solomon",
+    "RegeneratingCodeParameters": "regenerating",
+    "cut_set_bound": "regenerating",
+    "mbr_parameters": "regenerating",
+    "msr_parameters": "regenerating",
+    "ProductMatrixMBRCode": "product_matrix",
+    "ProductMatrixMSRCode": "product_matrix",
+    "RandomLinearNetworkCode": "rlnc",
+    "LayeredCode": "layered",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

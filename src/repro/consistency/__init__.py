@@ -28,59 +28,34 @@ it -- on executions produced by the simulator:
   detect.
 """
 
-from repro.consistency.history import History, Operation, OperationRecorder
-from repro.consistency.linearizability import (
-    AtomicityViolation,
-    LinearizabilityChecker,
-    check_atomicity_by_tags,
-)
-from repro.consistency.sessions import (
-    MONOTONIC_READS,
-    MONOTONIC_WRITES,
-    READ_YOUR_WRITES,
-    SESSION_GUARANTEES,
-    WRITES_FOLLOW_READS,
-    ClusterAuditReport,
-    SessionAuditReport,
-    SessionViolation,
-    check_sessions,
-)
-from repro.consistency.streaming import StreamingSessionAuditor, replay_history
-from repro.consistency.injection import (
-    Injection,
-    InjectionError,
-    inject_all,
-    inject_session_violation,
-    inject_stale_follower_read,
-    inject_under_replication,
-    inject_withheld_repair,
-    is_follower_read,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "History",
-    "Operation",
-    "OperationRecorder",
-    "AtomicityViolation",
-    "LinearizabilityChecker",
-    "check_atomicity_by_tags",
-    "MONOTONIC_READS",
-    "MONOTONIC_WRITES",
-    "READ_YOUR_WRITES",
-    "WRITES_FOLLOW_READS",
-    "SESSION_GUARANTEES",
-    "ClusterAuditReport",
-    "SessionAuditReport",
-    "SessionViolation",
-    "check_sessions",
-    "StreamingSessionAuditor",
-    "replay_history",
-    "Injection",
-    "InjectionError",
-    "inject_all",
-    "inject_session_violation",
-    "inject_stale_follower_read",
-    "inject_under_replication",
-    "inject_withheld_repair",
-    "is_follower_read",
-]
+_EXPORTS = {
+    "History": "history",
+    "Operation": "history",
+    "OperationRecorder": "history",
+    "AtomicityViolation": "linearizability",
+    "LinearizabilityChecker": "linearizability",
+    "check_atomicity_by_tags": "linearizability",
+    "MONOTONIC_READS": "sessions",
+    "MONOTONIC_WRITES": "sessions",
+    "READ_YOUR_WRITES": "sessions",
+    "WRITES_FOLLOW_READS": "sessions",
+    "SESSION_GUARANTEES": "sessions",
+    "ClusterAuditReport": "sessions",
+    "SessionAuditReport": "sessions",
+    "SessionViolation": "sessions",
+    "check_sessions": "sessions",
+    "StreamingSessionAuditor": "streaming",
+    "replay_history": "streaming",
+    "Injection": "injection",
+    "InjectionError": "injection",
+    "inject_all": "injection",
+    "inject_session_violation": "injection",
+    "inject_stale_follower_read": "injection",
+    "inject_under_replication": "injection",
+    "inject_withheld_repair": "injection",
+    "is_follower_read": "injection",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

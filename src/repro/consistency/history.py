@@ -16,6 +16,22 @@ from typing import Any, Dict, Iterable, List, Optional
 WRITE = "write"
 READ = "read"
 
+#: Client-id prefix stamped on follower-served operations by the replica
+#: coordinator (the single definition; the coordinator and the drills in
+#: repro.consistency.injection both import it from here).
+REPLICA_CLIENT_PREFIX = "replica:"
+
+
+def join_object_id(key: str, epoch: int) -> str:
+    """``(key, n)`` -> ``key@e<n>``; the inverse of
+    :func:`repro.consistency.sessions.split_object_id`.
+
+    The single definition of the epoch-qualified object-id format; the
+    router and the replica layer both build ids through it so the
+    auditor's parse can never drift from the writers' format.
+    """
+    return key if epoch == 0 else f"{key}@e{epoch}"
+
 
 @dataclass(frozen=True)
 class Operation:

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.consistency.history import History, Operation, READ, WRITE
+from repro.consistency.history import (  # prefix: re-exported
+    READ, REPLICA_CLIENT_PREFIX, WRITE, History, Operation)
 from repro.consistency.sessions import (
     MONOTONIC_READS,
     MONOTONIC_WRITES,
@@ -190,11 +191,6 @@ def inject_all(history: History) -> Dict[str, Injection]:
     """One injection per guarantee class (raises if any class has no site)."""
     return {guarantee: inject_session_violation(history, guarantee)
             for guarantee in SESSION_GUARANTEES}
-
-
-#: Client-id prefix stamped on follower-served operations by the replica
-#: coordinator (the single definition; repro.cluster.replicas imports it).
-REPLICA_CLIENT_PREFIX = "replica:"
 
 
 #: Client-id marker of quorum-merged reads (a narrower class than the

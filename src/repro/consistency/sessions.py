@@ -55,7 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.consistency.history import History, Operation, READ, WRITE
+from repro.consistency.history import (  # join_object_id: re-exported
+    READ, WRITE, History, Operation, join_object_id)
 from repro.consistency.linearizability import AtomicityViolation
 
 #: Session-guarantee identifiers, as reported in violations.
@@ -82,16 +83,6 @@ def split_object_id(object_id: str) -> Tuple[str, int]:
     if sep and suffix.isdigit():
         return base, int(suffix)
     return object_id, 0
-
-
-def join_object_id(key: str, epoch: int) -> str:
-    """The inverse of :func:`split_object_id`: ``(key, n)`` -> ``key@e<n>``.
-
-    The single definition of the epoch-qualified object-id format; the
-    router and the replica layer both build ids through it so the
-    auditor's parse can never drift from the writers' format.
-    """
-    return key if epoch == 0 else f"{key}@e{epoch}"
 
 
 def operation_version(op: Operation) -> Tuple[int, Any]:

@@ -24,39 +24,26 @@ the paper plus the system builder that wires them together:
 * :mod:`repro.core.multi_object` -- the N-object system of Section V-A.1.
 """
 
-from repro.core.tags import Tag
-from repro.core.config import LDSConfig
-from repro.core.system import LDSSystem, OperationResult
-from repro.core.costs import StorageCostTracker, StorageSample
-from repro.core.analysis import (
-    LatencyBounds,
-    mbr_read_cost,
-    mbr_storage_cost_l2,
-    mbr_write_cost,
-    msr_read_cost,
-    msr_storage_cost_l2,
-    latency_bounds,
-    multi_object_storage_bounds,
-)
-from repro.core.multi_object import MultiObjectSystem
-from repro.core.repair import BackendRepairCoordinator, L2RepairReport
+from repro import _lazy_exports
 
-__all__ = [
-    "BackendRepairCoordinator",
-    "L2RepairReport",
-    "Tag",
-    "LDSConfig",
-    "LDSSystem",
-    "OperationResult",
-    "StorageCostTracker",
-    "StorageSample",
-    "LatencyBounds",
-    "mbr_write_cost",
-    "mbr_read_cost",
-    "mbr_storage_cost_l2",
-    "msr_read_cost",
-    "msr_storage_cost_l2",
-    "latency_bounds",
-    "multi_object_storage_bounds",
-    "MultiObjectSystem",
-]
+_EXPORTS = {
+    "BackendRepairCoordinator": "repair",
+    "L2RepairReport": "repair",
+    "Tag": "tags",
+    "LDSConfig": "config",
+    "LDSSystem": "system",
+    "OperationResult": "results",
+    "StorageCostTracker": "costs",
+    "StorageSample": "costs",
+    "LatencyBounds": "analysis",
+    "mbr_write_cost": "analysis",
+    "mbr_read_cost": "analysis",
+    "mbr_storage_cost_l2": "analysis",
+    "msr_read_cost": "analysis",
+    "msr_storage_cost_l2": "analysis",
+    "latency_bounds": "analysis",
+    "multi_object_storage_bounds": "analysis",
+    "MultiObjectSystem": "multi_object",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -13,15 +13,14 @@ finite field GF(2^8).  This package provides:
   including evaluation and Lagrange interpolation.
 """
 
-from repro.gf.gf256 import GF256
-from repro.gf.matrix import GFMatrix
-from repro.gf.builders import cauchy_matrix, vandermonde_matrix
-from repro.gf.polynomial import GFPolynomial
+from repro import _lazy_exports
 
-__all__ = [
-    "GF256",
-    "GFMatrix",
-    "GFPolynomial",
-    "vandermonde_matrix",
-    "cauchy_matrix",
-]
+_EXPORTS = {
+    "GF256": "gf256",
+    "GFMatrix": "matrix",
+    "GFPolynomial": "polynomial",
+    "vandermonde_matrix": "builders",
+    "cauchy_matrix": "builders",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -18,36 +18,24 @@ implements that model as a deterministic discrete-event simulation:
   (relay through a fixed set of f1 + 1 servers).
 """
 
-from repro.net.simulator import Simulator
-from repro.net.messages import Message
-from repro.net.latency import (
-    BoundedLatencyModel,
-    ExponentialLatencyModel,
-    FixedLatencyModel,
-    LatencyModel,
-    LatencyRegime,
-    ScaledLatencyModel,
-    UniformLatencyModel,
-)
-from repro.net.process import Process
-from repro.net.network import CommunicationCostTracker, Network
-from repro.net.failures import CrashSchedule, FailureInjector
-from repro.net.broadcast import BroadcastPrimitive
+from repro import _lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Message",
-    "LatencyModel",
-    "LatencyRegime",
-    "FixedLatencyModel",
-    "BoundedLatencyModel",
-    "ScaledLatencyModel",
-    "UniformLatencyModel",
-    "ExponentialLatencyModel",
-    "Process",
-    "Network",
-    "CommunicationCostTracker",
-    "CrashSchedule",
-    "FailureInjector",
-    "BroadcastPrimitive",
-]
+_EXPORTS = {
+    "Simulator": "simulator",
+    "Message": "messages",
+    "LatencyModel": "latency",
+    "LatencyRegime": "latency",
+    "FixedLatencyModel": "latency",
+    "BoundedLatencyModel": "latency",
+    "ScaledLatencyModel": "latency",
+    "UniformLatencyModel": "latency",
+    "ExponentialLatencyModel": "latency",
+    "Process": "process",
+    "Network": "network",
+    "CommunicationCostTracker": "network",
+    "CrashSchedule": "failures",
+    "FailureInjector": "failures",
+    "BroadcastPrimitive": "broadcast",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -39,73 +39,39 @@ never import :mod:`repro.sim` or :mod:`repro.cluster`; everything that
 touches a simulation is duck-typed.
 """
 
-from repro.obs.availability import (
-    DEFAULT_AVAILABILITY_INTERVAL,
-    AvailabilityAssessment,
-    AvailabilityMonitor,
-)
-from repro.obs.critical_path import (
-    OP_CLASSES,
-    PHASES,
-    TracedOp,
-    critical_path,
-    extract_ops,
-)
-from repro.obs.latency import (
-    DEFAULT_RELATIVE_ERROR,
-    LatencyTracker,
-    QuantileSketch,
-    SpanSinkFanout,
-)
-from repro.obs.live_audit import DEFAULT_AUDIT_INTERVAL, LiveAuditProbe
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledFamily,
-    MetricsRegistry,
-)
-from repro.obs.report import render_run_report
-from repro.obs.sampler import DEFAULT_INTERVAL, ClusterSampler
-from repro.obs.slo import (
-    DEFAULT_SLO_INTERVAL,
-    SLO,
-    SLOTracker,
-    default_slos,
-)
-from repro.obs.telemetry import Telemetry
-from repro.obs.trace import TS_SCALE, TraceRecorder
+from repro import _lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LabeledFamily",
-    "MetricsRegistry",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_INTERVAL",
-    "ClusterSampler",
-    "TraceRecorder",
-    "TS_SCALE",
-    "Telemetry",
-    "render_run_report",
-    "AvailabilityAssessment",
-    "AvailabilityMonitor",
-    "DEFAULT_AVAILABILITY_INTERVAL",
-    "DEFAULT_AUDIT_INTERVAL",
-    "LiveAuditProbe",
-    "DEFAULT_RELATIVE_ERROR",
-    "DEFAULT_SLO_INTERVAL",
-    "LatencyTracker",
-    "OP_CLASSES",
-    "PHASES",
-    "QuantileSketch",
-    "SLO",
-    "SLOTracker",
-    "SpanSinkFanout",
-    "TracedOp",
-    "critical_path",
-    "default_slos",
-    "extract_ops",
-]
+_EXPORTS = {
+    "Counter": "registry",
+    "Gauge": "registry",
+    "Histogram": "registry",
+    "LabeledFamily": "registry",
+    "MetricsRegistry": "registry",
+    "DEFAULT_BUCKETS": "registry",
+    "DEFAULT_INTERVAL": "sampler",
+    "ClusterSampler": "sampler",
+    "TraceRecorder": "trace",
+    "TS_SCALE": "trace",
+    "Telemetry": "telemetry",
+    "render_run_report": "report",
+    "AvailabilityAssessment": "availability",
+    "AvailabilityMonitor": "availability",
+    "DEFAULT_AVAILABILITY_INTERVAL": "availability",
+    "DEFAULT_AUDIT_INTERVAL": "live_audit",
+    "LiveAuditProbe": "live_audit",
+    "DEFAULT_RELATIVE_ERROR": "latency",
+    "DEFAULT_SLO_INTERVAL": "slo",
+    "LatencyTracker": "latency",
+    "OP_CLASSES": "critical_path",
+    "PHASES": "critical_path",
+    "QuantileSketch": "latency",
+    "SLO": "slo",
+    "SLOTracker": "slo",
+    "SpanSinkFanout": "latency",
+    "TracedOp": "critical_path",
+    "critical_path": "critical_path",
+    "default_slos": "slo",
+    "extract_ops": "critical_path",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -24,52 +24,29 @@ actually simulated instead of serialised away:
   impact.
 """
 
-from repro.sim.kernel import (
-    GlobalScheduler,
-    KernelStats,
-    SimulatorSource,
-    KERNEL_SOURCE,
-    TELEMETRY_SOURCE,
-)
-from repro.sim.scenario import (
-    Scenario,
-    ScenarioAction,
-    ScenarioEngine,
-    correlated_pool_failure,
-    degraded_reads_during_catch_up,
-    flash_crowd,
-    forwarded_writes_during_failover,
-    migration_under_load,
-    quorum_reads_under_lag,
-    repair_under_load,
-    replica_failover_under_load,
-)
-from repro.sim.harness import ClusterSimulation
-from repro.sim.sanitizer import (
-    KernelSanitizer,
-    SanitizerError,
-    SanitizerViolation,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "GlobalScheduler",
-    "KernelStats",
-    "SimulatorSource",
-    "KernelSanitizer",
-    "SanitizerError",
-    "SanitizerViolation",
-    "KERNEL_SOURCE",
-    "TELEMETRY_SOURCE",
-    "Scenario",
-    "ScenarioAction",
-    "ScenarioEngine",
-    "ClusterSimulation",
-    "repair_under_load",
-    "migration_under_load",
-    "correlated_pool_failure",
-    "flash_crowd",
-    "replica_failover_under_load",
-    "degraded_reads_during_catch_up",
-    "quorum_reads_under_lag",
-    "forwarded_writes_during_failover",
-]
+_EXPORTS = {
+    "GlobalScheduler": "kernel",
+    "KernelStats": "kernel",
+    "SimulatorSource": "kernel",
+    "KernelSanitizer": "sanitizer",
+    "SanitizerError": "sanitizer",
+    "SanitizerViolation": "sanitizer",
+    "KERNEL_SOURCE": "kernel",
+    "TELEMETRY_SOURCE": "kernel",
+    "Scenario": "scenario",
+    "ScenarioAction": "scenario",
+    "ScenarioEngine": "scenario",
+    "ClusterSimulation": "harness",
+    "repair_under_load": "scenario",
+    "migration_under_load": "scenario",
+    "correlated_pool_failure": "scenario",
+    "flash_crowd": "scenario",
+    "replica_failover_under_load": "scenario",
+    "degraded_reads_during_catch_up": "scenario",
+    "quorum_reads_under_lag": "scenario",
+    "forwarded_writes_during_failover": "scenario",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -31,17 +31,15 @@ whole cluster between latency regimes).  It exposes:
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cluster.membership import ClusterNode, Membership, MembershipEvent
 from repro.cluster.placement import RebalancePlan
 from repro.cluster.repair import GAVE_UP, RepairScheduler
-from repro.cluster.replicas import ReadRoutingPolicy, ReplicationConfig
+from repro.cluster.read_policy import ReadRoutingPolicy, ReplicationConfig
 from repro.cluster.ring import derive_seed
 from repro.cluster.router import ObjectRouter
 from repro.consistency.history import History
-from repro.consistency.linearizability import AtomicityViolation
-from repro.consistency.sessions import ClusterAuditReport, check_sessions
 from repro.core.config import LDSConfig
 from repro.core.results import OperationResult
 from repro.net.latency import (
@@ -53,6 +51,10 @@ from repro.net.latency import (
 from repro.sim.kernel import GlobalScheduler, KernelStats
 from repro.sim.scenario import Scenario, ScenarioEngine
 from repro.workloads.generator import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.consistency.linearizability import AtomicityViolation
+    from repro.consistency.sessions import ClusterAuditReport
 
 
 def seeded_latency_factory(seed, regime: LatencyRegime
@@ -297,6 +299,7 @@ class ClusterSimulation:
         ``tests/consistency/test_streaming.py``), and the report also
         carries the availability monitor's sampling assessment.
         """
+        from repro.consistency.sessions import ClusterAuditReport, check_sessions
         telemetry = self.telemetry
         auditor = getattr(telemetry, "auditor", None)
         availability = getattr(telemetry, "availability", None)

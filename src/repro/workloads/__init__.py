@@ -13,34 +13,20 @@ multi-writer bursts, and multi-object write loads parameterised by theta
 * :mod:`repro.workloads.metrics` -- latency / cost / throughput summaries.
 """
 
-from repro.workloads.generator import (
-    ScheduledOperation,
-    UniformKeySampler,
-    Workload,
-    WorkloadGenerator,
-    ZipfKeySampler,
-)
-from repro.workloads.runner import (
-    KeyedWorkloadRunner,
-    WorkloadReport,
-    WorkloadRunner,
-)
-from repro.workloads.metrics import (
-    LatencySummary,
-    ReadDistribution,
-    summarize_latencies,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ScheduledOperation",
-    "UniformKeySampler",
-    "ZipfKeySampler",
-    "Workload",
-    "WorkloadGenerator",
-    "WorkloadRunner",
-    "KeyedWorkloadRunner",
-    "WorkloadReport",
-    "LatencySummary",
-    "ReadDistribution",
-    "summarize_latencies",
-]
+_EXPORTS = {
+    "ScheduledOperation": "generator",
+    "UniformKeySampler": "generator",
+    "ZipfKeySampler": "generator",
+    "Workload": "generator",
+    "WorkloadGenerator": "generator",
+    "WorkloadRunner": "runner",
+    "KeyedWorkloadRunner": "runner",
+    "WorkloadReport": "runner",
+    "LatencySummary": "metrics",
+    "ReadDistribution": "metrics",
+    "summarize_latencies": "metrics",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

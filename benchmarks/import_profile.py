@@ -46,11 +46,11 @@ def import_times(code: str):
             yield int(self_us), int(cumulative_us), name
 
 
-def main(top: int = 10) -> None:
+def main() -> None:
     rows = sorted(import_times(build_import_lines()), reverse=True)
     ours = [row for row in rows if row[2].split(".")[0] in ("repro", "numpy")]
     print(f"{'self ms':>8} {'cumul ms':>9}  module")
-    for self_us, cumulative_us, name in ours[:top]:
+    for self_us, cumulative_us, name in ours[:10]:
         print(f"{self_us / 1e3:8.1f} {cumulative_us / 1e3:9.1f}  {name}")
     for package in ("repro", "numpy"):
         mine = [row for row in rows if row[2].split(".")[0] == package]

@@ -19,7 +19,10 @@ serve millions of objects:
 * :mod:`repro.cluster.replicas` -- :class:`ReplicaCoordinator`, the
   replica-group layer: r-way placement via ``HashRing.nodes_for``,
   follower stores fed by kernel-scheduled replication lag, pluggable
-  read-routing policies, and deterministic failover on pool loss.
+  read-routing policies, and deterministic failover on pool loss;
+* :mod:`repro.cluster.read_policy` -- :class:`ReplicationConfig` and the
+  :class:`ReadRoutingPolicy` family, kept apart from the coordinator so
+  a run without replication never loads it.
 
 :class:`repro.sim.harness.ClusterSimulation` is the facade wiring all of
 the above together on the global simulation kernel.

@@ -358,6 +358,7 @@ class ObjectRouter:
         #: r <= 1 -- the pre-replica single-copy behaviour, bit for bit).
         self.replicas: Optional[ReplicaCoordinator] = None
         if replication is not None and replication.r > 1:
+            # Imported here so a run without replication never loads it.
             from repro.cluster.replicas import ReplicaCoordinator
             self.replicas = ReplicaCoordinator(self, replication,
                                                read_policy=read_policy)
@@ -866,6 +867,7 @@ class ObjectRouter:
 
     def check_atomicity(self) -> Optional[AtomicityViolation]:
         """Check every epoch of every shard; returns the first violation found."""
+        # Audit-only code loads when an audit runs.
         from repro.consistency.linearizability import check_atomicity_by_tags
         for history in self._all_histories():
             violation = check_atomicity_by_tags(history)

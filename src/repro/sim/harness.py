@@ -299,6 +299,7 @@ class ClusterSimulation:
         ``tests/consistency/test_streaming.py``), and the report also
         carries the availability monitor's sampling assessment.
         """
+        # Audit-only code loads when an audit runs.
         from repro.consistency.sessions import ClusterAuditReport, check_sessions
         telemetry = self.telemetry
         auditor = getattr(telemetry, "auditor", None)

@@ -18,6 +18,12 @@ It happened once: when every shard simulator came to be born on the global
 clock, an epoch starting after t = 0 (a migration, a failover) computes
 ``(birth + a) + b`` where it used to compute ``birth + (a + b)``; the five
 rows with such an epoch carry their old fingerprint in a comment.
+
+:func:`timed_digest` is the opposite pin: a CRC over every operation's
+invocation and response instants, ``repr`` and all.  It is recorded for
+the runs whose every timestamp is already a pure function of the event
+order (no migration, no replica failover), so a change to how events are
+*queued* -- not to when they happen -- must leave it where it is.
 """
 
 import zlib
@@ -64,6 +70,16 @@ def order_digest(history) -> int:
     return digest
 
 
+def timed_digest(history) -> int:
+    """CRC32 of every operation's exact invocation and response times."""
+    digest = 0
+    for op in sorted(history, key=lambda op: (op.object_id, op.op_id)):
+        record = (op.object_id, op.op_id, repr(op.invoked_at),
+                  repr(op.responded_at))
+        digest = zlib.crc32(repr(record).encode(), digest)
+    return digest
+
+
 def pinned(simulation) -> tuple:
     """The row a run is held to: everything but the first field is free
     of timestamps."""
@@ -91,6 +107,17 @@ RECORDED = {
                        2581904042, 4.016319444444444),
 }
 
+#: run -> timed_digest of its merged history, for the runs without a
+#: migration or a failover.
+TIMED = {
+    "pump_small": 2184389051,
+    "regen_large": 1487501191,
+    "write_heavy": 161311151,
+    "repair-under-load": 3705735438,
+    "correlated-pool-failure": 593606023,
+    "flash-crowd": 3016142216,
+}
+
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))
 def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
@@ -115,6 +142,8 @@ def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
         exact["fingerprint"], exact["sim.events"], exact["net.messages_sent"],
         exact["comm_cost_per_op"])
     assert row == RECORDED[workload]
+    if workload in TIMED:
+        assert timed_digest(simulation.history()) == TIMED[workload]
 
 
 # -- the eight shipped scenarios ---------------------------------------------------
@@ -215,3 +244,5 @@ def test_shipped_scenario_is_unchanged(name):
     simulation = run_scenario(name)
     assert simulation.audit().ok
     assert pinned(simulation) == RECORDED_SCENARIOS[name]
+    if name in TIMED:
+        assert timed_digest(simulation.history()) == TIMED[name]

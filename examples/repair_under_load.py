@@ -47,12 +47,9 @@ def main() -> None:
         print(f"  t={t:8.2f}  {cat:13s} {detail}")
 
     # -- interleaving statistics ------------------------------------------------
-    stats = simulation.interleaving
     print("\ninterleaving:")
-    print(f"  {stats.events_total} merged events over "
-          f"{len(stats.events_by_source)} sources; "
-          f"{stats.context_switches} cross-source switches "
-          f"(rate {stats.switch_rate:.2f})")
+    print(f"  {simulation.kernel.stats.events_total} events on the kernel's "
+          f"one queue")
     window = [e for e in timeline if repair_done and
               fail_time <= e[0] <= repair_done[-1]]
     foreground = sum(1 for _, cat, _ in window if cat in ("invoke", "respond"))

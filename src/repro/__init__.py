@@ -21,8 +21,8 @@ with every substrate it depends on:
   object shards onto server pools, a keyed object router fanning out to
   per-shard LDS instances, rate-limited background repair, and r-way
   replica groups with pluggable read routing and pool-loss failover;
-* ``repro.sim`` -- the global-clock simulation kernel: one merged event
-  pump over every per-shard simulator, a declarative scenario engine, and
+* ``repro.sim`` -- the global-clock simulation kernel: one event queue
+  that every shard runs on, a declarative scenario engine, and
   :class:`ClusterSimulation`, the cluster facade (membership + router +
   repair, pre-wired on that kernel);
 * ``repro.obs`` -- simulation-time observability: the metrics registry,

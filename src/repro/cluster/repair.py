@@ -10,11 +10,11 @@ rate limiter: at most ``max_concurrent`` repairs may start within any
 "detected" (``detection_delay`` after the crash).
 
 Each repair runs the existing
-:class:`~repro.core.repair.BackendRepairCoordinator` machinery inside the
-shard's own simulator at the scheduled virtual time, so repairs interleave
-with foreground reads and writes instead of blocking them.  A repair that
-is not yet possible -- e.g. no tag is held by ``d`` survivors because
-``write-to-L2`` offloads are still in flight -- is retried after
+:class:`~repro.core.repair.BackendRepairCoordinator` machinery as an event
+on the kernel's one queue at the scheduled virtual time, so repairs
+interleave with foreground reads and writes instead of blocking them.  A
+repair that is not yet possible -- e.g. no tag is held by ``d`` survivors
+because ``write-to-L2`` offloads are still in flight -- is retried after
 ``retry_interval`` (again through the rate limiter) up to ``max_attempts``
 times.  When every shard of a failed node has been rebuilt the scheduler
 reports the node recovered to the membership.
@@ -163,7 +163,7 @@ class RepairScheduler:
                 continue
             task = RepairTask(
                 key=shard.key, node_id=node.node_id, l2_index=node.index,
-                ready_at=self.router.shard_now(shard) + self.detection_delay,
+                ready_at=self.router.kernel.now + self.detection_delay,
                 pool=shard.pool,
             )
             self.tasks.append(task)
@@ -208,16 +208,16 @@ class RepairScheduler:
         if self._moot(task):
             self._give_up(task, moot=True)
             return
-        shard = self.router.shards[task.key]
+        kernel = self.router.kernel
         slot_index = min(range(len(self._slots)), key=lambda i: self._slots[i])
-        start = max(task.ready_at, self._slots[slot_index])
+        start = max(task.ready_at, self._slots[slot_index], kernel.now)
         if self.slot_jitter > 0:
             start += self._rng.uniform(0.0, self.slot_jitter)
         self._slots[slot_index] = start + self.min_interval
         task.scheduled_at = start
         task.status = SCHEDULED
         self.stats.dispatched += 1
-        self.router.schedule_on_shard(shard, start, lambda: self._execute(task))
+        kernel.schedule_at(start, lambda: self._execute(task))
 
     # -- execution -------------------------------------------------------------------
 
@@ -236,7 +236,7 @@ class RepairScheduler:
             # Already whole (e.g. the shard migrated to a fresh epoch and
             # back, or a concurrent repair beat us to it): nothing to do.
             task.status = DONE
-            task.completed_at = self.router.shard_now(shard)
+            task.completed_at = self.router.kernel.now
             self.stats.repairs_skipped += 1
             self._task_finished(task)
             return
@@ -251,12 +251,12 @@ class RepairScheduler:
             # Not repairable yet (e.g. offloads still in flight): go back
             # through the rate limiter after a back-off.
             self.stats.retries += 1
-            task.ready_at = self.router.shard_now(shard) + self.retry_interval
+            task.ready_at = self.router.kernel.now + self.retry_interval
             self._dispatch(task)
             return
         task.status = DONE
         task.report = report
-        task.completed_at = self.router.shard_now(shard)
+        task.completed_at = self.router.kernel.now
         self.stats.repairs_completed += 1
         self.stats.total_download_fraction += report.download_fraction
         self._task_finished(task)
@@ -273,10 +273,7 @@ class RepairScheduler:
         # Every shard of the node has been handled; report recovery unless
         # some repair permanently failed.
         if all(t.status == DONE for t in self.tasks if t.node_id == task.node_id):
-            shard = self.router.shards.get(task.key)
-            now = (self.router.shard_now(shard) if shard is not None
-                   else task.ready_at)
-            self._recover_if_failed(task.node_id, now)
+            self._recover_if_failed(task.node_id, self.router.kernel.now)
 
     def _recover_if_failed(self, node_id: str, time: float) -> None:
         """Report recovery, tolerating nodes that left (or already recovered)

@@ -456,7 +456,7 @@ class ReplicaCoordinator:
             return  # a retired epoch draining; its writes were already logged
         self._seq += 1
         record = ReplicaRecord(seq=self._seq,
-                               committed_at=self.router.shard_now(shard),
+                               committed_at=self._now(),
                                epoch=epoch, tag=result.tag, value=result.value)
         group.log.append(record)
         self.stats.records_logged += 1

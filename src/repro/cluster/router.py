@@ -5,27 +5,19 @@
 / ``run_until_idle`` / ``history`` / ``operation_cost`` -- but keyed by
 *object key*.  Each key is placed on a server pool by the membership's
 consistent-hash ring, and the router lazily instantiates one full LDS
-deployment (an :class:`LDSSystem` with its own
-:class:`~repro.net.simulator.Simulator`) per key on that pool, exactly the
-way :class:`~repro.core.multi_object.MultiObjectSystem` drives independent
-instances over a shared virtual timeline.
+deployment (an :class:`LDSSystem`) per key on that pool, exactly the way
+:class:`~repro.core.multi_object.MultiObjectSystem` drives independent
+instances over one shared event queue.
 
 Operations are *batched per shard*: invocations are queued on the target
-shard and injected into its simulator in one pass per flush, so a workload
-touching thousands of keys performs one dispatch walk per shard instead of
-one per operation.  ``run_until_idle`` flushes automatically.
+shard and injected in one pass per flush, so a workload touching
+thousands of keys performs one dispatch walk per shard instead of one per
+operation.  ``run_until_idle`` flushes automatically.
 
-Every shard simulator is registered as an event source of the router's
-:class:`~repro.sim.kernel.GlobalScheduler`, and ``run_until_idle`` pumps
-the kernel's merged event queue, so operations, repairs and migrations on
-different shards interleave on one monotonic global clock.  There is one
-time domain: a shard's simulator is created with its clock at the global
-instant of the shard's birth, so its recorder, results and storage samples
-carry global timestamps and nothing is ever translated.  A shard still has
-its own *queue*, and therefore its own clock reading, which lags the
-kernel's while the shard is idle and runs ahead of it while
-:meth:`migrate` drains the shard inline; :meth:`shard_now` /
-:meth:`schedule_on_shard` are the accessors that account for that.
+Every shard runs on the one :class:`~repro.net.simulator.Simulator` of the
+router's :class:`~repro.sim.kernel.GlobalScheduler`, so operations,
+repairs and migrations on different shards interleave on one monotonic
+global clock, and ``kernel.now`` is every shard's "now".
 
 Failures and rebalancing:
 
@@ -35,13 +27,15 @@ Failures and rebalancing:
   :class:`~repro.cluster.repair.RepairScheduler`;
 * when a pool **joins or leaves** the ring, the router computes a
   deterministic :class:`~repro.cluster.placement.RebalancePlan` over its
-  tracked keys and (on :meth:`rebalance`) migrates each moved shard: the
-  source shard is drained, its current value is fetched with a real
-  protocol read (the migration copy), and a fresh instance is started on
-  the target pool seeded with that value.  Every migration starts a new
-  *epoch* for the key; atomicity is checked per epoch (the carried value
-  is the new epoch's legitimate initial value), and the drain barrier
-  guarantees the real-time order between epochs.
+  tracked keys and (on :meth:`rebalance`) migrates each moved shard as a
+  kernel activity: the key freezes (arrivals queue at the router), the
+  retiring epoch finishes its in-flight operations, a real protocol read
+  copies its value out, and at that read's response a fresh instance
+  starts on the target pool holding the value and takes the queued
+  operations.  Every migration starts a new *epoch* for the key;
+  atomicity is checked per epoch (the carried value is the new epoch's
+  legitimate initial value), and the drain guarantees the real-time
+  order between epochs.
 """
 
 from __future__ import annotations
@@ -68,7 +62,6 @@ from repro.core.config import LDSConfig
 from repro.core.results import OperationResult
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, LatencyModel
-from repro.net.simulator import Simulator
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,6 +83,21 @@ class _PendingOp:
 
 
 @dataclass
+class _Migration:
+    """A shard move under way: its key stays frozen until the copy read
+    answers."""
+
+    move: ShardMove
+    shard: "Shard"
+    #: Op id of the copy read, once the retiring epoch drained.
+    copy_read: Optional[str] = None
+    #: With replica groups: the plan's follower changes for the key and
+    #: the plan's time, applied when the new epoch starts.
+    follower_changes: list = field(default_factory=list)
+    planned_at: float = 0.0
+
+
+@dataclass
 class Shard:
     """A live LDS instance serving one object key on one pool."""
 
@@ -97,13 +105,12 @@ class Shard:
     pool: str
     epoch: int
     system: LDSSystem
-    #: The global instant the epoch's clock started at.
-    born_at: float
     pending: List[_PendingOp] = field(default_factory=list)
     #: Histories of previous epochs (pre-migration), oldest first.
     retired_histories: List[History] = field(default_factory=list)
     #: Monotone shift applied to nominal workload times (grows when a
-    #: batch arrives after its nominal window already passed).
+    #: batch is flushed after its nominal window already passed, e.g. the
+    #: operations a migration or failover kept queued).
     time_shift: float = 0.0
 
     @property
@@ -311,10 +318,12 @@ class ObjectRouter:
         #: handle -> (key, epoch, lds op id); the op id is None until flushed.
         self._handles: Dict[str, List] = {}
         self._handle_counter = 0
-        #: results / costs / histories of retired (migrated-away) epochs.
-        self._archived_results: Dict[tuple, Dict[str, OperationResult]] = {}
-        self._archived_costs: Dict[tuple, Dict[str, float]] = {}
-        self._retired_comm_cost = 0.0
+        #: (key, epoch) -> the system of a retired epoch, kept whole: its
+        #: protocol traffic (late L2 offloads) may still be queued, and
+        #: still costs what it costs.
+        self._retired: Dict[tuple, LDSSystem] = {}
+        #: key -> the migration under way; the key is frozen meanwhile.
+        self._migrations: Dict[str, _Migration] = {}
         #: (object_id, op_id) of internal migration-copy reads; excluded
         #: from the merged history so workload statistics only count
         #: foreground operations.
@@ -349,8 +358,8 @@ class ObjectRouter:
         #: (object_id, op_id) -> handle, recorded at flush while tracing so
         #: shard completion hooks can close the right root span.
         self._op_handles: Dict[tuple, str] = {}
-        #: The :class:`~repro.sim.kernel.GlobalScheduler` every shard
-        #: simulator registers with; the one clock the cluster runs on.
+        #: The :class:`~repro.sim.kernel.GlobalScheduler` whose simulator
+        #: every shard runs on; the one clock the cluster runs on.
         self.kernel = kernel
         #: (global time, key, source_pool, target_pool) per migration.
         self.migration_log: List[tuple] = []
@@ -363,28 +372,6 @@ class ObjectRouter:
             self.replicas = ReplicaCoordinator(self, replication,
                                                read_policy=read_policy)
         membership.subscribe(self._on_membership_event)
-
-    # -- global kernel ---------------------------------------------------------
-
-    def shard_now(self, shard: Shard) -> float:
-        """The shard's own clock reading: the time of the last event its
-        queue ran.  It lags ``kernel.now`` while the shard is idle and
-        runs ahead of it during :meth:`migrate`'s inline drain, so it is
-        "now" only for code running inside one of the shard's events."""
-        return shard.system.simulator.now  # simlint: disable=SD03 -- this *is* the sanctioned accessor
-
-    def schedule_on_shard(self, shard: Shard, at: float, callback) -> None:
-        """Schedule a callback on a shard's queue at time ``at`` (clamped
-        to the shard's clock when that already passed ``at``)."""
-        simulator = shard.system.simulator
-        effective = max(at, simulator.now)
-        if effective > at:
-            sanitizer = self.kernel.sanitizer
-            if sanitizer is not None:
-                sanitizer.note_clamp(
-                    "shard", f"shard:{shard.object_id}",
-                    requested=at, effective=effective)
-        simulator.schedule_at(effective, callback)
 
     # -- shard management -----------------------------------------------------
 
@@ -404,8 +391,7 @@ class ObjectRouter:
             )
         pool = self.membership.pool_for(key)
         shard = self._build_shard(key, pool, epoch=0,
-                                  initial_value=self.config.initial_value,
-                                  born_at=self.kernel.now)
+                                  initial_value=self.config.initial_value)
         self._shards[key] = shard
         if self.replicas is not None:
             self.replicas.ensure_group(key, shard)
@@ -418,9 +404,8 @@ class ObjectRouter:
             self.shard(key)
 
     def _build_shard(self, key: str, pool: str, epoch: int,
-                     initial_value: bytes, born_at: float) -> Shard:
-        """Build an epoch whose clock starts at the global instant
-        ``born_at`` and register its queue with the kernel."""
+                     initial_value: bytes) -> Shard:
+        """Build an epoch on the kernel's simulator, born at ``kernel.now``."""
         config = self.config
         if initial_value != config.initial_value:
             config = dc_replace(config, initial_value=initial_value)
@@ -430,12 +415,9 @@ class ObjectRouter:
             num_readers=self.readers_per_shard,
             latency_model=self._latency_factory(pool, key),
             object_id=join_object_id(key, epoch),
-            simulator=Simulator(start=born_at),
+            simulator=self.kernel.simulator,
         )
-        shard = Shard(key=key, pool=pool, epoch=epoch, system=system,
-                      born_at=born_at)
-        self.kernel.register_simulator(system.simulator,
-                                       name=f"shard:{shard.object_id}")
+        shard = Shard(key=key, pool=pool, epoch=epoch, system=system)
         if self._trace is not None or self.operation_observers:
             # Pure observation: close root spans (and record the protocol
             # phase) and feed the completion observers when the shard
@@ -575,7 +557,7 @@ class ObjectRouter:
             if self._trace is not None:
                 self._trace.begin_op(
                     handle, WRITE, key,
-                    at if at is not None else self.shard_now(shard),
+                    at if at is not None else self.kernel.now,
                     args={"writer": writer, "session": session},
                 )
         else:
@@ -615,7 +597,7 @@ class ObjectRouter:
             if self._trace is not None:
                 self._trace.begin_op(
                     handle, READ, key,
-                    at if at is not None else self.shard_now(shard),
+                    at if at is not None else self.kernel.now,
                     args={"reader": reader, "session": session},
                 )
         else:
@@ -683,29 +665,33 @@ class ObjectRouter:
 
     # -- batching / execution ---------------------------------------------------------
 
+    def frozen(self, key: str) -> bool:
+        """True while ``key``'s operations must queue at the router: its
+        shard is migrating, or its replica group is failing over.  The
+        next epoch flushes them."""
+        return key in self._migrations or (
+            self.replicas is not None and self.replicas.frozen(key))
+
     def _flush_shard(self, shard: Shard) -> int:
-        """Inject the shard's queued operations into its simulator in one batch."""
-        if not shard.pending:
-            return 0
-        if self.replicas is not None and self.replicas.frozen(shard.key):
-            # The group is failing over: primary-bound operations stay
-            # queued until the promoted epoch flushes them.
+        """Inject the shard's queued operations into its system in one batch."""
+        if not shard.pending or self.frozen(shard.key):
             return 0
         batch = sorted(shard.pending,
                        key=lambda op: op.at if op.at is not None else -1.0)
         shard.pending = []
-        now = shard.system.simulator.now  # simlint: disable=SD03 -- the batch ratchet needs the owned shard's own clock reading, lag included
-        # A shard's clock only moves forward.  When a batch's nominal window
-        # has already passed (e.g. a fresh workload on a shard that just ran
-        # to quiescence), shift the *whole batch* forward uniformly: relative
-        # spacing between operations -- and therefore per-client
-        # well-formedness -- is preserved, unlike clamping each one to "now".
+        now = self.kernel.now
+        # The clock only moves forward.  When a batch's nominal window has
+        # already passed (operations a migration or failover kept queued,
+        # or a fresh workload after a run to quiescence), shift the *whole
+        # batch* forward uniformly: relative spacing between operations --
+        # and therefore per-client well-formedness -- is preserved, unlike
+        # clamping each one to "now".
         nominal = [op.at for op in batch if op.at is not None]
         if nominal and min(nominal) + shard.time_shift < now:
             shard.time_shift = now - min(nominal)
         for op in batch:
             # max() guards against floating-point rounding pushing the
-            # earliest shifted time epsilon below the shard clock.
+            # earliest shifted time epsilon below the clock.
             at = None if op.at is None else max(op.at + shard.time_shift, now)
             if op.kind == WRITE:
                 op_id = shard.system.invoke_write(op.value, writer=op.client,
@@ -782,12 +768,15 @@ class ObjectRouter:
             return self.replicas.result(handle)
         if op_id is None:
             return None
+        system = self._system(key, epoch)
+        return None if system is None else system.results.get(op_id)
+
+    def _system(self, key: str, epoch: int) -> Optional[LDSSystem]:
+        """The system of ``key``'s ``epoch``, live or retired."""
         shard = self._shards.get(key)
         if shard is not None and shard.epoch == epoch:
-            found = shard.system.results.get(op_id)
-            if found is not None:
-                return found
-        return self._archived_results.get((key, epoch), {}).get(op_id)
+            return shard.system
+        return self._retired.get((key, epoch))
 
     def _resolve(self, handle: str) -> tuple:
         entry = self._handles.get(handle)
@@ -800,21 +789,18 @@ class ObjectRouter:
         key, epoch, op_id = self._resolve(handle)
         if epoch == REPLICA_EPOCH:
             return self.replicas.operation_cost(handle)
-        if op_id is None:
-            return 0.0
-        shard = self._shards.get(key)
-        if shard is not None and shard.epoch == epoch:
-            return shard.system.operation_cost(op_id)
-        return self._archived_costs.get((key, epoch), {}).get(op_id, 0.0)
+        system = None if op_id is None else self._system(key, epoch)
+        return 0.0 if system is None else system.operation_cost(op_id)
 
     @property
     def communication_cost(self) -> float:
         """Total normalised communication cost across all shards and epochs
         (replication fan-out and follower-read transfers included)."""
         replica_cost = 0.0 if self.replicas is None else self.replicas.total_cost
-        return self._retired_comm_cost + replica_cost + sum(
-            shard.system.communication_cost for shard in self._shards.values()
-        )
+        systems = [shard.system for shard in self._shards.values()]
+        systems.extend(self._retired.values())
+        return replica_cost + sum(system.communication_cost
+                                  for system in systems)
 
     # -- histories and atomicity -----------------------------------------------------------
 
@@ -832,9 +818,9 @@ class ObjectRouter:
         epoch by :meth:`check_atomicity` because each migration epoch has
         its own initial value.
 
-        Timestamps are the epochs' recorders' own: every shard simulator
-        is born on the global clock, so operations from different shards
-        and epochs (and follower-served reads, stamped by the kernel) are
+        Timestamps are the epochs' recorders' own: every epoch runs on the
+        kernel's one simulator, so operations from different shards and
+        epochs (and follower-served reads, stamped by the kernel) are
         comparable as they stand.
         """
         merged = History(initial_value=self.config.initial_value)
@@ -899,8 +885,8 @@ class ObjectRouter:
     def _crash_slot(self, shard: Shard, role: str, index: int,
                     at: Optional[float] = None) -> None:
         """Crash one server slot of a shard at time ``at``, or right away
-        when the shard's clock already reached it."""
-        when = at if at is not None and at > self.shard_now(shard) else None
+        when the clock already reached it."""
+        when = at if at is not None and at > self.kernel.now else None
         if role == L1_ROLE:
             if index < self.config.n1:
                 shard.system.crash_l1(index, at=when)
@@ -959,101 +945,105 @@ class ObjectRouter:
             if self.replicas is not None and self.replicas.frozen(move.key):
                 continue
             self.migrate(move)
+            # The key's follower changes wait for its new epoch: until then
+            # its primary still sits on the move's source.
+            migration = self._migrations[move.key]
+            migration.follower_changes = [change for change
+                                          in plan.follower_changes
+                                          if change.key == move.key]
+            migration.planned_at = plan.time
         if self.replicas is not None:
-            self.replicas.apply_follower_changes(plan.follower_changes,
-                                                 plan.time)
+            self.replicas.apply_follower_changes(
+                [change for change in plan.follower_changes
+                 if change.key not in self._migrations], plan.time)
         return plan
 
     def migrate(self, move: ShardMove) -> Shard:
-        """Move one shard to a new pool (drain, copy via a read, new epoch)."""
+        """Start moving one shard to a new pool; returns the retiring shard.
+
+        The move is a kernel activity.  The key freezes (its operations
+        queue at the router) while the retiring epoch finishes what it has
+        in flight; then a copy read -- a real protocol read, charged to the
+        epoch like any other -- fetches its value.  At the read's response
+        the new epoch starts on the target pool holding that value, and the
+        queued operations flush into it.  A later move of a key that is
+        still migrating re-targets the migration.
+        """
         shard = self._shards[move.key]
         if shard.pool != move.source:
             raise ValueError(
                 f"shard {move.key!r} lives on {shard.pool!r}, not {move.source!r}"
             )
-        # Drain: finish queued and in-flight operations, then copy the value
-        # out with a real protocol read (this is the migration's data copy,
-        # and it is charged to the source shard like any other read).
+        underway = self._migrations.get(move.key)
+        if underway is not None:
+            underway.move = move
+            return shard
         self._flush_shard(shard)
-        shard.system.run_until_idle()
-        copy_read = shard.system.read()
-        carried = copy_read.value
-        # The copy read stays in the shard's own history (it is real protocol
-        # traffic and part of the epoch's atomicity check) but is internal:
-        # keep it out of the merged workload statistics.
-        self._internal_ops.add((shard.system.object_id, copy_read.op_id))
-        # Archive the retiring epoch's history, results and per-op costs.
-        epoch_key = (move.key, shard.epoch)
-        self._archived_results[epoch_key] = dict(shard.system.results)
-        self._archived_costs[epoch_key] = dict(
-            shard.system.network.costs.by_operation
-        )
-        self._retired_comm_cost += shard.system.communication_cost
-        retired = shard.retired_histories + [shard.system.history()]
-        # The new epoch starts at the migration instant or at the retiring
-        # epoch's last foreground activity (its birth, if it saw none),
-        # whichever is later.  Neither a lagging shard clock (long idle)
-        # nor a fast-forwarded one (the inline drain executes any future
-        # callbacks, e.g. rate-limited repairs, against the retiring epoch)
-        # may drag the epoch boundary off the global timeline.  Internal
-        # operations (the migration's own copy read, which runs after the
-        # drain and inherits its inflated clock) do not anchor the
-        # boundary; they are invisible in merged histories.
-        drained_at = max(
-            self.kernel.now, shard.born_at,
-            *(op.responded_at if op.responded_at is not None
-              else op.invoked_at for op in retired[-1]
-              if (op.object_id, op.op_id) not in self._internal_ops))
-        self.kernel.unregister(f"shard:{shard.object_id}")
-        # The new epoch's clock starts at the instant the old epoch drained,
-        # preserving real-time order between epochs on the global timeline.
-        replacement = self._build_shard(move.key, move.target,
-                                        epoch=shard.epoch + 1,
-                                        initial_value=carried,
-                                        born_at=drained_at)
-        replacement.retired_histories = retired
-        self._shards[move.key] = replacement
-        self._announce_shard(replacement)
-        self.stats.migrations += 1
-        self.migration_log.append((drained_at, move.key, move.source, move.target))
-        if self.replicas is not None:
-            self.replicas.on_primary_migrated(move.key, replacement, carried)
-        return replacement
+        migration = self._migrations[move.key] = _Migration(move, shard)
+        shard.system.completion_hooks.append(
+            lambda result: self._advance_migration(migration, result))
+        self._advance_migration(migration)
+        return shard
+
+    def _advance_migration(self, migration: _Migration,
+                           result: Optional[OperationResult] = None) -> None:
+        """Step a migration at each completion in its retiring epoch: issue
+        the copy read once nothing is in flight, finish at its response."""
+        if self._migrations.get(migration.shard.key) is not migration:
+            return  # a failover retired the epoch first
+        system = migration.shard.system
+        if migration.copy_read is None:
+            if not system.operations_in_flight:
+                migration.copy_read = system.invoke_read(reader=0)
+                # The copy read stays in the epoch's own history (it is
+                # real protocol traffic and part of the epoch's atomicity
+                # check) but is internal: merged histories leave it out.
+                self._internal_ops.add((system.object_id,
+                                        migration.copy_read))
+        elif result is not None and result.op_id == migration.copy_read:
+            move = migration.move
+            replacement = self._retire_epoch(migration.shard, move.target,
+                                             result.value)
+            self.stats.migrations += 1
+            self.migration_log.append(
+                (self.kernel.now, move.key, move.source, move.target))
+            if self.replicas is not None:
+                self.replicas.on_primary_migrated(move.key, replacement,
+                                                  result.value)
+                self.replicas.apply_follower_changes(
+                    migration.follower_changes, migration.planned_at)
+            self._flush_shard(replacement)
 
     def failover_shard(self, key: str, target_pool: str,
                        carried_value: Optional[bytes]) -> Shard:
         """Promote ``key``'s shard onto ``target_pool`` after primary loss.
 
-        The structural twin of :meth:`migrate` for a *dead* source: the
-        retiring epoch cannot be drained (its pool is down, so in-flight
-        operations stay incomplete forever -- which is the truth of a
-        crash) and the carried value comes from the caught-up follower
-        store rather than a protocol copy read.  Frozen pending operations
-        transfer onto the new epoch and their handles are re-pointed at
-        it; the caller (the replica coordinator) flushes them once it has
-        finished its own promotion bookkeeping.
+        The twin of a migration for a *dead* source: the retiring epoch
+        cannot drain (its pool is down, so in-flight operations stay
+        incomplete forever -- which is the truth of a crash), a migration
+        under way is abandoned, and the carried value comes from the
+        caught-up follower store rather than a protocol copy read.  The
+        caller (the replica coordinator) flushes the operations the freeze
+        kept queued once it has finished its own promotion bookkeeping.
         """
-        shard = self._shards[key]
-        epoch_key = (key, shard.epoch)
-        self._archived_results[epoch_key] = dict(shard.system.results)
-        self._archived_costs[epoch_key] = dict(
-            shard.system.network.costs.by_operation
-        )
-        self._retired_comm_cost += shard.system.communication_cost
-        retired = shard.retired_histories + [shard.system.history()]
-        promoted_at = self.kernel.now
-        self.kernel.unregister(f"shard:{shard.object_id}")
-        replacement = self._build_shard(key, target_pool,
-                                        epoch=shard.epoch + 1,
-                                        initial_value=carried_value
-                                        if carried_value is not None
-                                        else self.config.initial_value,
-                                        born_at=promoted_at)
-        replacement.retired_histories = retired
-        # Operations frozen during the failover window carry over; they
-        # execute on the promoted epoch.
-        replacement.pending = shard.pending
-        shard.pending = []
+        return self._retire_epoch(self._shards[key], target_pool,
+                                  carried_value)
+
+    def _retire_epoch(self, shard: Shard, pool: str,
+                      carried: Optional[bytes]) -> Shard:
+        """Archive ``shard``'s epoch and start the next one on ``pool``,
+        born now and holding ``carried``.  The key thaws, and its queued
+        operations move across with their handles; the caller flushes."""
+        key = shard.key
+        self._migrations.pop(key, None)
+        self._retired[(key, shard.epoch)] = shard.system
+        replacement = self._build_shard(
+            key, pool, epoch=shard.epoch + 1,
+            initial_value=self.config.initial_value if carried is None
+            else carried)
+        replacement.retired_histories = (shard.retired_histories
+                                         + [shard.system.history()])
+        replacement.pending, shard.pending = shard.pending, []
         for op in replacement.pending:
             self._handles[op.handle][1] = replacement.epoch
         self._shards[key] = replacement

@@ -38,8 +38,8 @@ clean and any reported violation is a real bug (or an injected one; see
 :mod:`repro.consistency.injection`).
 
 The auditor therefore requires a history whose timestamps are mutually
-comparable, which every cluster history is (each shard simulator is born
-on the global clock).  Operations without a session, incomplete
+comparable, which every cluster history is (every shard runs on the
+kernel's one clock).  Operations without a session, incomplete
 operations, and operations without a tag are skipped (and counted in the
 report).
 

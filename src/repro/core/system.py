@@ -56,9 +56,8 @@ class RegisterSystem:
                  latency_model: Optional[LatencyModel] = None,
                  simulator: Optional[Simulator] = None) -> None:
         self.object_id = object_id
-        #: The event queue the deployment runs on; the cluster router
-        #: passes one whose clock starts at the shard's birth instant, a
-        #: multi-object fleet one queue for all of its objects.
+        #: The event queue the deployment runs on; the cluster kernel and a
+        #: multi-object fleet each pass one queue for all of their objects.
         self.simulator = simulator if simulator is not None else Simulator()
         self.network = Network(simulator=self.simulator, latency_model=latency_model)
         self.recorder = OperationRecorder(initial_value=initial_value)
@@ -186,6 +185,11 @@ class RegisterSystem:
     def history(self) -> History:
         """The operation history recorded so far."""
         return self.recorder.history()
+
+    @property
+    def operations_in_flight(self) -> int:
+        """Operations invoked or scheduled that have not responded yet."""
+        return sum(self._op_sequences.values()) - len(self.results)
 
     def operation_cost(self, op_id: str) -> float:
         """Normalised communication cost attributed to one operation.

@@ -16,7 +16,7 @@ suppression pragmas, and a CLI::
     python -m repro.lint src/repro examples benchmarks  # what CI scans
     python -m repro.lint --list-rules
 
-Six rules, each kept because of a finding in this repo's history or a
+Five rules, each kept because of a finding in this repo's history or a
 planted bug no runtime check caught:
 
 * **nondeterminism** -- ``ND02`` wall-clock reads, ``ND03`` unordered
@@ -24,8 +24,8 @@ planted bug no runtime check caught:
   default arguments;
 * **RNG provenance** -- ``RP01`` RNG streams whose seed is not derived
   from the root seed via ``derive_seed(...)``, or re-seeded mid-run;
-* **protocol discipline** -- ``SD03`` raw cross-source simulator clock
-  access, ``SD04`` coordinator in-flight maps the sanitizer cannot watch.
+* **protocol discipline** -- ``SD04`` coordinator in-flight maps the
+  sanitizer cannot watch.
 
 A deliberate exception is a comment on the flagged line (or a
 ``disable-file=`` comment for the module) and must say why::

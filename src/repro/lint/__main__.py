@@ -39,7 +39,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="files or directories to scan "
                              "(default: the repro package itself)")
     parser.add_argument("--select", metavar="RULES",
-                        help="comma-separated rule ids to run (e.g. ND02,SD03)")
+                        help="comma-separated rule ids to run (e.g. ND02,SD04)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
     args = parser.parse_args(argv)

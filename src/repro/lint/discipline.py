@@ -1,8 +1,7 @@
-"""Protocol-discipline rules (SD03, SD04).
+"""Protocol-discipline rule SD04.
 
-These rules know this codebase: which layers own the simulators, which
-accessors are the sanctioned way to touch another source's clock, and
-which coordinator state the runtime sanitizer can watch.
+It knows this codebase: which coordinator state the runtime sanitizer
+can watch.
 """
 
 from __future__ import annotations
@@ -11,55 +10,6 @@ import ast
 from typing import List
 
 from repro.lint.engine import Finding, ModuleContext, Rule
-
-
-class RuleSD03(Rule):
-    """Raw cross-source simulator access outside the sanctioned accessors.
-
-    Every simulator runs on the global clock, but each still has its own
-    queue, so its clock *reading* is not ``kernel.now``: it lags while
-    the source is idle and runs ahead while ``ObjectRouter.migrate``
-    drains the source inline.  Comparing or scheduling against the raw
-    reading from outside lands events in the source's past or at a stale
-    "now" (the bug class the kernel's clamped-head logic and
-    ``schedule_probe``'s past-clamp exist to contain).  Any
-    ``<expr>.simulator.now`` / ``<expr>.simulator.schedule*`` where the
-    receiver is not ``self`` must go through ``router.shard_now()`` /
-    ``router.schedule_on_shard()`` instead.  The simulator-owning layers
-    (``net/``, the kernel and its runtime sanitizer) are out of scope;
-    the accessor implementations themselves carry justified pragmas.
-    """
-
-    rule_id = "SD03"
-    title = "raw cross-source simulator clock access"
-
-    _CLOCK_ATTRS = frozenset({
-        "now", "schedule", "schedule_at", "run", "run_until_idle", "step",
-        "set_head_listener", "set_schedule_guard",
-    })
-
-    def check(self, ctx: ModuleContext) -> List[Finding]:
-        if ctx.is_simulator_layer:
-            return []
-        findings: List[Finding] = []
-        for node in ctx.nodes:
-            if not isinstance(node, ast.Attribute) \
-                    or node.attr not in self._CLOCK_ATTRS:
-                continue
-            value = node.value
-            if not isinstance(value, ast.Attribute) \
-                    or value.attr != "simulator":
-                continue
-            owner = value.value
-            if isinstance(owner, ast.Name) and owner.id == "self":
-                continue  # the owner touching its own simulator
-            findings.append(ctx.finding(
-                self, node,
-                f"cross-source access to .simulator.{node.attr}: a "
-                f"source's clock lags the kernel's while it is idle and "
-                f"runs ahead during an inline drain; use "
-                f"shard_now()/schedule_on_shard()"))
-        return findings
 
 
 class RuleSD04(Rule):
@@ -140,6 +90,6 @@ class RuleSD04(Rule):
         return findings
 
 
-DISCIPLINE_RULES = [RuleSD03, RuleSD04]
+DISCIPLINE_RULES = [RuleSD04]
 
-__all__ = ["DISCIPLINE_RULES", "RuleSD03", "RuleSD04"]
+__all__ = ["DISCIPLINE_RULES", "RuleSD04"]

@@ -7,7 +7,7 @@ resolver) and returns :class:`Finding` objects.  The engine then
 subtracts everything an inline pragma suppresses::
 
     wall = perf_counter()  # simlint: disable=ND02 -- host timing only
-    # simlint: disable-file=SD03 -- this module *is* the accessor layer
+    # simlint: disable-file=ND02 -- this module *is* the host timer
 
 A pragma is a comment: the engine reads :mod:`tokenize` ``COMMENT``
 tokens, so pragma text inside a docstring (like the two lines above) or
@@ -123,15 +123,6 @@ class ModuleContext:
     line_pragmas: Dict[int, Set[str]] = field(default_factory=dict)
     #: rules disabled for the whole module.
     file_pragmas: Set[str] = field(default_factory=set)
-
-    @property
-    def is_simulator_layer(self) -> bool:
-        """Modules that legitimately own raw simulator access (SD03 scope):
-        the simulator package itself, the kernel, and the kernel's runtime
-        sanitizer (whose whole job is inspecting raw source clocks)."""
-        return ("net" in self.parts
-                or self.parts[-2:] in (("sim", "kernel.py"),
-                                       ("sim", "sanitizer.py")))
 
     def resolve_call(self, node: ast.expr) -> Optional[str]:
         """Canonical dotted target of a call expression, import-aware.

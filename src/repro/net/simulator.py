@@ -41,9 +41,8 @@ class EventHandle:
 class Simulator:
     """A single-threaded discrete-event simulator with a virtual clock.
 
-    The clock starts at ``start``: a simulator created mid-run by the
-    global kernel is born at the global instant, so its timestamps are
-    global time from the first event.
+    The clock starts at ``start``: the global kernel's probe queue, created
+    mid-run, is born at the global instant.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -51,38 +50,20 @@ class Simulator:
         self._counter = itertools.count()
         self._now = start
         self._events_processed = 0
-        #: Invoked whenever a newly scheduled event becomes the queue head
-        #: (see :meth:`set_head_listener`).
-        self._head_listener: Optional[Callable[[], None]] = None
         #: Invoked with the absolute time of *every* scheduling attempt,
         #: before validation (see :meth:`set_schedule_guard`).
         self._schedule_guard: Optional[Callable[[float], None]] = None
-
-    def set_head_listener(self, listener: Optional[Callable[[], None]]) -> None:
-        """Register a callback fired when scheduling moves the head earlier.
-
-        An external multiplexer (the global simulation kernel) tracks every
-        simulator's next pending time in a heap; without a notification it
-        would have to re-scan all sources after every event, because any
-        event's callback may schedule onto *any* simulator.  The listener
-        fires from :meth:`schedule_at` whenever the new event lands at the
-        front of the queue, i.e. exactly when the externally visible head
-        time can move earlier (cancellations can only move it later, which
-        the multiplexer detects lazily).  Only one listener is supported --
-        a simulator is ever owned by at most one kernel.
-        """
-        self._head_listener = listener
 
     def set_schedule_guard(self, guard: Optional[Callable[[float], None]]) -> None:
         """Register a callback invoked on every scheduling attempt.
 
         The guard receives the absolute virtual time *before* the
         past-check runs, so an external sanitizer (the kernel's runtime
-        sanitizer in :mod:`repro.sim.sanitizer`) can attach source
-        context and raise a structured error where this class would only
-        raise a bare ``ValueError``.  Guards must not schedule events.
-        Only one guard is supported -- a simulator is ever owned by at
-        most one kernel.
+        sanitizer in :mod:`repro.sim.sanitizer`) can record the attempt
+        and raise a structured error where this class would only raise a
+        bare ``ValueError``.  Guards must not schedule events.  Only one
+        guard is supported -- a simulator is ever owned by at most one
+        kernel.
         """
         self._schedule_guard = guard
 
@@ -114,10 +95,7 @@ class Simulator:
         if time < self._now:
             raise ValueError("cannot schedule an event in the past")
         event = [time, next(self._counter), callback]
-        queue = self._queue
-        heappush(queue, event)
-        if queue[0] is event and self._head_listener is not None:
-            self._head_listener()
+        heappush(self._queue, event)
         return EventHandle(event)
 
     def peek_time(self) -> Optional[float]:
@@ -125,9 +103,6 @@ class Simulator:
 
         Cancelled events at the head of the queue are discarded as a side
         effect, so the returned time is the one :meth:`step` would run at.
-        This is what lets an external multiplexer (the global simulation
-        kernel in :mod:`repro.sim.kernel`) merge many simulators onto one
-        clock without executing anything.
         """
         queue = self._queue
         while queue:
@@ -152,17 +127,18 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue is drained, ``until`` is reached, or
-        ``max_events`` events have been executed in this call."""
+        ``max_events`` events have been executed in this call.
+
+        The clock then stands at ``until`` -- or stays where it is when
+        ``until`` is already in the past: it never rewinds.
+        """
         executed = 0
         while self._queue:
             if max_events is not None and executed >= max_events:
                 return
             time = self.peek_time()
-            if time is None:
+            if time is None or (until is not None and time > until):
                 break
-            if until is not None and time > until:
-                self._now = until
-                return
             self.step()
             executed += 1
         if until is not None and until > self._now:

@@ -4,7 +4,8 @@
 dedicated telemetry source (:meth:`GlobalScheduler.schedule_probe`) and,
 at every tick, snapshots the cluster into one JSON-ready row:
 
-* per-shard event-queue depth (total / max / the non-empty shards);
+* the depth of the kernel's one event queue (every shard's pending
+  events, plus arrivals and background activity);
 * replication lag -- primary log head minus each live follower's
   applied position, in records -- max, mean, and stale-store count;
 * repair backlog: outstanding tasks plus the scheduler's cumulative
@@ -20,11 +21,11 @@ Chrome counter events so lag and backlog render as area charts under
 the op spans.
 
 Probes are *pure observation*: they read simulation state and write
-telemetry sinks, never schedule onto shards or mutate cluster state.
+telemetry sinks, never schedule foreground events or mutate cluster state.
 Combined with the kernel's probe bookkeeping (probes bypass the clock,
 stats, fingerprint and trace), a sampled run is byte-identical to an
-unsampled one.  The probe re-arms itself only while some non-telemetry
-source still has pending work, so a drained simulation stays drained;
+unsampled one.  The probe re-arms itself only while the foreground
+queue still has pending work, so a drained simulation stays drained;
 :meth:`ensure_armed` restarts the cadence when more load is added
 later.
 """
@@ -66,9 +67,7 @@ class ClusterSampler:
         registry = self.registry
         self._g_queue_total = registry.gauge(
             "cluster_queue_depth_total",
-            "events pending across all shard simulators")
-        self._g_queue_max = registry.gauge(
-            "cluster_queue_depth_max", "deepest single shard event queue")
+            "events pending on the kernel's foreground queue")
         self._g_lag_max = registry.gauge(
             "cluster_replication_lag_max",
             "records the most-lagging live follower is behind its primary")
@@ -122,13 +121,7 @@ class ClusterSampler:
         router = self.simulation.router
         stats = router.stats
 
-        by_shard = {}
-        for key in sorted(router.shards):
-            depth = router.shards[key].system.simulator.pending_events
-            if depth:
-                by_shard[key] = depth
-        queue_total = sum(by_shard.values())
-        queue_max = max(by_shard.values()) if by_shard else 0
+        queue_total = self.simulation.kernel.simulator.pending_events
 
         lags: List[int] = []
         replicas = self.simulation.replicas
@@ -155,11 +148,7 @@ class ClusterSampler:
         row = {
             "t": tick,
             "shards": len(router.shards),
-            "queue_depth": {
-                "total": queue_total,
-                "max": queue_max,
-                "by_shard": by_shard,
-            },
+            "queue_depth": {"total": queue_total},
             "replication_lag": {
                 "max": lag_max,
                 "mean": lag_mean,
@@ -187,15 +176,13 @@ class ClusterSampler:
         }
 
         self._g_queue_total.set(queue_total)
-        self._g_queue_max.set(queue_max)
         self._g_lag_max.set(lag_max)
         self._g_stale_stores.set(stale)
         self._g_repair_backlog.set(backlog)
         self._g_live_pools.set(live_pools)
 
         if self.trace is not None:
-            self.trace.counter("queue depth", tick,
-                               {"total": queue_total, "max": queue_max})
+            self.trace.counter("queue depth", tick, {"total": queue_total})
             self.trace.counter("replication lag", tick,
                                {"max": lag_max, "stale_stores": stale})
             self.trace.counter("repair backlog", tick,

@@ -1,15 +1,14 @@
 """The global-clock simulation subsystem.
 
-The cluster layer federates many per-shard discrete-event simulators; this
-package merges them onto **one monotonic global clock** so cross-shard
-timing phenomena -- repair slots competing with foreground load, migrations
-overlapping writes, correlated failures, latency-regime shifts -- are
-actually simulated instead of serialised away:
+Every shard of the cluster runs on **one** event queue and one monotonic
+global clock, so cross-shard timing phenomena -- repair slots competing
+with foreground load, migrations overlapping writes, correlated failures,
+latency-regime shifts -- are actually simulated instead of serialised
+away:
 
-* :mod:`repro.sim.kernel` -- :class:`GlobalScheduler`, the unified event
-  pump multiplexing per-shard simulators (plus its own kernel queue for
-  scenario actions and workload arrivals) with deterministic merged
-  ordering under a fixed seed;
+* :mod:`repro.sim.kernel` -- :class:`GlobalScheduler`, which owns the one
+  foreground :class:`~repro.net.simulator.Simulator` every shard runs on,
+  its fingerprint and stats, and an observation-only probe queue;
 * :mod:`repro.sim.scenario` -- declarative timed scripts
   (:class:`Scenario` / :class:`ScenarioEngine`) of crash/recover, pool
   join/leave, latency-regime shifts and workload phases, with eight
@@ -19,9 +18,8 @@ actually simulated instead of serialised away:
   kernel and exposing keyed driving, failure injection, workload arrival
   scheduling, scenario application and the merged global timeline;
 * :mod:`repro.sim.sanitizer` -- :class:`KernelSanitizer`, opt-in runtime
-  invariant checking on the pump (clock monotonicity, local-past
-  scheduling, probe purity, pending-map leaks) with zero fingerprint
-  impact.
+  invariant checking on the pump (clock monotonicity, past scheduling,
+  probe purity, pending-map leaks) with zero fingerprint impact.
 """
 
 from repro import _lazy_exports
@@ -29,11 +27,9 @@ from repro import _lazy_exports
 _EXPORTS = {
     "GlobalScheduler": "kernel",
     "KernelStats": "kernel",
-    "SimulatorSource": "kernel",
     "KernelSanitizer": "sanitizer",
     "SanitizerError": "sanitizer",
     "SanitizerViolation": "sanitizer",
-    "KERNEL_SOURCE": "kernel",
     "TELEMETRY_SOURCE": "kernel",
     "Scenario": "scenario",
     "ScenarioAction": "scenario",

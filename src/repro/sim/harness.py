@@ -48,7 +48,7 @@ from repro.net.latency import (
     LatencyRegime,
     ScaledLatencyModel,
 )
-from repro.sim.kernel import GlobalScheduler, KernelStats
+from repro.sim.kernel import GlobalScheduler
 from repro.sim.scenario import Scenario, ScenarioEngine
 from repro.workloads.generator import Workload
 
@@ -78,8 +78,7 @@ class ClusterSimulation:
     driven end to end by one global simulation kernel."""
 
     def __init__(self, config: LDSConfig, pool_names: List[str], *,
-                 seed: int = 0, record_trace: bool = False,
-                 vnodes: int = 128,
+                 seed: int = 0, vnodes: int = 128,
                  writers_per_shard: int = 1, readers_per_shard: int = 1,
                  repair_min_interval: float = 5.0,
                  repair_max_concurrent: int = 1,
@@ -97,7 +96,7 @@ class ClusterSimulation:
         #: models, replica distances, repair jitter) derives its own seed
         #: from it, so one seed fixes the entire global event order.
         self.seed = seed
-        self.kernel = GlobalScheduler(record_trace=record_trace)
+        self.kernel = GlobalScheduler()
         self.latency_regime = LatencyRegime()
         if latency:
             # Tail-latency observability: per-op-class quantile sketches,
@@ -164,7 +163,7 @@ class ClusterSimulation:
             telemetry.attach(self)
         if sanitize:
             # Runtime invariant checking on the pump (clock monotonicity,
-            # local-past scheduling, probe purity, pending-map leaks).
+            # past scheduling, probe purity, pending-map leaks).
             # Purely observational: a sanitized run produces the same
             # kernel fingerprint as the same seed without it.
             sanitizer = self.kernel.enable_sanitizer()
@@ -188,10 +187,6 @@ class ClusterSimulation:
     @property
     def now(self) -> float:
         return self.kernel.now
-
-    @property
-    def interleaving(self) -> KernelStats:
-        return self.kernel.stats
 
     def set_latency_scale(self, scale: float) -> None:
         """Shift the whole cluster's latency regime (takes effect on the
@@ -275,7 +270,8 @@ class ClusterSimulation:
 
     def history(self, global_clock: bool = True) -> History:
         # The keyword is accepted and ignored (there is one clock) only
-        # because benchmarks/lds_bench/repetition.py still passes it.
+        # because benchmarks/lds_bench/repetition.py still passes it;
+        # ROADMAP item 1 (ii) retires it.
         return self.router.history()
 
     def check_atomicity(self) -> Optional[AtomicityViolation]:
@@ -339,7 +335,11 @@ class ClusterSimulation:
 
     def fail_node(self, node_id: str,
                   time: Optional[float] = None) -> MembershipEvent:
-        """Crash one pool node; the repair scheduler takes it from there."""
+        """Crash one pool node; the repair scheduler takes it from there.
+
+        Stamped now (the default), every shard on the pool is degraded
+        when this returns.
+        """
         return self.membership.fail(node_id, time=self._time(time))
 
     def fail_pool(self, pool: str,
@@ -424,12 +424,9 @@ class ClusterSimulation:
         return entries
 
     def describe(self) -> str:
-        stats = self.kernel.stats
         return (
             f"ClusterSimulation(seed={self.seed}, now={self.kernel.now:.1f}, "
-            f"sources={len(self.kernel.sources())}, "
-            f"events={stats.events_total}, "
-            f"switch_rate={stats.switch_rate:.2f}, "
+            f"events={self.kernel.stats.events_total}, "
             f"pools={len(self.membership.pools)}, "
             f"shards={len(self.router.shards)}, {self.config.describe()})"
         )

@@ -1,248 +1,138 @@
 """The global-clock simulation kernel.
 
-Each :class:`~repro.core.system.LDSSystem` owns a private
-:class:`~repro.net.simulator.Simulator`, so a sharded cluster is a federation
-of independent event queues.  Running them one after another (a per-shard
-``run_until_idle`` loop) destroys every cross-shard timing phenomenon:
-background repair slots never compete with foreground load, migrations never
-overlap writes, and correlated failures collapse into sequential ones.
+A sharded cluster is many :class:`~repro.core.system.LDSSystem`s -- one per
+key and migration epoch -- on **one** event queue: the
+:class:`GlobalScheduler` owns a :class:`~repro.net.simulator.Simulator`
+(:attr:`GlobalScheduler.simulator`) and the router hands it to every shard
+through ``LDSSystem(simulator=...)``, exactly as
+:class:`~repro.core.multi_object.MultiObjectSystem` runs a fleet.  Scenario
+actions, workload arrivals, repair slots, replication and migration are
+events on that same queue, so the cluster has one clock, events from
+different shards interleave exactly as their timestamps dictate, and ties
+run in the order they were scheduled -- the whole event order is a pure
+function of the root seed.
 
-The :class:`GlobalScheduler` fixes that by multiplexing any number of
-per-shard simulators -- plus its own kernel event queue for scenario actions
-and workload arrivals -- onto **one monotonic global clock**:
+Around that queue the kernel keeps:
 
-* every registered simulator becomes a :class:`SimulatorSource`.  There is
-  one time domain: a simulator is born on the global clock
-  (``Simulator(start=kernel.now)`` for a shard created mid-run), so its
-  timestamps *are* global times and nothing is translated.  What a source
-  keeps of its own is a queue and a clock reading: the reading *lags* the
-  kernel's while the source is idle (a head it schedules before *now* is
-  clamped to *now*) and runs *ahead* while its owner drains it inline;
-* each :meth:`step` picks the source whose next pending event has the
-  smallest time and executes exactly that one event, so events from
-  different shards interleave exactly as their timestamps dictate;
-* ties are broken by source registration order, and each simulator's own
-  queue is FIFO at equal times, so the merged order is a pure function of
-  the event timestamps -- deterministic under a fixed seed.
-
-The kernel also maintains a rolling CRC *fingerprint* of the executed
-``(source, time)`` sequence, giving determinism tests an O(1)-memory
-signature of the entire global event order, and (optionally) a full trace.
-
-Two observability hooks ride on the pump (see :mod:`repro.obs`), both
-designed to leave that fingerprint untouched:
-
-* :meth:`GlobalScheduler.schedule_probe` places observation-only events
-  on a dedicated ``telemetry`` source that executes at its scheduled
-  instant but bypasses the global clock, the stats, the fingerprint and
-  the trace -- so a sampled run is byte-identical to an unsampled one.
-  The cluster sampler, the live session auditor
-  (:mod:`repro.obs.live_audit`) and the availability monitor
-  (:mod:`repro.obs.availability`) are all probe families on this
-  source;
-* :meth:`GlobalScheduler.enable_sanitizer` turns on runtime invariant
-  checking (clock monotonicity, no scheduling into a source's own
-  past, probe purity, pending-map leaks -- see
-  :mod:`repro.sim.sanitizer`); off by default, the per-event cost when
-  off is a single ``is None`` check, and a sanitized run keeps the same
-  fingerprint.
+* a rolling CRC *fingerprint* over ``repr(time)`` of every executed event,
+  an O(1)-memory signature of the entire event order for determinism
+  tests, and the event count in :attr:`GlobalScheduler.stats`;
+* a second queue for observation-only probes
+  (:meth:`GlobalScheduler.schedule_probe`): a probe runs at its own
+  instant but never advances the clock, never counts as an event, never
+  feeds the fingerprint, and loses ties to foreground events, so a sampled
+  run is byte-identical to an unsampled one.  The cluster sampler, the
+  live session auditor (:mod:`repro.obs.live_audit`) and the availability
+  monitor (:mod:`repro.obs.availability`) are probe families;
+* an optional runtime sanitizer (:meth:`GlobalScheduler.enable_sanitizer`,
+  see :mod:`repro.sim.sanitizer`) checking clock monotonicity, scheduling
+  into the past, probe purity and pending-map leaks; off by default, where
+  its per-event cost is one ``is None`` check.
 """
 
 from __future__ import annotations
 
-import itertools
 import zlib
-from dataclasses import dataclass, field
-from heapq import heappop, heappush, heapreplace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
 from repro.net.simulator import EventHandle, Simulator
 
-#: Name of the kernel's own event queue (scenario actions, arrivals).
-KERNEL_SOURCE = "kernel"
+#: Name of the one foreground event queue.
+FOREGROUND_SOURCE = "foreground"
 
 #: Name of the observation-only probe queue (never fingerprinted).
 TELEMETRY_SOURCE = "telemetry"
 
 
-class SimulatorSource:
-    """One simulator's event queue as a named source of the merged pump."""
-
-    def __init__(self, name: str, simulator: Simulator) -> None:
-        self.name = name
-        self.simulator = simulator
-        self.events_executed = 0
-        #: Registration order; the kernel breaks global-time ties by it.
-        self.order = 0
-        #: Version of the one live kernel heap entry for this source's head.
-        self.head_version = 0
-
-
 @dataclass
 class KernelStats:
-    """Interleaving statistics of the merged execution."""
+    """Counters of the executed foreground events."""
 
     events_total: int = 0
-    #: Events executed per source name (retains unregistered sources).
-    events_by_source: Dict[str, int] = field(default_factory=dict)
-    #: Number of consecutive event pairs drawn from *different* sources --
-    #: the direct measure of cross-shard interleaving (0 means the merged
-    #: execution degenerated into per-shard blocks).
-    context_switches: int = 0
-    _last_source: Optional[str] = None
 
     @property
     def switch_rate(self) -> float:
-        """Fraction of event transitions that crossed source boundaries."""
-        if self.events_total <= 1:
-            return 0.0
-        return self.context_switches / (self.events_total - 1)
-
-    def busiest_sources(self, limit: int = 5) -> List[Tuple[str, int]]:
-        ranked = sorted(self.events_by_source.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:limit]
+        """Always 0.0: one queue never switches between sources.  Kept only
+        because ``lds_bench`` reports it; ROADMAP item 1 (ii) retires it."""
+        return 0.0
 
 
 class GlobalScheduler:
-    """Merges many simulators into one deterministic global event pump."""
+    """The one foreground event queue, its fingerprint, stats and probes."""
 
-    def __init__(self, record_trace: bool = False) -> None:
-        self._sources: Dict[str, SimulatorSource] = {}
-        self._now = 0.0
-        #: Lazy min-heap over source head times: (global_time, registration
-        #: order, unique entry version, source).  An entry is valid only
-        #: while its version is the source's ``head_version`` and its time
-        #: matches the source's current head; anything else is discarded
-        #: (and refreshed) when it surfaces, so stale entries are tolerated
-        #: instead of removed eagerly.  Sources push fresh entries through
-        #: their simulator's head listener whenever scheduling moves a head
-        #: earlier, which keeps the heap sound without rescanning every
-        #: source per event: each step costs O(log S) instead of O(S).
-        self._heap: List[tuple] = []
-        self._versions = itertools.count(1)
-        self._orders = itertools.count()
+    def __init__(self) -> None:
+        #: The queue every shard, arrival and background activity runs on.
+        self.simulator = Simulator()
+        #: Observation-only probes; created on the first schedule_probe.
+        self._probes: Optional[Simulator] = None
         self.stats = KernelStats()
-        self.record_trace = record_trace
-        #: Full (global_time, source_name) trace when ``record_trace`` is on.
-        self.trace: List[Tuple[float, str]] = []
         self._fingerprint = 0
-        #: Lazily created on the first :meth:`schedule_probe`.
-        self._telemetry_source: Optional[SimulatorSource] = None
         #: Runtime sanitizer (:class:`repro.sim.sanitizer.KernelSanitizer`)
         #: or None; checked with a single ``is None`` per event when off.
         self._sanitizer = None
-        # The kernel's own queue carries scenario actions and workload
-        # arrivals; registering it first makes kernel events win every tie
-        # against shard events at the same global time, so an arrival at t
-        # is injected before the shards advance past t.
-        self._kernel_sim = Simulator()
-        self.register_simulator(self._kernel_sim, name=KERNEL_SOURCE)
-
-    # -- source registry --------------------------------------------------------
 
     @property
     def now(self) -> float:
         """The current global virtual time (monotonically non-decreasing)."""
-        return self._now
+        return self.simulator.now
 
     @property
     def events_processed(self) -> int:
         return self.stats.events_total
 
-    def register_simulator(self, simulator: Simulator,
-                           name: str) -> SimulatorSource:
-        """Adopt a simulator as an event source of the merged pump.
+    def sources(self) -> list:
+        """The queues by name: the foreground one, plus the probe queue once
+        a probe exists.  Kept only because ``lds_bench`` counts them;
+        ROADMAP item 1 (ii) retires it."""
+        queues = [SimpleNamespace(name=FOREGROUND_SOURCE,
+                                  simulator=self.simulator)]
+        if self._probes is not None:
+            queues.append(SimpleNamespace(name=TELEMETRY_SOURCE,
+                                          simulator=self._probes))
+        return queues
 
-        Its times are taken as global times, so a simulator joining
-        mid-run is created with ``Simulator(start=kernel.now)`` (or the
-        later instant its owner's timeline resumes at).
-        """
-        if name in self._sources:
-            raise ValueError(f"duplicate event source {name!r}")
-        source = SimulatorSource(name=name, simulator=simulator)
-        source.order = next(self._orders)
-        self._sources[name] = source
-        simulator.set_head_listener(lambda: self._index_head(source))
-        self._index_head(source)
-        if self._sanitizer is not None:
-            self._sanitizer.attach_source(source)
-        return source
-
-    def unregister(self, name: str) -> None:
-        """Drop a source (e.g. a drained pre-migration shard)."""
-        source = self._sources.pop(name)
-        source.simulator.set_head_listener(None)
-        if self._sanitizer is not None:
-            self._sanitizer.detach_source(source)
-        source.head_version = 0
-
-    def source(self, name: str) -> SimulatorSource:
-        return self._sources[name]
-
-    def sources(self) -> List[SimulatorSource]:
-        return list(self._sources.values())
-
-    # -- kernel events -----------------------------------------------------------
+    # -- scheduling --------------------------------------------------------------
 
     def schedule_at(self, time: float, callback) -> EventHandle:
-        """Schedule a kernel event (scenario action, arrival) at a global time."""
-        if time < self._now:
-            raise ValueError("cannot schedule a kernel event in the global past")
-        return self._kernel_sim.schedule_at(time, callback)
+        """Schedule a foreground event at a global time (not in the past)."""
+        return self.simulator.schedule_at(time, callback)
 
     def schedule(self, delay: float, callback) -> EventHandle:
-        """Schedule a kernel event ``delay`` global time units from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule a kernel event in the global past")
-        return self.schedule_at(self._now + delay, callback)
-
-    # -- telemetry probes ----------------------------------------------------------
+        """Schedule a foreground event ``delay`` global time units from now."""
+        return self.simulator.schedule(delay, callback)
 
     def schedule_probe(self, time: float, callback) -> EventHandle:
         """Schedule an observation-only probe at a global time.
 
-        Probes execute on the merged pump -- so a sampler sees cluster
-        state exactly as of its scheduled instant -- but are invisible to
-        the determinism surface: they never advance the global clock, and
-        they are excluded from :attr:`stats`, the fingerprint and the
-        recorded trace.  Not advancing the clock matters beyond cosmetics:
-        a lagging source's clamped head executes *at* the global clock, so
-        a probe that moved the clock would change real event times.
+        Probes run in time order with the foreground -- so a sampler sees
+        cluster state exactly as of its scheduled instant -- but lose ties
+        to foreground events, never advance the global clock, and are
+        excluded from :attr:`stats` and the fingerprint.
 
         Probe callbacks must be pure observation (read state, write
         telemetry sinks); scheduling foreground work from one would break
         the telemetry-on/off byte-identity the test suite enforces.
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError("cannot schedule a probe in the global past")
-        if self._telemetry_source is None:
-            self._telemetry_source = self.register_simulator(
-                Simulator(start=self._now), name=TELEMETRY_SOURCE
-            )
-        simulator = self._telemetry_source.simulator
-        # The telemetry source's clock may legitimately be ahead of the
-        # global clock: final drain ticks run beyond the last foreground
-        # event without advancing ``now``.  A probe re-arming from the
-        # global clock (e.g. two probe families with different intervals)
-        # must not land in the source's own past.
-        effective = max(time, simulator.now)
-        if self._sanitizer is not None and effective > time:
-            self._sanitizer.note_clamp(
-                "probe", TELEMETRY_SOURCE, requested=time, effective=effective)
-        return simulator.schedule_at(effective, callback)
+        if self._probes is None:
+            self._probes = Simulator(start=self.now)
+        # A probe runs at its instant without moving the global clock, so
+        # the probe queue's own clock may be ahead of it: a probe re-armed
+        # from the global clock (two families with different intervals)
+        # runs at the probe queue's clock instead of in its past.
+        return self._probes.schedule_at(max(time, self._probes.now), callback)
 
     def pending_work(self) -> bool:
-        """True while any non-telemetry source has a pending event.
+        """True while a foreground event is pending.
 
         This is what a self-re-arming probe checks before scheduling its
         next tick; re-arming unconditionally would keep an otherwise
         drained simulation pumping forever.
         """
-        return any(
-            source.simulator.peek_time() is not None
-            for name, source in self._sources.items()
-            if name != TELEMETRY_SOURCE
-        )
+        return self.simulator.peek_time() is not None
 
     # -- runtime sanitizer ---------------------------------------------------------
 
@@ -250,8 +140,8 @@ class GlobalScheduler:
         """Turn on runtime invariant checking; returns the sanitizer.
 
         Idempotent (``strict`` only applies on first call).  The
-        sanitizer guards clock monotonicity, scheduling into a source's
-        own past, probe purity and end-of-run pending-map leaks (see
+        sanitizer guards clock monotonicity, scheduling into the past,
+        probe purity and end-of-run pending-map leaks (see
         :mod:`repro.sim.sanitizer`).  It never feeds the fingerprint,
         the clock or the stats, so a sanitized run stays byte-identical
         to an unsanitized one.
@@ -260,8 +150,6 @@ class GlobalScheduler:
             from repro.sim.sanitizer import KernelSanitizer
 
             self._sanitizer = KernelSanitizer(self, strict=strict)
-            for source in self._sources.values():
-                self._sanitizer.attach_source(source)
         return self._sanitizer
 
     @property
@@ -271,122 +159,51 @@ class GlobalScheduler:
 
     # -- the event pump -------------------------------------------------------------
 
-    def _index_head(self, source: SimulatorSource) -> None:
-        """Push a fresh heap entry for a source's current head (if any)."""
-        head = source.simulator.peek_time()
-        if head is None:
-            source.head_version = 0
-            return
-        version = source.head_version = next(self._versions)
-        heappush(self._heap, (head, source.order, version, source))
-
-    def _select(self) -> Optional[tuple]:
-        """The heap entry of the source that runs next (None when all idle).
-
-        The top entry is validated where it sits; only entries that turn
-        out stale are popped (and, when the head merely moved, refreshed).
-        A source whose head event lies before the global clock (a lagging
-        shard scheduled at its own "now") is clamped to *now* -- the
-        global clock never moves backwards.  Ties -- including everything
-        clamped to *now* -- go to the earliest-registered source, exactly
-        as the pre-heap linear scan resolved them.
-        """
-        heap = self._heap
-        clamped: List[tuple] = []
-        while heap:
-            entry = heap[0]
-            time, _order, version, source = entry
-            if version != source.head_version:
-                heappop(heap)
-                continue
-            if source.simulator.peek_time() != time:
-                # The head moved without a listener notification (an event
-                # at the front was cancelled): refresh and keep looking.
-                heappop(heap)
-                self._index_head(source)
-            elif time > self._now:
-                break  # the (time, registration order) minimum after *now*
-            else:
-                clamped.append(heappop(heap))
-        else:
-            entry = None
-        if not clamped:
-            return entry
-        # Among everything effectively at *now* the first-registered source
-        # wins, regardless of how far behind its raw head time is.
-        for due in clamped:
-            heappush(heap, due)
-        return min(clamped, key=lambda due: due[1])
-
     def peek(self) -> Optional[Tuple[float, str]]:
-        """Global time and source of the next event, or None when all idle."""
-        entry = self._select()
-        return None if entry is None else (max(entry[0], self._now), entry[3].name)
+        """Time and queue name of the next event, or None when both idle."""
+        head = self.simulator.peek_time()
+        if self._probes is not None:
+            probe = self._probes.peek_time()
+            if probe is not None and (head is None or probe < head):
+                return probe, TELEMETRY_SOURCE
+        return None if head is None else (head, FOREGROUND_SOURCE)
 
     def step(self) -> bool:
-        """Execute the globally earliest pending event; False when idle."""
-        entry = self._select()
-        if entry is None:
+        """Execute the next event -- a probe only when it is strictly
+        earlier than the next foreground event; False when both idle."""
+        simulator = self.simulator
+        head = simulator.peek_time()
+        probes = self._probes
+        if probes is not None:
+            probe = probes.peek_time()
+            if probe is not None and (head is None or probe < head):
+                self._run_probe()
+                return True
+        if head is None:
             return False
-        self._execute(entry)
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            sanitizer.before_event(head)
+        simulator.step()
+        if sanitizer is not None:
+            sanitizer.after_event(head)
+        self.stats.events_total += 1
+        self._fingerprint = zlib.crc32(repr(head).encode(), self._fingerprint)
         return True
 
-    def _execute(self, entry: tuple) -> None:
-        time, _order, version, source = entry
-        name = source.name
+    def _run_probe(self) -> None:
+        # The sanitizer's write barrier verifies the probe left the
+        # foreground exactly as a telemetry-free run would have it.
         sanitizer = self._sanitizer
-        simulator = source.simulator
-        if name == TELEMETRY_SOURCE:
-            # Observation-only probe: run it (``_select`` refreshes its stale
-            # entry) and leave the clock / stats / fingerprint / trace
-            # exactly as a telemetry-free run would have them.  The
-            # sanitizer's write barrier verifies that "exactly" at runtime.
-            if sanitizer is not None:
-                probe_snapshot = sanitizer.before_probe()
-            simulator.step()
-            source.events_executed += 1
-            if sanitizer is not None:
-                sanitizer.after_probe(probe_snapshot)
-            return
-        if time < self._now:
-            time = self._now
         if sanitizer is not None:
-            sanitizer.before_event(source, time)
-        self._now = time
-        simulator.step()
-        source.events_executed += 1
+            before = sanitizer.before_probe()
+        self._probes.step()
         if sanitizer is not None:
-            sanitizer.after_event(source)
-        # Re-index the executed source (head listeners did so for any other
-        # source the event scheduled onto): while ``entry`` is still live
-        # and the top, the successor takes its place with one sift.  It is
-        # not when the event moved this source's head earlier or dropped the
-        # source (a newer version is live), or put a lagging or, at this
-        # instant, earlier-registered source ahead.  Then, as when the
-        # source went idle, ``entry`` stays behind: its time is no later
-        # than the head it stands for, so ``_select`` meets it in time and
-        # discards or refreshes it.
-        if source.head_version == version and self._heap[0] is entry:
-            head = simulator.peek_time()
-            if head is not None:
-                source.head_version = version = next(self._versions)
-                heapreplace(self._heap, (head, source.order, version, source))
-        stats = self.stats
-        stats.events_total += 1
-        stats.events_by_source[name] = stats.events_by_source.get(name, 0) + 1
-        if stats._last_source != name:
-            if stats._last_source is not None:
-                stats.context_switches += 1
-            stats._last_source = name
-        self._fingerprint = zlib.crc32(
-            f"{name}@{time!r}".encode(), self._fingerprint
-        )
-        if self.record_trace:
-            self.trace.append((time, name))
+            sanitizer.after_probe(before)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        """Pump merged events, bounded by global time and/or event count.
+        """Pump events, bounded by global time and/or event count.
 
         The clock never rewinds: an ``until`` already in the past leaves it
         untouched (matching :meth:`Simulator.run`).
@@ -395,17 +212,17 @@ class GlobalScheduler:
         while True:
             if max_events is not None and executed >= max_events:
                 return
-            entry = self._select()
-            if entry is None or (
-                    until is not None and max(entry[0], self._now) > until):
+            due = self.peek()
+            if due is None or (until is not None and due[0] > until):
                 break
-            self._execute(entry)
+            self.step()
             executed += 1
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None:
+            # Nothing is due by ``until``: this only moves the clock there.
+            self.simulator.run(until=until)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Pump until every source is drained; guards against runaways.
+        """Pump until both queues are drained; guards against runaways.
 
         With the sanitizer enabled, draining to idle also runs its
         pending-map leak check -- the one invariant that is only
@@ -423,7 +240,7 @@ class GlobalScheduler:
 
     @property
     def fingerprint(self) -> int:
-        """CRC32 over the executed (source, time) sequence.
+        """CRC32 over ``repr(time)`` of every executed foreground event.
 
         Two runs with the same seed must produce the same fingerprint; this
         is the determinism regression signal.
@@ -431,5 +248,5 @@ class GlobalScheduler:
         return self._fingerprint
 
 
-__all__ = ["GlobalScheduler", "KernelStats", "SimulatorSource",
-           "KERNEL_SOURCE", "TELEMETRY_SOURCE"]
+__all__ = ["GlobalScheduler", "KernelStats", "FOREGROUND_SOURCE",
+           "TELEMETRY_SOURCE"]

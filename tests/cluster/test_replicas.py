@@ -1078,8 +1078,8 @@ class TestReviewRegressions:
         handle = cluster.router.invoke_read("obj-0")  # leg at the primary
         old_primary = group.primary_pool
         cluster.remove_pool(old_primary, time=0.0)  # migrates mid-flight
-        assert group.primary_pool != old_primary
         cluster.run_until_idle()
+        assert group.primary_pool != old_primary
         result = cluster.router.result(handle)
         assert result is not None, "a migration must not strand the leg"
         assert result.value == b"v1"

@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.membership import Membership
+from repro.cluster.placement import ShardMove
+from repro.cluster.repair import GAVE_UP
 from repro.cluster.replicas import ReplicationConfig
 from repro.cluster.router import ObjectRouter
+from repro.consistency.history import WRITE
 from repro.core.config import LDSConfig
-from repro.net.latency import FixedLatencyModel
+from repro.net.latency import CLIENT, L1, FixedLatencyModel
 from repro.sim import (
     ClusterSimulation,
     migration_under_load,
@@ -91,7 +94,7 @@ class TestBatching:
     def test_scheduling_behind_the_shard_clock_shifts_the_batch(self, router):
         router.invoke_write("obj-0", b"first", at=0.0)
         router.run_until_idle()
-        # The shard clock is now far ahead of t=0; a new nominal window
+        # The clock is now far ahead of t=0; a new nominal window
         # starting at 0 must be shifted, preserving client well-formedness.
         router.invoke_write("obj-0", b"second", at=0.0)
         router.invoke_read("obj-0", at=60.0)
@@ -136,6 +139,8 @@ class TestMigration:
         router.membership.join_pool("pool-3", n1=config.n1, n2=config.n2)
         plan = router.rebalance(reason="join pool-3")
         assert plan.moves, "a new pool should attract some shards"
+        assert router.stats.migrations == 0  # each one a kernel activity
+        router.run_until_idle()
         assert router.stats.migrations == len(plan)
         for move in plan.moves:
             assert router.shards[move.key].pool == move.target
@@ -171,23 +176,38 @@ class TestMigration:
 
     def test_back_to_back_migrations_keep_the_epochs_in_real_time_order(
             self, router):
-        from repro.cluster.placement import ShardMove
         router.write("obj-0", b"first")
-        # Not pumped: the inline drain completes this write *ahead* of the
-        # kernel clock, and the next epoch is born where it responded.
+        # Not pumped: the write is still in flight when the move starts,
+        # and the retiring epoch answers it before the copy read.
         router.invoke_write("obj-0", b"second")
         first = router.shards["obj-0"].pool
         second, third = (pool for pool in POOLS if pool != first)
         router.migrate(ShardMove(key="obj-0", source=first, target=second))
-        drained_at = router.migration_log[-1][0]
-        assert drained_at > router.kernel.now
-        # The new epoch sees no operation before it moves again: the third
-        # epoch must still begin after the first one's last response.
+        router.run_until_idle()
         router.migrate(ShardMove(key="obj-0", source=second, target=third))
-        assert router.migration_log[-1][0] == drained_at
         assert router.read("obj-0").value == b"second"
-        [late_read] = router.history().reads()
-        assert late_read.invoked_at >= drained_at
+        shard = router.shards["obj-0"]
+        assert (shard.pool, shard.epoch) == (third, 2)
+        epochs = shard.retired_histories + [shard.system.history()]
+        for older, newer in zip(epochs, epochs[1:]):
+            assert max(op.responded_at for op in older) \
+                <= min(op.invoked_at for op in newer)
+        for (born, *_move), epoch in zip(router.migration_log, epochs[1:]):
+            assert min(op.invoked_at for op in epoch) >= born
+
+    def test_a_second_move_retargets_a_migration_under_way(self, router):
+        router.write("obj-0", b"v")
+        router.invoke_write("obj-0", b"w")
+        first = router.shards["obj-0"].pool
+        second, third = (pool for pool in POOLS if pool != first)
+        router.migrate(ShardMove(key="obj-0", source=first, target=second))
+        router.migrate(ShardMove(key="obj-0", source=first, target=third))
+        router.run_until_idle()
+        shard = router.shards["obj-0"]
+        assert (shard.pool, shard.epoch) == (third, 1)
+        assert router.migration_log == [(router.migration_log[0][0], "obj-0",
+                                         first, third)]
+        assert router.read("obj-0").value == b"w"
 
     def test_a_bare_rebalance_is_stamped_now_and_pays_the_copy_delay(self):
         config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
@@ -207,6 +227,111 @@ class TestMigration:
                        if kind == "follower-provisioned"]
         assert provisioned
         assert set(provisioned) == {1000.0 + replication.provision_delay}
+
+
+class _SlowPutData(FixedLatencyModel):
+    """Fixed delays, except that an epoch's fourth client -> L1 message --
+    the first write's first PutData, after its three QueryTags -- takes
+    40 time units."""
+
+    def __init__(self) -> None:
+        super().__init__(tau0=1, tau1=1, tau2=10)
+        self.client_to_l1 = 0
+
+    def delay(self, sender_class: str, receiver_class: str) -> float:
+        if (sender_class, receiver_class) == (CLIENT, L1):
+            self.client_to_l1 += 1
+            if self.client_to_l1 == 4:
+                return 40.0
+        return self.bound(sender_class, receiver_class)
+
+
+class TestAsynchronousMigration:
+    """A migration is a kernel activity: freeze, drain, copy read, new epoch."""
+
+    @staticmethod
+    def _move(router, key="obj-0"):
+        source = router.shards[key].pool
+        target = next(pool for pool in POOLS if pool != source)
+        router.migrate(ShardMove(key=key, source=source, target=target))
+        return target
+
+    def test_arrivals_during_the_drain_queue_and_run_in_the_new_epoch(
+            self, router):
+        router.write("obj-0", b"v0")
+        router.invoke_write("obj-0", b"v1")
+        target = self._move(router)
+        assert router.frozen("obj-0")
+        queued = router.invoke_read("obj-0")
+        assert router.flush() == 0
+        assert [op.handle for op in router.shards["obj-0"].pending] == [queued]
+        router.run_until_idle()
+        assert not router.frozen("obj-0")
+        shard = router.shards["obj-0"]
+        assert (shard.pool, shard.epoch, shard.pending) == (target, 1, [])
+        result = router.result(queued)
+        assert shard.system.results[result.op_id] == result
+        assert result.value == b"v1"
+
+    def test_a_write_in_flight_completes_in_the_old_epoch_and_is_carried(
+            self, router):
+        router.write("obj-0", b"v0")
+        in_flight = router.invoke_write("obj-0", b"carried")
+        self._move(router)
+        router.run_until_idle()
+        shard = router.shards["obj-0"]
+        [old_epoch] = shard.retired_histories
+        [write] = [op for op in old_epoch
+                   if op.kind == WRITE and op.value == b"carried"]
+        assert write.is_complete
+        assert router.result(in_flight).responded_at == write.responded_at
+        assert shard.system.config.initial_value == b"carried"
+        assert router.check_atomicity() is None
+
+    def test_late_offload_traffic_of_the_retired_epoch_is_still_charged(
+            self, config):
+        membership = Membership.for_pools(POOLS, n1=config.n1, n2=config.n2)
+        router = ObjectRouter(config, membership, GlobalScheduler(),
+                              latency_factory=lambda pool, key: _SlowPutData())
+        router.invoke_write("obj-0", b"v1")
+        router.shard("obj-0")
+        at_new_epoch = []
+        router.shard_created_hooks.append(lambda shard: at_new_epoch.append(
+            router.communication_cost))
+        self._move(router)
+        router.run_until_idle()
+        # The L1 server the slow PutData reaches offloads to L2 after the
+        # write completed, the copy read answered and the new epoch began.
+        [cost_then] = at_new_epoch
+        assert router.shards["obj-0"].system.communication_cost == 0.0
+        assert router.communication_cost > cost_then
+        assert router.read("obj-0").value == b"v1"
+
+    def test_a_repair_booked_on_the_retiring_epoch_gives_up_as_moot(
+            self, config):
+        simulation = ClusterSimulation(config, POOLS, seed=5,
+                                       repair_detection_delay=100.0)
+        simulation.write("obj-0", b"v")
+        shard = simulation.router.shards["obj-0"]
+        simulation.fail_node(f"{shard.pool}/l2-0")
+        [task] = simulation.repair.tasks
+        target = self._move(simulation.router)
+        simulation.run_until_idle()
+        assert simulation.router.shards["obj-0"].pool == target
+        assert (task.status, task.attempts) == (GAVE_UP, 0)
+        assert simulation.repair.stats.moot == 1
+        assert shard.system.alive_l2_count() == config.n2 - 1
+
+    def test_fail_node_degrades_every_shard_on_the_pool_at_once(self, config):
+        simulation = ClusterSimulation(config, POOLS, seed=5)
+        simulation.ensure_shards([f"obj-{i}" for i in range(12)])
+        simulation.run(until=50.0)  # every shard idle since t = 0
+        simulation.fail_node("pool-0/l2-1")
+        shards = simulation.router.shards_on_pool("pool-0")
+        assert shards
+        for shard in shards:
+            assert shard.system.alive_l2_count() == config.n2 - 1
+            assert shard.system.l2_servers[1].crash_time == 50.0
 
 
 class TestOneTimeDomain:
@@ -269,6 +394,16 @@ class TestOneTimeDomain:
                         assert (shown.invoked_at, shown.responded_at) \
                             == (op.invoked_at, op.responded_at)
         assert late_operations
+
+    @pytest.mark.parametrize("scenario_name", ["migration_under_load",
+                                               "replica_failover_under_load"])
+    def test_every_epoch_runs_on_the_kernels_one_simulator(
+            self, scenario_name):
+        simulation = self._run(scenario_name)
+        router = simulation.router
+        assert any(shard.epoch for shard in router.shards.values())
+        for shard in router.shards.values():
+            assert shard.system.simulator is simulation.kernel.simulator
 
     def test_a_shard_first_used_late_starts_at_the_global_instant(
             self, router):

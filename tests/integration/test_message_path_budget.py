@@ -50,19 +50,21 @@ def check_calls_per_event(monkeypatch, workload, scale, expected_events, measure
 
 
 def test_python_calls_per_kernel_event_stay_within_budget(monkeypatch):
-    # pump_small, one stripe per value: 27.23 (74,263 calls); 28.66 while
-    # an L2 server computed helper data per request, 29.54 before the
-    # whole-value codec, 51.75 before messages were made cheap.
-    check_calls_per_event(monkeypatch, "pump_small", 1 / 40, 2727, 27.23)
+    # pump_small, one stripe per value: 24.14 (65,842 calls); 27.23 while
+    # the kernel merged one queue per shard, 28.66 while an L2 server
+    # computed helper data per request, 29.54 before the whole-value codec,
+    # 51.75 before messages were made cheap.
+    check_calls_per_event(monkeypatch, "pump_small", 1 / 40, 2727, 24.14)
 
 
 def test_calls_per_event_do_not_grow_with_the_value_size(monkeypatch):
-    # regen_large, 11 stripes per value: 26.52 (82,586 calls); 30.07 while
-    # an L2 server computed helper data per request, **83.87** while the
-    # codec walked a value stripe by stripe.  What a value costs the code
-    # layer must not depend on its size: the budget here (29.17) may follow
-    # the message path down, but never goes above 35.
-    check_calls_per_event(monkeypatch, "regen_large", 1 / 4, 3114, 26.52)
+    # regen_large, 11 stripes per value: 23.39 (72,834 calls); 26.52 while
+    # the kernel merged one queue per shard, 30.07 while an L2 server
+    # computed helper data per request, **83.87** while the codec walked a
+    # value stripe by stripe.  What a value costs the code layer must not
+    # depend on its size: the budget here (25.73) may follow the message
+    # path down, but never goes above 35.
+    check_calls_per_event(monkeypatch, "regen_large", 1 / 4, 3114, 23.39)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

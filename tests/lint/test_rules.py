@@ -25,8 +25,6 @@ CASES = {
     "nd05": [("ND05", 6, 28), ("ND05", 11, 32), ("ND05", 16, 18),
              ("ND05", 20, 25)],
     "rp01": [("RP01", 9, 21), ("RP01", 10, 21), ("RP01", 13, 9)],
-    "sd03": [("SD03", 5, 5), ("SD03", 6, 12), ("SD03", 10, 5),
-             ("SD03", 10, 33)],
     "sd04": [("SD04", 11, 9), ("SD04", 12, 9), ("SD04", 13, 9),
              ("SD04", 23, 9), ("SD04", 24, 9)],
 }

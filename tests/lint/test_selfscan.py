@@ -54,7 +54,7 @@ def test_list_rules_names_every_shipped_rule(capsys):
     # Two header lines, then one row per rule -- these and nothing else.
     listed = [line.split()[0]
               for line in capsys.readouterr().out.splitlines()[2:]]
-    assert listed == ["ND02", "ND03", "ND05", "RP01", "SD03", "SD04"]
+    assert listed == ["ND02", "ND03", "ND05", "RP01", "SD04"]
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:

@@ -171,6 +171,20 @@ class TestEdgeCases:
         simulator.run(until=10.0)
         assert simulator.now == 42.0
 
+    def test_a_past_until_with_events_pending_does_not_rewind(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule_at(100.0, lambda: fired.append(simulator.now))
+        simulator.schedule_at(200.0, lambda: fired.append(simulator.now))
+        simulator.run(until=120.0)
+        assert (fired, simulator.now) == ([100.0], 120.0)
+        simulator.run(until=50.0)
+        assert simulator.now == 120.0
+        # A later relative event lands after everything already executed.
+        simulator.schedule(1.0, lambda: fired.append(simulator.now))
+        simulator.run_until_idle()
+        assert fired == [100.0, 121.0, 200.0]
+
     def test_clock_advances_past_last_event_to_until(self):
         simulator = Simulator()
         simulator.schedule(1.0, lambda: None)

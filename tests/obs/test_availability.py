@@ -62,8 +62,8 @@ class TestSilentHoles:
         drill = inject_withheld_repair(simulation)
         assert drill.node_id is not None
         assert drill.holes  # the failure did schedule (withheld) repairs
-        # Deliver the crash events (membership failures crash shard slots
-        # through the shard clocks); the withheld repairs never run.
+        # The crash has landed on every shard of the pool; the withheld
+        # repairs never run.
         simulation.kernel.run(until=simulation.now + 0.5)
         monitor = sample(simulation, epochs=20)
         assessment = monitor.assessment()
@@ -91,8 +91,8 @@ class TestCalibratedQuiet:
     def test_a_pending_repair_is_protected_not_silent(self):
         simulation = build()
         simulation.fail_node("pool-0/l2-0", time=simulation.now)
-        # Pump just past the crash delivery but short of the repair's
-        # detection delay: fragments missing, backlog still covering them.
+        # Pump short of the repair's detection delay: fragments missing,
+        # backlog still covering them.
         simulation.kernel.run(until=simulation.now + 0.5)
         monitor = simulation.telemetry.availability
         outcomes = []

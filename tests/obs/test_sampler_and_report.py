@@ -8,7 +8,6 @@ import pytest
 
 from repro.cluster.replicas import ReplicationConfig
 from repro.core.config import LDSConfig
-from repro.net.simulator import Simulator
 from repro.obs import Telemetry
 from repro.sim import (
     TELEMETRY_SOURCE,
@@ -23,11 +22,17 @@ SEED = 11
 INTERVAL = 20.0
 
 
+def _foreground_only_fingerprint() -> int:
+    kernel = GlobalScheduler()
+    kernel.schedule(50.0, lambda: None)
+    kernel.run_until_idle()
+    return kernel.fingerprint
+
+
 class TestProbeSemantics:
     def test_probe_fires_without_touching_determinism_surface(self):
         kernel = GlobalScheduler()
-        source = kernel.register_simulator(Simulator(), name="work")
-        source.simulator.schedule(50.0, lambda: None)
+        kernel.schedule(50.0, lambda: None)
 
         seen = []
         kernel.schedule_probe(10.0, lambda: seen.append(kernel.now))
@@ -37,24 +42,24 @@ class TestProbeSemantics:
         # (and everything fingerprinted) belongs to the foreground only.
         assert seen == [0.0]
         assert kernel.now == 50.0
-        assert TELEMETRY_SOURCE not in kernel.stats.events_by_source
         assert kernel.stats.events_total == 1
+        assert kernel.fingerprint == _foreground_only_fingerprint()
 
     def test_probe_in_the_past_rejected(self):
         kernel = GlobalScheduler()
-        source = kernel.register_simulator(Simulator(), name="work")
-        source.simulator.schedule(5.0, lambda: None)
+        kernel.schedule(5.0, lambda: None)
         kernel.run_until_idle()
         with pytest.raises(ValueError):
             kernel.schedule_probe(kernel.now - 1.0, lambda: None)
 
     def test_pending_work_ignores_telemetry_source(self):
         kernel = GlobalScheduler()
-        kernel.register_simulator(Simulator(), name="work")
         assert not kernel.pending_work()
         kernel.schedule_probe(100.0, lambda: None)
         assert not kernel.pending_work()
-        kernel.source("work").simulator.schedule(1.0, lambda: None)
+        assert [source.name for source in kernel.sources()][-1] \
+            == TELEMETRY_SOURCE
+        kernel.schedule(1.0, lambda: None)
         assert kernel.pending_work()
 
 

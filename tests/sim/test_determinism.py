@@ -3,8 +3,8 @@
 Every stochastic cluster component (per-shard latency models, repair-slot
 jitter, workload samplers) derives its RNG seed from the simulation's root
 seed through :func:`repro.cluster.ring.derive_seed`, so two runs with the
-same seed must replay the identical merged event sequence -- verified here
-via the kernel's full trace and its rolling fingerprint.
+same seed must replay the identical event sequence -- verified here via the
+kernel's rolling fingerprint, its event count and the per-op histories.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ POOLS = ["pool-0", "pool-1"]
 def _run(seed: int):
     config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
     simulation = ClusterSimulation(
-        config, POOLS, seed=seed, record_trace=True,
+        config, POOLS, seed=seed,
         repair_min_interval=8.0, repair_slot_jitter=3.0,
     )
     scenario = repair_under_load(
@@ -47,7 +47,8 @@ class TestGlobalDeterminism:
         first = _run(seed=42)
         second = _run(seed=42)
         assert first.kernel.fingerprint == second.kernel.fingerprint
-        assert first.kernel.trace == second.kernel.trace
+        assert first.kernel.stats.events_total \
+            == second.kernel.stats.events_total
         assert first.check_atomicity() is None
 
     def test_same_seed_replays_identical_histories_and_repairs(self):
@@ -81,7 +82,7 @@ class TestGlobalDeterminism:
         def run():
             config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
             simulation = ClusterSimulation(
-                config, POOLS, seed=13, record_trace=True,
+                config, POOLS, seed=13,
                 repair_min_interval=6.0, repair_max_concurrent=2,
                 repair_slot_jitter=4.0,
             )
@@ -93,7 +94,8 @@ class TestGlobalDeterminism:
 
         first, second = run(), run()
         assert first.kernel.fingerprint == second.kernel.fingerprint
-        assert first.kernel.trace == second.kernel.trace
+        assert first.kernel.stats.events_total \
+            == second.kernel.stats.events_total
         assert [(t.key, t.scheduled_at, t.status) for t in first.repair.tasks] \
             == [(t.key, t.scheduled_at, t.status) for t in second.repair.tasks]
         assert first.repair.tasks  # repairs actually ran

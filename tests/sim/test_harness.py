@@ -53,9 +53,9 @@ class TestDriving:
         assert len(report.write_costs) == workload.write_count
         assert len(report.read_costs) == workload.read_count
         assert all(cost > 0 for cost in report.write_costs.values())
-        # The workload really ran through the merged pump, via the
+        # The workload really ran through the kernel's one queue, via the
         # harness's own arrival machinery.
-        assert simulation.interleaving.context_switches > 0
+        assert simulation.kernel.stats.events_total > len(workload)
         assert simulation.arrivals == len(workload)
 
     def test_runner_reuse_after_clock_advanced_shifts_uniformly(self, config):
@@ -131,9 +131,9 @@ class TestDriving:
         assert simulation.check_atomicity() is None
 
     def test_drain_time_inflation_does_not_delay_the_new_epoch(self, config):
-        """A migration drain executes future callbacks (e.g. rate-limited
-        repairs) inline; the new epoch must still start at the migration
-        instant, not at the fast-forwarded shard clock."""
+        """Repairs slotted far beyond a migration must not hold up the
+        new epoch: it starts once the copy read answers, shortly after
+        the migration instant."""
         simulation = ClusterSimulation(config, POOLS, seed=21,
                                        repair_min_interval=50.0,
                                        repair_detection_delay=1.0)
@@ -165,8 +165,8 @@ class TestDriving:
 
     def test_migrating_a_lagging_shard_stays_on_the_global_timeline(self, config):
         """A shard idle since early in the run migrates when a pool joins
-        much later; the new epoch must start at the join time, not back at
-        the shard's stale clock."""
+        much later; the new epoch must start after the join, not back at
+        the shard's last activity."""
         simulation = ClusterSimulation(config, POOLS, seed=13)
         keys = [f"lag-{i}" for i in range(12)]
         for key in keys:
@@ -235,6 +235,7 @@ class TestCompatibilityShim:
         for key in keys:
             cluster.write(key, b"epoch0")
         cluster.add_pool("pool-extra")
+        cluster.run_until_idle()  # the migrations finish on the kernel
         assert cluster.router.stats.migrations >= 1
         moved = {key for _, key, _, _ in cluster.router.migration_log}
         for key in moved:

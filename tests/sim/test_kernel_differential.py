@@ -1,158 +1,141 @@
-"""Randomised differential: the kernel's lazy head heap against the spec.
+"""Randomised differential: the kernel's two heaps against the spec.
 
-The spec is the "linear scan" the kernel's docstrings name: every step
-looks at *every* source's head, clamps heads that map before the global
-clock to *now*, and runs the earliest -- first-registered on ties.
-:class:`ReferencePump` is that scan, with the kernel's telemetry bypass;
-:func:`drive` plays one seeded random script against either pump through
-the API they share.  Seeds are fixed and nothing reads the host clock.
+The spec is a linear scan over every pending event: the earliest runs,
+foreground before probe on a tie, each kind in scheduling order; a probe
+runs at its own instant but never moves the clock, the stats or the
+fingerprint, and a probe asked for before the probe queue's clock runs
+at that clock.  :class:`ReferencePump` is that scan; :func:`drive` plays
+one seeded random script against either pump through the API they share.
+Seeds are fixed and nothing reads the host clock.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
-from types import SimpleNamespace
 
 import pytest
 
-from repro.net.simulator import Simulator
-from repro.sim.kernel import (KERNEL_SOURCE, TELEMETRY_SOURCE, GlobalScheduler,
-                              KernelStats)
+from repro.sim.kernel import GlobalScheduler, KernelStats
 
 
 class ReferencePump:
-    """Rescans every source per step; the subset of the kernel API in use."""
+    """Rescans every pending event per step; the kernel API in use."""
 
     def __init__(self) -> None:
-        self._sources = {}
         self.now = 0.0
-        self.trace = []
+        self._probe_clock = 0.0
+        #: [time, scheduling order, callback or None once cancelled, probe?]
+        self._events = []
+        self._orders = itertools.count()
         self.stats = KernelStats()
         self.fingerprint = 0
-        self.register_simulator(Simulator(), KERNEL_SOURCE)
+        #: Probes asked for before the probe queue's clock.
+        self.late_probes = 0
 
-    def register_simulator(self, simulator, name):
-        source = SimpleNamespace(name=name, simulator=simulator)
-        self._sources[name] = source  # dicts keep registration order
-        return source
+    def _add(self, time, callback, probe):
+        event = [time, next(self._orders), callback, probe]
+        self._events.append(event)
 
-    def unregister(self, name):
-        del self._sources[name]
+        class Handle:
+            @staticmethod
+            def cancel():
+                event[2] = None
 
-    def sources(self):
-        return list(self._sources.values())
+        return Handle()
+
+    def schedule_at(self, time, callback):
+        if time < self.now:
+            raise ValueError("past")
+        return self._add(time, callback, False)
 
     def schedule_probe(self, time, callback):
-        source = self._sources.get(TELEMETRY_SOURCE) or self.register_simulator(
-            Simulator(start=self.now), TELEMETRY_SOURCE)
-        return source.simulator.schedule_at(
-            max(time, source.simulator.now), callback)
+        if time < self.now:
+            raise ValueError("past")
+        self.late_probes += time < self._probe_clock
+        return self._add(max(time, self._probe_clock), callback, True)
 
     def step(self) -> bool:
-        best = None
-        for source in self._sources.values():
-            head = source.simulator.peek_time()
-            if head is None:
-                continue
-            time = max(head, self.now)
-            if best is None or time < best[0]:  # strict: ties keep the first
-                best = (time, source)
-        if best is None:
+        live = [event for event in self._events if event[2] is not None]
+        if not live:
             return False
-        time, source = best
-        if source.name == TELEMETRY_SOURCE:
-            source.simulator.step()
+        event = min(live, key=lambda e: (e[0], e[3], e[1]))
+        self._events.remove(event)
+        time, _order, callback, probe = event
+        if probe:
+            self._probe_clock = time
+            callback()
             return True
         self.now = time
-        source.simulator.step()
-        stats, name = self.stats, source.name
-        stats.events_total += 1
-        stats.events_by_source[name] = stats.events_by_source.get(name, 0) + 1
-        stats.context_switches += stats._last_source not in (None, name)
-        stats._last_source = name
-        self.fingerprint = zlib.crc32(f"{name}@{time!r}".encode(), self.fingerprint)
-        self.trace.append((time, name))
+        callback()
+        self.stats.events_total += 1
+        self.fingerprint = zlib.crc32(repr(time).encode(), self.fingerprint)
         return True
 
 
 def drive(pump, seed: int, max_events: int = 400):
     """Play the random script of ``seed``; returns everything observable."""
     rng = random.Random(seed)
-    handles, probes, made = [], [], [0]
+    log, handles, labels = [], [], itertools.count()
+    cancels = [0]
 
-    def add_source():
-        made[0] += 1
-        # Born at *now*, behind it (a lagging clock, so heads clamp) or
-        # ahead of it (an epoch resuming where an inline drain ended).
-        shift = rng.choice([0.0, 0.0, 0.0, -3.0, -12.5, 4.0])
-        simulator = Simulator(start=pump.now + shift)
-        pump.register_simulator(simulator, f"s{made[0]}")
-        for _ in range(rng.randrange(4)):
-            plant(simulator, f"s{made[0]}")
+    def plant(at):
+        label = next(labels)
+        handles.append(pump.schedule_at(at, lambda: act(label)))
 
-    def plant(simulator, name):
-        handles.append(simulator.schedule(
-            rng.choice([0.0, 0.5, 1.0, 1.0, 2.25, 7.0]), lambda: act(name)))
+    def arm_probe():
+        at = pump.now + rng.choice([0.0, 0.0, 0.75, 3.0])
+        pump.schedule_probe(
+            at, lambda label=next(labels), at=at: probe(label, at))
 
-    def targets():
-        return [s for s in pump.sources() if s.name != TELEMETRY_SOURCE]
+    def probe(label, at):
+        log.append(("probe", label, pump.now, at))
+        if rng.randrange(3) == 0:
+            # Re-armed from the global clock, which the probe did not move:
+            # possibly before the probe queue's own clock.
+            arm_probe()
 
-    def act(name):
+    def act(label):
+        log.append(("event", label, pump.now, pump.now))
         for _ in range(rng.randrange(1, 4)):
-            move = rng.randrange(12)
-            if move >= 10 or move < 4:        # onto any source, at >= now
-                source = rng.choice(targets())
-                plant(source.simulator, source.name)
-            elif move == 4:                   # onto another source, at exactly now
-                source = rng.choice(targets())
-                handles.append(source.simulator.schedule_at(
-                    max(pump.now, source.simulator.now),
-                    lambda n=source.name: act(n)))
+            move = rng.randrange(9)
+            if move < 4:                      # later foreground work
+                plant(pump.now + rng.choice([0.5, 1.0, 1.0, 2.25, 7.0]))
+            elif move == 4:                   # more work at exactly now
+                plant(pump.now)
             elif move == 5 and handles:       # cancel (often a head)
                 handles.pop(rng.randrange(len(handles))).cancel()
-            elif move == 6 and made[0] < 6:   # a source joins mid-run
-                add_source()
-            elif move == 7:                   # an idle source leaves
-                idle = [s.name for s in targets() if s.name not in (KERNEL_SOURCE, name)
-                        and s.simulator.peek_time() is None]
-                if idle:
-                    pump.unregister(rng.choice(idle))
-            elif move == 8 and name != KERNEL_SOURCE and len(targets()) > 2 \
-                    and any(s.name == name for s in targets()):
-                pump.unregister(name)         # the executing source leaves
-            elif move == 9:                   # observation-only probe
-                pump.schedule_probe(pump.now + rng.choice([0.0, 0.75, 3.0]),
-                                    lambda: probes.append(pump.now))
+                cancels[0] += 1
+            elif move >= 6:                   # observation-only probe
+                arm_probe()
 
     for _ in range(rng.randrange(1, 4)):
-        add_source()
-    plant(pump.sources()[0].simulator, KERNEL_SOURCE)
+        plant(rng.choice([0.0, 1.0, 2.25]))
     executed = 0
     while executed < max_events and pump.step():
         executed += 1
-    stats = pump.stats
-    return (pump.trace, probes, pump.now, pump.fingerprint, stats.events_total,
-            stats.events_by_source, stats.context_switches,
-            sorted(s.name for s in pump.sources()))
+    return (log, pump.now, pump.fingerprint, pump.stats.events_total,
+            cancels[0])
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_heap_pump_replays_the_linear_scan(seed):
-    expected = drive(ReferencePump(), seed)
-    assert drive(GlobalScheduler(record_trace=True), seed) == expected
+    assert drive(GlobalScheduler(), seed) == drive(ReferencePump(), seed)
 
 
 def test_the_scripts_reach_the_cases_they_are_meant_to():
-    """Clamped heads, same-instant cross-source events, probes, departures."""
-    clamped = same_instant = probes = left = 0
+    """Same-instant events, probes that lose a tie, probes asked for before
+    the probe queue's clock, cancellations."""
+    same_instant = tied_probes = late_probes = cancels = 0
     for seed in range(60):
         pump = ReferencePump()
-        trace, probe_log, *_rest, names = drive(pump, seed)
-        times = [time for time, _ in trace]
-        same_instant += sum(a == b for a, b in zip(times, times[1:]))
-        probes += len(probe_log)
-        left += any(name not in names for _, name in trace)
-        clamped += any(s.simulator.now < pump.now - 1.0
-                       for s in pump.sources() if s.simulator.events_processed)
-    assert min(clamped, same_instant, probes, left) > 0
+        log, *_rest, cancelled = drive(pump, seed)
+        cancels += cancelled
+        late_probes += pump.late_probes
+        for before, after in zip(log, log[1:]):
+            same_instant += before[0] == after[0] == "event" \
+                and before[2] == after[2]
+            tied_probes += before[0] == "event" and after[0] == "probe" \
+                and before[2] == after[3]
+    assert min(same_instant, tied_probes, late_probes, cancels) > 0

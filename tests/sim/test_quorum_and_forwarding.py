@@ -36,10 +36,10 @@ def config() -> LDSConfig:
     return LDSConfig(n1=3, n2=4, f1=1, f2=1)
 
 
-def run_quorum(config, seed: int = 7, *, read_repair: bool = True,
-               record_trace: bool = False) -> ClusterSimulation:
+def run_quorum(config, seed: int = 7, *,
+               read_repair: bool = True) -> ClusterSimulation:
     simulation = ClusterSimulation(
-        config, POOLS, seed=seed, record_trace=record_trace,
+        config, POOLS, seed=seed,
         writers_per_shard=2, readers_per_shard=2,
         replication=ReplicationConfig(r=3, replication_lag=400.0,
                                       read_quorum=2,
@@ -85,10 +85,11 @@ class TestQuorumReadsUnderLag:
         assert simulation.read_distribution().read_repairs == len(repairs)
 
     def test_same_seed_replays_identically(self, config):
-        first = run_quorum(config, record_trace=True)
-        second = run_quorum(config, record_trace=True)
+        first = run_quorum(config)
+        second = run_quorum(config)
         assert first.kernel.fingerprint == second.kernel.fingerprint
-        assert first.kernel.trace == second.kernel.trace
+        assert first.kernel.stats.events_total \
+            == second.kernel.stats.events_total
         assert (first.read_distribution().counts
                 == second.read_distribution().counts)
 

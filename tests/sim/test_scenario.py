@@ -118,11 +118,15 @@ class TestRepairUnderLoadInterleaving:
         assert len(inside) >= 2
 
     def test_kernel_saw_cross_shard_interleaving(self, simulation):
-        stats = simulation.interleaving
-        shard_sources = [name for name in stats.events_by_source
-                         if name.startswith("shard:")]
-        assert len(shard_sources) >= 2
-        assert stats.context_switches > len(shard_sources)
+        # Responses from different shards alternate on the one clock
+        # instead of arriving shard by shard.
+        responders = [_shard_key(op.op_id) for op in sorted(
+            (op for op in simulation.history() if op.is_complete),
+            key=lambda op: op.responded_at)]
+        shards = set(responders)
+        assert len(shards) >= 2
+        switches = sum(a != b for a, b in zip(responders, responders[1:]))
+        assert switches > len(shards)
 
 
 class TestShippedScenarios:

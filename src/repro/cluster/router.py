@@ -797,10 +797,11 @@ class ObjectRouter:
         """Total normalised communication cost across all shards and epochs
         (replication fan-out and follower-read transfers included)."""
         replica_cost = 0.0 if self.replicas is None else self.replicas.total_cost
-        systems = [shard.system for shard in self._shards.values()]
-        systems.extend(self._retired.values())
-        return replica_cost + sum(system.communication_cost
-                                  for system in systems)
+        retired_cost = sum(system.communication_cost
+                           for system in self._retired.values())
+        return retired_cost + replica_cost + sum(
+            shard.system.communication_cost for shard in self._shards.values()
+        )
 
     # -- histories and atomicity -----------------------------------------------------------
 

@@ -74,6 +74,12 @@ class TraceRecorder:
             })
         return tid
 
+    def _handle_tid(self, handle: str) -> int:
+        """The track of ``handle``'s root span; the "cluster" track (made on
+        first use) for a child whose root was never opened."""
+        tid = self._handle_tids.get(handle)
+        return self._tid("cluster") if tid is None else tid
+
     def _ts(self, time: float) -> float:
         return float(time) * self.scale
 
@@ -128,7 +134,7 @@ class TraceRecorder:
         are known -- trace viewers sort by ``ts``, so appending them out
         of order is fine.
         """
-        tid = self._handle_tids.get(handle, self._tid("cluster"))
+        tid = self._handle_tid(handle)
         payload = dict(args or ())
         payload["parent"] = handle
         base = {
@@ -153,7 +159,7 @@ class TraceRecorder:
             "cat": cat,
             "id": handle,
             "pid": TRACE_PID,
-            "tid": self._handle_tids.get(handle, self._tid("cluster")),
+            "tid": self._handle_tid(handle),
             "name": name,
             "ts": self._ts(time),
             "args": payload,

@@ -111,7 +111,7 @@ PINNED = {
     "all_pillars": {
         "sampler": 0x7187EBA4, "slo": 0xD20F391B, "audit": 0x84C03776,
         "availability": 0x626EFE39, "latency": 0x70AED0E1,
-        "trace": 0xAE67081A, "registry": 0x09F92726, "report": 0x028F97D3,
+        "trace": 0x2C0B8C2F, "registry": 0x09F92726, "report": 0xEB18C8D8,
     },
     "stale_drill": {
         "audit": 0x64276C1E, "availability": 0xACCE1993,

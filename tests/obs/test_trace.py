@@ -62,6 +62,16 @@ class TestChildren:
         assert span["args"]["from"] == "pool-1"
         assert span["tid"] == trace.events[1]["tid"]
 
+    def test_children_of_a_known_root_make_no_cluster_track(self):
+        trace = TraceRecorder()
+        trace.begin_op("h1", "write", "k", 0.0)
+        trace.child_span("h1", "protocol-write", "lds", 0.0, 1.0)
+        trace.child_instant("h1", "read-repair pool-2", "replica", 0.5)
+        trace.begin_op("h2", "read", "j", 2.0)
+        names = [event["args"]["name"] for event in _events(trace, "M")]
+        assert names == ["key k", "key j"]
+        assert _events(trace, "b")[-1]["tid"] == 2
+
     def test_child_instant_is_ph_n(self):
         trace = TraceRecorder()
         trace.begin_op("h1", "read", "obj-0", 0.0)

@@ -79,11 +79,11 @@ TAIL_REPLICATION_LAG = 500.0
 def _tail_run(read_quorum: int):
     """Per-class latency summary of one sweep point."""
     from repro import (ClusterSimulation, KeyedWorkloadRunner,
-                       ReplicationConfig)
+                       ReplicationConfig, Telemetry)
 
     config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
     simulation = ClusterSimulation(
-        config, POOLS, seed=SEED, latency=True,
+        config, POOLS, seed=SEED, telemetry=Telemetry(latency=True),
         replication=ReplicationConfig(r=3,
                                       replication_lag=TAIL_REPLICATION_LAG,
                                       read_quorum=read_quorum),

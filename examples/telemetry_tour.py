@@ -8,7 +8,7 @@ repair, writes entering at the nearest pool -- but this time with every
 telemetry pillar on (``Telemetry.full()``):
 
 * the **metrics registry** collects the router counters and the
-  sampler's gauges/histograms behind one export path;
+  sampler's gauges behind one export path;
 * the **kernel sampler** records a cluster-health time series every 25
   virtual time units (queue depths, replication lag, repair backlog,
   live pools), dumped as JSONL;

@@ -3,16 +3,17 @@
 The three pillars (see ISSUE/README "Observability"):
 
 * :mod:`repro.obs.registry` -- the metrics registry
-  (:class:`Counter` / :class:`Gauge` / :class:`Histogram`, with labels);
-* :mod:`repro.obs.sampler` -- kernel-driven time-series probes of
-  cluster health, exported as JSONL;
+  (:class:`Counter` / :class:`Gauge` / :class:`QuantileSketch`, with
+  labels);
+* :mod:`repro.obs.sampler` -- a time-series probe of cluster health,
+  exported as JSONL;
 * :mod:`repro.obs.trace` -- per-operation spans in Chrome
   ``trace_event`` JSON (open in Perfetto / ``chrome://tracing``).
 
-Two audit-grade probes build on the same kernel probe source:
+Two audit-grade probes build on the same kernel probe loop:
 
 * :mod:`repro.obs.live_audit` -- the streaming session auditor run
-  online (``ClusterSimulation(live_audit=True)``), surfacing violations
+  online (``Telemetry(live_audit=True)``), surfacing violations
   at sim time as registry counters, trace instants and JSONL rows;
 * :mod:`repro.obs.availability` -- sampled L2-fragment presence with
   per-object confidence bounds, catching silent under-replication in
@@ -21,17 +22,19 @@ Two audit-grade probes build on the same kernel probe source:
 Tail-latency observability builds on the span stream (see README
 "Tail latency & SLOs"):
 
-* :mod:`repro.obs.latency` -- mergeable :class:`QuantileSketch`
-  instruments plus the :class:`LatencyTracker` decomposing every
-  completed op into the phase taxonomy;
+* :mod:`repro.obs.latency` -- the mergeable :class:`QuantileSketch`
+  plus the :class:`LatencyTracker` decomposing every completed op into
+  the phase taxonomy;
 * :mod:`repro.obs.critical_path` -- pure-function critical-path
   extraction and "ops in the p99+ band spend X% in phase Y"
-  attribution, live or from a recorded trace;
+  attribution;
 * :mod:`repro.obs.slo` -- per-op-class latency/availability targets
   with error-budget accounting and burn-rate probes.
 
-:class:`Telemetry` bundles them for :class:`ClusterSimulation`; the
-governing invariant is that all of it is pure observation -- kernel
+:class:`Telemetry` bundles them for :class:`ClusterSimulation` and
+registers the sampler, the auditor, the availability monitor and the SLO
+tracker as families of the kernel's one periodic probe loop
+(``GlobalScheduler.every``); the governing invariant is that all of it is pure observation -- kernel
 fingerprints and histories are byte-identical with telemetry on or off.
 
 This package is imported *by* the simulation layers and must therefore
@@ -44,10 +47,8 @@ from repro import _lazy_exports
 _EXPORTS = {
     "Counter": "registry",
     "Gauge": "registry",
-    "Histogram": "registry",
     "LabeledFamily": "registry",
     "MetricsRegistry": "registry",
-    "DEFAULT_BUCKETS": "registry",
     "DEFAULT_INTERVAL": "sampler",
     "ClusterSampler": "sampler",
     "TraceRecorder": "trace",
@@ -68,10 +69,8 @@ _EXPORTS = {
     "SLO": "slo",
     "SLOTracker": "slo",
     "SpanSinkFanout": "latency",
-    "TracedOp": "critical_path",
     "critical_path": "critical_path",
     "default_slos": "slo",
-    "extract_ops": "critical_path",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

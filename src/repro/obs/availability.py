@@ -102,8 +102,8 @@ class AvailabilityMonitor:
     """Periodic fragment-presence sampling over a ``ClusterSimulation``.
 
     Duck-typed over the harness (needs ``kernel``, ``router``,
-    ``repair``, ``membership``); drives the same self-re-arming probe
-    cadence as the sampler.
+    ``repair``, ``membership``); a family of the kernel's one periodic
+    probe loop, like the sampler.
     """
 
     def __init__(self, simulation, *,
@@ -140,8 +140,6 @@ class AvailabilityMonitor:
         self.protected_misses = 0
         self.pool_down_misses = 0
         self.silent_alarms: List[dict] = []
-        self._armed = False
-        self._next_tick = 0.0
         registry = self.registry
         self._c_samples = registry.counter(
             "availability_samples", "fragment-presence samples drawn")
@@ -156,36 +154,14 @@ class AvailabilityMonitor:
             "availability_min_confidence",
             "weakest per-object silent-hole detection confidence")
 
-    # -- arming / probing ----------------------------------------------------------
-
-    def start(self) -> None:
-        self.ensure_armed()
-
-    def ensure_armed(self) -> None:
-        """(Re)arm the sampling cadence if it previously wound down."""
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
-
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
-        self.tick(self._next_tick)
-        if kernel.pending_work():
-            self._next_tick = self._next_tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            self._armed = False
-
     # -- sampling -------------------------------------------------------------------
 
     def tick(self, at: Optional[float] = None) -> List[str]:
         """One epoch: draw ``samples_per_epoch`` triples and classify them.
 
-        Exposed for tests and offline calibration -- calling it directly
-        samples the cluster's current state without kernel involvement.
+        The kernel's probe loop passes the epoch's nominal instant as
+        ``at``; tests and offline calibration call it directly, which
+        samples the cluster's current state at ``kernel.now``.
         """
         simulation = self.simulation
         router = simulation.router

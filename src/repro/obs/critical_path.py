@@ -17,15 +17,13 @@ that shape into the two artefacts tail-latency analysis needs:
 
 Everything here is pure functions over plain data: no simulation
 access, no clocks, no registry.  :class:`~repro.obs.latency.LatencyTracker`
-feeds it live span calls; :func:`extract_ops` reconstructs the same
-records offline from a recorded :class:`~repro.obs.trace.TraceRecorder`,
-so post-mortem trace analysis and live decomposition agree by
-construction.
+is the one caller: it feeds the functions each operation's span calls
+live and aggregates bands through :func:`attribute` / :func:`dominant`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: The canonical phase taxonomy (see README "Tail latency & SLOs").
@@ -184,103 +182,6 @@ def dominant(fractions: Dict[str, float]) -> Optional[Tuple[str, float]]:
     return max(fractions.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-# -- offline reconstruction from a recorded trace --------------------------------------
-
-
-@dataclass
-class TracedOp:
-    """One operation reconstructed from a :class:`TraceRecorder`."""
-
-    handle: str
-    kind: str
-    key: str
-    begin: float
-    end: float
-    #: (phase, start, end) in virtual time units, replication-apply
-    #: included (it is not on the client path but is a tracked phase).
-    intervals: List[Tuple[str, float, float]] = field(default_factory=list)
-    #: Instant-marker names seen under the handle (``read-repair ...``,
-    #: ``quorum-fallback``, ``session-fallback``).
-    instants: List[str] = field(default_factory=list)
-
-    @property
-    def total(self) -> float:
-        return self.end - self.begin
-
-    @property
-    def op_class(self) -> str:
-        return classify_op(self.kind,
-                           (phase for phase, _, _ in self.intervals))
-
-    def client_path(self) -> List[PhaseSegment]:
-        """The critical path of the *client-visible* window (the
-        post-ack replication fan-out is excluded)."""
-        fallback = any(name.startswith(("quorum-fallback",
-                                        "session-fallback"))
-                       for name in self.instants)
-        intervals = []
-        for phase, start, end in self.intervals:
-            if phase == PHASE_REPLICATION:
-                continue
-            if phase == PHASE_PROTOCOL and fallback:
-                phase = PHASE_FALLBACK
-            intervals.append((phase, start, end))
-        return critical_path(self.begin, self.end, intervals)
-
-
-def extract_ops(trace) -> List[TracedOp]:
-    """Reconstruct every completed operation's span tree from a
-    :class:`~repro.obs.trace.TraceRecorder` (times back in virtual
-    units, i.e. divided by the recorder's ``scale``)."""
-    scale = float(getattr(trace, "scale", 1.0)) or 1.0
-    ops: Dict[str, TracedOp] = {}
-    open_children: Dict[Tuple[str, str], float] = {}
-    ends: Dict[str, float] = {}
-    for event in trace.events:
-        phase_marker = event.get("ph")
-        if phase_marker not in ("b", "e", "n"):
-            continue
-        args = event.get("args", {})
-        parent = args.get("parent")
-        ts = event.get("ts", 0.0) / scale
-        name = event.get("name", "")
-        if parent is None:
-            # Root span events: ``kind key`` names under cat "op".
-            if event.get("cat") != "op":
-                continue
-            handle = event["id"]
-            if phase_marker == "b":
-                kind, _, key = name.partition(" ")
-                ops[handle] = TracedOp(handle=handle, kind=kind, key=key,
-                                       begin=ts, end=ts)
-            elif phase_marker == "e":
-                ends[handle] = ts
-            continue
-        if phase_marker == "n":
-            op = ops.get(parent)
-            if op is not None:
-                op.instants.append(name)
-            continue
-        if phase_marker == "b":
-            open_children[(parent, name)] = ts
-            continue
-        start = open_children.pop((parent, name), None)
-        op = ops.get(parent)
-        if start is None or op is None:
-            continue
-        phase = child_phase(name)
-        if phase is not None:
-            op.intervals.append((phase, start, ts))
-    completed: List[TracedOp] = []
-    for handle, op in ops.items():
-        end = ends.get(handle)
-        if end is None:
-            continue  # stranded: never responded, no latency to attribute
-        op.end = end
-        completed.append(op)
-    return completed
-
-
 __all__ = [
     "OP_CLASSES",
     "PHASES",
@@ -293,13 +194,11 @@ __all__ = [
     "PHASE_REPLICATION",
     "PHASE_STORE_READ",
     "PhaseSegment",
-    "TracedOp",
     "attribute",
     "child_phase",
     "classify_op",
     "collapse_parallel",
     "critical_path",
     "dominant",
-    "extract_ops",
     "phase_durations",
 ]

@@ -8,8 +8,8 @@ Two pieces live here:
   reported quantile is within relative error ``a`` of the true order
   statistic, memory is bounded by the value *range* (not the sample
   count), and two sketches over disjoint streams merge by adding bucket
-  counts.  Registered as a first-class registry instrument via
-  :meth:`MetricsRegistry.quantile_sketch`, next to :class:`Histogram`.
+  counts.  The registry's one distribution instrument, registered via
+  :meth:`MetricsRegistry.quantile_sketch`.
 
 * :class:`LatencyTracker` -- the live consumer of the router/replica
   span stream.  It implements the same sink surface as
@@ -28,8 +28,8 @@ Like everything in :mod:`repro.obs` the tracker is pure observation:
 it is fed by the same calls that feed the trace recorder (which the
 telemetry-on/off byte-identity gate already covers), holds only its
 own dicts, and never touches simulators, clocks or protocol state --
-``examples/latency_tour.py`` CI-gates fingerprint identity with
-latency tracking on vs off.
+``tests/obs/test_slo.py`` pins fingerprint and history identity with
+latency and SLO tracking on vs off.
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.critical_path import (
     OP_CLASSES,
     PHASE_FALLBACK,
-    PHASE_FORWARD,
     PHASE_PROTOCOL,
-    PHASE_QUORUM,
     PHASE_REPLICATION,
-    PHASE_STORE_READ,
+    attribute,
     child_phase,
     classify_op,
     critical_path,
+    dominant,
     phase_durations,
 )
 from repro.obs.registry import MetricsRegistry
@@ -223,20 +222,6 @@ class QuantileSketch:
                 f"p99={self.p99:.2f})")
 
 
-class SketchFactory:
-    """A child factory so labeled families can carry a non-default
-    accuracy (``LabeledFamily`` instantiates children as
-    ``child_class(name, help)``)."""
-
-    kind = "sketch"
-
-    def __init__(self, relative_error: float = DEFAULT_RELATIVE_ERROR) -> None:
-        self.relative_error = float(relative_error)
-
-    def __call__(self, name: str, help: str = "") -> QuantileSketch:
-        return QuantileSketch(name, help, relative_error=self.relative_error)
-
-
 # -- the live tracker ------------------------------------------------------------------
 
 
@@ -286,9 +271,8 @@ class PhaseAttribution:
 
     @property
     def dominant_phase(self) -> Optional[str]:
-        if not self.fractions:
-            return None
-        return max(self.fractions.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        top = dominant(self.fractions)
+        return None if top is None else top[0]
 
 
 class LatencyTracker:
@@ -299,10 +283,8 @@ class LatencyTracker:
     facade hands them a :class:`SpanSinkFanout` over both sinks.
     """
 
-    def __init__(self, *, registry: Optional[MetricsRegistry] = None,
-                 relative_error: float = DEFAULT_RELATIVE_ERROR) -> None:
+    def __init__(self, *, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.relative_error = float(relative_error)
         self._open: Dict[str, _OpenOp] = {}
         self.records: List[OpLatency] = []
         #: Operations that never responded (store crash / stranded quorum).
@@ -314,15 +296,14 @@ class LatencyTracker:
         registry = self.registry
         self._class_sketches = registry.quantile_sketch(
             "op_latency", "end-to-end latency per operation class",
-            labels=("op_class",), relative_error=relative_error)
+            labels=("op_class",))
         self._phase_sketches = registry.quantile_sketch(
             "op_phase_latency",
             "per-phase time on the operation's critical path",
-            labels=("op_class", "phase"), relative_error=relative_error)
+            labels=("op_class", "phase"))
         self._apply_sketch = registry.quantile_sketch(
             "replication_apply_latency",
-            "commit -> follower apply (post-ack, off the client path)",
-            relative_error=relative_error)
+            "commit -> follower apply (post-ack, off the client path)")
 
     # -- the TraceRecorder sink surface -------------------------------------------
 
@@ -430,17 +411,7 @@ class LatencyTracker:
         hi_rank = n if hi is None else int(math.floor(hi * (n - 1)))
         rows = ranked[lo_rank:hi_rank]
         threshold = ranked[lo_rank].total if rows else 0.0
-        totals: Dict[str, float] = {}
-        grand = 0.0
-        for record in rows:
-            for phase, duration in record.phases.items():
-                totals[phase] = totals.get(phase, 0.0) + duration
-                grand += duration
-        fractions = {}
-        if grand > 0.0:
-            fractions = {phase: duration / grand
-                         for phase, duration in sorted(
-                             totals.items(), key=lambda kv: (-kv[1], kv[0]))}
+        fractions = attribute(record.phases for record in rows)
         if band is None:
             band = f"p{lo * 100:g}+" if hi is None else f"[{lo:g}, {hi:g})"
         return PhaseAttribution(op_class=op_class, band=band, ops=len(rows),
@@ -525,6 +496,5 @@ __all__ = [
     "OpLatency",
     "PhaseAttribution",
     "QuantileSketch",
-    "SketchFactory",
     "SpanSinkFanout",
 ]

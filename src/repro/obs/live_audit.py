@@ -2,8 +2,9 @@
 
 :class:`LiveAuditProbe` runs the
 :class:`~repro.consistency.streaming.StreamingSessionAuditor` *during*
-the simulation, on the kernel's dedicated telemetry source -- the same
-non-perturbing machinery as :class:`~repro.obs.sampler.ClusterSampler`.
+the simulation, as a family of the kernel's one periodic probe loop
+(:meth:`GlobalScheduler.every`) -- the same non-perturbing machinery as
+:class:`~repro.obs.sampler.ClusterSampler`.
 The feed is push-based and O(1) per operation: the router's completion
 observers buffer every finished operation (primary-shard completions as
 raw results, replica serves already merged), and each probe tick drains
@@ -34,8 +35,8 @@ Violations surface **at sim time**: a detection increments the
 ``audit_violations{guarantee=...}`` counter family, drops an instant on
 the Perfetto timeline, and appends a JSONL row -- all before the run
 finishes.  Probes never mutate the cluster, so fixed-seed runs stay
-byte-identical with live audit on or off (the CI gate
-``examples/live_audit.py`` enforces exactly this).
+byte-identical with live audit on or off (``tests/obs/test_live_audit.py``
+enforces exactly this).
 """
 
 from __future__ import annotations
@@ -78,8 +79,6 @@ class LiveAuditProbe:
         #: ``(shard, result)`` for primary completions,
         #: ``(None, operation)`` for replica serves (merged form).
         self._buffer: List[tuple] = []
-        self._armed = False
-        self._next_tick = 0.0
         registry = self.registry
         self._c_violations = registry.counter(
             "audit_violations",
@@ -167,34 +166,14 @@ class LiveAuditProbe:
             marks[key] = mark
         return marks
 
-    # -- arming / probing ----------------------------------------------------------
+    # -- probing -----------------------------------------------------------------
 
-    def start(self) -> None:
-        self.ensure_armed()
+    def tick(self, at: float) -> None:
+        """One audit step: drain the feed, advance watermarks, export.
 
-    def ensure_armed(self) -> None:
-        """(Re)arm the audit cadence if it previously wound down."""
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
-
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
-        self.tick()
-        if kernel.pending_work():
-            self._next_tick = self._next_tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            # The foreground drained.  The kernel still runs a probe
-            # scheduled beyond the last foreground event, so this final
-            # tick has already drained and checked every completion.
-            self._armed = False
-
-    def tick(self) -> None:
-        """One audit step: drain the feed, advance watermarks, export."""
+        The watermarks start from ``kernel.now``, not ``at``: an operation
+        not yet invoked may still be invoked at any instant from ``now``
+        on, and a probe's ``at`` can be later than that."""
         auditor = self.auditor
         self._drain()
         dirty = auditor.dirty_keys()

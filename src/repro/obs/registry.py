@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and histograms with labels.
+"""The metrics registry: counters, gauges and quantile sketches with labels.
 
 One process-local registry holds every instrument of a run, so all
 counters -- the router's batching/routing stats, the sampler's cluster
@@ -11,8 +11,9 @@ Instruments are deliberately minimal so the hot path stays cheap:
 * :class:`Counter` -- a monotonically increasing value (``inc``);
 * :class:`Gauge` -- a value that goes both ways (``set`` / ``inc`` /
   ``dec`` / ``set_max``);
-* :class:`Histogram` -- fixed upper-bound buckets plus count / sum /
-  min / max (``observe``); no per-sample storage, O(log buckets) each.
+* :class:`~repro.obs.latency.QuantileSketch` -- the one distribution
+  instrument (``observe``; p50 / p90 / p99 / p999 within a bounded
+  relative error), registered through :meth:`MetricsRegistry.quantile_sketch`.
 
 Registering a name twice returns the *same* instrument as long as the
 kind and label names match (so independent components can share a
@@ -29,13 +30,7 @@ byte-identical (see ``tests/sim/test_telemetry_noninterference.py``).
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-#: Default histogram upper bounds, in virtual time units.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -102,79 +97,6 @@ class Gauge:
         return f"Gauge({self.name!r}, value={self._value})"
 
 
-class Histogram:
-    """Fixed-bucket histogram: per-bucket counts plus count/sum/min/max.
-
-    No per-sample storage -- ``observe`` is a bisect into the bound list
-    -- so it is safe on the hot path and in long samplers alike.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "help", "_bounds", "_counts", "count", "sum",
-                 "_minimum", "_maximum")
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(sorted(set(float(b) for b in buckets)))
-        if not bounds:
-            raise ValueError("a histogram needs at least one bucket bound")
-        self.name = name
-        self.help = help
-        self._bounds = bounds
-        #: One count per bound, plus the overflow (+inf) bucket.
-        self._counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self._minimum: Optional[float] = None
-        self._maximum: Optional[float] = None
-
-    def observe(self, value) -> None:
-        value = float(value)
-        self._counts[bisect.bisect_left(self._bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        if self._minimum is None or value < self._minimum:
-            self._minimum = value
-        if self._maximum is None or value > self._maximum:
-            self._maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return 0.0 if self._minimum is None else self._minimum
-
-    @property
-    def maximum(self) -> float:
-        return 0.0 if self._maximum is None else self._maximum
-
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        """Cumulative (upper_bound, count) pairs; the last bound is +inf."""
-        cumulative = 0
-        out: List[Tuple[float, int]] = []
-        for bound, count in zip(self._bounds + (float("inf"),), self._counts):
-            cumulative += count
-            out.append((bound, cumulative))
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "buckets": {("+inf" if bound == float("inf") else bound): count
-                        for bound, count in self.bucket_counts()},
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Histogram({self.name!r}, count={self.count}, "
-                f"mean={self.mean:.2f})")
-
-
 class LabeledFamily:
     """A set of same-named instruments keyed by label values.
 
@@ -239,9 +161,6 @@ class LabeledFamily:
                 f"children={len(self._children)})")
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
     """The single export path for every instrument of one run."""
 
@@ -255,53 +174,28 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "",
                 labels: Sequence[str] = ()):
-        return self._register(name, "counter", help, labels)
+        return self._register(name, help, labels, Counter)
 
     def gauge(self, name: str, help: str = "",
               labels: Sequence[str] = ()):
-        return self._register(name, "gauge", help, labels)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        existing = self._lookup(name, "histogram", ())
-        if existing is not None:
-            return existing
-        metric = Histogram(name, help, buckets=buckets)
-        self._metrics[name] = metric
-        self._shapes[name] = ("histogram", ())
-        return metric
+        return self._register(name, help, labels, Gauge)
 
     def quantile_sketch(self, name: str, help: str = "",
-                        labels: Sequence[str] = (),
-                        relative_error: Optional[float] = None):
+                        labels: Sequence[str] = ()):
         """A mergeable log-bucketed quantile sketch (p50/p90/p99/p999
         within a bounded relative error) -- see
         :class:`repro.obs.latency.QuantileSketch`."""
         # Imported lazily: latency.py builds on this registry.
-        from repro.obs.latency import (DEFAULT_RELATIVE_ERROR, QuantileSketch,
-                                       SketchFactory)
-        if relative_error is None:
-            relative_error = DEFAULT_RELATIVE_ERROR
-        label_names = tuple(labels)
-        existing = self._lookup(name, "sketch", label_names)
-        if existing is not None:
-            return existing
-        if label_names:
-            metric = LabeledFamily(name, help, label_names,
-                                   SketchFactory(relative_error))
-        else:
-            metric = QuantileSketch(name, help, relative_error=relative_error)
-        self._metrics[name] = metric
-        self._shapes[name] = ("sketch", label_names)
-        return metric
+        from repro.obs.latency import QuantileSketch
+        return self._register(name, help, labels, QuantileSketch)
 
-    def _register(self, name: str, kind: str, help: str,
-                  labels: Sequence[str]):
+    def _register(self, name: str, help: str, labels: Sequence[str],
+                  child_class):
+        kind = child_class.kind
         label_names = tuple(labels)
         existing = self._lookup(name, kind, label_names)
         if existing is not None:
             return existing
-        child_class = _KINDS[kind]
         if label_names:
             metric = LabeledFamily(name, help, label_names, child_class)
         else:
@@ -336,11 +230,9 @@ class MetricsRegistry:
     def collect(self) -> List[Tuple[str, Dict[str, object], object]]:
         """Flat ``(name, labels, value)`` samples across every instrument.
 
-        Histograms expand into ``<name>_count`` / ``<name>_sum`` plus one
-        cumulative ``<name>_bucket`` sample per bound; quantile sketches
-        into ``<name>_count`` plus one ``<name>_p50/..p999`` sample each
-        -- the conventional flat representation, so one exporter handles
-        every kind.
+        Quantile sketches expand into ``<name>_count`` plus one
+        ``<name>_p50/..p999`` sample each -- the conventional flat
+        representation, so one exporter handles every kind.
         """
         samples: List[Tuple[str, Dict[str, object], object]] = []
         for name, metric in self._metrics.items():
@@ -354,27 +246,15 @@ class MetricsRegistry:
                         samples.append((name, labels, child.value))
             elif sketch_kind:
                 samples.extend(_sketch_samples(name, {}, metric))
-            elif isinstance(metric, Histogram):
-                samples.append((f"{name}_count", {}, metric.count))
-                samples.append((f"{name}_sum", {}, metric.sum))
-                for bound, count in metric.bucket_counts():
-                    le = "+inf" if bound == float("inf") else bound
-                    samples.append((f"{name}_bucket", {"le": le}, count))
             else:
                 samples.append((name, {}, metric.value))
         return samples
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready snapshot: scalar, per-label dict, or histogram dict."""
-        out: Dict[str, object] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, LabeledFamily):
-                out[name] = metric.as_dict()
-            elif isinstance(metric, Histogram):
-                out[name] = metric.to_dict()
-            else:
-                out[name] = metric.value
-        return out
+        """A JSON-ready snapshot: scalar, per-label dict, or sketch dict."""
+        return {name: (metric.as_dict() if isinstance(metric, LabeledFamily)
+                       else metric.value)
+                for name, metric in self._metrics.items()}
 
     def render(self, nonzero_only: bool = True) -> str:
         """A terminal-friendly ``name{labels} value`` dump, sorted by name."""
@@ -409,9 +289,7 @@ def registry_or_default(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LabeledFamily",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "registry_or_default",
 ]

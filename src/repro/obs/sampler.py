@@ -1,8 +1,9 @@
 """Kernel-driven time-series sampling of cluster health.
 
-:class:`ClusterSampler` arms a periodic probe on the global scheduler's
-dedicated telemetry source (:meth:`GlobalScheduler.schedule_probe`) and,
-at every tick, snapshots the cluster into one JSON-ready row:
+:class:`ClusterSampler` is a probe family of the global scheduler's one
+periodic loop (:meth:`GlobalScheduler.every`, wired by
+:meth:`Telemetry.attach`): at every tick it snapshots the cluster into
+one JSON-ready row:
 
 * the depth of the kernel's one event queue (every shard's pending
   events, plus arrivals and background activity);
@@ -15,19 +16,15 @@ at every tick, snapshots the cluster into one JSON-ready row:
 * live-pool count and cumulative arrivals.
 
 Rows accumulate in :attr:`samples` and export as JSONL
-(:meth:`write_jsonl`); the same values feed gauges/histograms on the
-shared metrics registry and, when a :class:`TraceRecorder` is attached,
-Chrome counter events so lag and backlog render as area charts under
-the op spans.
+(:meth:`write_jsonl`); the same values feed gauges on the shared metrics
+registry and, when a :class:`TraceRecorder` is attached, Chrome counter
+events so lag and backlog render as area charts under the op spans.
 
 Probes are *pure observation*: they read simulation state and write
 telemetry sinks, never schedule foreground events or mutate cluster state.
 Combined with the kernel's probe bookkeeping (probes bypass the clock,
 stats, fingerprint and trace), a sampled run is byte-identical to an
-unsampled one.  The probe re-arms itself only while the foreground
-queue still has pending work, so a drained simulation stays drained;
-:meth:`ensure_armed` restarts the cadence when more load is added
-later.
+unsampled one.
 """
 
 from __future__ import annotations
@@ -39,9 +36,6 @@ from repro.obs.registry import MetricsRegistry
 
 #: Default probe cadence, in virtual time units.
 DEFAULT_INTERVAL = 25.0
-
-#: Replication-lag histogram bounds, in records behind the primary.
-LAG_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 
 
 class ClusterSampler:
@@ -62,8 +56,6 @@ class ClusterSampler:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = trace
         self.samples: List[dict] = []
-        self._armed = False
-        self._next_tick = 0.0
         registry = self.registry
         self._g_queue_total = registry.gauge(
             "cluster_queue_depth_total",
@@ -78,61 +70,21 @@ class ClusterSampler:
             "cluster_repair_backlog", "repair tasks queued or scheduled")
         self._g_live_pools = registry.gauge(
             "cluster_live_pools", "pools with at least one alive node")
-        self._h_lag = registry.histogram(
-            "cluster_replication_lag_records",
-            "per-store replication lag observed at each probe",
-            buckets=LAG_BUCKETS)
 
-    # -- arming --------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the first probe one interval from the current global time."""
-        self.ensure_armed()
-
-    def ensure_armed(self) -> None:
-        """(Re)arm the probe cadence if it previously wound down.
-
-        Called by the harness before each pump, so workloads added after
-        an earlier drain keep getting sampled.
-        """
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
-
-    # -- probing --------------------------------------------------------------------
-
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
-        tick = self._next_tick
-        self.samples.append(self.sample(tick))
-        if kernel.pending_work():
-            self._next_tick = tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            # The foreground drained: record this final row and wind down
-            # rather than keeping an otherwise-idle simulation spinning.
-            self._armed = False
-
-    def sample(self, tick: float) -> dict:
-        """One cluster-health row at virtual time ``tick``."""
+    def tick(self, at: float) -> None:
+        """Append one cluster-health row at virtual time ``at``."""
         router = self.simulation.router
         stats = router.stats
 
         queue_total = self.simulation.kernel.simulator.pending_events
 
-        lags: List[int] = []
+        # Every figure below is an order-independent integer sum or
+        # maximum, so the groups are walked in dict order, unsorted.
         replicas = self.simulation.replicas
-        if replicas is not None:
-            for key in sorted(replicas.groups):
-                group = replicas.groups[key]
-                head = len(group.log)
-                for store in group.live_followers():
-                    lag = head - len(store.applied)
-                    lags.append(lag)
-                    self._h_lag.observe(lag)
+        lags = [] if replicas is None else [
+            len(group.log) - len(store.applied)
+            for group in replicas.groups.values()
+            for store in group.live_followers()]
         lag_max = max(lags) if lags else 0
         lag_mean = sum(lags) / len(lags) if lags else 0.0
         stale = sum(1 for lag in lags if lag > 0)
@@ -146,7 +98,7 @@ class ClusterSampler:
 
         routed = stats.routed_reads
         row = {
-            "t": tick,
+            "t": at,
             "shards": len(router.shards),
             "queue_depth": {"total": queue_total},
             "replication_lag": {
@@ -182,13 +134,13 @@ class ClusterSampler:
         self._g_live_pools.set(live_pools)
 
         if self.trace is not None:
-            self.trace.counter("queue depth", tick, {"total": queue_total})
-            self.trace.counter("replication lag", tick,
+            self.trace.counter("queue depth", at, {"total": queue_total})
+            self.trace.counter("replication lag", at,
                                {"max": lag_max, "stale_stores": stale})
-            self.trace.counter("repair backlog", tick,
+            self.trace.counter("repair backlog", at,
                                {"outstanding": backlog,
                                 "gave_up": repair.stats.gave_up})
-        return row
+        self.samples.append(row)
 
     # -- export ---------------------------------------------------------------------
 
@@ -219,4 +171,4 @@ def _mean_depth(depths) -> float:
     return total / counted if counted else 0.0
 
 
-__all__ = ["ClusterSampler", "DEFAULT_INTERVAL", "LAG_BUCKETS"]
+__all__ = ["ClusterSampler", "DEFAULT_INTERVAL"]

@@ -15,11 +15,12 @@ complete").  :class:`SLOTracker` holds a set of SLOs against a
   cumulative rate and a per-probe-window rate are tracked; the window
   rate is what alerting keys on.
 
-The tracker runs as a kernel probe on the telemetry source (same
-cadence discipline as :class:`~repro.obs.sampler.ClusterSampler`): at
-every tick it folds the latency tracker's new records into registry
-counters/gauges, appends a JSONL row, and emits Perfetto counter tracks
-(per-class p99 + window burn rate).  Probes bypass the kernel clock,
+The tracker is a family of the kernel's one periodic probe loop
+(:meth:`GlobalScheduler.every`, like
+:class:`~repro.obs.sampler.ClusterSampler`): at every tick it folds the
+latency tracker's new records into registry counters/gauges, appends a
+JSONL row, and emits Perfetto counter tracks (per-class p99 + window
+burn rate).  Probes bypass the kernel clock,
 fingerprint and stats, so runs are byte-identical with SLO tracking on
 or off; :func:`SLOTracker.snapshot` also computes the full status on
 demand (the run report uses it), independent of probe timing.
@@ -121,8 +122,6 @@ class SLOTracker:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = trace
         self.samples: List[dict] = []
-        self._armed = False
-        self._next_tick = 0.0
         #: Cursor into ``latency.records``; everything before it has been
         #: folded into the counters already.
         self._cursor = 0
@@ -148,21 +147,6 @@ class SLOTracker:
             "slo_burn_rate",
             "cumulative burn rate (1.0 = consuming exactly on budget)",
             labels=("op_class",))
-
-    # -- arming --------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the first probe one interval from the current global time."""
-        self.ensure_armed()
-
-    def ensure_armed(self) -> None:
-        """(Re)arm the probe cadence if it previously wound down."""
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
 
     # -- accounting ----------------------------------------------------------------
 
@@ -230,18 +214,8 @@ class SLOTracker:
 
     # -- probing -------------------------------------------------------------------
 
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
-        tick = self._next_tick
-        self.samples.append(self.sample(tick))
-        if kernel.pending_work():
-            self._next_tick = tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            self._armed = False
-
-    def sample(self, tick: float) -> dict:
-        """One SLO accounting row at virtual time ``tick``."""
+    def tick(self, at: float) -> None:
+        """Append one SLO accounting row at virtual time ``at``."""
         self._ingest()
         classes = {}
         for op_class in OP_CLASSES:
@@ -267,19 +241,18 @@ class SLOTracker:
                 }
             if self.trace is not None and ops:
                 sketch = self.latency.sketch(op_class)
-                self.trace.counter(f"slo {op_class}", tick, {
+                self.trace.counter(f"slo {op_class}", at, {
                     "p99": sketch.p99,
                     "burn": window.burn_rate,
                 })
         self._window_ops.clear()
         self._window_breaches.clear()
-        row = {
-            "t": tick,
+        self.samples.append({
+            "t": at,
             "classes": classes,
             "availability": self.availability(),
             "stranded": self.latency.stranded,
-        }
-        return row
+        })
 
     # -- export --------------------------------------------------------------------
 

@@ -11,17 +11,19 @@ harness threads it through the cluster:
 * ``sample_interval=<units>`` starts a :class:`ClusterSampler` on the
   kernel's telemetry probe source;
 * ``live_audit=True`` runs the streaming session auditor online
-  (:class:`~repro.obs.live_audit.LiveAuditProbe`) -- usually requested
-  through ``ClusterSimulation(live_audit=True)``;
+  (:class:`~repro.obs.live_audit.LiveAuditProbe`);
 * ``availability_interval=<units>`` starts the sampling
   :class:`~repro.obs.availability.AvailabilityMonitor`;
 * ``latency=True`` attaches a :class:`~repro.obs.latency.LatencyTracker`
   to the same span stream the tracer consumes (per-op-class quantile
-  sketches, phase decomposition, critical-path attribution) -- usually
-  requested through ``ClusterSimulation(latency=True)``;
-* ``slo_interval=<units>`` (or ``slos=(...)``) runs a
-  :class:`~repro.obs.slo.SLOTracker` probe accounting error budgets and
-  burn rates against per-op-class targets (implies ``latency``).
+  sketches, phase decomposition, critical-path attribution);
+* ``slo_interval=<units>`` runs a :class:`~repro.obs.slo.SLOTracker`
+  accounting error budgets and burn rates against the default
+  per-op-class targets (implies ``latency``).
+
+The sampler, the auditor, the availability monitor and the SLO tracker
+are families of the kernel's one periodic probe loop
+(:meth:`GlobalScheduler.every`), registered by :meth:`Telemetry.attach`.
 
 Every pillar defaults to off except the registry (which costs a few
 dict entries); :meth:`Telemetry.full` turns the passive pillars on
@@ -36,51 +38,35 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.availability import (
-    DEFAULT_SAMPLES_PER_EPOCH,
-    AvailabilityMonitor,
-)
+from repro.obs.availability import AvailabilityMonitor
 from repro.obs.latency import LatencyTracker, SpanSinkFanout
-from repro.obs.live_audit import DEFAULT_AUDIT_INTERVAL, LiveAuditProbe
+from repro.obs.live_audit import LiveAuditProbe
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_run_report
 from repro.obs.sampler import DEFAULT_INTERVAL, ClusterSampler
-from repro.obs.slo import DEFAULT_SLO_INTERVAL, SLOTracker
+from repro.obs.slo import SLOTracker
 from repro.obs.trace import TraceRecorder
 
 
 class Telemetry:
     """Configuration + sinks for one simulation's observability."""
 
-    def __init__(self, *, registry: Optional[MetricsRegistry] = None,
-                 trace: bool = False,
+    def __init__(self, *, trace: bool = False,
                  sample_interval: Optional[float] = None,
                  live_audit: bool = False,
-                 audit_interval: float = DEFAULT_AUDIT_INTERVAL,
                  availability_interval: Optional[float] = None,
-                 availability_samples: int = DEFAULT_SAMPLES_PER_EPOCH,
-                 availability_seed: Optional[int] = None,
                  latency: bool = False,
-                 slos=None,
                  slo_interval: Optional[float] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.trace: Optional[TraceRecorder] = \
             TraceRecorder() if trace else None
         self.sample_interval = sample_interval
         self.live_audit = bool(live_audit)
-        self.audit_interval = audit_interval
         self.availability_interval = availability_interval
-        self.availability_samples = availability_samples
-        #: Seed for the availability monitor's probe-only RNG; derived
-        #: from the simulation's seed at attach time when left ``None``.
-        self.availability_seed = availability_seed
-        #: SLO tracking implies the latency tracker it accounts against.
-        self.slos = slos
         self.slo_interval = slo_interval
-        if slos is not None and slo_interval is None:
-            self.slo_interval = DEFAULT_SLO_INTERVAL
+        #: SLO tracking implies the latency tracker it accounts against.
         self.latency: Optional[LatencyTracker] = None
-        if latency or self.slo_interval is not None:
+        if latency or slo_interval is not None:
             self.latency = LatencyTracker(registry=self.registry)
         #: Filled by :meth:`attach`.
         self.sampler: Optional[ClusterSampler] = None
@@ -93,15 +79,6 @@ class Telemetry:
         """Every passive pillar on: registry + sampler + tracer +
         latency decomposition."""
         return cls(trace=True, sample_interval=sample_interval, latency=True)
-
-    def enable_latency(self) -> None:
-        """Turn the latency pillar on (idempotent).
-
-        Must happen before the cluster is built -- the router captures
-        its span sink at construction (the harness's ``latency=True``
-        path calls this at the right moment)."""
-        if self.latency is None:
-            self.latency = LatencyTracker(registry=self.registry)
 
     def op_sink(self):
         """The span sink the router/replica layers should emit into:
@@ -120,31 +97,25 @@ class Telemetry:
         and cluster exist (but before any shard is built, so the audit
         feed's completion observers reach every shard); idempotent
         pillars (the registry, the trace) were already threaded through
-        construction.
+        construction.  Each probe becomes a :meth:`GlobalScheduler.every`
+        family, in the order below.
         """
+        kernel = simulation.kernel
         if self.live_audit and self.auditor is None:
             self.auditor = LiveAuditProbe(
-                simulation,
-                interval=self.audit_interval,
-                registry=self.registry,
-                trace=self.trace,
-            )
-            self.auditor.start()
+                simulation, registry=self.registry, trace=self.trace)
+            kernel.every(self.auditor.interval, self.auditor.tick)
         if self.availability_interval is not None and self.availability is None:
-            seed = self.availability_seed
-            if seed is None:
-                # Derived, not shared: reproducible per run seed, but a
-                # different stream from every simulation RNG.
-                seed = (getattr(simulation, "seed", 0) or 0) ^ 0xA5A11AB1
             self.availability = AvailabilityMonitor(
                 simulation,
                 interval=self.availability_interval,
-                samples_per_epoch=self.availability_samples,
-                seed=seed,
+                # Derived, not shared: reproducible per run seed, but a
+                # different stream from every simulation RNG.
+                seed=(getattr(simulation, "seed", 0) or 0) ^ 0xA5A11AB1,
                 registry=self.registry,
                 trace=self.trace,
             )
-            self.availability.start()
+            kernel.every(self.availability.interval, self.availability.tick)
         if self.sample_interval is not None and self.sampler is None:
             self.sampler = ClusterSampler(
                 simulation,
@@ -152,25 +123,16 @@ class Telemetry:
                 registry=self.registry,
                 trace=self.trace,
             )
-            self.sampler.start()
+            kernel.every(self.sampler.interval, self.sampler.tick)
         if self.slo_interval is not None and self.slo is None:
-            self.enable_latency()
             self.slo = SLOTracker(
                 simulation,
                 self.latency,
-                slos=self.slos,
                 interval=self.slo_interval,
                 registry=self.registry,
                 trace=self.trace,
             )
-            self.slo.start()
-
-    def ensure_sampler_armed(self) -> None:
-        """Re-arm every probe cadence (harness calls this before pumping)."""
-        for probe in (self.sampler, self.auditor, self.availability,
-                      self.slo):
-            if probe is not None:
-                probe.ensure_armed()
+            kernel.every(self.slo.interval, self.slo.tick)
 
     def report(self, simulation) -> str:
         """The terminal run report for ``simulation``."""

@@ -86,9 +86,7 @@ class ClusterSimulation:
                  repair_slot_jitter: float = 0.0,
                  replication: Optional[ReplicationConfig] = None,
                  read_policy: Union[str, ReadRoutingPolicy] = "primary",
-                 telemetry=None, live_audit: bool = False,
-                 latency: bool = False,
-                 sanitize: bool = False) -> None:
+                 telemetry=None, sanitize: bool = False) -> None:
         if not pool_names:
             raise ValueError("a cluster needs at least one pool")
         self.config = config
@@ -98,33 +96,6 @@ class ClusterSimulation:
         self.seed = seed
         self.kernel = GlobalScheduler()
         self.latency_regime = LatencyRegime()
-        if latency:
-            # Tail-latency observability: per-op-class quantile sketches,
-            # phase decomposition and critical-path attribution over the
-            # span stream (see repro.obs.latency).  Enabled here, before
-            # the cluster is built, because the router captures its span
-            # sink at construction.
-            from repro.obs.telemetry import Telemetry
-            if telemetry is None:
-                telemetry = Telemetry(latency=True)
-            else:
-                telemetry.enable_latency()
-        if live_audit:
-            # Online correctness observability: run the streaming session
-            # auditor and the sampling availability monitor during the
-            # simulation (probe-driven, so fingerprints stay identical;
-            # see repro.obs.live_audit / repro.obs.availability).
-            from repro.obs.availability import DEFAULT_AVAILABILITY_INTERVAL
-            from repro.obs.telemetry import Telemetry
-            if telemetry is None:
-                telemetry = Telemetry(
-                    live_audit=True,
-                    availability_interval=DEFAULT_AVAILABILITY_INTERVAL)
-            else:
-                telemetry.live_audit = True
-                if telemetry.availability_interval is None:
-                    telemetry.availability_interval = \
-                        DEFAULT_AVAILABILITY_INTERVAL
         #: Optional :class:`repro.obs.Telemetry` bundle.  Purely
         #: observational: a run with telemetry attached produces the same
         #: kernel fingerprint and histories as the same seed without it.
@@ -251,15 +222,10 @@ class ClusterSimulation:
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        if self.telemetry is not None:
-            # Work may have been added since the sampler wound down.
-            self.telemetry.ensure_sampler_armed()
         self.router.flush()
         self.kernel.run(until=until, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        if self.telemetry is not None:
-            self.telemetry.ensure_sampler_armed()
         self.router.run_until_idle(max_events=max_events)
 
     def run_report(self) -> str:
@@ -288,12 +254,13 @@ class ClusterSimulation:
         :mod:`repro.consistency.injection` for proving the auditor's
         detection power.
 
-        When the simulation ran with ``live_audit=True`` the session
-        verdict is the streaming auditor's final state (finalized here,
-        no batch re-check of the whole history -- the two are
+        When the simulation ran with ``Telemetry(live_audit=True)`` the
+        session verdict is the streaming auditor's final state (finalized
+        here, no batch re-check of the whole history -- the two are
         verdict-equivalent by construction and by
-        ``tests/consistency/test_streaming.py``), and the report also
-        carries the availability monitor's sampling assessment.
+        ``tests/consistency/test_streaming.py``), and with an
+        ``availability_interval`` the report also carries the
+        availability monitor's sampling assessment.
         """
         # Audit-only code loads when an audit runs.
         from repro.consistency.sessions import ClusterAuditReport, check_sessions

@@ -21,9 +21,11 @@ Around that queue the kernel keeps:
   (:meth:`GlobalScheduler.schedule_probe`): a probe runs at its own
   instant but never advances the clock, never counts as an event, never
   feeds the fingerprint, and loses ties to foreground events, so a sampled
-  run is byte-identical to an unsampled one.  The cluster sampler, the
-  live session auditor (:mod:`repro.obs.live_audit`) and the availability
-  monitor (:mod:`repro.obs.availability`) are probe families;
+  run is byte-identical to an unsampled one.  The one periodic probe loop
+  is :meth:`GlobalScheduler.every`; the cluster sampler, the live session
+  auditor (:mod:`repro.obs.live_audit`), the availability monitor
+  (:mod:`repro.obs.availability`) and the SLO tracker
+  (:mod:`repro.obs.slo`) are its families;
 * an optional runtime sanitizer (:meth:`GlobalScheduler.enable_sanitizer`,
   see :mod:`repro.sim.sanitizer`) checking clock monotonicity, scheduling
   into the past, probe purity and pending-map leaks; off by default, where
@@ -35,7 +37,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.simulator import EventHandle, Simulator
 
@@ -59,6 +61,34 @@ class KernelStats:
         return 0.0
 
 
+class _ProbeLoop:
+    """One :meth:`GlobalScheduler.every` family: its next nominal instant,
+    or None once the foreground drained and the loop wound down."""
+
+    __slots__ = ("kernel", "interval", "tick", "due")
+
+    def __init__(self, kernel: "GlobalScheduler", interval: float,
+                 tick: Callable[[float], None]) -> None:
+        self.kernel = kernel
+        self.interval = interval
+        self.tick = tick
+        self.due: Optional[float] = None
+
+    def arm(self, at: float) -> None:
+        self.due = at
+        self.kernel.schedule_probe(at, self.fire)
+
+    def fire(self) -> None:
+        at = self.due
+        self.tick(at)
+        if self.kernel.pending_work():
+            self.arm(at + self.interval)
+        else:
+            # Record this final tick and wind down rather than keep an
+            # otherwise-idle simulation pumping.
+            self.due = None
+
+
 class GlobalScheduler:
     """The one foreground event queue, its fingerprint, stats and probes."""
 
@@ -67,6 +97,8 @@ class GlobalScheduler:
         self.simulator = Simulator()
         #: Observation-only probes; created on the first schedule_probe.
         self._probes: Optional[Simulator] = None
+        #: The :meth:`every` families, in registration order.
+        self._loops: List[_ProbeLoop] = []
         self.stats = KernelStats()
         self._fingerprint = 0
         #: Runtime sanitizer (:class:`repro.sim.sanitizer.KernelSanitizer`)
@@ -125,10 +157,30 @@ class GlobalScheduler:
         # runs at the probe queue's clock instead of in its past.
         return self._probes.schedule_at(max(time, self._probes.now), callback)
 
+    def every(self, interval: float, tick: Callable[[float], None]) -> None:
+        """Call the observation probe ``tick(at)`` every ``interval`` units.
+
+        The first tick is due at ``now + interval``; ``at`` is the tick's
+        nominal instant (a probe never moves the clock, so ``now`` is the
+        last foreground event's time).  The loop re-arms while foreground
+        work is pending and winds down once it drains, so a drained
+        simulation stays drained; :meth:`run` and :meth:`run_until_idle`
+        re-arm every wound-down loop, in registration order, before they
+        pump.  ``tick`` is a probe: pure observation.
+        """
+        loop = _ProbeLoop(self, interval, tick)
+        self._loops.append(loop)
+        loop.arm(self.now + interval)
+
+    def _rearm(self) -> None:
+        for loop in self._loops:
+            if loop.due is None:
+                loop.arm(self.now + loop.interval)
+
     def pending_work(self) -> bool:
         """True while a foreground event is pending.
 
-        This is what a self-re-arming probe checks before scheduling its
+        This is what an :meth:`every` loop checks before scheduling its
         next tick; re-arming unconditionally would keep an otherwise
         drained simulation pumping forever.
         """
@@ -208,6 +260,7 @@ class GlobalScheduler:
         The clock never rewinds: an ``until`` already in the past leaves it
         untouched (matching :meth:`Simulator.run`).
         """
+        self._rearm()
         executed = 0
         while True:
             if max_events is not None and executed >= max_events:
@@ -228,6 +281,7 @@ class GlobalScheduler:
         pending-map leak check -- the one invariant that is only
         meaningful once no event could still perform the cleanup.
         """
+        self._rearm()
         executed = 0
         while self.step():
             executed += 1

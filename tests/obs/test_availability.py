@@ -17,7 +17,13 @@ from repro.consistency.injection import (
     inject_withheld_repair,
 )
 from repro.core.config import LDSConfig
-from repro.obs.availability import AvailabilityMonitor, PROTECTED, SILENT
+from repro.obs import Telemetry
+from repro.obs.availability import (
+    DEFAULT_AVAILABILITY_INTERVAL,
+    PROTECTED,
+    SILENT,
+    AvailabilityMonitor,
+)
 from repro.sim import ClusterSimulation
 
 KEYS = [f"obj-{i}" for i in range(12)]
@@ -26,7 +32,10 @@ CONFIG = LDSConfig(n1=3, n2=4, f1=1, f2=1)
 
 
 def build(seed: int = 11) -> ClusterSimulation:
-    simulation = ClusterSimulation(CONFIG, POOLS, seed=seed, live_audit=True)
+    telemetry = Telemetry(live_audit=True,
+                          availability_interval=DEFAULT_AVAILABILITY_INTERVAL)
+    simulation = ClusterSimulation(CONFIG, POOLS, seed=seed,
+                                   telemetry=telemetry)
     simulation.ensure_shards(KEYS)
     for index, key in enumerate(KEYS):
         simulation.invoke_write(key, b"v", at=float(index))

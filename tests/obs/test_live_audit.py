@@ -19,6 +19,7 @@ from repro.consistency.history import Operation, READ, WRITE
 from repro.consistency.sessions import READ_YOUR_WRITES, check_sessions
 from repro.core.config import LDSConfig
 from repro.obs import Telemetry
+from repro.obs.availability import DEFAULT_AVAILABILITY_INTERVAL
 from repro.sim import ClusterSimulation, quorum_reads_under_lag
 
 KEYS = [f"obj-{i}" for i in range(12)]
@@ -26,14 +27,22 @@ POOLS = [f"pool-{i}" for i in range(4)]
 CONFIG = LDSConfig(n1=3, n2=4, f1=1, f2=1)
 
 
-def run_quorum(live_audit: bool) -> ClusterSimulation:
+def live_audit_telemetry() -> Telemetry:
+    """The live audit pillars: the streaming session auditor and the
+    sampling availability monitor."""
+    return Telemetry(live_audit=True,
+                     availability_interval=DEFAULT_AVAILABILITY_INTERVAL)
+
+
+def run_quorum(live_audit: bool, sanitize: bool = False) -> ClusterSimulation:
     simulation = ClusterSimulation(
         CONFIG, POOLS, seed=7,
         writers_per_shard=2, readers_per_shard=2,
         replication=ReplicationConfig(r=3, replication_lag=400.0,
                                       read_quorum=2),
         read_policy="quorum",
-        live_audit=live_audit,
+        telemetry=live_audit_telemetry() if live_audit else None,
+        sanitize=sanitize,
     )
     simulation.ensure_shards(KEYS)
     simulation.apply(quorum_reads_under_lag(KEYS, seed=7))
@@ -45,6 +54,15 @@ class TestNonPerturbation:
         bare = run_quorum(False)
         live = run_quorum(True)
         assert bare.kernel.fingerprint == live.kernel.fingerprint
+
+    def test_sanitized_live_audit_is_identical_and_clean(self):
+        # The sanitizer's write barrier checks every probe tick too.
+        bare = run_quorum(False)
+        sanitized = run_quorum(True, sanitize=True)
+        sanitizer = sanitized.kernel.sanitizer
+        assert sanitized.kernel.fingerprint == bare.kernel.fingerprint
+        assert sanitizer.ok
+        assert sanitizer.probes_checked > 0
 
     def test_live_verdict_equals_batch_verdict(self):
         live = run_quorum(True)

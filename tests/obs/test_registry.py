@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     LabeledFamily,
     MetricsRegistry,
     registry_or_default,
@@ -46,41 +44,6 @@ class TestGauge:
         gauge.set_max(5)
         gauge.set_max(3)
         assert gauge.value == 5
-
-
-class TestHistogram:
-    def test_count_sum_mean_min_max(self):
-        histogram = Histogram("h", buckets=(1.0, 10.0))
-        for value in (0.5, 2.0, 30.0):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.sum == 32.5
-        assert histogram.mean == pytest.approx(32.5 / 3)
-        assert histogram.minimum == 0.5
-        assert histogram.maximum == 30.0
-
-    def test_bucket_counts_are_cumulative(self):
-        histogram = Histogram("h", buckets=(1.0, 10.0))
-        for value in (0.5, 2.0, 30.0):
-            histogram.observe(value)
-        assert histogram.bucket_counts() == [
-            (1.0, 1), (10.0, 2), (float("inf"), 3)]
-
-    def test_boundary_value_lands_in_its_bound_bucket(self):
-        histogram = Histogram("h", buckets=(5.0,))
-        histogram.observe(5.0)
-        assert histogram.bucket_counts()[0] == (5.0, 1)
-
-    def test_to_dict_shape(self):
-        histogram = Histogram("h")
-        histogram.observe(3.0)
-        payload = histogram.to_dict()
-        assert payload["count"] == 1
-        assert "+inf" in payload["buckets"]
-
-    def test_empty_bucket_list_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=())
 
 
 class TestLabeledFamily:
@@ -122,7 +85,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
         registry.counter("family", labels=("pool",)).labels(pool="a").inc()
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
+        registry.quantile_sketch("h").observe(0.5)
         samples = dict(
             ((name, tuple(sorted(labels.items()))), value)
             for name, labels, value in registry.collect()
@@ -130,7 +93,7 @@ class TestMetricsRegistry:
         assert samples[("c", ())] == 2
         assert samples[("family", (("pool", "a"),))] == 1
         assert samples[("h_count", ())] == 1
-        assert samples[("h_bucket", (("le", 1.0),))] == 1
+        assert samples[("h_p50", ())] == pytest.approx(0.5, rel=0.01)
 
     def test_render_skips_zeros_by_default(self):
         registry = MetricsRegistry()
@@ -154,6 +117,3 @@ class TestMetricsRegistry:
         fresh = registry_or_default(None)
         assert isinstance(fresh, MetricsRegistry)
         assert fresh is not registry
-
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

@@ -15,24 +15,6 @@ from repro.obs.slo import (
 from repro.sim import quorum_reads_under_lag
 
 
-class FakeKernel:
-    def __init__(self):
-        self.now = 0.0
-        self.probes = []
-        self.busy = True
-
-    def schedule_probe(self, time, callback):
-        self.probes.append((time, callback))
-
-    def pending_work(self):
-        return self.busy
-
-
-class FakeSimulation:
-    def __init__(self):
-        self.kernel = FakeKernel()
-
-
 def feed(tracker, op_class, totals):
     """Complete one synthetic op per total, classified as ``op_class``."""
     kind = "write" if "write" in op_class else "read"
@@ -65,7 +47,7 @@ class TestSLODefinitions:
 class TestBudgetAccounting:
     def _tracker(self, slos=None):
         latency = LatencyTracker()
-        tracker = SLOTracker(FakeSimulation(), latency, slos=slos)
+        tracker = SLOTracker(None, latency, slos=slos)
         return latency, tracker
 
     def test_no_breaches_no_burn(self):
@@ -141,18 +123,14 @@ class TestBudgetAccounting:
 
 class TestSLOProbe:
     def test_probe_samples_and_window_burn(self):
-        simulation = FakeSimulation()
         latency = LatencyTracker()
-        tracker = SLOTracker(simulation, latency, interval=50.0,
+        tracker = SLOTracker(None, latency, interval=50.0,
                              slos=(SLO(op_class="write",
                                        latency_target=50.0),))
-        tracker.start()
-        assert simulation.kernel.probes[0][0] == 50.0
-
         feed(latency, "write", [10.0] * 99 + [60.0])
-        _, probe = simulation.kernel.probes.pop(0)
-        probe()
+        tracker.tick(50.0)
         row = tracker.samples[-1]
+        assert row["t"] == 50.0
         assert row["classes"]["write"]["burn_rate"] == pytest.approx(1.0)
         assert row["classes"]["write"]["window_burn_rate"] == \
             pytest.approx(1.0)
@@ -160,30 +138,16 @@ class TestSLOProbe:
         # Second window is clean: the window burn resets, the cumulative
         # rate decays but stays nonzero.
         feed(latency, "write", [10.0] * 100)
-        _, probe = simulation.kernel.probes.pop(0)
-        probe()
+        tracker.tick(100.0)
         row = tracker.samples[-1]
         assert row["classes"]["write"]["window_burn_rate"] == 0.0
         assert 0.0 < row["classes"]["write"]["burn_rate"] < 1.0
 
-    def test_probe_winds_down_when_idle(self):
-        simulation = FakeSimulation()
-        latency = LatencyTracker()
-        tracker = SLOTracker(simulation, latency, interval=10.0)
-        tracker.start()
-        simulation.kernel.busy = False
-        _, probe = simulation.kernel.probes.pop(0)
-        probe()  # pending_work() is False -> no re-arm
-        assert simulation.kernel.probes == []
-        tracker.ensure_armed()
-        assert len(simulation.kernel.probes) == 1
-
     def test_jsonl_export(self, tmp_path):
-        simulation = FakeSimulation()
         latency = LatencyTracker()
-        tracker = SLOTracker(simulation, latency, interval=10.0)
+        tracker = SLOTracker(None, latency, interval=10.0)
         feed(latency, "quorum-read", [10.0, 20.0])
-        tracker.samples.append(tracker.sample(10.0))
+        tracker.tick(10.0)
         path = tmp_path / "slo.jsonl"
         tracker.write_jsonl(path)
         row, = [json.loads(line) for line in path.read_text().splitlines()]

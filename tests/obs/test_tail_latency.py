@@ -23,7 +23,6 @@ from repro.obs.critical_path import (
     collapse_parallel,
     critical_path,
     dominant,
-    extract_ops,
     phase_durations,
 )
 from repro.obs.latency import (
@@ -208,16 +207,15 @@ class TestSketchRegistryIntegration:
 
     def test_labeled_sketch_family(self):
         registry = MetricsRegistry()
-        family = registry.quantile_sketch(
-            "lat", labels=("op_class",), relative_error=0.02)
+        family = registry.quantile_sketch("lat", labels=("op_class",))
         child = family.labels(op_class="write")
-        assert child.relative_error == 0.02
+        assert child.relative_error == DEFAULT_RELATIVE_ERROR
         child.observe(5.0)
         family.labels(op_class="read").observe(50.0)
         samples = {(name, labels.get("op_class")): value
                    for name, labels, value in registry.collect()}
         assert samples[("lat_count", "write")] == 1
-        assert samples[("lat_p50", "read")] == pytest.approx(50.0, rel=0.02)
+        assert samples[("lat_p50", "read")] == pytest.approx(50.0, rel=0.01)
 
     def test_shape_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -423,30 +421,6 @@ class TestLatencyEndToEnd:
         assert sum(by_class.values()) == len(tracker.records)
         for record in tracker.records:
             assert sum(record.phases.values()) == pytest.approx(record.total)
-
-    def test_harness_latency_kwarg_builds_telemetry(self):
-        simulation = ClusterSimulation(
-            LDSConfig(n1=3, n2=4, f1=1, f2=1), ["pool-0", "pool-1"],
-            seed=3, latency=True)
-        assert simulation.telemetry is not None
-        assert simulation.telemetry.latency is not None
-        simulation.invoke_write("obj-a", b"payload-1")
-        simulation.run_until_idle()
-        assert simulation.telemetry.latency.sketch("write").count >= 1
-
-    def test_live_matches_offline_trace_reconstruction(self):
-        telemetry = Telemetry(trace=True, latency=True)
-        simulation = build_simulation(telemetry)
-        live = telemetry.latency
-        offline = extract_ops(telemetry.trace)
-        assert len(offline) == len(live.records)
-        live_by_handle = {record.handle: record for record in live.records}
-        for op in offline:
-            record = live_by_handle[op.handle]
-            assert record.op_class == op.op_class
-            assert record.total == pytest.approx(op.total, abs=1e-6)
-            assert phase_durations(op.client_path()) == pytest.approx(
-                record.phases, abs=1e-6)
 
     def test_run_report_has_latency_section(self):
         telemetry = Telemetry(latency=True, slo_interval=50.0)

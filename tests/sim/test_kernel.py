@@ -83,6 +83,75 @@ class TestProbes:
         assert kernel.stats.switch_rate == 0.0
 
 
+class TestProbeLoop:
+    """``GlobalScheduler.every``: the one periodic probe loop."""
+
+    def _ticks(self, kernel, log, name, interval):
+        kernel.every(interval, lambda at: log.append((name, at, kernel.now)))
+
+    def test_tick_receives_the_nominal_instant(self):
+        kernel = GlobalScheduler()
+        log = []
+        kernel.schedule_at(30.0, lambda: None)
+        self._ticks(kernel, log, "p", 10.0)
+        kernel.run_until_idle()
+        # ``at`` is the tick's nominal instant; ``now`` is the last
+        # foreground event's time, which a probe never moves.
+        assert log == [("p", 10.0, 0.0), ("p", 20.0, 0.0),
+                       ("p", 30.0, 30.0)]
+
+    def test_winds_down_when_the_foreground_drains(self):
+        kernel = GlobalScheduler()
+        log = []
+        kernel.schedule_at(25.0, lambda: None)
+        self._ticks(kernel, log, "p", 10.0)
+        kernel.run_until_idle()
+        # The tick past the last event records the drained state, then
+        # the loop stops instead of keeping the pump alive.
+        assert [at for _, at, _ in log] == [10.0, 20.0, 30.0]
+        assert kernel.peek() is None
+
+    @pytest.mark.parametrize("pump", ["run", "run_until_idle"])
+    def test_rearms_on_the_next_pump(self, pump):
+        kernel = GlobalScheduler()
+        log = []
+        kernel.schedule_at(5.0, lambda: None)
+        self._ticks(kernel, log, "p", 10.0)
+        kernel.run_until_idle()
+        assert [at for _, at, _ in log] == [10.0]
+        kernel.schedule_at(40.0, lambda: None)
+        getattr(kernel, pump)()
+        # Re-armed one interval after the clock (5.0), not after the
+        # last tick.
+        assert [at for _, at, _ in log] == [10.0, 15.0, 25.0, 35.0, 45.0]
+
+    def test_never_moves_the_determinism_surface(self):
+        def run(probed: bool) -> tuple:
+            kernel = GlobalScheduler()
+            kernel.schedule_at(12.5, lambda: kernel.schedule(7.0, lambda: None))
+            if probed:
+                kernel.every(3.0, lambda at: None)
+            kernel.run_until_idle()
+            kernel.schedule_at(30.0, lambda: None)
+            kernel.run_until_idle()
+            return kernel.now, kernel.stats.events_total, kernel.fingerprint
+
+        assert run(True) == run(False)
+
+    def test_equal_intervals_tick_in_registration_order(self):
+        kernel = GlobalScheduler()
+        log = []
+        kernel.schedule_at(25.0, lambda: None)
+        self._ticks(kernel, log, "first", 10.0)
+        self._ticks(kernel, log, "second", 10.0)
+        kernel.run_until_idle()
+        kernel.schedule_at(40.0, lambda: None)
+        kernel.run_until_idle()
+        names = [name for name, _, _ in log]
+        assert names == ["first", "second"] * (len(log) // 2)
+        assert len(log) == 2 * 5
+
+
 class TestRunControl:
     def test_run_until_global_time(self):
         kernel = GlobalScheduler()

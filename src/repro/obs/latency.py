@@ -28,8 +28,8 @@ Like everything in :mod:`repro.obs` the tracker is pure observation:
 it is fed by the same calls that feed the trace recorder (which the
 telemetry-on/off byte-identity gate already covers), holds only its
 own dicts, and never touches simulators, clocks or protocol state --
-``tests/obs/test_slo.py`` pins fingerprint and history identity with
-latency and SLO tracking on vs off.
+``examples/latency_tour.py`` CI-gates fingerprint identity with
+latency tracking on vs off.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ function of the root seed.
 
 Around that queue the kernel keeps:
 
-* a rolling CRC *fingerprint* over ``repr(time)`` of every executed event,
-  an O(1)-memory signature of the entire event order for determinism
-  tests, and the event count in :attr:`GlobalScheduler.stats`;
+* a rolling CRC *fingerprint* over the eight little-endian IEEE 754 bytes
+  of every executed event's time, an O(1)-memory signature of the entire
+  event order for determinism tests, and the event count in
+  :attr:`GlobalScheduler.stats`;
 * a second queue for observation-only probes
   (:meth:`GlobalScheduler.schedule_probe`): a probe runs at its own
   instant but never advances the clock, never counts as an event, never
@@ -34,6 +35,7 @@ Around that queue the kernel keeps:
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -46,6 +48,9 @@ FOREGROUND_SOURCE = "foreground"
 
 #: Name of the observation-only probe queue (never fingerprinted).
 TELEMETRY_SOURCE = "telemetry"
+
+#: An event time's fingerprint bytes: exact, and -0.0 differs from 0.0.
+_time_bytes = struct.Struct("<d").pack
 
 
 @dataclass
@@ -240,7 +245,7 @@ class GlobalScheduler:
         if sanitizer is not None:
             sanitizer.after_event(head)
         self.stats.events_total += 1
-        self._fingerprint = zlib.crc32(repr(head).encode(), self._fingerprint)
+        self._fingerprint = zlib.crc32(_time_bytes(head), self._fingerprint)
         return True
 
     def _run_probe(self) -> None:
@@ -294,7 +299,8 @@ class GlobalScheduler:
 
     @property
     def fingerprint(self) -> int:
-        """CRC32 over ``repr(time)`` of every executed foreground event.
+        """CRC32 over the ``struct`` ``"<d"`` bytes of every executed
+        foreground event's time.
 
         Two runs with the same seed must produce the same fingerprint; this
         is the determinism regression signal.

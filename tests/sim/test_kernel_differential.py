@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 import zlib
 
 import pytest
@@ -70,7 +71,7 @@ class ReferencePump:
         self.now = time
         callback()
         self.stats.events_total += 1
-        self.fingerprint = zlib.crc32(repr(time).encode(), self.fingerprint)
+        self.fingerprint = zlib.crc32(struct.pack("<d", time), self.fingerprint)
         return True
 
 

@@ -49,6 +49,20 @@ class TestTagOrder:
         with pytest.raises(TypeError):
             tag < (2, "a")
 
+    def test_a_tag_cannot_be_changed(self):
+        tag = Tag(4, "w")
+        for name, value in (("z", 5), ("writer_id", "v")):
+            with pytest.raises(AttributeError):
+                setattr(tag, name, value)
+        assert (tag.z, tag.writer_id) == (4, "w")
+
+    def test_hash_is_the_hash_of_the_pair(self):
+        # Sets and dicts keyed by tags iterate in an order fixed by these
+        # hashes, and the event order (so the fingerprint) follows it.
+        for z in (0, 1, 2, 7, 255, 256, 2**31 - 1, 2**31, 2**61, 10**30):
+            for writer_id in ("", "a", "w-1", "pool-3/writer-12", "é"):
+                assert hash(Tag(z, writer_id)) == hash((z, writer_id))
+
     def test_next_tag_is_strictly_larger(self):
         tag = Tag(7, "zzz")
         successor = tag.next_tag("aaa")

@@ -130,6 +130,23 @@ class TestUniformAndExponential:
         assert all(model.delay(L1, L2) > 0 for _ in range(50))
         assert model.bound(L1, L2) is None
 
+    def test_exponential_seeded_delays_are_the_recorded_ones(self):
+        links = [(CLIENT, L1), (L1, L1), (L1, L2), (L2, L1), (L1, CLIENT),
+                 (CLIENT, L2), (L1, L1), (L2, L2), (CLIENT, CLIENT), (L1, L2)]
+        # Recorded while the model built a tau dict per message: the table
+        # must give the same mean, so the same draws.
+        recorded = [
+            0.7826296884696086, 0.16351845700547815, 10.524956180709268,
+            0.7519379323994552, 1.5352329160434932, 4.552157775524566,
+            0.05974886297830101, 7.081303358972528, 0.07643340424148977,
+            5.685353960391028,
+        ]
+        first, second = (ExponentialLatencyModel(tau0=1.0, tau1=2.0,
+                                                 tau2=10.0, seed=7)
+                         for _ in range(2))
+        assert [first.delay(a, b) for a, b in links] == recorded
+        assert [second.delay(a, b) for a, b in links] == recorded
+
     def test_exponential_mean_tracks_tau(self):
         model = ExponentialLatencyModel(tau0=1, tau1=1, tau2=10, seed=13)
         samples = [model.delay(L1, L2) for _ in range(3000)]

@@ -16,6 +16,7 @@ analysis exactly; the randomised models exercise genuine asynchrony while
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from typing import Dict, Optional, Tuple
@@ -59,8 +60,8 @@ class FixedLatencyModel(LatencyModel):
     """Deterministic delays: exactly tau0 / tau1 / tau2 per link class."""
 
     def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0) -> None:
-        if min(tau0, tau1, tau2) <= 0:
-            raise ValueError("latencies must be positive")
+        if not all(0 < tau < math.inf for tau in (tau0, tau1, tau2)):
+            raise ValueError("latencies must be positive and finite")
         self.tau0 = tau0
         self.tau1 = tau1
         self.tau2 = tau2
@@ -128,8 +129,8 @@ class LatencyRegime:
         self.set(scale)
 
     def set(self, scale: float) -> None:
-        if scale <= 0:
-            raise ValueError("the latency scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("the latency scale must be positive and finite")
         self.scale = float(scale)
 
 
@@ -157,8 +158,8 @@ class ExponentialLatencyModel(LatencyModel):
 
     def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0,
                  seed: Optional[int] = None) -> None:
-        if min(tau0, tau1, tau2) <= 0:
-            raise ValueError("latencies must be positive")
+        if not all(0 < tau < math.inf for tau in (tau0, tau1, tau2)):
+            raise ValueError("latencies must be positive and finite")
         self.tau0 = tau0
         self.tau1 = tau1
         self.tau2 = tau2

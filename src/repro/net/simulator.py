@@ -92,7 +92,8 @@ class Simulator:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         if self._schedule_guard is not None:
             self._schedule_guard(time)
-        if time < self._now:
+        # Written so that a NaN time, which compares false both ways, fails.
+        if not time >= self._now:
             raise ValueError("cannot schedule an event in the past")
         event = [time, next(self._counter), callback]
         heappush(self._queue, event)

@@ -152,7 +152,7 @@ class GlobalScheduler:
         telemetry sinks); scheduling foreground work from one would break
         the telemetry-on/off byte-identity the test suite enforces.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError("cannot schedule a probe in the global past")
         if self._probes is None:
             self._probes = Simulator(start=self.now)

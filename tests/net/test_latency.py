@@ -15,6 +15,8 @@ from repro.net.latency import (
     link_type,
 )
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestLinkClassification:
     def test_l1_to_l1_is_tau0(self):
@@ -47,6 +49,25 @@ class TestFixedLatency:
     def test_positive_latencies_required(self):
         with pytest.raises(ValueError):
             FixedLatencyModel(tau0=0)
+
+    @pytest.mark.parametrize("model", [FixedLatencyModel, BoundedLatencyModel,
+                                       ExponentialLatencyModel])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_latencies_rejected(self, model, value):
+        for tau in ("tau0", "tau1", "tau2"):
+            with pytest.raises(ValueError):
+                model(**{tau: value})
+
+
+class TestLatencyRegime:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, NAN, INF])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError):
+            LatencyRegime(scale)
+        regime = LatencyRegime(2.0)
+        with pytest.raises(ValueError):
+            regime.set(scale)
+        assert regime.scale == 2.0
 
 
 class TestLinkTable:

@@ -127,6 +127,18 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             simulator.schedule_at(2.0 - 1e-9, lambda: None)
 
+    def test_a_nan_time_is_rejected_and_the_clock_stays_ordered(self):
+        simulator = Simulator()
+        times = []
+        for at in (1.0, 3.0, 5.0):
+            simulator.schedule_at(at, lambda: times.append(simulator.now))
+        with pytest.raises(ValueError):
+            simulator.schedule_at(float("nan"), lambda: times.append("nan"))
+        with pytest.raises(ValueError):
+            simulator.schedule(float("nan"), lambda: times.append("nan"))
+        simulator.run_until_idle()
+        assert times == [1.0, 3.0, 5.0]
+
     def test_past_due_rejection_inside_a_callback(self):
         simulator = Simulator()
         errors = []

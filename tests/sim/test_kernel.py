@@ -207,6 +207,14 @@ class TestRunControl:
         with pytest.raises(ValueError):
             kernel.schedule(-1.0, lambda: None)
 
+    def test_kernel_rejects_a_nan_time_on_both_queues(self):
+        kernel = GlobalScheduler()
+        with pytest.raises(ValueError):
+            kernel.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            kernel.schedule_probe(float("nan"), lambda: None)
+        assert kernel.peek() is None
+
 
 class TestStatsAndTrace:
     def test_fingerprint_is_reproducible(self):

@@ -9,24 +9,69 @@ initial tag is ``(0, "")``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True, order=True)
 class Tag:
     """A version tag ``(z, writer_id)`` with the paper's total order.
 
-    The dataclass generates equality, hashing and all four ordering
-    methods from the ``(z, writer_id)`` field tuple; each comparison
-    returns ``NotImplemented`` for anything that is not a tag.
+    Immutable and slotted.  The ``(z, writer_id)`` key and its hash are
+    computed once, at construction: a tag hashes like that pair, so every
+    tag-keyed set and dict iterates in the pair's order.  Each comparison
+    compares keys and returns ``NotImplemented`` for anything that is not a
+    tag -- a tag is deliberately not a tuple, so a bare tag never compares
+    with an ``(epoch, tag)`` version.
     """
 
-    z: int
-    writer_id: str = ""
+    __slots__ = ("z", "writer_id", "_key", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.z < 0:
+    def __init__(self, z: int, writer_id: str = "") -> None:
+        if z < 0:
             raise ValueError("tag counter must be non-negative")
+        key = (z, writer_id)
+        _set(self, "z", z)
+        _set(self, "writer_id", writer_id)
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete {name!r} of a Tag")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Tag, self._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if isinstance(other, Tag):
+            return self._key == other._key
+        return NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, Tag):
+            return self._key != other._key
+        return NotImplemented
+
+    def __lt__(self, other):
+        if isinstance(other, Tag):
+            return self._key < other._key
+        return NotImplemented
+
+    def __le__(self, other):
+        if isinstance(other, Tag):
+            return self._key <= other._key
+        return NotImplemented
+
+    def __gt__(self, other):
+        if isinstance(other, Tag):
+            return self._key > other._key
+        return NotImplemented
+
+    def __ge__(self, other):
+        if isinstance(other, Tag):
+            return self._key >= other._key
+        return NotImplemented
 
     def next_tag(self, writer_id: str) -> "Tag":
         """The tag a writer creates after observing this one (``z + 1``)."""
@@ -40,6 +85,8 @@ class Tag:
     def __repr__(self) -> str:
         return f"Tag(z={self.z}, writer={self.writer_id!r})"
 
+
+_set = object.__setattr__
 
 #: Singleton-ish initial tag used throughout the protocol.
 INITIAL_TAG = Tag.initial()

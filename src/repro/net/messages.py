@@ -11,8 +11,8 @@ meta-data (tags, counters, acknowledgements) contributes nothing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
@@ -20,22 +20,25 @@ class Message:
     """Base class for all protocol messages.
 
     Attributes:
-        kind: short human-readable message type (defaults to the class name).
-        payload: free-form content; protocol subclasses usually add typed
-            fields instead of using this dictionary.
+        kind: short human-readable message type; defaults to the class
+            name (each subclass re-declares the field with its own name).
         data_size: normalised data size carried by this message (value = 1).
         op_id: identifier of the client operation (or internal operation)
             this message belongs to; used for per-operation cost accounting.
     """
 
-    kind: str = ""
-    payload: Dict[str, Any] = field(default_factory=dict)
+    kind: str = "Message"
     data_size: float = 0.0
     op_id: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not self.kind:
-            self.kind = type(self).__name__
+    def __init_subclass__(cls, **kwargs) -> None:
+        # Runs before @dataclass reads the class: a field re-declared here
+        # keeps its place in the field order and takes the new default, so
+        # the generated __init__ sets the class's name with no extra step.
+        super().__init_subclass__(**kwargs)
+        cls.__annotations__ = {"kind": "str",
+                               **cls.__dict__.get("__annotations__", {})}
+        cls.kind = cls.__name__
 
     def describe(self) -> str:
         """One-line description used by traces and debugging output."""

@@ -1,5 +1,7 @@
 """Unit tests for the process base class and message envelope."""
 
+from dataclasses import dataclass, fields
+
 import pytest
 
 from repro.net.latency import CLIENT, FixedLatencyModel, L1
@@ -28,10 +30,19 @@ class TestMessage:
         text = Message(kind="DATA", data_size=0.5, op_id="op-1").describe()
         assert "DATA" in text and "op-1" in text
 
-    def test_payload_is_per_instance(self):
-        a, b = Message(), Message()
-        a.payload["x"] = 1
-        assert b.payload == {}
+    def test_a_subclass_defaults_to_its_own_name(self):
+        @dataclass
+        class Ping(Message):
+            sequence: int = 0
+
+        @dataclass
+        class LatePing(Ping):
+            pass
+
+        assert (Ping().kind, LatePing().kind) == ("Ping", "LatePing")
+        assert Ping(kind="PONG").kind == "PONG"
+        assert [f.name for f in fields(LatePing)] == [
+            "kind", "data_size", "op_id", "sequence"]
 
 
 class TestProcess:

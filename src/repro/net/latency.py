@@ -95,8 +95,11 @@ class BoundedLatencyModel(FixedLatencyModel):
         self._rng = random.Random(seed)
 
     def delay(self, sender_class: str, receiver_class: str) -> float:
-        bound = self.bound(sender_class, receiver_class)
-        return self._rng.uniform(self.minimum_fraction * bound, bound)
+        bound = (self._by_link.get((sender_class, receiver_class))
+                 or self.bound(sender_class, receiver_class))
+        low = self.minimum_fraction * bound
+        # What random.uniform(low, bound) evaluates, without the extra call.
+        return low + (bound - low) * self._rng.random()
 
 
 class UniformLatencyModel(LatencyModel):

@@ -32,23 +32,16 @@ from repro.net.simulator import Simulator
 
 @dataclass
 class CommunicationCostTracker:
-    """Accumulates normalised communication cost (value size = 1 unit)."""
+    """Accumulates normalised communication cost (value size = 1 unit).
+
+    :meth:`Network.send` charges every sent message here, in one place.
+    """
 
     total: float = 0.0
     messages_sent: int = 0
     by_operation: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
     by_kind: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
     messages_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def record(self, message: Message) -> None:
-        """Record one sent message."""
-        size, kind, op_id = message.data_size, message.kind, message.op_id
-        self.total += size
-        self.messages_sent += 1
-        self.by_kind[kind] += size
-        self.messages_by_kind[kind] += 1
-        if op_id is not None:
-            self.by_operation[op_id] += size
 
     def operation_cost(self, op_id: str) -> float:
         """Total normalised data sent on behalf of ``op_id``."""
@@ -125,7 +118,14 @@ class Network:
             raise ValueError(f"unknown destination {destination!r}")
         if sender_process.crashed:
             return
-        self.costs.record(message)
+        size, kind, op_id = message.data_size, message.kind, message.op_id
+        costs = self.costs
+        costs.total += size
+        costs.messages_sent += 1
+        costs.by_kind[kind] += size
+        costs.messages_by_kind[kind] += 1
+        if op_id is not None:
+            costs.by_operation[op_id] += size
         delay = self.latency_model.delay(
             sender_process.link_class, destination_process.link_class
         )
@@ -141,7 +141,8 @@ class Network:
                     hook(sender, destination, message)
             process.on_message(sender, message)
 
-        self.simulator.schedule(delay, deliver)
+        simulator = self.simulator
+        simulator.schedule_at(simulator._now + delay, deliver)
 
     # -- execution ------------------------------------------------------------------
 

@@ -12,30 +12,28 @@ import itertools
 from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
-# A queued event is a plain ``[time, sequence, callback]`` list, so the
-# heap orders events with C-level list comparison.  Sequence numbers are
-# unique: the callback is never compared.  Cancelling clears the callback.
+class EventHandle(list):
+    """A queued ``[time, sequence, callback]`` event, which is also the
+    handle :meth:`Simulator.schedule` returns; allows cancellation.
 
+    The heap orders events with C-level list comparison.  Sequence numbers
+    are unique: the callback is never compared.  Cancelling clears the
+    callback.
+    """
 
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: list) -> None:
-        self._event = event
+    __slots__ = ()
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already ran."""
-        self._event[2] = None
+        self[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event[2] is None
+        return self[2] is None
 
     @property
     def time(self) -> float:
-        return self._event[0]
+        return self[0]
 
 
 class Simulator:
@@ -95,9 +93,9 @@ class Simulator:
         # Written so that a NaN time, which compares false both ways, fails.
         if not time >= self._now:
             raise ValueError("cannot schedule an event in the past")
-        event = [time, next(self._counter), callback]
+        event = EventHandle((time, next(self._counter), callback))
         heappush(self._queue, event)
-        return EventHandle(event)
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or None when idle.

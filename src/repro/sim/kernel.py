@@ -38,6 +38,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from heapq import heappop
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
@@ -229,15 +230,19 @@ class GlobalScheduler:
         """Execute the next event -- a probe only when it is strictly
         earlier than the next foreground event; False when both idle."""
         simulator = self.simulator
-        head = simulator.peek_time()
+        # The head as peek_time finds it: cancelled events popped first.
+        queue = simulator._queue
+        while queue and queue[0][2] is None:
+            heappop(queue)
         probes = self._probes
         if probes is not None:
             probe = probes.peek_time()
-            if probe is not None and (head is None or probe < head):
+            if probe is not None and (not queue or probe < queue[0][0]):
                 self._run_probe()
                 return True
-        if head is None:
+        if not queue:
             return False
+        head = queue[0][0]
         sanitizer = self._sanitizer
         if sanitizer is not None:
             sanitizer.before_event(head)

@@ -57,7 +57,11 @@ class LatencyModel(ABC):
 
 
 class FixedLatencyModel(LatencyModel):
-    """Deterministic delays: exactly tau0 / tau1 / tau2 per link class."""
+    """Deterministic delays: exactly tau0 / tau1 / tau2 per link class.
+
+    Its per-link tau table (:meth:`tau`) is also what the random models
+    below draw around.
+    """
 
     def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0) -> None:
         if not all(0 < tau < math.inf for tau in (tau0, tau1, tau2)):
@@ -68,15 +72,16 @@ class FixedLatencyModel(LatencyModel):
         #: (sender class, receiver class) -> tau, filled on first use.
         self._by_link: Dict[Tuple[str, str], float] = {}
 
-    def bound(self, sender_class: str, receiver_class: str) -> float:
+    def tau(self, sender_class: str, receiver_class: str) -> float:
+        """The link's tau, as ``link_type`` names it."""
         link = (sender_class, receiver_class)
         tau = self._by_link.get(link)
         if tau is None:
             tau = self._by_link[link] = getattr(self, link_type(*link))
         return tau
 
-    #: Deterministic: every message takes exactly its link's bound.
-    delay = bound
+    #: Deterministic: every message takes exactly its link's tau.
+    bound = delay = tau
 
 
 class BoundedLatencyModel(FixedLatencyModel):
@@ -96,7 +101,7 @@ class BoundedLatencyModel(FixedLatencyModel):
 
     def delay(self, sender_class: str, receiver_class: str) -> float:
         bound = (self._by_link.get((sender_class, receiver_class))
-                 or self.bound(sender_class, receiver_class))
+                 or self.tau(sender_class, receiver_class))
         low = self.minimum_fraction * bound
         # What random.uniform(low, bound) evaluates, without the extra call.
         return low + (bound - low) * self._rng.random()
@@ -152,7 +157,7 @@ class ScaledLatencyModel(LatencyModel):
         return None if base_bound is None else base_bound * self.regime.scale
 
 
-class ExponentialLatencyModel(LatencyModel):
+class ExponentialLatencyModel(FixedLatencyModel):
     """Exponentially distributed delays (unbounded -- pure asynchrony).
 
     Mean delays follow the per-link-class tau values; there is no bound,
@@ -161,17 +166,14 @@ class ExponentialLatencyModel(LatencyModel):
 
     def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0,
                  seed: Optional[int] = None) -> None:
-        if not all(0 < tau < math.inf for tau in (tau0, tau1, tau2)):
-            raise ValueError("latencies must be positive and finite")
-        self.tau0 = tau0
-        self.tau1 = tau1
-        self.tau2 = tau2
+        super().__init__(tau0=tau0, tau1=tau1, tau2=tau2)
         self._rng = random.Random(seed)
 
     def delay(self, sender_class: str, receiver_class: str) -> float:
-        kind = link_type(sender_class, receiver_class)
-        mean = {"tau0": self.tau0, "tau1": self.tau1, "tau2": self.tau2}[kind]
-        return self._rng.expovariate(1.0 / mean)
+        return self._rng.expovariate(1.0 / self.tau(sender_class, receiver_class))
+
+    def bound(self, sender_class: str, receiver_class: str) -> None:
+        return None
 
 
 __all__ = [

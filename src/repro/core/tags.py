@@ -9,6 +9,9 @@ initial tag is ``(0, "")``.
 
 from __future__ import annotations
 
+#: Sets a slot past Tag.__setattr__, which refuses every assignment.
+_set = object.__setattr__
+
 
 class Tag:
     """A version tag ``(z, writer_id)`` with the paper's total order.
@@ -44,34 +47,22 @@ class Tag:
         return self._hash
 
     def __eq__(self, other):
-        if isinstance(other, Tag):
-            return self._key == other._key
-        return NotImplemented
+        return self._key == other._key if isinstance(other, Tag) else NotImplemented
 
     def __ne__(self, other):
-        if isinstance(other, Tag):
-            return self._key != other._key
-        return NotImplemented
+        return self._key != other._key if isinstance(other, Tag) else NotImplemented
 
     def __lt__(self, other):
-        if isinstance(other, Tag):
-            return self._key < other._key
-        return NotImplemented
+        return self._key < other._key if isinstance(other, Tag) else NotImplemented
 
     def __le__(self, other):
-        if isinstance(other, Tag):
-            return self._key <= other._key
-        return NotImplemented
+        return self._key <= other._key if isinstance(other, Tag) else NotImplemented
 
     def __gt__(self, other):
-        if isinstance(other, Tag):
-            return self._key > other._key
-        return NotImplemented
+        return self._key > other._key if isinstance(other, Tag) else NotImplemented
 
     def __ge__(self, other):
-        if isinstance(other, Tag):
-            return self._key >= other._key
-        return NotImplemented
+        return self._key >= other._key if isinstance(other, Tag) else NotImplemented
 
     def next_tag(self, writer_id: str) -> "Tag":
         """The tag a writer creates after observing this one (``z + 1``)."""
@@ -85,8 +76,6 @@ class Tag:
     def __repr__(self) -> str:
         return f"Tag(z={self.z}, writer={self.writer_id!r})"
 
-
-_set = object.__setattr__
 
 #: Singleton-ish initial tag used throughout the protocol.
 INITIAL_TAG = Tag.initial()

@@ -57,11 +57,8 @@ class LatencyModel(ABC):
 
 
 class FixedLatencyModel(LatencyModel):
-    """Deterministic delays: exactly tau0 / tau1 / tau2 per link class.
-
-    Its per-link tau table (:meth:`tau`) is also what the random models
-    below draw around.
-    """
+    """Deterministic delays: exactly tau0 / tau1 / tau2 per link class, read
+    from the per-link table (:meth:`tau`) the random models draw around."""
 
     def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0) -> None:
         if not all(0 < tau < math.inf for tau in (tau0, tau1, tau2)):

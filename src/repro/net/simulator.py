@@ -12,6 +12,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
+
 class EventHandle(list):
     """A queued ``[time, sequence, callback]`` event, which is also the
     handle :meth:`Simulator.schedule` returns; allows cancellation.

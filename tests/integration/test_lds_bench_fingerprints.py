@@ -156,6 +156,29 @@ def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
         assert timed_digest(simulation.history()) == TIMED[workload]
 
 
+@pytest.mark.parametrize("workload", sorted(RECORDED))
+def test_stepping_drains_like_run_until_idle(workload, monkeypatch):
+    # The kernel's pump loop and its single-step API must run the same
+    # events: one workload drained each way, under the sanitizer.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from lds_bench.workloads import BY_NAME, build
+
+    spec = BY_NAME[workload].scaled(1 / 40)
+    pumped, scenario, _attempted = build(spec, 1, sanitize=True)
+    pumped.apply(scenario)
+    stepped, scenario, _attempted = build(spec, 1, sanitize=True)
+    stepped.apply(scenario, run=False)
+    stepped.router.flush()
+    while stepped.kernel.step():
+        pass
+    assert stepped.kernel.sanitizer.check_leaks() == []
+    for simulation in (pumped, stepped):
+        assert simulation.kernel.sanitizer.ok
+        assert simulation.kernel.sanitizer.events_checked == \
+            simulation.kernel.stats.events_total
+    assert pinned(stepped) == pinned(pumped) == RECORDED[workload]
+
+
 # -- the eight shipped scenarios ---------------------------------------------------
 
 CONFIG = LDSConfig(n1=3, n2=4, f1=1, f2=1)

@@ -121,6 +121,26 @@ class TestCrashes:
         network.run_until_idle()
         assert [m.kind for _, m, _ in b.received] == ["survives"]
 
+    def test_a_process_swapped_out_under_its_pid_stays_crashed(self):
+        # Repair installs a new process under a crashed one's pid: the old
+        # object still sends nothing and is charged nothing, and a message
+        # to the pid reaches the new object.
+        network = make_network()
+        a, b = Echo("a"), Echo("b")
+        network.register_all([a, b])
+        network.crash("a")
+        replacement = Echo("a")
+        network.processes["a"] = replacement
+        replacement.attach(network)
+        a.send("b", Message(kind="stale", data_size=1.0, op_id="old"))
+        b.send("a", Message(kind="fresh"))
+        network.run_until_idle()
+        assert b.received == [] and a.received == []
+        assert [m.kind for _, m, _ in replacement.received] == ["fresh"]
+        assert (network.costs.messages_sent, network.costs.total) == (1, 0.0)
+        assert network.costs.operation_cost("old") == 0.0
+        assert network.dropped_to_crashed == 0
+
     def test_crash_mid_execution_stops_future_deliveries(self):
         network = make_network()
         a, b = Echo("a"), Echo("b")

@@ -74,9 +74,24 @@ class ReferencePump:
         self.fingerprint = zlib.crc32(struct.pack("<d", time), self.fingerprint)
         return True
 
+    def run(self, max_events: int) -> None:
+        """At most ``max_events`` steps, probes included."""
+        for _ in range(max_events):
+            if not self.step():
+                return
+
+
+#: How :func:`drive` pumps, in turn: 0 is one ``step()``, n > 0 one
+#: ``run(max_events=n)``.
+PUMP_CHUNKS = (0, 1, 5, 0, 2, 40, 3)
+
 
 def drive(pump, seed: int, max_events: int = 400):
-    """Play the random script of ``seed``; returns everything observable."""
+    """Play the random script of ``seed``; returns everything observable.
+
+    The script is pumped alternately through ``step()`` and through
+    ``run(max_events=...)``; every step, probe or event, logs one entry.
+    """
     rng = random.Random(seed)
     log, handles, labels = [], [], itertools.count()
     cancels = [0]
@@ -114,8 +129,17 @@ def drive(pump, seed: int, max_events: int = 400):
     for _ in range(rng.randrange(1, 4)):
         plant(rng.choice([0.0, 1.0, 2.25]))
     executed = 0
-    while executed < max_events and pump.step():
-        executed += 1
+    for chunk in itertools.cycle(PUMP_CHUNKS):
+        if executed >= max_events:
+            break
+        before = len(log)
+        if chunk == 0:
+            pump.step()
+        else:
+            pump.run(max_events=min(chunk, max_events - executed))
+        if len(log) == before:
+            break
+        executed += len(log) - before
     return (log, pump.now, pump.fingerprint, pump.stats.events_total,
             cancels[0])
 

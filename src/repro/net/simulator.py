@@ -9,6 +9,7 @@ executions are fully deterministic given the latency model's random seed.
 from __future__ import annotations
 
 import itertools
+import math
 from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
@@ -130,8 +131,11 @@ class Simulator:
         ``max_events`` events have been executed in this call.
 
         The clock then stands at ``until`` -- or stays where it is when
-        ``until`` is already in the past: it never rewinds.
+        ``until`` is already in the past: it never rewinds.  A non-finite
+        ``until`` raises ``ValueError``; None means no bound.
         """
+        if until is not None and not math.isfinite(until):
+            raise ValueError("the run bound must be finite")
         executed = 0
         while self._queue:
             if max_events is not None and executed >= max_events:

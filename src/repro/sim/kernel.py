@@ -35,6 +35,7 @@ Around that queue the kernel keeps:
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -268,8 +269,11 @@ class GlobalScheduler:
         """Pump events, bounded by global time and/or event count.
 
         The clock never rewinds: an ``until`` already in the past leaves it
-        untouched (matching :meth:`Simulator.run`).
+        untouched (matching :meth:`Simulator.run`), and a non-finite
+        ``until`` raises ``ValueError``.
         """
+        if until is not None and not math.isfinite(until):
+            raise ValueError("the run bound must be finite")
         self._rearm()
         executed = 0
         while True:

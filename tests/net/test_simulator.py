@@ -197,6 +197,26 @@ class TestEdgeCases:
         simulator.run_until_idle()
         assert fired == [100.0, 121.0, 200.0]
 
+    def test_an_infinite_until_is_rejected(self):
+        # It used to leave the clock at infinity, so every later event
+        # was scheduled there.
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(1.0, lambda: fired.append(simulator.now))
+        for until in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                simulator.run(until=until)
+        assert (fired, simulator.now) == ([], 0.0)
+
+    def test_a_nan_until_is_rejected(self):
+        # It used to be ignored: the run went on past every bound.
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(1.0, lambda: fired.append(simulator.now))
+        with pytest.raises(ValueError):
+            simulator.run(until=float("nan"))
+        assert (fired, simulator.now) == ([], 0.0)
+
     def test_clock_advances_past_last_event_to_until(self):
         simulator = Simulator()
         simulator.schedule(1.0, lambda: None)

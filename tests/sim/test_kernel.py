@@ -181,6 +181,23 @@ class TestRunControl:
         kernel.run_until_idle()
         assert kernel.now == 150.0
 
+    def test_an_infinite_until_is_rejected(self):
+        kernel = GlobalScheduler()
+        log = []
+        kernel.schedule_at(1.0, _recorder(kernel, log, "one"))
+        for until in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                kernel.run(until=until)
+        assert (log, kernel.now, kernel.events_processed) == ([], 0.0, 0)
+
+    def test_a_nan_until_is_rejected(self):
+        kernel = GlobalScheduler()
+        log = []
+        kernel.schedule_at(1.0, _recorder(kernel, log, "one"))
+        with pytest.raises(ValueError):
+            kernel.run(until=float("nan"))
+        assert (log, kernel.now, kernel.events_processed) == ([], 0.0, 0)
+
     def test_run_max_events(self):
         kernel = GlobalScheduler()
         for i in range(5):

@@ -229,30 +229,54 @@ class GlobalScheduler:
 
     def step(self) -> bool:
         """Execute the next event -- a probe only when it is strictly
-        earlier than the next foreground event; False when both idle."""
+        earlier than the next foreground event; False when both idle.
+
+        The single-step API (``ObjectRouter`` waits on one operation with
+        it); :meth:`run` and :meth:`run_until_idle` pump the same loop.
+        """
+        return self._pump(None, 1) == 1
+
+    def _pump(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """The one event loop; returns how many events and probes it ran.
+
+        It stops when both queues are idle, when the next one is due after
+        ``until``, or once ``max_events`` ran (probes count).  Each
+        foreground event is one :meth:`Simulator.step`, bracketed by the
+        sanitizer and folded into the stats and the fingerprint.
+        """
         simulator = self.simulator
-        # The head as peek_time finds it: cancelled events popped first.
         queue = simulator._queue
-        while queue and queue[0][2] is None:
-            heappop(queue)
-        probes = self._probes
-        if probes is not None:
-            probe = probes.peek_time()
-            if probe is not None and (not queue or probe < queue[0][0]):
-                self._run_probe()
-                return True
-        if not queue:
-            return False
-        head = queue[0][0]
+        step = simulator.step
+        stats = self.stats
         sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.before_event(head)
-        simulator.step()
-        if sanitizer is not None:
-            sanitizer.after_event(head)
-        self.stats.events_total += 1
-        self._fingerprint = zlib.crc32(_time_bytes(head), self._fingerprint)
-        return True
+        executed = 0
+        while max_events is None or executed < max_events:
+            # The head as peek_time finds it: cancelled events popped first.
+            while queue and queue[0][2] is None:
+                heappop(queue)
+            probes = self._probes
+            if probes is not None:
+                probe = probes.peek_time()
+                if probe is not None and (not queue or probe < queue[0][0]):
+                    if until is not None and probe > until:
+                        break
+                    self._run_probe()
+                    executed += 1
+                    continue
+            if not queue:
+                break
+            head = queue[0][0]
+            if until is not None and head > until:
+                break
+            if sanitizer is not None:
+                sanitizer.before_event(head)
+            step()
+            if sanitizer is not None:
+                sanitizer.after_event(head)
+            stats.events_total += 1
+            self._fingerprint = zlib.crc32(_time_bytes(head), self._fingerprint)
+            executed += 1
+        return executed
 
     def _run_probe(self) -> None:
         # The sanitizer's write barrier verifies the probe left the
@@ -275,15 +299,8 @@ class GlobalScheduler:
         if until is not None and not math.isfinite(until):
             raise ValueError("the run bound must be finite")
         self._rearm()
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                return
-            due = self.peek()
-            if due is None or (until is not None and due[0] > until):
-                break
-            self.step()
-            executed += 1
+        if self._pump(until, max_events) == max_events:
+            return
         if until is not None:
             # Nothing is due by ``until``: this only moves the clock there.
             self.simulator.run(until=until)
@@ -296,13 +313,10 @@ class GlobalScheduler:
         meaningful once no event could still perform the cleanup.
         """
         self._rearm()
-        executed = 0
-        while self.step():
-            executed += 1
-            if executed > max_events:
-                raise RuntimeError(
-                    "global simulation exceeded the maximum event budget"
-                )
+        if self._pump(None, max_events + 1) > max_events:
+            raise RuntimeError(
+                "global simulation exceeded the maximum event budget"
+            )
         if self._sanitizer is not None:
             self._sanitizer.check_leaks()
 

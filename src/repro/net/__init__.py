@@ -27,7 +27,6 @@ _EXPORTS = {
     "LatencyRegime": "latency",
     "FixedLatencyModel": "latency",
     "BoundedLatencyModel": "latency",
-    "ScaledLatencyModel": "latency",
     "UniformLatencyModel": "latency",
     "ExponentialLatencyModel": "latency",
     "Process": "process",

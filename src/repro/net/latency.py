@@ -44,8 +44,33 @@ def link_type(sender_class: str, receiver_class: str) -> str:
     return "tau1"
 
 
+class LatencyRegime:
+    """A mutable delay multiplier that many latency models can share.
+
+    Scenario scripts shift a whole cluster between latency regimes (e.g. a
+    flash crowd saturating the network) by changing one ``scale`` value;
+    every model holding the regime multiplies its draws and bounds by the
+    new factor from the next message on, with no per-shard rewiring.
+    """
+
+    def __init__(self, scale: float = 1.0) -> None:
+        self.set(scale)
+
+    def set(self, scale: float) -> None:
+        if not 0 < scale < math.inf:
+            raise ValueError("the latency scale must be positive and finite")
+        self.scale = float(scale)
+
+
 class LatencyModel(ABC):
-    """Maps a link to a message delay sample."""
+    """Maps a link to a message delay sample.
+
+    Every delay and bound is multiplied by ``regime.scale``; a model built
+    without a regime holds its own at 1.0, and ``x * 1.0 == x`` exactly.
+    """
+
+    def __init__(self, regime: Optional[LatencyRegime] = None) -> None:
+        self.regime = regime if regime is not None else LatencyRegime()
 
     @abstractmethod
     def delay(self, sender_class: str, receiver_class: str) -> float:
@@ -60,7 +85,9 @@ class FixedLatencyModel(LatencyModel):
     """Deterministic delays: exactly tau0 / tau1 / tau2 per link class, read
     from the per-link table (:meth:`tau`) the random models draw around."""
 
-    def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0) -> None:
+    def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0,
+                 regime: Optional[LatencyRegime] = None) -> None:
+        super().__init__(regime)
         if not all(0 < tau < math.inf for tau in (tau0, tau1, tau2)):
             raise ValueError("latencies must be positive and finite")
         self.tau0 = tau0
@@ -70,15 +97,19 @@ class FixedLatencyModel(LatencyModel):
         self._by_link: Dict[Tuple[str, str], float] = {}
 
     def tau(self, sender_class: str, receiver_class: str) -> float:
-        """The link's tau, as ``link_type`` names it."""
+        """The link's tau, as ``link_type`` names it (unscaled)."""
         link = (sender_class, receiver_class)
         tau = self._by_link.get(link)
         if tau is None:
             tau = self._by_link[link] = getattr(self, link_type(*link))
         return tau
 
-    #: Deterministic: every message takes exactly its link's tau.
-    bound = delay = tau
+    def delay(self, sender_class: str, receiver_class: str) -> float:
+        return ((self._by_link.get((sender_class, receiver_class))
+                 or self.tau(sender_class, receiver_class)) * self.regime.scale)
+
+    #: Deterministic: every message takes exactly its link's scaled tau.
+    bound = delay
 
 
 class BoundedLatencyModel(FixedLatencyModel):
@@ -89,8 +120,9 @@ class BoundedLatencyModel(FixedLatencyModel):
     """
 
     def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0,
-                 minimum_fraction: float = 0.1, seed: Optional[int] = None) -> None:
-        super().__init__(tau0=tau0, tau1=tau1, tau2=tau2)
+                 minimum_fraction: float = 0.1, seed: Optional[int] = None,
+                 regime: Optional[LatencyRegime] = None) -> None:
+        super().__init__(tau0=tau0, tau1=tau1, tau2=tau2, regime=regime)
         if not 0 < minimum_fraction <= 1:
             raise ValueError("minimum_fraction must be in (0, 1]")
         self.minimum_fraction = minimum_fraction
@@ -100,14 +132,17 @@ class BoundedLatencyModel(FixedLatencyModel):
         bound = (self._by_link.get((sender_class, receiver_class))
                  or self.tau(sender_class, receiver_class))
         low = self.minimum_fraction * bound
-        # What random.uniform(low, bound) evaluates, without the extra call.
-        return low + (bound - low) * self._rng.random()
+        # What random.uniform(low, bound) evaluates, without the extra call,
+        # then scaled: scaling the table instead would round differently.
+        return (low + (bound - low) * self._rng.random()) * self.regime.scale
 
 
 class UniformLatencyModel(LatencyModel):
     """Uniform random delay in ``[low, high]`` regardless of link class."""
 
-    def __init__(self, low: float, high: float, seed: Optional[int] = None) -> None:
+    def __init__(self, low: float, high: float, seed: Optional[int] = None,
+                 regime: Optional[LatencyRegime] = None) -> None:
+        super().__init__(regime)
         if not 0 < low <= high:
             raise ValueError("require 0 < low <= high")
         self.low = low
@@ -115,43 +150,10 @@ class UniformLatencyModel(LatencyModel):
         self._rng = random.Random(seed)
 
     def delay(self, sender_class: str, receiver_class: str) -> float:
-        return self._rng.uniform(self.low, self.high)
+        return self._rng.uniform(self.low, self.high) * self.regime.scale
 
     def bound(self, sender_class: str, receiver_class: str) -> float:
-        return self.high
-
-
-class LatencyRegime:
-    """A mutable delay multiplier shared by many :class:`ScaledLatencyModel`.
-
-    Scenario scripts shift a whole cluster between latency regimes (e.g. a
-    flash crowd saturating the network) by changing one ``scale`` value;
-    every model wrapping the regime picks the new factor up on the next
-    message, with no per-shard rewiring.
-    """
-
-    def __init__(self, scale: float = 1.0) -> None:
-        self.set(scale)
-
-    def set(self, scale: float) -> None:
-        if not 0 < scale < math.inf:
-            raise ValueError("the latency scale must be positive and finite")
-        self.scale = float(scale)
-
-
-class ScaledLatencyModel(LatencyModel):
-    """Multiplies a base model's delays (and bounds) by a regime's scale."""
-
-    def __init__(self, base: LatencyModel, regime: Optional[LatencyRegime] = None) -> None:
-        self.base = base
-        self.regime = regime if regime is not None else LatencyRegime()
-
-    def delay(self, sender_class: str, receiver_class: str) -> float:
-        return self.base.delay(sender_class, receiver_class) * self.regime.scale
-
-    def bound(self, sender_class: str, receiver_class: str) -> Optional[float]:
-        base_bound = self.base.bound(sender_class, receiver_class)
-        return None if base_bound is None else base_bound * self.regime.scale
+        return self.high * self.regime.scale
 
 
 class ExponentialLatencyModel(FixedLatencyModel):
@@ -162,12 +164,14 @@ class ExponentialLatencyModel(FixedLatencyModel):
     """
 
     def __init__(self, tau0: float = 1.0, tau1: float = 1.0, tau2: float = 10.0,
-                 seed: Optional[int] = None) -> None:
-        super().__init__(tau0=tau0, tau1=tau1, tau2=tau2)
+                 seed: Optional[int] = None,
+                 regime: Optional[LatencyRegime] = None) -> None:
+        super().__init__(tau0=tau0, tau1=tau1, tau2=tau2, regime=regime)
         self._rng = random.Random(seed)
 
     def delay(self, sender_class: str, receiver_class: str) -> float:
-        return self._rng.expovariate(1.0 / self.tau(sender_class, receiver_class))
+        return (self._rng.expovariate(1.0 / self.tau(sender_class, receiver_class))
+                * self.regime.scale)
 
     def bound(self, sender_class: str, receiver_class: str) -> None:
         return None
@@ -182,7 +186,6 @@ __all__ = [
     "LatencyRegime",
     "FixedLatencyModel",
     "BoundedLatencyModel",
-    "ScaledLatencyModel",
     "UniformLatencyModel",
     "ExponentialLatencyModel",
 ]

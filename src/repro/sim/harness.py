@@ -7,7 +7,7 @@ with one full node set per named pool, an
 :class:`~repro.sim.kernel.GlobalScheduler`, and a
 :class:`~repro.cluster.repair.RepairScheduler` subscribed to failures.
 Every stochastic component derives from one root seed, and every
-per-shard latency model is wrapped in a shared
+per-shard latency model is scaled by a shared
 :class:`~repro.net.latency.LatencyRegime` (so scenarios can shift the
 whole cluster between latency regimes).  It exposes:
 
@@ -46,7 +46,6 @@ from repro.net.latency import (
     BoundedLatencyModel,
     LatencyModel,
     LatencyRegime,
-    ScaledLatencyModel,
 )
 from repro.sim.kernel import GlobalScheduler
 from repro.sim.scenario import Scenario, ScenarioEngine
@@ -63,12 +62,12 @@ def seeded_latency_factory(seed, regime: LatencyRegime
 
     Every (pool, key) pair gets a :class:`BoundedLatencyModel` whose seed
     derives from the root seed, so one root seed fixes every latency draw
-    in the cluster, wrapped in the shared ``regime`` so scenario scripts
+    in the cluster, scaled by the shared ``regime`` so scenario scripts
     can shift the whole cluster's latency at once.
     """
     def factory(pool: str, key: str) -> LatencyModel:
-        base = BoundedLatencyModel(seed=derive_seed(seed, "latency", pool, key))
-        return ScaledLatencyModel(base, regime)
+        return BoundedLatencyModel(seed=derive_seed(seed, "latency", pool, key),
+                                   regime=regime)
 
     return factory
 

@@ -10,7 +10,6 @@ from repro.net.latency import (
     ExponentialLatencyModel,
     FixedLatencyModel,
     LatencyRegime,
-    ScaledLatencyModel,
     UniformLatencyModel,
     link_type,
 )
@@ -77,7 +76,8 @@ class TestLinkTable:
 
     def test_every_pair_matches_link_type_first_and_repeated(self):
         model = FixedLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0)
-        scaled = ScaledLatencyModel(model, LatencyRegime(scale=2.0))
+        scaled = FixedLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0,
+                                   regime=LatencyRegime(scale=2.0))
         for sender in self.CLASSES:        # client <-> L2 included
             for receiver in self.CLASSES:
                 expected = getattr(model, link_type(sender, receiver))
@@ -111,6 +111,31 @@ class TestLinkTable:
                          for _ in range(2))
         assert [first.delay(a, b) for a, b in links] == recorded
         assert [second.delay(a, b) for a, b in links] == recorded
+
+    @pytest.mark.parametrize("build", [
+        lambda regime: BoundedLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0,
+                                           seed=5, regime=regime),
+        lambda regime: ExponentialLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0,
+                                               seed=5, regime=regime),
+        lambda regime: UniformLatencyModel(1.0, 4.0, seed=5, regime=regime),
+        lambda regime: FixedLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0,
+                                         regime=regime),
+    ], ids=["bounded", "exponential", "uniform", "fixed"])
+    def test_a_regime_scales_the_draw_not_the_table(self, build):
+        # A shared regime multiplies each unscaled draw and bound, and a
+        # shift applies from the next message on.
+        regime = LatencyRegime(1.5)
+        plain, scaled = build(None), build(regime)
+        for step, (sender, receiver) in enumerate(
+                (a, b) for a in self.CLASSES for b in self.CLASSES):
+            if step == 4:
+                regime.set(0.25)
+            draw = plain.delay(sender, receiver)
+            assert scaled.delay(sender, receiver) == draw * regime.scale
+            bound = plain.bound(sender, receiver)
+            assert scaled.bound(sender, receiver) == (
+                None if bound is None else bound * regime.scale)
+        assert plain.regime.scale == 1.0
 
 
 class TestBoundedLatency:

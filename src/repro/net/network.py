@@ -12,17 +12,23 @@ match the paper's model:
   the channel and delivery still happens, while deliveries *to* a crashed
   process are dropped.
 
+A sent message is queued as data, not as a callback: the simulator event
+``[time, sequence, deliver, sender, destination, message]`` carries the
+network's one bound :meth:`Network.deliver`, which resolves the
+destination by pid when the message arrives.
+
 The network also owns the :class:`CommunicationCostTracker`, which sums
-the normalised ``data_size`` of every message sent, per operation and per
-message kind, implementing the paper's communication-cost metric
-(Section II-d).
+the normalised ``data_size`` of every message sent, per operation (and
+counts messages per kind), implementing the paper's communication-cost
+metric (Section II-d).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from heapq import heappush
+from typing import Dict, List, Optional
 
 from repro.net.latency import FixedLatencyModel, LatencyModel
 from repro.net.messages import Message
@@ -40,7 +46,6 @@ class CommunicationCostTracker:
     total: float = 0.0
     messages_sent: int = 0
     by_operation: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    by_kind: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
     messages_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def operation_cost(self, op_id: str) -> float:
@@ -65,7 +70,8 @@ class Network:
         self.processes: Dict[str, Process] = {}
         self.costs = CommunicationCostTracker()
         self.dropped_to_crashed = 0
-        self._delivery_hooks: List[Callable[[str, str, Message], None]] = []
+        #: Bound once: every queued delivery carries this one object.
+        self._deliver = self.deliver
 
     # -- membership -----------------------------------------------------------
 
@@ -94,55 +100,50 @@ class Network:
         """True when the process exists and has not crashed."""
         return pid in self.processes and not self.processes[pid].crashed
 
-    # -- observation ------------------------------------------------------------
-
-    def add_delivery_hook(self, hook: Callable[[str, str, Message], None]) -> None:
-        """Register a callback invoked on every successful delivery."""
-        self._delivery_hooks.append(hook)
-
     # -- channels ----------------------------------------------------------------
 
-    def send(self, sender: str, destination: str, message: Message) -> None:
+    def send(self, sender: Process, destination: str, message: Message) -> None:
         """Place ``message`` on the channel from ``sender`` to ``destination``.
 
-        Communication cost is charged at send time (the paper counts data
-        transmitted, independent of whether the destination survives to
-        consume it).
+        ``sender`` is the sending object, so a process that repair swapped
+        out under its pid stays crashed; a process's own ``send`` is this
+        method bound to it (see :meth:`Process.attach`).  Communication
+        cost is charged at send time (the paper counts data transmitted,
+        independent of whether the destination survives to consume it).
         """
-        processes = self.processes
-        sender_process = processes.get(sender)
-        if sender_process is None:
-            raise ValueError(f"unknown sender {sender!r}")
-        destination_process = processes.get(destination)
+        destination_process = self.processes.get(destination)
         if destination_process is None:
             raise ValueError(f"unknown destination {destination!r}")
-        if sender_process.crashed:
+        if sender.crashed:
             return
-        size, kind, op_id = message.data_size, message.kind, message.op_id
+        size, op_id = message.data_size, message.op_id
         costs = self.costs
         costs.total += size
         costs.messages_sent += 1
-        costs.by_kind[kind] += size
-        costs.messages_by_kind[kind] += 1
+        costs.messages_by_kind[message.kind] += 1
         if op_id is not None:
             costs.by_operation[op_id] += size
-        delay = self.latency_model.delay(
-            sender_process.link_class, destination_process.link_class
-        )
-
-        def deliver() -> None:
-            # Resolved on delivery: repair may have swapped the process.
-            process = self.processes.get(destination)
-            if process is None or process.crashed:
-                self.dropped_to_crashed += 1
-                return
-            if self._delivery_hooks:
-                for hook in self._delivery_hooks:
-                    hook(sender, destination, message)
-            process.on_message(sender, message)
-
         simulator = self.simulator
-        simulator.schedule_at(simulator._now + delay, deliver)
+        now = simulator._now
+        time = now + self.latency_model.delay(
+            sender.link_class, destination_process.link_class)
+        # Simulator.schedule_at's checks, for an event queued as data.
+        if simulator._schedule_guard is not None:
+            simulator._schedule_guard(time)
+        if not time >= now:
+            raise ValueError("cannot schedule an event in the past")
+        heappush(simulator._queue, [time, next(simulator._counter),
+                                    self._deliver, sender.pid, destination,
+                                    message])
+
+    def deliver(self, sender: str, destination: str, message: Message) -> None:
+        """Hand a queued message to its destination, or drop it there."""
+        # Resolved on delivery: repair may have swapped the process.
+        process = self.processes.get(destination)
+        if process is None or process.crashed:
+            self.dropped_to_crashed += 1
+            return
+        process.on_message(sender, message)
 
     # -- execution ------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ it are dropped and its attempts to send are ignored.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.messages import Message
@@ -31,8 +32,13 @@ class Process:
     # -- wiring ----------------------------------------------------------------
 
     def attach(self, network: "Network") -> None:
-        """Called by :class:`~repro.net.network.Network` on registration."""
+        """Called by :class:`~repro.net.network.Network` on registration.
+
+        Binds :meth:`send` to ``network.send(self, ...)``, so a protocol
+        send is one Python frame: :meth:`Network.send` itself.
+        """
         self._network = network
+        self.send = MethodType(network.send, self)
 
     @property
     def network(self) -> "Network":
@@ -50,13 +56,11 @@ class Process:
     def send(self, destination: str, message: Message) -> None:
         """Send a message over a reliable point-to-point channel.
 
-        Crashed processes take no further steps, so sends by a crashed
-        process are silently dropped.
+        :meth:`attach` replaces this with the network's ``send`` bound to
+        this process, which drops the sends of a crashed process; until
+        then there is no channel to send on.
         """
-        if self.crashed:
-            return
-        # The ``network`` property only runs (and raises) when unattached.
-        (self._network or self.network).send(self.pid, destination, message)
+        raise RuntimeError(f"process {self.pid} is not attached to a network")
 
     def schedule(self, delay: float, callback) -> None:
         """Schedule a local step after ``delay`` (skipped if crashed by then)."""

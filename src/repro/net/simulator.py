@@ -1,9 +1,19 @@
 """Discrete-event simulation core.
 
 :class:`Simulator` keeps a virtual clock and a priority queue of pending
-events.  All protocol activity -- message deliveries, client invocations,
-crash injections -- is expressed as callbacks scheduled on this queue, so
-executions are fully deterministic given the latency model's random seed.
+events, so executions are fully deterministic given the latency model's
+random seed.  An event is a list ordered by its first two items, time and
+a unique sequence number, in one of two forms:
+
+* ``[time, sequence, callback]`` -- client invocations, crash injections,
+  timers: a callback scheduled with :meth:`Simulator.schedule` /
+  :meth:`Simulator.schedule_at`, which return the list itself as its
+  :class:`EventHandle`;
+* ``[time, sequence, deliver, sender, destination, message]`` -- a message
+  delivery queued as data by :meth:`repro.net.network.Network.send`: no
+  closure and no handle, and ``deliver`` is the network's one bound method.
+
+:meth:`Simulator.step` runs both.
 """
 
 from __future__ import annotations
@@ -107,22 +117,30 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            time, _sequence, callback = queue[0]
-            if callback is not None:
-                return time
+            event = queue[0]
+            if event[2] is not None:
+                return event[0]
             heappop(queue)
         return None
 
     def step(self) -> bool:
-        """Run the next pending event.  Returns False when the queue is empty."""
+        """Run the next pending event.  Returns False when the queue is empty.
+
+        The one place an event runs, in either form (see the module
+        docstring).
+        """
         queue = self._queue
         while queue:
-            time, _sequence, callback = heappop(queue)
+            event = heappop(queue)
+            callback = event[2]
             if callback is None:
                 continue
-            self._now = time
+            self._now = event[0]
             self._events_processed += 1
-            callback()
+            if len(event) == 3:
+                callback()
+            else:
+                callback(event[3], event[4], event[5])
             return True
         return False
 

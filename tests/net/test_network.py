@@ -42,11 +42,11 @@ class TestMembership:
 
     def test_unknown_sender_or_destination(self):
         network = make_network()
-        network.register(Echo("a"))
+        a = network.register(Echo("a"))
+        with pytest.raises(RuntimeError):  # never registered: no channel
+            Echo("ghost").send("a", Message())
         with pytest.raises(ValueError):
-            network.send("ghost", "a", Message())
-        with pytest.raises(ValueError):
-            network.send("a", "ghost", Message())
+            network.send(a, "ghost", Message())
 
 
 class TestDelivery:
@@ -54,7 +54,7 @@ class TestDelivery:
         network = make_network()
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
-        network.send("a", "b", Message(kind="ping"))
+        network.send(a, "b", Message(kind="ping"))
         network.run_until_idle()
         assert len(b.received) == 1
         assert b.received[0][2] == pytest.approx(1.0)  # L1 <-> L1 link
@@ -63,7 +63,7 @@ class TestDelivery:
         network = make_network()
         client, server = Echo("c", link_class=CLIENT), Echo("s", reply=True)
         network.register_all([client, server])
-        network.send("c", "s", Message(kind="request"))
+        network.send(client, "s", Message(kind="request"))
         network.run_until_idle()
         assert server.received[0][2] == pytest.approx(2.0)
         assert client.received[0][2] == pytest.approx(4.0)  # round trip
@@ -73,21 +73,11 @@ class TestDelivery:
         network = Network(latency_model=FixedLatencyModel(tau0=1, tau1=5, tau2=10))
         fast, slow, target = Echo("fast"), Echo("slow", link_class=CLIENT), Echo("t")
         network.register_all([fast, slow, target])
-        network.send("slow", "t", Message(kind="first"))
-        network.send("fast", "t", Message(kind="second"))
+        network.send(slow, "t", Message(kind="first"))
+        network.send(fast, "t", Message(kind="second"))
         network.run_until_idle()
         kinds = [message.kind for _, message, _ in target.received]
         assert kinds == ["second", "first"]
-
-    def test_delivery_hook_invoked(self):
-        network = make_network()
-        a, b = Echo("a"), Echo("b")
-        network.register_all([a, b])
-        seen = []
-        network.add_delivery_hook(lambda s, d, m: seen.append((s, d, m.kind)))
-        network.send("a", "b", Message(kind="hooked"))
-        network.run_until_idle()
-        assert seen == [("a", "b", "hooked")]
 
 
 class TestCrashes:
@@ -96,7 +86,7 @@ class TestCrashes:
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
         network.crash("b")
-        network.send("a", "b", Message())
+        network.send(a, "b", Message())
         network.run_until_idle()
         assert b.received == []
         assert network.dropped_to_crashed == 1
@@ -116,7 +106,7 @@ class TestCrashes:
         network = make_network()
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
-        network.send("a", "b", Message(kind="survives"))
+        network.send(a, "b", Message(kind="survives"))
         network.crash("a")
         network.run_until_idle()
         assert [m.kind for _, m, _ in b.received] == ["survives"]
@@ -145,9 +135,9 @@ class TestCrashes:
         network = make_network()
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
-        network.send("a", "b", Message(kind="early"))
+        network.send(a, "b", Message(kind="early"))
         network.simulator.schedule(0.5, lambda: network.crash("b"))
-        network.send("a", "b", Message(kind="late"))
+        network.send(a, "b", Message(kind="late"))
         network.run_until_idle()
         assert b.received == []
 
@@ -157,8 +147,8 @@ class TestCostTracking:
         network = make_network()
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
-        network.send("a", "b", Message(kind="data", data_size=1.0, op_id="op1"))
-        network.send("a", "b", Message(kind="meta", data_size=0.0, op_id="op1"))
+        network.send(a, "b", Message(kind="data", data_size=1.0, op_id="op1"))
+        network.send(a, "b", Message(kind="meta", data_size=0.0, op_id="op1"))
         assert network.costs.total == pytest.approx(1.0)
         assert network.costs.messages_sent == 2
         assert network.costs.operation_cost("op1") == pytest.approx(1.0)
@@ -168,17 +158,16 @@ class TestCostTracking:
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
         for _ in range(3):
-            network.send("a", "b", Message(kind="coded", data_size=0.25))
-        assert network.costs.by_kind["coded"] == pytest.approx(0.75)
+            network.send(a, "b", Message(kind="coded", data_size=0.25))
         assert network.costs.messages_by_kind["coded"] == 3
 
     def test_merge_operations(self):
         network = make_network()
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
-        network.send("a", "b", Message(data_size=1.0, op_id="write"))
-        network.send("a", "b", Message(data_size=0.5, op_id="internal-1"))
-        network.send("a", "b", Message(data_size=0.5, op_id="internal-2"))
+        network.send(a, "b", Message(data_size=1.0, op_id="write"))
+        network.send(a, "b", Message(data_size=0.5, op_id="internal-1"))
+        network.send(a, "b", Message(data_size=0.5, op_id="internal-2"))
         total = network.costs.merge_operations("write", ["internal-1", "internal-2"])
         assert total == pytest.approx(2.0)
 

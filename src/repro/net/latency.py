@@ -48,9 +48,8 @@ class LatencyRegime:
     """A mutable delay multiplier that many latency models can share.
 
     Scenario scripts shift a whole cluster between latency regimes (e.g. a
-    flash crowd saturating the network) by changing one ``scale`` value;
-    every model holding the regime multiplies its draws and bounds by the
-    new factor from the next message on, with no per-shard rewiring.
+    flash crowd saturating the network) by changing one ``scale`` value,
+    which every model holding the regime applies from its next message on.
     """
 
     def __init__(self, scale: float = 1.0) -> None:
@@ -63,11 +62,8 @@ class LatencyRegime:
 
 
 class LatencyModel(ABC):
-    """Maps a link to a message delay sample.
-
-    Every delay and bound is multiplied by ``regime.scale``; a model built
-    without a regime holds its own at 1.0, and ``x * 1.0 == x`` exactly.
-    """
+    """Maps a link to a message delay sample, times ``regime.scale``: a
+    model built without a regime holds its own at 1.0 (``x * 1.0 == x``)."""
 
     def __init__(self, regime: Optional[LatencyRegime] = None) -> None:
         self.regime = regime if regime is not None else LatencyRegime()

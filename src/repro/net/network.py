@@ -12,10 +12,9 @@ match the paper's model:
   the channel and delivery still happens, while deliveries *to* a crashed
   process are dropped.
 
-A sent message is queued as data, not as a callback: the simulator event
-``[time, sequence, deliver, sender, destination, message]`` carries the
-network's one bound :meth:`Network.deliver`, which resolves the
-destination by pid when the message arrives.
+A sent message is queued as data, not as a callback, for the network's
+one bound :meth:`Network.deliver`, which resolves the destination by pid
+when the message arrives.
 
 The network also owns the :class:`CommunicationCostTracker`, which sums
 the normalised ``data_size`` of every message sent, per operation (and
@@ -103,13 +102,12 @@ class Network:
     # -- channels ----------------------------------------------------------------
 
     def send(self, sender: Process, destination: str, message: Message) -> None:
-        """Place ``message`` on the channel from ``sender`` to ``destination``.
+        """Place ``message`` on the channel from the ``sender`` process.
 
-        ``sender`` is the sending object, so a process that repair swapped
-        out under its pid stays crashed; a process's own ``send`` is this
-        method bound to it (see :meth:`Process.attach`).  Communication
-        cost is charged at send time (the paper counts data transmitted,
-        independent of whether the destination survives to consume it).
+        Each process's ``send`` is this method bound to it, and a crashed
+        sender object sends nothing, even once swapped out under its pid.
+        Cost is charged at send time (the paper counts data transmitted,
+        whether or not the destination survives to consume it).
         """
         destination_process = self.processes.get(destination)
         if destination_process is None:

@@ -32,11 +32,8 @@ class Process:
     # -- wiring ----------------------------------------------------------------
 
     def attach(self, network: "Network") -> None:
-        """Called by :class:`~repro.net.network.Network` on registration.
-
-        Binds :meth:`send` to ``network.send(self, ...)``, so a protocol
-        send is one Python frame: :meth:`Network.send` itself.
-        """
+        """Called by :class:`~repro.net.network.Network` on registration;
+        binds :meth:`send` so that a send is one frame, ``Network.send``."""
         self._network = network
         self.send = MethodType(network.send, self)
 
@@ -54,12 +51,8 @@ class Process:
     # -- actions -----------------------------------------------------------------
 
     def send(self, destination: str, message: Message) -> None:
-        """Send a message over a reliable point-to-point channel.
-
-        :meth:`attach` replaces this with the network's ``send`` bound to
-        this process, which drops the sends of a crashed process; until
-        then there is no channel to send on.
-        """
+        """Send a message over a reliable point-to-point channel; replaced
+        on :meth:`attach` by ``network.send`` bound to this process."""
         raise RuntimeError(f"process {self.pid} is not attached to a network")
 
     def schedule(self, delay: float, callback) -> None:

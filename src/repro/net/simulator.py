@@ -2,18 +2,11 @@
 
 :class:`Simulator` keeps a virtual clock and a priority queue of pending
 events, so executions are fully deterministic given the latency model's
-random seed.  An event is a list ordered by its first two items, time and
-a unique sequence number, in one of two forms:
-
-* ``[time, sequence, callback]`` -- client invocations, crash injections,
-  timers: a callback scheduled with :meth:`Simulator.schedule` /
-  :meth:`Simulator.schedule_at`, which return the list itself as its
-  :class:`EventHandle`;
-* ``[time, sequence, deliver, sender, destination, message]`` -- a message
-  delivery queued as data by :meth:`repro.net.network.Network.send`: no
-  closure and no handle, and ``deliver`` is the network's one bound method.
-
-:meth:`Simulator.step` runs both.
+random seed.  An event is a list ordered by time, then a unique sequence
+number: ``[time, sequence, callback]`` for a scheduled callback (the list
+is its own :class:`EventHandle`), or ``[time, sequence, deliver, sender,
+destination, message]`` for a message delivery, which
+:meth:`repro.net.network.Network.send` queues as data, with no closure.
 """
 
 from __future__ import annotations
@@ -65,16 +58,10 @@ class Simulator:
         self._schedule_guard: Optional[Callable[[float], None]] = None
 
     def set_schedule_guard(self, guard: Optional[Callable[[float], None]]) -> None:
-        """Register a callback invoked on every scheduling attempt.
-
-        The guard receives the absolute virtual time *before* the
-        past-check runs, so an external sanitizer (the kernel's runtime
-        sanitizer in :mod:`repro.sim.sanitizer`) can record the attempt
-        and raise a structured error where this class would only raise a
-        bare ``ValueError``.  Guards must not schedule events.  Only one
-        guard is supported -- a simulator is ever owned by at most one
-        kernel.
-        """
+        """Register the one callback invoked on every scheduling attempt,
+        deliveries included, with the absolute time *before* the past-check
+        runs, so the kernel's sanitizer (:mod:`repro.sim.sanitizer`) can
+        record it and raise a structured error.  It must not schedule."""
         self._schedule_guard = guard
 
     @property
@@ -124,11 +111,7 @@ class Simulator:
         return None
 
     def step(self) -> bool:
-        """Run the next pending event.  Returns False when the queue is empty.
-
-        The one place an event runs, in either form (see the module
-        docstring).
-        """
+        """Run the next pending event, of either form; False when idle."""
         queue = self._queue
         while queue:
             event = heappop(queue)

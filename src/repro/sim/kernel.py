@@ -229,21 +229,13 @@ class GlobalScheduler:
 
     def step(self) -> bool:
         """Execute the next event -- a probe only when it is strictly
-        earlier than the next foreground event; False when both idle.
-
-        The single-step API (``ObjectRouter`` waits on one operation with
-        it); :meth:`run` and :meth:`run_until_idle` pump the same loop.
-        """
+        earlier than the next foreground event; False when both idle."""
         return self._pump(None, 1) == 1
 
     def _pump(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """The one event loop; returns how many events and probes it ran.
-
-        It stops when both queues are idle, when the next one is due after
-        ``until``, or once ``max_events`` ran (probes count).  Each
-        foreground event is one :meth:`Simulator.step`, bracketed by the
-        sanitizer and folded into the stats and the fingerprint.
-        """
+        """The one event loop: runs events and probes until both queues
+        idle, the next is due after ``until`` or ``max_events`` ran; returns
+        how many ran.  A foreground event is one :meth:`Simulator.step`."""
         simulator = self.simulator
         queue = simulator._queue
         step = simulator.step
@@ -260,7 +252,12 @@ class GlobalScheduler:
                 if probe is not None and (not queue or probe < queue[0][0]):
                     if until is not None and probe > until:
                         break
-                    self._run_probe()
+                    # The write barrier: a probe must leave no trace.
+                    if sanitizer is not None:
+                        before = sanitizer.before_probe()
+                    probes.step()
+                    if sanitizer is not None:
+                        sanitizer.after_probe(before)
                     executed += 1
                     continue
             if not queue:
@@ -278,24 +275,10 @@ class GlobalScheduler:
             executed += 1
         return executed
 
-    def _run_probe(self) -> None:
-        # The sanitizer's write barrier verifies the probe left the
-        # foreground exactly as a telemetry-free run would have it.
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            before = sanitizer.before_probe()
-        self._probes.step()
-        if sanitizer is not None:
-            sanitizer.after_probe(before)
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        """Pump events, bounded by global time and/or event count.
-
-        The clock never rewinds: an ``until`` already in the past leaves it
-        untouched (matching :meth:`Simulator.run`), and a non-finite
-        ``until`` raises ``ValueError``.
-        """
+        """Pump events, bounded by global time and/or event count; the
+        clock and ``until`` behave as in :meth:`Simulator.run`."""
         if until is not None and not math.isfinite(until):
             raise ValueError("the run bound must be finite")
         self._rearm()
@@ -314,9 +297,8 @@ class GlobalScheduler:
         """
         self._rearm()
         if self._pump(None, max_events + 1) > max_events:
-            raise RuntimeError(
-                "global simulation exceeded the maximum event budget"
-            )
+            raise RuntimeError("global simulation exceeded the maximum "
+                               "event budget")
         if self._sanitizer is not None:
             self._sanitizer.check_leaks()
 

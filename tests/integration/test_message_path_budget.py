@@ -51,23 +51,26 @@ def check_calls_per_event(monkeypatch, workload, scale, expected_events, measure
 
 
 def test_python_calls_per_kernel_event_stay_within_budget(monkeypatch):
-    # pump_small, one stripe per value: 17.50 (47,721 calls); 24.14 before
-    # the shorter send path (slotted tags, plain messages, the event as its
-    # handle), 27.23 while the kernel merged one queue per shard, 28.66
-    # while an L2 server computed helper data per request, 29.54 before the
-    # whole-value codec, 51.75 before messages were made cheap.
-    check_calls_per_event(monkeypatch, "pump_small", 1 / 40, 2727, 17.50)
+    # pump_small, one stripe per value: 13.56 (36,966 calls); 17.50 before
+    # one pump loop, deliveries queued as data, a one-frame send and one
+    # delay call, 24.14 before the shorter send path (slotted tags, plain
+    # messages, the event as its handle), 27.23 while the kernel merged one
+    # queue per shard, 28.66 while an L2 server computed helper data per
+    # request, 29.54 before the whole-value codec, 51.75 before messages
+    # were made cheap.
+    check_calls_per_event(monkeypatch, "pump_small", 1 / 40, 2727, 13.56)
 
 
 def test_calls_per_event_do_not_grow_with_the_value_size(monkeypatch):
-    # regen_large, 11 stripes per value: 16.78 (52,242 calls); 23.39 before
-    # the shorter send path, 26.52 while the kernel merged one queue per
-    # shard, 30.07 while an L2 server computed helper data per request,
-    # **83.87** while the codec walked a value stripe by stripe.  What a
+    # regen_large, 11 stripes per value: 12.84 (39,969 calls); 16.78 before
+    # one pump loop and queued deliveries, 23.39 before the shorter send
+    # path, 26.52 while the kernel merged one queue per shard, 30.07 while
+    # an L2 server computed helper data per request, **83.87** while the
+    # codec walked a value stripe by stripe.  What a
     # value costs the code layer must not depend on its size: the budget
-    # here (18.46) may follow the message path down, but never goes above
+    # here (14.12) may follow the message path down, but never goes above
     # 35.
-    check_calls_per_event(monkeypatch, "regen_large", 1 / 4, 3114, 16.78)
+    check_calls_per_event(monkeypatch, "regen_large", 1 / 4, 3114, 12.84)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

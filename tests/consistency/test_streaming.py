@@ -1,20 +1,22 @@
-"""Differential tests: streaming session auditor vs the batch auditor.
+"""The session auditor against its definition, and its bounded memory.
 
-The streaming auditor's whole claim is verdict-equivalence -- same
-violations, same counts, same witnesses as ``check_sessions`` on any
-complete history -- at bounded memory.  These tests pin that claim
-three ways: on randomized synthetic histories (eligibility edge cases:
-unsessioned, incomplete, untagged, multi-epoch), on the merged history
-of every shipped scenario, and on every injection drill (the histories
-*designed* to contain violations).  The retention tests pin the other
-half of the claim: tracked state stays flat when the run gets 10x
-longer.
+The definition is exhaustive: every precedence-ordered pair of
+operations with the same session and key, O(n^2) per group.  The
+auditor (``check_sessions`` and ``replay_history`` alike) must flag
+exactly the operations the definition flags, with the same counts, on
+randomized synthetic histories (eligibility edge cases: unsessioned,
+incomplete, untagged, multi-epoch), at every watermark cadence, on the
+merged history of every shipped scenario, and on every injection drill
+(the histories *designed* to contain violations).  Which witness is
+blamed is pinned by the hand-written histories in ``test_sessions.py``
+and the tie-break test below.  The retention tests pin the other half
+of the claim: tracked state stays flat when the run gets 10x longer.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import defaultdict
 
 import pytest
 
@@ -25,7 +27,16 @@ from repro.consistency.injection import (
     inject_quorum_version_drop,
     inject_stale_follower_read,
 )
-from repro.consistency.sessions import SESSION_GUARANTEES, check_sessions
+from repro.consistency.sessions import (
+    MONOTONIC_READS,
+    MONOTONIC_WRITES,
+    READ_YOUR_WRITES,
+    SESSION_GUARANTEES,
+    WRITES_FOLLOW_READS,
+    check_sessions,
+    operation_version,
+    split_object_id,
+)
 from repro.consistency.streaming import StreamingSessionAuditor, replay_history
 from repro.core.config import LDSConfig
 from repro.sim import (
@@ -44,21 +55,55 @@ KEYS = [f"obj-{i}" for i in range(12)]
 POOLS = [f"pool-{i}" for i in range(4)]
 CONFIG = LDSConfig(n1=3, n2=4, f1=1, f2=1)
 
+#: (earlier kind, later kind) -> the guarantee a regressing pair breaks.
+GUARANTEE = {(READ, READ): MONOTONIC_READS, (WRITE, READ): READ_YOUR_WRITES,
+             (WRITE, WRITE): MONOTONIC_WRITES,
+             (READ, WRITE): WRITES_FOLLOW_READS}
+
+
+def definition(history: History) -> dict:
+    """The audit by definition: a read may not observe a version below any
+    preceding operation's of its session and key, a write must go above."""
+    eligible = [op for op in history if op.session is not None
+                and op.is_complete and op.tag is not None]
+    groups = defaultdict(list)
+    for op in eligible:
+        groups[op.session, split_object_id(op.object_id)[0]].append(op)
+    flagged, pairs = set(), 0
+    for ops in groups.values():
+        for later in ops:
+            version = operation_version(later)
+            kinds = set()
+            for earlier in ops:
+                if not earlier.precedes(later):
+                    continue
+                kinds.add(earlier.kind)
+                prior = operation_version(earlier)
+                if version < prior or (later.kind == WRITE and version == prior):
+                    flagged.add((later.op_id, GUARANTEE[earlier.kind, later.kind]))
+            pairs += len(kinds)
+    unsessioned = sum(op.session is None for op in history)
+    return {"flagged": flagged, "operations_checked": len(eligible),
+            "sessions_checked": len({op.session for op in eligible}),
+            "pairs_checked": pairs, "unsessioned_skipped": unsessioned,
+            "unlinearized_skipped": len(history) - unsessioned - len(eligible)}
+
+
+def measured(report) -> dict:
+    """A report in the definition's shape; one violation per flagged pair."""
+    flagged = {(v.operations[1], v.guarantee) for v in report.violations}
+    assert len(flagged) == len(report.violations)
+    return {"flagged": flagged, **{name: getattr(report, name) for name in (
+        "operations_checked", "sessions_checked", "pairs_checked",
+        "unsessioned_skipped", "unlinearized_skipped")}}
+
 
 def assert_equivalent(history: History, *, advance_every: int = 16) -> None:
-    """The one assertion: replaying == batch, field by field."""
-    batch = check_sessions(history)
-    streamed = replay_history(history, advance_every=advance_every).report()
-    # Violations as a multiset: group order may differ, content may not.
-    # str() covers guarantee, session, key, description and the witness
-    # pair, so equal multisets mean equal witnesses too.
-    assert Counter(map(str, streamed.violations)) == \
-        Counter(map(str, batch.violations))
-    assert streamed.sessions_checked == batch.sessions_checked
-    assert streamed.operations_checked == batch.operations_checked
-    assert streamed.pairs_checked == batch.pairs_checked
-    assert streamed.unsessioned_skipped == batch.unsessioned_skipped
-    assert streamed.unlinearized_skipped == batch.unlinearized_skipped
+    """The one assertion: ``check_sessions`` and the replay == definition."""
+    expected = definition(history)
+    assert measured(check_sessions(history)) == expected
+    assert measured(replay_history(history, advance_every=advance_every)
+                    .report()) == expected
 
 
 # -- synthetic histories ------------------------------------------------------------
@@ -106,10 +151,9 @@ def test_watermark_cadence_does_not_change_the_verdict(advance_every):
         assert_equivalent(random_history(seed), advance_every=advance_every)
 
 
-def test_equal_version_witness_tie_breaks_match_batch():
-    # Two same-session writes with the same version, then a read: the
-    # batch sweep keeps the *first* absorbed witness (strict > replace),
-    # so the blamed pair must name it.
+def test_equal_version_witnesses_blame_the_first_to_respond():
+    # Two same-session writes with the same version, then a read: among
+    # equal-version witnesses the first to respond is blamed.
     ops = [
         Operation(op_id="w1", client_id="c", kind=WRITE, object_id="k",
                   value=b"v", invoked_at=0.0, responded_at=1.0, tag=3,
@@ -133,19 +177,15 @@ def test_out_of_order_consumption_is_tolerated():
     # Migration drains complete operations with response times beyond the
     # kernel clock, so the feed is not globally sorted by responded_at.
     # Consuming in a scrambled order with conservative watermarks must
-    # still produce the batch verdict.
+    # still produce the verdict the definition gives.
     history = random_history(99)
-    batch = check_sessions(history)
     auditor = StreamingSessionAuditor()
     ops = list(history)
     random.Random(0).shuffle(ops)
     for op in ops:
         auditor.consume(op)
     auditor.finalize()
-    report = auditor.report()
-    assert Counter(map(str, report.violations)) == \
-        Counter(map(str, batch.violations))
-    assert report.pairs_checked == batch.pairs_checked
+    assert measured(auditor.report()) == definition(history)
 
 
 # -- every shipped scenario ----------------------------------------------------------
@@ -261,7 +301,7 @@ def test_injected_quorum_drop_is_verdict_equivalent(scenario_histories):
 
 
 def long_stream(operations: int) -> History:
-    """A dense single-key workload: the batch auditor's worst case (one
+    """A dense single-key workload: the worst case for retention (one
     hot group holding every operation)."""
     ops = []
     clock = 0.0

@@ -40,7 +40,6 @@ Failures and rebalancing:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
@@ -57,7 +56,8 @@ from repro.cluster.read_policy import (
     ReplicationConfig,
 )
 from repro.cluster.ring import RingBalance, stable_hash
-from repro.consistency.history import History, READ, WRITE, join_object_id
+from repro.consistency.history import (
+    EPOCH_SUFFIX, History, READ, WRITE, join_object_id)
 from repro.core.config import LDSConfig
 from repro.core.results import OperationResult
 from repro.core.system import LDSSystem
@@ -287,12 +287,6 @@ for _attr in RouterStats._SCALARS:
 del _attr
 
 
-#: Keys must not end in the router's own epoch suffix, or merged-history
-#: object ids would be ambiguous (key 'a@e2' vs epoch 2 of key 'a') and the
-#: session auditor's (key, epoch) parsing would fold unrelated keys together.
-_EPOCH_SUFFIX_RE = re.compile(r"@e\d+$")
-
-
 class ObjectRouter:
     """Routes keyed read/write operations to per-shard LDS instances."""
 
@@ -384,7 +378,7 @@ class ObjectRouter:
         existing = self._shards.get(key)
         if existing is not None:
             return existing
-        if _EPOCH_SUFFIX_RE.search(key):
+        if EPOCH_SUFFIX.search(key):
             raise ValueError(
                 f"key {key!r} ends in the router's reserved epoch suffix "
                 "('@e<n>', used to name migration epochs); rename the key"

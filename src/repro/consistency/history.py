@@ -10,6 +10,8 @@ and the cost/latency analyses consume.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -31,6 +33,12 @@ def join_object_id(key: str, epoch: int) -> str:
     auditor's parse can never drift from the writers' format.
     """
     return key if epoch == 0 else f"{key}@e{epoch}"
+
+
+#: The epoch suffix ``@e<n>``, ``n`` in ASCII digits: the one grammar the
+#: router's key check and the auditor's parse share.  The router rejects
+#: user keys it matches, so ``key`` and ``key@e2`` can never collide.
+EPOCH_SUFFIX = re.compile(r"@e([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,9 @@ class Operation:
     def __post_init__(self) -> None:
         if self.kind not in (READ, WRITE):
             raise ValueError(f"operation kind must be 'read' or 'write', got {self.kind!r}")
+        for time in (self.invoked_at, self.responded_at):
+            if time is not None and not -math.inf < time < math.inf:
+                raise ValueError(f"operation times must be finite, got {time!r}")
         if self.responded_at is not None and self.responded_at < self.invoked_at:
             raise ValueError("response cannot precede invocation")
 

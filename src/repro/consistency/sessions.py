@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.consistency.history import (  # join_object_id: re-exported
-    READ, WRITE, History, Operation, join_object_id)
+    EPOCH_SUFFIX, READ, WRITE, History, Operation, join_object_id)
 from repro.consistency.linearizability import AtomicityViolation
 
 #: Session-guarantee identifiers, as reported in violations.
@@ -77,12 +77,12 @@ def split_object_id(object_id: str) -> Tuple[str, int]:
     """``key@e<n>`` -> ``(key, n)``; plain object ids are epoch 0.
 
     The parse is unambiguous for cluster histories because the router
-    rejects user keys ending in its reserved ``@e<n>`` epoch suffix.
+    rejects user keys that match :data:`EPOCH_SUFFIX`.
     """
-    base, sep, suffix = object_id.rpartition("@e")
-    if sep and suffix.isdigit():
-        return base, int(suffix)
-    return object_id, 0
+    match = EPOCH_SUFFIX.search(object_id)
+    if match is None:
+        return object_id, 0
+    return object_id[:match.start()], int(match.group(1))
 
 
 def operation_version(op: Operation) -> Tuple[int, Any]:

@@ -1,5 +1,7 @@
 """Unit tests for operation histories."""
 
+import math
+
 import pytest
 
 from repro.consistency.history import History, Operation, OperationRecorder, READ, WRITE
@@ -18,6 +20,16 @@ class TestOperation:
     def test_response_before_invocation_rejected(self):
         with pytest.raises(ValueError):
             op("o1", WRITE, 5.0, responded=1.0)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_invocation_time_rejected(self, time):
+        with pytest.raises(ValueError, match="finite"):
+            op("o1", WRITE, time, responded=2.0)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_non_finite_response_time_rejected(self, time):
+        with pytest.raises(ValueError, match="finite"):
+            op("o1", WRITE, 1.0, responded=time)
 
     def test_completeness_and_duration(self):
         complete = op("o1", WRITE, 1.0, responded=4.0)

@@ -140,3 +140,13 @@ class TestSessionThreading:
         history = simulation.history()
         assert len(history) == 20
         assert all(op.session == "client-0" for op in history)
+
+    def test_a_key_ending_in_a_non_ascii_digit_audits_as_a_plain_key(
+            self, config):
+        # "²" is a digit to str.isdigit() but not to the epoch grammar.
+        simulation = ClusterSimulation(config, POOLS, seed=1)
+        simulation.invoke_write("a@e²", b"x", at=0.0, session="alice")
+        simulation.invoke_read("a@e²", at=50.0, session="alice")
+        simulation.run_until_idle()
+        report = simulation.audit()
+        assert report.ok and report.sessions.pairs_checked == 1

@@ -9,7 +9,8 @@ compares the ``repro.*`` modules they load with a pinned list, so a new
 eager edge fails here rather than silently moving ``setup_s``.  The same
 interpreter then runs every workload at smoke scale and checks that no
 module is first imported inside the timed ``apply`` (that would move
-``run_s`` instead).
+``run_s`` instead), and that the audit after it loads only the two
+checker modules (``peak_rss_mb`` is read after the audit).
 """
 
 from __future__ import annotations
@@ -101,8 +102,16 @@ for spec in SPECS:
     before = set(sys.modules)
     simulation.apply(scenario)
     added[spec.name] = sorted(set(sys.modules) - before)
-print(json.dumps({{"bare": bare, "imported": imported, "added": added}}))
+before = set(sys.modules)
+simulation.audit()
+audited = sorted(set(sys.modules) - before)
+print(json.dumps({{"bare": bare, "imported": imported, "added": added,
+                  "audited": audited}}))
 """
+
+#: What the first ``audit()`` after a run loads.
+AUDIT_IMPORT_SET = ["repro.consistency.linearizability",
+                    "repro.consistency.sessions"]
 
 
 def probe() -> dict:
@@ -122,6 +131,7 @@ def test_lds_bench_loads_the_pinned_modules_and_apply_loads_none():
     assert observed["imported"] == LDS_BENCH_IMPORT_SET
     assert observed["added"] == {name: [] for name in (
         "pump_small", "regen_large", "write_heavy", "replica_faults")}
+    assert observed["audited"] == AUDIT_IMPORT_SET
 
 
 def test_the_pin_excludes_what_a_run_never_executes():

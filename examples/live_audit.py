@@ -8,7 +8,7 @@ the sampling availability monitor, both switched on with
 1. **Non-perturbation.**  The same quorum-read scenario runs bare and
    with the live audit pillars (and once more under the kernel
    sanitizer); the kernel fingerprints match and the live verdict equals
-   the batch auditor's.  ``tests/obs/test_live_audit.py`` (class
+   ``check_sessions`` replayed over the recorded history.  ``tests/obs/test_live_audit.py`` (class
    ``TestNonPerturbation``) checks this.
 2. **Online session detection.**  A fabricated stale completion is
    pushed into the live feed mid-run; the probe flags it at sim time.
@@ -64,8 +64,8 @@ def non_perturbation() -> None:
     print(f"   sanitizer: {sanitizer.events_checked} events and "
           f"{sanitizer.probes_checked} probes checked, "
           f"{len(sanitizer.violations)} violation(s)")
-    print(f"   live verdict:  {live.audit().sessions.describe()}")
-    print(f"   batch verdict: {check_sessions(live.history()).describe()}")
+    print(f"   live verdict:   {live.audit().sessions.describe()}")
+    print(f"   replay verdict: {check_sessions(live.history()).describe()}")
     probe = live.telemetry.auditor
     print(f"   retention: peak tracked entries "
           f"{probe.auditor.peak_tracked_entries} over "

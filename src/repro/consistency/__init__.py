@@ -15,12 +15,11 @@ it -- on executions produced by the simulator:
   implementation's own tags).
 * :mod:`repro.consistency.sessions` -- the cross-shard session auditor:
   validates per-client monotonic reads / monotonic writes / read-your-
-  writes / writes-follow-reads across keys, shards and migration epochs
-  over a merged global-clock history.
-* :mod:`repro.consistency.streaming` -- the online equivalent of the
-  session auditor: consumes completions one at a time with
-  watermark-based retention, verdict-identical to the batch check but
-  with memory flat in run length (the live-audit probe's core).
+  writes / writes-follow-reads across keys, shards and migration epochs.
+  One engine consumes completions one at a time with watermark-based
+  retention (memory flat in run length); the live-audit probe feeds it
+  during a run and ``check_sessions`` replays a merged global-clock
+  history through it.
 * :mod:`repro.consistency.injection` -- fault injection that perturbs a
   history into a violation of each session-guarantee class (plus
   cluster-level availability drills: silent under-replication and
@@ -46,8 +45,8 @@ _EXPORTS = {
     "SessionAuditReport": "sessions",
     "SessionViolation": "sessions",
     "check_sessions": "sessions",
-    "StreamingSessionAuditor": "streaming",
-    "replay_history": "streaming",
+    "StreamingSessionAuditor": "sessions",
+    "replay_history": "sessions",
     "Injection": "injection",
     "InjectionError": "injection",
     "inject_all": "injection",

@@ -35,25 +35,37 @@ unconstrained, which is exactly the guarantee the cluster actually
 provides: per-key atomicity plus the migration drain barrier imply all
 four guarantees for precedence-ordered pairs, so a correct run audits
 clean and any reported violation is a real bug (or an injected one; see
-:mod:`repro.consistency.injection`).
+:mod:`repro.consistency.injection`).  Operations without a session,
+incomplete operations and operations without a tag are skipped (and
+counted in the report).
 
-The auditor therefore requires a history whose timestamps are mutually
-comparable, which every cluster history is (every shard runs on the
-kernel's one clock).  Operations without a session, incomplete
-operations, and operations without a tag are skipped (and counted in the
-report).
+**The engine.**  One auditor, :class:`StreamingSessionAuditor`, checks
+each operation against the maximum-version write and the maximum-version
+read among its ``(session, key)`` group's predecessors: a guarantee
+holds against all predecessors iff it holds against the maximum one.
+Among equal-version witnesses the first to respond (in ``(responded_at,
+op_id)`` order) is blamed.  The auditor consumes completed operations
+one at a time: the live-audit probe (:mod:`repro.obs.live_audit`) feeds
+it during a run, and :func:`check_sessions` replays a recorded history
+through it (:func:`replay_history`).
 
-In the style of Wing & Gong's checker the audit covers every
-precedence-ordered pair, but via running maxima (a guarantee holds
-against all predecessors iff it holds against the maximum-version one),
-so it costs O(n log n) per (session, key) group and stays cheap even
-when a hot key concentrates a production-scale workload.
+**Watermark contract.**  ``advance({key: W})`` asserts that (a) every
+operation on ``key`` that responded strictly before ``W`` has been
+consumed, and (b) every operation on ``key`` not yet consumed has
+``invoked_at >= W`` *and* ``responded_at >= W``.  So an operation
+invoked at or before ``W`` has all its predecessors present and is
+checked; and an operation that responded before ``W`` precedes every
+check still to come, so it is folded into its group's two settled
+maxima and its own state dropped.  Live memory is therefore proportional
+to the active groups and in-flight operations, flat in run length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import accumulate
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.consistency.history import (  # join_object_id: re-exported
     EPOCH_SUFFIX, READ, WRITE, History, Operation, join_object_id)
@@ -138,85 +150,6 @@ class SessionAuditReport:
         )
 
 
-def session_groups(
-    history: History,
-) -> Tuple[Dict[Tuple[str, str], List[Operation]], int, int]:
-    """Group a history's auditable operations by ``(session, key)``.
-
-    Auditable means sessioned, complete and tagged; each group is sorted
-    by invocation time (deterministic tie-breaks).  Returns the groups
-    plus the counts of skipped unsessioned and unlinearized (incomplete
-    or untagged) operations.  Shared by the auditor and the injection
-    harness so eligibility and ordering can never drift between the
-    detector and the drill that proves it fires.
-    """
-    groups: Dict[Tuple[str, str], List[Operation]] = {}
-    unsessioned = 0
-    unlinearized = 0
-    for op in history:
-        if op.session is None:
-            unsessioned += 1
-            continue
-        if not op.is_complete or op.tag is None:
-            unlinearized += 1
-            continue
-        key, _ = split_object_id(op.object_id)
-        groups.setdefault((op.session, key), []).append(op)
-    for ops in groups.values():
-        ops.sort(key=lambda op: (op.invoked_at, op.responded_at, op.op_id))
-    return groups, unsessioned, unlinearized
-
-
-def check_sessions(history: History) -> SessionAuditReport:
-    """Audit every session of a merged global-clock history.
-
-    Every operation that breaks a guarantee is reported with its
-    *strongest witness* -- the maximum-version session operation that
-    preceded it -- rather than stopping at the first problem.  Because a
-    guarantee holds against all predecessors iff it holds against the
-    maximum one, checking each operation against the running maxima gives
-    the same verdicts as exhaustive pairing at O(n log n) per
-    (session, key) group instead of O(n^2), which matters once a hot key
-    concentrates a large share of a production-scale workload.
-    """
-    report = SessionAuditReport()
-    groups, report.unsessioned_skipped, report.unlinearized_skipped = \
-        session_groups(history)
-    report.sessions_checked = len({session for session, _ in groups})
-    report.operations_checked = sum(len(ops) for ops in groups.values())
-
-    for (session, key), ops in sorted(groups.items()):
-        # Sweep in invocation order, replaying responses as they become
-        # visible: an operation precedes the current one iff it responded
-        # strictly before the current invocation, so the running maxima
-        # cover exactly the precedence-ordered predecessors.
-        responded = sorted(ops, key=lambda op: (op.responded_at, op.op_id))
-        cursor = 0
-        max_write: Optional[Tuple[Tuple[int, Any], Operation]] = None
-        max_read: Optional[Tuple[Tuple[int, Any], Operation]] = None
-        for op in ops:
-            while (cursor < len(responded)
-                   and responded[cursor].responded_at < op.invoked_at):
-                prior = responded[cursor]
-                version = operation_version(prior)
-                if prior.kind == WRITE:
-                    if max_write is None or version > max_write[0]:
-                        max_write = (version, prior)
-                elif max_read is None or version > max_read[0]:
-                    max_read = (version, prior)
-                cursor += 1
-            op_version = operation_version(op)
-            for witness in (max_write, max_read):
-                if witness is None:
-                    continue
-                report.pairs_checked += 1
-                violation = _check_pair(session, key, witness[1], op,
-                                        witness[0], op_version)
-                if violation is not None:
-                    report.violations.append(violation)
-    return report
-
-
 def _check_pair(session: str, key: str, earlier: Operation, later: Operation,
                 earlier_version: Tuple[int, Any],
                 later_version: Tuple[int, Any]) -> Optional[SessionViolation]:
@@ -252,6 +185,281 @@ def _check_pair(session: str, key: str, earlier: Operation, later: Operation,
         f"write took effect at version {later_version}, not after version "
         f"{earlier_version} which the session had already read", pair,
     )
+
+
+#: A group entry ``(responded_at, op_id, kind, version, op)`` sorts by
+#: response; a checked operation sorts by invocation.
+_RESPONSE_ORDER = itemgetter(0, 1)
+
+
+def _invocation_order(op: Operation) -> Tuple[float, float, str]:
+    return (op.invoked_at, op.responded_at, op.op_id)
+
+
+class _GroupState:
+    """Live audit state of one ``(session, key)`` group."""
+
+    __slots__ = ("session", "key", "entries", "unchecked",
+                 "settled_write", "settled_read")
+
+    def __init__(self, session: str, key: str) -> None:
+        self.session = session
+        self.key = key
+        #: Arrived, auditable, not-yet-folded operations:
+        #: ``(responded_at, op_id, kind, version, op)``.
+        self.entries: List[Tuple[float, str, str, Tuple[int, Any], Operation]] = []
+        #: Arrived operations whose own check still waits on the watermark.
+        self.unchecked: List[Operation] = []
+        #: ``(version, op)`` maxima over every folded write / read.
+        self.settled_write: Optional[Tuple[Tuple[int, Any], Operation]] = None
+        self.settled_read: Optional[Tuple[Tuple[int, Any], Operation]] = None
+
+
+class StreamingSessionAuditor:
+    """The session auditor, fed one completed operation at a time.
+
+    Feed operations through :meth:`consume` (unsessioned, incomplete and
+    untagged ones are counted and skipped), move the per-key watermarks
+    forward with :meth:`advance`, and read the verdict with
+    :meth:`report`.  ``on_violation`` (if set) fires the moment a
+    violation is detected -- this is the hook the live-audit probe uses
+    to surface violations at sim time.
+    """
+
+    def __init__(self) -> None:
+        self._groups: Dict[Tuple[str, str], _GroupState] = {}
+        #: Groups holding unfolded entries or unchecked operations.
+        self._dirty: Set[Tuple[str, str]] = set()
+        self.violations: List[SessionViolation] = []
+        self.operations_checked = 0
+        self.pairs_checked = 0
+        self.unsessioned_skipped = 0
+        self.unlinearized_skipped = 0
+        #: Fired as ``on_violation(violation, op)`` when a check fails.
+        self.on_violation: Optional[
+            Callable[[SessionViolation, Operation], None]] = None
+        # Retention accounting: the benchmark's "tracked state" is the
+        # per-operation state still held (unfolded entries + pending
+        # checks); the high-water marks show it stays flat in run length.
+        self._entry_count = 0
+        self._unchecked_count = 0
+        self.peak_tracked_entries = 0
+        self.peak_groups = 0
+
+    # -- intake ----------------------------------------------------------------
+
+    def consume(self, op: Operation) -> None:
+        """Feed one operation; only sessioned, complete, tagged ones are audited."""
+        if op.session is None:
+            self.unsessioned_skipped += 1
+            return
+        if not op.is_complete or op.tag is None:
+            self.unlinearized_skipped += 1
+            return
+        key, _ = split_object_id(op.object_id)
+        group_key = (op.session, key)
+        group = self._groups.get(group_key)
+        if group is None:
+            group = self._groups[group_key] = _GroupState(op.session, key)
+            self.peak_groups = max(self.peak_groups, len(self._groups))
+        self.operations_checked += 1
+        group.entries.append((op.responded_at, op.op_id, op.kind,
+                              operation_version(op), op))
+        group.unchecked.append(op)
+        self._entry_count += 1
+        self._unchecked_count += 1
+        self._dirty.add(group_key)
+        tracked = self._entry_count + self._unchecked_count
+        if tracked > self.peak_tracked_entries:
+            self.peak_tracked_entries = tracked
+
+    # -- watermark progress -----------------------------------------------------
+
+    def dirty_keys(self) -> Set[str]:
+        """Keys whose groups still hold per-operation state (need watermarks)."""
+        return {key for _, key in self._dirty}
+
+    def advance(self, watermarks: Mapping[str, float]) -> None:
+        """Check and fold everything the given per-key watermarks allow."""
+        for group_key in sorted(self._dirty):
+            watermark = watermarks.get(group_key[1])
+            if watermark is None:
+                continue
+            group = self._groups[group_key]
+            self._advance_group(group, watermark)
+            if not group.entries and not group.unchecked:
+                self._dirty.discard(group_key)
+
+    def finalize(self) -> None:
+        """Check every still-pending operation as if no more could arrive.
+
+        At quiescence (all in-flight operations resolved) this yields
+        the verdict on the complete history.  Called mid-run it reflects
+        the completions so far -- operations checked here keep their
+        verdicts even if a straggler completes later.  Entries are *not*
+        folded, so later arrivals still meet correct witnesses.
+        """
+        for group_key in sorted(self._dirty):
+            group = self._groups[group_key]
+            if group.unchecked:
+                ready, group.unchecked = group.unchecked, []
+                self._unchecked_count -= len(ready)
+                self._check_ready(group, ready)
+            if not group.entries:
+                self._dirty.discard(group_key)
+
+    def _advance_group(self, group: _GroupState, watermark: float) -> None:
+        # 1. Check operations whose threshold the watermark has passed:
+        #    every witness (responded strictly before invoked_at) has
+        #    arrived, because future arrivals respond at >= watermark.
+        ready = [op for op in group.unchecked if op.invoked_at <= watermark]
+        if ready:
+            group.unchecked = [op for op in group.unchecked
+                               if op.invoked_at > watermark]
+            self._unchecked_count -= len(ready)
+            self._check_ready(group, ready)
+        # 2. Fold entries no future check can distinguish from the maxima:
+        #    every remaining or future threshold is >= watermark.
+        folding = [entry for entry in group.entries if entry[0] < watermark]
+        if folding:
+            group.entries = [entry for entry in group.entries
+                             if entry[0] >= watermark]
+            self._entry_count -= len(folding)
+            folding.sort(key=_RESPONSE_ORDER)
+            for _, _, kind, version, op in folding:
+                if kind == WRITE:
+                    if (group.settled_write is None
+                            or version > group.settled_write[0]):
+                        group.settled_write = (version, op)
+                elif (group.settled_read is None
+                        or version > group.settled_read[0]):
+                    group.settled_read = (version, op)
+
+    # -- checking ----------------------------------------------------------------
+
+    def _check_ready(self, group: _GroupState, ready: List[Operation]) -> None:
+        # Entries in response order: replacing only on a strictly greater
+        # version keeps the first to respond among equal versions, and
+        # every folded witness responded before every entry.
+        group.entries.sort(key=_RESPONSE_ORDER)
+        ready.sort(key=_invocation_order)
+        for op in ready:
+            self._check(group, op)
+
+    def _check(self, group: _GroupState, op: Operation) -> None:
+        threshold = op.invoked_at
+        best_write = group.settled_write
+        best_read = group.settled_read
+        for responded_at, _, kind, version, other in group.entries:
+            if responded_at >= threshold:
+                break
+            if kind == WRITE:
+                if best_write is None or version > best_write[0]:
+                    best_write = (version, other)
+            elif best_read is None or version > best_read[0]:
+                best_read = (version, other)
+        op_version = operation_version(op)
+        for witness in (best_write, best_read):
+            if witness is None:
+                continue
+            self.pairs_checked += 1
+            violation = _check_pair(group.session, group.key, witness[1], op,
+                                    witness[0], op_version)
+            if violation is not None:
+                self.violations.append(violation)
+                if self.on_violation is not None:
+                    self.on_violation(violation, op)
+
+    # -- results -----------------------------------------------------------------
+
+    @property
+    def tracked_groups(self) -> int:
+        return len(self._groups)
+
+    @property
+    def tracked_entries(self) -> int:
+        """Per-operation state currently held (entries + pending checks)."""
+        return self._entry_count + self._unchecked_count
+
+    def report(self, *, extra_unsessioned: int = 0,
+               extra_unlinearized: int = 0) -> SessionAuditReport:
+        """The audit verdict so far.
+
+        The extras account for operations the *feed* never delivers --
+        in a live cluster, operations still incomplete at report time
+        (the merged history holds them and counts them as skips; the
+        completion feed, by construction, does not).
+        """
+        return SessionAuditReport(
+            violations=list(self.violations),
+            sessions_checked=len({session for session, _ in self._groups}),
+            operations_checked=self.operations_checked,
+            pairs_checked=self.pairs_checked,
+            unsessioned_skipped=self.unsessioned_skipped + extra_unsessioned,
+            unlinearized_skipped=self.unlinearized_skipped + extra_unlinearized,
+        )
+
+
+def replay_history(history: History, *,
+                   advance_every: int = 16) -> StreamingSessionAuditor:
+    """Stream a recorded history through a new auditor, watermarks included.
+
+    Completed operations are consumed in ``(responded_at, op_id)`` order
+    -- the order a live kernel run delivers completions -- and after
+    every ``advance_every`` arrivals the per-key watermarks advance to
+    the largest value the contract allows: the minimum of the next
+    response time and the smallest invocation time still ahead.  Ends
+    with :meth:`StreamingSessionAuditor.finalize`.
+    """
+    auditor = StreamingSessionAuditor()
+    complete: List[Operation] = []
+    for op in history:
+        if op.is_complete:
+            complete.append(op)
+        else:
+            auditor.consume(op)  # counted as a skip
+    complete.sort(key=lambda op: (op.responded_at, op.op_id))
+    # suffix_min_invoked[i] = min invocation time of complete[i:].
+    suffix_min_invoked = list(accumulate(
+        (op.invoked_at for op in reversed(complete)), min))[::-1]
+    for index, op in enumerate(complete):
+        auditor.consume(op)
+        if (index + 1) % advance_every == 0 and index + 1 < len(complete):
+            watermark = min(complete[index + 1].responded_at,
+                            suffix_min_invoked[index + 1])
+            auditor.advance({key: watermark for key in auditor.dirty_keys()})
+    auditor.finalize()
+    return auditor
+
+
+def check_sessions(history: History) -> SessionAuditReport:
+    """Audit every session of a merged global-clock history.
+
+    Every operation that breaks a guarantee is reported with its
+    *strongest witness* -- the maximum-version session operation that
+    preceded it -- rather than stopping at the first problem.
+    """
+    return replay_history(history).report()
+
+
+def session_groups(
+    history: History,
+) -> Tuple[Dict[Tuple[str, str], List[Operation]], int, int]:
+    """Group a history's auditable operations by ``(session, key)``.
+
+    Eligibility is the auditor's own: every operation is consumed and no
+    watermark advances, so each admitted one is still an entry of its
+    group.  Each group is sorted by invocation time (deterministic
+    tie-breaks).  Returns the groups plus the counts of skipped
+    unsessioned and unlinearized (incomplete or untagged) operations.
+    """
+    auditor = StreamingSessionAuditor()
+    for op in history:
+        auditor.consume(op)
+    groups = {group_key: sorted((entry[-1] for entry in group.entries),
+                                key=_invocation_order)
+              for group_key, group in auditor._groups.items()}
+    return groups, auditor.unsessioned_skipped, auditor.unlinearized_skipped
 
 
 @dataclass
@@ -294,9 +502,11 @@ __all__ = [
     "ClusterAuditReport",
     "SessionAuditReport",
     "SessionViolation",
+    "StreamingSessionAuditor",
     "check_sessions",
     "join_object_id",
     "operation_version",
+    "replay_history",
     "session_groups",
     "split_object_id",
 ]

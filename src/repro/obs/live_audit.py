@@ -1,7 +1,7 @@
 """Live session auditing: the streaming auditor as a kernel probe.
 
 :class:`LiveAuditProbe` runs the
-:class:`~repro.consistency.streaming.StreamingSessionAuditor` *during*
+:class:`~repro.consistency.sessions.StreamingSessionAuditor` *during*
 the simulation, as a family of the kernel's one periodic probe loop
 (:meth:`GlobalScheduler.every`) -- the same non-perturbing machinery as
 :class:`~repro.obs.sampler.ClusterSampler`.
@@ -45,8 +45,8 @@ import json
 from typing import List, Optional
 
 from repro.consistency.history import Operation
-from repro.consistency.sessions import SessionAuditReport
-from repro.consistency.streaming import StreamingSessionAuditor
+from repro.consistency.sessions import (
+    SessionAuditReport, StreamingSessionAuditor)
 from repro.obs.registry import MetricsRegistry
 
 #: Default audit cadence, in virtual time units.
@@ -209,14 +209,13 @@ class LiveAuditProbe:
     # -- results -------------------------------------------------------------------
 
     def report(self) -> SessionAuditReport:
-        """The audit verdict now, batch-equivalent at quiescence.
+        """The audit verdict now; ``check_sessions``' verdict at quiescence.
 
         Drains any buffered completions, force-checks operations still
         waiting on their watermark (no more completions can precede them
         once the run has drained), and folds in the skip counts of
-        operations that never completed -- the batch auditor sees those
-        in the merged history; the completion feed, by construction,
-        does not.
+        operations that never completed -- the merged history holds
+        those; the completion feed, by construction, does not.
         """
         self._drain()
         self.auditor.finalize()
@@ -225,7 +224,7 @@ class LiveAuditProbe:
                                    extra_unlinearized=unlinearized)
 
     def _incomplete_skips(self) -> tuple:
-        """Skip counts of operations with no response: the batch auditor's
+        """Skip counts of operations with no response: the auditor's
         eligibility rules applied to everything the feed never delivers."""
         router = self.simulation.router
         internal = router._internal_ops

@@ -253,12 +253,11 @@ class ClusterSimulation:
         :mod:`repro.consistency.injection` for proving the auditor's
         detection power.
 
-        When the simulation ran with ``Telemetry(live_audit=True)`` the
-        session verdict is the streaming auditor's final state (finalized
-        here, no batch re-check of the whole history -- the two are
-        verdict-equivalent by construction and by
-        ``tests/consistency/test_streaming.py``), and with an
-        ``availability_interval`` the report also carries the
+        The session verdict is the one session auditor's: replayed over
+        the recorded history by ``check_sessions``, or -- when the
+        simulation ran with ``Telemetry(live_audit=True)`` -- the live
+        probe's own auditor, finalized here instead of replaying.  With
+        an ``availability_interval`` the report also carries the
         availability monitor's sampling assessment.
         """
         # Audit-only code loads when an audit runs.

@@ -33,11 +33,12 @@ from repro.consistency.sessions import (
     READ_YOUR_WRITES,
     SESSION_GUARANTEES,
     WRITES_FOLLOW_READS,
+    StreamingSessionAuditor,
     check_sessions,
     operation_version,
+    replay_history,
     split_object_id,
 )
-from repro.consistency.streaming import StreamingSessionAuditor, replay_history
 from repro.core.config import LDSConfig
 from repro.sim import (
     ClusterSimulation,
@@ -171,6 +172,13 @@ def test_equal_version_witnesses_blame_the_first_to_respond():
     assert len(streamed.violations) == 2  # w2 itself, and the stale read
     read_violations = [v for v in streamed.violations if "r1" in v.operations]
     assert read_violations and read_violations[0].operations == ("w1", "r1")
+    # Whatever order the feed delivers them in.
+    auditor = StreamingSessionAuditor()
+    for op in reversed(ops):
+        auditor.consume(op)
+    auditor.finalize()
+    assert [v.operations for v in auditor.violations
+            if "r1" in v.operations] == [("w1", "r1")]
 
 
 def test_out_of_order_consumption_is_tolerated():

@@ -2,8 +2,8 @@
 
 Three properties make the probe trustworthy: a live-audited run is
 byte-identical to a bare run (pure observation), its final verdict is
-exactly the batch auditor's (the streaming engine is verdict-equivalent
-and the harness reuses its state instead of re-checking the history),
+exactly ``check_sessions`` over the recorded history (the harness reuses
+the probe's auditor instead of replaying the history),
 and a bad completion surfaces *during* the run -- counter, JSONL row
 and trace instant -- not in a post-mortem.
 """
@@ -66,13 +66,13 @@ class TestNonPerturbation:
 
     def test_live_verdict_equals_batch_verdict(self):
         live = run_quorum(True)
-        batch = check_sessions(live.history())
+        replayed = check_sessions(live.history())
         streamed = live.audit().sessions
-        assert streamed.describe() == batch.describe()
+        assert streamed.describe() == replayed.describe()
         assert Counter(map(str, streamed.violations)) == \
-            Counter(map(str, batch.violations))
-        assert streamed.unsessioned_skipped == batch.unsessioned_skipped
-        assert streamed.unlinearized_skipped == batch.unlinearized_skipped
+            Counter(map(str, replayed.violations))
+        assert streamed.unsessioned_skipped == replayed.unsessioned_skipped
+        assert streamed.unlinearized_skipped == replayed.unlinearized_skipped
 
 
 class TestVerdictSurface:

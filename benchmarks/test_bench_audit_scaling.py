@@ -1,16 +1,15 @@
-"""Audit scaling benchmark: streaming vs batch session auditing.
+"""Audit scaling benchmark: the session auditor's retained state.
 
-The batch auditor (``check_sessions``) materialises every eligible
-operation of the history before checking -- its working set grows
-linearly with run length, which is exactly what makes it unusable as an
-always-on monitor.  The streaming auditor's claim is that watermark
-retirement keeps its peak tracked state flat in run length (it holds
-only in-flight operations plus folded per-group maxima) while producing
-the identical verdict.
+A whole-history check holds every eligible operation at once (the
+"batch entries" column: the auditor's own ``operations_checked``), a
+working set that grows linearly with run length.  The session auditor's
+claim is that watermark retirement keeps its peak tracked state flat in
+run length: it holds only in-flight operations plus folded per-group
+maxima.
 
 This benchmark replays the auditor's worst case -- a dense single-hot-key
-session stream, where the batch working set is the entire run -- at
-increasing scales and records the peak state of both.  The
+session stream, where the eligible set is the entire run -- at
+increasing scales and records both sizes.  The
 headline metric is ``peak_ratio_16x``: the streaming auditor's peak
 tracked entries at 16x the operations, relative to 1x.  Flat retention
 means it stays near 1.0; the asserted bound is 2.0.
@@ -24,8 +23,7 @@ from __future__ import annotations
 from bench_utils import emit_table
 
 from repro.consistency.history import History, Operation, READ, WRITE
-from repro.consistency.sessions import check_sessions
-from repro.consistency.streaming import replay_history
+from repro.consistency.sessions import replay_history
 
 SCALES = (1, 4, 16)
 BASE_OPERATIONS = 400
@@ -35,7 +33,7 @@ ADVANCE_EVERY = 16
 
 def hot_key_stream(operations: int) -> History:
     """A dense keyed session stream: every operation lands on one hot
-    key, so the batch auditor's working set is the whole run."""
+    key, so every operation is eligible and in one group."""
     ops = []
     clock = 0.0
     tag = 0
@@ -61,19 +59,11 @@ def test_bench_audit_scaling():
     for scale in SCALES:
         operations = BASE_OPERATIONS * scale
         history = hot_key_stream(operations)
-
-        batch = check_sessions(history)
         auditor = replay_history(history, advance_every=ADVANCE_EVERY)
-        streamed = auditor.report()
 
-        # Verdict equivalence at every scale, asserted where measured.
-        assert sorted(map(str, streamed.violations)) == \
-            sorted(map(str, batch.violations))
-        assert streamed.pairs_checked == batch.pairs_checked
-
-        # The batch working set is every eligible operation; the
+        # The whole-history working set is every eligible operation; the
         # streaming peak is the high-water mark of retained state.
-        batch_sizes[scale] = batch.operations_checked
+        batch_sizes[scale] = auditor.operations_checked
         peaks[scale] = auditor.peak_tracked_entries
         rows.append((f"{scale}x", operations, batch_sizes[scale],
                      peaks[scale]))
@@ -89,6 +79,6 @@ def test_bench_audit_scaling():
     )
 
     # The acceptance bound: 16x the operations, at most 2x the peak
-    # retained state -- while the batch working set grows linearly.
+    # retained state -- while the eligible set grows linearly.
     assert peak_ratio <= 2.0, peaks
     assert batch_ratio >= SCALES[-1] * 0.9

@@ -181,6 +181,21 @@ def test_equal_version_witnesses_blame_the_first_to_respond():
             if "r1" in v.operations] == [("w1", "r1")]
 
 
+def test_a_response_at_the_invocation_instant_does_not_precede():
+    # Precedence is strict: w1 responds exactly when r1 is invoked, so the
+    # stale read is concurrent, not a read-your-writes violation.
+    history = History([
+        Operation(op_id="w1", client_id="c", kind=WRITE, object_id="k",
+                  value=b"v", invoked_at=0.0, responded_at=2.0, tag=3,
+                  session="s"),
+        Operation(op_id="r1", client_id="c", kind=READ, object_id="k",
+                  value=b"v", invoked_at=2.0, responded_at=3.0, tag=1,
+                  session="s"),
+    ])
+    assert_equivalent(history, advance_every=1)
+    assert check_sessions(history).ok
+
+
 def test_out_of_order_consumption_is_tolerated():
     # Migration drains complete operations with response times beyond the
     # kernel clock, so the feed is not globally sorted by responded_at.

@@ -15,8 +15,11 @@ The benchmark reproduces the figure in two parts:
    Lemma V.5 L1 bound and the simulated L2 cost matches the formula.
 """
 
+import zlib
+
 import pytest
 
+from repro.consistency.linearizability import check_atomicity_by_tags
 from repro.core.analysis import (
     mbr_storage_cost_l2,
     multi_object_storage_bounds,
@@ -123,3 +126,74 @@ def test_bench_fig6_simulated_fleet():
     l2_values = [float(row[3]) for row in rows]
     assert l2_values[-1] == pytest.approx(l2_values[0] * SIM_OBJECTS[-1] / SIM_OBJECTS[0],
                                           rel=1e-6)
+
+
+def crc(records) -> int:
+    digest = 0
+    for record in records:
+        digest = zlib.crc32(repr(record).encode(), digest)
+    return digest
+
+
+def history_records(history) -> list:
+    """Every operation in recorded order, timestamps and values included."""
+    return [(op.op_id, op.client_id, op.kind, op.object_id, op.invoked_at,
+             op.responded_at, op.value, repr(op.tag)) for op in history]
+
+
+def fleet_digest(num_objects: int, split: bool) -> int:
+    """CRC32 of everything the fleet records: per-object histories (also at
+    t = 12 when ``split``), storage events and totals, per-operation costs,
+    the fleet's peak L1 and total L2 cost and its L1 / L2 time series.
+
+    Each object's ``simulator.now`` is left out on purpose: it is the
+    fleet's clock (the time of the last event of *any* object).
+    """
+    config = LDSConfig.symmetric(n=SIM_N, f=SIM_F)
+    fleet = MultiObjectSystem(
+        config, num_objects=num_objects, seed=num_objects,
+        latency_factory=lambda index: BoundedLatencyModel(
+            tau0=1, tau1=1, tau2=SIM_MU, seed=index),
+    )
+    fleet.schedule_uniform_write_load(writes_per_unit_time=0.3, duration=40.0)
+    for index in range(num_objects):
+        fleet.schedule_read(index, at=7.5 + index)
+        fleet.schedule_read(index, at=90.0)
+    records: list = []
+    if split:
+        fleet.run_all(until=12)
+        records += [history_records(system.history()) for system in fleet.systems]
+    fleet.run_all()
+    assert fleet.all_operations_complete()
+    for system in fleet.systems:
+        history = system.history()
+        assert history.is_well_formed()
+        assert check_atomicity_by_tags(history.complete()) is None
+        storage = system.storage
+        records.append(history_records(history))
+        records.append([(event.time, event.server, repr(event.tag), event.kind, event.size)
+                        for event in storage.events] + [
+            storage.l1_cost, storage.l2_cost, storage.l1_peak, storage.l2_peak])
+        records.append(sorted(system.network.costs.by_operation.items()))
+    assert fleet.storage_timeseries([fleet.simulator.now])[0].l1_cost == 0.0
+    records += [fleet.peak_l1_cost(), fleet.total_l2_cost()]
+    records += [(sample.time, sample.l1_cost, sample.l2_cost) for sample in
+                fleet.storage_timeseries([0, 5, 10, 12, 20, 30, 40, 60, 120])]
+    return crc(records)
+
+
+#: (objects, run to t = 12 first) -> digest recorded while every object
+#: had its own simulator.
+FLEETS = {
+    (2, False): 497691615,
+    (2, True): 1416182940,
+    (4, False): 3000559220,
+    (4, True): 3967411916,
+    (8, False): 2234012983,
+    (8, True): 107974732,
+}
+
+
+@pytest.mark.parametrize("num_objects,split", sorted(FLEETS))
+def test_fleet_run_is_unchanged(num_objects, split):
+    assert fleet_digest(num_objects, split) == FLEETS[(num_objects, split)]

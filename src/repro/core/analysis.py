@@ -116,8 +116,8 @@ def latency_bounds(tau0: float, tau1: float, tau2: float) -> LatencyBounds:
     the second argument) is slightly tighter than the appendix derivation;
     we use the appendix version, which is the one the proof supports.
     """
-    if min(tau0, tau1, tau2) <= 0:
-        raise ValueError("latency bounds require positive link delays")
+    if not all(0 < tau < math.inf for tau in (tau0, tau1, tau2)):
+        raise ValueError("latency bounds require positive, finite link delays")
     write = 4 * tau1 + 2 * tau0
     extended_write = max(3 * tau1 + 2 * tau0 + 2 * tau2, write)
     read = max(6 * tau1 + 2 * tau2, 6 * tau1 + 2 * tau0 + tau2)
@@ -149,10 +149,11 @@ def multi_object_storage_bounds(num_objects: int, n1: int, n2: int, k: int,
     * L1 (temporary) storage <= ceil(5 + 2 mu) * theta * n1
     * L2 (permanent) storage  = 2 N n2 / (k + 1)
     """
-    if num_objects < 0 or theta < 0:
-        raise ValueError("num_objects and theta must be non-negative")
-    if mu <= 0:
-        raise ValueError("mu = tau2 / tau1 must be positive")
+    if not (0 <= num_objects < math.inf and 0 <= theta < math.inf):
+        raise ValueError("num_objects and theta must be non-negative and finite")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu = tau2 / tau1 must be positive and finite")
+    _check_kd(k, k)
     l1_bound = math.ceil(5 + 2 * mu) * theta * n1
     l2_bound = 2.0 * num_objects * n2 / (k + 1)
     threshold = num_objects * n2 * k / (n1 * mu) if n1 > 0 else float("inf")

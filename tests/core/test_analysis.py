@@ -98,8 +98,11 @@ class TestLatencyBounds:
         assert bounds.extended_write >= bounds.write
 
     def test_positive_delays_required(self):
-        with pytest.raises(ValueError):
-            latency_bounds(0, 1, 1)
+        nan, inf = float("nan"), float("inf")
+        for taus in [(0, 1, 1), (nan, 1, 1), (1, nan, 1), (1, 1, nan),
+                     (inf, 1, 1), (1, inf, 1), (1, 1, inf)]:
+            with pytest.raises(ValueError):
+                latency_bounds(*taus)
 
 
 class TestMultiObjectBounds:
@@ -127,7 +130,12 @@ class TestMultiObjectBounds:
         assert bounds.theta_threshold == pytest.approx(1000 * 100 * 80 / (100 * 10))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            multi_object_storage_bounds(-1, 10, 10, 8, 1, 1)
-        with pytest.raises(ValueError):
-            multi_object_storage_bounds(1, 10, 10, 8, 1, 0)
+        nan, inf = float("nan"), float("inf")
+        # (num_objects, k, theta, mu) with n1 = n2 = 10.
+        for num_objects, k, theta, mu in [(-1, 8, 1, 1), (1, 8, 1, 0),
+                                          (nan, 8, 1, 1), (inf, 8, 1, 1),
+                                          (1, 8, nan, 1), (1, 8, inf, 1),
+                                          (1, 8, 1, inf),
+                                          (1, 0, 1, 1), (1, -1, 1, 1)]:
+            with pytest.raises(ValueError):
+                multi_object_storage_bounds(num_objects, 10, 10, k, theta, mu)

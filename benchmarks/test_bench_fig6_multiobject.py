@@ -13,21 +13,31 @@ The benchmark reproduces the figure in two parts:
 2. a *measured* scaled-down simulation (n1 = n2 = 5, k = d = 3) that
    validates the bounds: the simulated peak L1 cost never exceeds the
    Lemma V.5 L1 bound and the simulated L2 cost matches the formula.
+
+The simulated fleet is Section V-A.1's N independent LDS instances, one
+:class:`~repro.core.system.LDSSystem` per object on one shared
+:class:`~repro.net.simulator.Simulator`.  Each instance draws its delays
+from its own latency model and its events are scheduled only by its own
+earlier events, so it runs exactly as it would alone; the fleet's storage
+cost at any time is the sum of the instances' costs.
 """
 
+import random
 import zlib
 
 import pytest
 
 from repro.consistency.linearizability import check_atomicity_by_tags
 from repro.core.analysis import (
+    latency_bounds,
     mbr_storage_cost_l2,
     multi_object_storage_bounds,
     replication_storage_cost_l2,
 )
 from repro.core.config import LDSConfig
-from repro.core.multi_object import MultiObjectSystem
+from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel
+from repro.net.simulator import Simulator
 
 from bench_utils import emit_table
 
@@ -42,6 +52,49 @@ FIG6_OBJECT_COUNTS = [1_000, 10_000, 50_000, 100_000, 500_000, 1_000_000]
 SIM_OBJECTS = [2, 4, 8]
 SIM_N, SIM_F = 5, 1
 SIM_MU = 5.0
+#: Gap between two scheduled writes on one object, so that at most one is
+#: outstanding (well-formed clients); at least the Lemma V.4 write bound.
+WRITE_SPACING = 16.0
+
+
+def build_fleet(config, count, mu):
+    """One LDS instance per object, all on one shared event queue."""
+    shared = Simulator()
+    return [LDSSystem(config, object_id=f"object-{i}", simulator=shared,
+                      latency_model=BoundedLatencyModel(tau0=1, tau1=1, tau2=mu, seed=i))
+            for i in range(count)]
+
+
+def schedule_uniform_writes(fleet, rate, duration, seed):
+    """Schedule ``rate * duration`` writes, each on a uniformly random object
+    at a uniformly random time in ``[0, duration)``, pushed back to keep
+    ``WRITE_SPACING`` after the object's previous write; returns the op ids.
+    """
+    rng = random.Random(seed)
+    next_free = {}
+    op_ids = []
+    for index in range(round(rate * duration)):
+        target = rng.randrange(len(fleet))
+        at = max(rng.uniform(0.0, duration), next_free.get(target, 0.0))
+        op_ids.append(fleet[target].invoke_write(bytes([index % 251 + 1]) * 4, at=at))
+        next_free[target] = at + WRITE_SPACING
+    return op_ids
+
+
+def l1_timeline(fleet):
+    """(time, fleet L1 cost) after each event of the merged storage logs."""
+    events = sorted(((event.time, index, event) for index, system in enumerate(fleet)
+                     for event in system.storage.events), key=lambda item: item[0])
+    live = {}
+    timeline = []
+    for time, index, event in events:
+        key = (index, event.server, event.tag)
+        if event.kind == "add":
+            live[key] = event.size
+        else:
+            live.pop(key, None)
+        timeline.append((time, sum(live.values(), 0.0)))
+    return timeline
 
 
 def run_analytical_figure():
@@ -72,23 +125,19 @@ def run_simulated_validation():
     rows = []
     config = LDSConfig.symmetric(n=SIM_N, f=SIM_F)
     for count in SIM_OBJECTS:
-        fleet = MultiObjectSystem(
-            config, num_objects=count, seed=count,
-            latency_factory=lambda i: BoundedLatencyModel(tau0=1, tau1=1, tau2=SIM_MU,
-                                                          seed=i),
-        )
-        ops = fleet.schedule_uniform_write_load(writes_per_unit_time=0.3, duration=40.0)
-        fleet.run_all()
-        theta = len(ops)
+        fleet = build_fleet(config, count, SIM_MU)
+        theta = len(schedule_uniform_writes(fleet, 0.3, 40.0, seed=count))
+        fleet[0].simulator.run_until_idle()
+        complete = all(system.recorder.incomplete_count == 0 for system in fleet)
         bounds = multi_object_storage_bounds(count, config.n1, config.n2, config.k,
                                              theta=theta, mu=SIM_MU)
         rows.append((
             f"N={count}",
-            f"{fleet.peak_l1_cost():.2f}",
+            f"{max(total for _, total in l1_timeline(fleet)):.2f}",
             f"{bounds.l1_bound:.0f}",
-            f"{fleet.total_l2_cost():.2f}",
+            f"{sum(system.storage.l2_cost for system in fleet):.2f}",
             f"{count * mbr_storage_cost_l2(config.n2, config.k, config.d):.2f}",
-            "yes" if fleet.all_operations_complete() else "no",
+            "yes" if complete else "no",
         ))
     emit_table(
         "E4-fig6-simulated",
@@ -115,6 +164,7 @@ def test_bench_fig6_analytical_curves():
 
 
 def test_bench_fig6_simulated_fleet():
+    assert WRITE_SPACING >= latency_bounds(1, 1, SIM_MU).write
     rows = run_simulated_validation()
     for row in rows:
         measured_l1, l1_bound = float(row[1]), float(row[2])
@@ -150,22 +200,18 @@ def fleet_digest(num_objects: int, split: bool) -> int:
     fleet's clock (the time of the last event of *any* object).
     """
     config = LDSConfig.symmetric(n=SIM_N, f=SIM_F)
-    fleet = MultiObjectSystem(
-        config, num_objects=num_objects, seed=num_objects,
-        latency_factory=lambda index: BoundedLatencyModel(
-            tau0=1, tau1=1, tau2=SIM_MU, seed=index),
-    )
-    fleet.schedule_uniform_write_load(writes_per_unit_time=0.3, duration=40.0)
-    for index in range(num_objects):
-        fleet.schedule_read(index, at=7.5 + index)
-        fleet.schedule_read(index, at=90.0)
+    fleet = build_fleet(config, num_objects, SIM_MU)
+    schedule_uniform_writes(fleet, 0.3, 40.0, seed=num_objects)
+    for index, system in enumerate(fleet):
+        system.invoke_read(at=7.5 + index)
+        system.invoke_read(at=90.0)
     records: list = []
     if split:
-        fleet.run_all(until=12)
-        records += [history_records(system.history()) for system in fleet.systems]
-    fleet.run_all()
-    assert fleet.all_operations_complete()
-    for system in fleet.systems:
+        fleet[0].simulator.run(until=12)
+        records += [history_records(system.history()) for system in fleet]
+    fleet[0].simulator.run_until_idle()
+    assert all(system.recorder.incomplete_count == 0 for system in fleet)
+    for system in fleet:
         history = system.history()
         assert history.is_well_formed()
         assert check_atomicity_by_tags(history.complete()) is None
@@ -175,10 +221,13 @@ def fleet_digest(num_objects: int, split: bool) -> int:
                         for event in storage.events] + [
             storage.l1_cost, storage.l2_cost, storage.l1_peak, storage.l2_peak])
         records.append(sorted(system.network.costs.by_operation.items()))
-    assert fleet.storage_timeseries([fleet.simulator.now])[0].l1_cost == 0.0
-    records += [fleet.peak_l1_cost(), fleet.total_l2_cost()]
-    records += [(sample.time, sample.l1_cost, sample.l2_cost) for sample in
-                fleet.storage_timeseries([0, 5, 10, 12, 20, 30, 40, 60, 120])]
+    timeline = l1_timeline(fleet)
+    assert timeline[-1][1] == 0.0
+    l2 = sum(system.storage.l2_cost for system in fleet)
+    records += [max(total for _, total in timeline), l2]
+    for at in [0, 5, 10, 12, 20, 30, 40, 60, 120]:
+        l1 = ([0.0] + [total for time, total in timeline if time <= at])[-1]
+        records.append((at, l1, l2))
     return crc(records)
 
 

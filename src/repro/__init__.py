@@ -84,7 +84,6 @@ def _lazy_exports(package, table):
 _EXPORTS = {
     "LDSConfig": "core.config",
     "LDSSystem": "core.system",
-    "MultiObjectSystem": "core.multi_object",
     "Tag": "core.tags",
     "ABDSystem": "baselines.abd",
     "CASSystem": "baselines.cas",

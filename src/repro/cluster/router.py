@@ -5,8 +5,7 @@
 / ``run_until_idle`` / ``history`` / ``operation_cost`` -- but keyed by
 *object key*.  Each key is placed on a server pool by the membership's
 consistent-hash ring, and the router lazily instantiates one full LDS
-deployment (an :class:`LDSSystem`) per key on that pool, exactly the way
-:class:`~repro.core.multi_object.MultiObjectSystem` drives independent
+deployment (an :class:`LDSSystem`) per key on that pool: independent
 instances over one shared event queue.
 
 Operations are *batched per shard*: invocations are queued on the target

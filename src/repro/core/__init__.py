@@ -21,7 +21,6 @@ the paper plus the system builder that wires them together:
 * :mod:`repro.core.analysis` -- the closed-form cost and latency formulas
   of Section V (Lemmas V.2-V.5) used by the benchmarks to compare measured
   values against the paper.
-* :mod:`repro.core.multi_object` -- the N-object system of Section V-A.1.
 """
 
 from repro import _lazy_exports
@@ -43,7 +42,6 @@ _EXPORTS = {
     "msr_storage_cost_l2": "analysis",
     "latency_bounds": "analysis",
     "multi_object_storage_bounds": "analysis",
-    "MultiObjectSystem": "multi_object",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -15,8 +15,8 @@ of the LDS algorithm -- the discrete-event network, both server layers,
 the layered regenerating code, writers and readers.
 
 A single :class:`LDSSystem` implements **one** atomic object, exactly like
-one instance of the LDS algorithm in the paper; multi-object deployments
-are built by :class:`repro.core.multi_object.MultiObjectSystem`.
+one instance of the LDS algorithm in the paper; a multi-object deployment
+is one instance per object on a shared ``simulator``.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class RegisterSystem:
                  latency_model: Optional[LatencyModel] = None,
                  simulator: Optional[Simulator] = None) -> None:
         self.object_id = object_id
-        #: The event queue the deployment runs on; the cluster kernel and a
-        #: multi-object fleet each pass one queue for all of their objects.
+        #: The event queue the deployment runs on; the cluster kernel passes
+        #: one queue for all of its objects.
         self.simulator = simulator if simulator is not None else Simulator()
         self.network = Network(simulator=self.simulator, latency_model=latency_model)
         self.recorder = OperationRecorder(initial_value=initial_value)

@@ -4,13 +4,12 @@ A sharded cluster is many :class:`~repro.core.system.LDSSystem`s -- one per
 key and migration epoch -- on **one** event queue: the
 :class:`GlobalScheduler` owns a :class:`~repro.net.simulator.Simulator`
 (:attr:`GlobalScheduler.simulator`) and the router hands it to every shard
-through ``LDSSystem(simulator=...)``, exactly as
-:class:`~repro.core.multi_object.MultiObjectSystem` runs a fleet.  Scenario
-actions, workload arrivals, repair slots, replication and migration are
-events on that same queue, so the cluster has one clock, events from
-different shards interleave exactly as their timestamps dictate, and ties
-run in the order they were scheduled -- the whole event order is a pure
-function of the root seed.
+through ``LDSSystem(simulator=...)``, as the E4 bench's Figure 6 fleet
+does for its objects.  Scenario actions, workload arrivals, repair slots,
+replication and migration are events on that same queue, so the cluster
+has one clock, events from different shards interleave exactly as their
+timestamps dictate, and ties run in the order they were scheduled -- the
+whole event order is a pure function of the root seed.
 
 Around that queue the kernel keeps:
 

@@ -1,19 +1,17 @@
 """End-to-end scenarios combining the whole stack.
 
 These tests model the edge-computing situations that motivate the paper:
-an edge cache serving a hot object, a bursty multi-writer sensor feed, a
-multi-object fleet, and a head-to-head comparison of LDS against the ABD
-and CAS baselines on an identical workload.
+an edge cache serving a hot object, a bursty multi-writer sensor feed, and
+a head-to-head comparison of LDS against the ABD and CAS baselines on an
+identical workload.
 """
 
 import pytest
 
 from repro.baselines.abd import ABDSystem
 from repro.baselines.cas import CASSystem
-from repro.consistency.linearizability import check_atomicity_by_tags
-from repro.core.analysis import mbr_read_cost, mbr_storage_cost_l2, mbr_write_cost
+from repro.core.analysis import mbr_read_cost, mbr_write_cost
 from repro.core.config import LDSConfig
-from repro.core.multi_object import MultiObjectSystem
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, FixedLatencyModel
 from repro.workloads.generator import WorkloadGenerator
@@ -47,20 +45,6 @@ class TestEdgeCacheScenario:
         report = WorkloadRunner(system).run(workload)
         assert report.incomplete_operations == 0
         assert report.is_atomic
-
-
-class TestMultiObjectFleet:
-    def test_fleet_of_objects_under_load_matches_storage_model(self):
-        config = LDSConfig.symmetric(n=5, f=1)
-        fleet = MultiObjectSystem(config, num_objects=6, seed=5,
-                                  latency_factory=lambda i: BoundedLatencyModel(seed=i))
-        fleet.schedule_uniform_write_load(writes_per_unit_time=0.4, duration=50.0)
-        fleet.run_all()
-        assert fleet.all_operations_complete()
-        per_object = mbr_storage_cost_l2(config.n2, config.k, config.d)
-        assert fleet.total_l2_cost() == pytest.approx(6 * per_object, rel=1e-9)
-        for system in fleet.systems:
-            assert check_atomicity_by_tags(system.history().complete()) is None
 
 
 class TestCrossAlgorithmComparison:

@@ -33,7 +33,6 @@ _EXPORTS = {
     "LDSSystem": "system",
     "OperationResult": "results",
     "StorageCostTracker": "costs",
-    "StorageSample": "costs",
     "LatencyBounds": "analysis",
     "mbr_write_cost": "analysis",
     "mbr_read_cost": "analysis",

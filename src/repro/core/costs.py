@@ -11,23 +11,10 @@ after which a write's value is gone from every L1 list (Lemma V.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.tags import Tag
-
-
-@dataclass(frozen=True)
-class StorageSample:
-    """A point-in-time snapshot of normalised storage cost."""
-
-    time: float
-    l1_cost: float
-    l2_cost: float
-
-    @property
-    def total(self) -> float:
-        return self.l1_cost + self.l2_cost
 
 
 @dataclass
@@ -51,7 +38,6 @@ class StorageCostTracker:
         self.l1_peak = 0.0
         self.l2_peak = 0.0
         self.events: List[StorageEvent] = []
-        self.samples: List[StorageSample] = []
 
     # -- current totals ------------------------------------------------------
 
@@ -64,10 +50,6 @@ class StorageCostTracker:
     def l2_cost(self) -> float:
         """Current permanent storage cost across all L2 servers."""
         return sum(self._l2_current.values())
-
-    @property
-    def total_cost(self) -> float:
-        return self.l1_cost + self.l2_cost
 
     # -- event sinks (called by the servers) -------------------------------------
 
@@ -91,12 +73,6 @@ class StorageCostTracker:
         """
         self._l2_current[server] = size
         self.l2_peak = max(self.l2_peak, self.l2_cost)
-
-    def sample(self, time: float) -> StorageSample:
-        """Record and return a snapshot of the current costs."""
-        snapshot = StorageSample(time=time, l1_cost=self.l1_cost, l2_cost=self.l2_cost)
-        self.samples.append(snapshot)
-        return snapshot
 
     # -- post-hoc analysis ----------------------------------------------------------
 
@@ -122,9 +98,5 @@ class StorageCostTracker:
             return None
         return last_removal
 
-    def peak_costs(self) -> Tuple[float, float]:
-        """Worst-case (L1, L2) storage costs observed so far."""
-        return self.l1_peak, self.l2_peak
 
-
-__all__ = ["StorageCostTracker", "StorageSample", "StorageEvent"]
+__all__ = ["StorageCostTracker", "StorageEvent"]

@@ -273,12 +273,6 @@ class LDSSystem(RegisterSystem):
         """Crash the ``index``-th L2 server (immediately or at a virtual time)."""
         self._crash(self.config.l2_pid(index), at)
 
-    # -- storage -----------------------------------------------------------------------------------------
-
-    def storage_sample(self):
-        """Record and return a storage-cost snapshot at the current time."""
-        return self.storage.sample(self.simulator.now)
-
     def alive_l1_count(self) -> int:
         return sum(1 for server in self.l1_servers if not server.crashed)
 

@@ -36,16 +36,6 @@ class TestStorageTracker:
         tracker.l2_element_stored("l2-0", 0.4)  # same server again
         assert tracker.l2_cost == pytest.approx(0.8)
 
-    def test_total_and_samples(self):
-        tracker = StorageCostTracker()
-        tracker.value_added(0.0, "l1-0", Tag(1, "w"), 1.0)
-        tracker.l2_element_stored("l2-0", 0.5)
-        sample = tracker.sample(time=3.0)
-        assert sample.l1_cost == pytest.approx(1.0)
-        assert sample.l2_cost == pytest.approx(0.5)
-        assert sample.total == pytest.approx(1.5)
-        assert tracker.samples == [sample]
-
     def test_temporary_clear_time(self):
         tracker = StorageCostTracker()
         tag = Tag(1, "w")
@@ -67,9 +57,3 @@ class TestStorageTracker:
         tracker.value_removed(2.0, "l1-0", old)
         tracker.value_added(3.0, "l1-0", new, 1.0)  # still live, but newer
         assert tracker.temporary_clear_time(old) == pytest.approx(2.0)
-
-    def test_peak_costs_tuple(self):
-        tracker = StorageCostTracker()
-        tracker.value_added(0.0, "l1-0", Tag(1, "w"), 1.0)
-        tracker.l2_element_stored("l2-0", 0.25)
-        assert tracker.peak_costs() == (pytest.approx(1.0), pytest.approx(0.25))

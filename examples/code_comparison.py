@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Code-layer comparison: MBR vs MSR vs Reed-Solomon vs replication vs RLNC.
+"""Code-layer comparison: MBR vs MSR vs Reed-Solomon vs replication.
 
 Works directly with the code substrate (no protocol) to show why the paper
 picks product-matrix MBR codes for the back-end: rebuilding one coded
@@ -12,7 +12,6 @@ Run with:  python examples/code_comparison.py
 from repro.codes import (
     ProductMatrixMBRCode,
     ProductMatrixMSRCode,
-    RandomLinearNetworkCode,
     ReedSolomonCode,
     ReplicationCode,
 )
@@ -57,12 +56,6 @@ def main() -> None:
           f"{mbr.decode(mbr_elements[3:3 + K]) == PAYLOAD}")
     print(f"  RS  decode from elements 5..{5+K-1}:   "
           f"{rs.decode(rs_elements[5:5 + K]) == PAYLOAD}")
-
-    section("random linear network codes (functional repair, probabilistic)")
-    rlnc = RandomLinearNetworkCode(n=N, k=K, d=D, alpha=3, beta=1, file_size=12, seed=1)
-    probability = rlnc.decode_probability_estimate(trials=30, node_count=K + 1, seed=2)
-    print(f"  estimated decode probability from {K + 1} nodes: {probability:.2f}")
-    print("  (the conclusion of the paper asks exactly this question about RLNC back-ends)")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ with every substrate it depends on:
 
 * ``repro.gf`` -- GF(2^8) arithmetic and linear algebra;
 * ``repro.codes`` -- Reed-Solomon, product-matrix MBR/MSR regenerating
-  codes, RLNC, replication, and the layered (C, C1, C2) code;
+  codes, replication, and the layered (C, C1, C2) code;
 * ``repro.net`` -- an asynchronous message-passing discrete-event
   simulator with crash failures and per-link latency bounds;
 * ``repro.core`` -- the LDS protocol (clients, L1 servers, L2 servers),

@@ -13,8 +13,6 @@ This package contains every code family the paper references:
 * :mod:`repro.codes.product_matrix` -- exact-repair product-matrix MBR and
   MSR constructions of Rashmi, Shah and Kumar [25]; these are the codes
   the LDS algorithm uses in the back-end layer.
-* :mod:`repro.codes.rlnc` -- random linear network codes with functional
-  repair [16], the alternative back-end code discussed in the conclusion.
 * :mod:`repro.codes.layered` -- the (C, C1, C2) split of a single
   regenerating code across the two server layers used by LDS
   (Section II-c of the paper).
@@ -35,7 +33,6 @@ _EXPORTS = {
     "msr_parameters": "regenerating",
     "ProductMatrixMBRCode": "product_matrix",
     "ProductMatrixMSRCode": "product_matrix",
-    "RandomLinearNetworkCode": "rlnc",
     "LayeredCode": "layered",
 }
 __all__ = list(_EXPORTS)

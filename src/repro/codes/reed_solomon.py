@@ -59,18 +59,6 @@ class ReedSolomonCode(ErasureCode):
             raise DecodingError("received symbols do not span the payload") from exc
         return GF256.matmul(inverse, received.reshape(self.k, -1)).T
 
-    # -- cost accounting ----------------------------------------------------
-
-    @property
-    def read_fraction(self) -> float:
-        """Download needed to recreate the value: k symbols of size 1/k each."""
-        return 1.0
-
-    @property
-    def repair_download_fraction(self) -> float:
-        """Download needed to rebuild one symbol (naive RS repair reads k symbols)."""
-        return 1.0
-
     def __repr__(self) -> str:
         return f"ReedSolomonCode(n={self.n}, k={self.k}, systematic={self.systematic})"
 

@@ -74,11 +74,6 @@ class RegeneratingCodeParameters:
         return Fraction(self.alpha, self.file_size)
 
     @property
-    def total_storage(self) -> Fraction:
-        """Total storage across n nodes as a fraction of the file size."""
-        return Fraction(self.n * self.alpha, self.file_size)
-
-    @property
     def helper_per_node(self) -> Fraction:
         """Helper message size as a fraction of the file size (beta / B)."""
         return Fraction(self.beta, self.file_size)
@@ -87,22 +82,6 @@ class RegeneratingCodeParameters:
     def repair_bandwidth(self) -> Fraction:
         """Total repair download as a fraction of the file size (d*beta / B)."""
         return Fraction(self.d * self.beta, self.file_size)
-
-    @property
-    def is_mbr(self) -> bool:
-        """True when the parameters sit at the minimum-bandwidth point."""
-        return (
-            self.alpha == self.d * self.beta
-            and self.file_size == cut_set_bound(self.k, self.d, self.alpha, self.beta)
-        )
-
-    @property
-    def is_msr(self) -> bool:
-        """True when the parameters sit at the minimum-storage point."""
-        return (
-            self.file_size == self.k * self.alpha
-            and self.alpha == (self.d - self.k + 1) * self.beta
-        )
 
 
 def mbr_parameters(n: int, k: int, d: int, beta: int = 1) -> RegeneratingCodeParameters:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.codes.base import DecodingError, RepairError
 from repro.codes.product_matrix import ProductMatrixMBRCode, ProductMatrixMSRCode
+from repro.codes.regenerating import mbr_parameters, msr_parameters
 
 
 def random_block(size: int, seed: int = 0) -> np.ndarray:
@@ -30,7 +31,7 @@ class TestMBRConstruction:
         assert code.block_size == 3 * 4 - 3  # kd - k(k-1)/2 = 9
         assert code.element_size == 4
         assert code.helper_size == 1
-        assert code.parameters.is_mbr
+        assert code.parameters == mbr_parameters(10, 3, 4)
 
     def test_message_matrix_is_symmetric(self):
         code = ProductMatrixMBRCode(n=8, k=3, d=5)
@@ -153,7 +154,7 @@ class TestMSR:
         assert code.d == 6
         assert code.element_size == 3
         assert code.block_size == 12
-        assert code.parameters.is_msr
+        assert code.parameters == msr_parameters(10, 4, 6)
 
     @pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (10, 4), (12, 5)])
     def test_decode_from_any_k_nodes(self, n, k):

@@ -36,8 +36,8 @@ class TestCutSetBound:
 class TestParameters:
     def test_valid_tuple(self):
         params = RegeneratingCodeParameters(n=10, k=3, d=4, alpha=4, beta=1, file_size=9)
-        assert params.is_mbr
-        assert not params.is_msr
+        assert params == mbr_parameters(10, 3, 4)
+        assert params != msr_parameters(10, 3, 4)
 
     def test_file_size_above_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ class TestParameters:
         assert params.storage_per_node == Fraction(4, 9)
         assert params.helper_per_node == Fraction(1, 9)
         assert params.repair_bandwidth == Fraction(4, 9)
-        assert params.total_storage == Fraction(40, 9)
+        assert params.n * params.storage_per_node == Fraction(40, 9)
 
 
 class TestOperatingPoints:
@@ -67,14 +67,13 @@ class TestOperatingPoints:
         params = mbr_parameters(n=200, k=k, d=d)
         assert params.alpha == d * params.beta
         assert params.file_size == k * (2 * d - k + 1) // 2
-        assert params.is_mbr
+        assert params.file_size == cut_set_bound(k, d, params.alpha, params.beta)
 
     @pytest.mark.parametrize("k,d", [(2, 2), (3, 4), (4, 6), (5, 8)])
     def test_msr_point_parameters(self, k, d):
         params = msr_parameters(n=200, k=k, d=d)
         assert params.file_size == k * params.alpha
         assert params.alpha == (d - k + 1) * params.beta
-        assert params.is_msr
 
     def test_mbr_repair_bandwidth_equals_storage_per_node(self):
         # The defining MBR property: a repair downloads exactly alpha symbols.

@@ -26,6 +26,7 @@ KEPT = {
     "inject_withheld_repair": "planted-bug drill, until source mutants replace consistency/injection.py",
     "ExponentialLatencyModel": "the paper's asynchronous model (no delay bound), exported by repro",
     "crash_server": "the ABD / CAS twin of LDSSystem.crash_l1",
+    "encode_block": "one-stripe view the coded-byte reference tables are written against",
     "decode_block": "one-stripe view the coded-byte reference tables are written against",
     "helper_symbols_block": "one-stripe view the coded-byte reference tables are written against",
     "repair_block": "one-stripe view the coded-byte reference tables are written against",
@@ -35,14 +36,14 @@ PENDING = {  # flagged before the clean-up; each deletion takes its entry out
     "GFPolynomial", "UniformLatencyModel", "cancel", "cancelled", "cauchy_matrix",
     "column", "concurrent_burst", "concurrent_with", "dec", "evaluate_many",
     "follower_read_fraction", "frequencies", "from_registry", "from_rows",
-    "helper_symbols", "hstack", "identity", "interpolate", "is_invertible",
-    "is_linearizable", "is_mbr", "is_msr", "is_symmetric", "keys_moved",
+    "hstack", "identity", "interpolate", "is_invertible",
+    "is_linearizable", "is_symmetric", "keys_moved",
     "max_fault_tolerance", "max_l1_failures", "max_l2_failures", "mbr_helper_fraction",
     "mean_batch_size", "merge_operations", "monomial", "moved_fraction", "peek",
-    "phase_sketch", "pow", "read_count", "read_fraction", "read_heavy",
-    "read_repair_rate", "registry_or_default", "repair_all", "repair_download_fraction",
+    "phase_sketch", "pow", "read_count", "read_heavy",
+    "read_repair_rate", "registry_or_default", "repair_all",
     "replica_placement_of", "reports", "set_max", "staggered_schedule",
-    "states_explored", "sub", "targeted_schedule", "total_storage", "write_count",
+    "states_explored", "sub", "targeted_schedule", "write_count",
     "write_heavy_with_trailing_read",
 }
 

@@ -7,10 +7,8 @@ finite field GF(2^8).  This package provides:
   GF(2^8) with the AES polynomial ``x^8 + x^4 + x^3 + x + 1``.
 * :mod:`repro.gf.matrix` -- dense matrices over GF(2^8): multiplication,
   rank, inversion, linear solves and Gaussian elimination.
-* :mod:`repro.gf.builders` -- structured matrix builders (Vandermonde,
-  Cauchy, identity stacking) used by the code constructions.
-* :mod:`repro.gf.polynomial` -- univariate polynomials over GF(2^8),
-  including evaluation and Lagrange interpolation.
+* :mod:`repro.gf.builders` -- Vandermonde and systematic Vandermonde
+  generator matrices used by the code constructions.
 """
 
 from repro import _lazy_exports
@@ -18,9 +16,7 @@ from repro import _lazy_exports
 _EXPORTS = {
     "GF256": "gf256",
     "GFMatrix": "matrix",
-    "GFPolynomial": "polynomial",
     "vandermonde_matrix": "builders",
-    "cauchy_matrix": "builders",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

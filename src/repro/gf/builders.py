@@ -1,17 +1,10 @@
 """Structured matrix builders over GF(2^8).
 
-The erasure-code constructions use structured generator matrices whose
-key property is that *every* square submatrix of a given shape is
-invertible.  Two standard families provide this:
-
-* **Vandermonde** matrices built from distinct evaluation points -- any
-  ``d`` rows of an ``n x d`` Vandermonde matrix are linearly independent
-  as long as the evaluation points are distinct and non-zero.
-* **Cauchy** matrices -- every square submatrix of a Cauchy matrix is
-  invertible.
-
-The product-matrix regenerating codes use a Vandermonde encoding matrix,
-Reed-Solomon uses either form.
+The erasure-code constructions use Vandermonde generator matrices built
+from distinct evaluation points: any ``d`` rows of an ``n x d``
+Vandermonde matrix are linearly independent as long as the evaluation
+points are distinct and non-zero.  The product-matrix regenerating codes
+use one as their encoding matrix, Reed-Solomon its systematic form.
 """
 
 from __future__ import annotations
@@ -52,24 +45,6 @@ def vandermonde_matrix(rows: int, cols: int, points=None) -> GFMatrix:
     return GFMatrix(matrix)
 
 
-def cauchy_matrix(rows: int, cols: int) -> GFMatrix:
-    """Return a ``rows x cols`` Cauchy matrix over GF(2^8).
-
-    Entry ``(i, j)`` is ``1 / (x_i + y_j)`` with disjoint sets of distinct
-    ``x`` and ``y`` values; every square submatrix of such a matrix is
-    invertible.
-    """
-    if rows + cols > 256:
-        raise ValueError("GF(2^8) Cauchy matrix requires rows + cols <= 256")
-    xs = list(range(rows))
-    ys = list(range(rows, rows + cols))
-    matrix = np.zeros((rows, cols), dtype=np.uint8)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            matrix[i, j] = GF256.inv(GF256.add(x, y))
-    return GFMatrix(matrix)
-
-
 def systematic_vandermonde(rows: int, cols: int) -> GFMatrix:
     """Return a systematic ``rows x cols`` MDS generator matrix.
 
@@ -86,4 +61,4 @@ def systematic_vandermonde(rows: int, cols: int) -> GFMatrix:
     return base.matmul(transform)
 
 
-__all__ = ["vandermonde_matrix", "cauchy_matrix", "systematic_vandermonde"]
+__all__ = ["vandermonde_matrix", "systematic_vandermonde"]

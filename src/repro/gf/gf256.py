@@ -113,11 +113,6 @@ class GF256:
         return (int(a) ^ int(b)) & 0xFF
 
     @classmethod
-    def sub(cls, a: int, b: int) -> int:
-        """Return ``a - b`` in GF(2^8); identical to addition."""
-        return cls.add(a, b)
-
-    @classmethod
     def mul(cls, a: int, b: int) -> int:
         """Return the product ``a * b`` in GF(2^8)."""
         a = _element(a)
@@ -125,22 +120,6 @@ class GF256:
         if a == 0 or b == 0:
             return 0
         return int(_EXP_TABLE[_LOG_TABLE[a] + _LOG_TABLE[b]])
-
-    @classmethod
-    def div(cls, a: int, b: int) -> int:
-        """Return ``a / b`` in GF(2^8).
-
-        Raises :class:`ZeroDivisionError` when ``b`` is zero.
-        """
-        a = _element(a)
-        b = _element(b)
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^8)")
-        if a == 0:
-            return 0
-        # Offsetting by 255 keeps the index in the doubled exp table's range
-        # (1..509) without a modular reduction.
-        return int(_EXP_TABLE[_LOG_TABLE[a] - _LOG_TABLE[b] + 255])
 
     @classmethod
     def inv(cls, a: int) -> int:
@@ -152,16 +131,6 @@ class GF256:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return int(_INV_TABLE[a])
-
-    @classmethod
-    def pow(cls, a: int, exponent: int) -> int:
-        """Return ``a`` raised to an integer power."""
-        a = _element(a)
-        if exponent < 0:
-            return cls.pow(cls.inv(a), -exponent)
-        if a == 0:
-            return 0 if exponent else 1
-        return int(_EXP_TABLE[(_LOG_TABLE[a] * exponent) % 255])
 
     @classmethod
     def exp(cls, exponent: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import index as as_index
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,16 +46,6 @@ class GFMatrix:
         """Return the all-zero matrix of the given shape."""
         return cls(np.zeros((rows, cols), dtype=np.uint8))
 
-    @classmethod
-    def identity(cls, size: int) -> "GFMatrix":
-        """Return the identity matrix of the given size."""
-        return cls(np.eye(size, dtype=np.uint8))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "GFMatrix":
-        """Build a matrix from an iterable of row sequences."""
-        return cls(np.array([list(row) for row in rows], dtype=np.uint8))
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -83,10 +73,6 @@ class GFMatrix:
     def row(self, index: int) -> np.ndarray:
         """Return a copy of row ``index``."""
         return self._data[index].copy()
-
-    def column(self, index: int) -> np.ndarray:
-        """Return a copy of column ``index``."""
-        return self._data[:, index].copy()
 
     def submatrix(self, row_indices: Sequence[int], col_indices=None) -> "GFMatrix":
         """Return the submatrix picking ``row_indices`` (and optionally columns)."""
@@ -145,21 +131,11 @@ class GFMatrix:
         """Multiply every entry by ``scalar``."""
         return GFMatrix(GF256.scale_vec(scalar, self._data))
 
-    def hstack(self, other: "GFMatrix") -> "GFMatrix":
-        """Concatenate horizontally."""
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return GFMatrix(np.hstack([self._data, other._data]))
-
     def vstack(self, other: "GFMatrix") -> "GFMatrix":
         """Concatenate vertically."""
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
         return GFMatrix(np.vstack([self._data, other._data]))
-
-    def is_symmetric(self) -> bool:
-        """Return True when the matrix equals its transpose."""
-        return self.rows == self.cols and bool(np.array_equal(self._data, self._data.T))
 
     # -- elimination -------------------------------------------------------
 
@@ -207,10 +183,6 @@ class GFMatrix:
         """Return the rank of the matrix."""
         _, _, pivots = self._eliminate()
         return len(pivots)
-
-    def is_invertible(self) -> bool:
-        """Return True when the matrix is square and full rank."""
-        return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "GFMatrix":
         """Return the inverse matrix.

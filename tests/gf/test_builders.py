@@ -1,10 +1,11 @@
-"""Unit tests for structured matrix builders (Vandermonde, Cauchy)."""
+"""Unit tests for the Vandermonde matrix builders."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from repro.gf.builders import cauchy_matrix, systematic_vandermonde, vandermonde_matrix
+from repro.gf.builders import systematic_vandermonde, vandermonde_matrix
 from repro.gf.matrix import GFMatrix
 
 
@@ -19,7 +20,7 @@ class TestVandermonde:
     def test_any_k_rows_invertible(self):
         matrix = vandermonde_matrix(7, 3)
         for rows in combinations(range(7), 3):
-            assert matrix.submatrix(rows).is_invertible()
+            assert matrix.submatrix(rows).rank() == 3
 
     def test_distinct_points_required(self):
         with pytest.raises(ValueError):
@@ -43,31 +44,15 @@ class TestVandermonde:
         assert matrix[1, 1] == 2
 
 
-class TestCauchy:
-    def test_shape(self):
-        assert cauchy_matrix(4, 3).shape == (4, 3)
-
-    def test_every_square_submatrix_invertible(self):
-        matrix = cauchy_matrix(5, 4)
-        for size in (1, 2, 3, 4):
-            for rows in combinations(range(5), size):
-                for cols in combinations(range(4), size):
-                    assert matrix.submatrix(rows, cols).is_invertible()
-
-    def test_size_limit(self):
-        with pytest.raises(ValueError):
-            cauchy_matrix(200, 100)
-
-
 class TestSystematicVandermonde:
     def test_top_block_is_identity(self):
         matrix = systematic_vandermonde(6, 3)
-        assert matrix.submatrix(range(3)) == GFMatrix.identity(3)
+        assert matrix.submatrix(range(3)) == GFMatrix(np.eye(3, dtype=np.uint8))
 
     def test_any_k_rows_still_invertible(self):
         matrix = systematic_vandermonde(6, 3)
         for rows in combinations(range(6), 3):
-            assert matrix.submatrix(rows).is_invertible()
+            assert matrix.submatrix(rows).rank() == 3
 
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError):

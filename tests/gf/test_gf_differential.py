@@ -54,8 +54,6 @@ def test_scalar_operations_match_the_oracle():
     for a in range(256):
         for b in (0, 1, 2, 3, 0x53, 0xCA, 254, 255):
             assert GF256.mul(a, b) == gf_oracle.mul(a, b)
-            if b:
-                assert GF256.div(a, b) == gf_oracle.mul(a, gf_oracle.inv(b))
         if a:
             assert GF256.inv(a) == gf_oracle.inv(a)
 
@@ -133,7 +131,7 @@ def test_inverse(rows):
     if expected is None:
         with pytest.raises(SingularMatrixError):
             GFMatrix(rows).inverse()
-        assert not GFMatrix(rows).is_invertible()
+        assert GFMatrix(rows).rank() < len(rows)
     else:
         assert GFMatrix(rows).inverse().data.tolist() == expected
 
@@ -261,7 +259,6 @@ class TestScalarRange:
         with pytest.raises(ValueError, match="not a GF"):
             GF256.scale_vec(bad, vector)
         for call in (lambda: GF256.mul(bad, 3), lambda: GF256.mul(3, bad),
-                     lambda: GF256.div(bad, 3), lambda: GF256.div(3, bad),
                      lambda: GF256.inv(bad)):
             with pytest.raises(ValueError, match="not a GF"):
                 call()
@@ -273,4 +270,3 @@ class TestScalarRange:
             == [0, 255, gf_oracle.mul(255, 255)]
         assert GF256.mul(255, 255) == gf_oracle.mul(255, 255)
         assert GF256.inv(255) == gf_oracle.inv(255)
-        assert GF256.div(0, 255) == 0

@@ -13,15 +13,6 @@ class TestConstruction:
         assert matrix.shape == (2, 3)
         assert not matrix.data.any()
 
-    def test_identity(self):
-        identity = GFMatrix.identity(4)
-        assert identity.shape == (4, 4)
-        assert np.array_equal(identity.data, np.eye(4, dtype=np.uint8))
-
-    def test_from_rows(self):
-        matrix = GFMatrix.from_rows([[1, 2], [3, 4]])
-        assert matrix[1, 0] == 3
-
     def test_one_dimensional_input_becomes_row(self):
         matrix = GFMatrix([1, 2, 3])
         assert matrix.shape == (1, 3)
@@ -52,7 +43,7 @@ class TestBasicOps:
 
     def test_matmul_with_identity(self):
         matrix = GFMatrix([[9, 8], [7, 6]])
-        assert matrix @ GFMatrix.identity(2) == matrix
+        assert matrix @ GFMatrix(np.eye(2, dtype=np.uint8)) == matrix
 
     def test_matvec(self):
         matrix = GFMatrix([[1, 0], [0, 1], [1, 1]])
@@ -70,30 +61,20 @@ class TestBasicOps:
             for j in range(2):
                 assert scaled[i, j] == GF256.mul(7, int(matrix[i, j]))
 
-    def test_hstack_vstack(self):
+    def test_vstack(self):
         a = GFMatrix([[1, 2]])
         b = GFMatrix([[3, 4]])
-        assert a.hstack(b).shape == (1, 4)
         assert a.vstack(b).shape == (2, 2)
-
-    def test_hstack_mismatch(self):
-        with pytest.raises(ValueError):
-            GFMatrix([[1, 2]]).hstack(GFMatrix([[1, 2], [3, 4]]))
 
     def test_submatrix_rows_and_columns(self):
         matrix = GFMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         sub = matrix.submatrix([0, 2], [1, 2])
         assert np.array_equal(sub.data, np.array([[2, 3], [8, 9]], dtype=np.uint8))
 
-    def test_is_symmetric(self):
-        assert GFMatrix([[1, 2], [2, 3]]).is_symmetric()
-        assert not GFMatrix([[1, 2], [4, 3]]).is_symmetric()
-        assert not GFMatrix([[1, 2, 3]]).is_symmetric()
-
 
 class TestElimination:
     def test_rank_of_identity(self):
-        assert GFMatrix.identity(5).rank() == 5
+        assert GFMatrix(np.eye(5, dtype=np.uint8)).rank() == 5
 
     def test_rank_of_zero_matrix(self):
         assert GFMatrix.zeros(3, 3).rank() == 0
@@ -104,9 +85,9 @@ class TestElimination:
 
     def test_inverse_roundtrip(self):
         matrix = GFMatrix([[2, 3, 5], [7, 11, 13], [17, 19, 23]])
-        assert matrix.is_invertible()
+        assert matrix.rank() == 3
         product = matrix @ matrix.inverse()
-        assert product == GFMatrix.identity(3)
+        assert product == GFMatrix(np.eye(3, dtype=np.uint8))
 
     def test_inverse_of_singular_raises(self):
         singular = GFMatrix([[1, 2], [1, 2]])

@@ -35,14 +35,6 @@ class TestFieldAxioms:
     def test_multiplicative_inverse(self, a):
         assert GF256.mul(a, GF256.inv(a)) == 1
 
-    @given(elements, nonzero_elements)
-    def test_division_is_multiplication_by_inverse(self, a, b):
-        assert GF256.div(a, b) == GF256.mul(a, GF256.inv(b))
-
-    @given(nonzero_elements, st.integers(min_value=0, max_value=600))
-    def test_pow_respects_group_order(self, a, exponent):
-        assert GF256.pow(a, exponent) == GF256.pow(a, exponent % 255 + 255)
-
 
 class TestVectorisedConsistency:
     @given(st.lists(elements, min_size=1, max_size=40), elements)
@@ -68,7 +60,7 @@ def invertible_matrices(draw, max_size=5):
                      min_size=size, max_size=size)
         )
         matrix = GFMatrix(np.array(data, dtype=np.uint8))
-        if matrix.is_invertible():
+        if matrix.rank() == size:
             return matrix
         attempts += 1
         if attempts > 10:
@@ -81,8 +73,9 @@ class TestMatrixProperties:
     @settings(max_examples=30, deadline=None)
     @given(invertible_matrices())
     def test_inverse_roundtrip(self, matrix):
-        assert matrix @ matrix.inverse() == GFMatrix.identity(matrix.rows)
-        assert matrix.inverse() @ matrix == GFMatrix.identity(matrix.rows)
+        identity = GFMatrix(np.eye(matrix.rows, dtype=np.uint8))
+        assert matrix @ matrix.inverse() == identity
+        assert matrix.inverse() @ matrix == identity
 
     @settings(max_examples=30, deadline=None)
     @given(invertible_matrices(), st.lists(elements, min_size=1, max_size=5))

@@ -27,7 +27,6 @@ _EXPORTS = {
     "LatencyRegime": "latency",
     "FixedLatencyModel": "latency",
     "BoundedLatencyModel": "latency",
-    "UniformLatencyModel": "latency",
     "ExponentialLatencyModel": "latency",
     "Process": "process",
     "Network": "network",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.net.network import Network
 
@@ -78,37 +78,5 @@ class FailureInjector:
             schedule.add(pid, self._rng.uniform(low, high))
         return schedule
 
-    def targeted_schedule(self, victims: Iterable[str], time: float) -> CrashSchedule:
-        """Crash an explicit list of processes at one instant."""
-        schedule = CrashSchedule()
-        for pid in victims:
-            schedule.add(pid, time)
-        return schedule
 
-    def staggered_schedule(self, victims: Sequence[str], start: float,
-                           interval: float) -> CrashSchedule:
-        """Crash processes one after another, ``interval`` apart."""
-        if interval < 0:
-            raise ValueError("interval must be non-negative")
-        schedule = CrashSchedule()
-        for offset, pid in enumerate(victims):
-            schedule.add(pid, start + offset * interval)
-        return schedule
-
-
-def max_l1_failures(n1: int) -> int:
-    """The largest f1 satisfying f1 < n1 / 2."""
-    return (n1 - 1) // 2
-
-
-def max_l2_failures(n2: int) -> int:
-    """The largest f2 satisfying f2 < n2 / 3."""
-    return (n2 - 1) // 3
-
-
-__all__ = [
-    "CrashSchedule",
-    "FailureInjector",
-    "max_l1_failures",
-    "max_l2_failures",
-]
+__all__ = ["CrashSchedule", "FailureInjector"]

@@ -133,25 +133,6 @@ class BoundedLatencyModel(FixedLatencyModel):
         return (low + (bound - low) * self._rng.random()) * self.regime.scale
 
 
-class UniformLatencyModel(LatencyModel):
-    """Uniform random delay in ``[low, high]`` regardless of link class."""
-
-    def __init__(self, low: float, high: float, seed: Optional[int] = None,
-                 regime: Optional[LatencyRegime] = None) -> None:
-        super().__init__(regime)
-        if not 0 < low <= high:
-            raise ValueError("require 0 < low <= high")
-        self.low = low
-        self.high = high
-        self._rng = random.Random(seed)
-
-    def delay(self, sender_class: str, receiver_class: str) -> float:
-        return self._rng.uniform(self.low, self.high) * self.regime.scale
-
-    def bound(self, sender_class: str, receiver_class: str) -> float:
-        return self.high * self.regime.scale
-
-
 class ExponentialLatencyModel(FixedLatencyModel):
     """Exponentially distributed delays (unbounded -- pure asynchrony).
 
@@ -182,6 +163,5 @@ __all__ = [
     "LatencyRegime",
     "FixedLatencyModel",
     "BoundedLatencyModel",
-    "UniformLatencyModel",
     "ExponentialLatencyModel",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.net.latency import FixedLatencyModel, LatencyModel
 from repro.net.messages import Message
@@ -50,13 +50,6 @@ class CommunicationCostTracker:
     def operation_cost(self, op_id: str) -> float:
         """Total normalised data sent on behalf of ``op_id``."""
         return self.by_operation.get(op_id, 0.0)
-
-    def merge_operations(self, target_op: str, source_ops: List[str]) -> float:
-        """Sum the costs of several operation ids (e.g. a write plus the
-        internal write-to-L2 operations it triggered)."""
-        return self.operation_cost(target_op) + sum(
-            self.operation_cost(op) for op in source_ops
-        )
 
 
 class Network:

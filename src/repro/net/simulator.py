@@ -3,8 +3,8 @@
 :class:`Simulator` keeps a virtual clock and a priority queue of pending
 events, so executions are fully deterministic given the latency model's
 random seed.  An event is a list ordered by time, then a unique sequence
-number: ``[time, sequence, callback]`` for a scheduled callback (the list
-is its own :class:`EventHandle`), or ``[time, sequence, deliver, sender,
+number (the callback is never compared): ``[time, sequence, callback]``
+for a scheduled callback, or ``[time, sequence, deliver, sender,
 destination, message]`` for a message delivery, which
 :meth:`repro.net.network.Network.send` queues as data, with no closure.
 """
@@ -15,30 +15,6 @@ import itertools
 import math
 from heapq import heappop, heappush
 from typing import Callable, List, Optional
-
-
-class EventHandle(list):
-    """A queued ``[time, sequence, callback]`` event, which is also the
-    handle :meth:`Simulator.schedule` returns; allows cancellation.
-
-    The heap orders events with C-level list comparison.  Sequence numbers
-    are unique: the callback is never compared.  Cancelling clears the
-    callback.
-    """
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        """Cancel the event; a no-op if it already ran."""
-        self[2] = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
-
-    @property
-    def time(self) -> float:
-        return self[0]
 
 
 class Simulator:
@@ -76,56 +52,42 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of events still queued."""
         return len(self._queue)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError("cannot schedule an event in the past")
-        return self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         if self._schedule_guard is not None:
             self._schedule_guard(time)
         # Written so that a NaN time, which compares false both ways, fails.
         if not time >= self._now:
             raise ValueError("cannot schedule an event in the past")
-        event = EventHandle((time, next(self._counter), callback))
-        heappush(self._queue, event)
-        return event
+        heappush(self._queue, [time, next(self._counter), callback])
 
     def peek_time(self) -> Optional[float]:
-        """Virtual time of the next pending event, or None when idle.
-
-        Cancelled events at the head of the queue are discarded as a side
-        effect, so the returned time is the one :meth:`step` would run at.
-        """
+        """Virtual time of the next pending event, or None when idle."""
         queue = self._queue
-        while queue:
-            event = queue[0]
-            if event[2] is not None:
-                return event[0]
-            heappop(queue)
-        return None
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run the next pending event, of either form; False when idle."""
         queue = self._queue
-        while queue:
-            event = heappop(queue)
-            callback = event[2]
-            if callback is None:
-                continue
-            self._now = event[0]
-            self._events_processed += 1
-            if len(event) == 3:
-                callback()
-            else:
-                callback(event[3], event[4], event[5])
-            return True
-        return False
+        if not queue:
+            return False
+        event = heappop(queue)
+        self._now = event[0]
+        self._events_processed += 1
+        if len(event) == 3:
+            event[2]()
+        else:
+            event[2](event[3], event[4], event[5])
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue is drained, ``until`` is reached, or
@@ -158,4 +120,4 @@ class Simulator:
                 raise RuntimeError("simulation exceeded the maximum event budget")
 
 
-__all__ = ["Simulator", "EventHandle"]
+__all__ = ["Simulator"]

@@ -38,11 +38,10 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from heapq import heappop
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from repro.net.simulator import EventHandle, Simulator
+from repro.net.simulator import Simulator
 
 #: Name of the one foreground event queue.
 FOREGROUND_SOURCE = "foreground"
@@ -133,15 +132,15 @@ class GlobalScheduler:
 
     # -- scheduling --------------------------------------------------------------
 
-    def schedule_at(self, time: float, callback) -> EventHandle:
+    def schedule_at(self, time: float, callback) -> None:
         """Schedule a foreground event at a global time (not in the past)."""
-        return self.simulator.schedule_at(time, callback)
+        self.simulator.schedule_at(time, callback)
 
-    def schedule(self, delay: float, callback) -> EventHandle:
+    def schedule(self, delay: float, callback) -> None:
         """Schedule a foreground event ``delay`` global time units from now."""
-        return self.simulator.schedule(delay, callback)
+        self.simulator.schedule(delay, callback)
 
-    def schedule_probe(self, time: float, callback) -> EventHandle:
+    def schedule_probe(self, time: float, callback) -> None:
         """Schedule an observation-only probe at a global time.
 
         Probes run in time order with the foreground -- so a sampler sees
@@ -161,7 +160,7 @@ class GlobalScheduler:
         # the probe queue's own clock may be ahead of it: a probe re-armed
         # from the global clock (two families with different intervals)
         # runs at the probe queue's clock instead of in its past.
-        return self._probes.schedule_at(max(time, self._probes.now), callback)
+        self._probes.schedule_at(max(time, self._probes.now), callback)
 
     def every(self, interval: float, tick: Callable[[float], None]) -> None:
         """Call the observation probe ``tick(at)`` every ``interval`` units.
@@ -217,15 +216,6 @@ class GlobalScheduler:
 
     # -- the event pump -------------------------------------------------------------
 
-    def peek(self) -> Optional[Tuple[float, str]]:
-        """Time and queue name of the next event, or None when both idle."""
-        head = self.simulator.peek_time()
-        if self._probes is not None:
-            probe = self._probes.peek_time()
-            if probe is not None and (head is None or probe < head):
-                return probe, TELEMETRY_SOURCE
-        return None if head is None else (head, FOREGROUND_SOURCE)
-
     def step(self) -> bool:
         """Execute the next event -- a probe only when it is strictly
         earlier than the next foreground event; False when both idle."""
@@ -242,9 +232,6 @@ class GlobalScheduler:
         sanitizer = self._sanitizer
         executed = 0
         while max_events is None or executed < max_events:
-            # The head as peek_time finds it: cancelled events popped first.
-            while queue and queue[0][2] is None:
-                heappop(queue)
             probes = self._probes
             if probes is not None:
                 probe = probes.peek_time()

@@ -136,13 +136,11 @@ class KernelSanitizer:
     def _foreground_snapshot(self) -> dict:
         kernel = self._kernel
         simulator = kernel.simulator
-        # peek first: it pops cancelled head events, so the pending count
-        # that follows is stable across an inert probe.
-        head = simulator.peek_time()
         return {"global clock": kernel.now, "fingerprint": kernel.fingerprint,
                 "events_total": kernel.stats.events_total,
                 "events_processed": simulator.events_processed,
-                "pending_events": simulator.pending_events, "head": head}
+                "pending_events": simulator.pending_events,
+                "head": simulator.peek_time()}
 
     def before_probe(self) -> dict:
         self.probes_checked += 1

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.net.failures import (
-    CrashSchedule,
-    FailureInjector,
-    max_l1_failures,
-    max_l2_failures,
-)
+from repro.net.failures import CrashSchedule, FailureInjector
 from repro.net.latency import FixedLatencyModel, L1
 from repro.net.network import Network
 from repro.net.process import Process
@@ -79,27 +74,7 @@ class TestFailureInjector:
         with pytest.raises(ValueError):
             injector.random_schedule(["a"], max_failures=3, time_range=(0, 1))
 
-    def test_targeted_schedule(self):
-        schedule = FailureInjector().targeted_schedule(["x", "y"], time=3.0)
-        assert schedule.crash_times == {"x": 3.0, "y": 3.0}
-
-    def test_staggered_schedule(self):
-        schedule = FailureInjector().staggered_schedule(["x", "y", "z"], start=1.0, interval=2.0)
-        assert schedule.crash_times == {"x": 1.0, "y": 3.0, "z": 5.0}
-
     def test_seeded_injector_is_reproducible(self):
         a = FailureInjector(seed=7).random_schedule(list("abcdef"), 3, (0, 5))
         b = FailureInjector(seed=7).random_schedule(list("abcdef"), 3, (0, 5))
         assert a.crash_times == b.crash_times
-
-
-class TestFailureBudgets:
-    @pytest.mark.parametrize("n1,expected", [(1, 0), (2, 0), (3, 1), (5, 2), (100, 49)])
-    def test_max_l1_failures(self, n1, expected):
-        assert max_l1_failures(n1) == expected
-        assert max_l1_failures(n1) < n1 / 2
-
-    @pytest.mark.parametrize("n2,expected", [(1, 0), (3, 0), (4, 1), (7, 2), (100, 33)])
-    def test_max_l2_failures(self, n2, expected):
-        assert max_l2_failures(n2) == expected
-        assert max_l2_failures(n2) < n2 / 3

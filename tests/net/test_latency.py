@@ -10,7 +10,6 @@ from repro.net.latency import (
     ExponentialLatencyModel,
     FixedLatencyModel,
     LatencyRegime,
-    UniformLatencyModel,
     link_type,
 )
 
@@ -117,10 +116,9 @@ class TestLinkTable:
                                            seed=5, regime=regime),
         lambda regime: ExponentialLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0,
                                                seed=5, regime=regime),
-        lambda regime: UniformLatencyModel(1.0, 4.0, seed=5, regime=regime),
         lambda regime: FixedLatencyModel(tau0=0.5, tau1=3.0, tau2=7.0,
                                          regime=regime),
-    ], ids=["bounded", "exponential", "uniform", "fixed"])
+    ], ids=["bounded", "exponential", "fixed"])
     def test_a_regime_scales_the_draw_not_the_table(self, build):
         # A shared regime multiplies each unscaled draw and bound, and a
         # shift applies from the next message on.
@@ -160,17 +158,7 @@ class TestBoundedLatency:
             BoundedLatencyModel(minimum_fraction=0.0)
 
 
-class TestUniformAndExponential:
-    def test_uniform_range(self):
-        model = UniformLatencyModel(low=1.0, high=2.0, seed=5)
-        samples = [model.delay(CLIENT, L1) for _ in range(100)]
-        assert all(1.0 <= sample <= 2.0 for sample in samples)
-        assert model.bound(CLIENT, L1) == 2.0
-
-    def test_uniform_validation(self):
-        with pytest.raises(ValueError):
-            UniformLatencyModel(low=3.0, high=2.0)
-
+class TestExponential:
     def test_exponential_positive_and_unbounded_declared(self):
         model = ExponentialLatencyModel(tau0=1, tau1=1, tau2=5, seed=9)
         assert all(model.delay(L1, L2) > 0 for _ in range(50))

@@ -161,15 +161,5 @@ class TestCostTracking:
             network.send(a, "b", Message(kind="coded", data_size=0.25))
         assert network.costs.messages_by_kind["coded"] == 3
 
-    def test_merge_operations(self):
-        network = make_network()
-        a, b = Echo("a"), Echo("b")
-        network.register_all([a, b])
-        network.send(a, "b", Message(data_size=1.0, op_id="write"))
-        network.send(a, "b", Message(data_size=0.5, op_id="internal-1"))
-        network.send(a, "b", Message(data_size=0.5, op_id="internal-2"))
-        total = network.costs.merge_operations("write", ["internal-1", "internal-2"])
-        assert total == pytest.approx(2.0)
-
     def test_unknown_operation_costs_zero(self):
         assert make_network().costs.operation_cost("nope") == 0.0

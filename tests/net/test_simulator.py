@@ -165,16 +165,6 @@ class TestEdgeCases:
         assert fired == [0, 1, 2, 3, 4, 5]
         assert simulator.events_processed == 6
 
-    def test_max_events_does_not_count_cancelled_events(self):
-        simulator = Simulator()
-        fired = []
-        handle = simulator.schedule(1.0, lambda: fired.append("cancelled"))
-        simulator.schedule(2.0, lambda: fired.append("a"))
-        simulator.schedule(3.0, lambda: fired.append("b"))
-        handle.cancel()
-        simulator.run(max_events=2)
-        assert fired == ["a", "b"]
-
     def test_clock_advances_to_until_when_idle(self):
         simulator = Simulator()
         simulator.run(until=42.0)
@@ -242,16 +232,6 @@ class TestEdgeCases:
         assert fired == [0, 1, 2]
         assert simulator.now == 2.5
 
-    def test_step_skips_cancelled_and_runs_next_real_event(self):
-        simulator = Simulator()
-        fired = []
-        handle = simulator.schedule(1.0, lambda: fired.append("no"))
-        simulator.schedule(2.0, lambda: fired.append("yes"))
-        handle.cancel()
-        assert simulator.step() is True
-        assert fired == ["yes"]
-        assert simulator.events_processed == 1
-
 
 class TestPeek:
     def test_peek_time_on_empty_queue(self):
@@ -265,53 +245,6 @@ class TestPeek:
         assert simulator.peek_time() == 2.0
         assert fired == []
         assert simulator.now == 0.0
-
-    def test_peek_time_skips_cancelled_head(self):
-        simulator = Simulator()
-        handle = simulator.schedule(1.0, lambda: None)
-        simulator.schedule(3.0, lambda: None)
-        handle.cancel()
-        assert simulator.peek_time() == 3.0
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        simulator = Simulator()
-        fired = []
-        handle = simulator.schedule(1.0, lambda: fired.append("no"))
-        handle.cancel()
-        simulator.run_until_idle()
-        assert fired == []
-        assert handle.cancelled
-
-    def test_cancel_one_of_many(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, lambda: fired.append("a"))
-        handle = simulator.schedule(2.0, lambda: fired.append("b"))
-        simulator.schedule(3.0, lambda: fired.append("c"))
-        handle.cancel()
-        simulator.run_until_idle()
-        assert fired == ["a", "c"]
-
-    def test_cancel_after_the_event_ran_leaves_later_events_untouched(self):
-        simulator = Simulator()
-        fired = []
-        handle = simulator.schedule(1.0, lambda: fired.append("ran"))
-        simulator.schedule(2.0, lambda: fired.append("later"))
-        assert simulator.step()
-        handle.cancel()  # a no-op: the event already ran
-        assert simulator.pending_events == 1
-        simulator.run_until_idle()
-        assert fired == ["ran", "later"]
-        assert simulator.events_processed == 2
-
-    def test_handle_reports_its_time_before_and_after_the_run(self):
-        simulator = Simulator()
-        handle = simulator.schedule(2.5, lambda: None)
-        assert handle.time == 2.5 and not handle.cancelled
-        simulator.run_until_idle()
-        assert handle.time == 2.5 and not handle.cancelled
 
 
 class TestHeapOrdering:

@@ -33,17 +33,17 @@ KEPT = {
     "bucket_count": "the quantile sketch's bounded-memory claim is tested through it",
 }
 PENDING = {  # flagged before the clean-up; each deletion takes its entry out
-    "UniformLatencyModel", "cancel", "cancelled",
+   
     "concurrent_burst", "concurrent_with", "dec",
     "follower_read_fraction", "frequencies", "from_registry",
    
     "is_linearizable", "keys_moved",
-    "max_fault_tolerance", "max_l1_failures", "max_l2_failures", "mbr_helper_fraction",
-    "mean_batch_size", "merge_operations", "moved_fraction", "peek",
+    "max_fault_tolerance", "mbr_helper_fraction",
+    "mean_batch_size", "moved_fraction",
     "phase_sketch", "read_count", "read_heavy",
     "read_repair_rate", "registry_or_default", "repair_all",
-    "replica_placement_of", "reports", "set_max", "staggered_schedule",
-    "states_explored", "targeted_schedule", "write_count",
+    "replica_placement_of", "reports", "set_max",
+    "states_explored", "write_count",
     "write_heavy_with_trailing_read",
 }
 

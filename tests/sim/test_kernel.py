@@ -109,7 +109,7 @@ class TestProbeLoop:
         # The tick past the last event records the drained state, then
         # the loop stops instead of keeping the pump alive.
         assert [at for _, at, _ in log] == [10.0, 20.0, 30.0]
-        assert kernel.peek() is None
+        assert not kernel.step()
 
     @pytest.mark.parametrize("pump", ["run", "run_until_idle"])
     def test_rearms_on_the_next_pump(self, pump):
@@ -230,7 +230,7 @@ class TestRunControl:
             kernel.schedule_at(float("nan"), lambda: None)
         with pytest.raises(ValueError):
             kernel.schedule_probe(float("nan"), lambda: None)
-        assert kernel.peek() is None
+        assert not kernel.step()
 
 
 class TestStatsAndTrace:
@@ -246,24 +246,3 @@ class TestStatsAndTrace:
         assert run() == run()
         assert run() != GlobalScheduler().fingerprint
 
-
-class TestHeapSelection:
-    def test_cancelled_head_is_skipped_for_the_next_real_head(self):
-        kernel = GlobalScheduler()
-        log = []
-        doomed = kernel.schedule_at(1.0, _recorder(kernel, log, "doomed"))
-        kernel.schedule_at(5.0, _recorder(kernel, log, "a"))
-        kernel.simulator.schedule_at(3.0, _recorder(kernel, log, "b"))
-        doomed.cancel()
-        kernel.run_until_idle()
-        assert log == [("b", 3.0), ("a", 5.0)]
-        assert kernel.stats.events_total == 2
-
-    def test_peek_is_idempotent_and_matches_step(self):
-        kernel = GlobalScheduler()
-        kernel.simulator.schedule_at(4.0, lambda: None)
-        kernel.schedule_probe(4.0, lambda: None)
-        assert kernel.peek() == kernel.peek() == (4.0, FOREGROUND_SOURCE)
-        assert kernel.step()
-        assert kernel.now == 4.0
-        assert kernel.peek() == (4.0, TELEMETRY_SOURCE)

@@ -41,7 +41,6 @@ _EXPORTS = {
     "diff_placements": "placement",
     "diff_replica_placements": "placement",
     "placement_of": "placement",
-    "replica_placement_of": "placement",
     "ClusterNode": "membership",
     "Membership": "membership",
     "MembershipEvent": "membership",

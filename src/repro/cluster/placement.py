@@ -24,17 +24,6 @@ def placement_of(ring: HashRing, keys: Iterable[str]) -> Dict[str, str]:
     return {key: ring.node_for(key) for key in keys}
 
 
-def replica_placement_of(ring: HashRing, keys: Iterable[str],
-                         r: int) -> Dict[str, List[str]]:
-    """The r-way replica placement the ring prescribes for ``keys``.
-
-    Element 0 of each list is the primary (identical to
-    :func:`placement_of`); the rest are the follower pools, in ring walk
-    order.  ``r`` is capped at the member count by ``nodes_for``.
-    """
-    return {key: ring.nodes_for(key, r) for key in keys}
-
-
 @dataclass(frozen=True)
 class ShardMove:
     """One shard migration: ``key`` moves from ``source`` pool to ``target``."""
@@ -85,14 +74,6 @@ class RebalancePlan:
     time: float = 0.0
     #: Follower drops/adds (replica-aware plans only), sorted by key.
     follower_changes: List[FollowerChange] = field(default_factory=list)
-
-    @property
-    def keys_moved(self) -> List[str]:
-        return [move.key for move in self.moves]
-
-    def moved_fraction(self, total_keys: int) -> float:
-        """Fraction of the tracked keyspace this plan relocates."""
-        return len(self.moves) / total_keys if total_keys else 0.0
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -162,5 +143,4 @@ __all__ = [
     "diff_placements",
     "diff_replica_placements",
     "placement_of",
-    "replica_placement_of",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.membership import FAIL, FAILED, L2_ROLE, Membership, MembershipEvent
 from repro.cluster.router import ObjectRouter, Shard
@@ -328,11 +328,6 @@ class RepairScheduler:
         for task in withheld:
             self._give_up(task, moot=False)
         return withheld
-
-    def reports(self) -> List[Tuple[str, L2RepairReport]]:
-        """(key, report) for every completed repair."""
-        return [(task.key, task.report) for task in self.tasks
-                if task.report is not None]
 
 
 __all__ = ["RepairScheduler", "RepairTask", "RepairStats",

@@ -231,21 +231,9 @@ class RouterStats:
     # -- derived ------------------------------------------------------------------
 
     @property
-    def mean_batch_size(self) -> float:
-        if not self.batches_flushed:
-            return 0.0
-        return self.operations_flushed / self.batches_flushed
-
-    @property
     def routed_reads(self) -> int:
         """Reads that went through the replica-group read router."""
         return self.primary_reads + self.follower_reads + self.quorum_reads
-
-    @property
-    def follower_read_fraction(self) -> float:
-        """Share of routed reads served by followers (0.0 without replicas)."""
-        routed = self.routed_reads
-        return self.follower_reads / routed if routed else 0.0
 
     @property
     def policy_hit_rate(self) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional
 
 WRITE = "write"
@@ -86,10 +86,6 @@ class Operation:
     def precedes(self, other: "Operation") -> bool:
         """Real-time precedence: this op responded before the other was invoked."""
         return self.responded_at is not None and self.responded_at < other.invoked_at
-
-    def concurrent_with(self, other: "Operation") -> bool:
-        """True when neither operation precedes the other."""
-        return not self.precedes(other) and not other.precedes(self)
 
 
 class History:

@@ -18,7 +18,7 @@ Two complementary checkers are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.consistency.history import History, Operation, READ, WRITE
 
@@ -138,10 +138,6 @@ class LinearizabilityChecker:
         self.max_states = max_states
         self._states_explored = 0
 
-    @property
-    def states_explored(self) -> int:
-        return self._states_explored
-
     def check(self, history: History) -> Optional[AtomicityViolation]:
         """Return ``None`` if the history is linearizable, else a violation."""
         for object_id in history.object_ids() or ["object-0"]:
@@ -150,10 +146,6 @@ class LinearizabilityChecker:
             if violation is not None:
                 return violation
         return None
-
-    def is_linearizable(self, history: History) -> bool:
-        """Convenience wrapper returning a boolean."""
-        return self.check(history) is None
 
     # -- internals -----------------------------------------------------------
 

@@ -27,12 +27,6 @@ def mbr_element_fraction(k: int, d: int) -> float:
     return 2.0 * d / (k * (2 * d - k + 1))
 
 
-def mbr_helper_fraction(k: int, d: int) -> float:
-    """beta / B for the MBR code: 2 / (k (2d - k + 1))."""
-    _check_kd(k, d)
-    return 2.0 / (k * (2 * d - k + 1))
-
-
 def mbr_write_cost(n1: int, n2: int, k: int, d: int) -> float:
     """Write communication cost (Lemma V.2): n1 + n1 n2 2d / (k (2d - k + 1))."""
     return n1 + n1 * n2 * mbr_element_fraction(k, d)
@@ -167,7 +161,6 @@ __all__ = [
     "MultiObjectStorageBounds",
     "latency_bounds",
     "mbr_element_fraction",
-    "mbr_helper_fraction",
     "mbr_read_cost",
     "mbr_storage_cost_l2",
     "mbr_write_cost",

@@ -14,7 +14,7 @@ so that the L1 quorum size is ``f1 + k`` and the L2 quorum size is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.codes.layered import LayeredCode
 
@@ -119,16 +119,6 @@ class LDSConfig:
         Section V-A.1 and Figure 6.
         """
         return cls(n1=n, n2=n, f1=f, f2=f, **kwargs)
-
-    @classmethod
-    def max_fault_tolerance(cls, n1: int, n2: int, **kwargs) -> "LDSConfig":
-        """Use the largest failure budgets the layer sizes allow, subject to k <= d."""
-        f1 = (n1 - 1) // 2
-        f2 = (n2 - 1) // 3
-        # Shrink f2 if necessary so that d = n2 - 2*f2 is at least k = n1 - 2*f1.
-        while n1 - 2 * f1 > n2 - 2 * f2 and f2 > 0:
-            f2 -= 1
-        return cls(n1=n1, n2=n2, f1=f1, f2=f2, **kwargs)
 
     def describe(self) -> str:
         """Human-readable one-line summary."""

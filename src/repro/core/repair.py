@@ -22,7 +22,7 @@ completed write is never lost by repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.codes.base import CodedElement, RepairError
 from repro.core.system import LDSSystem
@@ -57,10 +57,6 @@ class BackendRepairCoordinator:
         self.config = system.config
 
     # -- queries -----------------------------------------------------------------
-
-    def crashed_l2_indices(self) -> List[int]:
-        """Indices of L2 servers that have crashed."""
-        return [server.index for server in self.system.l2_servers if server.crashed]
 
     def survivor_elements(self) -> Dict[int, L2Server]:
         """Alive L2 servers keyed by index."""
@@ -123,10 +119,6 @@ class BackendRepairCoordinator:
             ),
             download_fraction=download,
         )
-
-    def repair_all(self) -> List[L2RepairReport]:
-        """Repair every crashed L2 server (in index order)."""
-        return [self.repair(index) for index in self.crashed_l2_indices()]
 
     # -- internals -------------------------------------------------------------------
 

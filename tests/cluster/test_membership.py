@@ -89,8 +89,8 @@ def test_rebalance_plan_is_deterministic_and_minimal():
     # Every move targets the new pool, and only a minority of keys move.
     assert all(move.target == "pool-3" for move in plan_a.moves)
     assert 0 < len(plan_a) < len(KEYS) // 2
-    assert plan_a.keys_moved == sorted(plan_a.keys_moved)
-    assert 0.0 < plan_a.moved_fraction(len(KEYS)) < 0.5
+    moved = [move.key for move in plan_a.moves]
+    assert moved == sorted(moved)
 
 
 def test_failed_nodes_come_back_in_canonical_order():

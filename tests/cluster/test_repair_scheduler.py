@@ -89,7 +89,8 @@ def test_repair_reports_download_costs(config):
     victims = router.shards_on_pool("pool-0")
     router.membership.fail("pool-0/l2-0", time=0.0)
     router.run_until_idle()
-    reports = scheduler.reports()
+    reports = [(task.key, task.report) for task in scheduler.tasks
+               if task.report is not None]
     assert len(reports) == len(victims)
     for _key, report in reports:
         assert report.repaired_index == 0

@@ -43,8 +43,8 @@ class TestOperation:
         overlapping = op("o3", READ, 0.5, responded=2.5)
         assert first.precedes(second)
         assert not second.precedes(first)
-        assert first.concurrent_with(overlapping)
-        assert overlapping.concurrent_with(second)
+        assert not first.precedes(overlapping) and not overlapping.precedes(first)
+        assert not overlapping.precedes(second) and not second.precedes(overlapping)
 
 
 class TestHistory:

@@ -167,10 +167,6 @@ class TestSearchChecker:
         with pytest.raises(RuntimeError):
             checker.check(history)
 
-    def test_is_linearizable_convenience(self):
-        history = History([op("r1", READ, 0, 1, value=b"init")], initial_value=b"init")
-        assert LinearizabilityChecker().is_linearizable(history)
-
 
 class TestIncompleteOperations:
     """The checker owns the drop-incomplete semantics: raw recorder

@@ -5,7 +5,6 @@ import pytest
 from repro.core.analysis import (
     latency_bounds,
     mbr_element_fraction,
-    mbr_helper_fraction,
     mbr_read_cost,
     mbr_storage_cost_l2,
     mbr_write_cost,
@@ -21,7 +20,6 @@ class TestFractions:
     def test_mbr_fractions_for_small_code(self):
         # k=3, d=4: B=9, alpha=4, beta=1.
         assert mbr_element_fraction(3, 4) == pytest.approx(4 / 9)
-        assert mbr_helper_fraction(3, 4) == pytest.approx(1 / 9)
 
     def test_msr_fractions(self):
         assert msr_element_fraction(3, 4) == pytest.approx(1 / 3)

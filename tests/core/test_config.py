@@ -86,14 +86,3 @@ class TestConvenienceConstructors:
         assert config.n1 == config.n2 == 9
         assert config.f1 == config.f2 == 2
         assert config.k == config.d == 5
-
-    def test_max_fault_tolerance(self):
-        config = LDSConfig.max_fault_tolerance(n1=10, n2=12)
-        assert config.f1 == 4
-        assert config.f1 < config.n1 / 2
-        assert config.f2 < config.n2 / 3
-        assert config.k <= config.d
-
-    def test_max_fault_tolerance_shrinks_f2_when_needed(self):
-        config = LDSConfig.max_fault_tolerance(n1=4, n2=4)
-        assert config.k <= config.d

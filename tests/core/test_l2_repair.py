@@ -87,7 +87,8 @@ class TestRepairBasics:
         system.run_until_idle()
         system.crash_l2(0)
         system.crash_l2(5)
-        reports = BackendRepairCoordinator(system).repair_all()
+        coordinator = BackendRepairCoordinator(system)
+        reports = [coordinator.repair(index) for index in (0, 5)]
         assert sorted(report.repaired_index for report in reports) == [0, 5]
         assert all(not server.crashed for server in system.l2_servers)
         assert system.read().value == b"durable"
@@ -111,12 +112,6 @@ class TestRepairValidation:
         with pytest.raises(RepairError):
             BackendRepairCoordinator(system).repair(0)
 
-    def test_crashed_indices_listing(self):
-        system = build_system()
-        assert BackendRepairCoordinator(system).crashed_l2_indices() == []
-        system.crash_l2(4)
-        assert BackendRepairCoordinator(system).crashed_l2_indices() == [4]
-
     def test_completed_writes_survive_f2_crashes_plus_repair(self):
         # The guarantee the module docstring states: a write acknowledged by
         # the L2 quorum is never lost by crashing f2 servers and repairing them.
@@ -126,6 +121,6 @@ class TestRepairValidation:
         system.crash_l2(1)
         system.crash_l2(7)
         coordinator = BackendRepairCoordinator(system)
-        for report in coordinator.repair_all():
+        for report in (coordinator.repair(1), coordinator.repair(7)):
             assert report.restored_tag >= result.tag
         assert system.read().value == b"never lost"

@@ -34,16 +34,16 @@ KEPT = {
 }
 PENDING = {  # flagged before the clean-up; each deletion takes its entry out
    
-    "concurrent_burst", "concurrent_with", "dec",
-    "follower_read_fraction", "frequencies", "from_registry",
+    "concurrent_burst", "dec",
+    "frequencies", "from_registry",
    
-    "is_linearizable", "keys_moved",
-    "max_fault_tolerance", "mbr_helper_fraction",
-    "mean_batch_size", "moved_fraction",
+   
+   
+   
     "phase_sketch", "read_count", "read_heavy",
-    "read_repair_rate", "registry_or_default", "repair_all",
-    "replica_placement_of", "reports", "set_max",
-    "states_explored", "write_count",
+    "read_repair_rate", "registry_or_default",
+    "set_max",
+    "write_count",
     "write_heavy_with_trailing_read",
 }
 

@@ -380,10 +380,6 @@ class LatencyTracker:
         """The post-ack commit -> follower-apply latency sketch."""
         return self._apply_sketch
 
-    def phase_sketch(self, op_class: str, phase: str) -> QuantileSketch:
-        """The critical-path time sketch of one (class, phase) pair."""
-        return self._phase_sketches.labels(op_class=op_class, phase=phase)
-
     def classes(self) -> List[str]:
         """Operation classes observed so far, in canonical order."""
         present = {record.op_class for record in self.records}

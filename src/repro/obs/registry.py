@@ -9,8 +9,7 @@ instead of one ad-hoc dataclass per subsystem.
 Instruments are deliberately minimal so the hot path stays cheap:
 
 * :class:`Counter` -- a monotonically increasing value (``inc``);
-* :class:`Gauge` -- a value that goes both ways (``set`` / ``inc`` /
-  ``dec`` / ``set_max``);
+* :class:`Gauge` -- a value that goes both ways (``set`` / ``inc``);
 * :class:`~repro.obs.latency.QuantileSketch` -- the one distribution
   instrument (``observe``; p50 / p90 / p99 / p999 within a bounded
   relative error), registered through :meth:`MetricsRegistry.quantile_sketch`.
@@ -30,7 +29,7 @@ byte-identical (see ``tests/sim/test_telemetry_noninterference.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class Counter:
@@ -78,14 +77,6 @@ class Gauge:
 
     def inc(self, amount=1) -> None:
         self._value += amount
-
-    def dec(self, amount=1) -> None:
-        self._value -= amount
-
-    def set_max(self, value) -> None:
-        """Ratchet: keep the maximum of the current and the given value."""
-        if value > self._value:
-            self._value = value
 
     _set = set  # the thin-view bridge hook, uniform across instruments
 
@@ -281,15 +272,9 @@ def _sketch_samples(name: str, labels: Dict[str, object], sketch
     return samples
 
 
-def registry_or_default(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """The given registry, or a fresh private one (stats always have a home)."""
-    return registry if registry is not None else MetricsRegistry()
-
-
 __all__ = [
     "Counter",
     "Gauge",
     "LabeledFamily",
     "MetricsRegistry",
-    "registry_or_default",
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -61,14 +62,6 @@ class Workload:
     def sorted_operations(self) -> List[ScheduledOperation]:
         return sorted(self.operations, key=lambda op: op.at)
 
-    @property
-    def write_count(self) -> int:
-        return sum(1 for op in self.operations if op.kind == WRITE)
-
-    @property
-    def read_count(self) -> int:
-        return sum(1 for op in self.operations if op.kind == READ)
-
     def __len__(self) -> int:
         return len(self.operations)
 
@@ -88,7 +81,8 @@ class ZipfKeySampler:
                  seed: Optional[int] = None) -> None:
         if not keys:
             raise ValueError("the sampler needs at least one key")
-        if s < 0:
+        # Written so that a NaN exponent, which compares false, fails.
+        if not s >= 0:
             raise ValueError("the Zipf exponent must be non-negative")
         self.keys = list(keys)
         self.s = s
@@ -105,13 +99,6 @@ class ZipfKeySampler:
         point = self._rng.random() * self._total
         index = bisect.bisect_left(self._cumulative, point)
         return self.keys[min(index, len(self.keys) - 1)]
-
-    def frequencies(self, draws: int) -> dict:
-        """Empirical key counts over ``draws`` samples (consumes randomness)."""
-        counts = {key: 0 for key in self.keys}
-        for _ in range(draws):
-            counts[self.sample()] += 1
-        return counts
 
 
 class UniformKeySampler:
@@ -139,6 +126,8 @@ class WorkloadGenerator:
     """
 
     def __init__(self, seed: Optional[int] = None, client_spacing: float = 50.0) -> None:
+        if not 0 < client_spacing < math.inf:
+            raise ValueError("client_spacing must be positive and finite")
         self._rng = random.Random(seed)
         self.client_spacing = client_spacing
 
@@ -160,35 +149,6 @@ class WorkloadGenerator:
             time += spacing
         return workload
 
-    def concurrent_burst(self, num_writers: int, num_readers: int, at: float = 0.0,
-                         jitter: float = 1.0) -> Workload:
-        """One write per writer and one read per reader, all starting together."""
-        workload = Workload(description="concurrent burst of writes and reads")
-        for index in range(num_writers):
-            workload.add(ScheduledOperation(
-                kind=WRITE, at=at + self._rng.uniform(0, jitter), client_index=index,
-                value=self._value(index),
-            ))
-        for index in range(num_readers):
-            workload.add(ScheduledOperation(
-                kind=READ, at=at + self._rng.uniform(0, jitter), client_index=index,
-            ))
-        return workload
-
-    def read_heavy(self, num_rounds: int, readers: int = 1, start: float = 0.0,
-                   spacing: Optional[float] = None) -> Workload:
-        """One initial write followed by rounds of reads (delta = 0 regime)."""
-        spacing = self.client_spacing if spacing is None else spacing
-        workload = Workload(description="read-heavy after a single write")
-        workload.add(ScheduledOperation(kind=WRITE, at=start, client_index=0,
-                                        value=self._value(0)))
-        time = start + spacing
-        for _ in range(num_rounds):
-            for reader_index in range(readers):
-                workload.add(ScheduledOperation(kind=READ, at=time, client_index=reader_index))
-            time += spacing
-        return workload
-
     def mixed_random(self, num_operations: int, write_fraction: float, duration: float,
                      num_writers: int = 1, num_readers: int = 1,
                      start: float = 0.0) -> Workload:
@@ -199,6 +159,7 @@ class WorkloadGenerator:
         """
         if not 0.0 <= write_fraction <= 1.0:
             raise ValueError("write_fraction must be within [0, 1]")
+        _check_window(start, duration)
         workload = Workload(description="random read/write mix")
         next_free_writer = [start] * num_writers
         next_free_reader = [start] * num_readers
@@ -233,6 +194,7 @@ class WorkloadGenerator:
         """
         if not 0.0 <= write_fraction <= 1.0:
             raise ValueError("write_fraction must be within [0, 1]")
+        _check_window(start, duration)
         if key_sampler is None:
             key_sampler = UniformKeySampler(keys, seed=self._rng.randrange(2 ** 31))
         workload = Workload(description="random keyed read/write mix")
@@ -270,19 +232,14 @@ class WorkloadGenerator:
         workload.description = f"zipf(s={s}) keyed read/write mix"
         return workload
 
-    def write_heavy_with_trailing_read(self, num_writes: int, num_writers: int,
-                                       burst_window: float, read_at: float) -> Workload:
-        """Many concurrent writes followed by a read (delta > 0 regime)."""
-        workload = Workload(description="write burst with a trailing concurrent read")
-        next_free = [0.0] * num_writers
-        for index in range(num_writes):
-            client = index % num_writers
-            at = max(self._rng.uniform(0.0, burst_window), next_free[client])
-            next_free[client] = at + self.client_spacing
-            workload.add(ScheduledOperation(kind=WRITE, at=at, client_index=client,
-                                            value=self._value(index)))
-        workload.add(ScheduledOperation(kind=READ, at=read_at, client_index=0))
-        return workload
+
+def _check_window(start: float, duration: float) -> None:
+    """Reject a window whose arrival times would not be finite and ordered:
+    a negative duration clamped every arrival to ``start``, and a NaN only
+    failed when its event was scheduled."""
+    if not (-math.inf < start < math.inf and 0 <= duration < math.inf):
+        raise ValueError("a workload window needs a finite start and a "
+                         "finite, non-negative duration")
 
 
 __all__ = [

@@ -98,40 +98,6 @@ class ReadDistribution:
             forwarded_writes=getattr(stats, "forwarded_writes", 0),
         )
 
-    @classmethod
-    def from_registry(cls, registry) -> "ReadDistribution":
-        """Build the distribution from ``router_*`` registry metrics.
-
-        The registry is the same data the attribute view reads, exported
-        through :class:`repro.obs.MetricsRegistry` -- so a benchmark that
-        only holds a registry snapshot can still compute the routing
-        summary.  Missing metrics count as zero (e.g. a run without
-        replica groups never registers the quorum series).
-        """
-        def scalar(name: str) -> int:
-            metric = registry.get(f"router_{name}")
-            return metric.value if metric is not None else 0
-
-        def family(name: str) -> Dict:
-            metric = registry.get(f"router_{name}")
-            return metric.as_dict() if metric is not None else {}
-
-        choices = scalar("policy_choices")
-        honored = scalar("policy_honored")
-        return cls(
-            counts=family("reads_by_replica"),
-            primary_reads=scalar("primary_reads"),
-            follower_reads=scalar("follower_reads"),
-            session_fallbacks=scalar("session_fallbacks"),
-            retired_fallbacks=scalar("retired_fallbacks"),
-            failover_deferrals=scalar("failover_deferrals"),
-            policy_hit_rate=honored / choices if choices else 0.0,
-            quorum_reads=scalar("quorum_reads"),
-            quorum_depths=family("quorum_depth"),
-            read_repairs=scalar("read_repairs"),
-            forwarded_writes=scalar("forwarded_writes"),
-        )
-
     @property
     def total(self) -> int:
         """Reads routed (failover-deferred, not-yet-routed reads excluded)."""
@@ -160,13 +126,6 @@ class ReadDistribution:
         turn, so the rate can exceed 1.0 there.
         """
         return self.session_fallbacks / self.total if self.total else 0.0
-
-    @property
-    def read_repair_rate(self) -> float:
-        """Stores repaired per quorum read (staleness-repaired rate)."""
-        if not self.quorum_reads:
-            return 0.0
-        return self.read_repairs / self.quorum_reads
 
     @property
     def mean(self) -> float:

@@ -1,12 +1,14 @@
 """Integration tests of the LDS protocol under concurrency."""
 
+import random
+
 import pytest
 
 from repro.consistency.linearizability import LinearizabilityChecker, check_atomicity_by_tags
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, ExponentialLatencyModel, FixedLatencyModel
-from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.generator import ScheduledOperation, Workload, WorkloadGenerator
 from repro.workloads.runner import WorkloadRunner
 
 
@@ -131,9 +133,13 @@ class TestAsynchronousExecutions:
         system = build_system(num_writers=4, num_readers=4,
                               latency=BoundedLatencyModel(seed=31),
                               config=LDSConfig(n1=5, n2=6, f1=1, f2=1))
-        generator = WorkloadGenerator(seed=31)
-        workload = generator.concurrent_burst(num_writers=4, num_readers=4)
-        report = WorkloadRunner(system).run(workload)
+        # Four writes and four reads, all invoked within one time unit.
+        rng = random.Random(31)
+        writes = [ScheduledOperation(kind="write", at=rng.uniform(0, 1.0), client_index=i,
+                                     value=bytes([i + 1]) * 8) for i in range(4)]
+        reads = [ScheduledOperation(kind="read", at=rng.uniform(0, 1.0), client_index=i)
+                 for i in range(4)]
+        report = WorkloadRunner(system).run(Workload(writes + reads))
         assert report.incomplete_operations == 0
         assert report.is_atomic
         assert report.read_latency.count == 4

@@ -6,6 +6,8 @@ a head-to-head comparison of LDS against the ABD and CAS baselines on an
 identical workload.
 """
 
+import random
+
 import pytest
 
 from repro.baselines.abd import ABDSystem
@@ -14,7 +16,7 @@ from repro.core.analysis import mbr_read_cost, mbr_write_cost
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, FixedLatencyModel
-from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.generator import ScheduledOperation, Workload, WorkloadGenerator
 from repro.workloads.runner import WorkloadRunner
 
 
@@ -38,10 +40,16 @@ class TestEdgeCacheScenario:
         config = LDSConfig(n1=7, n2=9, f1=2, f2=2)
         system = LDSSystem(config, num_writers=4, num_readers=2,
                            latency_model=BoundedLatencyModel(seed=2))
-        generator = WorkloadGenerator(seed=2, client_spacing=80.0)
-        workload = generator.write_heavy_with_trailing_read(
-            num_writes=8, num_writers=4, burst_window=30.0, read_at=10.0,
-        )
+        # Eight writes in a 30-unit burst, each writer's spaced 80 apart,
+        # and one read at t = 10 inside the burst.
+        rng, next_free, workload = random.Random(2), [0.0] * 4, Workload()
+        for index in range(8):
+            writer = index % 4
+            at = max(rng.uniform(0.0, 30.0), next_free[writer])
+            next_free[writer] = at + 80.0
+            workload.add(ScheduledOperation(kind="write", at=at, client_index=writer,
+                                            value=bytes([index + 1]) * 8))
+        workload.add(ScheduledOperation(kind="read", at=10.0, client_index=0))
         report = WorkloadRunner(system).run(workload)
         assert report.incomplete_operations == 0
         assert report.is_atomic

@@ -9,7 +9,6 @@ from repro.obs.registry import (
     Gauge,
     LabeledFamily,
     MetricsRegistry,
-    registry_or_default,
 )
 
 
@@ -35,15 +34,9 @@ class TestGauge:
     def test_moves_both_ways(self):
         gauge = Gauge("g")
         gauge.set(10)
-        gauge.dec(4)
+        gauge.inc(-4)
         gauge.inc()
         assert gauge.value == 7
-
-    def test_set_max_ratchets(self):
-        gauge = Gauge("g")
-        gauge.set_max(5)
-        gauge.set_max(3)
-        assert gauge.value == 5
 
 
 class TestLabeledFamily:
@@ -110,10 +103,3 @@ class TestMetricsRegistry:
         payload = registry.to_dict()
         assert payload["g"] == 4
         assert payload["family"] == {"a": 1}
-
-    def test_registry_or_default(self):
-        registry = MetricsRegistry()
-        assert registry_or_default(registry) is registry
-        fresh = registry_or_default(None)
-        assert isinstance(fresh, MetricsRegistry)
-        assert fresh is not registry

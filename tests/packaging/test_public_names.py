@@ -32,20 +32,6 @@ KEPT = {
     "repair_block": "one-stripe view the coded-byte reference tables are written against",
     "bucket_count": "the quantile sketch's bounded-memory claim is tested through it",
 }
-PENDING = {  # flagged before the clean-up; each deletion takes its entry out
-   
-    "concurrent_burst", "dec",
-    "frequencies", "from_registry",
-   
-   
-   
-   
-    "phase_sketch", "read_count", "read_heavy",
-    "read_repair_rate", "registry_or_default",
-    "set_max",
-    "write_count",
-    "write_heavy_with_trailing_read",
-}
 
 
 def _modules(top):
@@ -96,5 +82,5 @@ def test_every_public_name_has_a_caller():
     unused = {name for name, path, lines in definitions
               if all(where == path and line in lines for where, line in references.get(name, ()))}
     assert len(definitions) > 500, len(definitions)
-    assert sorted(unused - set(KEPT) - PENDING) == [], "no caller outside tests"
-    assert sorted((set(KEPT) | PENDING) - unused) == [], "listed, but has a caller now or is gone"
+    assert sorted(unused - set(KEPT)) == [], "no caller outside tests"
+    assert sorted(set(KEPT) - unused) == [], "kept, but has a caller now or is gone"

@@ -2,8 +2,15 @@
 
 import pytest
 
+NAN, INF = float("nan"), float("inf")
+
 from repro.consistency.history import READ, WRITE
-from repro.workloads.generator import ScheduledOperation, Workload, WorkloadGenerator
+from repro.workloads.generator import (
+    ScheduledOperation,
+    Workload,
+    WorkloadGenerator,
+    ZipfKeySampler,
+)
 
 
 class TestScheduledOperation:
@@ -30,40 +37,49 @@ class TestWorkload:
         workload.add(ScheduledOperation(kind=READ, at=5.0))
         workload.add(ScheduledOperation(kind=WRITE, at=1.0, value=b"x"))
         assert len(workload) == 2
-        assert workload.read_count == 1 and workload.write_count == 1
+        assert [op.kind for op in workload.operations] == [READ, WRITE]
         assert [op.at for op in workload.sorted_operations()] == [1.0, 5.0]
 
 
 class TestGenerators:
     def test_sequential_shape(self):
         workload = WorkloadGenerator(seed=1).sequential(num_writes=3, num_reads=2, spacing=10)
-        assert workload.write_count == 3 and workload.read_count == 2
+        assert [op.kind for op in workload.operations] == [WRITE] * 3 + [READ] * 2
         times = [op.at for op in workload.sorted_operations()]
         assert times == sorted(times)
         assert times[1] - times[0] == pytest.approx(10)
-
-    def test_concurrent_burst_uses_distinct_clients(self):
-        workload = WorkloadGenerator(seed=2).concurrent_burst(num_writers=3, num_readers=2)
-        writers = {op.client_index for op in workload.operations if op.kind == WRITE}
-        readers = {op.client_index for op in workload.operations if op.kind == READ}
-        assert writers == {0, 1, 2}
-        assert readers == {0, 1}
-
-    def test_read_heavy_has_single_write(self):
-        workload = WorkloadGenerator(seed=3).read_heavy(num_rounds=4, readers=2)
-        assert workload.write_count == 1
-        assert workload.read_count == 8
 
     def test_mixed_random_respects_write_fraction_bounds(self):
         generator = WorkloadGenerator(seed=4, client_spacing=10)
         workload = generator.mixed_random(num_operations=40, write_fraction=0.5,
                                           duration=100, num_writers=2, num_readers=2)
         assert len(workload) == 40
-        assert 5 <= workload.write_count <= 35
+        assert 5 <= sum(op.kind == WRITE for op in workload.operations) <= 35
 
     def test_mixed_random_invalid_fraction(self):
         with pytest.raises(ValueError):
             WorkloadGenerator().mixed_random(10, 1.5, 10)
+
+    @pytest.mark.parametrize("build", [
+        # A negative window clamped every arrival to its start.
+        lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, duration=-5.0),
+        lambda: WorkloadGenerator(seed=1).keyed_random(["a"], 3, 0.5, duration=-5.0),
+        # A non-finite window gave NaN or infinite arrival times.
+        lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, duration=NAN),
+        lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, duration=INF),
+        lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, 10.0, start=NAN),
+        lambda: WorkloadGenerator(seed=1).keyed_random(["a"], 3, 0.5, 10.0, start=NAN),
+        # A spacing that is not positive and finite breaks well-formedness.
+        lambda: WorkloadGenerator(client_spacing=-10),
+        lambda: WorkloadGenerator(client_spacing=NAN),
+        # A NaN exponent only ever sampled the first key.
+        lambda: ZipfKeySampler(["a", "b"], s=NAN),
+    ], ids=["negative-duration", "keyed-negative-duration", "nan-duration",
+            "inf-duration", "nan-start", "keyed-nan-start", "negative-spacing",
+            "nan-spacing", "nan-zipf-exponent"])
+    def test_non_finite_and_negative_inputs_are_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_mixed_random_keeps_clients_well_formed(self):
         generator = WorkloadGenerator(seed=5, client_spacing=20)
@@ -76,13 +92,6 @@ class TestGenerators:
             times.sort()
             assert all(later - earlier >= 20 - 1e-9
                        for earlier, later in zip(times, times[1:]))
-
-    def test_write_heavy_with_trailing_read(self):
-        workload = WorkloadGenerator(seed=6).write_heavy_with_trailing_read(
-            num_writes=6, num_writers=3, burst_window=5.0, read_at=2.0,
-        )
-        assert workload.write_count == 6
-        assert workload.read_count == 1
 
     def test_seeded_generators_are_reproducible(self):
         a = WorkloadGenerator(seed=9).mixed_random(20, 0.5, 50)

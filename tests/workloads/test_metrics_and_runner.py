@@ -153,7 +153,6 @@ class TestQuorumDistribution:
         assert distribution.quorum_reads == 8
         assert distribution.mean_quorum_depth == pytest.approx(14 / 8)
         assert distribution.read_repairs == 3
-        assert distribution.read_repair_rate == pytest.approx(3 / 8)
         assert distribution.forwarded_writes == 5
         assert distribution.retired_fallbacks == 1
         assert distribution.session_fallback_rate == pytest.approx(0.4)
@@ -176,5 +175,5 @@ class TestQuorumDistribution:
         distribution = ReadDistribution.from_router_stats(LegacyStats())
         assert distribution.quorum_reads == 0
         assert distribution.mean_quorum_depth == 0.0
-        assert distribution.read_repair_rate == 0.0
+        assert distribution.read_repairs == 0
         assert distribution.forwarded_writes == 0

@@ -234,9 +234,9 @@ class WorkloadGenerator:
 
 
 def _check_window(start: float, duration: float) -> None:
-    """Reject a window whose arrival times would not be finite and ordered:
-    a negative duration clamped every arrival to ``start``, and a NaN only
-    failed when its event was scheduled."""
+    """Arrivals are drawn from ``[start, start + duration]``: a negative
+    duration would put every one at ``start``, and a non-finite bound would
+    make the times NaN or infinite."""
     if not (-math.inf < start < math.inf and 0 <= duration < math.inf):
         raise ValueError("a workload window needs a finite start and a "
                          "finite, non-negative duration")

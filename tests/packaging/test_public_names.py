@@ -70,9 +70,10 @@ def _references():
                 names = [node.value]
             else:
                 continue
-            if node.lineno not in tables:
+            line = getattr(node, "lineno", None)  # an alias has none before 3.10
+            if line not in tables:
                 for name in names:
-                    found.setdefault(name, []).append((path, node.lineno))
+                    found.setdefault(name, []).append((path, line))
     return found
 
 

@@ -56,15 +56,12 @@ class TestGenerators:
         assert len(workload) == 40
         assert 5 <= sum(op.kind == WRITE for op in workload.operations) <= 35
 
-    def test_mixed_random_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            WorkloadGenerator().mixed_random(10, 1.5, 10)
-
     @pytest.mark.parametrize("build", [
-        # A negative window clamped every arrival to its start.
+        lambda: WorkloadGenerator().mixed_random(10, 1.5, 10),
+        # A negative window would put every arrival at its start.
         lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, duration=-5.0),
         lambda: WorkloadGenerator(seed=1).keyed_random(["a"], 3, 0.5, duration=-5.0),
-        # A non-finite window gave NaN or infinite arrival times.
+        # A non-finite window would give NaN or infinite arrival times.
         lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, duration=NAN),
         lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, duration=INF),
         lambda: WorkloadGenerator(seed=1).mixed_random(3, 0.5, 10.0, start=NAN),
@@ -72,12 +69,12 @@ class TestGenerators:
         # A spacing that is not positive and finite breaks well-formedness.
         lambda: WorkloadGenerator(client_spacing=-10),
         lambda: WorkloadGenerator(client_spacing=NAN),
-        # A NaN exponent only ever sampled the first key.
+        # A NaN exponent would only ever sample the first key.
         lambda: ZipfKeySampler(["a", "b"], s=NAN),
-    ], ids=["negative-duration", "keyed-negative-duration", "nan-duration",
-            "inf-duration", "nan-start", "keyed-nan-start", "negative-spacing",
-            "nan-spacing", "nan-zipf-exponent"])
-    def test_non_finite_and_negative_inputs_are_rejected(self, build):
+    ], ids=["fraction-above-one", "negative-duration", "keyed-negative-duration",
+            "nan-duration", "inf-duration", "nan-start", "keyed-nan-start",
+            "negative-spacing", "nan-spacing", "nan-zipf-exponent"])
+    def test_invalid_inputs_are_rejected(self, build):
         with pytest.raises(ValueError):
             build()
 

@@ -1,7 +1,9 @@
 """Unit tests for the atomicity / linearizability checkers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import linearizability_oracle
 from repro.consistency.history import History, Operation, READ, WRITE
 from repro.consistency.linearizability import (
     LinearizabilityChecker,
@@ -190,3 +192,33 @@ class TestIncompleteOperations:
         untagged = op("w2", WRITE, 2, 3, value=b"b", tag=None)
         assert not _tag_order(tagged, untagged)
         assert not _tag_order(untagged, tagged)
+
+
+@st.composite
+def concurrent_histories(draw):
+    """At most 7 operations on one register with small integer times (so
+    ties occur), distinct write values and shuffled write tags; each read
+    carries its write's tag and value, or the initial ones."""
+    kinds = draw(st.lists(st.sampled_from([WRITE, READ]), min_size=1, max_size=7))
+    writes = [index for index, kind in enumerate(kinds) if kind == WRITE]
+    ranks = draw(st.permutations(range(1, len(writes) + 1)))
+    tags = {index: Tag(rank, "w") for index, rank in zip(writes, ranks)}
+    operations = []
+    for index, kind in enumerate(kinds):
+        source = index if kind == WRITE else draw(st.sampled_from([None] + writes))
+        invoked = draw(st.integers(min_value=0, max_value=8))
+        operations.append(op(
+            f"op{index}", kind, invoked,
+            invoked + draw(st.integers(min_value=0, max_value=4)),
+            value=b"init" if source is None else bytes([source]),
+            tag=Tag.initial() if source is None else tags[source],
+        ))
+    return History(operations, initial_value=b"init")
+
+
+class TestOracleDifferential:
+    @settings(max_examples=250, deadline=None)
+    @given(concurrent_histories())
+    def test_tag_checker_accepts_only_linearizable_histories(self, history):
+        if check_atomicity_by_tags(history) is None:
+            assert linearizability_oracle.is_linearizable(history)

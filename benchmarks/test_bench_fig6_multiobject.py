@@ -27,7 +27,7 @@ import zlib
 
 import pytest
 
-from repro.consistency.linearizability import check_atomicity_by_tags
+from repro.consistency.linearizability import check_atomicity
 from repro.core.analysis import (
     latency_bounds,
     mbr_storage_cost_l2,
@@ -214,7 +214,7 @@ def fleet_digest(num_objects: int, split: bool) -> int:
     for system in fleet:
         history = system.history()
         assert history.is_well_formed()
-        assert check_atomicity_by_tags(history.complete()) is None
+        assert check_atomicity(history) is None
         storage = system.storage
         records.append(history_records(history))
         records.append([(event.time, event.server, repr(event.tag), event.kind, event.size)

@@ -13,7 +13,7 @@ Run with:  python examples/edge_cache_scenario.py
 """
 
 from repro import BoundedLatencyModel, LDSConfig, LDSSystem
-from repro.consistency import check_atomicity_by_tags
+from repro.consistency import check_atomicity
 from repro.workloads.metrics import summarize_latencies
 
 
@@ -53,7 +53,7 @@ def main() -> None:
     latest = cold_reads[-1]
     print(f"latest value observed: {latest.value!r}")
 
-    violation = check_atomicity_by_tags(system.history().complete())
+    violation = check_atomicity(system.history())
     print(f"atomicity check across {len(system.history())} operations: "
           f"{'OK' if violation is None else violation}")
 

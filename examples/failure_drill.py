@@ -11,7 +11,6 @@ Run with:  python examples/failure_drill.py
 """
 
 from repro import BoundedLatencyModel, LDSConfig, LDSSystem
-from repro.consistency import LinearizabilityChecker, check_atomicity_by_tags
 from repro.net.failures import FailureInjector
 from repro.workloads import WorkloadGenerator, WorkloadRunner
 
@@ -44,10 +43,8 @@ def main() -> None:
     print(f"alive edge servers:   {system.alive_l1_count()}/{config.n1}")
     print(f"alive back-end:       {system.alive_l2_count()}/{config.n2}")
 
-    tag_check = check_atomicity_by_tags(report.history.complete())
-    search_check = LinearizabilityChecker().check(report.history.complete())
-    print(f"\natomicity (tag-based checker):      {'OK' if tag_check is None else tag_check}")
-    print(f"atomicity (linearizability search): {'OK' if search_check is None else search_check}")
+    violation = report.atomicity_violation
+    print(f"\natomicity check: {'OK' if violation is None else violation}")
 
     # The surviving back-end servers alone can still rebuild the latest value.
     surviving = {

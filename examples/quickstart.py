@@ -10,7 +10,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro import FixedLatencyModel, LDSConfig, LDSSystem
-from repro.consistency import check_atomicity_by_tags
+from repro.consistency import check_atomicity
 from repro.core.analysis import mbr_read_cost, mbr_storage_cost_l2, mbr_write_cost
 
 
@@ -50,7 +50,7 @@ def main() -> None:
     print(f"  cold read  measured {system.operation_cost(cold_read.op_id):7.2f}   "
           f"paper {mbr_read_cost(config.n1, config.n2, config.k, config.d, 0):7.2f}")
 
-    violation = check_atomicity_by_tags(system.history().complete())
+    violation = check_atomicity(system.history())
     print(f"\natomicity check: {'OK' if violation is None else violation}")
 
 

@@ -93,8 +93,7 @@ _EXPORTS = {
     "ReedSolomonCode": "codes.reed_solomon",
     "ReplicationCode": "codes.replication",
     "History": "consistency.history",
-    "LinearizabilityChecker": "consistency.linearizability",
-    "check_atomicity_by_tags": "consistency.linearizability",
+    "check_atomicity": "consistency.linearizability",
     "ClusterAuditReport": "consistency.sessions",
     "SessionAuditReport": "consistency.sessions",
     "SessionViolation": "consistency.sessions",

@@ -836,9 +836,9 @@ class ObjectRouter:
     def check_atomicity(self) -> Optional[AtomicityViolation]:
         """Check every epoch of every shard; returns the first violation found."""
         # Audit-only code loads when an audit runs.
-        from repro.consistency.linearizability import check_atomicity_by_tags
+        from repro.consistency.linearizability import check_atomicity
         for history in self._all_histories():
-            violation = check_atomicity_by_tags(history)
+            violation = check_atomicity(history)
             if violation is not None:
                 return violation
         return None

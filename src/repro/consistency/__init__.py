@@ -8,11 +8,10 @@ it -- on executions produced by the simulator:
 
 * :mod:`repro.consistency.history` -- recording of operation invocations
   and responses into a :class:`History`.
-* :mod:`repro.consistency.linearizability` -- two atomicity checkers: the
-  tag-based check that mirrors Lemma 13.16 (used when the implementation
-  exposes its version tags) and a general linearizability search for
-  read/write registers (used to validate histories without trusting the
-  implementation's own tags).
+* :mod:`repro.consistency.linearizability` -- the atomicity checker: a
+  read/write register's linearizability decided from the definition in
+  O(n log n), with the version tags used only to name the write each read
+  returns, never to order anything.
 * :mod:`repro.consistency.sessions` -- the cross-shard session auditor:
   validates per-client monotonic reads / monotonic writes / read-your-
   writes / writes-follow-reads across keys, shards and migration epochs.
@@ -34,8 +33,7 @@ _EXPORTS = {
     "Operation": "history",
     "OperationRecorder": "history",
     "AtomicityViolation": "linearizability",
-    "LinearizabilityChecker": "linearizability",
-    "check_atomicity_by_tags": "linearizability",
+    "check_atomicity": "linearizability",
     "MONOTONIC_READS": "sessions",
     "MONOTONIC_WRITES": "sessions",
     "READ_YOUR_WRITES": "sessions",

@@ -4,7 +4,7 @@ A :class:`History` is the record of an execution from the clients' point
 of view: for every read or write operation it stores the invocation time,
 the response time (absent for incomplete operations), the value written or
 returned, and -- when the implementation exposes it -- the version tag the
-operation was associated with.  Histories are what the atomicity checkers
+operation was associated with.  Histories are what the atomicity checker
 and the cost/latency analyses consume.
 """
 

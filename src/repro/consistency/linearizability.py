@@ -1,26 +1,25 @@
 """Atomicity (linearizability) checking for read/write registers.
 
-Two complementary checkers are provided:
-
-* :func:`check_atomicity_by_tags` implements the sufficient condition of
-  Lemma 13.16 of Lynch (the one the paper uses to prove Theorem IV.9): the
-  partial order induced by the implementation's version tags must be
-  consistent with real-time order, writes must be totally ordered, and
-  every read must return the value of the write whose tag it carries.
-
-* :class:`LinearizabilityChecker` is a general search-based checker (in
-  the style of Wing & Gong) specialised to single-register read/write
-  histories.  It does not trust the implementation's tags at all; it is
-  exponential in the amount of concurrency, so it is intended for the
-  randomized small/medium histories produced by the test suite.
+The paper proves Theorem IV.9 (every execution of LDS is atomic) through
+the sufficient condition of Lemma 13.16 of Lynch.  :func:`check_atomicity`
+checks the definition itself.  Each read is mapped to the write it
+returns by its version tag; the tag names that write and never orders
+anything.  A write and the reads that return it form a *cluster*, and a
+history whose reads are so mapped is linearizable exactly when the
+clusters' *zones* do not conflict (Gibbons and Korach, "Testing Shared
+Memories", SIAM J. Comput. 1997; the zone form is from Golab, Li and
+Shah, "Analyzing Consistency Properties for Fun and Profit", PODC 2011).
+The check takes O(n log n) time per object.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.consistency.history import History, Operation, READ, WRITE
+from repro.consistency.history import History, Operation, WRITE
 
 
 @dataclass
@@ -35,186 +34,92 @@ class AtomicityViolation:
         return f"{self.description} (operations: {ops})" if ops else self.description
 
 
-# ---------------------------------------------------------------------------
-# Tag-based check (Lemma 13.16 of [22])
-# ---------------------------------------------------------------------------
+def check_atomicity(history: History) -> Optional[AtomicityViolation]:
+    """Return ``None`` when every object of ``history`` is atomic, else the
+    first violation found.
 
-def _tag_order(op_a: Operation, op_b: Operation) -> bool:
-    """The partial order ``op_a < op_b`` from the paper's atomicity proof.
-
-    Operations without a tag have not been linearized by the
-    implementation (incomplete, or dropped); they are unordered with
-    respect to everything rather than an error, so a raw recorder history
-    can never crash the checker.
+    Incomplete operations are dropped: they are not yet linearized, and a
+    recorder gives a pending write no tag, so no read can name it.  Callers
+    may therefore pass recorder histories as they stand.  A *completed*
+    operation without a tag is a violation: the implementation responded
+    without linearizing it.
     """
-    if op_a.tag is None or op_b.tag is None:
-        return False
-    if op_a.tag < op_b.tag:
-        return True
-    if op_a.tag == op_b.tag:
-        return op_a.kind == WRITE and op_b.kind == READ
-    return False
-
-
-def check_atomicity_by_tags(history: History) -> Optional[AtomicityViolation]:
-    """Check atomicity using the implementation-provided tags.
-
-    The checker drops incomplete operations itself (the paper's
-    Lemma 13.16 assumes all invoked operations complete; an invoked-but-
-    unfinished operation is not yet linearized and is allowed to be
-    dropped), so callers may pass histories straight from the recorder --
-    pre-filtering with ``history.complete()`` is unnecessary.  A *completed*
-    operation without a tag is still a violation: the implementation
-    responded without linearizing it.
-
-    Returns ``None`` when the history satisfies properties P1-P3, or an
-    :class:`AtomicityViolation` describing the first problem found.
-    """
-    for object_id in history.object_ids() or ["object-0"]:
-        sub_history = history.for_object(object_id).complete()
-        operations = sub_history.operations
-
-        # P2: writes must carry distinct tags (total order on writes).
-        writes_by_tag: Dict[Any, Operation] = {}
-        for op in operations:
-            if op.tag is None:
-                return AtomicityViolation(
-                    "operation is missing a tag", (op.op_id,)
-                )
-            if op.kind == WRITE:
-                existing = writes_by_tag.get(op.tag)
-                if existing is not None:
-                    return AtomicityViolation(
-                        "two writes share the same tag", (existing.op_id, op.op_id)
-                    )
-                writes_by_tag[op.tag] = op
-
-        # P1: the tag order must not contradict real-time precedence.
-        for earlier in operations:
-            for later in operations:
-                if earlier is later or not earlier.precedes(later):
-                    continue
-                if _tag_order(later, earlier):
-                    return AtomicityViolation(
-                        "tag order contradicts real-time order",
-                        (earlier.op_id, later.op_id),
-                    )
-
-        # P3: every read returns the value of the write with the same tag,
-        # or the initial value if its tag is the initial tag (no such write).
-        for op in operations:
-            if op.kind != READ:
-                continue
-            matching_write = writes_by_tag.get(op.tag)
-            if matching_write is None:
-                if op.value != sub_history.initial_value:
-                    return AtomicityViolation(
-                        "read returned a value never written (and not the initial value)",
-                        (op.op_id,),
-                    )
-            elif op.value != matching_write.value:
-                return AtomicityViolation(
-                    "read returned a value inconsistent with its tag's write",
-                    (op.op_id, matching_write.op_id),
-                )
+    for object_id in history.object_ids():
+        register = history.for_object(object_id).complete()
+        violation = _check_register(register.operations, history.initial_value)
+        if violation is not None:
+            return violation
     return None
 
 
-# ---------------------------------------------------------------------------
-# General search-based linearizability checker
-# ---------------------------------------------------------------------------
+def _check_register(operations: List[Operation],
+                    initial_value: Any) -> Optional[AtomicityViolation]:
+    writes: Dict[Any, Operation] = {}
+    for op in operations:
+        if op.tag is None:
+            return AtomicityViolation("operation is missing a tag", (op.op_id,))
+        if op.kind == WRITE:
+            if op.tag in writes:
+                return AtomicityViolation(
+                    "two writes share the same tag", (writes[op.tag].op_id, op.op_id))
+            writes[op.tag] = op
 
-class LinearizabilityChecker:
-    """Search-based linearizability checker for a single read/write register.
+    # Each cluster as [f, s, name]: its first response, its last
+    # invocation, and the operation that names it.  The initial value is
+    # a write at (-inf, -inf) that the reads naming no write join; with
+    # no such read its zone conflicts with nothing.
+    clusters = {tag: [write.responded_at, write.invoked_at, write.op_id]
+                for tag, write in writes.items()}
+    initial = [-math.inf, -math.inf, ""]
+    for op in operations:
+        if op.kind == WRITE:
+            continue
+        write = writes.get(op.tag)
+        if write is None:
+            if op.value != initial_value:
+                return AtomicityViolation(
+                    "read returned a value never written (and not the initial value)",
+                    (op.op_id,))
+            cluster = initial
+            cluster[2] = cluster[2] or op.op_id
+        elif op.value != write.value:
+            return AtomicityViolation(
+                "read returned a value inconsistent with its tag's write",
+                (op.op_id, write.op_id))
+        elif op.responded_at < write.invoked_at:
+            return AtomicityViolation(
+                "read responded before its write was invoked (real-time order)",
+                (op.op_id, write.op_id))
+        else:
+            cluster = clusters[op.tag]
+        cluster[0] = min(cluster[0], op.responded_at)
+        cluster[1] = max(cluster[1], op.invoked_at)
 
-    The checker explores linearization orders with memoisation on the set
-    of already-linearized operations together with the register value at
-    that point.  Incomplete operations are treated as optional: they may
-    take effect at any point after their invocation or never (standard
-    crash semantics for pending operations).
-    """
-
-    def __init__(self, max_states: int = 2_000_000) -> None:
-        self.max_states = max_states
-        self._states_explored = 0
-
-    def check(self, history: History) -> Optional[AtomicityViolation]:
-        """Return ``None`` if the history is linearizable, else a violation."""
-        for object_id in history.object_ids() or ["object-0"]:
-            sub_history = history.for_object(object_id)
-            violation = self._check_single_object(sub_history)
-            if violation is not None:
-                return violation
-        return None
-
-    # -- internals -----------------------------------------------------------
-
-    def _check_single_object(self, history: History) -> Optional[AtomicityViolation]:
-        operations = history.operations
-        complete_ops = [op for op in operations if op.is_complete]
-        pending_ops = [op for op in operations if not op.is_complete]
-        self._states_explored = 0
-
-        ordered = sorted(operations, key=lambda op: op.invoked_at)
-        index_of = {op.op_id: i for i, op in enumerate(ordered)}
-        total = len(ordered)
-
-        # Precompute real-time predecessors: op j must be linearized before
-        # op i may be linearized if j responded before i was invoked.
-        must_precede: List[Set[int]] = [set() for _ in range(total)]
-        for i, op_i in enumerate(ordered):
-            for j, op_j in enumerate(ordered):
-                if i != j and op_j.precedes(op_i):
-                    must_precede[i].add(j)
-
-        complete_indices = frozenset(
-            index_of[op.op_id] for op in complete_ops
-        )
-        del pending_ops
-
-        seen: Set[Tuple[FrozenSet[int], Any]] = set()
-
-        def search(linearized: FrozenSet[int], value: Any) -> bool:
-            self._states_explored += 1
-            if self._states_explored > self.max_states:
-                raise RuntimeError(
-                    "linearizability search exceeded its state budget; "
-                    "use the tag-based checker for histories this concurrent"
-                )
-            if complete_indices <= linearized:
-                return True
-            key = (linearized, value)
-            if key in seen:
-                return False
-            seen.add(key)
-            for i, op in enumerate(ordered):
-                if i in linearized:
-                    continue
-                # Real-time order: all operations that responded before this
-                # one was invoked must already be linearized.
-                if not must_precede[i] <= linearized:
-                    # If op i is complete and some unlinearized op must precede
-                    # it, we may still pick that other op first; just skip i.
-                    continue
-                if op.kind == WRITE:
-                    if search(linearized | {i}, op.value):
-                        return True
-                else:  # READ
-                    if op.is_complete and op.value != value:
-                        continue
-                    if search(linearized | {i}, value):
-                        return True
-                # Incomplete operations may also simply never take effect; that
-                # case is covered because they are not in complete_indices and
-                # we do not require them to be linearized.
-            return False
-
-        if search(frozenset(), history.initial_value):
-            return None
-        return AtomicityViolation(
-            "no linearization of the history exists",
-            tuple(op.op_id for op in complete_ops),
-        )
+    # A cluster's zone is forward (f, s) when some operation of it
+    # responded before another was invoked, else backward (s, f).  Times
+    # compare strictly, as in Operation.precedes.
+    zones = [*clusters.values(), initial]
+    forward = sorted((zone for zone in zones if zone[0] < zone[1]),
+                     key=lambda zone: zone[0])
+    # Two forward zones conflict when they overlap; sorted by f, the first
+    # overlap is between neighbours.
+    for before, after in zip(forward, forward[1:]):
+        if after[0] < before[1]:
+            return AtomicityViolation(
+                "two writes' zones overlap in real-time order", (before[2], after[2]))
+    # A backward zone conflicts with a forward zone that contains it; the
+    # forward zones are disjoint now, so only the last one starting before
+    # the backward zone can.
+    starts = [zone[0] for zone in forward]
+    for f, s, name in zones:
+        if f < s:
+            continue
+        index = bisect_left(starts, s) - 1
+        if index >= 0 and f < forward[index][1]:
+            return AtomicityViolation(
+                "a write falls inside another write's zone in real-time order",
+                (forward[index][2], name))
+    return None
 
 
-__all__ = ["AtomicityViolation", "LinearizabilityChecker", "check_atomicity_by_tags"]
+__all__ = ["AtomicityViolation", "check_atomicity"]

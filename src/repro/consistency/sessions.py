@@ -1,6 +1,6 @@
 """Cross-shard session-consistency auditing.
 
-The per-object checkers in :mod:`repro.consistency.linearizability` prove
+The per-object checker in :mod:`repro.consistency.linearizability` proves
 what the paper proves: each LDS object (each shard epoch) is atomic.  A
 sharded deployment, however, serves many keys per client, and nothing in a
 per-object check notices a client observing key ``a`` going backwards

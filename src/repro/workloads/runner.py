@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol
 
 from repro.consistency.history import History, READ, WRITE
-from repro.consistency.linearizability import (
-    AtomicityViolation,
-    check_atomicity_by_tags,
-)
+from repro.consistency.linearizability import AtomicityViolation, check_atomicity
 from repro.core.system import RegisterSystem
 from repro.workloads.generator import Workload
 from repro.workloads.metrics import LatencySummary, summarize_latencies
@@ -68,9 +65,8 @@ def _assemble_report(system, history: History, violation: Optional[AtomicityViol
 class WorkloadRunner:
     """Executes a :class:`Workload` against a single-object register."""
 
-    def __init__(self, system: RegisterSystem, check_atomicity: bool = True) -> None:
+    def __init__(self, system: RegisterSystem) -> None:
         self.system = system
-        self.check_atomicity = check_atomicity
 
     def run(self, workload: Workload, max_events: int = 10_000_000) -> WorkloadReport:
         """Schedule every operation, run to quiescence, and summarise."""
@@ -90,10 +86,8 @@ class WorkloadRunner:
         self.system.run_until_idle(max_events=max_events)
 
         history = self.system.history()
-        violation = None
-        if self.check_atomicity:
-            violation = check_atomicity_by_tags(history)
-        return _assemble_report(self.system, history, violation, write_ops, read_ops)
+        return _assemble_report(self.system, history, check_atomicity(history),
+                                write_ops, read_ops)
 
 
 class KeyedDrivableSystem(Protocol):
@@ -126,7 +120,7 @@ class KeyedWorkloadRunner:
 
     The router checks atomicity itself (per object and per migration
     epoch), so unlike :class:`WorkloadRunner` this runner delegates the
-    check instead of running the tag checker over the merged history.
+    check instead of running the checker over the merged history.
 
     Operations are scheduled as timed *arrival events* on the system's
     global kernel (``add_workload`` on an
@@ -146,10 +140,8 @@ class KeyedWorkloadRunner:
     per-client guarantees across keys and shards.
     """
 
-    def __init__(self, system: "KeyedDrivableSystem",
-                 check_atomicity: bool = True) -> None:
+    def __init__(self, system: "KeyedDrivableSystem") -> None:
         self.system = system
-        self.check_atomicity = check_atomicity
 
     def run(self, workload: Workload, max_events: int = 10_000_000) -> WorkloadReport:
         """Schedule every keyed operation, run to quiescence, and summarise."""
@@ -162,9 +154,8 @@ class KeyedWorkloadRunner:
         self.system.add_workload(workload, on_handle=collect)
         self.system.run_until_idle(max_events=max_events)
 
-        history = self.system.history()
-        violation = self.system.check_atomicity() if self.check_atomicity else None
-        return _assemble_report(self.system, history, violation, write_ops, read_ops)
+        return _assemble_report(self.system, self.system.history(),
+                                self.system.check_atomicity(), write_ops, read_ops)
 
 
 __all__ = [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.abd import ABDSystem
-from repro.consistency.linearizability import LinearizabilityChecker, check_atomicity_by_tags
+from repro.consistency.linearizability import check_atomicity
 from repro.net.latency import BoundedLatencyModel, FixedLatencyModel
 
 
@@ -49,8 +49,7 @@ class TestBasics:
         system.invoke_read(reader=1, at=30.0)
         system.run_until_idle()
         history = system.history().complete()
-        assert check_atomicity_by_tags(history) is None
-        assert LinearizabilityChecker().check(history) is None
+        assert check_atomicity(history) is None
 
 
 class TestFaultTolerance:

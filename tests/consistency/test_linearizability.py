@@ -1,14 +1,11 @@
-"""Unit tests for the atomicity / linearizability checkers."""
+"""Unit tests for the atomicity checker, and its differential against the
+exhaustive oracle in ``linearizability_oracle.py``."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import linearizability_oracle
 from repro.consistency.history import History, Operation, READ, WRITE
-from repro.consistency.linearizability import (
-    LinearizabilityChecker,
-    check_atomicity_by_tags,
-)
+from repro.consistency.linearizability import check_atomicity
 from repro.core.tags import Tag
 
 
@@ -19,52 +16,64 @@ def op(op_id, kind, invoked, responded, value=None, tag=None, client=None):
     )
 
 
+def atomic(history):
+    """``check_atomicity``'s verdict, asserted equal to the oracle's on the
+    completed operations (the ones the checker keeps)."""
+    verdict = check_atomicity(history) is None
+    assert verdict == linearizability_oracle.is_linearizable(history.complete())
+    return verdict
+
+
 class TestTagBasedChecker:
+    """Reads are mapped to their writes by tag."""
+
     def test_sequential_history_is_atomic(self):
         history = History([
             op("w1", WRITE, 0, 1, value=b"a", tag=Tag(1, "w")),
             op("r1", READ, 2, 3, value=b"a", tag=Tag(1, "w")),
         ], initial_value=b"init")
-        assert check_atomicity_by_tags(history) is None
+        assert check_atomicity(history) is None
 
     def test_read_of_initial_value_is_atomic(self):
         history = History([
             op("r1", READ, 0, 1, value=b"init", tag=Tag.initial()),
         ], initial_value=b"init")
-        assert check_atomicity_by_tags(history) is None
+        assert check_atomicity(history) is None
 
     def test_read_of_never_written_value_is_a_violation(self):
         history = History([
             op("r1", READ, 0, 1, value=b"junk", tag=Tag.initial()),
         ], initial_value=b"init")
-        violation = check_atomicity_by_tags(history)
+        violation = check_atomicity(history)
         assert violation is not None
 
     def test_stale_read_after_write_is_a_violation(self):
-        # The read starts after the write completed but carries a smaller tag.
+        # The read starts after the write completed but returns the initial value.
         history = History([
             op("w1", WRITE, 0, 1, value=b"new", tag=Tag(5, "w")),
             op("r1", READ, 2, 3, value=b"init", tag=Tag.initial()),
         ], initial_value=b"init")
-        violation = check_atomicity_by_tags(history)
+        violation = check_atomicity(history)
         assert violation is not None
         assert "real-time" in violation.description
 
     def test_duplicate_write_tags_are_a_violation(self):
-        history = History([
-            op("w1", WRITE, 0, 1, value=b"a", tag=Tag(1, "w")),
-            op("w2", WRITE, 2, 3, value=b"b", tag=Tag(1, "w")),
-        ])
-        violation = check_atomicity_by_tags(history)
-        assert violation is not None
-        assert "same tag" in violation.description
+        # The bug once planted in the L1 server: two writes share a tag.
+        for second_invoked in (2, 0):
+            history = History([
+                op("w1", WRITE, 0, 1, value=b"a", tag=Tag(1, "w")),
+                op("w2", WRITE, second_invoked, 3, value=b"b", tag=Tag(1, "w")),
+            ])
+            violation = check_atomicity(history)
+            assert violation is not None
+            assert "same tag" in violation.description
 
     def test_read_value_must_match_the_write_with_its_tag(self):
         history = History([
             op("w1", WRITE, 0, 1, value=b"a", tag=Tag(1, "w")),
             op("r1", READ, 2, 3, value=b"b", tag=Tag(1, "w")),
         ])
-        assert check_atomicity_by_tags(history) is not None
+        assert check_atomicity(history) is not None
 
     def test_concurrent_operations_may_order_either_way(self):
         history = History([
@@ -72,11 +81,11 @@ class TestTagBasedChecker:
             op("w2", WRITE, 0, 10, value=b"b", tag=Tag(2, "w2")),
             op("r1", READ, 5, 12, value=b"b", tag=Tag(2, "w2")),
         ], initial_value=b"init")
-        assert check_atomicity_by_tags(history) is None
+        assert atomic(history)
 
     def test_missing_tag_reported(self):
         history = History([op("w1", WRITE, 0, 1, value=b"a", tag=None)])
-        violation = check_atomicity_by_tags(history)
+        violation = check_atomicity(history)
         assert violation is not None
         assert "missing" in violation.description
 
@@ -87,7 +96,40 @@ class TestTagBasedChecker:
             op("w1", WRITE, 0, 10, value=b"a", tag=Tag(1, "w")),
             op("r1", READ, 1, 5, value=b"a", tag=Tag(1, "w")),
         ], initial_value=b"init")
-        assert check_atomicity_by_tags(history) is None
+        assert atomic(history)
+
+    def test_read_that_responds_before_its_write_is_invoked_is_a_violation(self):
+        history = History([
+            op("r1", READ, 0, 1, value=b"a", tag=Tag(1, "w")),
+            op("w1", WRITE, 2, 3, value=b"a", tag=Tag(1, "w")),
+        ], initial_value=b"init")
+        assert not atomic(history)
+        assert "real-time" in check_atomicity(history).description
+
+    def test_tags_that_contradict_real_time_order_nothing(self):
+        # Linearizable as w1, w2, r1, though w1's tag is the larger: the
+        # tag only names the write a read returns.
+        history = History([
+            op("w1", WRITE, 0, 1, value=b"a", tag=Tag(2, "w")),
+            op("w2", WRITE, 2, 3, value=b"b", tag=Tag(1, "w")),
+            op("r1", READ, 4, 5, value=b"b", tag=Tag(1, "w")),
+        ], initial_value=b"init")
+        assert atomic(history)
+
+    def test_long_sequential_history(self):
+        # 1,200 operations: far past what the exhaustive search can take.
+        operations = []
+        for index in range(600):
+            tag = Tag(index + 1, "w")
+            value = index.to_bytes(2, "big")
+            operations += [
+                op(f"w{index}", WRITE, 4 * index, 4 * index + 1, value=value, tag=tag),
+                op(f"r{index}", READ, 4 * index + 2, 4 * index + 3, value=value, tag=tag),
+            ]
+        assert check_atomicity(History(operations, initial_value=b"init")) is None
+        stale = operations[:-1] + [op("r599", READ, 2398, 2399, value=b"init",
+                                      tag=Tag.initial())]
+        assert check_atomicity(History(stale, initial_value=b"init")) is not None
 
     def test_multi_object_histories_checked_per_object(self):
         history = History([
@@ -96,59 +138,49 @@ class TestTagBasedChecker:
             Operation(op_id="r1", client_id="c2", kind=READ, object_id="y",
                       value=b"init", invoked_at=2, responded_at=3, tag=Tag.initial()),
         ], initial_value=b"init")
-        assert check_atomicity_by_tags(history) is None
+        assert check_atomicity(history) is None
 
 
 class TestSearchChecker:
+    """Cases first written for the exhaustive search, now tagged."""
+
     def test_sequential_history(self):
         history = History([
-            op("w1", WRITE, 0, 1, value=b"a"),
-            op("r1", READ, 2, 3, value=b"a"),
-            op("w2", WRITE, 4, 5, value=b"b"),
-            op("r2", READ, 6, 7, value=b"b"),
+            op("w1", WRITE, 0, 1, value=b"a", tag=Tag(1, "w")),
+            op("r1", READ, 2, 3, value=b"a", tag=Tag(1, "w")),
+            op("w2", WRITE, 4, 5, value=b"b", tag=Tag(2, "w")),
+            op("r2", READ, 6, 7, value=b"b", tag=Tag(2, "w")),
         ], initial_value=b"init")
-        assert LinearizabilityChecker().check(history) is None
+        assert atomic(history)
 
     def test_read_of_initial_value(self):
-        history = History([op("r1", READ, 0, 1, value=b"init")], initial_value=b"init")
-        assert LinearizabilityChecker().check(history) is None
+        history = History([op("r1", READ, 0, 1, value=b"init", tag=Tag.initial())],
+                          initial_value=b"init")
+        assert atomic(history)
 
     def test_new_old_inversion_detected(self):
         # r1 sees the new value, then the later r2 sees the old one: not atomic.
         history = History([
-            op("w1", WRITE, 0, 20, value=b"new"),
-            op("r1", READ, 1, 2, value=b"new"),
-            op("r2", READ, 3, 4, value=b"init"),
+            op("w1", WRITE, 0, 20, value=b"new", tag=Tag(1, "w")),
+            op("r1", READ, 1, 2, value=b"new", tag=Tag(1, "w")),
+            op("r2", READ, 3, 4, value=b"init", tag=Tag.initial()),
         ], initial_value=b"init")
-        assert LinearizabilityChecker().check(history) is not None
+        assert not atomic(history)
 
     def test_stale_read_detected(self):
         history = History([
-            op("w1", WRITE, 0, 1, value=b"new"),
-            op("r1", READ, 2, 3, value=b"init"),
+            op("w1", WRITE, 0, 1, value=b"new", tag=Tag(1, "w")),
+            op("r1", READ, 2, 3, value=b"init", tag=Tag.initial()),
         ], initial_value=b"init")
-        assert LinearizabilityChecker().check(history) is not None
+        assert not atomic(history)
 
     def test_concurrent_reads_may_disagree_in_either_order(self):
         history = History([
-            op("w1", WRITE, 0, 10, value=b"new"),
-            op("r1", READ, 1, 9, value=b"new"),
-            op("r2", READ, 1, 9, value=b"init"),
+            op("w1", WRITE, 0, 10, value=b"new", tag=Tag(1, "w")),
+            op("r1", READ, 1, 9, value=b"new", tag=Tag(1, "w")),
+            op("r2", READ, 1, 9, value=b"init", tag=Tag.initial()),
         ], initial_value=b"init")
-        assert LinearizabilityChecker().check(history) is None
-
-    def test_incomplete_write_may_or_may_not_take_effect(self):
-        incomplete_visible = History([
-            op("w1", WRITE, 0, None, value=b"new"),
-            op("r1", READ, 1, 2, value=b"new"),
-        ], initial_value=b"init")
-        incomplete_invisible = History([
-            op("w1", WRITE, 0, None, value=b"new"),
-            op("r1", READ, 1, 2, value=b"init"),
-        ], initial_value=b"init")
-        checker = LinearizabilityChecker()
-        assert checker.check(incomplete_visible) is None
-        assert checker.check(incomplete_invisible) is None
+        assert atomic(history)
 
     def test_agrees_with_tag_checker_on_lds_like_history(self):
         history = History([
@@ -157,21 +189,11 @@ class TestSearchChecker:
             op("r1", READ, 6, 9, value=b"b", tag=Tag(2, "w2")),
             op("r2", READ, 10, 12, value=b"b", tag=Tag(2, "w2")),
         ], initial_value=b"init")
-        assert check_atomicity_by_tags(history) is None
-        assert LinearizabilityChecker().check(history) is None
-
-    def test_state_budget_guard(self):
-        operations = [
-            op(f"w{i}", WRITE, 0, 100, value=bytes([i])) for i in range(12)
-        ]
-        history = History(operations, initial_value=b"init")
-        checker = LinearizabilityChecker(max_states=5)
-        with pytest.raises(RuntimeError):
-            checker.check(history)
+        assert atomic(history)
 
 
 class TestIncompleteOperations:
-    """The checker owns the drop-incomplete semantics: raw recorder
+    """The checker drops incomplete operations itself: raw recorder
     histories (pending operations carry no tag) must be checkable without
     pre-filtering and without crashing."""
 
@@ -183,15 +205,18 @@ class TestIncompleteOperations:
                       object_id="object-0", value=b"b", invoked_at=4,
                       responded_at=None, tag=None),
         ], initial_value=b"init")
-        assert check_atomicity_by_tags(history) is None
+        assert check_atomicity(history) is None
 
-    def test_tag_order_treats_untagged_ops_as_unordered(self):
-        from repro.consistency.linearizability import _tag_order
-
-        tagged = op("w1", WRITE, 0, 1, value=b"a", tag=Tag(1, "w0"))
-        untagged = op("w2", WRITE, 2, 3, value=b"b", tag=None)
-        assert not _tag_order(tagged, untagged)
-        assert not _tag_order(untagged, tagged)
+    def test_read_of_pending_write_flagged(self):
+        # The pending write is dropped, so a read of its value names no
+        # write; a read that does not see it passes.
+        pending = op("w1", WRITE, 0, None, value=b"new")
+        assert check_atomicity(History([
+            pending, op("r1", READ, 1, 2, value=b"init", tag=Tag.initial()),
+        ], initial_value=b"init")) is None
+        assert check_atomicity(History([
+            pending, op("r1", READ, 1, 2, value=b"new", tag=Tag(1, "w")),
+        ], initial_value=b"init")) is not None
 
 
 @st.composite
@@ -217,8 +242,8 @@ def concurrent_histories(draw):
 
 
 class TestOracleDifferential:
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(concurrent_histories())
-    def test_tag_checker_accepts_only_linearizable_histories(self, history):
-        if check_atomicity_by_tags(history) is None:
-            assert linearizability_oracle.is_linearizable(history)
+    def test_check_atomicity_matches_the_oracle(self, history):
+        assert (check_atomicity(history) is None) == \
+            linearizability_oracle.is_linearizable(history)

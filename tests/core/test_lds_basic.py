@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consistency.linearizability import LinearizabilityChecker, check_atomicity_by_tags
+from repro.consistency.linearizability import check_atomicity
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.core.tags import Tag
@@ -132,8 +132,7 @@ class TestAtomicityOfSimpleExecutions:
         small_system.write(b"two", writer=1)
         small_system.read(reader=1)
         history = small_system.history().complete()
-        assert check_atomicity_by_tags(history) is None
-        assert LinearizabilityChecker().check(history) is None
+        assert check_atomicity(history) is None
 
     def test_randomised_latency_sequential_history_is_atomic(self, small_config):
         system = LDSSystem(small_config, num_writers=2, num_readers=2,
@@ -142,7 +141,7 @@ class TestAtomicityOfSimpleExecutions:
             system.write(f"value-{index}".encode(), writer=index % 2)
             system.read(reader=index % 2)
         history = system.history().complete()
-        assert check_atomicity_by_tags(history) is None
+        assert check_atomicity(history) is None
 
 
 class TestOtherConfigurations:

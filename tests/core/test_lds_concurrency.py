@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.consistency.linearizability import LinearizabilityChecker, check_atomicity_by_tags
+from repro.consistency.linearizability import check_atomicity
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, ExponentialLatencyModel, FixedLatencyModel
@@ -48,8 +48,7 @@ class TestConcurrentWrites:
         system.invoke_read(reader=1, at=2.0)
         system.run_until_idle()
         history = system.history().complete()
-        assert check_atomicity_by_tags(history) is None
-        assert LinearizabilityChecker().check(history) is None
+        assert check_atomicity(history) is None
 
 
 class TestReaderWriterConcurrency:
@@ -86,7 +85,7 @@ class TestReaderWriterConcurrency:
         system.run_until_idle()
         assert all(op in system.results for op in ops)
         history = system.history().complete()
-        assert check_atomicity_by_tags(history) is None
+        assert check_atomicity(history) is None
 
     def test_no_new_old_inversion_between_sequential_readers(self):
         # Two reads that do not overlap must not observe values in the wrong

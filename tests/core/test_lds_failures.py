@@ -8,7 +8,7 @@ with crashes before, during and between operations.
 
 import pytest
 
-from repro.consistency.linearizability import check_atomicity_by_tags
+from repro.consistency.linearizability import check_atomicity
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, FixedLatencyModel
@@ -108,7 +108,7 @@ class TestCombinedFailures:
         system.run_until_idle()
         history = system.history()
         assert all(op.is_complete for op in history)
-        assert check_atomicity_by_tags(history.complete()) is None
+        assert check_atomicity(history) is None
 
     def test_staggered_crashes_during_a_read_heavy_phase(self):
         config = LDSConfig(n1=7, n2=9, f1=2, f2=2)
@@ -135,4 +135,4 @@ class TestCombinedFailures:
         assert result.tag.z >= 1
         read = system.read()
         assert read.value in {b"orphaned write", b"next value"}
-        assert check_atomicity_by_tags(system.history().complete()) is None
+        assert check_atomicity(system.history()) is None

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency.history import History, Operation, READ, WRITE
-from repro.consistency.linearizability import LinearizabilityChecker, check_atomicity_by_tags
+from repro.consistency.linearizability import check_atomicity
 from repro.core.tags import Tag
 
 tag_strategy = st.builds(
@@ -37,7 +37,7 @@ class TestTagProperties:
 def sequential_histories(draw):
     """Histories produced by a single client issuing ops one after another.
 
-    By construction these are atomic, so both checkers must accept them.
+    By construction these are atomic, so the checker must accept them.
     """
     length = draw(st.integers(min_value=1, max_value=8))
     operations = []
@@ -67,8 +67,7 @@ class TestCheckerProperties:
     @settings(max_examples=50, deadline=None)
     @given(sequential_histories())
     def test_sequential_histories_are_always_accepted(self, history):
-        assert check_atomicity_by_tags(history) is None
-        assert LinearizabilityChecker().check(history) is None
+        assert check_atomicity(history) is None
 
     @settings(max_examples=50, deadline=None)
     @given(sequential_histories())
@@ -88,4 +87,4 @@ class TestCheckerProperties:
             else:
                 corrupted_ops.append(op)
         corrupted = History(corrupted_ops, initial_value=b"init")
-        assert check_atomicity_by_tags(corrupted) is not None
+        assert check_atomicity(corrupted) is not None

@@ -12,7 +12,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.consistency.linearizability import check_atomicity_by_tags
+from repro.consistency.linearizability import check_atomicity
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
 from repro.core.tags import Tag
@@ -88,7 +88,7 @@ class TestRandomExecutions:
     def test_atomicity_of_random_executions(self, schedule):
         system = run_schedule(schedule)
         history = system.history().complete()
-        assert check_atomicity_by_tags(history) is None
+        assert check_atomicity(history) is None
 
     @settings(max_examples=10, deadline=None)
     @given(schedules())

@@ -52,14 +52,6 @@ class TestRunnerWithLDS:
         assert report.mean_write_cost > report.mean_read_cost > 0
         assert report.total_communication_cost > 0
 
-    def test_runner_can_skip_atomicity_check(self):
-        config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
-        system = LDSSystem(config, latency_model=FixedLatencyModel())
-        workload = WorkloadGenerator(seed=2).sequential(num_writes=1, num_reads=1, spacing=60)
-        report = WorkloadRunner(system, check_atomicity=False).run(workload)
-        assert report.atomicity_violation is None
-        assert report.incomplete_operations == 0
-
 
 class TestRunnerWithBaselines:
     def test_same_workload_runs_on_abd(self):

@@ -224,17 +224,18 @@ def concurrent_histories(draw):
     """At most 7 operations on one register with small integer times (so
     ties occur), distinct write values and shuffled write tags; each read
     carries its write's tag and value, or the initial ones."""
-    kinds = draw(st.lists(st.sampled_from([WRITE, READ]), min_size=1, max_size=7))
-    writes = [index for index, kind in enumerate(kinds) if kind == WRITE]
-    ranks = draw(st.permutations(range(1, len(writes) + 1)))
+    specs = draw(st.lists(st.tuples(
+        st.booleans(), st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=7),
+    ), min_size=1, max_size=7))
+    ranks = draw(st.permutations(range(1, 8)))
+    writes = [index for index, spec in enumerate(specs) if spec[0]]
     tags = {index: Tag(rank, "w") for index, rank in zip(writes, ranks)}
     operations = []
-    for index, kind in enumerate(kinds):
-        source = index if kind == WRITE else draw(st.sampled_from([None] + writes))
-        invoked = draw(st.integers(min_value=0, max_value=8))
+    for index, (is_write, invoked, duration, pick) in enumerate(specs):
+        source = index if is_write else ([None] + writes)[pick % (len(writes) + 1)]
         operations.append(op(
-            f"op{index}", kind, invoked,
-            invoked + draw(st.integers(min_value=0, max_value=4)),
+            f"op{index}", WRITE if is_write else READ, invoked, invoked + duration,
             value=b"init" if source is None else bytes([source]),
             tag=Tag.initial() if source is None else tags[source],
         ))

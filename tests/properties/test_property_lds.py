@@ -3,8 +3,8 @@
 These are the Theorem IV.8 / IV.9 checks: for randomly generated
 invocation schedules, latency samples and crash patterns within the
 failure budgets, every operation of a non-faulty client completes and the
-resulting history is atomic (checked both with the implementation's tags
-and with the tag-free exhaustive search of the test oracle).
+resulting history is atomic (checked with ``check_atomicity`` and with the
+tag-free exhaustive search of the test oracle).
 """
 
 import os

@@ -134,3 +134,57 @@ def test_every_l2_server_sends_every_l1_index_psi_j_m_v_f(point, stripes):
 def test_whole_value_digests_are_pinned(code, digest):
     coded = b"".join(element.data for element in code.encode(bytes(range(200))))
     assert hashlib.sha256(coded).hexdigest() == digest
+
+
+def _value(length):
+    return bytes((37 * i + 11) % 256 for i in range(length))
+
+
+#: name -> (layered code, helper set for every L1 target, value lengths of
+#: 1 / 11 / 22 stripes): MBR at B = 12, MSR at B = 6.
+LAYERED = {
+    "mbr-5-7-3-5": (lambda: LayeredCode(5, 7, 3, 5), (0, 2, 3, 5, 6), (8, 128, 256)),
+    "msr-5-6-3-4": (lambda: LayeredCode(5, 6, 3, 4, "msr"), (0, 2, 3, 5), (2, 62, 128)),
+}
+
+
+#: (code, stripes) -> SHA-256 of the helper data and of the repaired elements.
+HELPER_AND_REPAIR_DIGESTS = {
+    ("mbr-5-7-3-5", 1): (
+        "47f772074a3b974affb8ae12bb6b34562846b25384ceaa303a175a0726a931d0",
+        "e06aefaecf44eef5565fefcebd57dc71e55d7769f577485520524e735e2de926"),
+    ("mbr-5-7-3-5", 11): (
+        "5e43ce102171766ccba76ed0425f82b21fcb6d7e686af91fd89aef1caf64bf34",
+        "1daff5ac8e8be073d430a8405565415757249273031571b57e2439ad3de070fb"),
+    ("mbr-5-7-3-5", 22): (
+        "fb8d8a6744b34c7a1a2d1e6e65873804694058fcdd490836f6c49686dea786f5",
+        "a8736716a34692fb4d87c2b930df27f3fdd112278f161eaf87359619034b3a3f"),
+    ("msr-5-6-3-4", 1): (
+        "3069727105ea334b21489858b07df6ca6c2e69ba80fc6a19a903f214196f3122",
+        "b80f72c39cfb7757dea24049bf57002b3c1d75e5c5b3a353c3657b3df74078bf"),
+    ("msr-5-6-3-4", 11): (
+        "1f937024edca2a90d325f8cac8b0ca89d1fa67bc86552b3eec4d8b6de75d8b3d",
+        "6cc7517e11cfbd2d8486bee1f8d07517a1fc909203edba7ca8e25ba89a3a0c38"),
+    ("msr-5-6-3-4", 22): (
+        "82db920fd962d367e139f787d8b574df42653515c0f840f913ccaff63b13c0bb",
+        "7ddda103095e75e534bb40e63938c4a533b35be3ec2147d03938c91777743bfa"),
+}
+
+
+@pytest.mark.parametrize("name, stripes", list(HELPER_AND_REPAIR_DIGESTS),
+                         ids=[f"{name}-{stripes}" for name, stripes in HELPER_AND_REPAIR_DIGESTS])
+def test_helper_data_and_repair_digests_are_pinned(name, stripes):
+    """Helper data from every L2 server to every L1 target, and each L1
+    target's element repaired from a fixed helper set, as SHA-256 digests."""
+    build, helpers, lengths = LAYERED[name]
+    helper_digest, repair_digest = HELPER_AND_REPAIR_DIGESTS[name, stripes]
+    layered = build()
+    value = _value(lengths[(1, 11, 22).index(stripes)])
+    assert layered.code.stripe_count(len(value)) == stripes
+    stored = layered.encode_for_backend(value)
+    replies = [layered.helper_data(l2, stored[l2]) for l2 in range(layered.n2)]
+    assert hashlib.sha256(b"".join(b"".join(r) for r in replies)).hexdigest() \
+        == helper_digest
+    repaired = [layered.regenerate_l1_element(f, {l2: replies[l2][f] for l2 in helpers}).data
+                for f in range(layered.n1)]
+    assert hashlib.sha256(b"".join(repaired)).hexdigest() == repair_digest

@@ -1,10 +1,10 @@
 """Print where a benchmark repetition's import time goes.
 
 Every ``lds_bench`` repetition runs in a fresh interpreter, so its
-``setup_s`` is mostly importing ``repro`` and numpy.  This script runs the
-import lines of ``lds_bench.workloads.build`` in a fresh interpreter under
-``python -X importtime`` and prints the ten ``repro`` / numpy modules with
-the largest self time, plus the totals.  It only reports: which modules
+``setup_s`` is mostly importing ``repro``.  This script runs the import
+lines of ``lds_bench.workloads.build`` in a fresh interpreter under
+``python -X importtime`` and prints the ten ``repro`` modules with the
+largest self time, plus the totals.  It only reports: which modules
 load is pinned by ``tests/packaging/test_import_set.py``.
 
     python3 benchmarks/import_profile.py
@@ -48,14 +48,11 @@ def import_times(code: str):
 
 def main() -> None:
     rows = sorted(import_times(build_import_lines()), reverse=True)
-    ours = [row for row in rows if row[2].split(".")[0] in ("repro", "numpy")]
+    ours = [row for row in rows if row[2].split(".")[0] == "repro"]
     print(f"{'self ms':>8} {'cumul ms':>9}  module")
     for self_us, cumulative_us, name in ours[:10]:
         print(f"{self_us / 1e3:8.1f} {cumulative_us / 1e3:9.1f}  {name}")
-    for package in ("repro", "numpy"):
-        mine = [row for row in rows if row[2].split(".")[0] == package]
-        print(f"{package}: {len(mine)} modules, "
-              f"{sum(row[0] for row in mine) / 1e3:.1f} ms self")
+    print(f"repro: {len(ours)} modules, {sum(row[0] for row in ours) / 1e3:.1f} ms self")
     print(f"all: {len(rows)} modules, "
           f"{sum(row[0] for row in rows) / 1e3:.1f} ms self")
 

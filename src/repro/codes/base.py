@@ -1,9 +1,9 @@
 """Common interfaces for the code layer.
 
 Every code is linear, so all ``S`` stripes of a value go through the same
-small matrices: a code implements each operation **once**, as an array
-computation with a stripe axis (``_encode_stripes`` and friends), and the
-base classes derive both public views from it:
+small matrices: a code implements each operation **once**, over all the
+stripes of a value (``_encode_stripes`` and friends), and the base classes
+derive both public views from it:
 
 * a **byte view** -- ``encode`` / ``decode`` operate on arbitrary byte
   strings by striping them across as many blocks as needed and prefixing
@@ -13,6 +13,10 @@ base classes derive both public views from it:
   block of ``block_size`` GF(2^8) symbols (one byte per symbol) and
   per-server coded elements of ``element_size`` symbols: the one-stripe
   case of the same call.
+
+Symbols are ``bytes`` throughout.  A coded element is stripe-major: its
+``alpha`` symbols of stripe 0, then those of stripe 1, and so on, so
+symbol ``c`` of every stripe is the slice ``element[c::alpha]``.
 
 Regenerating codes additionally expose the repair interface
 (``helper_data`` / ``repair`` and their block forms) that the LDS internal
@@ -26,7 +30,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple, Type
 
-import numpy as np
+from repro.gf.gf256 import as_vector
 
 #: Number of bytes used to record the original payload length in the
 #: striped byte-level encoding.
@@ -57,13 +61,6 @@ class CodedElement:
         return len(self.data)
 
 
-def _as_bytes(symbols) -> bytes:
-    """``symbols`` (bytes, or anything array-like of GF(2^8) symbols) as bytes."""
-    if isinstance(symbols, (bytes, bytearray)):
-        return symbols
-    return np.asarray(symbols, dtype=np.uint8).tobytes()
-
-
 def _stripe_count(pieces, width: int, error: Type[ValueError], what: str) -> int:
     """How many stripes of ``width`` symbols each of ``pieces`` holds."""
     lengths = {len(piece) for piece in pieces}
@@ -77,13 +74,23 @@ def _stripe_count(pieces, width: int, error: Type[ValueError], what: str) -> int
     return total // width
 
 
-def _stacked(pieces: Mapping[int, bytes], chosen: List[int], stripes: int, width: int,
-             error: Type[ValueError], what: str) -> np.ndarray:
-    """The ``chosen`` pieces as one ``(len(chosen), stripes, width)`` array."""
-    if any(len(pieces[index]) != stripes * width for index in chosen):
+def _chosen(pieces: Mapping[int, bytes], chosen: List[int], stripes: int, width: int,
+            error: Type[ValueError], what: str) -> List[bytes]:
+    """The ``chosen`` pieces, each checked to hold ``stripes`` stripes of ``width``."""
+    received = [pieces[index] for index in chosen]
+    if any(len(piece) != stripes * width for piece in received):
         raise error(f"{what}s have the wrong length")
-    joined = b"".join([pieces[index] for index in chosen])
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(chosen), stripes, width)
+    return received
+
+
+def interleave(columns: Sequence[bytes]) -> bytes:
+    """The stripe-major element whose symbol ``c`` of every stripe is
+    ``columns[c]``: each column is written back in place as one slice."""
+    count = len(columns)
+    element = bytearray(count * len(columns[0]))
+    for index, column in enumerate(columns):
+        element[index::count] = column
+    return bytes(element)
 
 
 class ErasureCode(ABC):
@@ -107,12 +114,14 @@ class ErasureCode(ABC):
         """Number of symbols stored per server per block (alpha)."""
 
     @abstractmethod
-    def _encode_stripes(self, stripes: np.ndarray) -> np.ndarray:
-        """Encode ``(S, B)`` payload stripes into ``(n, S, alpha)`` elements."""
+    def _encode_stripes(self, payload: bytes, stripes: int) -> Sequence[bytes]:
+        """Encode a payload of ``stripes`` blocks of ``B`` symbols into the
+        ``n`` stripe-major elements of ``stripes * alpha`` symbols."""
 
     @abstractmethod
-    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
-        """Decode ``(S, B)`` stripes from the ``(k, S, alpha)`` elements of the
+    def _decode_stripes(self, indices: List[int], received: List[bytes],
+                        stripes: int) -> bytes:
+        """Decode the ``stripes * B`` payload symbols from the elements of the
         ``k`` distinct in-range symbol ``indices`` (ascending)."""
 
     # -- derived size properties -------------------------------------------
@@ -129,14 +138,13 @@ class ErasureCode(ABC):
 
     # -- striping -----------------------------------------------------------
 
-    def _padded_payload(self, data: bytes) -> np.ndarray:
+    def _padded_payload(self, data: bytes) -> bytes:
         """Length-prefix and zero-pad ``data`` to a whole number of blocks."""
         payload = struct.pack(">I", len(data)) + bytes(data)
-        return np.frombuffer(payload + bytes(-len(payload) % self.block_size), dtype=np.uint8)
+        return payload + bytes(-len(payload) % self.block_size)
 
-    def _strip_payload(self, symbols: np.ndarray) -> bytes:
+    def _strip_payload(self, raw: bytes) -> bytes:
         """Inverse of :meth:`_padded_payload`."""
-        raw = symbols.astype(np.uint8, copy=False).tobytes()
         if len(raw) < _LENGTH_HEADER:
             raise DecodingError("decoded payload shorter than length header")
         (length,) = struct.unpack(">I", raw[:_LENGTH_HEADER])
@@ -158,20 +166,19 @@ class ErasureCode(ABC):
         The elements concatenate the per-stripe coded symbols, so each
         element has length ``stripe_count * element_size`` bytes.
         """
-        stripes = self._padded_payload(data).reshape(-1, self.block_size)
+        payload = self._padded_payload(data)
         return [
-            CodedElement(index=index, data=element.tobytes())
-            for index, element in enumerate(self._encode_stripes(stripes))
+            CodedElement(index=index, data=element)
+            for index, element in enumerate(
+                self._encode_stripes(payload, len(payload) // self.block_size))
         ]
 
-    def encode_block(self, block: np.ndarray) -> List[np.ndarray]:
+    def encode_block(self, block) -> List[bytes]:
         """Encode one block of ``block_size`` symbols into ``n`` elements."""
-        block = np.asarray(block, dtype=np.uint8)
-        if block.size != self.block_size:
-            raise ValueError(
-                f"block must contain B={self.block_size} symbols, got {block.size}"
-            )
-        return list(self._encode_stripes(block.reshape(1, -1))[:, 0])
+        block = as_vector(block)
+        if len(block) != self.block_size:
+            raise ValueError(f"block must contain B={self.block_size} symbols, got {len(block)}")
+        return list(self._encode_stripes(block, 1))
 
     # -- decode: both views ---------------------------------------------------
 
@@ -179,19 +186,18 @@ class ErasureCode(ABC):
         """Decode the original bytes from any sufficient set of elements."""
         if not elements:
             raise DecodingError("no coded elements supplied")
-        pieces = {element.index: _as_bytes(element.data) for element in elements}
-        stripes = _stripe_count(
-            pieces.values(), self.element_size, DecodingError, "coded element"
-        )
+        pieces = {element.index: as_vector(element.data) for element in elements}
+        stripes = _stripe_count(pieces.values(), self.element_size, DecodingError,
+                                "coded element")
         return self._strip_payload(self._decode(pieces, stripes))
 
-    def decode_block(self, elements: Mapping[int, np.ndarray]) -> np.ndarray:
+    def decode_block(self, elements: Mapping[int, bytes]) -> bytes:
         """Decode one block from coded elements keyed by symbol index."""
-        pieces = {index: _as_bytes(element) for index, element in elements.items()}
-        return self._decode(pieces, 1)[0]
+        pieces = {index: as_vector(element) for index, element in elements.items()}
+        return self._decode(pieces, 1)
 
-    def _decode(self, pieces: Mapping[int, bytes], stripes: int) -> np.ndarray:
-        """Decode ``(stripes, B)`` symbols from the ``k`` lowest indices given."""
+    def _decode(self, pieces: Mapping[int, bytes], stripes: int) -> bytes:
+        """Decode ``stripes * B`` symbols from the ``k`` lowest indices given."""
         if len(pieces) < self.k:
             raise DecodingError(
                 f"{type(self).__name__} decode requires k={self.k} elements, "
@@ -200,8 +206,9 @@ class ErasureCode(ABC):
         indices = sorted(pieces)[: self.k]
         if not (0 <= indices[0] and indices[-1] < self.n):
             raise DecodingError(f"invalid element index among {indices}")
-        return self._decode_stripes(indices, _stacked(
-            pieces, indices, stripes, self.element_size, DecodingError, "coded element"))
+        return self._decode_stripes(indices, _chosen(
+            pieces, indices, stripes, self.element_size, DecodingError, "coded element"),
+            stripes)
 
 
 class RegeneratingCode(ErasureCode):
@@ -221,10 +228,11 @@ class RegeneratingCode(ErasureCode):
         """Symbols sent by one helper per block (beta)."""
 
     @abstractmethod
-    def _helper_stripes(self, element: np.ndarray, failed_indices: Sequence[int]) -> np.ndarray:
-        """The ``(S, F * beta)`` helper symbols a node holding the ``(S, alpha)``
-        ``element`` sends for the repair of each of the ``F`` ``failed_indices``
-        (``beta`` symbols per target, targets in the order given).
+    def _helper_stripes(self, element: bytes, failed_indices: Sequence[int],
+                        stripes: int) -> Sequence[bytes]:
+        """The helper symbols a node holding the ``stripes``-stripe ``element``
+        sends for the repair of each of ``failed_indices``: one stripe-major
+        ``stripes * beta`` string per target, targets in the order given.
 
         The computation must depend only on the helper's own element and the
         identity of the failed node -- *not* on which other servers end up
@@ -234,12 +242,10 @@ class RegeneratingCode(ErasureCode):
         """
 
     @abstractmethod
-    def _repair_stripes(
-        self, failed_index: int, helpers: List[int], received: np.ndarray
-    ) -> np.ndarray:
-        """Rebuild the failed node's ``(S, alpha)`` element from the
-        ``(d, S, beta)`` symbols of the ``d`` distinct in-range ``helpers``
-        (ascending)."""
+    def _repair_stripes(self, failed_index: int, helpers: List[int], received: List[bytes],
+                        stripes: int) -> bytes:
+        """Rebuild the failed node's ``stripes``-stripe element from the
+        helper symbols of the ``d`` distinct in-range ``helpers`` (ascending)."""
 
     @property
     def helper_fraction(self) -> float:
@@ -253,42 +259,31 @@ class RegeneratingCode(ErasureCode):
 
     # -- helper data: both views ------------------------------------------------
 
-    def helper_data(
-        self, helper_index: int, helper_element: bytes, failed_index: int
-    ) -> bytes:
+    def helper_data(self, helper_index: int, helper_element: bytes, failed_index: int) -> bytes:
         """Helper symbols for every stripe of a stored element, as bytes."""
         return self.helper_data_for(helper_index, helper_element, (failed_index,))[0]
 
-    def helper_data_for(
-        self, helper_index: int, helper_element: bytes, failed_indices: Sequence[int]
-    ) -> Tuple[bytes, ...]:
+    def helper_data_for(self, helper_index: int, helper_element: bytes,
+                        failed_indices: Sequence[int]) -> Tuple[bytes, ...]:
         """:meth:`helper_data` for each of ``failed_indices``, from one product."""
-        element = _as_bytes(helper_element)
-        stripes = _stripe_count(
-            (element,), self.element_size, RepairError, "helper element"
-        )
-        symbols = self._helper(helper_index, element, failed_indices, stripes)
-        per_target = symbols.reshape(stripes, len(failed_indices), self.helper_size)
-        return tuple(target.tobytes() for target in per_target.transpose(1, 0, 2))
+        element = as_vector(helper_element)
+        stripes = _stripe_count((element,), self.element_size, RepairError, "helper element")
+        return tuple(self._helper(helper_index, element, failed_indices, stripes))
 
-    def helper_symbols_block(
-        self, helper_index: int, helper_element: np.ndarray, failed_index: int
-    ) -> np.ndarray:
+    def helper_symbols_block(self, helper_index: int, helper_element: bytes,
+                             failed_index: int) -> bytes:
         """Compute the ``beta`` helper symbols one helper sends for a repair."""
-        return self._helper(helper_index, _as_bytes(helper_element), (failed_index,), 1)[0]
+        return self._helper(helper_index, as_vector(helper_element), (failed_index,), 1)[0]
 
-    def _helper(
-        self, helper_index: int, element: bytes, failed_indices: Sequence[int], stripes: int
-    ) -> np.ndarray:
-        """The ``(stripes, F * beta)`` helper symbols of one stored element."""
-        if not 0 <= helper_index < self.n or not all(
-                0 <= failed_index < self.n for failed_index in failed_indices):
+    def _helper(self, helper_index: int, element: bytes, failed_indices: Sequence[int],
+                stripes: int) -> Sequence[bytes]:
+        """The helper symbols of one stored element, one string per target."""
+        if not (0 <= helper_index < self.n and 0 <= min(failed_indices, default=0)
+                and max(failed_indices, default=0) < self.n):
             raise RepairError("helper or failed index out of range")
-        width = self.element_size
-        if len(element) != stripes * width:
+        if len(element) != stripes * self.element_size:
             raise RepairError("helper element has the wrong length")
-        symbols = np.frombuffer(element, dtype=np.uint8)
-        return self._helper_stripes(symbols.reshape(stripes, width), failed_indices)
+        return self._helper_stripes(element, failed_indices, stripes)
 
     # -- repair: both views -------------------------------------------------------
 
@@ -298,27 +293,21 @@ class RegeneratingCode(ErasureCode):
             raise RepairError(
                 f"repair needs at least d={self.d} helpers, got {len(helper_data)}"
             )
-        pieces = {index: _as_bytes(data) for index, data in helper_data.items()}
-        stripes = _stripe_count(
-            pieces.values(), self.helper_size, RepairError, "helper message"
-        )
-        repaired = self._repair(failed_index, pieces, stripes)
-        return CodedElement(index=failed_index, data=repaired.tobytes())
+        pieces = {index: as_vector(data) for index, data in helper_data.items()}
+        stripes = _stripe_count(pieces.values(), self.helper_size, RepairError, "helper message")
+        return CodedElement(index=failed_index,
+                            data=self._repair(failed_index, pieces, stripes))
 
-    def repair_block(
-        self, failed_index: int, helper_data: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
+    def repair_block(self, failed_index: int, helper_data: Mapping[int, bytes]) -> bytes:
         """Rebuild the failed node's element for one block from helper data."""
-        pieces = {index: _as_bytes(data) for index, data in helper_data.items()}
-        return self._repair(failed_index, pieces, 1)[0]
+        pieces = {index: as_vector(data) for index, data in helper_data.items()}
+        return self._repair(failed_index, pieces, 1)
 
-    def _repair(
-        self, failed_index: int, pieces: Mapping[int, bytes], stripes: int
-    ) -> np.ndarray:
+    def _repair(self, failed_index: int, pieces: Mapping[int, bytes], stripes: int) -> bytes:
         """Repair from the ``d`` lowest helper indices given (``failed_index``
         apart).  Every index is range-checked before any matrix is touched,
         so only row sets of the encoding matrix are ever inverted."""
-        helpers = sorted(index for index in pieces if index != failed_index)
+        helpers = sorted(pieces.keys() - {failed_index})
         if not 0 <= failed_index < self.n or (
             helpers and not (0 <= helpers[0] and helpers[-1] < self.n)
         ):
@@ -328,14 +317,9 @@ class RegeneratingCode(ErasureCode):
                 f"repair requires d={self.d} distinct helpers, got {len(helpers)}"
             )
         helpers = helpers[: self.d]
-        return self._repair_stripes(failed_index, helpers, _stacked(
-            pieces, helpers, stripes, self.helper_size, RepairError, "helper message"))
+        return self._repair_stripes(failed_index, helpers, _chosen(
+            pieces, helpers, stripes, self.helper_size, RepairError, "helper message"),
+            stripes)
 
 
-__all__ = [
-    "CodedElement",
-    "DecodingError",
-    "ErasureCode",
-    "RegeneratingCode",
-    "RepairError",
-]
+__all__ = ["CodedElement", "DecodingError", "ErasureCode", "RegeneratingCode", "RepairError"]

@@ -150,15 +150,7 @@ class LayeredCode:
 
     def decode_from_l1(self, elements: Mapping[int, bytes]) -> bytes:
         """Decode the value from coded elements held by >= k L1 servers (code C1)."""
-        if len(elements) < self.k:
-            raise DecodingError(
-                f"decoding needs k={self.k} coded elements, got {len(elements)}"
-            )
-        coded = [
-            CodedElement(index=self.l1_symbol_index(l1_server), data=data)
-            for l1_server, data in elements.items()
-        ]
-        return self.code.decode(coded)
+        return self._decode(elements, self.l1_symbol_index)
 
     def decode_from_backend(self, elements: Mapping[int, bytes]) -> bytes:
         """Decode the value directly from >= k L2 coded elements (code C2).
@@ -167,15 +159,13 @@ class LayeredCode:
         and tests: the back-end alone must always be able to rebuild the
         persistent value.
         """
+        return self._decode(elements, self.l2_symbol_index)
+
+    def _decode(self, elements: Mapping[int, bytes], symbol_index) -> bytes:
         if len(elements) < self.k:
-            raise DecodingError(
-                f"decoding needs k={self.k} coded elements, got {len(elements)}"
-            )
-        coded = [
-            CodedElement(index=self.l2_symbol_index(l2_server), data=data)
-            for l2_server, data in elements.items()
-        ]
-        return self.code.decode(coded)
+            raise DecodingError(f"decoding needs k={self.k} coded elements, got {len(elements)}")
+        return self.code.decode([CodedElement(index=symbol_index(server), data=data)
+                                 for server, data in elements.items()])
 
     def __repr__(self) -> str:
         return (

@@ -14,11 +14,9 @@ available so that the first ``k`` coded symbols equal the payload.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.codes.base import DecodingError, ErasureCode
+from repro.codes.base import DecodingError, ErasureCode, interleave
 from repro.gf.builders import systematic_vandermonde, vandermonde_matrix
 from repro.gf.gf256 import GF256
 from repro.gf.matrix import GFMatrix, SingularMatrixError
@@ -48,16 +46,18 @@ class ReedSolomonCode(ErasureCode):
 
     # -- codec ----------------------------------------------------------------
 
-    def _encode_stripes(self, stripes: np.ndarray) -> np.ndarray:
-        # Column s of G @ stripes^t is the codeword of stripe s.
-        return GF256.matmul(self.generator.data, stripes.T)[:, :, None]
+    def _encode_stripes(self, payload: bytes, stripes: int) -> Tuple[bytes, ...]:
+        # Symbol s of G @ [payload symbol j of every stripe] is stripe s's codeword.
+        k = self.k
+        return GF256.matmul(self.generator.data, [payload[j::k] for j in range(k)])
 
-    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
+    def _decode_stripes(self, indices: List[int], received: List[bytes],
+                        stripes: int) -> bytes:
         try:
             inverse = self.generator.inverse_of_rows(indices)  # k x k
         except SingularMatrixError as exc:  # pragma: no cover - defensive
             raise DecodingError("received symbols do not span the payload") from exc
-        return GF256.matmul(inverse, received.reshape(self.k, -1)).T
+        return interleave(GF256.matmul(inverse, received))
 
     def __repr__(self) -> str:
         return f"ReedSolomonCode(n={self.n}, k={self.k}, systematic={self.systematic})"

@@ -10,9 +10,7 @@ protocol code.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import List, Tuple
 
 from repro.codes.base import ErasureCode
 
@@ -37,10 +35,11 @@ class ReplicationCode(ErasureCode):
     def element_size(self) -> int:
         return self._block_size
 
-    def _encode_stripes(self, stripes: np.ndarray) -> np.ndarray:
-        return np.repeat(stripes[None], self.n, axis=0)
+    def _encode_stripes(self, payload: bytes, stripes: int) -> Tuple[bytes, ...]:
+        return (payload,) * self.n
 
-    def _decode_stripes(self, indices: List[int], received: np.ndarray) -> np.ndarray:
+    def _decode_stripes(self, indices: List[int], received: List[bytes],
+                        stripes: int) -> bytes:
         return received[0]
 
     def __repr__(self) -> str:

@@ -3,8 +3,8 @@
 The erasure and regenerating codes in :mod:`repro.codes` operate over the
 finite field GF(2^8).  This package provides:
 
-* :mod:`repro.gf.gf256` -- scalar and vectorised (numpy) arithmetic over
-  GF(2^8) with the AES polynomial ``x^8 + x^4 + x^3 + x + 1``.
+* :mod:`repro.gf.gf256` -- scalar and vectorised arithmetic over GF(2^8)
+  with the AES polynomial ``x^8 + x^4 + x^3 + x + 1``; vectors are ``bytes``.
 * :mod:`repro.gf.matrix` -- dense matrices over GF(2^8): multiplication,
   rank, inversion, linear solves and Gaussian elimination.
 * :mod:`repro.gf.builders` -- Vandermonde and systematic Vandermonde

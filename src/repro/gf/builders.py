@@ -9,9 +9,7 @@ use one as their encoding matrix, Reed-Solomon its systematic form.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.gf.gf256 import GF256
+from repro.gf.gf256 import GF256, as_vector
 from repro.gf.matrix import GFMatrix
 
 
@@ -29,20 +27,20 @@ def vandermonde_matrix(rows: int, cols: int, points=None) -> GFMatrix:
         raise ValueError("GF(2^8) Vandermonde supports at most 255 distinct rows")
     if points is None:
         points = [GF256.exp(i) for i in range(rows)]
-    points = [int(p) for p in points]
+    points = as_vector(points)
     if len(points) != rows:
         raise ValueError("number of evaluation points must equal rows")
     if len(set(points)) != rows:
         raise ValueError("evaluation points must be distinct")
     if any(p == 0 for p in points):
         raise ValueError("evaluation points must be non-zero")
-    matrix = np.zeros((rows, cols), dtype=np.uint8)
-    for i, x in enumerate(points):
+    matrix = [bytearray(cols) for _ in range(rows)]
+    for row, x in zip(matrix, points):
         value = 1
         for j in range(cols):
-            matrix[i, j] = value
+            row[j] = value
             value = GF256.mul(value, x)
-    return GFMatrix(matrix)
+    return GFMatrix(matrix) if rows else GFMatrix.zeros(0, cols)
 
 
 def systematic_vandermonde(rows: int, cols: int) -> GFMatrix:

@@ -2,19 +2,21 @@
 
 The field is constructed with the primitive polynomial
 ``x^8 + x^4 + x^3 + x + 1`` (0x11B, the polynomial used by AES) and the
-generator element 3, which is primitive for this polynomial.  Scalar
-multiplication and division use logarithm / exponential lookup tables;
-every vectorised product is one gather from a precomputed 256 x 256
-product table (``_MUL[a, b] == a * b``), so no zero masking and no
-widening to a larger integer type is needed.
+generator element 3, which is primitive for this polynomial.
 
-All elements are represented as Python ints (or numpy ``uint8`` arrays) in
-the range ``0..255``.  Addition and subtraction are both XOR.
+Scalars are ints in ``0..255`` and vectors are ``bytes``, one symbol per
+byte.  Every product is a lookup in a precomputed 256 x 256 table whose
+row ``a`` is a 256-byte string (``_MUL[a][b] == a * b``), so scaling a
+vector is one ``bytes.translate`` through that row, and adding vectors
+(XOR) is one XOR of their ``int.from_bytes`` values.  Addition and
+subtraction are both XOR.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import reduce
+from operator import getitem, index as as_index, xor as _int_xor
+from typing import List, Tuple
 
 #: The field size.
 FIELD_SIZE = 256
@@ -26,71 +28,85 @@ PRIMITIVE_POLY = 0x11B
 GENERATOR = 0x03
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Build the exponential and logarithm tables for GF(2^8).
-
-    Returns a pair ``(exp_table, log_table)`` where ``exp_table`` has 512
-    entries (doubled to avoid a modular reduction in multiplication) and
-    ``log_table`` has 256 entries with ``log_table[0]`` unused.
-    """
-    exp_table = np.zeros(512, dtype=np.int32)
-    log_table = np.zeros(256, dtype=np.int32)
-
+def _build_tables() -> Tuple[bytes, bytes]:
+    """The exponential table, 512 entries (the 255 powers repeated, so
+    ``exp[log a + log b]`` needs no modular reduction), and the logarithm
+    table, 256 entries (``log[0]`` unused)."""
+    powers = bytearray(255)
+    log_table = bytearray(256)
     value = 1
     for exponent in range(255):
-        exp_table[exponent] = value
+        powers[exponent] = value
         log_table[value] = exponent
         # Multiply by the generator (3) in GF(2^8): value * 3 = value * 2 + value.
         doubled = value << 1
         if doubled & 0x100:
             doubled ^= PRIMITIVE_POLY
         value = doubled ^ value
-    for exponent in range(255, 512):
-        exp_table[exponent] = exp_table[exponent - 255]
-    return exp_table, log_table
+    return bytes(powers * 3)[:512], bytes(log_table)
 
 
 _EXP_TABLE, _LOG_TABLE = _build_tables()
 
+#: Row ``a`` of the product table: ``_MUL[a][b] == a * b``.  Row ``a != 0``
+#: maps ``b``'s logarithm through ``exp[log a + .]``; no loop over products.
+_MUL = (bytes(FIELD_SIZE),) + tuple(
+    b"\0" + _LOG_TABLE[1:].translate(_EXP_TABLE[_LOG_TABLE[a]:_LOG_TABLE[a] + 256])
+    for a in range(1, FIELD_SIZE))
 
-def _build_inverse_table() -> np.ndarray:
-    """Precompute multiplicative inverses so ``inv`` is one table lookup.
-
-    Inversion sits in the decode/repair hot path (every Gaussian-elimination
-    pivot normalisation calls it); the direct table replaces the
-    log-negate-exp sequence with a single indexed load.  Index 0 is unused
-    (zero has no inverse).
-    """
-    inverse = np.zeros(256, dtype=np.int32)
-    values = np.arange(1, 256)
-    inverse[1:] = _EXP_TABLE[255 - _LOG_TABLE[values]]
-    return inverse
-
-
-_INV_TABLE = _build_inverse_table()
-
-
-def _build_product_table() -> np.ndarray:
-    """Precompute every product: ``table[a, b] == a * b`` (64 KiB of uint8).
-
-    Row and column 0 stay zero; the rest is one gather of
-    ``exp[log a + log b]`` over the 255 x 255 non-zero pairs.
-    """
-    logs = _LOG_TABLE[1:]
-    table = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.uint8)
-    table[1:, 1:] = _EXP_TABLE[logs[:, None] + logs[None, :]]
-    return table
-
-
-_MUL = _build_product_table()
+#: Multiplicative inverses, so ``inv`` is one lookup (index 0 is unused).
+_INV_TABLE = b"\0" + _LOG_TABLE[1:].translate(_EXP_TABLE[255:0:-1] + b"\0")
 
 
 def _element(value) -> int:
-    """Return ``value`` as an int, rejecting anything outside ``0..255``."""
-    value = int(value)
+    """``value`` as a field element: an integer (``operator.index``) in ``0..255``."""
+    value = as_index(value)
     if not 0 <= value < FIELD_SIZE:
         raise ValueError(f"{value} is not a GF(2^8) element (0..255)")
     return value
+
+
+def as_vector(data) -> bytes:
+    """``data`` -- bytes, bytearray or a sequence of ints 0..255 -- as bytes.  As
+    for a scalar, a non-integer entry is a TypeError, one outside 0..255 a ValueError."""
+    if isinstance(data, (bytes, bytearray)):
+        return bytes(data)
+    try:  # list(): an int is no vector, and no raw buffer slips through
+        return bytes(list(data))  # bytes() reads each entry with __index__
+    except ValueError:
+        raise ValueError(f"{data!r} holds a value that is not a GF(2^8) element") from None
+
+
+def is_vector(data) -> bool:
+    """Whether ``data`` is one vector (bytes, or entries that hold no entries)."""
+    return isinstance(data, (bytes, bytearray)) or (
+        _holds_entries(data) and not any(map(_holds_entries, data)))
+
+
+def _holds_entries(data) -> bool:
+    return hasattr(data, "__iter__") and not isinstance(data, str)  # "3" is one bad entry
+
+
+def as_rows(matrix) -> Tuple[bytes, ...]:
+    """The rows of a 2-D operand (a sequence of vectors), each as ``bytes``."""
+    rows = tuple(matrix)
+    for row in rows:
+        if row.__class__ is not bytes:
+            if not all(map(is_vector, rows)):
+                raise ValueError("expected 2-D operands: a sequence of rows of GF(2^8) elements")
+            return tuple(map(as_vector, rows))
+    return rows
+
+
+def xor(a: bytes, b: bytes) -> bytes:
+    """``a + b`` for two vectors, as long as ``a`` (an empty ``b`` is zero)."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
+        len(a), "little")
+
+
+def split_rows(flat: bytes, width: int, count: int) -> List[bytes]:
+    """The ``count`` consecutive rows of ``width`` symbols that make up ``flat``."""
+    return [flat[row * width:(row + 1) * width] for row in range(count)]
 
 
 class GF256:
@@ -101,25 +117,17 @@ class GF256:
     instantiating anything.
     """
 
-    order = FIELD_SIZE
-    primitive_poly = PRIMITIVE_POLY
-    generator = GENERATOR
-
     # -- scalar operations -------------------------------------------------
 
     @classmethod
     def add(cls, a: int, b: int) -> int:
         """Return ``a + b`` in GF(2^8) (XOR)."""
-        return (int(a) ^ int(b)) & 0xFF
+        return _element(a) ^ _element(b)
 
     @classmethod
     def mul(cls, a: int, b: int) -> int:
         """Return the product ``a * b`` in GF(2^8)."""
-        a = _element(a)
-        b = _element(b)
-        if a == 0 or b == 0:
-            return 0
-        return int(_EXP_TABLE[_LOG_TABLE[a] + _LOG_TABLE[b]])
+        return _MUL[_element(a)][_element(b)]
 
     @classmethod
     def inv(cls, a: int) -> int:
@@ -130,12 +138,12 @@ class GF256:
         a = _element(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return int(_INV_TABLE[a])
+        return _INV_TABLE[a]
 
     @classmethod
     def exp(cls, exponent: int) -> int:
         """Return ``generator ** exponent``."""
-        return int(_EXP_TABLE[exponent % 255])
+        return _EXP_TABLE[as_index(exponent) % 255]
 
     @classmethod
     def log(cls, a: int) -> int:
@@ -143,54 +151,60 @@ class GF256:
         a = _element(a)
         if a == 0:
             raise ValueError("zero has no discrete logarithm")
-        return int(_LOG_TABLE[a])
+        return _LOG_TABLE[a]
 
     # -- vectorised operations --------------------------------------------
 
     @classmethod
-    def as_array(cls, data) -> np.ndarray:
-        """Coerce ``data`` (bytes, list, array) into a uint8 numpy array."""
-        if isinstance(data, (bytes, bytearray)):
-            return np.frombuffer(bytes(data), dtype=np.uint8).copy()
-        return np.asarray(data, dtype=np.uint8)
+    def add_vec(cls, a, b) -> bytes:
+        """Element-wise addition of two equally long vectors (XOR)."""
+        a, b = as_vector(a), as_vector(b)
+        if len(a) != len(b):
+            raise ValueError(f"vector lengths differ: {len(a)} and {len(b)}")
+        return xor(a, b)
 
     @classmethod
-    def add_vec(cls, a, b) -> np.ndarray:
-        """Element-wise addition of two vectors (XOR)."""
-        return np.bitwise_xor(cls.as_array(a), cls.as_array(b))
+    def mul_vec(cls, a, b) -> bytes:
+        """Element-wise product of two equally long vectors."""
+        a, b = as_vector(a), as_vector(b)
+        if len(a) != len(b):
+            raise ValueError(f"vector lengths differ: {len(a)} and {len(b)}")
+        return bytes(map(getitem, map(_MUL.__getitem__, a), b))
 
     @classmethod
-    def mul_vec(cls, a, b) -> np.ndarray:
-        """Element-wise product of two equally shaped (or broadcastable) arrays."""
-        return _MUL[cls.as_array(a), cls.as_array(b)]
-
-    @classmethod
-    def scale_vec(cls, scalar: int, vector) -> np.ndarray:
+    def scale_vec(cls, scalar: int, vector) -> bytes:
         """Multiply every element of ``vector`` by ``scalar``."""
-        return _MUL[_element(scalar)][cls.as_array(vector)]
+        return as_vector(vector).translate(_MUL[_element(scalar)])
 
     @classmethod
     def dot(cls, a, b) -> int:
         """Inner product of two vectors in GF(2^8)."""
-        return int(np.bitwise_xor.reduce(cls.mul_vec(a, b)))
+        return reduce(_int_xor, cls.mul_vec(a, b), 0)
 
     @classmethod
-    def matmul(cls, a, b) -> np.ndarray:
-        """Matrix product of two 2-D uint8 arrays over GF(2^8).
+    def matmul(cls, a, b) -> Tuple[bytes, ...]:
+        """Matrix product of the rows ``a`` and the rows ``b``, as rows.
 
-        One gather of every ``a[i, j] * b[j, c]`` product from the
-        256 x 256 table, then one XOR-reduce over the inner dimension.
+        Row ``i`` of the product is the sum over ``j`` of ``b``'s row ``j``
+        scaled by ``a[i][j]``: one ``translate`` and one XOR per non-zero
+        entry of ``a``.  With no rows in ``b`` the product's rows are empty.
         """
-        a_arr = cls.as_array(a)
-        b_arr = cls.as_array(b)
-        if a_arr.ndim != 2 or b_arr.ndim != 2:
-            raise ValueError("matmul requires 2-D operands")
-        if a_arr.shape[1] != b_arr.shape[0]:
-            raise ValueError(
-                f"shape mismatch: {a_arr.shape} x {b_arr.shape}"
-            )
-        products = _MUL[a_arr[:, :, None], b_arr[None, :, :]]
-        return np.bitwise_xor.reduce(products, axis=1)
+        left, right = as_rows(a), as_rows(b)
+        inner = len(right)
+        width = len(right[0]) if right else 0
+        if len(set(map(len, right))) > 1:
+            raise ValueError("the rows of the right operand differ in length")
+        product = []
+        for row in left:
+            if len(row) != inner:
+                raise ValueError(f"shape mismatch: {len(left)}x{len(row)} times {inner}x{width}")
+            total = 0
+            for coefficient, symbols in zip(row, right):
+                if coefficient:
+                    total ^= int.from_bytes(symbols.translate(_MUL[coefficient]), "little")
+            product.append(total.to_bytes(width, "little"))
+        return tuple(product)
 
 
-__all__ = ["GF256", "FIELD_SIZE", "PRIMITIVE_POLY", "GENERATOR"]
+__all__ = ["GF256", "FIELD_SIZE", "PRIMITIVE_POLY", "GENERATOR", "as_rows", "as_vector",
+           "is_vector", "split_rows", "xor"]

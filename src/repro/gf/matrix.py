@@ -1,7 +1,7 @@
 """Dense matrices over GF(2^8).
 
-:class:`GFMatrix` wraps a 2-D numpy ``uint8`` array and provides the linear
-algebra the code constructions need: multiplication, transposition, rank,
+:class:`GFMatrix` holds an immutable tuple of ``bytes`` rows and provides
+the linear algebra the code constructions need: multiplication, rank,
 Gaussian elimination, inversion, and solving linear systems.  The matrices
 involved in the product-matrix codes are small (tens of rows/columns), so a
 straightforward O(n^3) elimination is more than fast enough and keeps the
@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import index as as_index
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.gf.gf256 import GF256
+from repro.gf.gf256 import GF256, as_rows, as_vector, is_vector, split_rows, xor
 
 #: Most row-subset inverses kept by :meth:`GFMatrix.inverse_of_rows`.  One
 #: (n, k, d) code needs at most C(n, d) + C(n, k) of them; the protocol's
@@ -29,68 +27,74 @@ class SingularMatrixError(ValueError):
 
 
 class GFMatrix:
-    """A dense matrix with entries in GF(2^8)."""
+    """A dense, immutable matrix with entries in GF(2^8), held as ``bytes`` rows.
+
+    ``data`` is a sequence of rows (each ``bytes``, ``bytearray`` or a
+    sequence of ints 0..255), or one such vector for a one-row matrix.
+    """
 
     def __init__(self, data) -> None:
-        array = np.array(data, dtype=np.uint8)
-        if array.ndim == 1:
-            array = array.reshape(1, -1)
-        if array.ndim != 2:
-            raise ValueError("GFMatrix requires 2-D data")
-        self._data = array
+        if not isinstance(data, (bytes, bytearray)):
+            data = list(data)
+        rows = (as_vector(data),) if data and is_vector(data) else as_rows(data)
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("GFMatrix rows differ in length")
+        self._rows = rows
+        self._cols = len(rows[0]) if rows else 0
+
+    @classmethod
+    def _of(cls, rows: Sequence[bytes], cols: int) -> "GFMatrix":
+        """A matrix of rows already known to be ``bytes`` of width ``cols``."""
+        matrix = cls.__new__(cls)
+        matrix._rows, matrix._cols = tuple(rows), cols
+        return matrix
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "GFMatrix":
         """Return the all-zero matrix of the given shape."""
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls._of((bytes(cols),) * rows, cols)
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def data(self) -> np.ndarray:
-        """The underlying numpy array (not copied)."""
-        return self._data
+    def data(self) -> Tuple[bytes, ...]:
+        """The rows, as a tuple of ``bytes``."""
+        return self._rows
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> Tuple[int, int]:
         """The (rows, cols) shape."""
-        return self._data.shape
+        return len(self._rows), self._cols
 
     @property
     def rows(self) -> int:
-        return self._data.shape[0]
+        return len(self._rows)
 
     @property
     def cols(self) -> int:
-        return self._data.shape[1]
-
-    def copy(self) -> "GFMatrix":
-        """Return a deep copy."""
-        return GFMatrix(self._data.copy())
-
-    def row(self, index: int) -> np.ndarray:
-        """Return a copy of row ``index``."""
-        return self._data[index].copy()
+        return self._cols
 
     def submatrix(self, row_indices: Sequence[int], col_indices=None) -> "GFMatrix":
         """Return the submatrix picking ``row_indices`` (and optionally columns)."""
-        rows = self._data[list(row_indices), :]
-        if col_indices is not None:
-            rows = rows[:, list(col_indices)]
-        return GFMatrix(rows.copy())
+        rows = [self._rows[index] for index in row_indices]
+        if col_indices is None:
+            return GFMatrix._of(rows, self._cols)
+        cols = list(col_indices)
+        return GFMatrix._of([bytes([row[col] for col in cols]) for row in rows], len(cols))
 
     def __getitem__(self, key):
-        return self._data[key]
-
-    def __setitem__(self, key, value):
-        self._data[key] = value
+        """``m[i]`` is row ``i``; ``m[i, j]`` is one entry."""
+        if isinstance(key, tuple):
+            row, col = key
+            return self._rows[row][col]
+        return self._rows[key]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GFMatrix):
             return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self._data, other._data))
+        return self.shape == other.shape and self._rows == other._rows
 
     def __repr__(self) -> str:
         return f"GFMatrix(shape={self.shape})"
@@ -100,89 +104,60 @@ class GFMatrix:
     def __add__(self, other: "GFMatrix") -> "GFMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in GF matrix addition")
-        return GFMatrix(np.bitwise_xor(self._data, other._data))
-
-    __sub__ = __add__
+        return GFMatrix._of([xor(a, b) for a, b in zip(self._rows, other._rows)], self._cols)
 
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
         return self.matmul(other)
 
     def matmul(self, other: "GFMatrix") -> "GFMatrix":
         """Return the matrix product ``self @ other``."""
-        return GFMatrix(GF256.matmul(self._data, other._data))
+        if self._cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.shape} x {other.shape}")
+        if not other.rows:  # no rows to read the width from: all zero
+            return GFMatrix.zeros(self.rows, other.cols)
+        return GFMatrix._of(GF256.matmul(self._rows, other._rows), other.cols)
 
-    def matvec(self, vector) -> np.ndarray:
-        """Multiply the matrix by a column vector, returning a 1-D array."""
-        vec = GF256.as_array(vector)
-        if vec.size != self.cols:
+    def matvec(self, vector) -> bytes:
+        """Multiply the matrix by a column vector."""
+        vec = as_vector(vector)
+        if len(vec) != self._cols:
             raise ValueError("vector length does not match matrix columns")
-        product = GF256.matmul(self._data, vec.reshape(-1, 1))
-        return product.reshape(-1)
-
-    def transpose(self) -> "GFMatrix":
-        """Return the transpose."""
-        return GFMatrix(self._data.T.copy())
-
-    @property
-    def T(self) -> "GFMatrix":
-        return self.transpose()
+        return b"".join(GF256.matmul(self._rows, split_rows(vec, 1, len(vec))))
 
     def scale(self, scalar: int) -> "GFMatrix":
         """Multiply every entry by ``scalar``."""
-        return GFMatrix(GF256.scale_vec(scalar, self._data))
-
-    def vstack(self, other: "GFMatrix") -> "GFMatrix":
-        """Concatenate vertically."""
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return GFMatrix(np.vstack([self._data, other._data]))
+        flat = GF256.scale_vec(scalar, b"".join(self._rows))
+        return GFMatrix._of(split_rows(flat, self._cols, self.rows), self._cols)
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self, augment: np.ndarray | None = None):
-        """Run Gauss-Jordan elimination.
-
-        Returns ``(reduced, augmented, pivot_columns)``.  ``augmented`` is
-        ``None`` when no augment matrix was supplied.
-        """
-        work = self._data.copy()
-        aug = None if augment is None else augment.astype(np.uint8)
-        rows, cols = work.shape
-        pivot_cols: list[int] = []
-        pivot_row = 0
-        for col in range(cols):
-            if pivot_row >= rows:
-                break
+    def _eliminate(self, augment: Sequence[bytes] | None = None) -> Tuple[List[bytes], List[int]]:
+        """Run Gauss-Jordan elimination on the rows, each extended by the same
+        row of ``augment`` if given.  Returns ``(reduced_rows, pivot_columns)``."""
+        work = [row + extra for row, extra in zip(self._rows, augment or [b""] * self.rows)]
+        pivot_cols: List[int] = []
+        for col in range(self._cols):
+            pivot_row = len(pivot_cols)
             # Find a pivot in this column at or below pivot_row.
-            candidates = np.flatnonzero(work[pivot_row:, col])
-            if candidates.size == 0:
+            pivot = next((r for r in range(pivot_row, len(work)) if work[r][col]), None)
+            if pivot is None:
                 continue
-            pivot = pivot_row + int(candidates[0])
-            if pivot != pivot_row:
-                work[[pivot_row, pivot]] = work[[pivot, pivot_row]]
-                if aug is not None:
-                    aug[[pivot_row, pivot]] = aug[[pivot, pivot_row]]
-            # Normalise the pivot row.
-            inv = GF256.inv(int(work[pivot_row, col]))
-            work[pivot_row] = GF256.scale_vec(inv, work[pivot_row])
-            if aug is not None:
-                aug[pivot_row] = GF256.scale_vec(inv, aug[pivot_row])
-            # Eliminate the column from every other row at once: the outer
-            # product factors x pivot-row, with the pivot row's own factor
-            # zeroed so it is left alone.
-            factors = work[:, col, None].copy()
-            factors[pivot_row] = 0
-            work ^= GF256.mul_vec(factors, work[pivot_row])
-            if aug is not None:
-                aug ^= GF256.mul_vec(factors, aug[pivot_row])
+            work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+            # Normalise the pivot row, then eliminate the column from every
+            # other row at once: one element-wise product of the factors (each
+            # spread over a row, the pivot row's own zeroed) and the pivot row.
+            top = work[pivot_row] = GF256.scale_vec(GF256.inv(work[pivot_row][col]),
+                                                    work[pivot_row])
+            factors = [0 if r == pivot_row else row[col] for r, row in enumerate(work)]
+            spread = bytes([factor for factor in factors for _ in top])
+            flat = xor(b"".join(work), GF256.mul_vec(spread, top * len(work)))
+            work = split_rows(flat, len(top), len(work))
             pivot_cols.append(col)
-            pivot_row += 1
-        return work, aug, pivot_cols
+        return work, pivot_cols
 
     def rank(self) -> int:
         """Return the rank of the matrix."""
-        _, _, pivots = self._eliminate()
-        return len(pivots)
+        return len(self._eliminate()[1])
 
     def inverse(self) -> "GFMatrix":
         """Return the inverse matrix.
@@ -190,58 +165,58 @@ class GFMatrix:
         Raises :class:`SingularMatrixError` when the matrix is not square
         or not full rank.
         """
-        if self.rows != self.cols:
+        size = self.rows
+        if size != self.cols:
             raise SingularMatrixError("only square matrices can be inverted")
-        _, aug, pivots = self._eliminate(np.eye(self.rows, dtype=np.uint8))
-        if len(pivots) != self.rows:
+        identity = [bytes(i) + b"\x01" + bytes(size - i - 1) for i in range(size)]
+        work, pivots = self._eliminate(identity)
+        if len(pivots) != size:
             raise SingularMatrixError("matrix is singular")
-        return GFMatrix(aug)
+        return GFMatrix._of([row[size:] for row in work], size)
 
-    def inverse_of_rows(self, rows: Sequence[int], width: int | None = None) -> np.ndarray:
-        """Return the inverse of the square block ``self[rows, :width]``.
+    def inverse_of_rows(self, rows: Sequence[int], width: int | None = None) -> Tuple[bytes, ...]:
+        """Return the rows of the inverse of the square block ``self[rows, :width]``.
 
         ``width`` defaults to every column.  The result is a pure function of
         this matrix's entries and the selection, so it is memoised on exactly
         those (process-wide: code objects built from equal encoding matrices
-        share the entries) and handed out read-only.  Raises
-        :class:`SingularMatrixError` like :meth:`inverse`; failures are not
-        memoised.  A row outside ``0..rows-1`` (a negative one would wrap) or
-        a width outside ``0..cols`` is an :class:`IndexError`.
+        share the entries).  Raises :class:`SingularMatrixError` like
+        :meth:`inverse`; failures are not memoised.  A row outside
+        ``0..rows-1`` (a negative one would wrap) or a width outside
+        ``0..cols`` is an :class:`IndexError`.
         """
-        rows = tuple(as_index(row) for row in rows)
-        width = self.cols if width is None else as_index(width)
-        if any(not 0 <= row < self.rows for row in rows):
+        rows = tuple(map(as_index, rows))
+        width = self._cols if width is None else as_index(width)
+        if rows and not (0 <= min(rows) and max(rows) < self.rows):
             raise IndexError(f"rows {rows} out of range for {self.rows} rows")
-        if not 0 <= width <= self.cols:
-            raise IndexError(f"width {width} out of range for {self.cols} columns")
-        return _inverse_of_rows(self._data.tobytes(), self.cols, rows, width)
+        if not 0 <= width <= self._cols:
+            raise IndexError(f"width {width} out of range for {self._cols} columns")
+        return _inverse_of_rows(self._rows, rows, width)
 
-    def solve(self, rhs) -> np.ndarray:
+    def solve(self, rhs):
         """Solve ``self @ x = rhs`` for a uniquely determined ``x``.
 
-        ``rhs`` may be a vector or a matrix; the result has matching shape.
-        Raises :class:`SingularMatrixError` when the system is not uniquely
+        ``rhs`` may be a vector (the result is ``bytes``) or a sequence of
+        rows (the result is a tuple of rows).  Raises
+        :class:`SingularMatrixError` when the system is not uniquely
         solvable.
         """
-        rhs_arr = GF256.as_array(rhs)
-        vector_input = rhs_arr.ndim == 1
+        vector_input = is_vector(rhs)
         if vector_input:
-            rhs_arr = rhs_arr.reshape(-1, 1)
-        if rhs_arr.shape[0] != self.rows:
+            rhs = as_vector(rhs)
+            rhs = split_rows(rhs, 1, len(rhs))
+        rhs_rows = as_rows(rhs)
+        if len(rhs_rows) != self.rows:
             raise ValueError("rhs row count does not match matrix")
         if self.rows != self.cols:
             raise SingularMatrixError("solve requires a square system")
-        inverse = self.inverse()
-        solution = GF256.matmul(inverse.data, rhs_arr)
-        return solution.reshape(-1) if vector_input else solution
+        solution = GF256.matmul(self.inverse().data, rhs_rows)
+        return b"".join(solution) if vector_input else solution
 
 
 @lru_cache(maxsize=_ROW_INVERSE_CACHE_SIZE)
-def _inverse_of_rows(entries: bytes, cols: int, rows: tuple, width: int) -> np.ndarray:
-    matrix = np.frombuffer(entries, dtype=np.uint8).reshape(-1, cols)
-    inverse = GFMatrix(matrix[list(rows), :width]).inverse().data
-    # A view of immutable bytes: read-only, and ``setflags`` cannot undo it.
-    return np.frombuffer(inverse.tobytes(), dtype=np.uint8).reshape(inverse.shape)
+def _inverse_of_rows(entries: Tuple[bytes, ...], rows: tuple, width: int) -> Tuple[bytes, ...]:
+    return GFMatrix._of([entries[row][:width] for row in rows], width).inverse().data
 
 
 __all__ = ["GFMatrix", "SingularMatrixError"]

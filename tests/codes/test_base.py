@@ -1,6 +1,5 @@
 """Unit tests for the shared byte-level code interface (striping, headers)."""
 
-import numpy as np
 import pytest
 
 from repro.codes.base import CodedElement, DecodingError, RepairError
@@ -57,11 +56,11 @@ class TestStriping:
         payload = code.decode(tampered)
         assert payload == b"hello"
         with pytest.raises(DecodingError):
-            code._strip_payload(np.array([0, 0], dtype=np.uint8))
+            code._strip_payload(bytes([0, 0]))
 
     def test_strip_payload_rejects_overlong_length(self):
         code = ReedSolomonCode(4, 2)
-        bad = np.array([0, 0, 0, 99, 1, 2], dtype=np.uint8)  # claims 99 bytes
+        bad = bytes([0, 0, 0, 99, 1, 2])  # claims 99 bytes
         with pytest.raises(DecodingError):
             code._strip_payload(bad)
 

@@ -9,7 +9,6 @@ comes to be implemented (per stripe today, one product per value later).
 
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,22 +24,21 @@ from repro.codes.replication import ReplicationCode
 def blocks_of(code, data: bytes):
     payload = struct.pack(">I", len(data)) + data
     payload += b"\x00" * ((-len(payload)) % code.block_size)
-    symbols = np.frombuffer(payload, dtype=np.uint8)
-    return symbols.reshape(-1, code.block_size)
+    return [payload[at:at + code.block_size]
+            for at in range(0, len(payload), code.block_size)]
 
 
 def stitched_encode(code, data: bytes):
     parts = [[] for _ in range(code.n)]
     for block in blocks_of(code, data):
         for index, element in enumerate(code.encode_block(block)):
-            assert element.shape == (code.element_size,)
-            parts[index].append(bytes(element))
+            assert type(element) is bytes and len(element) == code.element_size
+            parts[index].append(element)
     return [b"".join(pieces) for pieces in parts]
 
 
 def pieces_of(data: bytes, width: int):
-    return [np.frombuffer(data[at:at + width], dtype=np.uint8)
-            for at in range(0, len(data), width)]
+    return [data[at:at + width] for at in range(0, len(data), width)]
 
 
 def stitched_decode(code, elements: dict) -> bytes:
@@ -165,8 +163,7 @@ def test_decode_of_zero_length_elements_names_the_empty_input(code):
     with pytest.raises(DecodingError, match="empty coded element"):
         code.decode(empty)
     with pytest.raises(DecodingError):
-        code.decode_block({index: np.zeros(0, dtype=np.uint8)
-                           for index in range(code.k)})
+        code.decode_block({index: b"" for index in range(code.k)})
 
 
 @pytest.mark.parametrize("code", CODES[:2], ids=repr)
@@ -174,19 +171,17 @@ def test_zero_stripe_repair_inputs_name_the_empty_input(code):
     with pytest.raises(RepairError, match="empty helper element"):
         code.helper_data(1, b"", 0)
     with pytest.raises(RepairError):
-        code.helper_symbols_block(1, np.zeros(0, dtype=np.uint8), 0)
+        code.helper_symbols_block(1, b"", 0)
     with pytest.raises(RepairError, match="empty helper message"):
         code.repair(0, {index: b"" for index in range(1, code.d + 1)})
     with pytest.raises(RepairError):
-        code.repair_block(0, {index: np.zeros(0, dtype=np.uint8)
-                              for index in range(1, code.d + 1)})
+        code.repair_block(0, {index: b"" for index in range(1, code.d + 1)})
 
 
 def test_block_view_rejects_more_than_one_block():
     code = ProductMatrixMBRCode(7, 3, 4)
     elements = code.encode(bytes(2 * code.block_size - 4))  # two stripes
     with pytest.raises(DecodingError, match="wrong length"):
-        code.decode_block({index: np.frombuffer(elements[index].data, np.uint8)
-                           for index in range(3)})
+        code.decode_block({index: elements[index].data for index in range(3)})
     with pytest.raises(RepairError, match="wrong length"):
-        code.helper_symbols_block(1, np.frombuffer(elements[1].data, np.uint8), 0)
+        code.helper_symbols_block(1, elements[1].data, 0)

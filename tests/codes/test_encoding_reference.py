@@ -12,7 +12,6 @@ import struct
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,8 +80,8 @@ def code_and_block(draw):
 def test_block_view_equals_the_docstring_construction(drawn, data):
     code, block = drawn
     expected = reference_elements(code, block)
-    encoded = code.encode_block(np.array(block, dtype=np.uint8))
-    assert [element.tolist() for element in encoded] == expected
+    encoded = code.encode_block(block)
+    assert [list(element) for element in encoded] == expected
     if isinstance(code, ReedSolomonCode):
         return
     failed = data.draw(st.integers(0, code.n - 1))
@@ -90,9 +89,9 @@ def test_block_view_equals_the_docstring_construction(drawn, data):
     width = code.d if isinstance(code, ProductMatrixMBRCode) else code.k - 1
     projection = vandermonde(code.n, width)[failed]  # psi_f (MBR), phi_f (MSR)
     symbols = {j: code.helper_symbols_block(j, encoded[j], failed) for j in helpers}
-    assert {j: s.tolist() for j, s in symbols.items()} \
+    assert {j: list(s) for j, s in symbols.items()} \
         == {j: [gf_oracle.dot(expected[j], projection)] for j in helpers}
-    assert code.repair_block(failed, symbols).tolist() == expected[failed]
+    assert list(code.repair_block(failed, symbols)) == expected[failed]
 
 
 @pytest.mark.parametrize("stripes", [1, 11])

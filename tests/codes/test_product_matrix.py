@@ -10,9 +10,9 @@ from repro.codes.product_matrix import ProductMatrixMBRCode, ProductMatrixMSRCod
 from repro.codes.regenerating import mbr_parameters, msr_parameters
 
 
-def random_block(size: int, seed: int = 0) -> np.ndarray:
+def random_block(size: int, seed: int = 0) -> bytes:
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=size, dtype=np.uint8)
+    return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
 
 
 class TestMBRConstruction:
@@ -35,23 +35,26 @@ class TestMBRConstruction:
 
     def test_message_matrix_is_symmetric(self):
         code = ProductMatrixMBRCode(n=8, k=3, d=5)
-        stripes = random_block(4 * code.block_size, seed=3).reshape(4, -1)
-        matrices = code._message_matrices(stripes)
-        assert matrices.shape == (5, 4, 5)  # (d, S, d)
+        rows = code._message_rows(random_block(4 * code.block_size, seed=3), 4)
+        assert [len(row) for row in rows] == [4 * 5] * 5  # d rows of S x d
         for stripe in range(4):
-            matrix = matrices[:, stripe, :]
-            assert np.array_equal(matrix, matrix.T)
-            assert matrix[:code.k].any() and not matrix[code.k:, code.k:].any()
+            matrix = [list(row[stripe * 5:(stripe + 1) * 5]) for row in rows]
+            assert matrix == [list(column) for column in zip(*matrix)]
+            assert any(map(any, matrix[:code.k]))
+            assert not any(any(row[code.k:]) for row in matrix[code.k:])
 
     def test_message_matrix_roundtrip(self):
         for code in (ProductMatrixMBRCode(n=8, k=3, d=5), ProductMatrixMBRCode(n=6, k=4, d=4),
                      ProductMatrixMSRCode(n=8, k=4)):
-            stripes = random_block(3 * code.block_size, seed=4).reshape(3, -1)
-            matrices = code._message_matrices(stripes)
-            assert np.array_equal(code._payload_of(matrices), stripes)
+            payload = random_block(3 * code.block_size, seed=4)
+            rows = code._message_rows(payload, 3)
+            alpha = code.element_size
+            # _payload_of reads each row column by column.
+            by_column = [b"".join(row[c::alpha] for c in range(alpha)) for row in rows]
+            assert code._payload_of(by_column, 3) == payload
             if isinstance(code, ProductMatrixMBRCode):
                 # [S, T], the first k rows, is all that decode recovers.
-                assert np.array_equal(code._payload_of(matrices[:code.k]), stripes)
+                assert code._payload_of(by_column[:code.k], 3) == payload
 
 
 class TestMBRDecode:
@@ -62,13 +65,13 @@ class TestMBRDecode:
         encoded = code.encode_block(block)
         for indices in list(combinations(range(n), k))[:20]:
             subset = {i: encoded[i] for i in indices}
-            assert np.array_equal(code.decode_block(subset), block)
+            assert code.decode_block(subset) == block
 
     def test_decode_when_d_equals_k(self):
         code = ProductMatrixMBRCode(n=8, k=4, d=4)
         block = random_block(code.block_size, seed=9)
         encoded = code.encode_block(block)
-        assert np.array_equal(code.decode_block({i: encoded[i] for i in (1, 3, 5, 7)}), block)
+        assert code.decode_block({i: encoded[i] for i in (1, 3, 5, 7)}) == block
 
     def test_decode_with_too_few_elements(self):
         code = ProductMatrixMBRCode(n=6, k=3, d=4)
@@ -95,7 +98,7 @@ class TestMBRRepair:
             i: code.helper_symbols_block(i, encoded[i], failed) for i in helpers
         }
         repaired = code.repair_block(failed, helper_data)
-        assert np.array_equal(repaired, encoded[failed])
+        assert repaired == encoded[failed]
 
     def test_repair_from_any_d_helper_subset(self):
         code = ProductMatrixMBRCode(n=8, k=3, d=4)
@@ -106,7 +109,7 @@ class TestMBRRepair:
             helper_data = {
                 i: code.helper_symbols_block(i, encoded[i], failed) for i in helpers
             }
-            assert np.array_equal(code.repair_block(failed, helper_data), encoded[failed])
+            assert code.repair_block(failed, helper_data) == encoded[failed]
 
     def test_helper_computation_is_independent_of_other_helpers(self):
         # The property Section II-c relies on: a helper's symbols depend only
@@ -117,7 +120,7 @@ class TestMBRRepair:
         failed = 6
         first = code.helper_symbols_block(helper, encoded[helper], failed)
         second = code.helper_symbols_block(helper, encoded[helper], failed)
-        assert np.array_equal(first, second)
+        assert first == second
 
     def test_repair_with_too_few_helpers(self):
         code = ProductMatrixMBRCode(n=6, k=2, d=3)
@@ -163,7 +166,7 @@ class TestMSR:
         encoded = code.encode_block(block)
         for indices in list(combinations(range(n), k))[:15]:
             subset = {i: encoded[i] for i in indices}
-            assert np.array_equal(code.decode_block(subset), block)
+            assert code.decode_block(subset) == block
 
     @pytest.mark.parametrize("n,k", [(6, 2), (8, 3), (10, 4)])
     def test_repair_reproduces_exact_element(self, n, k):
@@ -175,7 +178,7 @@ class TestMSR:
         helper_data = {
             i: code.helper_symbols_block(i, encoded[i], failed) for i in helpers
         }
-        assert np.array_equal(code.repair_block(failed, helper_data), encoded[failed])
+        assert code.repair_block(failed, helper_data) == encoded[failed]
 
     def test_repair_bandwidth_smaller_than_full_decode(self):
         # MSR repair downloads d*beta symbols, far fewer than k*alpha when alpha > 1.
@@ -215,7 +218,7 @@ class TestRepairIndexRange:
         with pytest.raises(RepairError, match="out of range"):
             code.repair(0, stray)
         with pytest.raises(RepairError, match="out of range"):
-            code.repair_block(0, {i: np.frombuffer(data[:1], np.uint8)
+            code.repair_block(0, {i: data[:1]
                                   for i, data in stray.items()})
         # A stray index is refused even when d good helpers remain.
         with pytest.raises(RepairError, match="out of range"):
@@ -228,7 +231,7 @@ class TestRepairIndexRange:
         with pytest.raises(RepairError, match="out of range"):
             code.repair(bad, messages)
         with pytest.raises(RepairError, match="out of range"):
-            code.repair_block(bad, {i: np.frombuffer(data[:1], np.uint8)
+            code.repair_block(bad, {i: data[:1]
                                     for i, data in messages.items()})
 
     @pytest.mark.parametrize("code", CODES, ids=["mbr", "msr"])

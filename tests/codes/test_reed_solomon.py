@@ -2,7 +2,6 @@
 
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from repro.codes.base import CodedElement, DecodingError
@@ -29,37 +28,37 @@ class TestConstruction:
 class TestBlockCodec:
     def test_encode_produces_n_elements(self):
         code = ReedSolomonCode(7, 4)
-        elements = code.encode_block(np.array([1, 2, 3, 4], dtype=np.uint8))
+        elements = code.encode_block(bytes([1, 2, 3, 4]))
         assert len(elements) == 7
 
     def test_decode_from_any_k_elements(self):
         code = ReedSolomonCode(6, 3)
-        block = np.array([11, 22, 33], dtype=np.uint8)
+        block = bytes([11, 22, 33])
         encoded = code.encode_block(block)
         for indices in combinations(range(6), 3):
             subset = {i: encoded[i] for i in indices}
-            assert np.array_equal(code.decode_block(subset), block)
+            assert code.decode_block(subset) == block
 
     def test_decode_with_fewer_than_k_fails(self):
         code = ReedSolomonCode(6, 3)
-        encoded = code.encode_block(np.array([1, 2, 3], dtype=np.uint8))
+        encoded = code.encode_block(bytes([1, 2, 3]))
         with pytest.raises(DecodingError):
             code.decode_block({0: encoded[0], 1: encoded[1]})
 
     def test_decode_rejects_invalid_index(self):
         code = ReedSolomonCode(4, 2)
-        encoded = code.encode_block(np.array([1, 2], dtype=np.uint8))
+        encoded = code.encode_block(bytes([1, 2]))
         with pytest.raises(DecodingError):
             code.decode_block({0: encoded[0], 9: encoded[1]})
 
     def test_encode_wrong_block_size(self):
         code = ReedSolomonCode(4, 2)
         with pytest.raises(ValueError):
-            code.encode_block(np.array([1, 2, 3], dtype=np.uint8))
+            code.encode_block(bytes([1, 2, 3]))
 
     def test_systematic_prefix_equals_payload(self):
         code = ReedSolomonCode(6, 3, systematic=True)
-        block = np.array([9, 8, 7], dtype=np.uint8)
+        block = bytes([9, 8, 7])
         encoded = code.encode_block(block)
         assert [int(encoded[i][0]) for i in range(3)] == [9, 8, 7]
 

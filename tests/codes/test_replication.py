@@ -1,6 +1,5 @@
 """Unit tests for the replication pseudo-code."""
 
-import numpy as np
 import pytest
 
 from repro.codes.base import DecodingError
@@ -19,15 +18,15 @@ class TestReplication:
 
     def test_every_replica_is_the_block(self):
         code = ReplicationCode(3, block_size=4)
-        block = np.array([1, 2, 3, 4], dtype=np.uint8)
+        block = bytes([1, 2, 3, 4])
         for replica in code.encode_block(block):
-            assert np.array_equal(replica, block)
+            assert replica == block
 
     def test_decode_from_any_single_replica(self):
         code = ReplicationCode(4, block_size=4)
-        block = np.array([9, 9, 9, 9], dtype=np.uint8)
+        block = bytes([9, 9, 9, 9])
         encoded = code.encode_block(block)
-        assert np.array_equal(code.decode_block({2: encoded[2]}), block)
+        assert code.decode_block({2: encoded[2]}) == block
 
     def test_decode_requires_at_least_one(self):
         with pytest.raises(DecodingError):
@@ -36,7 +35,7 @@ class TestReplication:
     def test_decode_rejects_bad_index(self):
         code = ReplicationCode(2, block_size=2)
         with pytest.raises(DecodingError):
-            code.decode_block({5: np.array([1, 2], dtype=np.uint8)})
+            code.decode_block({5: bytes([1, 2])})
 
     def test_byte_roundtrip(self):
         code = ReplicationCode(3, block_size=16)
@@ -47,4 +46,4 @@ class TestReplication:
     def test_wrong_block_size_rejected(self):
         code = ReplicationCode(2, block_size=4)
         with pytest.raises(ValueError):
-            code.encode_block(np.array([1, 2], dtype=np.uint8))
+            code.encode_block(bytes([1, 2]))

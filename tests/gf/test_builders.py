@@ -2,7 +2,6 @@
 
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from repro.gf.builders import systematic_vandermonde, vandermonde_matrix
@@ -47,7 +46,7 @@ class TestVandermonde:
 class TestSystematicVandermonde:
     def test_top_block_is_identity(self):
         matrix = systematic_vandermonde(6, 3)
-        assert matrix.submatrix(range(3)) == GFMatrix(np.eye(3, dtype=np.uint8))
+        assert matrix.submatrix(range(3)) == GFMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_any_k_rows_still_invertible(self):
         matrix = systematic_vandermonde(6, 3)

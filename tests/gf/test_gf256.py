@@ -1,9 +1,10 @@
 """Unit tests for GF(2^8) scalar and vector arithmetic."""
 
-import numpy as np
 import pytest
 
-from repro.gf.gf256 import GF256
+from repro.codes.product_matrix import ProductMatrixMBRCode
+from repro.gf.gf256 import GF256, as_vector
+from repro.gf.matrix import GFMatrix
 
 
 class TestScalarArithmetic:
@@ -68,10 +69,10 @@ class TestScalarArithmetic:
 
 
 class TestVectorArithmetic:
-    def test_as_array_from_bytes(self):
-        array = GF256.as_array(b"\x01\x02\x03")
-        assert array.dtype == np.uint8
-        assert list(array) == [1, 2, 3]
+    def test_as_vector_from_bytes(self):
+        for data in (b"\x01\x02\x03", bytearray([1, 2, 3]), [1, 2, 3], (1, 2, 3)):
+            vector = as_vector(data)
+            assert type(vector) is bytes and vector == b"\x01\x02\x03"
 
     def test_add_vec_is_elementwise_xor(self):
         a = [1, 2, 3, 255]
@@ -102,25 +103,67 @@ class TestVectorArithmetic:
         assert GF256.dot([], []) == 0
 
     def test_matmul_identity(self):
-        matrix = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-        identity = np.eye(2, dtype=np.uint8)
-        assert np.array_equal(GF256.matmul(matrix, identity), matrix)
+        matrix = [[1, 2], [3, 4]]
+        identity = [[1, 0], [0, 1]]
+        assert GF256.matmul(matrix, identity) == (bytes([1, 2]), bytes([3, 4]))
 
     def test_matmul_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            GF256.matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
+            GF256.matmul([bytes(3)] * 2, [bytes(3)] * 2)
 
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
-            GF256.matmul(np.zeros(3, dtype=np.uint8), np.zeros((3, 1), dtype=np.uint8))
+            GF256.matmul(bytes(3), [bytes(1)] * 3)
 
     def test_matmul_against_scalar_computation(self):
-        a = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8)
-        b = np.array([[7, 8], [9, 10], [11, 12]], dtype=np.uint8)
+        a = [[1, 2, 3], [4, 5, 6]]
+        b = [[7, 8], [9, 10], [11, 12]]
         result = GF256.matmul(a, b)
         for i in range(2):
             for j in range(2):
                 expected = 0
                 for l in range(3):
-                    expected ^= GF256.mul(int(a[i, l]), int(b[l, j]))
-                assert result[i, j] == expected
+                    expected ^= GF256.mul(a[i][l], b[l][j])
+                assert result[i][j] == expected
+
+
+class TestFieldElementsAreValidatedAlike:
+    """Every scalar and vector entry point reads its entries with
+    ``operator.index``: a non-integer is a ``TypeError`` and an integer
+    outside 0..255 a ``ValueError``."""
+
+    SCALAR_CALLS = [
+        lambda bad: GF256.add(bad, 1), lambda bad: GF256.add(1, bad),
+        lambda bad: GF256.mul(bad, 3), lambda bad: GF256.mul(3, bad),
+        lambda bad: GF256.inv(bad), lambda bad: GF256.log(bad),
+        lambda bad: GF256.scale_vec(bad, b"\x01\x02"),
+    ]
+    VECTOR_CALLS = [
+        lambda bad: as_vector([1, bad]),
+        lambda bad: GF256.scale_vec(2, [1, bad]),
+        lambda bad: GF256.mul_vec([1, bad], [1, 2]),
+        lambda bad: GF256.add_vec([1, 2], [1, bad]),
+        lambda bad: GF256.dot([1, bad], [1, 2]),
+        lambda bad: GF256.matmul([[1, bad]], [[1], [2]]),
+        lambda bad: GF256.matmul([[1, 2]], [[1], [bad]]),
+        lambda bad: GFMatrix([[bad]]),
+        lambda bad: GFMatrix([[1, 0], [0, 1]]).matvec([1, bad]),
+        lambda bad: GFMatrix([[1, 0], [0, 1]]).solve([1, bad]),
+        lambda bad: ProductMatrixMBRCode(12, 3, 5).encode_block([bad] * 12),
+    ]
+
+    @pytest.mark.parametrize("bad", [2.7, 1.9, 1.5, 1.0, "3", None])
+    def test_a_non_integer_is_a_type_error(self, bad):
+        for call in self.SCALAR_CALLS + self.VECTOR_CALLS:
+            with pytest.raises(TypeError):
+                call(bad)
+
+    @pytest.mark.parametrize("bad", [-1, 256, 300])
+    def test_an_integer_outside_the_field_is_a_value_error(self, bad):
+        for call in self.SCALAR_CALLS + self.VECTOR_CALLS:
+            with pytest.raises(ValueError, match="not a GF"):
+                call(bad)
+
+    def test_integer_like_entries_are_accepted(self):
+        assert GF256.mul(True, 7) == 7
+        assert GF256.scale_vec(1, [True, 0]) == b"\x01\x00"

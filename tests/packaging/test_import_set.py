@@ -9,8 +9,9 @@ compares the ``repro.*`` modules they load with a pinned list, so a new
 eager edge fails here rather than silently moving ``setup_s``.  The same
 interpreter then runs every workload at smoke scale and checks that no
 module is first imported inside the timed ``apply`` (that would move
-``run_s`` instead), and that the audit after it loads only the two
-checker modules (``peak_rss_mb`` is read after the audit).
+``run_s`` instead), that the audit after it loads only the two checker
+modules (``peak_rss_mb`` is read after the audit), and that nothing along
+the way imported numpy: the runtime has no third-party dependency.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ before = set(sys.modules)
 simulation.audit()
 audited = sorted(set(sys.modules) - before)
 print(json.dumps({{"bare": bare, "imported": imported, "added": added,
-                  "audited": audited}}))
+                  "audited": audited, "numpy": "numpy" in sys.modules}}))
 """
 
 #: What the first ``audit()`` after a run loads.
@@ -132,6 +133,7 @@ def test_lds_bench_loads_the_pinned_modules_and_apply_loads_none():
     assert observed["added"] == {name: [] for name in (
         "pump_small", "regen_large", "write_heavy", "replica_faults")}
     assert observed["audited"] == AUDIT_IMPORT_SET
+    assert observed["numpy"] is False
 
 
 def test_the_pin_excludes_what_a_run_never_executes():

@@ -1,6 +1,5 @@
 """Property-based tests of the code layer: any-k decodability and exact repair."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.codes.layered import LayeredCode
@@ -99,8 +98,8 @@ class TestProductMatrixProperties:
 
         def projection(stripe, failed):
             total = 0
-            for symbol, weight in zip(stripe, code.encoding_matrix.data[failed, :alpha]):
-                total ^= GF256.mul(symbol, int(weight))
+            for symbol, weight in zip(stripe, code.encoding_matrix.data[failed][:alpha]):
+                total ^= GF256.mul(symbol, weight)
             return total
 
         expected = tuple(

@@ -33,17 +33,16 @@ def _build_tables() -> Tuple[bytes, bytes]:
     ``exp[log a + log b]`` needs no modular reduction), and the logarithm
     table, 256 entries (``log[0]`` unused)."""
     powers = bytearray(255)
-    log_table = bytearray(256)
     value = 1
     for exponent in range(255):
         powers[exponent] = value
-        log_table[value] = exponent
         # Multiply by the generator (3) in GF(2^8): value * 3 = value * 2 + value.
         doubled = value << 1
         if doubled & 0x100:
             doubled ^= PRIMITIVE_POLY
         value = doubled ^ value
-    return bytes(powers * 3)[:512], bytes(log_table)
+    # The logarithm is the inverse permutation: it maps powers[e] to e.
+    return bytes(powers * 3)[:512], bytes.maketrans(bytes(powers), bytes(range(255)))
 
 
 _EXP_TABLE, _LOG_TABLE = _build_tables()

@@ -149,7 +149,7 @@ class GFMatrix:
             top = work[pivot_row] = GF256.scale_vec(GF256.inv(work[pivot_row][col]),
                                                     work[pivot_row])
             factors = [0 if r == pivot_row else row[col] for r, row in enumerate(work)]
-            spread = bytes([factor for factor in factors for _ in top])
+            spread = bytes([factor for factor in factors for _ in range(len(top))])
             flat = xor(b"".join(work), GF256.mul_vec(spread, top * len(work)))
             work = split_rows(flat, len(top), len(work))
             pivot_cols.append(col)

@@ -78,7 +78,7 @@ def _chosen(pieces: Mapping[int, bytes], chosen: List[int], stripes: int, width:
             error: Type[ValueError], what: str) -> List[bytes]:
     """The ``chosen`` pieces, each checked to hold ``stripes`` stripes of ``width``."""
     received = [pieces[index] for index in chosen]
-    if any(len(piece) != stripes * width for piece in received):
+    if set(map(len, received)) != {stripes * width}:
         raise error(f"{what}s have the wrong length")
     return received
 

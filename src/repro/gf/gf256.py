@@ -193,14 +193,14 @@ class GF256:
         width = len(right[0]) if right else 0
         if len(set(map(len, right))) > 1:
             raise ValueError("the rows of the right operand differ in length")
-        product = []
+        product, from_bytes, table = [], int.from_bytes, _MUL  # locals: the inner loop is hot
         for row in left:
             if len(row) != inner:
                 raise ValueError(f"shape mismatch: {len(left)}x{len(row)} times {inner}x{width}")
             total = 0
             for coefficient, symbols in zip(row, right):
                 if coefficient:
-                    total ^= int.from_bytes(symbols.translate(_MUL[coefficient]), "little")
+                    total ^= from_bytes(symbols.translate(table[coefficient]), "little")
             product.append(total.to_bytes(width, "little"))
         return tuple(product)
 

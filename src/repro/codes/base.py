@@ -8,7 +8,7 @@ derive both public views from it:
 * a **byte view** -- ``encode`` / ``decode`` operate on arbitrary byte
   strings by striping them across as many blocks as needed and prefixing
   the payload with its length, so that round-tripping restores the exact
-  bytes; one array-level call per value, whatever its length; and
+  bytes; one call over all stripes per value, whatever its length; and
 * a **block view** -- ``encode_block`` / ``decode_block`` operate on one
   block of ``block_size`` GF(2^8) symbols (one byte per symbol) and
   per-server coded elements of ``element_size`` symbols: the one-stripe
@@ -214,7 +214,7 @@ class ErasureCode(ABC):
 class RegeneratingCode(ErasureCode):
     """Base class for codes that additionally support node repair.
 
-    Subclasses provide the two array-level repair primitives; the byte-level
+    Subclasses provide the two all-stripe repair primitives; the byte-level
     ``helper_data`` / ``repair`` and the block-level ``helper_symbols_block``
     / ``repair_block`` are the many-stripe and one-stripe calls of them.
     """

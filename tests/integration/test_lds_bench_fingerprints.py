@@ -38,6 +38,7 @@ order (no migration, no replica failover), so a change to how events are
 
 import zlib
 from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,17 @@ def pinned(simulation) -> tuple:
             simulation.communication_cost / completed)
 
 
+def replica_digest(simulation) -> int:
+    """CRC32 of the replica layer's counters, costs and failover log."""
+    replicas = simulation.replicas
+    stats = {name: sorted(value.items()) if isinstance(value, dict) else value
+             for name, value in simulation.router.stats.as_dict().items()}
+    record = (sorted(stats.items()), sorted(asdict(replicas.stats).items()),
+              replicas.replication_cost, replicas.read_cost,
+              replicas.incomplete_reads(), replicas.failover_log)
+    return zlib.crc32(repr(record).encode())
+
+
 #: workload -> (kernel fingerprint, events executed, messages sent,
 #: order digest, communication cost per completed operation)
 RECORDED = {
@@ -126,6 +138,17 @@ TIMED = {
     "repair-under-load": 3705735438,
     "correlated-pool-failure": 593606023,
     "flash-crowd": 3016142216,
+}
+
+
+#: replicated run -> replica_digest at the end of the run (recorded at
+#: 04a7040, before the replica coordinator's read records were merged).
+REPLICA_COUNTERS = {
+    "replica_faults": 299071734,
+    "replica-failover-under-load": 706005416,
+    "degraded-reads-during-catch-up": 1174212298,
+    "quorum-reads-under-lag": 1606724411,
+    "forwarded-writes-during-failover": 1955160074,
 }
 
 
@@ -154,6 +177,8 @@ def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
     assert row == RECORDED[workload]
     if workload in TIMED:
         assert timed_digest(simulation.history()) == TIMED[workload]
+    if workload in REPLICA_COUNTERS:
+        assert replica_digest(simulation) == REPLICA_COUNTERS[workload]
 
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))
@@ -269,7 +294,7 @@ RECORDED_SCENARIOS = {
 def run_scenario(name: str) -> ClusterSimulation:
     scenario, options = SCENARIOS[name]
     pools = POOLS if "replication" in options else POOLS[:2]
-    simulation = ClusterSimulation(CONFIG, pools, **options)
+    simulation = ClusterSimulation(CONFIG, pools, sanitize=True, **options)
     simulation.ensure_shards(KEYS)
     simulation.apply(scenario)
     return simulation
@@ -278,8 +303,11 @@ def run_scenario(name: str) -> ClusterSimulation:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_shipped_scenario_is_unchanged(name):
     simulation = run_scenario(name)
+    assert simulation.kernel.sanitizer.ok
     assert simulation.audit().ok
     assert pinned(simulation) == RECORDED_SCENARIOS[name]
+    if name in REPLICA_COUNTERS:
+        assert replica_digest(simulation) == REPLICA_COUNTERS[name]
     if name == "migration-under-load":
         assert simulation.router.stats.migrations == 4
         assert simulation.router.incomplete_operations() == 0

@@ -52,8 +52,6 @@ class ReplicationConfig:
     #: Virtual time between a write committing at the primary and a
     #: follower applying it.
     replication_lag: float = 30.0
-    #: Extra, seeded per-(follower, record) apply delay in [0, lag_jitter).
-    lag_jitter: float = 0.0
     #: Base service time of a follower read (scaled by the replica's
     #: seeded distance and the shared latency regime).
     follower_read_latency: float = 2.0
@@ -63,10 +61,6 @@ class ReplicationConfig:
     catch_up_per_record: float = 1.0
     #: Delay before a replacement follower is seeded on a new pool.
     provision_delay: float = 25.0
-    #: Normalised communication cost charged per follower read served.
-    follower_read_cost: float = 1.0
-    #: Normalised communication cost charged per record applied / copied.
-    replication_unit_cost: float = 1.0
     #: Route a follower read back to the primary when the follower has
     #: not applied the session's floor version yet.  Disabling this is a
     #: *fault injection*: stale follower reads reach clients and the
@@ -95,7 +89,7 @@ class ReplicationConfig:
     #: forwarded write queues at the frozen primary slot and flushes into
     #: the promoted epoch.
     write_ingress: str = "primary"
-    #: Seed for replica distances and lag jitter (derive_seed'd per use).
+    #: Seed for replica distances (derive_seed'd per key and pool).
     #: None means unpinned: facades thread their root seed in; a bare
     #: router just derives from None (still deterministic).
     seed: Optional[int] = None
@@ -103,10 +97,9 @@ class ReplicationConfig:
     def __post_init__(self) -> None:
         if self.r < 1:
             raise ValueError("the replication factor must be at least 1")
-        for name in ("replication_lag", "lag_jitter", "follower_read_latency",
+        for name in ("replication_lag", "follower_read_latency",
                      "failover_detection_delay", "catch_up_per_record",
-                     "provision_delay", "follower_read_cost",
-                     "replication_unit_cost", "forward_latency"):
+                     "provision_delay", "forward_latency"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.read_quorum is not None and \

@@ -13,7 +13,7 @@ that learn each committed write through an explicit, kernel-scheduled
 **Writes** always execute at the primary.  When a write completes there,
 the coordinator appends a :class:`ReplicaRecord` to the group's
 replication log and schedules one apply event per follower at
-``commit + replication_lag (+ jitter)`` on the global clock, so follower
+``commit + replication_lag`` on the global clock, so follower
 staleness is a first-class, simulated quantity rather than an accident of
 execution order.
 
@@ -68,7 +68,7 @@ sequence is reproducible event for event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.cluster.membership import (
@@ -92,6 +92,10 @@ from repro.core.tags import INITIAL_TAG, Tag
 #: A replica version: the (migration epoch, protocol tag) pair, ordered
 #: lexicographically -- identical to the session auditor's versions.
 Version = Tuple[int, Tag]
+
+#: Normalised communication cost of one store read served, and of one log
+#: record applied or copied to a follower.
+TRANSFER_COST = 1.0
 
 
 @dataclass(frozen=True)
@@ -117,36 +121,44 @@ class FollowerStore:
     ``(epoch, tag, value)`` and serve reads at replica-read latency.
     """
 
-    def __init__(self, key: str, pool: str, distance: float,
-                 version: Version, value: Optional[bytes],
+    def __init__(self, group: "ReplicaGroup", pool: str, distance: float,
                  created_at: float = 0.0) -> None:
-        self.key = key
+        self.key = group.key
         self.pool = pool
         #: Seeded, unitless closeness factor; effective read latency is
         #: ``distance * follower_read_latency * regime.scale``.
         self.distance = distance
-        self.version = version
-        self.value = value
+        #: Seeded with the group's latest value, which subsumes every
+        #: record logged so far (it *is* their net effect).
+        self.version = group.latest_version
+        self.value = group.latest_value
         self.created_at = created_at
-        self.applied: Set[int] = set()
-        #: Log prefix this store is known to have fully applied: every
-        #: record in ``group.log[:log_position]`` is in ``applied``.
-        #: Bulk catch-ups (read repair, promotion, provisioning seeds)
-        #: advance it so later passes scan only the genuinely new tail;
-        #: out-of-order lag applies land in ``applied`` without moving it.
-        self.log_position = 0
-        self.applies = 0
+        #: The group's replication log, and the watermark: the store has
+        #: applied ``log[:log_position]`` and nothing after it.  Lag
+        #: applies arrive in log order, because every record waits the
+        #: same constant replication lag and the kernel runs ties in FIFO
+        #: order; bulk catch-ups (read repair, promotion) move it to the
+        #: log head, and the lag applies they overtook are skipped.
+        self.log = group.log
+        self.log_position = len(group.log)
         self.reads_in_flight = 0
         self.reads_served = 0
         #: True once the store was dropped (pool died, promoted, rebalance).
         self.retired = False
 
     def apply(self, record: ReplicaRecord) -> bool:
-        """Apply one log record; idempotent, keeps the max version."""
-        if record.seq in self.applied:
+        """Apply the next log record; keeps the max version.
+
+        A record below the watermark was already applied (False); one
+        above it means a record was lost, which is a bug.
+        """
+        position = self.log_position
+        if position == len(self.log) or record.seq < self.log[position].seq:
             return False
-        self.applied.add(record.seq)
-        self.applies += 1
+        if record is not self.log[position]:
+            raise RuntimeError(f"{self!r}: log record {record.seq} arrived "
+                               f"before record {self.log[position].seq}")
+        self.log_position = position + 1
         if record.version > self.version:
             self.version = record.version
             self.value = record.value
@@ -154,7 +166,7 @@ class FollowerStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FollowerStore({self.key!r}@{self.pool!r}, "
-                f"version={self.version}, applies={self.applies})")
+                f"version={self.version}, log_position={self.log_position})")
 
 
 
@@ -177,13 +189,8 @@ class ReplicaGroup:
         #: Follower-served reads (kept outside the shard histories so the
         #: per-epoch atomicity check stays primary-only).
         self.history = History()
-        #: (handle, reader, nominal at, session) queued while primary-bound
-        #: traffic is frozen during failover.  The nominal time is kept so
-        #: the post-promotion flush preserves per-client spacing (a client
-        #: may only have one operation in flight).
-        self.deferred_reads: List[
-            Tuple[str, Union[int, str], Optional[float], Optional[str]]
-        ] = []
+        #: Primary-bound reads queued while the group is failing over.
+        self.deferred_reads: List[_ReplicaRead] = []
         #: Reads the coordinator routed to the primary and that have not
         #: completed yet (a load heuristic, decremented on READ completions
         #: of the live epoch, so it is approximate around migrations).
@@ -232,20 +239,26 @@ class ReplicaStats:
 
 
 @dataclass
-class _PendingQuorumRead:
-    """One in-flight quorum read: outstanding legs and their answers."""
+class _ReplicaRead:
+    """One replica read that may still complete: served by a follower,
+    fanned out to a quorum, or deferred behind a failover."""
 
     handle: str
     group: ReplicaGroup
     reader: Union[int, str]
     session: Optional[str]
     invoked_at: float
-    outstanding: int
-    #: ``(version, value, store)`` per successful leg; ``store`` is None
-    #: for the primary leg.
-    responses: List[Tuple[Version, Optional[bytes],
-                          Optional[FollowerStore]]] = field(
-        default_factory=list)
+    #: Nominal time a deferred read queues at on the promoted primary
+    #: (kept so the flush preserves per-client spacing: a client may only
+    #: have one operation in flight); also where its freeze-wait starts.
+    at: Optional[float] = None
+    #: Quorum legs still in flight.
+    legs: int = 0
+    #: ``(version, value, store)`` per answered quorum leg (``store`` is
+    #: None for the primary leg); None unless the read fanned out, so a
+    #: list here means the read already counted in ``quorum_reads``.
+    responses: Optional[List[Tuple[Version, Optional[bytes],
+                                   Optional[FollowerStore]]]] = None
 
 
 class ReplicaCoordinator:
@@ -276,26 +289,17 @@ class ReplicaCoordinator:
         for pool in self.membership.pools:
             self._check_pool_name(pool)
         self.groups: Dict[str, ReplicaGroup] = {}
-        #: Follower-read handle -> completed result.
+        #: Handle -> every replica read that may still complete (in
+        #: flight or deferred).  A read leaves it when it responds, moves
+        #: to the primary or strands; a stranded read never responds, so
+        #: it pins no live-audit watermark.
+        self._pending_reads: Dict[str, _ReplicaRead] = {}
+        #: Handle -> completed replica read, and how many store reads
+        #: answered it (1 for a follower serve, the depth of a quorum).
         self._results: Dict[str, OperationResult] = {}
-        #: Handles of follower reads dispatched but not yet completed.
-        self._pending: Set[str] = set()
-        #: Handle -> (key, global invocation time) for every pending read,
-        #: maintained in lockstep with ``_pending``.  The live-audit
-        #: probe's per-key watermark must not pass the invocation time of
-        #: any read that may still complete; reads stranded by a pool
-        #: crash are removed (they never respond, so they constrain
-        #: nothing).
-        self._pending_invocations: Dict[str, Tuple[str, float]] = {}
-        #: Handle -> in-flight quorum read state.
-        self._quorums: Dict[str, _PendingQuorumRead] = {}
-        #: Handles already counted in ``RouterStats.quorum_reads`` whose
-        #: merge fell back to the primary: the protocol re-dispatch must
-        #: not count the same logical read again in ``primary_reads``.
-        self._quorum_counted: Set[str] = set()
-        #: Per-handle communication cost of served quorum reads (one
-        #: store-read cost per merged leg).
-        self._handle_costs: Dict[str, float] = {}
+        self._legs: Dict[str, int] = {}
+        #: Replica reads stranded by a crash or an unserviceable group.
+        self._stranded = 0
         #: Handles of writes forwarded follower->primary, still in flight.
         self._forwarding: Set[str] = set()
         #: (session, key) -> highest version the session has observed.
@@ -321,12 +325,10 @@ class ReplicaCoordinator:
         #: recovered (recovery empties ``_dead_pools``, but it cannot
         #: un-lose an in-flight request).
         self._pool_crashes: Dict[str, int] = {}
-        #: Tracing bookkeeping (only filled while the router traces):
-        #: log seq -> write handle, so replication applies can hang child
-        #: spans off the write that produced the record; handle -> freeze
-        #: start, so deferred reads get a freeze-wait span at flush.
+        #: Log seq -> write handle (only filled while the router traces),
+        #: so replication applies hang child spans off the write that
+        #: produced the record.
         self._record_handles: Dict[int, str] = {}
-        self._freeze_started: Dict[str, float] = {}
         self.membership.subscribe(self._on_membership_event)
 
     @property
@@ -347,13 +349,6 @@ class ReplicaCoordinator:
         """Seeded, unitless replica distance in [0.5, 1.5)."""
         return 0.5 + (derive_seed(self.config.seed, "distance", key, pool)
                       % 1000) / 1000.0
-
-    def _lag_jitter(self, key: str, pool: str, seq: int) -> float:
-        if self.config.lag_jitter <= 0:
-            return 0.0
-        unit = (derive_seed(self.config.seed, "lag", key, pool, seq)
-                % 10_000) / 10_000.0
-        return unit * self.config.lag_jitter
 
     def _scaled_latency(self, distance: float, base: float) -> float:
         """One replica hop: seeded distance x base cost x regime scale.
@@ -392,10 +387,7 @@ class ReplicaCoordinator:
             if not self.membership.pool_alive(pool):
                 continue
             group.followers.append(FollowerStore(
-                key=key, pool=pool, distance=self._distance(key, pool),
-                version=group.latest_version, value=group.latest_value,
-                created_at=now,
-            ))
+                group, pool, self._distance(key, pool), created_at=now))
         self.groups[key] = group
         self.stats.groups_created += 1
         self._hook_primary(group, shard)
@@ -454,38 +446,37 @@ class ReplicaCoordinator:
             return
         if self.router._shards.get(group.key) is not shard:
             return  # a retired epoch draining; its writes were already logged
-        self._seq += 1
-        record = ReplicaRecord(seq=self._seq,
-                               committed_at=self._now(),
-                               epoch=epoch, tag=result.tag, value=result.value)
-        group.log.append(record)
-        self.stats.records_logged += 1
+        record = self._append(group, epoch, result.tag, result.value)
         if self._trace is not None:
             handle = self.router._op_handles.get((object_id, result.op_id))
             if handle is not None:
                 self._record_handles[record.seq] = handle
+
+    def _append(self, group: ReplicaGroup, epoch: int, tag: Tag,
+                value: Optional[bytes]) -> ReplicaRecord:
+        """Log one record -- a committed write, or a new epoch's initial
+        value -- and apply it at every live follower one lag later."""
+        self._seq += 1
+        record = ReplicaRecord(seq=self._seq, committed_at=self._now(),
+                               epoch=epoch, tag=tag, value=value)
+        group.log.append(record)
+        self.stats.records_logged += 1
         if record.version > group.latest_version:
             group.latest_version = record.version
             group.latest_value = record.value
+        apply_at = record.committed_at + self.config.replication_lag
         for store in group.live_followers():
-            self._schedule_apply(group, store, record)
+            self.kernel.schedule_at(
+                apply_at,
+                lambda store=store: self._apply(store, record))
+        return record
 
-    def _schedule_apply(self, group: ReplicaGroup, store: FollowerStore,
-                        record: ReplicaRecord) -> None:
-        at = (record.committed_at + self.config.replication_lag
-              + self._lag_jitter(group.key, store.pool, record.seq))
-        self.kernel.schedule_at(
-            max(at, self._now()),
-            lambda: self._apply(group, store, record),
-        )
-
-    def _apply(self, group: ReplicaGroup, store: FollowerStore,
-               record: ReplicaRecord) -> None:
+    def _apply(self, store: FollowerStore, record: ReplicaRecord) -> None:
         if store.retired:
             return
         if store.apply(record):
             self.stats.records_applied += 1
-            self.replication_cost += self.config.replication_unit_cost
+            self.replication_cost += TRANSFER_COST
             tracer = self._trace
             if tracer is not None:
                 handle = self._record_handles.get(record.seq)
@@ -513,21 +504,7 @@ class ReplicaCoordinator:
         group.primary_distance = self._distance(key, shard.pool)
         group.epoch = shard.epoch
         self._hook_primary(group, shard)
-        self._log_snapshot(group, shard.epoch, carried_value)
-
-    def _log_snapshot(self, group: ReplicaGroup, epoch: int,
-                      value: Optional[bytes]) -> None:
-        """Append an epoch-boundary record (initial value of a new epoch)."""
-        self._seq += 1
-        record = ReplicaRecord(seq=self._seq, committed_at=self._now(),
-                               epoch=epoch, tag=INITIAL_TAG, value=value)
-        group.log.append(record)
-        self.stats.records_logged += 1
-        if record.version > group.latest_version:
-            group.latest_version = record.version
-            group.latest_value = record.value
-        for store in group.live_followers():
-            self._schedule_apply(group, store, record)
+        self._append(group, shard.epoch, INITIAL_TAG, carried_value)
 
     # -- read routing --------------------------------------------------------------------
 
@@ -636,12 +613,8 @@ class ReplicaCoordinator:
         # Primary-bound (explicitly, by fallback, or because nothing else
         # can serve): queue on the shard, or defer while failing over.
         if group.status != NORMAL:
-            group.deferred_reads.append((handle, reader, dispatch_at, session))
-            self._pending.add(handle)
-            self._pending_invocations[handle] = (group.key, dispatch_at)
-            stats.failover_deferrals += 1
-            if self._trace is not None:
-                self._freeze_started[handle] = dispatch_at
+            self._defer(_ReplicaRead(handle, group, reader, session,
+                                     dispatch_at), dispatch_at)
             return handle
         if routed == choice and choice is not None:
             stats.policy_honored += 1
@@ -650,19 +623,18 @@ class ReplicaCoordinator:
 
     def _dispatch_primary_read(self, group: ReplicaGroup, handle: str,
                                reader: Union[int, str], at: Optional[float],
-                               session: Optional[str]) -> None:
+                               session: Optional[str],
+                               counted: bool = False) -> None:
         """Queue one read on the group's primary, with the shared accounting
         (also used when failover-deferred reads flush at promotion).
 
-        A read that already counted as a quorum read (its merge fell back
-        here) is one *logical* read: it stays in ``quorum_reads`` and is
-        excluded from ``primary_reads``, so ``routed_reads`` counts every
+        A read that already ``counted`` as a quorum read (its merge fell
+        back here) is one *logical* read: it stays in ``quorum_reads`` and
+        is excluded from ``primary_reads``, so ``routed_reads`` counts every
         read exactly once however it was resolved.
         """
         stats = self.router.stats
-        if handle in self._quorum_counted:
-            self._quorum_counted.discard(handle)
-        else:
+        if not counted:
             stats.primary_reads += 1
         stats.count_replica_read(group.primary_pool)
         group.primary_in_flight += 1
@@ -672,13 +644,82 @@ class ReplicaCoordinator:
         self.router._queue_read(group.key, reader=reader, at=at,
                                 session=session, handle=handle)
 
+    def _defer(self, read: _ReplicaRead, at: float) -> None:
+        """Hold a primary-bound read until its failing-over group promotes.
+
+        An unserviceable group never promotes, so the read strands at once,
+        stamped via the dead primary's pool.
+        """
+        group = read.group
+        self._pending_reads[read.handle] = read
+        if group.status == UNSERVICEABLE:
+            op_id, client_id = self._read_ids(group, group.primary_pool,
+                                              read.reader)
+            self._strand(read, op_id, client_id, group.epoch,
+                         "unserviceable", {"pool": group.primary_pool})
+            return
+        read.at = at
+        group.deferred_reads.append(read)
+        self.router.stats.failover_deferrals += 1
+
+    @staticmethod
+    def _read_ids(group: ReplicaGroup, label: str,
+                  reader: Union[int, str]) -> Tuple[str, str]:
+        """Operation and client id of a read stamped ``replica:<label>``."""
+        return (f"{group.key}/{REPLICA_CLIENT_PREFIX}{label}"
+                f"/read-{group.next_read_id()}",
+                f"{REPLICA_CLIENT_PREFIX}{label}/reader-{reader}")
+
+    def _strand(self, read: _ReplicaRead, op_id: str, client_id: str,
+                epoch: int, instant: str, args: Dict) -> None:
+        """Record a read that will never respond.
+
+        The merged history gets the operation without a response, so it
+        tells the truth, and the read leaves the pending map: it constrains
+        no future completion, so it must not pin the live-audit watermark.
+        """
+        group = read.group
+        group.history.add(Operation(
+            op_id=op_id, client_id=client_id, kind=READ,
+            object_id=join_object_id(group.key, epoch),
+            invoked_at=read.invoked_at, session=read.session,
+        ))
+        del self._pending_reads[read.handle]
+        self._stranded += 1
+        if self._trace is not None:
+            self._trace.child_instant(read.handle, instant, "replica",
+                                      self._now(), args=args)
+
+    def _respond(self, read: _ReplicaRead, op_id: str, client_id: str,
+                 version: Version, value: Optional[bytes], legs: int) -> None:
+        """Complete a read with ``value`` at ``version``, answered by
+        ``legs`` store reads."""
+        group = read.group
+        now = self._now()
+        epoch, tag = version
+        operation = Operation(
+            op_id=op_id, client_id=client_id, kind=READ,
+            object_id=join_object_id(group.key, epoch), value=value,
+            invoked_at=read.invoked_at, responded_at=now, tag=tag,
+            session=read.session,
+        )
+        group.history.add(operation)
+        self.router.notify_replica_completion(operation)
+        self._results[read.handle] = OperationResult(
+            op_id=op_id, client_id=client_id, kind=READ, tag=tag,
+            value=value, invoked_at=read.invoked_at, responded_at=now,
+        )
+        self._legs[read.handle] = legs
+        del self._pending_reads[read.handle]
+        self._bump_floor(read.session, group.key, version)
+
     def _serve_follower_read(self, group: ReplicaGroup, store: FollowerStore,
                              handle: str, reader: Union[int, str],
                              at: float, session: Optional[str]) -> None:
         store.reads_in_flight += 1
         group.dispatched[store.pool] = group.dispatched.get(store.pool, 0) + 1
-        self._pending.add(handle)
-        self._pending_invocations[handle] = (group.key, at)
+        read = _ReplicaRead(handle, group, reader, session, at)
+        self._pending_reads[handle] = read
         # Routing counters are symmetric with the primary path: both count
         # at dispatch.  A read stranded by a crash mid-flight therefore
         # still counts as *routed* to its replica (see RouterStats).
@@ -689,63 +730,34 @@ class ReplicaCoordinator:
         self.kernel.schedule_at(
             max(respond_at, self._now()),
             lambda crashes=self._pool_crashes.get(store.pool, 0):
-                self._complete_follower_read(group, store, handle, reader,
-                                             at, session, crashes),
+                self._complete_follower_read(read, store, crashes),
         )
 
-    def _complete_follower_read(self, group: ReplicaGroup, store: FollowerStore,
-                                handle: str, reader: Union[int, str],
-                                invoked_at: float, session: Optional[str],
+    def _complete_follower_read(self, read: _ReplicaRead,
+                                store: FollowerStore,
                                 crashes_at_dispatch: int) -> None:
-        now = self._now()
         store.reads_in_flight -= 1
-        epoch, tag = store.version
-        object_id = join_object_id(group.key, epoch)
-        op_id = (f"{group.key}/{REPLICA_CLIENT_PREFIX}{store.pool}"
-                 f"/read-{group.next_read_id()}")
-        client_id = f"{REPLICA_CLIENT_PREFIX}{store.pool}/reader-{reader}"
+        op_id, client_id = self._read_ids(read.group, store.pool, read.reader)
         if self._pool_crashes.get(store.pool, 0) != crashes_at_dispatch:
             # The store's pool *crashed* while the read was in flight:
             # like in-flight operations at a crashed primary, it never
-            # responds.  Recorded as incomplete so the merged history
-            # tells the truth; the handle stays pending.  A graceful
-            # retirement (rebalance drop, promotion) is not a crash: the
-            # store served until it was dropped and its answer stands.
-            group.history.add(Operation(
-                op_id=op_id, client_id=client_id, kind=READ,
-                object_id=object_id, invoked_at=invoked_at, session=session,
-            ))
-            # Stranded forever: it constrains no future completion, so it
-            # must not pin the live-audit watermark for this key.
-            self._pending_invocations.pop(handle, None)
-            if self._trace is not None:
-                self._trace.child_instant(
-                    handle, f"store-crashed {store.pool}", "replica", now,
-                    args={"pool": store.pool},
-                )
+            # responds.  A graceful retirement (rebalance drop, promotion)
+            # is not a crash: the store served until it was dropped and
+            # its answer stands.
+            self._strand(read, op_id, client_id, store.version[0],
+                         f"store-crashed {store.pool}", {"pool": store.pool})
             return
         store.reads_served += 1
-        operation = Operation(
-            op_id=op_id, client_id=client_id, kind=READ, object_id=object_id,
-            value=store.value, invoked_at=invoked_at, responded_at=now,
-            tag=tag, session=session,
-        )
-        group.history.add(operation)
-        self.router.notify_replica_completion(operation)
-        result = OperationResult(
-            op_id=op_id, client_id=client_id, kind=READ, tag=tag,
-            value=store.value, invoked_at=invoked_at, responded_at=now,
-        )
-        self._results[handle] = result
-        self._pending.discard(handle)
-        self._pending_invocations.pop(handle, None)
-        self._bump_floor(session, group.key, (epoch, tag))
-        self.read_cost += self.config.follower_read_cost
+        self.read_cost += TRANSFER_COST
+        self._respond(read, op_id, client_id, store.version, store.value, 1)
         tracer = self._trace
         if tracer is not None:
-            tracer.child_span(handle, f"store-read {store.pool}", "replica",
-                              invoked_at, now, args={"pool": store.pool})
-            tracer.end_op(handle, now, args={"tag": str(tag)})
+            now = self._now()
+            tracer.child_span(read.handle, f"store-read {store.pool}",
+                              "replica", read.invoked_at, now,
+                              args={"pool": store.pool})
+            tracer.end_op(read.handle, now,
+                          args={"tag": str(store.version[1])})
 
     # -- quorum reads --------------------------------------------------------------------
 
@@ -763,30 +775,22 @@ class ReplicaCoordinator:
         dies mid-flight resolves as *failed*, so the merge degrades to the
         surviving answers instead of hanging.
         """
-        stats = self.router.stats
+        read = _ReplicaRead(handle, group, reader, session, dispatch_at)
         candidates = self._candidates(group)
         if not candidates:
             # Failing over with no live follower: defer to the promoted
             # primary like any other primary-bound read.
-            group.deferred_reads.append((handle, reader, dispatch_at, session))
-            self._pending.add(handle)
-            self._pending_invocations[handle] = (group.key, dispatch_at)
-            stats.failover_deferrals += 1
-            if self._trace is not None:
-                self._freeze_started[handle] = dispatch_at
+            self._defer(read, dispatch_at)
             return handle
         pools = self.policy.choose_quorum(group.key, candidates,
                                           self.read_quorum)
+        stats = self.router.stats
         stats.quorum_reads += 1
         stats.policy_choices += 1
         views = {view.pool: view for view in candidates}
-        pending = _PendingQuorumRead(
-            handle=handle, group=group, reader=reader, session=session,
-            invoked_at=dispatch_at, outstanding=len(pools),
-        )
-        self._quorums[handle] = pending
-        self._pending.add(handle)
-        self._pending_invocations[handle] = (group.key, dispatch_at)
+        read.legs = len(pools)
+        read.responses = []
+        self._pending_reads[handle] = read
         now = self._now()
         for pool in pools:
             view = views[pool]
@@ -801,126 +805,94 @@ class ReplicaCoordinator:
                 max(dispatch_at + latency, now),
                 lambda pool=pool, store=store,
                 crashes=self._pool_crashes.get(pool, 0):
-                    self._complete_quorum_leg(pending, pool, store, crashes),
+                    self._complete_quorum_leg(read, pool, store, crashes),
             )
         return handle
 
-    def _complete_quorum_leg(self, pending: _PendingQuorumRead, pool: str,
+    def _complete_quorum_leg(self, read: _ReplicaRead, pool: str,
                              store: Optional[FollowerStore],
                              crashes_at_dispatch: int) -> None:
-        pending.outstanding -= 1
-        group = pending.group
-        answered = False
+        read.legs -= 1
         if store is not None:
             store.reads_in_flight -= 1
-            # Same crash-generation rule as the single-store path: only a
-            # pool crash during the flight silences the leg; a graceful
-            # retirement answers from the state the store served until.
-            if self._pool_crashes.get(pool, 0) == crashes_at_dispatch:
+        # Same crash-generation rule as the single-store path: only a crash
+        # of the queried pool while the leg was in flight silences it, so
+        # a crash-then-recover inside the window stays silent (recovery
+        # cannot un-lose the request).  A graceful retirement answers from
+        # the state the store served until; a benign mid-flight migration
+        # (or a graceful leave, which drains first) still answers from the
+        # primary's committed log head, sampled now -- the head only grows,
+        # so the answer stands.
+        answered = self._pool_crashes.get(pool, 0) == crashes_at_dispatch
+        if answered:
+            self.read_cost += TRANSFER_COST
+            if store is not None:
                 store.reads_served += 1
-                self.read_cost += self.config.follower_read_cost
-                pending.responses.append((store.version, store.value, store))
-                answered = True
-        elif self._pool_crashes.get(pool, 0) == crashes_at_dispatch:
-            # The primary leg answers from the committed log head, sampled
-            # at response time.  Only a *crash* of the queried pool while
-            # the leg was in flight silences it -- compared by crash
-            # generation, so a crash-then-recover inside the window stays
-            # silent (recovery cannot un-lose the request), while a
-            # benign mid-flight migration (or a graceful leave, which
-            # drains first) still answers, and the head only grows, so
-            # the answer stands.  Crash semantics match the follower
-            # legs' permanent ``retired`` flag.
-            self.read_cost += self.config.follower_read_cost
-            pending.responses.append(
-                (group.latest_version, group.latest_value, None))
-            answered = True
+                read.responses.append((store.version, store.value, store))
+            else:
+                group = read.group
+                read.responses.append(
+                    (group.latest_version, group.latest_value, None))
         tracer = self._trace
         if tracer is not None:
-            tracer.child_span(pending.handle, f"quorum-leg {pool}", "replica",
-                              pending.invoked_at, self._now(),
+            tracer.child_span(read.handle, f"quorum-leg {pool}", "replica",
+                              read.invoked_at, self._now(),
                               args={"pool": pool, "answered": answered})
-        if pending.outstanding == 0:
-            self._merge_quorum(pending)
+        if read.legs == 0:
+            self._merge_quorum(read)
 
-    def _merge_quorum(self, pending: _PendingQuorumRead) -> None:
-        group = pending.group
-        handle = pending.handle
-        session = pending.session
+    def _merge_quorum(self, read: _ReplicaRead) -> None:
+        group = read.group
+        handle = read.handle
         now = self._now()
-        del self._quorums[handle]
         stats = self.router.stats
-        depth = len(pending.responses)
+        depth = len(read.responses)
         stats.observe_quorum_depth(depth)
         tracer = self._trace
-        op_id = (f"{group.key}/{REPLICA_CLIENT_PREFIX}quorum"
-                 f"/read-{group.next_read_id()}")
-        client_id = (f"{REPLICA_CLIENT_PREFIX}quorum"
-                     f"/reader-{pending.reader}")
-        if not pending.responses:
+        op_id, client_id = self._read_ids(group, "quorum", read.reader)
+        if not read.responses:
             # Every queried store died mid-flight: like a single stranded
-            # follower read, the operation never responds and the merged
-            # history records the truth.
-            group.history.add(Operation(
-                op_id=op_id, client_id=client_id, kind=READ,
-                object_id=join_object_id(group.key, group.epoch),
-                invoked_at=pending.invoked_at, session=session,
-            ))
-            # Stranded forever: do not pin the live-audit watermark.
-            self._pending_invocations.pop(handle, None)
-            if tracer is not None:
-                tracer.child_instant(handle, "quorum-stranded", "replica",
-                                     now, args={"depth": depth})
+            # follower read, the operation never responds.
+            self._strand(read, op_id, client_id, group.epoch,
+                         "quorum-stranded", {"depth": depth})
             return
-        version, value, _ = max(pending.responses, key=lambda r: r[0])
+        version, value, _ = max(read.responses, key=lambda r: r[0])
         if self.config.read_repair:
-            self._read_repair(group, pending.responses, version, now,
+            self._read_repair(group, read.responses, version, now,
                               handle=handle)
-        floor = self.session_floor(session, group.key)
+        floor = self.session_floor(read.session, group.key)
         if self.config.session_guard and floor is not None \
                 and version < floor:
             # The whole quorum lags what this session already observed
             # (a follower-only window): fall back to a full protocol read
             # at the primary.  The legs' transfer cost was still paid.
             stats.session_fallbacks += 1
-            self._quorum_counted.add(handle)
             if tracer is not None:
                 tracer.child_instant(handle, "quorum-fallback", "replica",
                                      now, args={"depth": depth})
             if group.status != NORMAL:
-                group.deferred_reads.append(
-                    (handle, pending.reader, now, session))
-                stats.failover_deferrals += 1
-                if tracer is not None:
-                    self._freeze_started[handle] = now
+                self._defer(read, now)
                 return
-            self._pending.discard(handle)
-            self._pending_invocations.pop(handle, None)
-            self._dispatch_primary_read(group, handle, pending.reader, now,
-                                        session)
+            del self._pending_reads[handle]
+            self._dispatch_primary_read(group, handle, read.reader, now,
+                                        read.session, counted=True)
             self.router.flush_key(group.key)
             return
         stats.policy_honored += 1
-        epoch, tag = version
-        operation = Operation(
-            op_id=op_id, client_id=client_id, kind=READ,
-            object_id=join_object_id(group.key, epoch), value=value,
-            invoked_at=pending.invoked_at, responded_at=now, tag=tag,
-            session=session,
-        )
-        group.history.add(operation)
-        self.router.notify_replica_completion(operation)
-        self._results[handle] = OperationResult(
-            op_id=op_id, client_id=client_id, kind=READ, tag=tag,
-            value=value, invoked_at=pending.invoked_at, responded_at=now,
-        )
-        self._handle_costs[handle] = depth * self.config.follower_read_cost
-        self._pending.discard(handle)
-        self._pending_invocations.pop(handle, None)
-        self._bump_floor(session, group.key, version)
+        self._respond(read, op_id, client_id, version, value, depth)
         if tracer is not None:
             tracer.end_op(handle, now,
-                          args={"tag": str(tag), "depth": depth})
+                          args={"tag": str(version[1]), "depth": depth})
+
+    def _catch_up(self, store: FollowerStore) -> int:
+        """Apply every logged record ``store`` has not applied yet, charged
+        as replication traffic; returns how many."""
+        missing = store.log[store.log_position:]
+        for record in missing:
+            store.apply(record)
+        applied = len(missing)
+        self.replication_cost += applied * TRANSFER_COST
+        return applied
 
     def _read_repair(self, group: ReplicaGroup, responses, merged: Version,
                      now: float, handle: Optional[str] = None) -> None:
@@ -930,24 +902,20 @@ class ReplicaCoordinator:
         pairs that never met in a quorum drift until the lag fan-out or a
         later merge catches them -- anti-entropy between followers is a
         tracked follow-up).  The repairer holds the whole replication
-        log, so an observed-stale store is brought fully current
-        (idempotent applies; records the normal lag fan-out delivers
-        later are simply skipped), charged like any other replication
-        traffic -- the immediate alternative to waiting out the lag.
+        log, so an observed-stale store is brought fully current (the
+        records the normal lag fan-out delivers later are skipped),
+        charged like any other replication traffic -- the immediate
+        alternative to waiting out the lag.
         """
         stats = self.router.stats
         for _, _, store in responses:
             if store is None or store.retired or store.version >= merged:
                 continue
-            applied = sum(1 for record in group.log[store.log_position:]
-                          if store.apply(record))
-            store.log_position = len(group.log)
+            applied = self._catch_up(store)
             if not applied:
                 continue
             stats.read_repairs += 1
             self.stats.read_repair_records += applied
-            self.replication_cost += (applied
-                                      * self.config.replication_unit_cost)
             self.failover_log.append(
                 (now, "read-repair",
                  f"{group.key}: {store.pool} repaired to {store.version} "
@@ -1064,16 +1032,12 @@ class ReplicaCoordinator:
         """Cost of one served replica read (0 while pending/deferred):
         one store-read cost per merged quorum leg, or a single store-read
         cost for a follower serve."""
-        if handle in self._handle_costs:
-            return self._handle_costs[handle]
-        if handle in self._results:
-            return self.config.follower_read_cost
-        return 0.0
+        return self._legs.get(handle, 0) * TRANSFER_COST
 
     def incomplete_reads(self) -> int:
-        """Replica reads in flight (follower serves and quorum fan-outs)
-        plus reads deferred behind a failover."""
-        return len(self._pending)
+        """Replica reads in flight (follower serves and quorum fan-outs),
+        deferred behind a failover, or stranded."""
+        return len(self._pending_reads) + self._stranded
 
     def in_flight_forwards(self) -> int:
         """Forwarded writes still travelling follower -> primary."""
@@ -1082,23 +1046,21 @@ class ReplicaCoordinator:
     def pending_read_invocations(self) -> List[Tuple[str, float]]:
         """``(key, global invocation time)`` of every replica read that may
         still complete -- the replica layer's contribution to the
-        live-audit watermark (reads stranded by a pool crash are already
-        excluded; they never respond)."""
-        return list(self._pending_invocations.values())
+        live-audit watermark (stranded reads are excluded; they never
+        respond)."""
+        return [(read.group.key, read.invoked_at)
+                for read in self._pending_reads.values()]
 
     def sanitizer_watches(self) -> List[Tuple[str, Dict]]:
         """In-flight maps whose entries must all drain by idle.
 
-        Each is popped on every completion *and* strand path; an entry
-        surviving to quiescence means some path skipped its cleanup (the
-        bug class where a stranded quorum kept its merge state forever).
-        Consumed by :meth:`KernelSanitizer.watch_map
+        A read leaves the map on every completion *and* strand path; an
+        entry surviving to quiescence means some path skipped its cleanup
+        (the bug class where a stranded quorum kept its merge state
+        forever).  Consumed by :meth:`KernelSanitizer.watch_map
         <repro.sim.sanitizer.KernelSanitizer.watch_map>`.
         """
-        return [
-            ("replicas.pending_invocations", self._pending_invocations),
-            ("replicas.quorums", self._quorums),
-        ]
+        return [("replicas.pending_reads", self._pending_reads)]
 
     @property
     def total_cost(self) -> float:
@@ -1193,6 +1155,9 @@ class ReplicaCoordinator:
                  f"{group.key}: no live follower to promote; "
                  f"{len(group.deferred_reads)} read(s) stranded")
             )
+            deferred, group.deferred_reads = group.deferred_reads, []
+            for read in deferred:
+                self._defer(read, now)  # strands: the group never thaws
             return
         # Catch-up: every logged record the successor is missing must be
         # applied before it serves writes -- acknowledged writes survive
@@ -1200,8 +1165,7 @@ class ReplicaCoordinator:
         # catch-up duration is a detection-time estimate) but applied only
         # when the successor is seated, so degraded reads during the
         # window still observe the successor's genuinely stale state.
-        missing = len([record for record in group.log[successor.log_position:]
-                       if record.seq not in successor.applied])
+        missing = len(group.log) - successor.log_position
         done_at = now + self.config.catch_up_per_record * missing
         self.kernel.schedule_at(
             max(done_at, now),
@@ -1221,15 +1185,10 @@ class ReplicaCoordinator:
             self._promote(group)
             return
         # Apply the catch-up at seat time (normal lag applies that landed
-        # during the window are skipped by the idempotent applied-set).
-        # If a successor dies mid-window the next candidate catches up and
-        # is charged afresh -- both copies consumed real bandwidth.
-        caught_up = 0
-        for record in group.log[successor.log_position:]:
-            if successor.apply(record):
-                caught_up += 1
-                self.replication_cost += self.config.replication_unit_cost
-        successor.log_position = len(group.log)
+        # during the window already moved the watermark).  If a successor
+        # dies mid-window the next candidate catches up and is charged
+        # afresh -- both copies consumed real bandwidth.
+        caught_up = self._catch_up(successor)
         self.stats.catch_up_records += caught_up
         old_pool = group.primary_pool
         successor.retired = True
@@ -1243,26 +1202,24 @@ class ReplicaCoordinator:
         self._hook_primary(group, shard)
         # Replicate the promotion snapshot so the surviving followers learn
         # the new epoch.
-        self._log_snapshot(group, shard.epoch, successor.value)
+        self._append(group, shard.epoch, INITIAL_TAG, successor.value)
         self.failover_log.append(
             (now, "promote",
              f"{group.key}: {successor.pool} promoted (epoch {shard.epoch}, "
              f"caught up {caught_up} record(s)); was {old_pool}")
         )
         # Un-freeze: flush the writes and reads queued during the failover.
-        deferred = group.deferred_reads
-        group.deferred_reads = []
+        deferred, group.deferred_reads = group.deferred_reads, []
         tracer = self._trace
-        for handle, reader, at, session in deferred:
-            self._pending.discard(handle)
-            self._pending_invocations.pop(handle, None)
+        for read in deferred:
+            del self._pending_reads[read.handle]
             if tracer is not None:
-                started = self._freeze_started.pop(handle, None)
-                if started is not None:
-                    tracer.child_span(handle, "freeze-wait", "failover",
-                                      started, now,
-                                      args={"promoted": successor.pool})
-            self._dispatch_primary_read(group, handle, reader, at, session)
+                tracer.child_span(read.handle, "freeze-wait", "failover",
+                                  read.at, now,
+                                  args={"promoted": successor.pool})
+            self._dispatch_primary_read(group, read.handle, read.reader,
+                                        read.at, read.session,
+                                        counted=read.responses is not None)
         self.router.flush_key(group.key)
         # Restore r-way redundancy: the dead primary's slot is re-provisioned
         # on the next ring pool.
@@ -1317,19 +1274,11 @@ class ReplicaCoordinator:
             self._provision_replacement(group, self._now())
             return
         now = self._now()
-        store = FollowerStore(
-            key=group.key, pool=pool,
-            distance=self._distance(group.key, pool),
-            version=group.latest_version, value=group.latest_value,
-            created_at=now,
-        )
-        # Seeding copies the object once; the copy subsumes every record
-        # logged so far (the seed *is* their net effect), so the whole log
-        # counts as applied and only future commits replicate to the store.
-        store.applied.update(record.seq for record in group.log)
-        store.log_position = len(group.log)
+        # Seeding copies the object once; only future commits replicate.
+        store = FollowerStore(group, pool, self._distance(group.key, pool),
+                              created_at=now)
         group.followers.append(store)
-        self.replication_cost += self.config.replication_unit_cost
+        self.replication_cost += TRANSFER_COST
         self.stats.followers_provisioned += 1
         self.failover_log.append(
             (now, "follower-provisioned",

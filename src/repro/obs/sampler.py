@@ -82,7 +82,7 @@ class ClusterSampler:
         # maximum, so the groups are walked in dict order, unsorted.
         replicas = self.simulation.replicas
         lags = [] if replicas is None else [
-            len(group.log) - len(store.applied)
+            len(group.log) - store.log_position
             for group in replicas.groups.values()
             for store in group.live_followers()]
         lag_max = max(lags) if lags else 0

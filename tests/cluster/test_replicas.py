@@ -84,8 +84,7 @@ class TestReplicationLag:
         assert cluster.replicas.stats.records_applied == 2
 
     def test_replication_traffic_is_charged(self, config):
-        cluster, _ = build_cluster(config, policy="primary",
-                                   replication_unit_cost=1.0)
+        cluster, _ = build_cluster(config, policy="primary")
         cluster.write("obj-0", b"v1")
         before = cluster.replicas.replication_cost
         cluster.run_until_idle()

@@ -211,8 +211,8 @@ class TestHarnessIntegration:
         simulation = self._run(sanitize=True)
         # Plant a leak in the replica layer's watched pending map: the
         # next drain to idle must flag it through the harness wiring.
-        simulation.replicas._pending_invocations["ghost"] = ("k", 1.0)
+        simulation.replicas._pending_reads["ghost"] = object()
         with pytest.raises(SanitizerError) as err:
             simulation.run_until_idle()
         assert err.value.violation.kind == PENDING_LEAK
-        assert err.value.violation.source == "replicas.pending_invocations"
+        assert err.value.violation.source == "replicas.pending_reads"

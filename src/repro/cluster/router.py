@@ -731,12 +731,12 @@ class ObjectRouter:
             if found is not None:
                 return found
             if not self.kernel.step():
-                raise RuntimeError(
+                raise self._shards[key].system.incomplete_error(
                     f"operation {handle} did not complete (global queue empty)"
                 )
             executed += 1
             if executed > 10_000_000:
-                raise RuntimeError(
+                raise self._shards[key].system.incomplete_error(
                     f"operation {handle} did not complete within the event budget"
                 )
 
@@ -845,12 +845,14 @@ class ObjectRouter:
 
     def incomplete_operations(self) -> int:
         """Number of invoked-but-unfinished operations across the cluster
-        (in-flight and failover-deferred replica reads, and writes still
-        travelling a forwarding hop, included)."""
+        (operations queued behind a freeze, replica reads in flight,
+        deferred or stranded, and writes still travelling a forwarding hop
+        included)."""
         replica_pending = (0 if self.replicas is None
                            else self.replicas.incomplete_reads()
                            + self.replicas.in_flight_forwards())
-        return replica_pending + sum(
+        queued = sum(len(shard.pending) for shard in self._shards.values())
+        return replica_pending + queued + sum(
             1 for history in self._all_histories()
             for op in history if not op.is_complete
         )

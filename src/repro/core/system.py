@@ -162,13 +162,19 @@ class RegisterSystem:
         executed = 0
         while op_id not in self.results:
             if not self.simulator.step():
-                raise RuntimeError(
+                raise self.incomplete_error(
                     f"operation {op_id} did not complete (no pending events remain)"
                 )
             executed += 1
             if executed > max_events:
-                raise RuntimeError(f"operation {op_id} did not complete within the event budget")
+                raise self.incomplete_error(
+                    f"operation {op_id} did not complete within the event budget")
         return self.results[op_id]
+
+    def incomplete_error(self, message: str) -> RuntimeError:
+        """The error for an operation that cannot finish; a subclass may
+        add what it knows of the cause."""
+        return RuntimeError(message)
 
     # -- synchronous convenience API ------------------------------------------------------------------
 
@@ -278,6 +284,20 @@ class LDSSystem(RegisterSystem):
 
     def alive_l2_count(self) -> int:
         return sum(1 for server in self.l2_servers if not server.crashed)
+
+    def incomplete_error(self, message: str) -> RuntimeError:
+        """Name each crash budget the deployment has exceeded, e.g. "3 of 5
+        L1 servers crashed, f1 = 1"; inside the fault model the message
+        does not change."""
+        config = self.config
+        for layer, servers, budget, allowed in (
+                ("L1", self.l1_servers, "f1", config.f1),
+                ("L2", self.l2_servers, "f2", config.f2)):
+            crashed = sum(1 for server in servers if server.crashed)
+            if crashed > allowed:
+                message += (f"; {crashed} of {len(servers)} {layer} servers "
+                            f"crashed, {budget} = {allowed}")
+        return RuntimeError(message)
 
 
 __all__ = ["LDSSystem", "OperationResult", "RegisterSystem"]

@@ -29,11 +29,11 @@ def config() -> LDSConfig:
 
 
 def build_cluster(config, *, r=3, policy="round-robin", pools=4, seed=11,
-                  **replication_kwargs):
+                  sanitize=False, **replication_kwargs):
     cluster = ClusterSimulation(
         config, [f"pool-{i}" for i in range(pools)], seed=seed,
         replication=ReplicationConfig(r=r, **replication_kwargs),
-        read_policy=policy,
+        read_policy=policy, sanitize=sanitize,
     )
     return cluster, cluster.kernel
 
@@ -376,7 +376,7 @@ class TestFailover:
 
     def test_unserviceable_when_every_replica_pool_is_dead(self, config):
         cluster, kernel = build_cluster(config, r=2, pools=2,
-                                        policy="primary",
+                                        policy="primary", sanitize=True,
                                         failover_detection_delay=5.0)
         cluster.write("k", b"v1")
         cluster.run_until_idle()
@@ -385,10 +385,38 @@ class TestFailover:
         cluster.fail_pool(follower_pool, time=kernel.now)
         cluster.fail_pool(group.primary_pool, time=kernel.now)
         read = cluster.router.invoke_read("k")
-        cluster.run_until_idle()
+        cluster.run_until_idle()  # the deferred read strands, no leak
         assert group.status == UNSERVICEABLE
+        assert cluster.kernel.sanitizer.ok
         assert cluster.router.result(read) is None
         assert cluster.router.incomplete_operations() >= 1
+        # A stranded read pins no live-audit watermark, and the history
+        # holds it without a response.
+        assert cluster.replicas.pending_read_invocations() == []
+        stranded = [op for op in cluster.history()
+                    if op.kind == READ and not op.is_complete]
+        assert len(stranded) == 1
+        # A read arriving at the unserviceable group strands at once.
+        late = cluster.router.invoke_read("k")
+        assert cluster.replicas.pending_read_invocations() == []
+        cluster.run_until_idle()
+        assert cluster.router.result(late) is None
+        assert cluster.replicas.incomplete_reads() == 2
+
+    def test_a_write_queued_at_an_unserviceable_group_is_incomplete(
+            self, config):
+        cluster, kernel = build_cluster(config, r=2, pools=3,
+                                        policy="primary")
+        cluster.write("k", b"v1")
+        cluster.run_until_idle()
+        group = cluster.replicas.groups["k"]
+        cluster.fail_pool(group.primary_pool, time=kernel.now)
+        cluster.fail_pool(group.live_followers()[0].pool, time=kernel.now)
+        write = cluster.router.invoke_write("k", b"v2")
+        cluster.run_until_idle()
+        assert group.status == UNSERVICEABLE
+        assert cluster.router.result(write) is None
+        assert cluster.router.incomplete_operations() == 1
 
     def test_successor_pool_dying_during_catch_up_repromotes(self, config):
         # The successor is chosen at detection time but only seated after

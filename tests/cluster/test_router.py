@@ -125,6 +125,19 @@ class TestFailureHandling:
         shard = router.shard(key)
         assert shard.system.alive_l2_count() == config.n2 - 1
 
+    def test_an_operation_past_the_budgets_names_them(self, router):
+        system = router.shard("obj-0").system
+        for index in range(2):
+            system.crash_l1(index)
+            system.crash_l2(index)
+        handle = router.invoke_write("obj-0", b"v1")
+        with pytest.raises(RuntimeError) as error:
+            router._run_handle(handle)
+        assert str(error.value) == (
+            f"operation {handle} did not complete (global queue empty); "
+            "2 of 3 L1 servers crashed, f1 = 1; "
+            "2 of 4 L2 servers crashed, f2 = 1")
+
     def test_reads_survive_one_l2_failure(self, router):
         router.write("obj-0", b"durable")
         pool = router.shards["obj-0"].pool

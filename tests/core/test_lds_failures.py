@@ -47,6 +47,26 @@ class TestL1Failures:
         result = system.read()
         assert result.value == b"stable value"
 
+    def test_an_operation_past_the_f1_budget_names_it(self):
+        system = build_system()
+        for index in range(3):
+            system.crash_l1(index)
+        with pytest.raises(RuntimeError) as error:
+            system.write(b"no quorum")
+        assert str(error.value) == (
+            "operation writer-0:write-1 did not complete (no pending events "
+            "remain); 3 of 5 L1 servers crashed, f1 = 1")
+
+    def test_inside_the_fault_model_the_message_is_unchanged(self):
+        system = build_system()
+        system.crash_l1(0)
+        system.crash_l2(0)
+        op = system.invoke_write(b"slow")
+        with pytest.raises(RuntimeError) as error:
+            system.run_until_complete(op, max_events=1)
+        assert str(error.value) == (
+            f"operation {op} did not complete within the event budget")
+
     def test_exceeding_f1_is_not_required_to_be_live(self):
         # Not a liveness assertion -- just documents that the budget matters:
         # with f1 crashes the quorum of f1 + k = n1 - f1 servers still exists.

@@ -103,8 +103,8 @@ class ClusterSimulation:
                                                n2=config.n2, vnodes=vnodes)
         if replication is not None and seed is not None \
                 and replication.seed is None:
-            # Thread the root seed into replica distances / lag jitter
-            # unless the caller pinned one explicitly.
+            # Thread the root seed into replica distances unless the
+            # caller pinned one explicitly.
             replication = dc_replace(replication,
                                      seed=derive_seed(seed, "replicas"))
         self.router = ObjectRouter(

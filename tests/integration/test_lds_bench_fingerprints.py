@@ -1,5 +1,6 @@
-"""Pins what the four lds_bench workloads (smoke scale, seed 1) and the
-eight shipped scenarios (small key set, fixed seeds) do.
+"""Pins what the four lds_bench workloads (smoke scale, seed 1), the
+eight shipped scenarios and two epoch hand-off variants of them (small
+key set, fixed seeds) do.
 
 The lds_bench fingerprints, event and message counts were recorded at
 commit f5baaa1, before the code layer was rewritten (product-table
@@ -149,6 +150,8 @@ REPLICA_COUNTERS = {
     "degraded-reads-during-catch-up": 1174212298,
     "quorum-reads-under-lag": 1606724411,
     "forwarded-writes-during-failover": 1955160074,
+    "failover-holds-primary-reads": 3687235881,
+    "replicated-migration": 2876057431,
 }
 
 
@@ -261,6 +264,20 @@ SCENARIOS = {
         dict(seed=5, read_policy="round-robin",
              replication=ReplicationConfig(write_ingress="nearest",
                                            **FAILOVER))),
+    # The two epoch hand-offs the shipped runs leave unpinned: primary
+    # reads held by a failover freeze (one read, six promotions), and a
+    # migration of a replicated key (one).
+    "failover-holds-primary-reads": (
+        replica_failover_under_load(KEYS, "pool-3", seed=7, operations=80,
+                                    duration=500.0, kill_at=200.0),
+        dict(seed=7, read_policy="primary",
+             replication=ReplicationConfig(r=3, replication_lag=25.0,
+                                           failover_detection_delay=60.0))),
+    "replicated-migration": (
+        migration_under_load(KEYS, "pool-9", seed=11, operations=60,
+                             duration=400.0, join_at=150.0),
+        dict(seed=11, read_policy="primary",
+             replication=ReplicationConfig(r=3, replication_lag=25.0))),
 }
 
 #: scenario -> the same row as RECORDED.
@@ -288,6 +305,10 @@ RECORDED_SCENARIOS = {
     # 3,220 events before: 14 crashes reached lagging shards as events
     "forwarded-writes-during-failover": (2243318270, 3206, 2820,
                                          733725266, 10.1),
+    "failover-holds-primary-reads": (2262209148, 3686, 3378,
+                                     2837682776, 10.1125),
+    "replicated-migration": (1633735620, 2875, 2666,
+                             4286840977, 10.966666666666667),
 }
 
 
@@ -311,5 +332,9 @@ def test_shipped_scenario_is_unchanged(name):
     if name == "migration-under-load":
         assert simulation.router.stats.migrations == 4
         assert simulation.router.incomplete_operations() == 0
+    if name == "failover-holds-primary-reads":
+        assert simulation.router.stats.failover_deferrals == 1
+    if name == "replicated-migration":
+        assert simulation.router.stats.migrations == 1
     if name in TIMED:
         assert timed_digest(simulation.history()) == TIMED[name]

@@ -223,6 +223,9 @@ class ABDSystem(RegisterSystem):
         """Crash the ``index``-th server (immediately or at a virtual time)."""
         self._crash(self.server_pids[index], at)
 
+    def crash_budgets(self) -> List[tuple]:
+        return [("servers", self.servers, "f", self.f)]
+
     @property
     def storage_cost(self) -> float:
         """Normalised storage cost: every live server stores one full value."""

@@ -292,6 +292,9 @@ class CASSystem(RegisterSystem):
         """Crash the ``index``-th server (immediately or at a virtual time)."""
         self._crash(self.server_pids[index], at)
 
+    def crash_budgets(self) -> List[tuple]:
+        return [("servers", self.servers, "f", self.f)]
+
     @property
     def storage_cost(self) -> float:
         """Normalised storage: each live coded element counts 1/k."""

@@ -171,9 +171,21 @@ class RegisterSystem:
                     f"operation {op_id} did not complete within the event budget")
         return self.results[op_id]
 
+    def crash_budgets(self) -> List[tuple]:
+        """``(servers' name, servers, budget name, allowed crashes)`` per
+        layer of the deployment's fault model."""
+        return []
+
     def incomplete_error(self, message: str) -> RuntimeError:
-        """The error for an operation that cannot finish; a subclass may
-        add what it knows of the cause."""
+        """The error for an operation that cannot finish: names each crash
+        budget the deployment has exceeded, e.g. "3 of 5 L1 servers
+        crashed, f1 = 1"; inside the fault model the message does not
+        change."""
+        for name, servers, budget, allowed in self.crash_budgets():
+            crashed = sum(1 for server in servers if server.crashed)
+            if crashed > allowed:
+                message += (f"; {crashed} of {len(servers)} {name} "
+                            f"crashed, {budget} = {allowed}")
         return RuntimeError(message)
 
     # -- synchronous convenience API ------------------------------------------------------------------
@@ -285,19 +297,9 @@ class LDSSystem(RegisterSystem):
     def alive_l2_count(self) -> int:
         return sum(1 for server in self.l2_servers if not server.crashed)
 
-    def incomplete_error(self, message: str) -> RuntimeError:
-        """Name each crash budget the deployment has exceeded, e.g. "3 of 5
-        L1 servers crashed, f1 = 1"; inside the fault model the message
-        does not change."""
-        config = self.config
-        for layer, servers, budget, allowed in (
-                ("L1", self.l1_servers, "f1", config.f1),
-                ("L2", self.l2_servers, "f2", config.f2)):
-            crashed = sum(1 for server in servers if server.crashed)
-            if crashed > allowed:
-                message += (f"; {crashed} of {len(servers)} {layer} servers "
-                            f"crashed, {budget} = {allowed}")
-        return RuntimeError(message)
+    def crash_budgets(self) -> List[tuple]:
+        return [("L1 servers", self.l1_servers, "f1", self.config.f1),
+                ("L2 servers", self.l2_servers, "f2", self.config.f2)]
 
 
 __all__ = ["LDSSystem", "OperationResult", "RegisterSystem"]

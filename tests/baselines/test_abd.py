@@ -67,6 +67,16 @@ class TestFaultTolerance:
         assert result.kind == "write"
         assert system.read().value == b"concurrent crash"
 
+    def test_an_operation_past_the_f_budget_names_it(self):
+        system = build(n=5, f=2)
+        for index in range(3):
+            system.crash_server(index)
+        with pytest.raises(RuntimeError) as error:
+            system.write(b"no quorum")
+        assert str(error.value) == (
+            "operation writer-0:write-1 did not complete (no pending events "
+            "remain); 3 of 5 servers crashed, f = 2")
+
 
 class TestCosts:
     def test_write_cost_is_n(self):

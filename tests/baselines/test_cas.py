@@ -64,6 +64,16 @@ class TestFaultToleranceAndStorage:
         system.write(b"resilient")
         assert system.read().value == b"resilient"
 
+    def test_an_operation_past_the_f_budget_names_it(self):
+        system = build(n=6, k=2)  # quorum 4, tolerates 2 crashes
+        for index in range(3):
+            system.crash_server(index)
+        with pytest.raises(RuntimeError) as error:
+            system.write(b"no quorum")
+        assert str(error.value) == (
+            "operation writer-0:write-1 did not complete (no pending events "
+            "remain); 3 of 6 servers crashed, f = 2")
+
     def test_storage_cost_is_fraction_of_replication(self):
         system = build(n=6, k=3)
         system.write(b"space efficient")

@@ -1137,9 +1137,9 @@ class ReplicaCoordinator:
         )
         promote_at = time + self.config.failover_detection_delay
         self.kernel.schedule_at(max(promote_at, self._now()),
-                                lambda: self._promote(group))
+                                lambda: self._promote(group, time))
 
-    def _promote(self, group: ReplicaGroup) -> None:
+    def _promote(self, group: ReplicaGroup, down_at: float) -> None:
         if group.status != FAILING_OVER:
             return
         now = self._now()
@@ -1169,11 +1169,11 @@ class ReplicaCoordinator:
         done_at = now + self.config.catch_up_per_record * missing
         self.kernel.schedule_at(
             max(done_at, now),
-            lambda: self._finish_promotion(group, successor),
+            lambda: self._finish_promotion(group, successor, down_at),
         )
 
     def _finish_promotion(self, group: ReplicaGroup,
-                          successor: FollowerStore) -> None:
+                          successor: FollowerStore, down_at: float) -> None:
         if group.status != FAILING_OVER:
             return
         now = self._now()
@@ -1182,7 +1182,7 @@ class ReplicaCoordinator:
             # Re-run the promotion choice over the remaining live followers
             # (or go unserviceable) instead of seating a primary on a dead
             # pool that no future membership event would ever dislodge.
-            self._promote(group)
+            self._promote(group, down_at)
             return
         # Apply the catch-up at seat time (normal lag applies that landed
         # during the window already moved the watermark).  If a successor
@@ -1192,8 +1192,12 @@ class ReplicaCoordinator:
         self.stats.catch_up_records += caught_up
         old_pool = group.primary_pool
         successor.retired = True
-        shard = self.router.failover_shard(group.key, successor.pool,
-                                           successor.value)
+        # The hand-off read answers with the successor's value, at its tag
+        # when that version belongs to the retiring epoch.
+        epoch, tag = successor.version
+        shard = self.router.failover_shard(
+            group.key, successor.pool, successor.value,
+            tag if epoch == group.epoch else INITIAL_TAG, down_at)
         group.primary_pool = successor.pool
         group.primary_distance = successor.distance
         group.epoch = shard.epoch

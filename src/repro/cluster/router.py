@@ -56,7 +56,7 @@ from repro.cluster.read_policy import (
 )
 from repro.cluster.ring import RingBalance, stable_hash
 from repro.consistency.history import (
-    EPOCH_SUFFIX, History, READ, WRITE, join_object_id)
+    EPOCH_SUFFIX, History, Operation, READ, WRITE, join_object_id)
 from repro.core.config import LDSConfig
 from repro.core.results import OperationResult
 from repro.core.system import LDSSystem
@@ -66,6 +66,10 @@ from repro.obs.registry import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.replicas import ReplicaCoordinator
     from repro.consistency.linearizability import AtomicityViolation
+    from repro.core.tags import Tag
+
+#: Op and client id of a failover's hand-off read in its epoch's history.
+FAILOVER_HANDOFF = "handoff"
 
 
 @dataclass
@@ -105,8 +109,12 @@ class Shard:
     epoch: int
     system: LDSSystem
     pending: List[_PendingOp] = field(default_factory=list)
-    #: Histories of previous epochs (pre-migration), oldest first.
+    #: Histories of previous epochs, oldest first, each holding its
+    #: hand-off read.
     retired_histories: List[History] = field(default_factory=list)
+    #: The hand-off read of each previous epoch, oldest first: the read
+    #: whose value the next epoch started from.
+    handoffs: List[Operation] = field(default_factory=list)
     #: Monotone shift applied to nominal workload times (grows when a
     #: batch is flushed after its nominal window already passed, e.g. the
     #: operations a migration or failover kept queued).
@@ -834,13 +842,31 @@ class ObjectRouter:
         return histories
 
     def check_atomicity(self) -> Optional[AtomicityViolation]:
-        """Check every epoch of every shard; returns the first violation found."""
+        """Check every epoch of every key as one register history.
+
+        Each retired epoch is checked with its hand-off read, so a
+        completed write the carried value misses is a stale read, and the
+        next epoch must start from exactly the value that read returned.
+        Returns the first violation, naming the key and the epoch.
+        """
         # Audit-only code loads when an audit runs.
-        from repro.consistency.linearizability import check_atomicity
-        for history in self._all_histories():
-            violation = check_atomicity(history)
-            if violation is not None:
-                return violation
+        from repro.consistency.linearizability import (
+            AtomicityViolation, check_atomicity)
+        for key in sorted(self._shards):
+            shard = self._shards[key]
+            epochs = shard.retired_histories + [shard.system.history()]
+            for epoch, history in enumerate(epochs):
+                violation = check_atomicity(history)
+                if violation is None and epoch < shard.epoch:
+                    handoff = shard.handoffs[epoch]
+                    if handoff.value != epochs[epoch + 1].initial_value:
+                        violation = AtomicityViolation(
+                            "the next epoch does not start from the "
+                            "hand-off read's value", (handoff.op_id,))
+                if violation is not None:
+                    return AtomicityViolation(
+                        f"{key} epoch {epoch}: {violation.description}",
+                        violation.operations)
         return None
 
     def incomplete_operations(self) -> int:
@@ -986,8 +1012,10 @@ class ObjectRouter:
                                         migration.copy_read))
         elif result is not None and result.op_id == migration.copy_read:
             move = migration.move
+            history = system.history()
+            handoff = next(op for op in history if op.op_id == result.op_id)
             replacement = self._retire_epoch(migration.shard, move.target,
-                                             result.value)
+                                             history, handoff)
             self.stats.migrations += 1
             self.migration_log.append(
                 (self.kernel.now, move.key, move.source, move.target))
@@ -999,7 +1027,8 @@ class ObjectRouter:
             self._flush_shard(replacement)
 
     def failover_shard(self, key: str, target_pool: str,
-                       carried_value: Optional[bytes]) -> Shard:
+                       carried_value: bytes, tag: Tag,
+                       down_at: float) -> Shard:
         """Promote ``key``'s shard onto ``target_pool`` after primary loss.
 
         The twin of a migration for a *dead* source: the retiring epoch
@@ -1007,26 +1036,36 @@ class ObjectRouter:
         incomplete forever -- which is the truth of a crash), a migration
         under way is abandoned, and the carried value comes from the
         caught-up follower store rather than a protocol copy read.  The
-        caller (the replica coordinator) flushes the operations the freeze
-        kept queued once it has finished its own promotion bookkeeping.
+        retiring epoch records that carry as its hand-off read, invoked
+        when the pool was reported down (``down_at``) and answering now
+        with ``carried_value`` at ``tag``.  The caller (the replica
+        coordinator) flushes the operations the freeze kept queued once it
+        has finished its own promotion bookkeeping.
         """
-        return self._retire_epoch(self._shards[key], target_pool,
-                                  carried_value)
+        shard = self._shards[key]
+        handoff = Operation(
+            op_id=FAILOVER_HANDOFF, client_id=FAILOVER_HANDOFF, kind=READ,
+            object_id=shard.object_id, value=carried_value,
+            invoked_at=down_at, responded_at=self.kernel.now, tag=tag)
+        self._internal_ops.add((shard.object_id, FAILOVER_HANDOFF))
+        history = shard.system.history()
+        history.add(handoff)
+        return self._retire_epoch(shard, target_pool, history, handoff)
 
-    def _retire_epoch(self, shard: Shard, pool: str,
-                      carried: Optional[bytes]) -> Shard:
-        """Archive ``shard``'s epoch and start the next one on ``pool``,
-        born now and holding ``carried``.  The key thaws, and its queued
-        operations move across with their handles; the caller flushes."""
+    def _retire_epoch(self, shard: Shard, pool: str, history: History,
+                      handoff: Operation) -> Shard:
+        """Archive ``shard``'s epoch as ``history``, which holds its
+        hand-off read ``handoff``, and start the next one on ``pool``, born
+        now and holding the value that read returned.  The key thaws, and
+        its queued operations move across with their handles; the caller
+        flushes."""
         key = shard.key
         self._migrations.pop(key, None)
         self._retired[(key, shard.epoch)] = shard.system
-        replacement = self._build_shard(
-            key, pool, epoch=shard.epoch + 1,
-            initial_value=self.config.initial_value if carried is None
-            else carried)
-        replacement.retired_histories = (shard.retired_histories
-                                         + [shard.system.history()])
+        replacement = self._build_shard(key, pool, epoch=shard.epoch + 1,
+                                        initial_value=handoff.value)
+        replacement.retired_histories = shard.retired_histories + [history]
+        replacement.handoffs = shard.handoffs + [handoff]
         replacement.pending, shard.pending = shard.pending, []
         for op in replacement.pending:
             self._handles[op.handle][1] = replacement.epoch

@@ -189,8 +189,6 @@ class ReplicaGroup:
         #: Follower-served reads (kept outside the shard histories so the
         #: per-epoch atomicity check stays primary-only).
         self.history = History()
-        #: Primary-bound reads queued while the group is failing over.
-        self.deferred_reads: List[_ReplicaRead] = []
         #: Reads the coordinator routed to the primary and that have not
         #: completed yet (a load heuristic, decremented on READ completions
         #: of the live epoch, so it is approximate around migrations).
@@ -240,18 +238,14 @@ class ReplicaStats:
 
 @dataclass
 class _ReplicaRead:
-    """One replica read that may still complete: served by a follower,
-    fanned out to a quorum, or deferred behind a failover."""
+    """One replica read that may still complete: served by a follower or
+    fanned out to a quorum."""
 
     handle: str
     group: ReplicaGroup
     reader: Union[int, str]
     session: Optional[str]
     invoked_at: float
-    #: Nominal time a deferred read queues at on the promoted primary
-    #: (kept so the flush preserves per-client spacing: a client may only
-    #: have one operation in flight); also where its freeze-wait starts.
-    at: Optional[float] = None
     #: Quorum legs still in flight.
     legs: int = 0
     #: ``(version, value, store)`` per answered quorum leg (``store`` is
@@ -289,10 +283,9 @@ class ReplicaCoordinator:
         for pool in self.membership.pools:
             self._check_pool_name(pool)
         self.groups: Dict[str, ReplicaGroup] = {}
-        #: Handle -> every replica read that may still complete (in
-        #: flight or deferred).  A read leaves it when it responds, moves
-        #: to the primary or strands; a stranded read never responds, so
-        #: it pins no live-audit watermark.
+        #: Handle -> every replica read in flight.  A read leaves it when
+        #: it responds, moves to the primary or strands; a stranded read
+        #: never responds, so it pins no live-audit watermark.
         self._pending_reads: Dict[str, _ReplicaRead] = {}
         #: Handle -> completed replica read, and how many store reads
         #: answered it (1 for a follower serve, the depth of a quorum).
@@ -412,12 +405,6 @@ class ReplicaCoordinator:
 
         shard.system.completion_hooks.append(on_completion)
 
-    def frozen(self, key: str) -> bool:
-        """True while ``key``'s primary-bound traffic must queue (failover)."""
-        group = self.groups.get(key)
-        return group is not None and group.status in (FAILING_OVER,
-                                                      UNSERVICEABLE)
-
     # -- primary completions: floors + write fan-out ----------------------------------
 
     def _bump_floor(self, session: Optional[str], key: str,
@@ -489,20 +476,19 @@ class ReplicaCoordinator:
 
     # -- epoch transitions driven by the router -----------------------------------------
 
-    def on_primary_migrated(self, key: str, shard,
-                            carried_value: Optional[bytes]) -> None:
-        """A rebalance moved ``key``'s primary: adopt the new epoch.
+    def adopt_epoch(self, key: str, shard, carried_value: bytes) -> None:
+        """A migration or a promotion moved ``key``'s primary to ``shard``,
+        a new epoch: serve from it.
 
         The new epoch's initial state is replicated to the followers like
         a write (they must learn the epoch bump, or their versions would
         stay comparable-but-stale forever).
         """
-        group = self.groups.get(key)
-        if group is None:
-            return
+        group = self.groups[key]
         group.primary_pool = shard.pool
         group.primary_distance = self._distance(key, shard.pool)
         group.epoch = shard.epoch
+        group.status = NORMAL
         self._hook_primary(group, shard)
         self._append(group, shard.epoch, INITIAL_TAG, carried_value)
 
@@ -534,8 +520,7 @@ class ReplicaCoordinator:
     def invoke_read(self, key: str, reader: Union[int, str] = 0,
                     at: Optional[float] = None,
                     session: Optional[str] = None) -> str:
-        """Route one read: quorum fan-out, follower serve, primary queue,
-        or failover defer.
+        """Route one read: quorum fan-out, follower serve or primary queue.
 
         The routing decision is made at invocation time (the kernel's
         arrival events invoke at their nominal global time, so for
@@ -611,29 +596,33 @@ class ReplicaCoordinator:
             return handle
 
         # Primary-bound (explicitly, by fallback, or because nothing else
-        # can serve): queue on the shard, or defer while failing over.
-        if group.status != NORMAL:
-            self._defer(_ReplicaRead(handle, group, reader, session,
-                                     dispatch_at), dispatch_at)
-            return handle
+        # can serve).
         if routed == choice and choice is not None:
             stats.policy_honored += 1
-        self._dispatch_primary_read(group, handle, reader, clamped_at, session)
+        self._dispatch_primary_read(
+            _ReplicaRead(handle, group, reader, session, dispatch_at),
+            clamped_at)
         return handle
 
-    def _dispatch_primary_read(self, group: ReplicaGroup, handle: str,
-                               reader: Union[int, str], at: Optional[float],
-                               session: Optional[str],
+    def _dispatch_primary_read(self, read: _ReplicaRead, at: Optional[float],
                                counted: bool = False) -> None:
-        """Queue one read on the group's primary, with the shared accounting
-        (also used when failover-deferred reads flush at promotion).
+        """Queue one read on the group's primary, with the shared accounting.
 
-        A read that already ``counted`` as a quorum read (its merge fell
-        back here) is one *logical* read: it stays in ``quorum_reads`` and
-        is excluded from ``primary_reads``, so ``routed_reads`` counts every
-        read exactly once however it was resolved.
+        During a failover the read waits in the router's frozen queue at
+        its nominal time ``at`` (so the flush keeps per-client spacing); an
+        unserviceable group never thaws, so the read strands at once.  A
+        read that already ``counted`` as a quorum read (its merge fell back
+        here) is one *logical* read: it stays in ``quorum_reads`` and out of
+        ``primary_reads``, so ``routed_reads`` counts every read once.
         """
+        group = read.group
+        if group.status == UNSERVICEABLE:
+            self._strand_unserviceable(read)
+            return
         stats = self.router.stats
+        if group.status == FAILING_OVER:
+            stats.failover_deferrals += 1
+            at = self._now() if at is None else at
         if not counted:
             stats.primary_reads += 1
         stats.count_replica_read(group.primary_pool)
@@ -641,26 +630,17 @@ class ReplicaCoordinator:
         group.dispatched[group.primary_pool] = (
             group.dispatched.get(group.primary_pool, 0) + 1
         )
-        self.router._queue_read(group.key, reader=reader, at=at,
-                                session=session, handle=handle)
+        self.router._queue_read(group.key, reader=read.reader, at=at,
+                                session=read.session, handle=read.handle)
 
-    def _defer(self, read: _ReplicaRead, at: float) -> None:
-        """Hold a primary-bound read until its failing-over group promotes.
-
-        An unserviceable group never promotes, so the read strands at once,
-        stamped via the dead primary's pool.
-        """
+    def _strand_unserviceable(self, read: _ReplicaRead) -> None:
+        """Strand a primary-bound read of a group that never thaws, stamped
+        via the dead primary's pool."""
         group = read.group
-        self._pending_reads[read.handle] = read
-        if group.status == UNSERVICEABLE:
-            op_id, client_id = self._read_ids(group, group.primary_pool,
-                                              read.reader)
-            self._strand(read, op_id, client_id, group.epoch,
-                         "unserviceable", {"pool": group.primary_pool})
-            return
-        read.at = at
-        group.deferred_reads.append(read)
-        self.router.stats.failover_deferrals += 1
+        op_id, client_id = self._read_ids(group, group.primary_pool,
+                                          read.reader)
+        self._strand(read, op_id, client_id, group.epoch, "unserviceable",
+                     {"pool": group.primary_pool})
 
     @staticmethod
     def _read_ids(group: ReplicaGroup, label: str,
@@ -684,7 +664,7 @@ class ReplicaCoordinator:
             object_id=join_object_id(group.key, epoch),
             invoked_at=read.invoked_at, session=read.session,
         ))
-        del self._pending_reads[read.handle]
+        self._pending_reads.pop(read.handle, None)
         self._stranded += 1
         if self._trace is not None:
             self._trace.child_instant(read.handle, instant, "replica",
@@ -778,9 +758,9 @@ class ReplicaCoordinator:
         read = _ReplicaRead(handle, group, reader, session, dispatch_at)
         candidates = self._candidates(group)
         if not candidates:
-            # Failing over with no live follower: defer to the promoted
+            # Failing over with no live follower: wait for the promoted
             # primary like any other primary-bound read.
-            self._defer(read, dispatch_at)
+            self._dispatch_primary_read(read, dispatch_at)
             return handle
         pools = self.policy.choose_quorum(group.key, candidates,
                                           self.read_quorum)
@@ -870,12 +850,8 @@ class ReplicaCoordinator:
             if tracer is not None:
                 tracer.child_instant(handle, "quorum-fallback", "replica",
                                      now, args={"depth": depth})
-            if group.status != NORMAL:
-                self._defer(read, now)
-                return
             del self._pending_reads[handle]
-            self._dispatch_primary_read(group, handle, read.reader, now,
-                                        read.session, counted=True)
+            self._dispatch_primary_read(read, now, counted=True)
             self.router.flush_key(group.key)
             return
         stats.policy_honored += 1
@@ -1029,14 +1005,14 @@ class ReplicaCoordinator:
         return self._results.get(handle)
 
     def operation_cost(self, handle: str) -> float:
-        """Cost of one served replica read (0 while pending/deferred):
+        """Cost of one served replica read (0 while pending or stranded):
         one store-read cost per merged quorum leg, or a single store-read
         cost for a follower serve."""
         return self._legs.get(handle, 0) * TRANSFER_COST
 
     def incomplete_reads(self) -> int:
-        """Replica reads in flight (follower serves and quorum fan-outs),
-        deferred behind a failover, or stranded."""
+        """Replica reads in flight (follower serves and quorum fan-outs)
+        or stranded."""
         return len(self._pending_reads) + self._stranded
 
     def in_flight_forwards(self) -> int:
@@ -1129,6 +1105,7 @@ class ReplicaCoordinator:
 
     def _begin_failover(self, group: ReplicaGroup, time: float) -> None:
         group.status = FAILING_OVER
+        self.router.begin_failover(group.key, time)
         self.stats.failovers_started += 1
         self.failover_log.append(
             (time, "primary-down",
@@ -1137,9 +1114,9 @@ class ReplicaCoordinator:
         )
         promote_at = time + self.config.failover_detection_delay
         self.kernel.schedule_at(max(promote_at, self._now()),
-                                lambda: self._promote(group, time))
+                                lambda: self._promote(group))
 
-    def _promote(self, group: ReplicaGroup, down_at: float) -> None:
+    def _promote(self, group: ReplicaGroup) -> None:
         if group.status != FAILING_OVER:
             return
         now = self._now()
@@ -1149,15 +1126,21 @@ class ReplicaCoordinator:
             None,
         )
         if successor is None:
+            # The group never thaws: its reads leave the frozen queue and
+            # strand; its writes stay queued.
             group.status = UNSERVICEABLE
+            shard = self.router.shard(group.key)
+            held = [op for op in shard.pending if op.kind == READ]
+            shard.pending = [op for op in shard.pending if op.kind != READ]
             self.failover_log.append(
                 (now, "unserviceable",
                  f"{group.key}: no live follower to promote; "
-                 f"{len(group.deferred_reads)} read(s) stranded")
+                 f"{len(held)} read(s) stranded")
             )
-            deferred, group.deferred_reads = group.deferred_reads, []
-            for read in deferred:
-                self._defer(read, now)  # strands: the group never thaws
+            for op in held:
+                self._strand_unserviceable(_ReplicaRead(
+                    op.handle, group, op.client, op.session,
+                    now if op.at is None else op.at))
             return
         # Catch-up: every logged record the successor is missing must be
         # applied before it serves writes -- acknowledged writes survive
@@ -1169,11 +1152,11 @@ class ReplicaCoordinator:
         done_at = now + self.config.catch_up_per_record * missing
         self.kernel.schedule_at(
             max(done_at, now),
-            lambda: self._finish_promotion(group, successor, down_at),
+            lambda: self._finish_promotion(group, successor),
         )
 
     def _finish_promotion(self, group: ReplicaGroup,
-                          successor: FollowerStore, down_at: float) -> None:
+                          successor: FollowerStore) -> None:
         if group.status != FAILING_OVER:
             return
         now = self._now()
@@ -1182,7 +1165,7 @@ class ReplicaCoordinator:
             # Re-run the promotion choice over the remaining live followers
             # (or go unserviceable) instead of seating a primary on a dead
             # pool that no future membership event would ever dislodge.
-            self._promote(group, down_at)
+            self._promote(group)
             return
         # Apply the catch-up at seat time (normal lag applies that landed
         # during the window already moved the watermark).  If a successor
@@ -1197,34 +1180,13 @@ class ReplicaCoordinator:
         epoch, tag = successor.version
         shard = self.router.failover_shard(
             group.key, successor.pool, successor.value,
-            tag if epoch == group.epoch else INITIAL_TAG, down_at)
-        group.primary_pool = successor.pool
-        group.primary_distance = successor.distance
-        group.epoch = shard.epoch
-        group.status = NORMAL
+            tag if epoch == group.epoch else INITIAL_TAG)
         self.stats.promotions += 1
-        self._hook_primary(group, shard)
-        # Replicate the promotion snapshot so the surviving followers learn
-        # the new epoch.
-        self._append(group, shard.epoch, INITIAL_TAG, successor.value)
         self.failover_log.append(
             (now, "promote",
              f"{group.key}: {successor.pool} promoted (epoch {shard.epoch}, "
              f"caught up {caught_up} record(s)); was {old_pool}")
         )
-        # Un-freeze: flush the writes and reads queued during the failover.
-        deferred, group.deferred_reads = group.deferred_reads, []
-        tracer = self._trace
-        for read in deferred:
-            del self._pending_reads[read.handle]
-            if tracer is not None:
-                tracer.child_span(read.handle, "freeze-wait", "failover",
-                                  read.at, now,
-                                  args={"promoted": successor.pool})
-            self._dispatch_primary_read(group, read.handle, read.reader,
-                                        read.at, read.session,
-                                        counted=read.responses is not None)
-        self.router.flush_key(group.key)
         # Restore r-way redundancy: the dead primary's slot is re-provisioned
         # on the next ring pool.
         self._provision_replacement(group, now)
@@ -1316,18 +1278,10 @@ class ReplicaCoordinator:
         return {key: self.groups[key].pools() for key in sorted(self.groups)}
 
     def apply_follower_changes(self, changes, time: float) -> None:
-        """Execute the follower part of a replica-aware rebalance plan.
-
-        Changes for groups that are mid-failover are skipped wholesale,
-        mirroring the router's frozen-move skip: the plan was computed
-        against a primary move that did not happen, and dropping a frozen
-        group's only caught-up follower would strand the promotion.  A
-        later rebalance realigns the group once it is serving again.
-        """
+        """Execute the follower part of a replica-aware rebalance plan (the
+        router holds back the changes of a key that is failing over)."""
         for change in changes:
-            group = self.groups.get(change.key)
-            if group is None or self.frozen(change.key):
-                continue
+            group = self.groups[change.key]
             if change.action == DROP_FOLLOWER:
                 store = group.follower(change.pool)
                 if store is not None:

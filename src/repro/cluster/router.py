@@ -86,16 +86,20 @@ class _PendingOp:
 
 
 @dataclass
-class _Migration:
-    """A shard move under way: its key stays frozen until the copy read
-    answers."""
+class _Handoff:
+    """A key's epoch hand-off under way: a migration or a failover.  The
+    key stays frozen -- its reads and writes queue in ``shard.pending`` --
+    until the value to carry is known."""
 
-    move: ShardMove
     shard: "Shard"
-    #: Op id of the copy read, once the retiring epoch drained.
+    #: The migration's move; None for a failover.
+    move: Optional[ShardMove] = None
+    #: Op id of a migration's copy read, once the retiring epoch drained.
     copy_read: Optional[str] = None
-    #: With replica groups: the plan's follower changes for the key and
-    #: the plan's time, applied when the new epoch starts.
+    #: When a failover's primary pool was reported down.
+    down_at: float = 0.0
+    #: With replica groups: a migration plan's follower changes for the
+    #: key and the plan's time, applied when the new epoch starts.
     follower_changes: list = field(default_factory=list)
     planned_at: float = 0.0
 
@@ -311,11 +315,11 @@ class ObjectRouter:
         #: protocol traffic (late L2 offloads) may still be queued, and
         #: still costs what it costs.
         self._retired: Dict[tuple, LDSSystem] = {}
-        #: key -> the migration under way; the key is frozen meanwhile.
-        self._migrations: Dict[str, _Migration] = {}
-        #: (object_id, op_id) of internal migration-copy reads; excluded
-        #: from the merged history so workload statistics only count
-        #: foreground operations.
+        #: key -> the hand-off under way; the key is frozen meanwhile.
+        self._handoffs: Dict[str, _Handoff] = {}
+        #: (object_id, op_id) of the hand-off reads; excluded from the
+        #: merged history so workload statistics only count foreground
+        #: operations.
         self._internal_ops: set = set()
         #: (object_id, op_id) -> session id.  Sessions are a *cluster-level*
         #: identity (one logical client spanning keys, shards and epochs);
@@ -658,8 +662,7 @@ class ObjectRouter:
         """True while ``key``'s operations must queue at the router: its
         shard is migrating, or its replica group is failing over.  The
         next epoch flushes them."""
-        return key in self._migrations or (
-            self.replicas is not None and self.replicas.frozen(key))
+        return key in self._handoffs
 
     def _flush_shard(self, shard: Shard) -> int:
         """Inject the shard's queued operations into its system in one batch."""
@@ -942,30 +945,32 @@ class ObjectRouter:
         defaults to the current global time (a plan stamped in the global
         past would skip the delay).
 
-        With replica groups, moves whose key is mid-failover are skipped:
-        a migration drains the source with a protocol copy-read, which the
-        dead primary pool can never answer (a pool kill freezes its groups
-        synchronously, so every such key is frozen by the time a rebalance
-        can run).  The failover path owns those keys -- promotion seats a
-        live primary, and a later rebalance realigns it with the ring.
-        Pools that merely *left* still drain normally.
+        With replica groups, moves and follower changes of a key that is
+        failing over are skipped: a migration drains the source with a
+        protocol copy-read, which the dead primary pool can never answer (a
+        pool kill freezes its groups synchronously, so every such key is
+        frozen by the time a rebalance can run).  The failover owns those
+        keys -- promotion seats a live primary, and a later rebalance
+        realigns it with the ring.  Pools that merely *left* still drain
+        normally.
         """
         plan = self.pending_rebalance(reason=reason, time=time)
         for move in plan.moves:
-            if self.replicas is not None and self.replicas.frozen(move.key):
+            handoff = self._handoffs.get(move.key)
+            if handoff is not None and handoff.move is None:
                 continue
             self.migrate(move)
             # The key's follower changes wait for its new epoch: until then
             # its primary still sits on the move's source.
-            migration = self._migrations[move.key]
-            migration.follower_changes = [change for change
-                                          in plan.follower_changes
-                                          if change.key == move.key]
-            migration.planned_at = plan.time
+            handoff = self._handoffs[move.key]
+            handoff.follower_changes = [change for change
+                                        in plan.follower_changes
+                                        if change.key == move.key]
+            handoff.planned_at = plan.time
         if self.replicas is not None:
             self.replicas.apply_follower_changes(
                 [change for change in plan.follower_changes
-                 if change.key not in self._migrations], plan.time)
+                 if change.key not in self._handoffs], plan.time)
         return plan
 
     def migrate(self, move: ShardMove) -> Shard:
@@ -977,100 +982,116 @@ class ObjectRouter:
         epoch like any other -- fetches its value.  At the read's response
         the new epoch starts on the target pool holding that value, and the
         queued operations flush into it.  A later move of a key that is
-        still migrating re-targets the migration.
+        still migrating re-targets the migration; a key that is failing
+        over cannot migrate.
         """
         shard = self._shards[move.key]
         if shard.pool != move.source:
             raise ValueError(
                 f"shard {move.key!r} lives on {shard.pool!r}, not {move.source!r}"
             )
-        underway = self._migrations.get(move.key)
+        underway = self._handoffs.get(move.key)
         if underway is not None:
+            if underway.move is None:
+                raise ValueError(
+                    f"shard {move.key!r} is failing over from {shard.pool!r}; "
+                    "the failover carries it to a live pool")
             underway.move = move
             return shard
         self._flush_shard(shard)
-        migration = self._migrations[move.key] = _Migration(move, shard)
+        handoff = self._handoffs[move.key] = _Handoff(shard, move)
         shard.system.completion_hooks.append(
-            lambda result: self._advance_migration(migration, result))
-        self._advance_migration(migration)
+            lambda result: self._advance_migration(handoff, result))
+        self._advance_migration(handoff)
         return shard
 
-    def _advance_migration(self, migration: _Migration,
+    def _advance_migration(self, handoff: _Handoff,
                            result: Optional[OperationResult] = None) -> None:
         """Step a migration at each completion in its retiring epoch: issue
         the copy read once nothing is in flight, finish at its response."""
-        if self._migrations.get(migration.shard.key) is not migration:
-            return  # a failover retired the epoch first
-        system = migration.shard.system
-        if migration.copy_read is None:
+        if self._handoffs.get(handoff.shard.key) is not handoff:
+            return  # a failover took the hand-off over
+        system = handoff.shard.system
+        if handoff.copy_read is None:
             if not system.operations_in_flight:
-                migration.copy_read = system.invoke_read(reader=0)
+                handoff.copy_read = system.invoke_read(reader=0)
                 # The copy read stays in the epoch's own history (it is
-                # real protocol traffic and part of the epoch's atomicity
-                # check) but is internal: merged histories leave it out.
-                self._internal_ops.add((system.object_id,
-                                        migration.copy_read))
-        elif result is not None and result.op_id == migration.copy_read:
-            move = migration.move
+                # real protocol traffic and the epoch's hand-off read) but
+                # is internal: merged histories leave it out.
+                self._internal_ops.add((system.object_id, handoff.copy_read))
+        elif result is not None and result.op_id == handoff.copy_read:
+            move = handoff.move
             history = system.history()
-            handoff = next(op for op in history if op.op_id == result.op_id)
-            replacement = self._retire_epoch(migration.shard, move.target,
-                                             history, handoff)
+            read = next(op for op in history if op.op_id == result.op_id)
+            replacement = self._retire_epoch(handoff, history, read,
+                                             move.target)
             self.stats.migrations += 1
             self.migration_log.append(
                 (self.kernel.now, move.key, move.source, move.target))
             if self.replicas is not None:
-                self.replicas.on_primary_migrated(move.key, replacement,
-                                                  result.value)
                 self.replicas.apply_follower_changes(
-                    migration.follower_changes, migration.planned_at)
+                    handoff.follower_changes, handoff.planned_at)
             self._flush_shard(replacement)
 
+    def begin_failover(self, key: str, down_at: float) -> None:
+        """Freeze ``key``: its primary pool was reported down at ``down_at``.
+        This replaces a migration under way, whose copy read the dead
+        source can never answer; :meth:`failover_shard` thaws the key."""
+        self._handoffs[key] = _Handoff(self._shards[key], down_at=down_at)
+
     def failover_shard(self, key: str, target_pool: str,
-                       carried_value: bytes, tag: Tag,
-                       down_at: float) -> Shard:
+                       carried_value: bytes, tag: Tag) -> Shard:
         """Promote ``key``'s shard onto ``target_pool`` after primary loss.
 
         The twin of a migration for a *dead* source: the retiring epoch
         cannot drain (its pool is down, so in-flight operations stay
-        incomplete forever -- which is the truth of a crash), a migration
-        under way is abandoned, and the carried value comes from the
-        caught-up follower store rather than a protocol copy read.  The
-        retiring epoch records that carry as its hand-off read, invoked
-        when the pool was reported down (``down_at``) and answering now
-        with ``carried_value`` at ``tag``.  The caller (the replica
-        coordinator) flushes the operations the freeze kept queued once it
-        has finished its own promotion bookkeeping.
+        incomplete forever -- which is the truth of a crash), and the
+        carried value comes from the caught-up follower store rather than
+        a protocol copy read.  The retiring epoch records that carry as its
+        hand-off read, invoked when the pool was reported down and
+        answering now with ``carried_value`` at ``tag``.  The operations
+        the freeze kept queued flush into the new epoch.
         """
-        shard = self._shards[key]
-        handoff = Operation(
+        handoff = self._handoffs[key]
+        shard = handoff.shard
+        read = Operation(
             op_id=FAILOVER_HANDOFF, client_id=FAILOVER_HANDOFF, kind=READ,
             object_id=shard.object_id, value=carried_value,
-            invoked_at=down_at, responded_at=self.kernel.now, tag=tag)
+            invoked_at=handoff.down_at, responded_at=self.kernel.now, tag=tag)
         self._internal_ops.add((shard.object_id, FAILOVER_HANDOFF))
         history = shard.system.history()
-        history.add(handoff)
-        return self._retire_epoch(shard, target_pool, history, handoff)
+        history.add(read)
+        replacement = self._retire_epoch(handoff, history, read, target_pool)
+        self._flush_shard(replacement)
+        return replacement
 
-    def _retire_epoch(self, shard: Shard, pool: str, history: History,
-                      handoff: Operation) -> Shard:
-        """Archive ``shard``'s epoch as ``history``, which holds its
-        hand-off read ``handoff``, and start the next one on ``pool``, born
-        now and holding the value that read returned.  The key thaws, and
-        its queued operations move across with their handles; the caller
-        flushes."""
+    def _retire_epoch(self, handoff: _Handoff, history: History,
+                      read: Operation, pool: str) -> Shard:
+        """Archive the hand-off's epoch as ``history``, which holds the
+        hand-off ``read``, and start the next one on ``pool``, born now and
+        holding the value that read returned.  The key thaws: its queued
+        operations move across with their handles, each with a
+        ``freeze-wait`` span from its nominal time, and the replica group
+        adopts the new epoch.  The caller flushes."""
+        shard = handoff.shard
         key = shard.key
-        self._migrations.pop(key, None)
+        del self._handoffs[key]
         self._retired[(key, shard.epoch)] = shard.system
         replacement = self._build_shard(key, pool, epoch=shard.epoch + 1,
-                                        initial_value=handoff.value)
+                                        initial_value=read.value)
         replacement.retired_histories = shard.retired_histories + [history]
-        replacement.handoffs = shard.handoffs + [handoff]
+        replacement.handoffs = shard.handoffs + [read]
         replacement.pending, shard.pending = shard.pending, []
         for op in replacement.pending:
             self._handles[op.handle][1] = replacement.epoch
+            if self._trace is not None and op.at is not None:
+                self._trace.child_span(op.handle, "freeze-wait", "router",
+                                       op.at, self.kernel.now,
+                                       args={"promoted": pool})
         self._shards[key] = replacement
         self._announce_shard(replacement)
+        if self.replicas is not None:
+            self.replicas.adopt_epoch(key, replacement, read.value)
         return replacement
 
 

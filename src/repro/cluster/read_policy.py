@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 #: Sentinel epoch marking a router handle owned by the replica layer
-#: (a follower-served or failover-deferred read, or a forwarded write in
-#: flight, with no LDS op id yet).
+#: (a follower-served or quorum read, or a forwarded write in flight, with
+#: no LDS op id yet).
 REPLICA_EPOCH = "replica"
 
 #: Replica-group states.

@@ -50,20 +50,27 @@ repaired in the background as before.  When a pool loses its *last*
 alive node, the membership layer reports it down and every group whose
 primary lived there fails over deterministically:
 
-1. the group freezes primary-bound traffic (writes and primary reads
-   queue; follower reads keep serving -- the *degraded reads* window);
+1. the coordinator registers the failover as the key's epoch hand-off
+   with the router, which freezes primary-bound traffic: writes and
+   primary reads queue in the router's one frozen queue, while follower
+   reads keep serving -- the *degraded reads* window;
 2. after ``failover_detection_delay`` the first live follower is chosen
    as successor and **catches up**: every logged record it has not yet
    applied is applied now, charged ``catch_up_per_record`` time each;
-3. a fresh LDS instance (a new epoch, exactly like a migration epoch)
-   starts on the successor's pool seeded with the caught-up value, the
-   frozen operations flush into it, and a replacement follower is
-   provisioned on the next ring pool to restore ``r``-way redundancy.
+3. the router starts a fresh LDS instance (a new epoch, exactly like a
+   migration epoch) on the successor's pool holding the caught-up value,
+   the group adopts it (:meth:`ReplicaCoordinator.adopt_epoch`, shared
+   with migrations), the frozen operations flush into it, and a
+   replacement follower is provisioned on the next ring pool to restore
+   ``r``-way redundancy.
 
-Because every acknowledged write is in the log and catch-up applies all
-of it, no acknowledged write is lost and the merged history stays
-atomic-at-the-primary and session-clean -- under fixed seeds the whole
-sequence is reproducible event for event.
+The carried value is the retiring epoch's hand-off read, which the
+router's atomicity check includes.  Because every acknowledged write is
+in the log and catch-up applies all of it, no acknowledged write is lost,
+the audit stays clean and the merged history stays session-clean --
+under fixed seeds the whole sequence is reproducible event for event.  A
+group with no live follower to promote becomes unserviceable: its reads
+strand, and its writes stay queued.
 """
 
 from __future__ import annotations

@@ -26,15 +26,21 @@ Failures and rebalancing:
   :class:`~repro.cluster.repair.RepairScheduler`;
 * when a pool **joins or leaves** the ring, the router computes a
   deterministic :class:`~repro.cluster.placement.RebalancePlan` over its
-  tracked keys and (on :meth:`rebalance`) migrates each moved shard as a
-  kernel activity: the key freezes (arrivals queue at the router), the
-  retiring epoch finishes its in-flight operations, a real protocol read
-  copies its value out, and at that read's response a fresh instance
-  starts on the target pool holding the value and takes the queued
-  operations.  Every migration starts a new *epoch* for the key;
-  atomicity is checked per epoch (the carried value is the new epoch's
-  legitimate initial value), and the drain guarantees the real-time
-  order between epochs.
+  tracked keys and (on :meth:`rebalance`) migrates each moved shard.
+
+A migration and a replica failover are one **epoch hand-off**, a kernel
+activity the router owns.  The key freezes: its reads and writes queue in
+the shard's one ``pending`` list.  The value to carry comes from one of
+two sources -- a migration's copy read (a real protocol read, issued once
+the retiring epoch finished its in-flight operations), or, for a failover,
+the caught-up follower the replica coordinator promotes.  Then a fresh
+instance starts on the next pool as the key's next *epoch*, holding that
+value, and the queued operations flush into it.  The carry is the retiring
+epoch's **hand-off read**: the copy read, or for a failover a read invoked
+when the primary pool was reported down and answering at promotion.
+:meth:`ObjectRouter.check_atomicity` checks each epoch with its hand-off
+read and that the next epoch starts from that read's value, so a key's
+epochs form one register history.
 """
 
 from __future__ import annotations
@@ -150,15 +156,17 @@ class RouterStats:
       (a high-water gauge) / ``migrations``;
     * ``arrivals`` -- operations injected through kernel arrival events;
     * ``primary_reads`` -- reads routed to a group's primary (includes
-      session-guard fallbacks and post-failover flushes); ``follower_reads``
-      -- reads routed to follower stores.  Both count at dispatch time: a
-      read stranded by a crash mid-flight stays counted as routed;
+      session-guard fallbacks and reads held by a failover freeze);
+      ``follower_reads`` -- reads routed to follower stores.  Both count at
+      dispatch time: a read stranded by a crash mid-flight stays counted
+      as routed, and a read held by a failover counts at arrival, against
+      the dead primary's pool;
     * ``session_fallbacks`` -- follower choices overridden to the primary
       by the session guard; ``retired_fallbacks`` -- policy choices naming
       a pool without a live store, rerouted like a session fallback but
       counted apart so stale-policy behaviour is visible;
-    * ``failover_deferrals`` -- primary-bound reads queued behind an
-      in-progress failover;
+    * ``failover_deferrals`` -- primary-bound reads that arrived during a
+      failover and wait in the frozen queue for the promoted epoch;
     * ``quorum_reads`` -- reads resolved by quorum fan-out (each counts
       once however many legs it queried); ``read_repairs`` -- lagging
       stores caught up by quorum-merge read repair;
@@ -581,8 +589,8 @@ class ObjectRouter:
         """Queue a protocol read on the primary shard.
 
         ``handle`` re-points an existing replica-routed handle at the
-        primary epoch (used for session-guard fallbacks and post-failover
-        flushes of deferred reads).
+        primary epoch (used for every read the replica layer sends to the
+        primary).
         """
         shard = self.shard(key)
         if handle is None:
@@ -735,7 +743,7 @@ class ObjectRouter:
         # Other shards' events must keep flowing while we wait, so pump the
         # merged queue instead of this shard alone.
         # Resolution goes through :meth:`result`, which also covers
-        # follower-served and failover-deferred replica reads.
+        # follower-served and quorum replica reads.
         executed = 0
         while True:
             found = self.result(handle)
@@ -807,8 +815,9 @@ class ObjectRouter:
         recorded at invocation time, re-attached here so the session
         auditor can follow one logical client across keys, shards and
         migration epochs.  The merged history is meant for latency /
-        throughput summaries and session auditing; atomicity is checked per
-        epoch by :meth:`check_atomicity` because each migration epoch has
+        throughput summaries and session auditing, so it leaves the
+        hand-off reads out; atomicity is checked per epoch, with its
+        hand-off read, by :meth:`check_atomicity` because each epoch has
         its own initial value.
 
         Timestamps are the epochs' recorders' own: every epoch runs on the
@@ -874,9 +883,8 @@ class ObjectRouter:
 
     def incomplete_operations(self) -> int:
         """Number of invoked-but-unfinished operations across the cluster
-        (operations queued behind a freeze, replica reads in flight,
-        deferred or stranded, and writes still travelling a forwarding hop
-        included)."""
+        (operations queued behind a freeze, replica reads in flight or
+        stranded, and writes still travelling a forwarding hop included)."""
         replica_pending = (0 if self.replicas is None
                            else self.replicas.incomplete_reads()
                            + self.replicas.in_flight_forwards())

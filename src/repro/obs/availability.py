@@ -1,7 +1,7 @@
 """Sampling availability monitoring: confidence, not a cluster scan.
 
-Scanning every L2 slot of every shard each epoch is O(cluster) -- the
-exact cost wall ROADMAP item 4 calls out.  This monitor borrows the
+Scanning every L2 slot of every shard each epoch is O(cluster), a cost
+that grows with every shard the cluster adds.  This monitor borrows the
 data-availability-sampling idea instead: the paper's layer-2 coded
 fragments are natural *shares*, so a light probe samples ``k`` random
 ``(object, L2-fragment, pool)`` triples per epoch, verifies each

@@ -18,8 +18,8 @@ not-yet-delivered operation on that key could still carry::
                  min invocation time of in-flight primary ops on key,
                  min invocation time of in-flight replica reads on key)
 
-``kernel.now`` bounds operations not yet invoked: arrivals, deferred
-replica dispatches and forwarded writes all record their invocation at
+``kernel.now`` bounds operations not yet invoked: arrivals, reads held
+by a freeze and forwarded writes all record their invocation at
 (or after) the kernel event that delivers them, and the router's flush
 only ever shifts a batch's nominal times *forward* onto the shard
 clock.  Operations already invoked but still in flight are the two

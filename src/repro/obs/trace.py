@@ -14,7 +14,8 @@ span                  covers
 ``quorum-leg <pool>`` one store leg of a quorum fan-out, dispatch -> response
 ``store-read <pool>`` a single-store follower read, dispatch -> serve
 ``replication-apply`` commit on the primary -> the record landing on one store
-``freeze-wait``       a read parked by a failover freeze -> flush at promotion
+``freeze-wait``       an operation held by a migration or failover freeze ->
+                      the next epoch's flush
 ``read-repair``       instant: a lagging store caught up during a quorum merge
 ====================  =========================================================
 

@@ -337,8 +337,8 @@ def degraded_reads_during_catch_up(keys, victim_pool: str, *, seed: int = 0,
     pool then dies and a *read-heavy* burst arrives while its groups are
     still detecting, catching up and promoting.  Follower stores keep
     serving throughout (the degraded-reads window); only reads pinned to
-    the primary -- by policy or by their session floor -- defer until
-    promotion.  Compare ``RouterStats.failover_deferrals`` against
+    the primary -- by policy or by their session floor -- wait in the
+    router's frozen queue until promotion.  Compare ``RouterStats.failover_deferrals`` against
     ``follower_reads`` to see the window in numbers.
 
     Like the flash-crowd scenario, the burst is a *second* client

@@ -100,7 +100,7 @@ class ReadDistribution:
 
     @property
     def total(self) -> int:
-        """Reads routed (failover-deferred, not-yet-routed reads excluded)."""
+        """Reads routed (a read held by a failover counts at arrival)."""
         return self.primary_reads + self.follower_reads + self.quorum_reads
 
     @property

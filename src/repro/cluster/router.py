@@ -957,10 +957,11 @@ class ObjectRouter:
         failing over are skipped: a migration drains the source with a
         protocol copy-read, which the dead primary pool can never answer (a
         pool kill freezes its groups synchronously, so every such key is
-        frozen by the time a rebalance can run).  The failover owns those
-        keys -- promotion seats a live primary, and a later rebalance
-        realigns it with the ring.  Pools that merely *left* still drain
-        normally.
+        frozen by the time a rebalance can run), and dropping the group's
+        only caught-up follower would strand the promotion.  The failover
+        owns those keys -- promotion seats a live primary, and a later
+        rebalance realigns it with the ring.  Pools that merely *left*
+        still drain normally.
         """
         plan = self.pending_rebalance(reason=reason, time=time)
         for move in plan.moves:

@@ -64,13 +64,11 @@ primary lived there fails over deterministically:
    replacement follower is provisioned on the next ring pool to restore
    ``r``-way redundancy.
 
-The carried value is the retiring epoch's hand-off read, which the
-router's atomicity check includes.  Because every acknowledged write is
-in the log and catch-up applies all of it, no acknowledged write is lost,
-the audit stays clean and the merged history stays session-clean --
-under fixed seeds the whole sequence is reproducible event for event.  A
-group with no live follower to promote becomes unserviceable: its reads
-strand, and its writes stay queued.
+Every acknowledged write is in the log and catch-up applies all of it,
+so none is lost -- the router's audit checks the carry as the retiring
+epoch's hand-off read -- and under fixed seeds the whole sequence is
+reproducible event for event.  A group with no live follower to promote
+becomes unserviceable: its reads strand, and its writes stay queued.
 """
 
 from __future__ import annotations

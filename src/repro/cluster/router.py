@@ -30,17 +30,15 @@ Failures and rebalancing:
 
 A migration and a replica failover are one **epoch hand-off**, a kernel
 activity the router owns.  The key freezes: its reads and writes queue in
-the shard's one ``pending`` list.  The value to carry comes from one of
-two sources -- a migration's copy read (a real protocol read, issued once
-the retiring epoch finished its in-flight operations), or, for a failover,
-the caught-up follower the replica coordinator promotes.  Then a fresh
-instance starts on the next pool as the key's next *epoch*, holding that
-value, and the queued operations flush into it.  The carry is the retiring
-epoch's **hand-off read**: the copy read, or for a failover a read invoked
-when the primary pool was reported down and answering at promotion.
-:meth:`ObjectRouter.check_atomicity` checks each epoch with its hand-off
-read and that the next epoch starts from that read's value, so a key's
-epochs form one register history.
+the shard's one ``pending`` list.  The value to carry comes from a
+migration's copy read (a real protocol read, issued once the retiring
+epoch finished its in-flight operations) or from the caught-up follower a
+failover promotes.  A fresh instance then starts on the next pool as the
+key's next *epoch*, holding that value, and the queued operations flush
+into it.  The carry is the retiring epoch's **hand-off read** (for a
+failover, invoked when the pool was reported down and answering at
+promotion); :meth:`ObjectRouter.check_atomicity` checks it and that the
+next epoch starts from its value, so a key's epochs form one register.
 """
 
 from __future__ import annotations
@@ -863,12 +861,14 @@ class ObjectRouter:
         """
         # Audit-only code loads when an audit runs.
         from repro.consistency.linearizability import (
-            AtomicityViolation, check_atomicity)
+            AtomicityViolation, check_register)
         for key in sorted(self._shards):
             shard = self._shards[key]
             epochs = shard.retired_histories + [shard.system.history()]
             for epoch, history in enumerate(epochs):
-                violation = check_atomicity(history)
+                violation = check_register(
+                    [op for op in history if op.responded_at is not None],
+                    history.initial_value)
                 if violation is None and epoch < shard.epoch:
                     handoff = shard.handoffs[epoch]
                     if handoff.value != epochs[epoch + 1].initial_value:

@@ -46,14 +46,16 @@ def check_atomicity(history: History) -> Optional[AtomicityViolation]:
     """
     for object_id in history.object_ids():
         register = history.for_object(object_id).complete()
-        violation = _check_register(register.operations, history.initial_value)
+        violation = check_register(register.operations, history.initial_value)
         if violation is not None:
             return violation
     return None
 
 
-def _check_register(operations: List[Operation],
-                    initial_value: Any) -> Optional[AtomicityViolation]:
+def check_register(operations: List[Operation],
+                   initial_value: Any) -> Optional[AtomicityViolation]:
+    """:func:`check_atomicity` of one register: ``operations`` are its
+    completed operations, in any order."""
     writes: Dict[Any, Operation] = {}
     for op in operations:
         if op.tag is None:
@@ -122,4 +124,4 @@ def _check_register(operations: List[Operation],
     return None
 
 
-__all__ = ["AtomicityViolation", "check_atomicity"]
+__all__ = ["AtomicityViolation", "check_atomicity", "check_register"]

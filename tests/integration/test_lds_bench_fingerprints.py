@@ -45,6 +45,7 @@ from pathlib import Path
 import pytest
 
 from repro import ClusterSimulation, LDSConfig, ReplicationConfig
+from repro.cluster.read_policy import REPLICA_EPOCH
 from repro.consistency.history import READ
 from repro.consistency.sessions import split_object_id
 from repro.sim import (
@@ -116,6 +117,22 @@ def replica_digest(simulation) -> int:
     return zlib.crc32(repr(record).encode())
 
 
+def replica_results_digest(simulation) -> int:
+    """CRC32 of what every completed replica read answers through
+    ``result(handle)`` and ``operation_cost(handle)``, in handle order."""
+    replicas = simulation.replicas
+    digest = 0
+    for handle, (_key, epoch, _op_id) in simulation.router._handles.items():
+        result = replicas.result(handle) if epoch == REPLICA_EPOCH else None
+        if result is not None:
+            record = (handle, result.op_id, result.client_id, result.kind,
+                      str(result.tag), result.value, repr(result.invoked_at),
+                      repr(result.responded_at),
+                      repr(replicas.operation_cost(handle)))
+            digest = zlib.crc32(repr(record).encode(), digest)
+    return digest
+
+
 #: workload -> (kernel fingerprint, events executed, messages sent,
 #: order digest, communication cost per completed operation)
 RECORDED = {
@@ -156,6 +173,17 @@ REPLICA_COUNTERS = {
     "replicated-migration": 2876057431,
 }
 
+#: replicated run -> replica_results_digest at the end of the run
+#: (recorded while every completed replica read kept its own
+#: OperationResult).  The two primary-routed rows serve no replica read.
+REPLICA_RESULTS = {
+    "replica_faults": 3614238591,
+    "replica-failover-under-load": 4176848841,
+    "degraded-reads-during-catch-up": 1915102699,
+    "quorum-reads-under-lag": 2925142059,
+    "forwarded-writes-during-failover": 3653397776,
+}
+
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))
 def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
@@ -184,6 +212,8 @@ def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
         assert timed_digest(simulation.history()) == TIMED[workload]
     if workload in REPLICA_COUNTERS:
         assert replica_digest(simulation) == REPLICA_COUNTERS[workload]
+    if workload in REPLICA_RESULTS:
+        assert replica_results_digest(simulation) == REPLICA_RESULTS[workload]
 
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))
@@ -331,6 +361,8 @@ def test_shipped_scenario_is_unchanged(name):
     assert pinned(simulation) == RECORDED_SCENARIOS[name]
     if name in REPLICA_COUNTERS:
         assert replica_digest(simulation) == REPLICA_COUNTERS[name]
+    if name in REPLICA_RESULTS:
+        assert replica_results_digest(simulation) == REPLICA_RESULTS[name]
     if name == "migration-under-load":
         assert simulation.router.stats.migrations == 4
         assert simulation.router.incomplete_operations() == 0

@@ -294,8 +294,9 @@ class ReplicaCoordinator:
         self._pending_reads: Dict[str, _ReplicaRead] = {}
         #: Handle -> completed replica read, and how many store reads
         #: answered it (1 for a follower serve, the depth of a quorum).
-        self._results: Dict[str, OperationResult] = {}
-        self._legs: Dict[str, int] = {}
+        self._completed: Dict[str, Tuple[Operation, int]] = {}
+        #: (label, reader) -> ``replica:<label>/reader-<reader>``.
+        self._client_ids: Dict[Tuple[str, Union[int, str]], str] = {}
         #: Replica reads stranded by a crash or an unserviceable group.
         self._stranded = 0
         #: Handles of writes forwarded follower->primary, still in flight.
@@ -647,13 +648,15 @@ class ReplicaCoordinator:
         self._strand(read, op_id, client_id, group.epoch, "unserviceable",
                      {"pool": group.primary_pool})
 
-    @staticmethod
-    def _read_ids(group: ReplicaGroup, label: str,
+    def _read_ids(self, group: ReplicaGroup, label: str,
                   reader: Union[int, str]) -> Tuple[str, str]:
         """Operation and client id of a read stamped ``replica:<label>``."""
-        return (f"{group.key}/{REPLICA_CLIENT_PREFIX}{label}"
-                f"/read-{group.next_read_id()}",
+        client_id = self._client_ids.get((label, reader))
+        if client_id is None:
+            client_id = self._client_ids[label, reader] = (
                 f"{REPLICA_CLIENT_PREFIX}{label}/reader-{reader}")
+        return (f"{group.key}/{REPLICA_CLIENT_PREFIX}{label}"
+                f"/read-{group.next_read_id()}", client_id)
 
     def _strand(self, read: _ReplicaRead, op_id: str, client_id: str,
                 epoch: int, instant: str, args: Dict) -> None:
@@ -690,11 +693,7 @@ class ReplicaCoordinator:
         )
         group.history.add(operation)
         self.router.notify_replica_completion(operation)
-        self._results[read.handle] = OperationResult(
-            op_id=op_id, client_id=client_id, kind=READ, tag=tag,
-            value=value, invoked_at=read.invoked_at, responded_at=now,
-        )
-        self._legs[read.handle] = legs
+        self._completed[read.handle] = (operation, legs)
         del self._pending_reads[read.handle]
         self._bump_floor(read.session, group.key, version)
 
@@ -1007,13 +1006,16 @@ class ReplicaCoordinator:
     # -- results / accounting ----------------------------------------------------------
 
     def result(self, handle: str) -> Optional[OperationResult]:
-        return self._results.get(handle)
+        op, _legs = self._completed.get(handle, (None, 0))
+        return None if op is None else OperationResult(
+            op.op_id, op.client_id, READ, op.tag, op.value, op.invoked_at,
+            op.responded_at)
 
     def operation_cost(self, handle: str) -> float:
         """Cost of one served replica read (0 while pending or stranded):
         one store-read cost per merged quorum leg, or a single store-read
         cost for a follower serve."""
-        return self._legs.get(handle, 0) * TRANSFER_COST
+        return self._completed.get(handle, (None, 0))[1] * TRANSFER_COST
 
     def incomplete_reads(self) -> int:
         """Replica reads in flight (follower serves and quorum fan-outs)

@@ -16,6 +16,15 @@ server maintains:
 The server reacts to client messages (Figure 1), COMMIT-TAG broadcasts,
 and the responses of the internal ``write-to-L2`` and
 ``regenerate-from-L2`` operations exactly as in Figure 2 of the paper.
+
+Only ``L`` keeps a tag for good, as metadata; per-tag bookkeeping goes
+once its last use has passed.  ``writeCounter[t]`` goes at the L2
+quorum's ack.  ``commitCounter[t]``, with t's writer-ack flag and
+operation id, goes once n1 COMMIT-TAGs for t are consumed: a writer sends
+one PUT-DATA per server and each triggers one broadcast, so no more
+exist, and by the n1-th -- the server's own among them -- t is in ``L``,
+acked, and committed or superseded.  A crash leaves behind only the
+entries of tags in flight at it.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from repro.net.messages import Message
 from repro.net.process import Process
 
 
-class _RegistedReader:
+class _RegisteredReader:
     """Bookkeeping for one entry of the outstanding-reader set Γ."""
 
     __slots__ = ("reader_id", "requested_tag", "op_id")
@@ -68,10 +77,10 @@ class L1Server(Process):
         #: Committed tag tc.
         self.committed_tag: Tag = initial_tag
         #: Γ: outstanding readers, keyed by reader process id.
-        self.registered_readers: Dict[str, _RegistedReader] = {}
-        #: commitCounter[t].
+        self.registered_readers: Dict[str, _RegisteredReader] = {}
+        #: commitCounter[t], until all n1 COMMIT-TAGs for t are consumed.
         self.commit_counter: Dict[Tag, int] = {}
-        #: writeCounter[t] for in-flight write-to-L2 operations.
+        #: writeCounter[t] for write-to-L2 operations short of their quorum.
         self.write_counter: Dict[Tag, int] = {}
         #: readCounter[r] and K[r] for in-flight regenerate-from-L2 operations.
         self.read_counter: Dict[str, int] = {}
@@ -82,8 +91,6 @@ class L1Server(Process):
         self._tag_op_ids: Dict[Tag, str] = {}
         #: Tags already acknowledged to their writer (avoids duplicate ACKs).
         self._acked_tags: set[Tag] = set()
-        #: Tags for which this server already launched write-to-L2.
-        self._write_to_l2_started: set[Tag] = set()
 
         self.broadcaster = BroadcastPrimitive(
             owner=self,
@@ -92,6 +99,7 @@ class L1Server(Process):
         )
         self._element_fraction = float(code.costs.element_fraction)
         self._l1_quorum = config.l1_quorum
+        self._n1 = config.n1
         self._l2_quorum = config.l2_quorum
         self._l2_pids = tuple(config.l2_pids)
         self._l2_index = {pid: i for i, pid in enumerate(self._l2_pids)}
@@ -182,10 +190,10 @@ class L1Server(Process):
         tag = message.tag
         if message.op_id is not None:
             self._tag_op_ids.setdefault(tag, message.op_id)
-        self.commit_counter[tag] = self.commit_counter.get(tag, 0) + 1
+        count = self.commit_counter[tag] = self.commit_counter.get(tag, 0) + 1
         if (
             tag in self.list_storage
-            and self.commit_counter[tag] >= self._l1_quorum
+            and count >= self._l1_quorum
             and tag not in self._acked_tags
         ):
             self._acked_tags.add(tag)
@@ -196,6 +204,10 @@ class L1Server(Process):
                 )
         if tag > self.committed_tag:
             self._commit_tag(tag)
+        if count == self._n1:  # the last COMMIT-TAG for the tag
+            del self.commit_counter[tag]
+            self._acked_tags.discard(tag)
+            self._tag_op_ids.pop(tag, None)
 
     def _commit_tag(self, tag: Tag) -> None:
         """Advance tc to ``tag``: serve readers, garbage collect, offload to L2.
@@ -233,10 +245,8 @@ class L1Server(Process):
     # -- internal write-to-L2 (Figure 2, lines 20-27) ------------------------------
 
     def _write_to_l2(self, tag: Tag, value: bytes) -> None:
-        """Encode the value with C2 and push coded elements to every L2 server."""
-        if tag in self._write_to_l2_started:
-            return
-        self._write_to_l2_started.add(tag)
+        """Encode the value with C2 and push coded elements to every L2 server
+        (once per tag: only ``_commit_tag`` calls it, and tc only grows)."""
         self.write_counter[tag] = 0
         op_id = self._tag_op_ids.get(tag)
         coded_elements = self.code.encode_for_backend(value)
@@ -258,6 +268,7 @@ class L1Server(Process):
             return
         self.write_counter[tag] += 1
         if self.write_counter[tag] == self._l2_quorum:
+            del self.write_counter[tag]
             self._drop_value(tag)
 
     # ------------------------------------------------------------------------
@@ -294,7 +305,7 @@ class L1Server(Process):
                 ),
             )
             return
-        self.registered_readers[reader] = _RegistedReader(
+        self.registered_readers[reader] = _RegisteredReader(
             reader_id=reader, requested_tag=requested_tag, op_id=message.op_id
         )
         self._regenerate_from_l2(reader, message.op_id)

@@ -12,12 +12,18 @@ property holds even if the initiator crashes mid-broadcast.
 
 Only metadata (e.g. ``COMMIT-TAG`` announcements) travels over this
 primitive, so broadcast messages have ``data_size`` 0.
+
+The only state kept is a copy count per broadcast id.  Over exactly-once
+channels each member gets ``len(relay_set)`` copies -- a relay its initial
+copy and one from each other relay, any other member one from each relay --
+so an id is consumed on its first copy and forgotten at its last.  Only a
+relay's crash leaves counts behind: those of the broadcasts in flight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Sequence, Set, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.net.messages import Message
 from repro.net.process import Process
@@ -53,14 +59,17 @@ class BroadcastPrimitive:
     def __init__(self, owner: Process, group: Sequence[str], relay_set: Sequence[str]) -> None:
         if not relay_set:
             raise ValueError("the relay set must not be empty")
+        if len(set(relay_set)) != len(relay_set):
+            raise ValueError(f"the relay set {list(relay_set)} repeats a server")
         unknown = set(relay_set) - set(group)
         if unknown:
             raise ValueError(f"relay servers {unknown} are not part of the broadcast group")
         self.owner = owner
         self.group = list(group)
         self.relay_set = list(relay_set)
-        self._relayed: Set[Tuple[Any, ...]] = set()
-        self._consumed: Set[Tuple[Any, ...]] = set()
+        self._expected_copies = len(self.relay_set)
+        #: Broadcast id -> copies received, while more are to come.
+        self._copies: Dict[Tuple[Any, ...], int] = {}
         self._sequence = 0
 
     def broadcast(self, inner: Message) -> Tuple[Any, ...]:
@@ -85,31 +94,29 @@ class BroadcastPrimitive:
     def handle(self, envelope: BroadcastEnvelope) -> Message | None:
         """Process a received envelope; returns the inner message to consume.
 
-        A relay that receives the initial transmission for the first time
-        forwards the message to every member of the group (including
-        itself via local consumption) before consuming it.  Every process
-        consumes each broadcast exactly once.
+        A relay that receives the initial transmission forwards the
+        message to every other member of the group.  Every process
+        consumes each broadcast exactly once, on its first copy.
         """
         if envelope.inner is None:
             raise ValueError("broadcast envelope is missing its inner message")
         broadcast_id = envelope.broadcast_id
-        if envelope.relaying and self.owner.pid in self.relay_set:
-            if broadcast_id not in self._relayed:
-                self._relayed.add(broadcast_id)
-                fan_out = BroadcastEnvelope(
-                    broadcast_id=broadcast_id,
-                    inner=envelope.inner,
-                    relaying=False,
-                    data_size=0.0,
-                    op_id=envelope.inner.op_id,
-                )
-                for member in self.group:
-                    if member != self.owner.pid:
-                        self.owner.send(member, fan_out)
-        if broadcast_id in self._consumed:
-            return None
-        self._consumed.add(broadcast_id)
-        return envelope.inner
+        if envelope.relaying:
+            # Only a relay gets a relaying copy, and exactly one per id.
+            fan_out = BroadcastEnvelope(
+                broadcast_id=broadcast_id,
+                inner=envelope.inner,
+                relaying=False,
+                data_size=0.0,
+                op_id=envelope.inner.op_id,
+            )
+            for member in self.group:
+                if member != self.owner.pid:
+                    self.owner.send(member, fan_out)
+        copies = self._copies.pop(broadcast_id, 0) + 1
+        if copies < self._expected_copies:
+            self._copies[broadcast_id] = copies
+        return envelope.inner if copies == 1 else None
 
 
 __all__ = ["BroadcastEnvelope", "BroadcastPrimitive"]

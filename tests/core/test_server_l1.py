@@ -73,10 +73,8 @@ class TestListInvariants:
 class TestInternalOperations:
     def test_write_to_l2_started_once_per_tag_per_server(self):
         system = build_system()
-        result = system.write(b"offload once")
+        system.write(b"offload once")
         system.run_until_idle()
-        for server in system.l1_servers:
-            assert result.tag in server._write_to_l2_started
         # WRITE-CODE-ELEM messages: at most one per (L1 server, L2 server).
         sent = system.network.costs.messages_by_kind.get("WriteCodeElem", 0)
         assert sent <= system.config.n1 * system.config.n2
@@ -123,6 +121,58 @@ class TestInternalOperations:
             server.committed_tag >= result.tag and server.max_list_tag() >= result.tag
             for server in servers
         )
+
+
+#: An L1 server's per-tag bookkeeping: commitCounter, the writer-ack flag,
+#: the writer's operation id and writeCounter.
+PER_TAG = ("commit_counter", "_acked_tags", "_tag_op_ids", "write_counter")
+
+
+def per_tag_entries(server):
+    return {name: set(getattr(server, name)) for name in PER_TAG}
+
+
+class TestRetainedState:
+    def test_a_drained_run_keeps_only_the_list(self):
+        system = build_system()
+        writes = [system.invoke_write(bytes([index + 1]) * 4, writer=index % 2,
+                                      at=index * 10.0) for index in range(6)]
+        for index in range(4):
+            system.invoke_read(reader=index % 2, at=index * 10.0 + 5.0)
+        system.run_until_idle()
+        tags = {system.results[op_id].tag for op_id in writes}
+        assert len(tags) == 6
+        for server in system.l1_servers:
+            assert server.broadcaster._copies == {}
+            assert per_tag_entries(server) == dict.fromkeys(PER_TAG, set())
+            assert tags <= set(server.list_storage)
+
+    def test_a_writer_crash_mid_put_data_leaves_only_its_tag(self):
+        system = build_system()
+        system.write(b"before")
+        writer = system.writers[0]
+        send = writer.send
+        put_datas = []
+
+        def crash_after_two_put_datas(destination, message):
+            send(destination, message)
+            if isinstance(message, msg.PutData):
+                put_datas.append(message.tag)
+                if len(put_datas) == 2:
+                    system.network.crash(writer.pid)
+
+        writer.send = crash_after_two_put_datas
+        system.invoke_write(b"torn", writer=0)
+        system.run_until_idle()
+        torn = put_datas[0]
+        # Two of n1 = 5 COMMIT-TAGs exist: the count stays short of n1, and
+        # of the quorum, so the tag is never acked; its offload completes.
+        for server in system.l1_servers:
+            assert server.broadcaster._copies == {}
+            assert server.commit_counter == {torn: 2}
+            assert set(server._tag_op_ids) == {torn}
+            assert not server._acked_tags and not server.write_counter
+            assert server.committed_tag == torn
 
 
 @dataclass

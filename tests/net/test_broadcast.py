@@ -63,6 +63,28 @@ class TestBroadcastPrimitive:
         alive = [server for server in servers if not server.crashed]
         assert all(server.consumed == ["commit"] for server in alive)
 
+    def test_a_drained_group_keeps_no_copy_count(self):
+        network, servers = build_group(n=6, relay_count=3)
+        for index, server in enumerate(servers):
+            server.broadcaster.broadcast(Message(kind=f"m{index}"))
+        network.run_until_idle()
+        for server in servers:
+            assert sorted(server.consumed) == [f"m{i}" for i in range(6)]
+            assert server.broadcaster._copies == {}
+
+    def test_a_relay_crash_leaves_only_the_broadcasts_in_flight(self):
+        network, servers = build_group(n=6, relay_count=3)
+        servers[4].broadcaster.broadcast(Message(kind="done"))
+        network.run_until_idle()
+        in_flight = {servers[5].broadcaster.broadcast(Message(kind="b")),
+                     servers[3].broadcaster.broadcast(Message(kind="c"))}
+        network.crash("s0")
+        network.run_until_idle()
+        for server in servers[1:]:
+            assert sorted(server.consumed) == ["b", "c", "done"]
+            # Two of the three relays fanned each one out.
+            assert server.broadcaster._copies == dict.fromkeys(in_flight, 2)
+
     def test_initiator_crash_after_send_does_not_block_delivery(self):
         network, servers = build_group(n=5, relay_count=2)
         servers[3].broadcaster.broadcast(Message(kind="commit"))

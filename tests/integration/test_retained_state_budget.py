@@ -39,8 +39,8 @@ def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch):
     simulation.apply(scenario)
     router = simulation.router
     systems = [shard.system for shard in router.shards.values()]
-    servers = [server for system in systems + list(router._retired.values())
-               for server in system.l1_servers]
+    systems += router._retired.values()
+    servers = [server for system in systems for server in system.l1_servers]
 
     assert sum(len(kept) for server in servers
                for kept in containers(server.broadcaster)) == 0

@@ -15,8 +15,8 @@ The benchmark reproduces the figure in two parts:
    Lemma V.5 L1 bound and the simulated L2 cost matches the formula.
 
 The simulated fleet is Section V-A.1's N independent LDS instances, one
-:class:`~repro.core.system.LDSSystem` per object on one shared
-:class:`~repro.net.simulator.Simulator`.  Each instance draws its delays
+:class:`~repro.core.system.LDSSystem` per object on one shared event pump
+(:class:`~repro.net.kernel.GlobalScheduler`).  Each instance draws its delays
 from its own latency model and its events are scheduled only by its own
 earlier events, so it runs exactly as it would alone; the fleet's storage
 cost at any time is the sum of the instances' costs.
@@ -36,8 +36,8 @@ from repro.core.analysis import (
 )
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
+from repro.net.kernel import GlobalScheduler
 from repro.net.latency import BoundedLatencyModel
-from repro.net.simulator import Simulator
 
 from bench_utils import emit_table
 
@@ -59,8 +59,8 @@ WRITE_SPACING = 16.0
 
 def build_fleet(config, count, mu):
     """One LDS instance per object, all on one shared event queue."""
-    shared = Simulator()
-    return [LDSSystem(config, object_id=f"object-{i}", simulator=shared,
+    shared = GlobalScheduler()
+    return [LDSSystem(config, object_id=f"object-{i}", kernel=shared,
                       latency_model=BoundedLatencyModel(tau0=1, tau1=1, tau2=mu, seed=i))
             for i in range(count)]
 
@@ -127,7 +127,7 @@ def run_simulated_validation():
     for count in SIM_OBJECTS:
         fleet = build_fleet(config, count, SIM_MU)
         theta = len(schedule_uniform_writes(fleet, 0.3, 40.0, seed=count))
-        fleet[0].simulator.run_until_idle()
+        fleet[0].kernel.run_until_idle()
         complete = all(system.recorder.incomplete_count == 0 for system in fleet)
         bounds = multi_object_storage_bounds(count, config.n1, config.n2, config.k,
                                              theta=theta, mu=SIM_MU)
@@ -196,7 +196,7 @@ def fleet_digest(num_objects: int, split: bool) -> int:
     t = 12 when ``split``), storage events and totals, per-operation costs,
     the fleet's peak L1 and total L2 cost and its L1 / L2 time series.
 
-    Each object's ``simulator.now`` is left out on purpose: it is the
+    Each object's ``kernel.now`` is left out on purpose: it is the
     fleet's clock (the time of the last event of *any* object).
     """
     config = LDSConfig.symmetric(n=SIM_N, f=SIM_F)
@@ -207,9 +207,9 @@ def fleet_digest(num_objects: int, split: bool) -> int:
         system.invoke_read(at=90.0)
     records: list = []
     if split:
-        fleet[0].simulator.run(until=12)
+        fleet[0].kernel.run(until=12)
         records += [history_records(system.history()) for system in fleet]
-    fleet[0].simulator.run_until_idle()
+    fleet[0].kernel.run_until_idle()
     assert all(system.recorder.incomplete_count == 0 for system in fleet)
     for system in fleet:
         history = system.history()

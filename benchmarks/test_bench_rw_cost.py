@@ -32,7 +32,7 @@ def _measure(n: int, f: int):
     quiescent_read = system.read()
     read_cost_idle = system.operation_cost(quiescent_read.op_id)
     # A read overlapping a concurrent write (delta > 0 regime).
-    now = system.simulator.now
+    now = system.kernel.now
     system.invoke_write(b"bench-value-2", writer=1, at=now)
     concurrent_read_op = system.invoke_read(reader=0, at=now + 0.5)
     system.run_until_idle()

@@ -8,7 +8,8 @@ with every substrate it depends on:
 * ``repro.codes`` -- Reed-Solomon, product-matrix MBR/MSR regenerating
   codes, replication, and the layered (C, C1, C2) code;
 * ``repro.net`` -- an asynchronous message-passing discrete-event
-  simulator with crash failures and per-link latency bounds;
+  simulator with crash failures and per-link latency bounds, and the one
+  event pump every simulated run goes through;
 * ``repro.core`` -- the LDS protocol (clients, L1 servers, L2 servers),
   cost accounting and the closed-form analysis of Section V;
 * ``repro.baselines`` -- ABD (replication) and CAS (single-layer coded)
@@ -21,10 +22,9 @@ with every substrate it depends on:
   object shards onto server pools, a keyed object router fanning out to
   per-shard LDS instances, rate-limited background repair, and r-way
   replica groups with pluggable read routing and pool-loss failover;
-* ``repro.sim`` -- the global-clock simulation kernel: one event queue
-  that every shard runs on, a declarative scenario engine, and
-  :class:`ClusterSimulation`, the cluster facade (membership + router +
-  repair, pre-wired on that kernel);
+* ``repro.sim`` -- the cluster on the global clock: a declarative
+  scenario engine and :class:`ClusterSimulation`, the cluster facade
+  (membership + router + repair, pre-wired on one event pump);
 * ``repro.obs`` -- simulation-time observability: the metrics registry,
   kernel-driven time-series sampling and per-operation Chrome trace
   spans -- all pure observation (telemetry on or off, runs are
@@ -99,7 +99,6 @@ _EXPORTS = {
     "SessionViolation": "consistency.sessions",
     "check_sessions": "consistency.sessions",
     "inject_session_violation": "consistency.injection",
-    "Simulator": "net.simulator",
     "Network": "net.network",
     "FixedLatencyModel": "net.latency",
     "BoundedLatencyModel": "net.latency",
@@ -118,7 +117,7 @@ _EXPORTS = {
     "RepairScheduler": "cluster.repair",
     "ReplicationConfig": "cluster.read_policy",
     "make_read_policy": "cluster.read_policy",
-    "GlobalScheduler": "sim.kernel",
+    "GlobalScheduler": "net.kernel",
     "ClusterSimulation": "sim.harness",
     "Scenario": "sim.scenario",
     "ScenarioAction": "sim.scenario",

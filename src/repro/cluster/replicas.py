@@ -1041,7 +1041,7 @@ class ReplicaCoordinator:
         entry surviving to quiescence means some path skipped its cleanup
         (the bug class where a stranded quorum kept its merge state
         forever).  Consumed by :meth:`KernelSanitizer.watch_map
-        <repro.sim.sanitizer.KernelSanitizer.watch_map>`.
+        <repro.net.sanitizer.KernelSanitizer.watch_map>`.
         """
         return [("replicas.pending_reads", self._pending_reads)]
 

@@ -14,7 +14,7 @@ thousands of keys performs one dispatch walk per shard instead of one per
 operation.  ``run_until_idle`` flushes automatically.
 
 Every shard runs on the one :class:`~repro.net.simulator.Simulator` of the
-router's :class:`~repro.sim.kernel.GlobalScheduler`, so operations,
+router's :class:`~repro.net.kernel.GlobalScheduler`, so operations,
 repairs and migrations on different shards interleave on one monotonic
 global clock, and ``kernel.now`` is every shard's "now".
 
@@ -357,7 +357,7 @@ class ObjectRouter:
         #: (object_id, op_id) -> handle, recorded at flush while tracing so
         #: shard completion hooks can close the right root span.
         self._op_handles: Dict[tuple, str] = {}
-        #: The :class:`~repro.sim.kernel.GlobalScheduler` whose simulator
+        #: The :class:`~repro.net.kernel.GlobalScheduler` whose simulator
         #: every shard runs on; the one clock the cluster runs on.
         self.kernel = kernel
         #: (global time, key, source_pool, target_pool) per migration.
@@ -404,7 +404,7 @@ class ObjectRouter:
 
     def _build_shard(self, key: str, pool: str, epoch: int,
                      initial_value: bytes) -> Shard:
-        """Build an epoch on the kernel's simulator, born at ``kernel.now``."""
+        """Build an epoch on the kernel, born at ``kernel.now``."""
         config = self.config
         if initial_value != config.initial_value:
             config = dc_replace(config, initial_value=initial_value)
@@ -414,7 +414,7 @@ class ObjectRouter:
             num_readers=self.readers_per_shard,
             latency_model=self._latency_factory(pool, key),
             object_id=join_object_id(key, epoch),
-            simulator=self.kernel.simulator,
+            kernel=self.kernel,
         )
         shard = Shard(key=key, pool=pool, epoch=epoch, system=system)
         if self._trace is not None or self.operation_observers:
@@ -742,20 +742,13 @@ class ObjectRouter:
         # merged queue instead of this shard alone.
         # Resolution goes through :meth:`result`, which also covers
         # follower-served and quorum replica reads.
-        executed = 0
-        while True:
-            found = self.result(handle)
-            if found is not None:
-                return found
-            if not self.kernel.step():
-                raise self._shards[key].system.incomplete_error(
-                    f"operation {handle} did not complete (global queue empty)"
-                )
-            executed += 1
-            if executed > 10_000_000:
-                raise self._shards[key].system.incomplete_error(
-                    f"operation {handle} did not complete within the event budget"
-                )
+        found = self.kernel.run_until(lambda: self.result(handle))
+        if found is None:
+            raise self._shards[key].system.incomplete_error(
+                f"operation {handle} did not complete within the event budget"
+                if self.kernel.pending_work() else
+                f"operation {handle} did not complete (global queue empty)")
+        return found
 
     # -- results and costs ---------------------------------------------------------------
 
@@ -819,7 +812,7 @@ class ObjectRouter:
         its own initial value.
 
         Timestamps are the epochs' recorders' own: every epoch runs on the
-        kernel's one simulator, so operations from different shards and
+        kernel's one queue, so operations from different shards and
         epochs (and follower-served reads, stamped by the kernel) are
         comparable as they stand.
         """

@@ -5,7 +5,8 @@ shares -- LDS here, ABD and CAS in :mod:`repro.baselines` -- and the one
 place that implements driving it:
 
 * invoke operations (now or at a scheduled virtual time),
-* run the simulation,
+* run the simulation on its event pump (:mod:`repro.net.kernel`), so
+  every run has a fingerprint and can be sanitized,
 * crash processes,
 * inspect results, the operation history and communication costs.
 
@@ -16,7 +17,7 @@ the layered regenerating code, writers and readers.
 
 A single :class:`LDSSystem` implements **one** atomic object, exactly like
 one instance of the LDS algorithm in the paper; a multi-object deployment
-is one instance per object on a shared ``simulator``.
+is one instance per object on a shared ``kernel``.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from repro.core.server_l1 import L1Server
 from repro.core.server_l2 import L2Server
 from repro.core.tags import Tag
 from repro.core.writer import Writer
+from repro.net.kernel import GlobalScheduler
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.net.process import Process
-from repro.net.simulator import Simulator
 
 #: Distinct values whose backend encoding each system memoises (oldest out).
 ENCODE_CACHE_SIZE = 64
@@ -54,12 +55,12 @@ class RegisterSystem:
 
     def __init__(self, object_id: str, initial_value: bytes,
                  latency_model: Optional[LatencyModel] = None,
-                 simulator: Optional[Simulator] = None) -> None:
+                 kernel: Optional[GlobalScheduler] = None) -> None:
         self.object_id = object_id
-        #: The event queue the deployment runs on; the cluster kernel passes
-        #: one queue for all of its objects.
-        self.simulator = simulator if simulator is not None else Simulator()
-        self.network = Network(simulator=self.simulator, latency_model=latency_model)
+        self.network = Network(kernel, latency_model)
+        #: The event pump the deployment runs on: its own, or one shared
+        #: by every object of a fleet or a cluster.
+        self.kernel = self.network.kernel
         self.recorder = OperationRecorder(initial_value=initial_value)
         self.results: Dict[str, OperationResult] = {}
         #: (client pid, kind) -> operation ids allocated so far.
@@ -103,7 +104,7 @@ class RegisterSystem:
         if at is None:
             self.network.crash(pid)
         else:
-            self.simulator.schedule_at(at, lambda: self.network.crash(pid))
+            self.kernel.simulator.schedule_at(at, lambda: self.network.crash(pid))
 
     # -- invoking operations ---------------------------------------------------------------
 
@@ -138,38 +139,34 @@ class RegisterSystem:
                 client.read(self._record_completion, op_id=op_id)
             self.recorder.invoke(
                 op_id, client_id=client.pid, kind=kind,
-                object_id=self.object_id, value=value, time=self.simulator.now,
+                object_id=self.object_id, value=value, time=self.kernel.simulator.now,
             )
 
         if at is None:
             start()
         else:
-            self.simulator.schedule_at(at, start)
+            self.kernel.simulator.schedule_at(at, start)
         return op_id
 
     # -- running ---------------------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the simulation (optionally bounded by time or event count)."""
-        self.simulator.run(until=until, max_events=max_events)
+        self.kernel.run(until=until, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain."""
-        self.simulator.run_until_idle(max_events=max_events)
+        self.kernel.run_until_idle(max_events=max_events)
 
     def run_until_complete(self, op_id: str, max_events: int = 10_000_000) -> OperationResult:
         """Run until the given operation completes; raises if it never does."""
-        executed = 0
-        while op_id not in self.results:
-            if not self.simulator.step():
-                raise self.incomplete_error(
-                    f"operation {op_id} did not complete (no pending events remain)"
-                )
-            executed += 1
-            if executed > max_events:
-                raise self.incomplete_error(
-                    f"operation {op_id} did not complete within the event budget")
-        return self.results[op_id]
+        result = self.kernel.run_until(lambda: self.results.get(op_id), max_events)
+        if result is None:
+            raise self.incomplete_error(
+                f"operation {op_id} did not complete within the event budget"
+                if self.kernel.pending_work() else
+                f"operation {op_id} did not complete (no pending events remain)")
+        return result
 
     def crash_budgets(self) -> List[tuple]:
         """``(servers' name, servers, budget name, allowed crashes)`` per
@@ -230,10 +227,10 @@ class LDSSystem(RegisterSystem):
     def __init__(self, config: LDSConfig, num_writers: int = 1, num_readers: int = 1,
                  latency_model: Optional[LatencyModel] = None,
                  object_id: str = "object-0",
-                 simulator: Optional[Simulator] = None) -> None:
+                 kernel: Optional[GlobalScheduler] = None) -> None:
         if num_writers < 0 or num_readers < 0:
             raise ValueError("client counts must be non-negative")
-        super().__init__(object_id, config.initial_value, latency_model, simulator)
+        super().__init__(object_id, config.initial_value, latency_model, kernel)
         self.config = config
         self.code: LayeredCode = config.build_code()
         self._encode_cache: Dict[bytes, Dict[int, object]] = {}

@@ -6,7 +6,7 @@ of telemetry -- rests on one invariant: *fixed-seed runs are
 byte-identical, always*.  Most ways to break it fail a runtime check on
 the first run: the determinism tests and pinned fingerprints, the
 telemetry on/off tests, the kernel's past-time ``ValueError`` and the
-sanitizer (:meth:`repro.sim.kernel.GlobalScheduler.enable_sanitizer`).
+sanitizer (:meth:`repro.net.kernel.GlobalScheduler.enable_sanitizer`).
 This package keeps only the rules whose bug passes every one of those
 checks: an AST-based analyzer (stdlib :mod:`ast`, no dependencies) with
 a small rule engine, per-rule fixtures under ``tests/lint/``, inline

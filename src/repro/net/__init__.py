@@ -5,7 +5,10 @@ network with reliable point-to-point channels, crash failures, and -- for
 the Section V latency analysis -- bounded per-link delays.  This package
 implements that model as a deterministic discrete-event simulation:
 
-* :mod:`repro.net.simulator` -- the event loop (virtual clock + heap).
+* :mod:`repro.net.simulator` -- the event heap and the virtual clock.
+* :mod:`repro.net.kernel` -- the one event pump every run goes through,
+  with its fingerprint, event count and observation-only probes.
+* :mod:`repro.net.sanitizer` -- opt-in runtime invariant checks on it.
 * :mod:`repro.net.messages` -- the message envelope with normalised size
   accounting (meta-data counts as zero, consistent with the paper).
 * :mod:`repro.net.latency` -- per-link-class delay models (tau0 between L1
@@ -22,6 +25,11 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "Simulator": "simulator",
+    "GlobalScheduler": "kernel",
+    "KernelStats": "kernel",
+    "KernelSanitizer": "sanitizer",
+    "SanitizerError": "sanitizer",
+    "SanitizerViolation": "sanitizer",
     "Message": "messages",
     "LatencyModel": "latency",
     "LatencyRegime": "latency",

@@ -12,9 +12,10 @@ match the paper's model:
   the channel and delivery still happens, while deliveries *to* a crashed
   process are dropped.
 
-A sent message is queued as data, not as a callback, for the network's
-one bound :meth:`Network.deliver`, which resolves the destination by pid
-when the message arrives.
+A sent message is queued as data, not as a callback, on the heap of the
+network's event pump (:class:`~repro.net.kernel.GlobalScheduler`), for
+the network's one bound :meth:`Network.deliver`, which resolves the
+destination by pid when the message arrives.
 
 The network also owns the :class:`CommunicationCostTracker`, which sums
 the normalised ``data_size`` of every message sent, per operation (and
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 from heapq import heappush
 from typing import Dict, Optional
 
+from repro.net.kernel import GlobalScheduler
 from repro.net.latency import FixedLatencyModel, LatencyModel
 from repro.net.messages import Message
 from repro.net.process import Process
-from repro.net.simulator import Simulator
 
 
 @dataclass
@@ -55,9 +56,11 @@ class CommunicationCostTracker:
 class Network:
     """The message-passing fabric connecting all processes."""
 
-    def __init__(self, simulator: Optional[Simulator] = None,
+    def __init__(self, kernel: Optional[GlobalScheduler] = None,
                  latency_model: Optional[LatencyModel] = None) -> None:
-        self.simulator = simulator or Simulator()
+        #: The pump that runs this network's events; its heap and clock.
+        self.kernel = kernel if kernel is not None else GlobalScheduler()
+        self.simulator = self.kernel.simulator
         self.latency_model = latency_model or FixedLatencyModel()
         self.processes: Dict[str, Process] = {}
         self.costs = CommunicationCostTracker()
@@ -143,14 +146,6 @@ class Network:
         for process in self.processes.values():
             if not process.crashed:
                 process.on_start()
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run the underlying simulator."""
-        self.simulator.run(until=until, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Run until no pending events remain."""
-        self.simulator.run_until_idle(max_events=max_events)
 
 
 __all__ = ["Network", "CommunicationCostTracker"]

@@ -1,8 +1,8 @@
-"""Runtime sanitizer for the global simulation kernel.
+"""Runtime sanitizer for the event pump.
 
 The static pass in :mod:`repro.lint` catches hazard *patterns*; this
 module catches hazard *executions*.  :meth:`GlobalScheduler.enable_sanitizer
-<repro.sim.kernel.GlobalScheduler.enable_sanitizer>` attaches a
+<repro.net.kernel.GlobalScheduler.enable_sanitizer>` attaches a
 :class:`KernelSanitizer` to the pump, which then checks four invariants
 that every determinism and noninterference guarantee in this repo
 ultimately rests on:
@@ -22,9 +22,9 @@ ultimately rests on:
 ``probe-mutation``
     Telemetry probes are pure observation.  Around every probe the
     sanitizer snapshots the foreground surface (global clock,
-    fingerprint, event counts, the queue's depth and head time) and
-    verifies the probe left all of it untouched -- the per-probe twin of
-    the telemetry-on/off byte-identity suites.
+    fingerprint, the pump's event count, the queue's depth and head time)
+    and verifies the probe left all of it untouched -- the per-probe twin
+    of the telemetry-on/off byte-identity suites.
 
 ``pending-leak``
     Registered pending-invocation maps (see :meth:`watch_map`) must be
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import List, Sized, Tuple
 
-from repro.sim.kernel import FOREGROUND_SOURCE, TELEMETRY_SOURCE
+from repro.net.kernel import FOREGROUND_SOURCE, TELEMETRY_SOURCE
 
 #: Violation kinds (also the vocabulary of :class:`SanitizerViolation`).
 CLOCK_REGRESSION = "clock-regression"
@@ -137,8 +137,7 @@ class KernelSanitizer:
         kernel = self._kernel
         simulator = kernel.simulator
         return {"global clock": kernel.now, "fingerprint": kernel.fingerprint,
-                "events_total": kernel.stats.events_total,
-                "events_processed": simulator.events_processed,
+                "events_processed": kernel.events_processed,
                 "pending_events": simulator.pending_events,
                 "head": simulator.peek_time()}
 

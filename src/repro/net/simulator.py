@@ -1,8 +1,9 @@
-"""Discrete-event simulation core.
+"""The event heap and the virtual clock.
 
 :class:`Simulator` keeps a virtual clock and a priority queue of pending
 events, so executions are fully deterministic given the latency model's
-random seed.  An event is a list ordered by time, then a unique sequence
+random seed; the pump in :mod:`repro.net.kernel` is the one loop that
+runs them, one :meth:`Simulator.step` per event.  An event is a list ordered by time, then a unique sequence
 number (the callback is never compared): ``[time, sequence, callback]``
 for a scheduled callback, or ``[time, sequence, deliver, sender,
 destination, message]`` for a message delivery, which
@@ -12,7 +13,6 @@ destination, message]`` for a message delivery, which
 from __future__ import annotations
 
 import itertools
-import math
 from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
@@ -28,7 +28,6 @@ class Simulator:
         self._queue: List[list] = []
         self._counter = itertools.count()
         self._now = start
-        self._events_processed = 0
         #: Invoked with the absolute time of *every* scheduling attempt,
         #: before validation (see :meth:`set_schedule_guard`).
         self._schedule_guard: Optional[Callable[[float], None]] = None
@@ -36,7 +35,7 @@ class Simulator:
     def set_schedule_guard(self, guard: Optional[Callable[[float], None]]) -> None:
         """Register the one callback invoked on every scheduling attempt,
         deliveries included, with the absolute time *before* the past-check
-        runs, so the kernel's sanitizer (:mod:`repro.sim.sanitizer`) can
+        runs, so the kernel's sanitizer (:mod:`repro.net.sanitizer`) can
         record it and raise a structured error.  It must not schedule."""
         self._schedule_guard = guard
 
@@ -44,11 +43,6 @@ class Simulator:
     def now(self) -> float:
         """The current virtual time."""
         return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events executed so far."""
-        return self._events_processed
 
     @property
     def pending_events(self) -> int:
@@ -82,42 +76,11 @@ class Simulator:
             return False
         event = heappop(queue)
         self._now = event[0]
-        self._events_processed += 1
         if len(event) == 3:
             event[2]()
         else:
             event[2](event[3], event[4], event[5])
         return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue is drained, ``until`` is reached, or
-        ``max_events`` events have been executed in this call.
-
-        The clock then stands at ``until`` -- or stays where it is when
-        ``until`` is already in the past: it never rewinds.  A non-finite
-        ``until`` raises ``ValueError``; None means no bound.
-        """
-        if until is not None and not math.isfinite(until):
-            raise ValueError("the run bound must be finite")
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                return
-            time = self.peek_time()
-            if time is None or (until is not None and time > until):
-                break
-            self.step()
-            executed += 1
-        if until is not None and until > self._now:
-            self._now = until
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Run until no events remain; guards against runaway executions."""
-        executed = 0
-        while self.step():
-            executed += 1
-            if executed > max_events:
-                raise RuntimeError("simulation exceeded the maximum event budget")
 
 
 __all__ = ["Simulator"]

@@ -30,7 +30,7 @@ dict entries); :meth:`Telemetry.full` turns the passive pillars on
 (tracer, sampler, latency; the audit pillars stay opt-in: they change
 the *audit path*, not the execution).  None of the
 pillars perturbs the simulation -- see the module docs of
-:mod:`repro.obs.sampler` and :mod:`repro.sim.kernel` for why runs stay
+:mod:`repro.obs.sampler` and :mod:`repro.net.kernel` for why runs stay
 byte-identical with telemetry on or off.
 """
 

@@ -1,14 +1,12 @@
-"""The global-clock simulation subsystem.
+"""The cluster's simulations on the global clock.
 
 Every shard of the cluster runs on **one** event queue and one monotonic
-global clock, so cross-shard timing phenomena -- repair slots competing
+global clock -- the pump of :mod:`repro.net.kernel`, which every register
+runs on -- so cross-shard timing phenomena -- repair slots competing
 with foreground load, migrations overlapping writes, correlated failures,
 latency-regime shifts -- are actually simulated instead of serialised
 away:
 
-* :mod:`repro.sim.kernel` -- :class:`GlobalScheduler`, which owns the one
-  foreground :class:`~repro.net.simulator.Simulator` every shard runs on,
-  its fingerprint and stats, and an observation-only probe queue;
 * :mod:`repro.sim.scenario` -- declarative timed scripts
   (:class:`Scenario` / :class:`ScenarioEngine`) of crash/recover, pool
   join/leave, latency-regime shifts and workload phases, with eight
@@ -17,19 +15,13 @@ away:
   facade wiring seeded membership, router and repair scheduler to the
   kernel and exposing keyed driving, failure injection, workload arrival
   scheduling, scenario application and the merged global timeline;
-* :mod:`repro.sim.sanitizer` -- :class:`KernelSanitizer`, opt-in runtime
-  invariant checking on the pump (clock monotonicity, past scheduling,
-  probe purity, pending-map leaks) with zero fingerprint impact.
+* :mod:`repro.sim.kernel` -- only a re-export of the pump's names that
+  ``lds_bench`` reads by this path (ROADMAP item 20 retires it).
 """
 
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "GlobalScheduler": "kernel",
-    "KernelStats": "kernel",
-    "KernelSanitizer": "sanitizer",
-    "SanitizerError": "sanitizer",
-    "SanitizerViolation": "sanitizer",
     "TELEMETRY_SOURCE": "kernel",
     "Scenario": "scenario",
     "ScenarioAction": "scenario",

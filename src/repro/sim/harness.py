@@ -4,7 +4,7 @@
 experiments: it builds a :class:`~repro.cluster.membership.Membership`
 with one full node set per named pool, an
 :class:`~repro.cluster.router.ObjectRouter` over it driven by a
-:class:`~repro.sim.kernel.GlobalScheduler`, and a
+:class:`~repro.net.kernel.GlobalScheduler`, and a
 :class:`~repro.cluster.repair.RepairScheduler` subscribed to failures.
 Every stochastic component derives from one root seed, and every
 per-shard latency model is scaled by a shared
@@ -47,7 +47,7 @@ from repro.net.latency import (
     LatencyModel,
     LatencyRegime,
 )
-from repro.sim.kernel import GlobalScheduler
+from repro.net.kernel import GlobalScheduler
 from repro.sim.scenario import Scenario, ScenarioEngine
 from repro.workloads.generator import Workload
 

@@ -101,7 +101,7 @@ def test_a_cas_server_sizes_a_read_response_one_over_k(k):
     probe.send("cas-0", CasPreWrite(tag=tag, coded_element=b"\x01\x02", op_id="w"))
     probe.send("cas-0", CasReadRequest(tag=tag, op_id="r"))
     probe.send("cas-0", CasReadRequest(tag=Tag(7, "writer-0"), op_id="missing"))
-    network.run_until_idle()
+    network.kernel.run_until_idle()
     responses = {message.op_id: message for message in probe.received
                  if isinstance(message, CasReadResponse)}
     assert responses["r"].has_element and responses["r"].data_size == 1.0 / k

@@ -9,7 +9,8 @@ from repro.cluster.repair import DONE, RepairScheduler
 from repro.cluster.router import ObjectRouter
 from repro.core.config import LDSConfig
 from repro.net.latency import FixedLatencyModel
-from repro.sim import ClusterSimulation, GlobalScheduler
+from repro.net.kernel import GlobalScheduler
+from repro.sim import ClusterSimulation
 
 POOLS = ["pool-0", "pool-1"]
 

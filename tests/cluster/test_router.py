@@ -17,7 +17,7 @@ from repro.sim import (
     migration_under_load,
     replica_failover_under_load,
 )
-from repro.sim.kernel import GlobalScheduler
+from repro.net.kernel import GlobalScheduler
 
 POOLS = ["pool-0", "pool-1", "pool-2"]
 
@@ -416,7 +416,7 @@ class TestOneTimeDomain:
         router = simulation.router
         assert any(shard.epoch for shard in router.shards.values())
         for shard in router.shards.values():
-            assert shard.system.simulator is simulation.kernel.simulator
+            assert shard.system.kernel is simulation.kernel
 
     def test_a_shard_first_used_late_starts_at_the_global_instant(
             self, router):

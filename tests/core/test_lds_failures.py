@@ -42,7 +42,7 @@ class TestL1Failures:
         system = build_system()
         system.write(b"stable value")
         system.run_until_idle()
-        crash_at = system.simulator.now + 1.5
+        crash_at = system.kernel.now + 1.5
         system.crash_l1(4, at=crash_at)
         result = system.read()
         assert result.value == b"stable value"
@@ -135,7 +135,7 @@ class TestCombinedFailures:
         system = build_system(config=config, latency=BoundedLatencyModel(seed=9))
         system.write(b"value zero")
         system.run_until_idle()
-        base = system.simulator.now
+        base = system.kernel.now
         system.crash_l1(0, at=base + 5)
         system.crash_l2(1, at=base + 10)
         system.crash_l2(2, at=base + 15)

@@ -7,7 +7,8 @@ digests of everything a run records.
 operation's id, kind, invocation and response time, value and tag; each
 operation's cost and the total cost; the storage numbers.  Timestamps are
 in the digest (``repr`` of every float), so a change that moves one event
-moves it.  The Figure 6 fleet's pin lives with its bench,
+moves it.  Each run's event pump pins its fingerprint and event count
+too.  The Figure 6 fleet's pin lives with its bench,
 ``benchmarks/test_bench_fig6_multiobject.py``.
 """
 
@@ -56,7 +57,8 @@ def build_register(name: str, seed: int):
     return CASSystem(n=6, k=3, num_writers=2, num_readers=2, latency_model=latency)
 
 
-def register_digest(name: str, seed: int) -> int:
+def register_run(name: str, seed: int) -> tuple:
+    """The run's digest, then its pump's fingerprint and event count."""
     system = build_register(name, seed)
     workload = WorkloadGenerator(seed=seed, client_spacing=60.0).mixed_random(
         num_operations=24, write_fraction=0.4, duration=200.0,
@@ -64,8 +66,9 @@ def register_digest(name: str, seed: int) -> int:
     report = WorkloadRunner(system).run(workload)
     assert report.incomplete_operations == 0 and report.is_atomic
     costs = sorted({**report.write_costs, **report.read_costs}.items())
-    return crc(history_records(report.history) + costs
-               + [report.total_communication_cost] + storage_records(system))
+    digest = crc(history_records(report.history) + costs
+                 + [report.total_communication_cost] + storage_records(system))
+    return digest, system.kernel.fingerprint, system.kernel.stats.events_total
 
 
 #: (register, latency / workload seed) -> digest recorded on the three
@@ -80,7 +83,22 @@ REGISTERS = {
 }
 
 
+#: (register, seed) -> (fingerprint, events) recorded when the facades
+#: moved onto the event pump; the event counts equal what the loop they
+#: ran on before executed.
+PUMPS = {
+    ("lds", 1): (1784104787, 2190),
+    ("lds", 2): (4096097474, 2212),
+    ("abd", 1): (908479696, 504),
+    ("abd", 2): (1906484552, 504),
+    ("cas", 1): (3563808789, 696),
+    ("cas", 2): (2554643599, 708),
+}
+
+
 @pytest.mark.parametrize("name,seed", sorted(REGISTERS))
 def test_register_run_is_unchanged(name, seed):
-    assert register_digest(name, seed) == REGISTERS[(name, seed)]
+    digest, fingerprint, events = register_run(name, seed)
+    assert digest == REGISTERS[(name, seed)]
+    assert (fingerprint, events) == PUMPS[(name, seed)]
 

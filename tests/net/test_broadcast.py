@@ -43,13 +43,13 @@ class TestBroadcastPrimitive:
     def test_all_servers_consume_exactly_once(self):
         network, servers = build_group(n=6, relay_count=3)
         servers[4].broadcaster.broadcast(Message(kind="commit"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert all(server.consumed == ["commit"] for server in servers)
 
     def test_initiator_also_consumes_its_own_broadcast(self):
         network, servers = build_group(n=5, relay_count=2)
         servers[0].broadcaster.broadcast(Message(kind="m"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert servers[0].consumed == ["m"]
 
     def test_consumed_if_one_relay_survives(self):
@@ -59,7 +59,7 @@ class TestBroadcastPrimitive:
         servers[5].broadcaster.broadcast(Message(kind="commit"))
         network.crash("s0")
         network.crash("s1")
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         alive = [server for server in servers if not server.crashed]
         assert all(server.consumed == ["commit"] for server in alive)
 
@@ -67,7 +67,7 @@ class TestBroadcastPrimitive:
         network, servers = build_group(n=6, relay_count=3)
         for index, server in enumerate(servers):
             server.broadcaster.broadcast(Message(kind=f"m{index}"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         for server in servers:
             assert sorted(server.consumed) == [f"m{i}" for i in range(6)]
             assert server.broadcaster._copies == {}
@@ -75,11 +75,11 @@ class TestBroadcastPrimitive:
     def test_a_relay_crash_leaves_only_the_broadcasts_in_flight(self):
         network, servers = build_group(n=6, relay_count=3)
         servers[4].broadcaster.broadcast(Message(kind="done"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         in_flight = {servers[5].broadcaster.broadcast(Message(kind="b")),
                      servers[3].broadcaster.broadcast(Message(kind="c"))}
         network.crash("s0")
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         for server in servers[1:]:
             assert sorted(server.consumed) == ["b", "c", "done"]
             # Two of the three relays fanned each one out.
@@ -89,7 +89,7 @@ class TestBroadcastPrimitive:
         network, servers = build_group(n=5, relay_count=2)
         servers[3].broadcaster.broadcast(Message(kind="commit"))
         network.crash("s3")
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         for server in servers:
             if server.pid != "s3":
                 assert server.consumed == ["commit"]
@@ -98,14 +98,14 @@ class TestBroadcastPrimitive:
         network, servers = build_group(n=4, relay_count=2)
         servers[0].broadcaster.broadcast(Message(kind="first"))
         servers[1].broadcaster.broadcast(Message(kind="second"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         for server in servers:
             assert sorted(server.consumed) == ["first", "second"]
 
     def test_broadcast_messages_carry_no_data_cost(self):
         network, servers = build_group(n=5, relay_count=2)
         servers[0].broadcaster.broadcast(Message(kind="commit", data_size=0.0))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert network.costs.total == 0.0
 
     def test_relay_set_must_be_group_members(self):

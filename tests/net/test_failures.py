@@ -22,7 +22,7 @@ class TestCrashSchedule:
         network = build_network(["a", "b", "c"])
         schedule = CrashSchedule().add("a", 1.0).add("c", 2.0)
         schedule.apply(network)
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert not network.alive("a")
         assert network.alive("b")
         assert not network.alive("c")
@@ -30,9 +30,9 @@ class TestCrashSchedule:
     def test_crash_happens_at_the_scheduled_time(self):
         network = build_network(["a"])
         CrashSchedule().add("a", 5.0).apply(network)
-        network.run(until=4.0)
+        network.kernel.run(until=4.0)
         assert network.alive("a")
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert not network.alive("a")
 
     def test_negative_time_rejected(self):

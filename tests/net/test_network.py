@@ -55,7 +55,7 @@ class TestDelivery:
         a, b = Echo("a"), Echo("b")
         network.register_all([a, b])
         network.send(a, "b", Message(kind="ping"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert len(b.received) == 1
         assert b.received[0][2] == pytest.approx(1.0)  # L1 <-> L1 link
 
@@ -64,7 +64,7 @@ class TestDelivery:
         client, server = Echo("c", link_class=CLIENT), Echo("s", reply=True)
         network.register_all([client, server])
         network.send(client, "s", Message(kind="request"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert server.received[0][2] == pytest.approx(2.0)
         assert client.received[0][2] == pytest.approx(4.0)  # round trip
 
@@ -75,7 +75,7 @@ class TestDelivery:
         network.register_all([fast, slow, target])
         network.send(slow, "t", Message(kind="first"))
         network.send(fast, "t", Message(kind="second"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         kinds = [message.kind for _, message, _ in target.received]
         assert kinds == ["second", "first"]
 
@@ -87,7 +87,7 @@ class TestCrashes:
         network.register_all([a, b])
         network.crash("b")
         network.send(a, "b", Message())
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert b.received == []
         assert network.dropped_to_crashed == 1
 
@@ -97,7 +97,7 @@ class TestCrashes:
         network.register_all([a, b])
         network.crash("a")
         a.send("b", Message())
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert b.received == []
 
     def test_message_in_flight_survives_sender_crash(self):
@@ -108,7 +108,7 @@ class TestCrashes:
         network.register_all([a, b])
         network.send(a, "b", Message(kind="survives"))
         network.crash("a")
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert [m.kind for _, m, _ in b.received] == ["survives"]
 
     def test_a_process_swapped_out_under_its_pid_stays_crashed(self):
@@ -124,7 +124,7 @@ class TestCrashes:
         replacement.attach(network)
         a.send("b", Message(kind="stale", data_size=1.0, op_id="old"))
         b.send("a", Message(kind="fresh"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert b.received == [] and a.received == []
         assert [m.kind for _, m, _ in replacement.received] == ["fresh"]
         assert (network.costs.messages_sent, network.costs.total) == (1, 0.0)
@@ -138,7 +138,7 @@ class TestCrashes:
         network.send(a, "b", Message(kind="early"))
         network.simulator.schedule(0.5, lambda: network.crash("b"))
         network.send(a, "b", Message(kind="late"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert b.received == []
 
 

@@ -56,7 +56,7 @@ class TestProcess:
         a, b = Recorder("a"), Recorder("b", link_class=CLIENT)
         network.register_all([a, b])
         a.send("b", Message(kind="hello"))
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert [message.kind for _, message in b.received] == ["hello"]
 
     def test_crashed_process_send_is_a_noop(self):
@@ -65,7 +65,7 @@ class TestProcess:
         network.register_all([a, b])
         a.crash()
         a.send("b", Message())
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert b.received == []
 
     def test_crash_records_time_and_is_idempotent(self):
@@ -84,7 +84,7 @@ class TestProcess:
         fired = []
         a.schedule(5.0, lambda: fired.append("ran"))
         a.crash()
-        network.run_until_idle()
+        network.kernel.run_until_idle()
         assert fired == []
 
     def test_repr_shows_status(self):

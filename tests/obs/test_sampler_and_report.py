@@ -14,7 +14,7 @@ from repro.sim import (
     ClusterSimulation,
     quorum_reads_under_lag,
 )
-from repro.sim.kernel import GlobalScheduler
+from repro.net.kernel import GlobalScheduler
 
 KEYS = [f"obj-{i}" for i in range(8)]
 POOLS = [f"pool-{i}" for i in range(3)]
@@ -24,7 +24,7 @@ INTERVAL = 20.0
 
 def _foreground_only_fingerprint() -> int:
     kernel = GlobalScheduler()
-    kernel.schedule(50.0, lambda: None)
+    kernel.simulator.schedule(50.0, lambda: None)
     kernel.run_until_idle()
     return kernel.fingerprint
 
@@ -32,7 +32,7 @@ def _foreground_only_fingerprint() -> int:
 class TestProbeSemantics:
     def test_probe_fires_without_touching_determinism_surface(self):
         kernel = GlobalScheduler()
-        kernel.schedule(50.0, lambda: None)
+        kernel.simulator.schedule(50.0, lambda: None)
 
         seen = []
         kernel.schedule_probe(10.0, lambda: seen.append(kernel.now))
@@ -47,7 +47,7 @@ class TestProbeSemantics:
 
     def test_probe_in_the_past_rejected(self):
         kernel = GlobalScheduler()
-        kernel.schedule(5.0, lambda: None)
+        kernel.simulator.schedule(5.0, lambda: None)
         kernel.run_until_idle()
         with pytest.raises(ValueError):
             kernel.schedule_probe(kernel.now - 1.0, lambda: None)
@@ -59,7 +59,7 @@ class TestProbeSemantics:
         assert not kernel.pending_work()
         assert [source.name for source in kernel.sources()][-1] \
             == TELEMETRY_SOURCE
-        kernel.schedule(1.0, lambda: None)
+        kernel.simulator.schedule(1.0, lambda: None)
         assert kernel.pending_work()
 
 

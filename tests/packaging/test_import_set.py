@@ -64,6 +64,7 @@ LDS_BENCH_IMPORT_SET = [
     "repro.gf.matrix",
     "repro.net",
     "repro.net.broadcast",
+    "repro.net.kernel",
     "repro.net.latency",
     "repro.net.messages",
     "repro.net.network",
@@ -73,7 +74,6 @@ LDS_BENCH_IMPORT_SET = [
     "repro.obs.registry",
     "repro.sim",
     "repro.sim.harness",
-    "repro.sim.kernel",
     "repro.sim.scenario",
     "repro.workloads",
     "repro.workloads.generator",
@@ -83,7 +83,7 @@ LDS_BENCH_IMPORT_SET = [
 #: registry, the baselines, the injection drills, the replica coordinator
 #: (built only when ``r > 1``), the sanitizer and the linter.
 NEVER_EAGER = ("repro.obs.", "repro.baselines", "repro.consistency.injection",
-               "repro.cluster.replicas", "repro.sim.sanitizer", "repro.lint")
+               "repro.cluster.replicas", "repro.net.sanitizer", "repro.lint")
 
 PROBE = """
 import json, sys

@@ -26,6 +26,11 @@ FORBIDDEN = {
 ALLOWED_ONLY = {
     "gf": set(),
     "codes": {"gf"},
+    # The event pump and its sanitizer live in net, so every register runs
+    # on them without importing sim.
+    "net": set(),
+    "core": {"gf", "codes", "net", "consistency"},
+    "baselines": {"gf", "codes", "core", "net", "consistency"},
 }
 
 

@@ -4,7 +4,8 @@ These are the Theorem IV.8 / IV.9 checks: for randomly generated
 invocation schedules, latency samples and crash patterns within the
 failure budgets, every operation of a non-faulty client completes and the
 resulting history is atomic (checked with ``check_atomicity`` and with the
-tag-free exhaustive search of the test oracle).
+tag-free exhaustive search of the test oracle).  Every example runs on a
+sanitized event pump, and a schedule replayed gives the same fingerprint.
 """
 
 import os
@@ -54,6 +55,7 @@ def run_schedule(schedule):
     system = LDSSystem(config, num_writers=2, num_readers=2,
                        latency_model=BoundedLatencyModel(tau0=1, tau1=1, tau2=5,
                                                          seed=latency_seed))
+    sanitizer = system.kernel.enable_sanitizer()
     # Well-formedness: serialise operations per client by spacing them out.
     next_free = {}
     spacing = 120.0
@@ -72,6 +74,7 @@ def run_schedule(schedule):
     if crash_l2:
         system.crash_l2(4, at=crash_time)
     system.run_until_idle()
+    assert sanitizer.ok and sanitizer.events_checked == system.kernel.events_processed
     return system
 
 
@@ -89,6 +92,13 @@ class TestRandomExecutions:
         system = run_schedule(schedule)
         history = system.history().complete()
         assert check_atomicity(history) is None
+
+    @settings(max_examples=10, deadline=None)
+    @given(schedules())
+    def test_a_replayed_schedule_gives_the_same_fingerprint(self, schedule):
+        first, second = run_schedule(schedule), run_schedule(schedule)
+        assert first.kernel.events_processed > 0
+        assert first.kernel.fingerprint == second.kernel.fingerprint
 
     @settings(max_examples=10, deadline=None)
     @given(schedules())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import LDSConfig
 from repro.core.system import LDSSystem
-from repro.sim.kernel import FOREGROUND_SOURCE, TELEMETRY_SOURCE, GlobalScheduler
+from repro.net.kernel import FOREGROUND_SOURCE, TELEMETRY_SOURCE, GlobalScheduler
 
 
 def _recorder(kernel, log, name):
@@ -23,20 +23,20 @@ class TestMergedOrdering:
         log = []
         kernel.simulator.schedule(1.0, _recorder(kernel, log, "a1"))
         kernel.simulator.schedule(5.0, _recorder(kernel, log, "a5"))
-        kernel.schedule(2.0, _recorder(kernel, log, "b2"))
+        kernel.simulator.schedule(2.0, _recorder(kernel, log, "b2"))
         kernel.schedule_at(4.0, _recorder(kernel, log, "b4"))
         kernel.run_until_idle()
         assert log == [("a1", 1.0), ("b2", 2.0), ("b4", 4.0), ("a5", 5.0)]
         assert kernel.stats.events_total == 4
 
     def test_a_source_born_late_keeps_its_own_timestamps(self):
-        # A shard built mid-run on the kernel's simulator stamps global
+        # A shard built mid-run on the kernel stamps global
         # times from its first operation: there is nothing to translate.
         kernel = GlobalScheduler()
         kernel.schedule_at(10.0, lambda: None)
         kernel.run_until_idle()
         system = LDSSystem(LDSConfig(n1=3, n2=4, f1=1, f2=1),
-                           simulator=kernel.simulator)
+                           kernel=kernel)
         result = system.write(b"late")
         assert result.invoked_at == 10.0 < result.responded_at == kernel.now
 
@@ -128,7 +128,7 @@ class TestProbeLoop:
     def test_never_moves_the_determinism_surface(self):
         def run(probed: bool) -> tuple:
             kernel = GlobalScheduler()
-            kernel.schedule_at(12.5, lambda: kernel.schedule(7.0, lambda: None))
+            kernel.schedule_at(12.5, lambda: kernel.simulator.schedule(7.0, lambda: None))
             if probed:
                 kernel.every(3.0, lambda at: None)
             kernel.run_until_idle()
@@ -222,7 +222,7 @@ class TestRunControl:
         with pytest.raises(ValueError):
             kernel.schedule_at(4.0, lambda: None)
         with pytest.raises(ValueError):
-            kernel.schedule(-1.0, lambda: None)
+            kernel.simulator.schedule(-1.0, lambda: None)
 
     def test_kernel_rejects_a_nan_time_on_both_queues(self):
         kernel = GlobalScheduler()
@@ -239,7 +239,7 @@ class TestStatsAndTrace:
             kernel = GlobalScheduler()
             kernel.simulator.schedule(1.5, lambda: kernel.simulator.schedule(
                 2.0, lambda: None))
-            kernel.schedule(2.5, lambda: None)
+            kernel.simulator.schedule(2.5, lambda: None)
             kernel.run_until_idle()
             return kernel.fingerprint
 

@@ -18,7 +18,7 @@ import zlib
 
 import pytest
 
-from repro.sim.kernel import GlobalScheduler, KernelStats
+from repro.net.kernel import GlobalScheduler, KernelStats
 
 
 class ReferencePump:

@@ -14,8 +14,8 @@ import pytest
 from repro.core.config import LDSConfig
 from repro.cluster.replicas import ReplicationConfig
 from repro.sim import ClusterSimulation, quorum_reads_under_lag
-from repro.sim.kernel import FOREGROUND_SOURCE, TELEMETRY_SOURCE, GlobalScheduler
-from repro.sim.sanitizer import (
+from repro.net.kernel import FOREGROUND_SOURCE, TELEMETRY_SOURCE, GlobalScheduler
+from repro.net.sanitizer import (
     CLOCK_REGRESSION,
     PAST_SCHEDULE,
     PENDING_LEAK,

@@ -58,8 +58,9 @@ class Network:
 
     def __init__(self, kernel: Optional[GlobalScheduler] = None,
                  latency_model: Optional[LatencyModel] = None) -> None:
-        #: The pump that runs this network's events; its heap and clock.
+        #: The pump that runs this network's events.
         self.kernel = kernel if kernel is not None else GlobalScheduler()
+        #: The pump's heap and clock, which :meth:`send` pushes onto.
         self.simulator = self.kernel.simulator
         self.latency_model = latency_model or FixedLatencyModel()
         self.processes: Dict[str, Process] = {}

@@ -45,7 +45,6 @@ from pathlib import Path
 import pytest
 
 from repro import ClusterSimulation, LDSConfig, ReplicationConfig
-from repro.cluster.read_policy import REPLICA_EPOCH
 from repro.consistency.history import READ
 from repro.consistency.sessions import split_object_id
 from repro.sim import (
@@ -117,19 +116,34 @@ def replica_digest(simulation) -> int:
     return zlib.crc32(repr(record).encode())
 
 
-def replica_results_digest(simulation) -> int:
+def replica_results_digest(simulation, handles) -> int:
     """CRC32 of what every completed replica read answers through
     ``result(handle)`` and ``operation_cost(handle)``, in handle order."""
     replicas = simulation.replicas
     digest = 0
-    for handle, (_key, epoch, _op_id) in simulation.router._handles.items():
-        result = replicas.result(handle) if epoch == REPLICA_EPOCH else None
+    for handle in handles:
+        result = replicas.result(handle)
         if result is not None:
             record = (handle, result.op_id, result.client_id, result.kind,
                       str(result.tag), result.value, repr(result.invoked_at),
                       repr(result.responded_at),
                       repr(replicas.operation_cost(handle)))
             digest = zlib.crc32(repr(record).encode(), digest)
+    return digest
+
+
+def results_digest(simulation, handles) -> int:
+    """CRC32 of what the router answers for every handle, in handle order:
+    ``result(handle)`` field by field and ``operation_cost(handle)``."""
+    router = simulation.router
+    digest = 0
+    for handle in handles:
+        result = router.result(handle)
+        fields = None if result is None else (
+            result.op_id, result.client_id, result.kind, str(result.tag),
+            result.value, repr(result.invoked_at), repr(result.responded_at))
+        record = (handle, fields, repr(router.operation_cost(handle)))
+        digest = zlib.crc32(repr(record).encode(), digest)
     return digest
 
 
@@ -184,18 +198,30 @@ REPLICA_RESULTS = {
     "forwarded-writes-during-failover": 3653397776,
 }
 
+#: workload -> results_digest of the smoke run: every handle, primary- and
+#: replica-served alike (recorded while every completed operation kept its
+#: own OperationResult beside its history record).
+RESULTS = {
+    "pump_small": 4187474172,
+    "regen_large": 259047792,
+    "write_heavy": 4236971628,
+    "replica_faults": 3553980355,
+}
+
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))
-def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
+def test_smoke_scale_run_is_unchanged(workload, monkeypatch, handed_out):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     from lds_bench import repetition
     from lds_bench.workloads import BY_NAME
 
     built = []
+    handles = []
     original = repetition.build
 
     def build(*args, **options):  # keeps the simulation run_repetition drops
         built.append(original(*args, **options))
+        handles.append(handed_out(built[-1][0].router))
         return built[-1]
 
     monkeypatch.setattr(repetition, "build", build)
@@ -212,8 +238,12 @@ def test_smoke_scale_run_is_unchanged(workload, monkeypatch):
         assert timed_digest(simulation.history()) == TIMED[workload]
     if workload in REPLICA_COUNTERS:
         assert replica_digest(simulation) == REPLICA_COUNTERS[workload]
+    [handles] = handles
+    assert len(handles) == exact["attempted"]
     if workload in REPLICA_RESULTS:
-        assert replica_results_digest(simulation) == REPLICA_RESULTS[workload]
+        assert replica_results_digest(simulation, handles) == \
+            REPLICA_RESULTS[workload]
+    assert results_digest(simulation, handles) == RESULTS[workload]
 
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))
@@ -344,25 +374,28 @@ RECORDED_SCENARIOS = {
 }
 
 
-def run_scenario(name: str) -> ClusterSimulation:
+def run_scenario(name: str, handed_out) -> tuple:
+    """The scenario's drained simulation, and every handle it handed out."""
     scenario, options = SCENARIOS[name]
     pools = POOLS if "replication" in options else POOLS[:2]
     simulation = ClusterSimulation(CONFIG, pools, sanitize=True, **options)
     simulation.ensure_shards(KEYS)
+    handles = handed_out(simulation.router)
     simulation.apply(scenario)
-    return simulation
+    return simulation, handles
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_shipped_scenario_is_unchanged(name):
-    simulation = run_scenario(name)
+def test_shipped_scenario_is_unchanged(name, handed_out):
+    simulation, handles = run_scenario(name, handed_out)
     assert simulation.kernel.sanitizer.ok
     assert simulation.audit().ok
     assert pinned(simulation) == RECORDED_SCENARIOS[name]
     if name in REPLICA_COUNTERS:
         assert replica_digest(simulation) == REPLICA_COUNTERS[name]
     if name in REPLICA_RESULTS:
-        assert replica_results_digest(simulation) == REPLICA_RESULTS[name]
+        assert replica_results_digest(simulation, handles) == \
+            REPLICA_RESULTS[name]
     if name == "migration-under-load":
         assert simulation.router.stats.migrations == 4
         assert simulation.router.incomplete_operations() == 0

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.read_policy import REPLICA_EPOCH
-
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 #: An L1 server's per-tag bookkeeping.
@@ -31,11 +29,13 @@ def containers(obj):
 
 
 @pytest.mark.parametrize("workload", sorted(LIST_TAGS))
-def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch):
+def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch,
+                                                       handed_out):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     from lds_bench.workloads import BY_NAME, build
 
     simulation, scenario, _attempted = build(BY_NAME[workload].scaled(1 / 40), 1)
+    handles = handed_out(simulation.router)
     simulation.apply(scenario)
     router = simulation.router
     systems = [shard.system for shard in router.shards.values()]
@@ -51,10 +51,8 @@ def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch):
 
     replicas = simulation.replicas
     if replicas is not None:
-        completed = {handle for handle, (_key, epoch, _op_id)
-                     in router._handles.items()
-                     if epoch == REPLICA_EPOCH
-                     and replicas.result(handle) is not None}
+        completed = {handle for handle in handles
+                     if replicas.result(handle) is not None}
         records = sum(len(completed & kept.keys())
                       for kept in containers(replicas) if isinstance(kept, dict))
         assert len(completed) == 210

@@ -18,14 +18,20 @@ no matter in which order the pools were added.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+try:
+    # The builtin module: importing hashlib would load _hashlib and map
+    # OpenSSL's libcrypto (~3.6 MiB) for this one function.
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - an interpreter built without it
+    from hashlib import blake2b
 
 
 def stable_hash(text: str) -> int:
     """A 64-bit hash of ``text`` that is stable across processes."""
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

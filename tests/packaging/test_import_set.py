@@ -11,7 +11,9 @@ interpreter then runs every workload at smoke scale and checks that no
 module is first imported inside the timed ``apply`` (that would move
 ``run_s`` instead), that the audit after it loads only the two checker
 modules (``peak_rss_mb`` is read after the audit), and that nothing along
-the way imported numpy: the runtime has no third-party dependency.
+the way imported numpy, the runtime's one would-be third-party dependency,
+nor ``hashlib``: its ``_hashlib`` maps OpenSSL's libcrypto, ~3.6 MiB of
+``peak_rss_mb``, and the key hashes need only the builtin ``_blake2``.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ before = set(sys.modules)
 simulation.audit()
 audited = sorted(set(sys.modules) - before)
 print(json.dumps({{"bare": bare, "imported": imported, "added": added,
-                  "audited": audited, "numpy": "numpy" in sys.modules}}))
+                  "audited": audited, "numpy": "numpy" in sys.modules,
+                  "hashlib": "hashlib" in sys.modules,
+                  "_hashlib": "_hashlib" in sys.modules}}))
 """
 
 #: What the first ``audit()`` after a run loads.
@@ -134,6 +138,8 @@ def test_lds_bench_loads_the_pinned_modules_and_apply_loads_none():
         "pump_small", "regen_large", "write_heavy", "replica_faults")}
     assert observed["audited"] == AUDIT_IMPORT_SET
     assert observed["numpy"] is False
+    assert observed["hashlib"] is False
+    assert observed["_hashlib"] is False
 
 
 def test_the_pin_excludes_what_a_run_never_executes():

@@ -140,13 +140,5 @@ class Network:
             return
         process.on_message(sender, message)
 
-    # -- execution ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Invoke the ``on_start`` hook of every registered process."""
-        for process in self.processes.values():
-            if not process.crashed:
-                process.on_start()
-
 
 __all__ = ["Network", "CommunicationCostTracker"]

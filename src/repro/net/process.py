@@ -75,9 +75,6 @@ class Process:
         """Handle a delivered message.  Subclasses override this."""
         raise NotImplementedError
 
-    def on_start(self) -> None:
-        """Hook invoked once when the simulation starts; optional."""
-
     def __repr__(self) -> str:
         status = "crashed" if self.crashed else "alive"
         return f"{type(self).__name__}(pid={self.pid!r}, {status})"

@@ -92,16 +92,3 @@ class TestProcess:
         assert "alive" in repr(process)
         process.crashed = True
         assert "crashed" in repr(process)
-
-    def test_on_start_hook_called_by_network(self):
-        class Starter(Recorder):
-            started = False
-
-            def on_start(self):
-                self.started = True
-
-        network = Network(latency_model=FixedLatencyModel())
-        starter = Starter("s")
-        network.register(starter)
-        network.start()
-        assert starter.started

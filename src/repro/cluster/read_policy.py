@@ -27,11 +27,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-#: Sentinel epoch marking a router handle owned by the replica layer
-#: (a follower-served or quorum read, or a forwarded write in flight, with
-#: no LDS op id yet).
-REPLICA_EPOCH = "replica"
-
 #: Replica-group states.
 NORMAL = "normal"
 FAILING_OVER = "failing-over"

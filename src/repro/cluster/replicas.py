@@ -85,7 +85,7 @@ from repro.cluster.membership import (
 )
 from repro.cluster.placement import DROP_FOLLOWER
 from repro.cluster.read_policy import (  # re-exported (see __all__)
-    FAILING_OVER, NORMAL, REPLICA_EPOCH, UNSERVICEABLE, LeastLoadedPolicy,
+    FAILING_OVER, NORMAL, UNSERVICEABLE, LeastLoadedPolicy,
     NearestPolicy, PrimaryOnlyPolicy, QuorumReadPolicy, ReadRoutingPolicy,
     ReplicaView, ReplicationConfig, RoundRobinPolicy, make_read_policy)
 from repro.cluster.ring import derive_seed
@@ -292,9 +292,13 @@ class ReplicaCoordinator:
         #: it responds, moves to the primary or strands; a stranded read
         #: never responds, so it pins no live-audit watermark.
         self._pending_reads: Dict[str, _ReplicaRead] = {}
-        #: Handle -> completed replica read, and how many store reads
-        #: answered it (1 for a follower serve, the depth of a quorum).
-        self._completed: Dict[str, Tuple[Operation, int]] = {}
+        #: Handle -> completed replica read: its group history's record.
+        self._completed: Dict[str, Operation] = {}
+        #: Store reads answering an undegraded replica read: 1 for a
+        #: follower serve, ``read_quorum`` for a quorum merge; and handle
+        #: -> depth of each completed merge that got fewer answers.
+        self._full_depth = 1 if self.read_quorum is None else self.read_quorum
+        self._shallow: Dict[str, int] = {}
         #: (label, reader) -> ``replica:<label>/reader-<reader>``.
         self._client_ids: Dict[Tuple[str, Union[int, str]], str] = {}
         #: Replica reads stranded by a crash or an unserviceable group.
@@ -430,7 +434,7 @@ class ReplicaCoordinator:
 
     def _on_primary_completion(self, group: ReplicaGroup, shard, epoch: int,
                                object_id: str, result: OperationResult) -> None:
-        session = self.router._op_sessions.get((object_id, result.op_id))
+        session = shard.system.recorder.completed[result.op_id].session
         version = (epoch, result.tag)
         self._bump_floor(session, group.key, version)
         if result.kind != WRITE:
@@ -534,7 +538,7 @@ class ReplicaCoordinator:
         """
         self.router.shard(key)  # also creates the group
         group = self.groups[key]
-        handle = self.router._new_handle(key, REPLICA_EPOCH)
+        handle = self.router._new_handle(key)
         now = self._now()
         # A late-scheduled arrival (nominal ``at`` already in the past)
         # dispatches at the clock, never before it -- on *every* path, so
@@ -693,7 +697,9 @@ class ReplicaCoordinator:
         )
         group.history.add(operation)
         self.router.notify_replica_completion(operation)
-        self._completed[read.handle] = (operation, legs)
+        self._completed[read.handle] = operation
+        if legs != self._full_depth:
+            self._shallow[read.handle] = legs
         del self._pending_reads[read.handle]
         self._bump_floor(read.session, group.key, version)
 
@@ -949,7 +955,7 @@ class ReplicaCoordinator:
             return self.router._queue_write(
                 key, value, writer=writer,
                 at=None if at is None else dispatch_at, session=session)
-        handle = self.router._new_handle(key, REPLICA_EPOCH)
+        handle = self.router._new_handle(key)
         self.router.stats.forwarded_writes += 1
         # Validation above plus the ingress discipline guarantee a live
         # follower store here (the primary case queued directly).
@@ -1006,16 +1012,15 @@ class ReplicaCoordinator:
     # -- results / accounting ----------------------------------------------------------
 
     def result(self, handle: str) -> Optional[OperationResult]:
-        op, _legs = self._completed.get(handle, (None, 0))
-        return None if op is None else OperationResult(
-            op.op_id, op.client_id, READ, op.tag, op.value, op.invoked_at,
-            op.responded_at)
+        op = self._completed.get(handle)
+        return None if op is None else OperationResult.of(op)
 
     def operation_cost(self, handle: str) -> float:
         """Cost of one served replica read (0 while pending or stranded):
         one store-read cost per merged quorum leg, or a single store-read
         cost for a follower serve."""
-        return self._completed.get(handle, (None, 0))[1] * TRANSFER_COST
+        depth = self._shallow.get(handle, self._full_depth)
+        return depth * TRANSFER_COST if handle in self._completed else 0.0
 
     def incomplete_reads(self) -> int:
         """Replica reads in flight (follower serves and quorum fan-outs)

@@ -21,9 +21,7 @@ import bisect
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-try:
-    # The builtin module: importing hashlib would load _hashlib and map
-    # OpenSSL's libcrypto (~3.6 MiB) for this one function.
+try:  # builtin: hashlib would load _hashlib, mapping OpenSSL (~3.6 MiB)
     from _blake2 import blake2b
 except ImportError:  # pragma: no cover - an interpreter built without it
     from hashlib import blake2b

@@ -53,11 +53,7 @@ from repro.cluster.placement import (
     diff_placements,
     diff_replica_placements,
 )
-from repro.cluster.read_policy import (
-    REPLICA_EPOCH,
-    ReadRoutingPolicy,
-    ReplicationConfig,
-)
+from repro.cluster.read_policy import ReadRoutingPolicy, ReplicationConfig
 from repro.cluster.ring import RingBalance, stable_hash
 from repro.consistency.history import (
     EPOCH_SUFFIX, History, Operation, READ, WRITE, join_object_id)
@@ -127,6 +123,9 @@ class Shard:
     #: batch is flushed after its nominal window already passed, e.g. the
     #: operations a migration or failover kept queued).
     time_shift: float = 0.0
+    #: handle -> op id of each operation flushed into this epoch: the key
+    #: of its one record in ``system.recorder``.
+    op_ids: Dict[str, str] = field(default_factory=dict)
 
     @property
     def object_id(self) -> str:
@@ -314,25 +313,19 @@ class ObjectRouter:
             )
         self._latency_factory = latency_factory
         self._shards: Dict[str, Shard] = {}
-        #: handle -> (key, epoch, lds op id); the op id is None until flushed.
-        self._handles: Dict[str, List] = {}
+        #: Handles are ``<key>/op-<n>``; each epoch maps the ones flushed
+        #: into it to op ids (``Shard.op_ids``).
         self._handle_counter = 0
-        #: (key, epoch) -> the system of a retired epoch, kept whole: its
+        #: (key, epoch) -> a retired epoch, its system kept whole: its
         #: protocol traffic (late L2 offloads) may still be queued, and
         #: still costs what it costs.
-        self._retired: Dict[tuple, LDSSystem] = {}
+        self._retired: Dict[tuple, Shard] = {}
         #: key -> the hand-off under way; the key is frozen meanwhile.
         self._handoffs: Dict[str, _Handoff] = {}
         #: (object_id, op_id) of the hand-off reads; excluded from the
         #: merged history so workload statistics only count foreground
         #: operations.
         self._internal_ops: set = set()
-        #: (object_id, op_id) -> session id.  Sessions are a *cluster-level*
-        #: identity (one logical client spanning keys, shards and epochs);
-        #: the per-shard systems know nothing about them, so the router
-        #: records the mapping at flush time and re-attaches it when
-        #: histories are merged.
-        self._op_sessions: Dict[tuple, str] = {}
         #: Callbacks invoked for every newly built shard (the repair
         #: scheduler uses this to cover shards born on degraded pools).
         self.shard_created_hooks: List[Callable[[Shard], None]] = []
@@ -485,11 +478,9 @@ class ObjectRouter:
 
     # -- invoking operations -----------------------------------------------------
 
-    def _new_handle(self, key: str, epoch: int) -> str:
+    def _new_handle(self, key: str) -> str:
         self._handle_counter += 1
-        handle = f"{key}/op-{self._handle_counter}"
-        self._handles[handle] = [key, epoch, None]
-        return handle
+        return f"{key}/op-{self._handle_counter}"
 
     def check_workload_clients(self, workload) -> None:
         """Reject a workload addressing more per-shard clients than exist.
@@ -552,15 +543,13 @@ class ObjectRouter:
         """
         shard = self.shard(key)
         if handle is None:
-            handle = self._new_handle(key, shard.epoch)
+            handle = self._new_handle(key)
             if self._trace is not None:
                 self._trace.begin_op(
                     handle, WRITE, key,
                     at if at is not None else self.kernel.now,
                     args={"writer": writer, "session": session},
                 )
-        else:
-            self._handles[handle][1] = shard.epoch
         shard.pending.append(_PendingOp(handle=handle, kind=WRITE, client=writer,
                                         at=at, value=bytes(value),
                                         session=session))
@@ -592,15 +581,13 @@ class ObjectRouter:
         """
         shard = self.shard(key)
         if handle is None:
-            handle = self._new_handle(key, shard.epoch)
+            handle = self._new_handle(key)
             if self._trace is not None:
                 self._trace.begin_op(
                     handle, READ, key,
                     at if at is not None else self.kernel.now,
                     args={"reader": reader, "session": session},
                 )
-        else:
-            self._handles[handle][1] = shard.epoch
         shard.pending.append(_PendingOp(handle=handle, kind=READ, client=reader,
                                         at=at, session=session))
         return handle
@@ -691,14 +678,9 @@ class ObjectRouter:
             # max() guards against floating-point rounding pushing the
             # earliest shifted time epsilon below the clock.
             at = None if op.at is None else max(op.at + shard.time_shift, now)
-            if op.kind == WRITE:
-                op_id = shard.system.invoke_write(op.value, writer=op.client,
-                                                  at=at)
-            else:
-                op_id = shard.system.invoke_read(reader=op.client, at=at)
-            self._handles[op.handle][2] = op_id
-            if op.session is not None:
-                self._op_sessions[(shard.object_id, op_id)] = op.session
+            op_id = shard.system._invoke(op.client, op.kind, op.value, at,
+                                         op.session)
+            shard.op_ids[op.handle] = op_id
             if self._trace is not None:
                 self._op_handles[(shard.object_id, op_id)] = op.handle
         self.stats.batches_flushed += 1
@@ -735,7 +717,7 @@ class ObjectRouter:
         return self._run_handle(handle)
 
     def _run_handle(self, handle: str) -> OperationResult:
-        key, _epoch, _ = self._handles[handle]
+        key = handle.rpartition("/op-")[0]
         shard = self._shards[key]
         self._flush_shard(shard)
         # Other shards' events must keep flowing while we wait, so pump the
@@ -754,42 +736,39 @@ class ObjectRouter:
 
     def result(self, handle: str) -> Optional[OperationResult]:
         """The completed result behind a handle, or None if still pending."""
-        key, epoch, op_id = self._resolve(handle)
-        if epoch == REPLICA_EPOCH:
-            return self.replicas.result(handle)
-        if op_id is None:
-            return None
-        system = self._system(key, epoch)
-        return None if system is None else system.results.get(op_id)
+        system, op_id = self._locate(handle)
+        if system is not None:
+            return system.results.get(op_id)
+        return None if self.replicas is None else self.replicas.result(handle)
 
-    def _system(self, key: str, epoch: int) -> Optional[LDSSystem]:
-        """The system of ``key``'s ``epoch``, live or retired."""
-        shard = self._shards.get(key)
-        if shard is not None and shard.epoch == epoch:
-            return shard.system
-        return self._retired.get((key, epoch))
-
-    def _resolve(self, handle: str) -> tuple:
-        entry = self._handles.get(handle)
-        if entry is None:
+    def _locate(self, handle: str) -> tuple:
+        """``(system, op id)`` of the epoch the handle was flushed into,
+        newest epoch first, or ``(None, None)`` while it is queued, or
+        served by the replica layer."""
+        shard = self._shards.get(handle.rpartition("/op-")[0])
+        if shard is None:
             raise KeyError(f"unknown operation handle {handle!r}")
-        return entry[0], entry[1], entry[2]
+        for epoch in range(shard.epoch, -1, -1):
+            flushed = self._retired.get((shard.key, epoch), shard)
+            if handle in flushed.op_ids:
+                return flushed.system, flushed.op_ids[handle]
+        return None, None
 
     def operation_cost(self, handle: str) -> float:
         """Normalised communication cost attributed to one routed operation."""
-        key, epoch, op_id = self._resolve(handle)
-        if epoch == REPLICA_EPOCH:
-            return self.replicas.operation_cost(handle)
-        system = None if op_id is None else self._system(key, epoch)
-        return 0.0 if system is None else system.operation_cost(op_id)
+        system, op_id = self._locate(handle)
+        if system is not None:
+            return system.operation_cost(op_id)
+        return 0.0 if self.replicas is None else \
+            self.replicas.operation_cost(handle)
 
     @property
     def communication_cost(self) -> float:
         """Total normalised communication cost across all shards and epochs
         (replication fan-out and follower-read transfers included)."""
         replica_cost = 0.0 if self.replicas is None else self.replicas.total_cost
-        retired_cost = sum(system.communication_cost
-                           for system in self._retired.values())
+        retired_cost = sum(shard.system.communication_cost
+                           for shard in self._retired.values())
         return retired_cost + replica_cost + sum(
             shard.system.communication_cost for shard in self._shards.values()
         )
@@ -803,7 +782,7 @@ class ObjectRouter:
         the merged history stays collision-free and well-formed (every shard
         has clients named ``writer-0`` etc.).  The *session* identity is
         deliberately not qualified: it is the cross-shard client identity
-        recorded at invocation time, re-attached here so the session
+        each record carries from its invocation, so the session
         auditor can follow one logical client across keys, shards and
         migration epochs.  The merged history is meant for latency /
         throughput summaries and session auditing, so it leaves the
@@ -825,7 +804,6 @@ class ObjectRouter:
                     op,
                     op_id=f"{op.object_id}/{op.op_id}",
                     client_id=f"{op.object_id}/{op.client_id}",
-                    session=self._op_sessions.get((op.object_id, op.op_id)),
                 ))
         if self.replicas is not None:
             # Follower-served reads carry their session identity already
@@ -1078,18 +1056,18 @@ class ObjectRouter:
         shard = handoff.shard
         key = shard.key
         del self._handoffs[key]
-        self._retired[(key, shard.epoch)] = shard.system
+        self._retired[(key, shard.epoch)] = shard
         replacement = self._build_shard(key, pool, epoch=shard.epoch + 1,
                                         initial_value=read.value)
         replacement.retired_histories = shard.retired_histories + [history]
         replacement.handoffs = shard.handoffs + [read]
         replacement.pending, shard.pending = shard.pending, []
-        for op in replacement.pending:
-            self._handles[op.handle][1] = replacement.epoch
-            if self._trace is not None and op.at is not None:
-                self._trace.child_span(op.handle, "freeze-wait", "router",
-                                       op.at, self.kernel.now,
-                                       args={"promoted": pool})
+        if self._trace is not None:
+            for op in replacement.pending:
+                if op.at is not None:
+                    self._trace.child_span(op.handle, "freeze-wait", "router",
+                                           op.at, self.kernel.now,
+                                           args={"promoted": pool})
         self._shards[key] = replacement
         self._announce_shard(replacement)
         if self.replicas is not None:

@@ -179,17 +179,18 @@ class OperationRecorder:
 
     def __init__(self, initial_value: Any = None) -> None:
         self._pending: Dict[str, Operation] = {}
-        self._completed: List[Operation] = []
+        #: op id -> each completed operation's one record, in response order.
+        self.completed: Dict[str, Operation] = {}
         self.initial_value = initial_value
 
     def invoke(self, op_id: str, client_id: str, kind: str, object_id: str,
-               value: Any, time: float) -> None:
+               value: Any, time: float, session: Optional[str] = None) -> None:
         """Record the invocation step of an operation."""
         if op_id in self._pending:
             raise ValueError(f"operation {op_id!r} already invoked")
         self._pending[op_id] = Operation(
             op_id=op_id, client_id=client_id, kind=kind, object_id=object_id,
-            value=value, invoked_at=time,
+            value=value, invoked_at=time, session=session,
         )
 
     def respond(self, op_id: str, time: float, value: Any = None, tag: Any = None) -> None:
@@ -203,7 +204,7 @@ class OperationRecorder:
         updates = {"responded_at": time, "tag": tag}
         if pending.kind == READ and value is not None:
             updates["value"] = value
-        self._completed.append(replace(pending, **updates))
+        self.completed[op_id] = replace(pending, **updates)
 
     @property
     def incomplete_count(self) -> int:
@@ -215,7 +216,7 @@ class OperationRecorder:
 
     def history(self) -> History:
         """Build the history of all operations recorded so far."""
-        operations = self._completed + list(self._pending.values())
+        operations = [*self.completed.values(), *self._pending.values()]
         operations.sort(key=lambda op: op.invoked_at)
         return History(operations, initial_value=self.initial_value)
 

@@ -3,9 +3,11 @@ lifecycle that builds them."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Optional, Set
+from typing import Callable, Dict, Iterator, Optional, Set
 
+from repro.consistency.history import Operation
 from repro.core.tags import Tag
 from repro.net.latency import CLIENT
 from repro.net.process import Process
@@ -37,6 +39,30 @@ class OperationResult:
     def duration(self) -> float:
         """Operation latency in virtual time units."""
         return self.responded_at - self.invoked_at
+
+    @classmethod
+    def of(cls, operation: Operation) -> "OperationResult":
+        """The result a completed history record stands for."""
+        return cls(operation.op_id, operation.client_id, operation.kind,
+                   operation.tag, operation.value, operation.invoked_at,
+                   operation.responded_at)
+
+
+class Results(Mapping):
+    """``op_id -> OperationResult``, read-only, over a recorder's completed
+    records: each lookup builds the result from the one record kept."""
+
+    def __init__(self, completed: Dict[str, Operation]) -> None:
+        self._completed = completed
+
+    def __getitem__(self, op_id: str) -> OperationResult:
+        return OperationResult.of(self._completed[op_id])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._completed)
+
+    def __len__(self) -> int:
+        return len(self._completed)
 
 
 CompletionCallback = Callable[[OperationResult], None]
@@ -101,4 +127,4 @@ class Client(Process):
             callback(result)
 
 
-__all__ = ["Client", "CompletionCallback", "OperationResult"]
+__all__ = ["Client", "CompletionCallback", "OperationResult", "Results"]

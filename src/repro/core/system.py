@@ -22,14 +22,14 @@ is one instance per object on a shared ``kernel``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, TypeVar, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, TypeVar, Union
 
 from repro.codes.layered import LayeredCode
 from repro.consistency.history import History, OperationRecorder, READ, WRITE
 from repro.core.config import LDSConfig
 from repro.core.costs import StorageCostTracker
 from repro.core.reader import Reader
-from repro.core.results import Client, OperationResult
+from repro.core.results import Client, OperationResult, Results
 from repro.core.server_l1 import L1Server
 from repro.core.server_l2 import L2Server
 from repro.core.tags import Tag
@@ -62,7 +62,8 @@ class RegisterSystem:
         #: by every object of a fleet or a cluster.
         self.kernel = self.network.kernel
         self.recorder = OperationRecorder(initial_value=initial_value)
-        self.results: Dict[str, OperationResult] = {}
+        #: op id -> result of each completed operation, built on lookup.
+        self.results: Mapping[str, OperationResult] = Results(self.recorder.completed)
         #: (client pid, kind) -> operation ids allocated so far.
         self._op_sequences: Dict[tuple, int] = {}
         #: Callbacks invoked (synchronously, at the response event) for
@@ -90,7 +91,6 @@ class RegisterSystem:
         raise KeyError(f"unknown client {selector!r}")
 
     def _record_completion(self, result: OperationResult) -> None:
-        self.results[result.op_id] = result
         self.recorder.respond(
             result.op_id, time=result.responded_at,
             value=result.value if result.kind == READ else None,
@@ -121,15 +121,18 @@ class RegisterSystem:
         When ``at`` is given, the invocation step happens at that virtual
         time; otherwise it happens at the current virtual time.
         """
-        return self._invoke(self._client(self.writers, writer), WRITE, bytes(value), at)
+        return self._invoke(writer, WRITE, bytes(value), at)
 
     def invoke_read(self, reader: Union[int, str] = 0,
                     at: Optional[float] = None) -> str:
         """Invoke (or schedule) a read; returns the operation id."""
-        return self._invoke(self._client(self.readers, reader), READ, None, at)
+        return self._invoke(reader, READ, None, at)
 
-    def _invoke(self, client, kind: str, value: Optional[bytes],
-                at: Optional[float]) -> str:
+    def _invoke(self, selector: Union[int, str], kind: str, value: Optional[bytes],
+                at: Optional[float], session: Optional[str] = None) -> str:
+        """Invoke on the selected client; the router passes a ``session``."""
+        client = self._client(self.writers if kind == WRITE else self.readers,
+                              selector)
         op_id = self._allocate_op_id(client.pid, kind)
 
         def start() -> None:
@@ -140,6 +143,7 @@ class RegisterSystem:
             self.recorder.invoke(
                 op_id, client_id=client.pid, kind=kind,
                 object_id=self.object_id, value=value, time=self.kernel.simulator.now,
+                session=session,
             )
 
         if at is None:
@@ -160,13 +164,14 @@ class RegisterSystem:
 
     def run_until_complete(self, op_id: str, max_events: int = 10_000_000) -> OperationResult:
         """Run until the given operation completes; raises if it never does."""
-        result = self.kernel.run_until(lambda: self.results.get(op_id), max_events)
-        if result is None:
+        completed = self.recorder.completed
+        record = self.kernel.run_until(lambda: completed.get(op_id), max_events)
+        if record is None:
             raise self.incomplete_error(
                 f"operation {op_id} did not complete within the event budget"
                 if self.kernel.pending_work() else
                 f"operation {op_id} did not complete (no pending events remain)")
-        return result
+        return OperationResult.of(record)
 
     def crash_budgets(self) -> List[tuple]:
         """``(servers' name, servers, budget name, allowed crashes)`` per
@@ -204,7 +209,7 @@ class RegisterSystem:
     @property
     def operations_in_flight(self) -> int:
         """Operations invoked or scheduled that have not responded yet."""
-        return sum(self._op_sequences.values()) - len(self.results)
+        return sum(self._op_sequences.values()) - len(self.recorder.completed)
 
     def operation_cost(self, op_id: str) -> float:
         """Normalised communication cost attributed to one operation.

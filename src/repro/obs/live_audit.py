@@ -42,9 +42,9 @@ enforces exactly this).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import List, Optional
 
-from repro.consistency.history import Operation
 from repro.consistency.sessions import (
     SessionAuditReport, StreamingSessionAuditor)
 from repro.obs.registry import MetricsRegistry
@@ -117,7 +117,6 @@ class LiveAuditProbe:
             return
         router = self.simulation.router
         internal = router._internal_ops
-        sessions = router._op_sessions
         buffered, self._buffer = self._buffer, []
         for shard, payload in buffered:
             if shard is None:
@@ -125,18 +124,12 @@ class LiveAuditProbe:
                 self.auditor.consume(payload)
                 continue
             object_id = shard.object_id
-            result = payload
-            if (object_id, result.op_id) in internal:
+            if (object_id, payload.op_id) in internal:
                 continue  # migration copy reads are not client traffic
-            self.auditor.consume(Operation(
-                op_id=f"{object_id}/{result.op_id}",
-                client_id=f"{object_id}/{result.client_id}",
-                kind=result.kind, object_id=object_id, value=result.value,
-                invoked_at=result.invoked_at,
-                responded_at=result.responded_at,
-                tag=result.tag,
-                session=sessions.get((object_id, result.op_id)),
-            ))
+            record = shard.system.recorder.completed[payload.op_id]
+            self.auditor.consume(replace(
+                record, op_id=f"{object_id}/{record.op_id}",
+                client_id=f"{object_id}/{record.client_id}"))
 
     # -- watermarks ---------------------------------------------------------------
 
@@ -228,7 +221,6 @@ class LiveAuditProbe:
         eligibility rules applied to everything the feed never delivers."""
         router = self.simulation.router
         internal = router._internal_ops
-        sessions = router._op_sessions
         unsessioned = 0
         unlinearized = 0
 
@@ -247,11 +239,9 @@ class LiveAuditProbe:
             for history in shard.retired_histories:
                 for op in history:
                     if not op.is_complete:
-                        count(op.object_id, op.op_id,
-                              sessions.get((op.object_id, op.op_id)))
+                        count(op.object_id, op.op_id, op.session)
             for op in shard.system.recorder.pending_operations():
-                count(op.object_id, op.op_id,
-                      sessions.get((op.object_id, op.op_id)))
+                count(op.object_id, op.op_id, op.session)
         replicas = self.simulation.replicas
         if replicas is not None:
             for history in replicas.histories():

@@ -6,6 +6,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from repro.consistency.history import READ, WRITE
@@ -45,7 +46,13 @@ class ScheduledOperation:
         default pairing writer ``i`` and reader ``i`` as one logical client)."""
         if self.session is not None:
             return self.session
-        return f"client-{self.client_index}"
+        return _client_session(self.client_index)
+
+
+@lru_cache(maxsize=None)
+def _client_session(client_index: int) -> str:
+    """``client-<i>``, built once per client, not once per arrival."""
+    return f"client-{client_index}"
 
 
 @dataclass

@@ -1,18 +1,24 @@
-"""A deterministic guard on the protocol state a drained run keeps.
+"""A deterministic guard on the state a drained run keeps.
 
 The memory twin of ``test_message_path_budget.py``: after ``apply()``
 drains a workload at smoke scale, every L1 server of every epoch has
 forgotten its finished broadcasts and its per-tag commit, ack, operation-id
-and write-ack bookkeeping, and the replica layer keeps one record per
-completed read (what ``result(handle)`` and ``operation_cost(handle)``
-answer from).  What the paper keeps for good stays: every tag in each
-list L, as metadata.  A map that grows with the length of a run rather
-than with the work in flight fails here.
+and write-ack bookkeeping.  Each completed operation is one history record,
+whichever layer served it -- what ``result(handle)`` and
+``operation_cost(handle)`` answer from -- and each client's id is one
+string.  What the paper keeps for good stays: every tag in each list L, as
+metadata.  A map that grows with the length of a run rather than with the
+work in flight fails here.
 """
 
+import gc
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import pytest
+
+from repro.consistency.history import REPLICA_CLIENT_PREFIX, Operation
+from repro.core.results import OperationResult
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -22,24 +28,55 @@ PER_TAG = ("commit_counter", "_acked_tags", "_tag_op_ids", "write_counter")
 #: workload -> tags in the lists L of all L1 servers together, at idle.
 LIST_TAGS = {"pump_small": 370, "replica_faults": 405}
 
+#: workload -> reads the replica layer served (follower or quorum).
+REPLICA_SERVED = {"pump_small": 0, "replica_faults": 210}
+
 
 def containers(obj):
     """Every dict and set ``obj`` holds as an attribute."""
     return [value for value in vars(obj).values() if isinstance(value, (dict, set))]
 
 
-@pytest.mark.parametrize("workload", sorted(LIST_TAGS))
-def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch,
-                                                       handed_out):
+def drained(workload, monkeypatch, handed_out):
+    """The smoke run of ``workload``, applied, and every handle it handed
+    out."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     from lds_bench.workloads import BY_NAME, build
 
     simulation, scenario, _attempted = build(BY_NAME[workload].scaled(1 / 40), 1)
     handles = handed_out(simulation.router)
     simulation.apply(scenario)
+    return simulation, handles
+
+
+def reachable(root) -> list:
+    """Every object ``root`` reaches, once each, without walking into
+    classes, modules or a function's globals."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (type, ModuleType)):
+            continue
+        if isinstance(obj, FunctionType):
+            refs = [*(cell.cell_contents for cell in obj.__closure__ or ()),
+                    *(obj.__defaults__ or ())]
+        else:
+            refs = gc.get_referents(obj)
+        for ref in refs:
+            if id(ref) not in seen:
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("workload", sorted(LIST_TAGS))
+def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch,
+                                                       handed_out):
+    simulation, _handles = drained(workload, monkeypatch, handed_out)
     router = simulation.router
     systems = [shard.system for shard in router.shards.values()]
-    systems += router._retired.values()
+    systems += [shard.system for shard in router._retired.values()]
     servers = [server for system in systems for server in system.l1_servers]
 
     assert sum(len(kept) for server in servers
@@ -49,11 +86,49 @@ def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch,
     assert sum(len(server.list_storage) for server in servers) == \
         LIST_TAGS[workload]
 
+
+@pytest.mark.parametrize("workload", sorted(LIST_TAGS))
+def test_a_drained_run_keeps_one_record_per_operation(workload, monkeypatch,
+                                                      handed_out):
+    simulation, handles = drained(workload, monkeypatch, handed_out)
+    router = simulation.router
+    kept = reachable(simulation)
+    history = simulation.history()
+    assert all(op.responded_at is not None for op in history)
+    # One Operation per completed operation -- the history's own record --
+    # plus each epoch hand-off read, and no OperationResult beside it.
+    records = [obj for obj in kept if isinstance(obj, Operation)]
+    assert len(records) == len(history) + len(router._internal_ops)
+    assert not [obj for obj in kept if isinstance(obj, OperationResult)]
+    # The router maps a flushed handle to the op id its epoch's recorder
+    # files the record under: that very string, not a copy or a list.
+    shards = [*router.shards.values(), *router._retired.values()]
+    for shard in shards:
+        ids = {op_id: op_id for op_id in shard.system.recorder.completed}
+        assert all(ids[op_id] is op_id for op_id in shard.op_ids.values())
+    flushed = sum(len(shard.op_ids) for shard in shards)
     replicas = simulation.replicas
+    served = {}
+    prefixes = ["client-"]
     if replicas is not None:
-        completed = {handle for handle in handles
-                     if replicas.result(handle) is not None}
-        records = sum(len(completed & kept.keys())
-                      for kept in containers(replicas) if isinstance(kept, dict))
-        assert len(completed) == 210
-        assert records == len(completed)
+        # A replica-served read's handle maps to its record in the group's
+        # history.  No other map keeps the handle, but for the depth of a
+        # degraded quorum merge.
+        served = replicas._completed
+        in_history = {id(op) for history in replicas.histories()
+                      for op in history}
+        assert all(id(op) in in_history for op in served.values())
+        assert set(replicas._shallow) <= set(served)
+        assert sum(len(served.keys() & kept.keys())
+                   for kept in containers(replicas)
+                   if isinstance(kept, dict)) == \
+            len(served) + len(replicas._shallow)
+        prefixes.append(REPLICA_CLIENT_PREFIX)
+    assert len(served) == REPLICA_SERVED[workload]
+    assert flushed + len(served) == len(handles)
+    # One id string per client: the session a default client's arrivals
+    # share, and a replica-served read's client id.
+    for prefix in prefixes:
+        ids = [obj for obj in kept
+               if isinstance(obj, str) and obj.startswith(prefix)]
+        assert ids and len(ids) == len(set(ids))

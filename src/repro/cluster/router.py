@@ -736,29 +736,29 @@ class ObjectRouter:
 
     def result(self, handle: str) -> Optional[OperationResult]:
         """The completed result behind a handle, or None if still pending."""
-        system, op_id = self._locate(handle)
-        if system is not None:
-            return system.results.get(op_id)
-        return None if self.replicas is None else self.replicas.result(handle)
+        epoch = self._flushed_into(handle)
+        if epoch is None:
+            return None if self.replicas is None else self.replicas.result(handle)
+        record = epoch.system.recorder.completed.get(epoch.op_ids[handle])
+        return None if record is None else OperationResult.of(record)
 
-    def _locate(self, handle: str) -> tuple:
-        """``(system, op id)`` of the epoch the handle was flushed into,
-        newest epoch first, or ``(None, None)`` while it is queued, or
-        served by the replica layer."""
+    def _flushed_into(self, handle: str) -> Optional[Shard]:
+        """The epoch ``handle`` was flushed into, newest first; None while
+        it is queued, or served by the replica layer."""
         shard = self._shards.get(handle.rpartition("/op-")[0])
         if shard is None:
             raise KeyError(f"unknown operation handle {handle!r}")
         for epoch in range(shard.epoch, -1, -1):
             flushed = self._retired.get((shard.key, epoch), shard)
             if handle in flushed.op_ids:
-                return flushed.system, flushed.op_ids[handle]
-        return None, None
+                return flushed
+        return None
 
     def operation_cost(self, handle: str) -> float:
         """Normalised communication cost attributed to one routed operation."""
-        system, op_id = self._locate(handle)
-        if system is not None:
-            return system.operation_cost(op_id)
+        epoch = self._flushed_into(handle)
+        if epoch is not None:
+            return epoch.system.operation_cost(epoch.op_ids[handle])
         return 0.0 if self.replicas is None else \
             self.replicas.operation_cost(handle)
 

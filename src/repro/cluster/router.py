@@ -736,10 +736,10 @@ class ObjectRouter:
 
     def result(self, handle: str) -> Optional[OperationResult]:
         """The completed result behind a handle, or None if still pending."""
-        epoch = self._flushed_into(handle)
-        if epoch is None:
+        flushed = self._flushed_into(handle)
+        if flushed is None:
             return None if self.replicas is None else self.replicas.result(handle)
-        record = epoch.system.recorder.completed.get(epoch.op_ids[handle])
+        record = flushed.system.recorder.completed.get(flushed.op_ids[handle])
         return None if record is None else OperationResult.of(record)
 
     def _flushed_into(self, handle: str) -> Optional[Shard]:
@@ -756,9 +756,9 @@ class ObjectRouter:
 
     def operation_cost(self, handle: str) -> float:
         """Normalised communication cost attributed to one routed operation."""
-        epoch = self._flushed_into(handle)
-        if epoch is not None:
-            return epoch.system.operation_cost(epoch.op_ids[handle])
+        flushed = self._flushed_into(handle)
+        if flushed is not None:
+            return flushed.system.operation_cost(flushed.op_ids[handle])
         return 0.0 if self.replicas is None else \
             self.replicas.operation_cost(handle)
 
@@ -1062,12 +1062,11 @@ class ObjectRouter:
         replacement.retired_histories = shard.retired_histories + [history]
         replacement.handoffs = shard.handoffs + [read]
         replacement.pending, shard.pending = shard.pending, []
-        if self._trace is not None:
-            for op in replacement.pending:
-                if op.at is not None:
-                    self._trace.child_span(op.handle, "freeze-wait", "router",
-                                           op.at, self.kernel.now,
-                                           args={"promoted": pool})
+        for op in replacement.pending:
+            if self._trace is not None and op.at is not None:
+                self._trace.child_span(op.handle, "freeze-wait", "router",
+                                       op.at, self.kernel.now,
+                                       args={"promoted": pool})
         self._shards[key] = replacement
         self._announce_shard(replacement)
         if self.replicas is not None:

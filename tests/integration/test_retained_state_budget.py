@@ -119,9 +119,9 @@ def test_a_drained_run_keeps_one_record_per_operation(workload, monkeypatch,
                       for op in history}
         assert all(id(op) in in_history for op in served.values())
         assert set(replicas._shallow) <= set(served)
-        assert sum(len(served.keys() & kept.keys())
-                   for kept in containers(replicas)
-                   if isinstance(kept, dict)) == \
+        assert sum(len(served.keys() & held.keys())
+                   for held in containers(replicas)
+                   if isinstance(held, dict)) == \
             len(served) + len(replicas._shallow)
         prefixes.append(REPLICA_CLIENT_PREFIX)
     assert len(served) == REPLICA_SERVED[workload]

@@ -90,7 +90,8 @@ from repro.cluster.read_policy import (  # re-exported (see __all__)
     ReplicaView, ReplicationConfig, RoundRobinPolicy, make_read_policy)
 from repro.cluster.ring import derive_seed
 from repro.consistency.history import (
-    READ, REPLICA_CLIENT_PREFIX, WRITE, History, Operation, join_object_id)
+    READ, REPLICA_CLIENT_PREFIX, WRITE, History, Operation, join_object_id,
+    slotted)
 from repro.core.results import OperationResult
 from repro.core.tags import INITIAL_TAG, Tag
 
@@ -103,6 +104,7 @@ Version = Tuple[int, Tag]
 TRANSFER_COST = 1.0
 
 
+@slotted
 @dataclass(frozen=True)
 class ReplicaRecord:
     """One committed write in a group's replication log."""

@@ -316,6 +316,8 @@ class ObjectRouter:
         #: Handles are ``<key>/op-<n>``; each epoch maps the ones flushed
         #: into it to op ids (``Shard.op_ids``).
         self._handle_counter = 0
+        #: Arrivals of added workloads not yet on the kernel's queue.
+        self.arrivals_waiting = 0
         #: (key, epoch) -> a retired epoch, its system kept whole: its
         #: protocol traffic (late L2 offloads) may still be queued, and
         #: still costs what it costs.
@@ -611,6 +613,10 @@ class ObjectRouter:
         auditor groups by.  ``on_handle(kind, handle)`` is invoked for
         every injected operation so callers can collect handles for cost
         reporting.  Returns the number of arrivals scheduled.
+
+        One arrival is queued at a time, pushing the next as it fires, but
+        every arrival's sequence number is taken now, so ties break as if
+        all were queued now (the sampler counts them all as queued).
         """
         self.check_workload_clients(workload)
         operations = workload.sorted_operations()
@@ -622,19 +628,30 @@ class ObjectRouter:
                     "the global kernel routes by key; every operation of the "
                     "workload must carry one"
                 )
-        if operations:
-            start = max(start, self.kernel.now - operations[0].at)
-        for operation in operations:
-            # max() guards against floating-point rounding pushing the
-            # earliest shifted arrival epsilon below the global clock.
-            at = max(start + operation.at, self.kernel.now)
-            self.kernel.schedule_at(
-                at, lambda operation=operation, at=at:
-                    self._arrive(operation, at, on_handle)
-            )
+        if not operations:
+            return 0
+        simulator = self.kernel.simulator
+        floor = simulator.now
+        start = max(start, floor - operations[0].at)
+        arrivals = enumerate(operations, simulator.reserve(len(operations)))
+        self.arrivals_waiting += len(operations)
+
+        def push() -> None:
+            for sequence, operation in arrivals:  # the next one, if any
+                # max() guards against floating-point rounding pushing the
+                # earliest shifted arrival epsilon below the global clock.
+                at = max(start + operation.at, floor)
+                self.arrivals_waiting -= 1
+                simulator.schedule_reserved(
+                    at, sequence, lambda operation=operation, at=at:
+                        self._arrive(operation, at, on_handle, push))
+                return
+
+        push()
         return len(operations)
 
-    def _arrive(self, operation, at: float, on_handle=None) -> None:
+    def _arrive(self, operation, at: float, on_handle, push_next) -> None:
+        push_next()
         session = operation.session_id
         if operation.kind == WRITE:
             handle = self.invoke_write(operation.key, operation.value or b"",

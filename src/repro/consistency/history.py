@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional
 
 WRITE = "write"
@@ -24,6 +25,17 @@ READ = "read"
 REPLICA_CLIENT_PREFIX = "replica:"
 
 
+def slotted(cls):
+    """``dataclass(slots=True)`` for Python 3.9: rebuild dataclass ``cls``
+    with ``__slots__`` = its field names.  Apply it above ``@dataclass``."""
+    names = tuple(f.name for f in fields(cls))
+    namespace = {name: value for name, value in vars(cls).items()
+                 if name not in names + ("__dict__", "__weakref__")}
+    namespace.update(__slots__=names, __qualname__=cls.__qualname__)
+    return type(cls)(cls.__name__, cls.__bases__, namespace)
+
+
+@lru_cache(maxsize=None)
 def join_object_id(key: str, epoch: int) -> str:
     """``(key, n)`` -> ``key@e<n>``; the inverse of
     :func:`repro.consistency.sessions.split_object_id`.
@@ -41,6 +53,7 @@ def join_object_id(key: str, epoch: int) -> str:
 EPOCH_SUFFIX = re.compile(r"@e([0-9]+)$")
 
 
+@slotted
 @dataclass(frozen=True)
 class Operation:
     """One client operation in a history.

@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.consistency.history import slotted
 from repro.core.tags import Tag
 
 
+@slotted
 @dataclass
 class StorageEvent:
     """One change to an L1 temporary-storage list."""

@@ -31,6 +31,10 @@ from repro.core.tags import Tag
 from repro.net.messages import Message
 
 
+class UndecodableReadError(DecodingError):
+    """A read's k coded elements of one tag do not decode."""
+
+
 class Reader(Client):
     """A client that performs read operations against the L1 layer."""
 
@@ -128,17 +132,15 @@ class Reader(Client):
         if best_coded_tag is not None and (
             best_value_tag is None or best_coded_tag > best_value_tag
         ):
+            chosen_tag = best_coded_tag
             try:
-                value = self.code.decode_from_l1(decodable[best_coded_tag])
-            except DecodingError:
-                # Defensive: should not happen with consistent coded elements.
-                if best_value_tag is None:
-                    return
-                best_coded_tag = None
-                value = self._value_candidates[best_value_tag]
-                chosen_tag = best_value_tag
-            else:
-                chosen_tag = best_coded_tag
+                value = self.code.decode_from_l1(decodable[chosen_tag])
+            except DecodingError as error:
+                # A lower tag's value would be stale: fail loudly instead.
+                raise UndecodableReadError(
+                    f"{self.pid}: the coded elements of tag {chosen_tag} from L1 "
+                    f"servers {sorted(decodable[chosen_tag])} do not decode"
+                ) from error
         else:
             chosen_tag = best_value_tag
             value = self._value_candidates[best_value_tag]
@@ -167,4 +169,4 @@ class Reader(Client):
     }
 
 
-__all__ = ["Reader", "CompletionCallback"]
+__all__ = ["Reader", "CompletionCallback", "UndecodableReadError"]

@@ -64,6 +64,21 @@ class Simulator:
             raise ValueError("cannot schedule an event in the past")
         heappush(self._queue, [time, next(self._counter), callback])
 
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers; returns the first."""
+        first = next(self._counter)
+        self._counter = itertools.count(first + count)
+        return first
+
+    def schedule_reserved(self, time: float, sequence: int,
+                          callback: Callable[[], None]) -> None:
+        """:meth:`schedule_at` under ``sequence``, a number :meth:`reserve` took."""
+        counter, self._counter = self._counter, iter((sequence,))
+        try:
+            self.schedule_at(time, callback)
+        finally:
+            self._counter = counter
+
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or None when idle."""
         queue = self._queue

@@ -76,7 +76,8 @@ class ClusterSampler:
         router = self.simulation.router
         stats = router.stats
 
-        queue_total = self.simulation.kernel.simulator.pending_events
+        queue_total = (self.simulation.kernel.simulator.pending_events
+                       + router.arrivals_waiting)
 
         # Every figure below is an order-independent integer sum or
         # maximum, so the groups are walked in dict order, unsorted.

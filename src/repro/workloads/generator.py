@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
-from repro.consistency.history import READ, WRITE
+from repro.consistency.history import READ, WRITE, slotted
 
 
+@slotted
 @dataclass(frozen=True)
 class ScheduledOperation:
     """One operation scheduled at a virtual time on a named client.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import messages as msg
 from repro.core.config import LDSConfig
+from repro.core.reader import UndecodableReadError
 from repro.core.system import LDSSystem
 from repro.core.tags import Tag
 from repro.net.latency import FixedLatencyModel
@@ -164,6 +165,27 @@ class TestClientEdgeCases:
         assert result.client_id == "writer-1"
         with pytest.raises(KeyError):
             system.write(b"nope", writer="writer-99")
+
+    def test_reader_fails_loudly_on_coded_elements_that_do_not_decode(self):
+        system = build_system()
+        config = system.config
+        reader = system.readers[0]
+        reader.send = lambda destination, message: None  # type: ignore[assignment]
+        op_id = reader.read()
+        newer, older = Tag(5, "writer-0"), Tag(1, "writer-0")
+        for index in range(config.l1_quorum):
+            reader.on_message(config.l1_pid(index), msg.QueryCommittedTagResponse(
+                tag=newer, op_id=op_id))
+        # k elements of the newer tag, of unequal lengths, and an older
+        # value, which the reader must not return in their place.
+        for index in range(config.k):
+            reader.on_message(config.l1_pid(index), msg.QueryDataResponse(
+                tag=newer, coded_element=b"\x01" * (4 + index), op_id=op_id))
+        with pytest.raises(UndecodableReadError,
+                           match=r"reader-0: the coded elements of tag .* "
+                                 r"from L1 servers \[0, 1, 2\] do not decode"):
+            reader.on_message(config.l1_pid(config.k), msg.QueryDataResponse(
+                tag=older, value=b"stale", is_value=True, op_id=op_id))
 
     def test_alive_server_counts(self):
         system = build_system()

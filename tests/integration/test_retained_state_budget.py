@@ -8,17 +8,24 @@ whichever layer served it -- what ``result(handle)`` and
 ``operation_cost(handle)`` answer from -- and each client's id is one
 string.  What the paper keeps for good stays: every tag in each list L, as
 metadata.  A map that grows with the length of a run rather than with the
-work in flight fails here.
+work in flight fails here.  The records kept per operation are slotted,
+with no ``__dict__``, and still compare, hash, replace and validate as
+plain dataclasses do.
 """
 
 import gc
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import FunctionType, ModuleType
 
 import pytest
 
+from repro.cluster.replicas import ReplicaRecord
 from repro.consistency.history import REPLICA_CLIENT_PREFIX, Operation
+from repro.core.costs import StorageEvent
 from repro.core.results import OperationResult
+from repro.core.tags import Tag
+from repro.workloads.generator import ScheduledOperation
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -30,6 +37,22 @@ LIST_TAGS = {"pump_small": 370, "replica_faults": 405}
 
 #: workload -> reads the replica layer served (follower or quorum).
 REPLICA_SERVED = {"pump_small": 0, "replica_faults": 210}
+
+
+#: The records a run keeps one or more of per operation, each built twice
+#: from the same fields, with one field to replace and a value for it.
+TAG = Tag(3, "writer-0")
+RECORDS = {
+    "Operation": (lambda: Operation("obj/op-1", "writer-0", "write", value=b"v",
+                                    invoked_at=1.0, responded_at=2.0, tag=TAG),
+                  "responded_at", 4.0),
+    "ScheduledOperation": (lambda: ScheduledOperation("write", 1.0, value=b"v",
+                                                      key="obj"), "at", 4.0),
+    "ReplicaRecord": (lambda: ReplicaRecord(1, 2.0, 0, TAG, b"v"),
+                      "committed_at", 4.0),
+    "StorageEvent": (lambda: StorageEvent(1.0, "l1-0", TAG, "add", 1.0),
+                     "time", 4.0),
+}
 
 
 def containers(obj):
@@ -132,3 +155,34 @@ def test_a_drained_run_keeps_one_record_per_operation(workload, monkeypatch,
         ids = [obj for obj in kept
                if isinstance(obj, str) and obj.startswith(prefix)]
         assert ids and len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_per_operation_record_keeps_no_dict(name):
+    build, field, value = RECORDS[name]
+    record, twin = build(), build()
+    assert not hasattr(record, "__dict__")
+    assert type(record).__slots__ and type(record).__name__ == name
+    assert record == twin and record is not twin
+    changed = replace(record, **{field: value})
+    assert getattr(changed, field) == value and changed != record
+    assert replace(changed, **{field: getattr(record, field)}) == record
+    if name == "StorageEvent":
+        # Mutable, so unhashable, as a plain dataclass with eq is.
+        assert type(record).__hash__ is None
+        setattr(record, field, value)
+        assert record == changed
+    else:
+        assert hash(record) == hash(twin)
+        assert hash(changed) != hash(record)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, value)
+
+
+def test_a_slotted_record_still_validates_its_fields():
+    with pytest.raises(ValueError, match="kind must be 'read' or 'write'"):
+        replace(RECORDS["Operation"][0](), kind="scan")
+    with pytest.raises(ValueError, match="response cannot precede"):
+        replace(RECORDS["Operation"][0](), responded_at=0.5)
+    with pytest.raises(ValueError, match="scheduled in the past"):
+        replace(RECORDS["ScheduledOperation"][0](), at=-1.0)

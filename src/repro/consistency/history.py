@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional
 
 WRITE = "write"
@@ -31,11 +31,17 @@ def slotted(cls):
     names = tuple(f.name for f in fields(cls))
     namespace = {name: value for name, value in vars(cls).items()
                  if name not in names + ("__dict__", "__weakref__")}
-    namespace.update(__slots__=names, __qualname__=cls.__qualname__)
+    namespace.update(__slots__=names, __qualname__=cls.__qualname__,
+                     __setstate__=_set_fields)
     return type(cls)(cls.__name__, cls.__bases__, namespace)
 
 
-@lru_cache(maxsize=None)
+def _set_fields(record, state) -> None:
+    """Copy and unpickle restore a slotted record's fields, frozen or not."""
+    for name, value in state[1].items():
+        object.__setattr__(record, name, value)
+
+
 def join_object_id(key: str, epoch: int) -> str:
     """``(key, n)`` -> ``key@e<n>``; the inverse of
     :func:`repro.consistency.sessions.split_object_id`.
@@ -44,7 +50,7 @@ def join_object_id(key: str, epoch: int) -> str:
     router and the replica layer both build ids through it so the
     auditor's parse can never drift from the writers' format.
     """
-    return key if epoch == 0 else f"{key}@e{epoch}"
+    return key if epoch == 0 else sys.intern(f"{key}@e{epoch}")
 
 
 #: The epoch suffix ``@e<n>``, ``n`` in ASCII digits: the one grammar the

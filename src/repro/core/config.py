@@ -14,16 +14,10 @@ so that the L1 quorum size is ``f1 + k`` and the L2 quorum size is
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.codes.layered import LayeredCode
-
-
-@lru_cache(maxsize=None)
-def _pid(layer: str, index: int) -> str:
-    """``<layer>-<index>``, built once per server index, not per shard."""
-    return f"{layer}-{index}"
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,13 @@ class LDSConfig:
         """Process id of the ``index``-th L1 server (0-based)."""
         if not 0 <= index < self.n1:
             raise ValueError(f"L1 index {index} out of range")
-        return _pid("l1", index)
+        return sys.intern(f"l1-{index}")  # one string for every shard
 
     def l2_pid(self, index: int) -> str:
         """Process id of the ``index``-th L2 server (0-based)."""
         if not 0 <= index < self.n2:
             raise ValueError(f"L2 index {index} out of range")
-        return _pid("l2", index)
+        return sys.intern(f"l2-{index}")
 
     @property
     def l1_pids(self) -> list[str]:

@@ -9,11 +9,13 @@ whichever layer served it -- what ``result(handle)`` and
 string.  What the paper keeps for good stays: every tag in each list L, as
 metadata.  A map that grows with the length of a run rather than with the
 work in flight fails here.  The records kept per operation are slotted,
-with no ``__dict__``, and still compare, hash, replace and validate as
-plain dataclasses do.
+with no ``__dict__``, and still compare, hash, replace, copy, pickle and
+validate as plain dataclasses do.
 """
 
+import copy
 import gc
+import pickle
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import FunctionType, ModuleType
@@ -164,6 +166,9 @@ def test_a_per_operation_record_keeps_no_dict(name):
     assert not hasattr(record, "__dict__")
     assert type(record).__slots__ and type(record).__name__ == name
     assert record == twin and record is not twin
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record) and copied == record
     changed = replace(record, **{field: value})
     assert getattr(changed, field) == value and changed != record
     assert replace(changed, **{field: getattr(record, field)}) == record

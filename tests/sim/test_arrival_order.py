@@ -31,7 +31,7 @@ def _workload(key: str = "obj-0") -> Workload:
 def _run(tied_at=None):
     """Run the workload; ``tied_at`` adds a kernel event at that instant
     after ``add_workload`` returns.  Returns the order in which arrivals
-    and that event ran, and the merged history."""
+    and that event ran, the merged history and the kernel fingerprint."""
     simulation = ClusterSimulation(LDSConfig(n1=3, n2=4, f1=1, f2=1), POOLS,
                                    seed=1)
     kernel = simulation.kernel

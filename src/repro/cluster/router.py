@@ -43,7 +43,7 @@ next epoch starts from its value, so a key's epochs form one register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.cluster.membership import FAIL, L1_ROLE, Membership, MembershipEvent
@@ -61,7 +61,6 @@ from repro.core.config import LDSConfig
 from repro.core.results import OperationResult
 from repro.core.system import LDSSystem
 from repro.net.latency import BoundedLatencyModel, LatencyModel
-from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.replicas import ReplicaCoordinator
@@ -132,25 +131,21 @@ class Shard:
         return self.system.object_id
 
 
+@dataclass
 class RouterStats:
     """Counters describing the router's batching, migration and (with
     replica groups) read-routing activity.
 
-    Since the observability PR this is a *thin attribute view over the
-    metrics registry* (:mod:`repro.obs.registry`): every counter lives as
-    a ``router_*`` instrument on ``registry`` -- the shared telemetry
-    registry when the cluster runs with one, a private registry otherwise
-    -- so all router counters export through the registry's single
-    collect/to_dict path.  The historical attribute API is preserved
-    exactly: scalar counters read and assign like plain ints (``stats.
-    arrivals += 1``), and the dict-shaped series (``reads_by_replica``,
-    ``quorum_depths``) read as plain dicts and accept whole-dict
-    assignment, backed by labeled counter families.
+    Plain ints and dicts, like :class:`~repro.cluster.repair.RepairStats`:
+    the router never calls into the observability layer.  With telemetry
+    on, :meth:`repro.obs.telemetry.Telemetry.attach` registers one
+    read-through ``router_*`` instrument per field, so the registry reads
+    these values at export time.
 
     Scalar counters (all monotone unless noted):
 
     * ``batches_flushed`` / ``operations_flushed`` / ``largest_batch``
-      (a high-water gauge) / ``migrations``;
+      (a high-water mark) / ``migrations``;
     * ``arrivals`` -- operations injected through kernel arrival events;
     * ``primary_reads`` -- reads routed to a group's primary (includes
       session-guard fallbacks and reads held by a failover freeze);
@@ -173,7 +168,7 @@ class RouterStats:
       routing policy expressed a concrete choice / ... that the chosen
       replica actually served.
 
-    Labeled families:
+    Dict-shaped series:
 
     * ``reads_by_replica`` -- reads routed per pool (primary and follower
       routes combined);
@@ -182,68 +177,33 @@ class RouterStats:
       degraded merge).
     """
 
-    #: attribute name -> (metric suffix, gauge?) for the scalar counters.
-    _SCALARS = {
-        "batches_flushed": ("router_batches_flushed", False),
-        "operations_flushed": ("router_operations_flushed", False),
-        "largest_batch": ("router_largest_batch", True),
-        "migrations": ("router_migrations", False),
-        "arrivals": ("router_arrivals", False),
-        "primary_reads": ("router_primary_reads", False),
-        "follower_reads": ("router_follower_reads", False),
-        "session_fallbacks": ("router_session_fallbacks", False),
-        "retired_fallbacks": ("router_retired_fallbacks", False),
-        "failover_deferrals": ("router_failover_deferrals", False),
-        "quorum_reads": ("router_quorum_reads", False),
-        "read_repairs": ("router_read_repairs", False),
-        "forwarded_writes": ("router_forwarded_writes", False),
-        "policy_choices": ("router_policy_choices", False),
-        "policy_honored": ("router_policy_honored", False),
-    }
+    batches_flushed: int = 0
+    operations_flushed: int = 0
+    largest_batch: int = 0
+    migrations: int = 0
+    arrivals: int = 0
+    primary_reads: int = 0
+    follower_reads: int = 0
+    session_fallbacks: int = 0
+    retired_fallbacks: int = 0
+    failover_deferrals: int = 0
+    quorum_reads: int = 0
+    read_repairs: int = 0
+    forwarded_writes: int = 0
+    policy_choices: int = 0
+    policy_honored: int = 0
+    reads_by_replica: Dict[str, int] = field(default_factory=dict)
+    quorum_depths: Dict[int, int] = field(default_factory=dict)
 
-    def __init__(self, registry=None) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        self._registry = registry
-        self._scalars = {}
-        for attr, (metric, is_gauge) in self._SCALARS.items():
-            make = registry.gauge if is_gauge else registry.counter
-            self._scalars[attr] = make(metric)
-        self._reads_by_replica = registry.counter(
-            "router_reads_by_replica", labels=("pool",))
-        self._quorum_depths = registry.counter(
-            "router_quorum_depth", labels=("depth",))
-
-    @property
-    def registry(self):
-        """The :class:`MetricsRegistry` the counters live on."""
-        return self._registry
-
-    # -- labeled families ---------------------------------------------------------
-
-    @property
-    def reads_by_replica(self) -> Dict[str, int]:
-        return self._reads_by_replica.as_dict()
-
-    @reads_by_replica.setter
-    def reads_by_replica(self, mapping: Dict[str, int]) -> None:
-        self._reads_by_replica.set_values(mapping)
-
-    def count_replica_read(self, pool: str, amount: int = 1) -> None:
+    def count_replica_read(self, pool: str) -> None:
         """Count a read routed to ``pool`` (the hot-path increment)."""
-        self._reads_by_replica.labels(pool=pool).inc(amount)
-
-    @property
-    def quorum_depths(self) -> Dict[int, int]:
-        return self._quorum_depths.as_dict()
-
-    @quorum_depths.setter
-    def quorum_depths(self, mapping: Dict[int, int]) -> None:
-        self._quorum_depths.set_values(mapping)
+        counts = self.reads_by_replica
+        counts[pool] = counts.get(pool, 0) + 1
 
     def observe_quorum_depth(self, depth: int) -> None:
         """Count one quorum merge that gathered ``depth`` responses."""
-        self._quorum_depths.labels(depth=depth).inc()
+        depths = self.quorum_depths
+        depths[depth] = depths.get(depth, 0) + 1
 
     # -- derived ------------------------------------------------------------------
 
@@ -261,34 +221,7 @@ class RouterStats:
 
     def as_dict(self) -> Dict[str, object]:
         """A plain-dict snapshot of every counter (benchmarks, reports)."""
-        out: Dict[str, object] = {attr: getattr(self, attr)
-                                  for attr in self._SCALARS}
-        out["reads_by_replica"] = self.reads_by_replica
-        out["quorum_depths"] = self.quorum_depths
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        scalars = ", ".join(f"{attr}={getattr(self, attr)}"
-                            for attr in self._SCALARS)
-        return f"RouterStats({scalars})"
-
-
-def _scalar_view(attr: str) -> property:
-    """An int-like property over one of RouterStats' registry instruments."""
-    def getter(self):
-        return self._scalars[attr].value
-
-    def setter(self, value):
-        # Assignment semantics (``stats.arrivals += 1`` and test seeding
-        # both come through here): overwrite, don't re-add.
-        self._scalars[attr]._set(value)
-
-    return property(getter, setter)
-
-
-for _attr in RouterStats._SCALARS:
-    setattr(RouterStats, _attr, _scalar_view(_attr))
-del _attr
+        return asdict(self)
 
 
 class ObjectRouter:
@@ -339,16 +272,10 @@ class ObjectRouter:
         #: cluster.  Register before the first shard is built -- shards
         #: only install the completion hook when a consumer exists.
         self.operation_observers: List[Callable] = []
-        #: The :class:`~repro.obs.telemetry.Telemetry` facade, or None.
-        #: Stats always register on its registry when present, so every
-        #: router counter exports through the one telemetry path.
-        self.telemetry = telemetry
         #: The span sink: the trace recorder, the latency tracker, or a
         #: fanout over both -- all present the same four-method surface.
         self._trace = telemetry.op_sink() if telemetry is not None else None
-        self.stats = RouterStats(
-            registry=telemetry.registry if telemetry is not None else None
-        )
+        self.stats = RouterStats()
         #: (object_id, op_id) -> handle, recorded at flush while tracing so
         #: shard completion hooks can close the right root span.
         self._op_handles: Dict[tuple, str] = {}

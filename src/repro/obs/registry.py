@@ -3,8 +3,7 @@
 One process-local registry holds every instrument of a run, so all
 counters -- the router's batching/routing stats, the sampler's cluster
 health gauges, benchmark-specific series -- export through **one path**
-(:meth:`MetricsRegistry.collect` / :meth:`MetricsRegistry.to_dict`)
-instead of one ad-hoc dataclass per subsystem.
+(:meth:`MetricsRegistry.collect` / :meth:`MetricsRegistry.to_dict`).
 
 Instruments are deliberately minimal so the hot path stays cheap:
 
@@ -12,7 +11,9 @@ Instruments are deliberately minimal so the hot path stays cheap:
 * :class:`Gauge` -- a value that goes both ways (``set`` / ``inc``);
 * :class:`~repro.obs.latency.QuantileSketch` -- the one distribution
   instrument (``observe``; p50 / p90 / p99 / p999 within a bounded
-  relative error), registered through :meth:`MetricsRegistry.quantile_sketch`.
+  relative error), registered through :meth:`MetricsRegistry.quantile_sketch`;
+* :class:`ReadThrough` -- a plain int or dict another layer keeps, read
+  only at export (:meth:`MetricsRegistry.read_through`).
 
 Registering a name twice returns the *same* instrument as long as the
 kind and label names match (so independent components can share a
@@ -29,7 +30,7 @@ byte-identical (see ``tests/sim/test_telemetry_noninterference.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -47,11 +48,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} can only go up")
         self._value += amount
-
-    def _set(self, value) -> None:
-        """Overwrite the value -- reserved for thin attribute-view bridges
-        (e.g. tests seeding a RouterStats snapshot), never the hot path."""
-        self._value = value
 
     @property
     def value(self):
@@ -77,8 +73,6 @@ class Gauge:
 
     def inc(self, amount=1) -> None:
         self._value += amount
-
-    _set = set  # the thin-view bridge hook, uniform across instruments
 
     @property
     def value(self):
@@ -133,23 +127,26 @@ class LabeledFamily:
             return {key[0]: child.value for key, child in self._children.items()}
         return {key: child.value for key, child in self._children.items()}
 
-    def set_values(self, mapping: Dict) -> None:
-        """Replace the family's children from a plain mapping.
-
-        The thin-view bridge hook (single-label families only): lets code
-        that used to assign a whole dict onto an attribute keep working
-        against the registry-backed view.
-        """
-        if len(self.label_names) != 1:
-            raise ValueError("set_values only supports single-label families")
-        self._children.clear()
-        label = self.label_names[0]
-        for key, value in mapping.items():
-            self.labels(**{label: key})._set(value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LabeledFamily({self.name!r}, labels={self.label_names}, "
                 f"children={len(self._children)})")
+
+
+class ReadThrough:
+    """The value ``read()`` returns at export time; with a ``label``, a
+    dict keyed by that label's values, exported like a labeled family."""
+
+    kind = "read-through"
+    __slots__ = ("name", "label", "_read")
+
+    def __init__(self, name: str, read: Callable[[], object],
+                 label: Optional[str] = None) -> None:
+        self.name, self.label, self._read = name, label, read
+
+    @property
+    def value(self):
+        value = self._read()
+        return value if self.label is None else dict(value)
 
 
 class MetricsRegistry:
@@ -179,6 +176,16 @@ class MetricsRegistry:
         # Imported lazily: latency.py builds on this registry.
         from repro.obs.latency import QuantileSketch
         return self._register(name, help, labels, QuantileSketch)
+
+    def read_through(self, name: str, read: Callable[[], object],
+                     label: Optional[str] = None) -> ReadThrough:
+        """An instrument that reads its value from ``read()`` on export."""
+        label_names = () if label is None else (label,)
+        metric = self._lookup(name, ReadThrough.kind, label_names)
+        if metric is None:
+            metric = self._metrics[name] = ReadThrough(name, read, label)
+            self._shapes[name] = (ReadThrough.kind, label_names)
+        return metric
 
     def _register(self, name: str, help: str, labels: Sequence[str],
                   child_class):
@@ -215,9 +222,6 @@ class MetricsRegistry:
         """The instrument (or family) behind ``name``, or None."""
         return self._metrics.get(name)
 
-    def metrics(self) -> Dict[str, object]:
-        return dict(self._metrics)
-
     def collect(self) -> List[Tuple[str, Dict[str, object], object]]:
         """Flat ``(name, labels, value)`` samples across every instrument.
 
@@ -237,6 +241,9 @@ class MetricsRegistry:
                         samples.append((name, labels, child.value))
             elif sketch_kind:
                 samples.extend(_sketch_samples(name, {}, metric))
+            elif isinstance(metric, ReadThrough) and metric.label is not None:
+                samples.extend((name, {metric.label: key}, value)
+                               for key, value in metric.value.items())
             else:
                 samples.append((name, {}, metric.value))
         return samples
@@ -277,4 +284,5 @@ __all__ = [
     "Gauge",
     "LabeledFamily",
     "MetricsRegistry",
+    "ReadThrough",
 ]

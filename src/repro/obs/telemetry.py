@@ -4,8 +4,9 @@ Construct a :class:`Telemetry`, hand it to
 :class:`~repro.sim.harness.ClusterSimulation` (``telemetry=``), and the
 harness threads it through the cluster:
 
-* the router's :class:`RouterStats` registers its counters on
-  :attr:`registry` instead of a private one;
+* :meth:`Telemetry.attach` registers a read-through ``router_*``
+  instrument on :attr:`registry` per field of the router's plain
+  ``RouterStats``, so the router never calls into ``obs``;
 * ``trace=True`` attaches a :class:`TraceRecorder` that the router and
   replica layers emit per-operation spans into;
 * ``sample_interval=<units>`` starts a :class:`ClusterSampler` on the
@@ -36,6 +37,8 @@ byte-identical with telemetry on or off.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from functools import partial
 from typing import Optional
 
 from repro.obs.availability import AvailabilityMonitor
@@ -46,6 +49,10 @@ from repro.obs.report import render_run_report
 from repro.obs.sampler import DEFAULT_INTERVAL, ClusterSampler
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import TraceRecorder
+
+#: RouterStats' dict fields -> (name, label); the rest are router_<field>.
+_ROUTER_SERIES = {"reads_by_replica": ("router_reads_by_replica", "pool"),
+                  "quorum_depths": ("router_quorum_depth", "depth")}
 
 
 class Telemetry:
@@ -95,11 +102,16 @@ class Telemetry:
 
         Called once by ``ClusterSimulation.__init__`` after the kernel
         and cluster exist (but before any shard is built, so the audit
-        feed's completion observers reach every shard); idempotent
-        pillars (the registry, the trace) were already threaded through
-        construction.  Each probe becomes a :meth:`GlobalScheduler.every`
-        family, in the order below.
+        feed's completion observers reach every shard).  The router's
+        counters register first; then each probe becomes a
+        :meth:`GlobalScheduler.every` family, in the order below.
         """
+        stats = simulation.router.stats
+        for stat in fields(stats):
+            name, label = _ROUTER_SERIES.get(
+                stat.name, (f"router_{stat.name}", None))
+            self.registry.read_through(
+                name, partial(getattr, stats, stat.name), label)
         kernel = simulation.kernel
         if self.live_audit and self.auditor is None:
             self.auditor = LiveAuditProbe(

@@ -55,11 +55,9 @@ def summarize_latencies(latencies: Iterable[float]) -> LatencySummary:
 class ReadDistribution:
     """How a replica-routed read workload spread over the replicas.
 
-    Built from the router's counters (duck-typed, so any object exposing
-    ``reads_by_replica`` / ``primary_reads`` / ``follower_reads`` /
-    ``session_fallbacks`` / ``failover_deferrals`` / ``policy_hit_rate``
-    works); benchmarks assert on it to prove follower reads actually
-    offload the primaries and the routing policy's choices are honored.
+    Built from the router's :class:`~repro.cluster.router.RouterStats`;
+    benchmarks assert on it to prove follower reads actually offload the
+    primaries and the routing policy's choices are honored.
     """
 
     #: Reads routed per pool (primary, follower and quorum-leg routes
@@ -89,13 +87,13 @@ class ReadDistribution:
             primary_reads=stats.primary_reads,
             follower_reads=stats.follower_reads,
             session_fallbacks=stats.session_fallbacks,
-            retired_fallbacks=getattr(stats, "retired_fallbacks", 0),
+            retired_fallbacks=stats.retired_fallbacks,
             failover_deferrals=stats.failover_deferrals,
             policy_hit_rate=stats.policy_hit_rate,
-            quorum_reads=getattr(stats, "quorum_reads", 0),
-            quorum_depths=dict(getattr(stats, "quorum_depths", {})),
-            read_repairs=getattr(stats, "read_repairs", 0),
-            forwarded_writes=getattr(stats, "forwarded_writes", 0),
+            quorum_reads=stats.quorum_reads,
+            quorum_depths=dict(stats.quorum_depths),
+            read_repairs=stats.read_repairs,
+            forwarded_writes=stats.forwarded_writes,
         )
 
     @property

@@ -23,12 +23,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
 
-    def test_bridge_set_overwrites(self):
-        counter = Counter("c")
-        counter.inc(9)
-        counter._set(3)
-        assert counter.value == 3
-
 
 class TestGauge:
     def test_moves_both_ways(self):
@@ -51,12 +45,6 @@ class TestLabeledFamily:
         family = LabeledFamily("reads", "", ("pool",), Counter)
         with pytest.raises(ValueError):
             family.labels(shard="a")
-
-    def test_set_values_replaces_children(self):
-        family = LabeledFamily("reads", "", ("pool",), Counter)
-        family.labels(pool="stale").inc(7)
-        family.set_values({"a": 1, "b": 2})
-        assert family.as_dict() == {"a": 1, "b": 2}
 
 
 class TestMetricsRegistry:
@@ -103,3 +91,50 @@ class TestMetricsRegistry:
         payload = registry.to_dict()
         assert payload["g"] == 4
         assert payload["family"] == {"a": 1}
+
+    def test_read_through_exports_like_any_instrument(self):
+        owned = {"count": 0, "by_pool": {}}
+        registry = MetricsRegistry()
+        registry.read_through("count", lambda: owned["count"])
+        registry.read_through("by_pool", lambda: owned["by_pool"],
+                              label="pool")
+        owned["count"] = 3
+        owned["by_pool"]["a"] = 2
+        assert registry.to_dict() == {"count": 3, "by_pool": {"a": 2}}
+        assert ("by_pool", {"pool": "a"}, 2) in registry.collect()
+        assert registry.render() == "by_pool{pool=a} 2\ncount 3"
+        snapshot = registry.get("by_pool").value
+        owned["by_pool"]["a"] = 5
+        assert snapshot == {"a": 2}
+        with pytest.raises(ValueError):
+            registry.counter("count")
+
+
+class TestRouterStatsReadThrough:
+    def test_registry_reads_the_router_counters(self):
+        from repro.cluster.replicas import ReplicationConfig
+        from repro.core.config import LDSConfig
+        from repro.obs import Telemetry
+        from repro.sim import ClusterSimulation, quorum_reads_under_lag
+
+        keys = [f"obj-{i}" for i in range(4)]
+        telemetry = Telemetry()
+        simulation = ClusterSimulation(
+            LDSConfig(n1=3, n2=4, f1=1, f2=1), ["pool-0", "pool-1", "pool-2"],
+            seed=5, writers_per_shard=2, readers_per_shard=2,
+            replication=ReplicationConfig(r=3, read_quorum=2),
+            read_policy="quorum", telemetry=telemetry)
+        simulation.ensure_shards(keys)
+        simulation.apply(quorum_reads_under_lag(keys, seed=5, operations=30,
+                                                burst_operations=30))
+        stats = simulation.router.stats
+        exported = {name: value
+                    for name, value in telemetry.registry.to_dict().items()
+                    if name.startswith("router_")}
+        renamed = {"router_quorum_depth": "quorum_depths"}
+        assert {renamed.get(name, name[len("router_"):]): value
+                for name, value in exported.items()} == stats.as_dict()
+        assert stats.quorum_reads and stats.reads_by_replica
+        stats.arrivals += 1
+        assert telemetry.registry.get("router_arrivals").value \
+            == stats.arrivals

@@ -14,9 +14,7 @@ Two fixed-seed runs:
 One column per artefact: the sampler's JSONL, the SLO tracker's JSONL,
 the audit rows plus the final session verdict, the availability
 assessment, the latency tracker's JSONL, the trace JSON,
-``registry.to_dict()`` and ``run_report()``.  The replication-lag
-histogram (``cluster_replication_lag_records``) is left out of the last
-two: no code reads it.  Every float goes in through ``repr`` or JSON, so
+``registry.to_dict()`` and ``run_report()``.  Every float goes in through ``repr`` or JSON, so
 a probe that ticks at a different instant, in a different order or a
 different number of times moves a column.
 """
@@ -36,7 +34,6 @@ CONFIG = LDSConfig(n1=3, n2=4, f1=1, f2=1)
 KEYS = [f"obj-{i}" for i in range(8)]
 POOLS = [f"pool-{i}" for i in range(3)]
 SEED = 11
-LAG_HISTOGRAM = "cluster_replication_lag_records"
 
 
 def crc(text: str) -> int:
@@ -98,12 +95,8 @@ def digests(simulation, telemetry) -> dict:
     if telemetry.trace is not None:
         out["trace"] = crc(json.dumps(telemetry.trace.to_json(),
                                       sort_keys=True))
-    registry = telemetry.registry.to_dict()
-    registry.pop(LAG_HISTOGRAM, None)
-    out["registry"] = crc(repr(registry))
-    out["report"] = crc("\n".join(
-        line for line in simulation.run_report().splitlines()
-        if not line.startswith(LAG_HISTOGRAM)))
+    out["registry"] = crc(repr(telemetry.registry.to_dict()))
+    out["report"] = crc(simulation.run_report())
     return out
 
 

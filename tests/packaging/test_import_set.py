@@ -72,8 +72,6 @@ LDS_BENCH_IMPORT_SET = [
     "repro.net.network",
     "repro.net.process",
     "repro.net.simulator",
-    "repro.obs",
-    "repro.obs.registry",
     "repro.sim",
     "repro.sim.harness",
     "repro.sim.scenario",
@@ -81,10 +79,10 @@ LDS_BENCH_IMPORT_SET = [
     "repro.workloads.generator",
 ]
 
-#: Modules no benchmark run may load eagerly: telemetry beyond the
-#: registry, the baselines, the injection drills, the replica coordinator
-#: (built only when ``r > 1``), the sanitizer and the linter.
-NEVER_EAGER = ("repro.obs.", "repro.baselines", "repro.consistency.injection",
+#: Modules no benchmark run may load eagerly: telemetry, the baselines,
+#: the injection drills, the replica coordinator (built only when
+#: ``r > 1``), the sanitizer and the linter.
+NEVER_EAGER = ("repro.obs", "repro.baselines", "repro.consistency.injection",
                "repro.cluster.replicas", "repro.net.sanitizer", "repro.lint")
 
 PROBE = """
@@ -144,6 +142,6 @@ def test_lds_bench_loads_the_pinned_modules_and_apply_loads_none():
 
 def test_the_pin_excludes_what_a_run_never_executes():
     eager = [name for name in LDS_BENCH_IMPORT_SET
-             if name.startswith(NEVER_EAGER) and name != "repro.obs.registry"]
+             if name.startswith(NEVER_EAGER)]
     assert eager == []
     assert "from repro import" in build_import_lines()

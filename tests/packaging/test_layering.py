@@ -31,6 +31,9 @@ ALLOWED_ONLY = {
     "net": set(),
     "core": {"gf", "codes", "net", "consistency"},
     "baselines": {"gf", "codes", "core", "net", "consistency"},
+    # Telemetry reads the router's plain counters; the product never
+    # imports the tooling.
+    "cluster": {"gf", "codes", "net", "core", "consistency"},
 }
 
 

@@ -150,22 +150,3 @@ class TestQuorumDistribution:
         assert distribution.session_fallback_rate == pytest.approx(0.4)
         assert "quorum_reads=8" in distribution.describe()
         assert "forwarded_writes=5" in distribution.describe()
-
-    def test_legacy_stats_objects_default_the_new_counters(self):
-        # from_router_stats stays duck-typed: an object exposing only the
-        # pre-quorum counters must still build a distribution.
-        from repro.workloads.metrics import ReadDistribution
-
-        class LegacyStats:
-            reads_by_replica = {"a": 1}
-            primary_reads = 1
-            follower_reads = 0
-            session_fallbacks = 0
-            failover_deferrals = 0
-            policy_hit_rate = 1.0
-
-        distribution = ReadDistribution.from_router_stats(LegacyStats())
-        assert distribution.quorum_reads == 0
-        assert distribution.mean_quorum_depth == 0.0
-        assert distribution.read_repairs == 0
-        assert distribution.forwarded_writes == 0

@@ -41,11 +41,11 @@ def _run_cluster(num_pools: int):
         keys, num_operations=NUM_OPERATIONS, write_fraction=0.4,
         duration=DURATION, s=1.2,
     )
-    report = KeyedWorkloadRunner(cluster.router).run(workload)
+    report = KeyedWorkloadRunner(cluster).run(workload)
 
-    makespan = cluster.now
+    makespan = cluster.kernel.now
     throughput = len(workload) / makespan if makespan else 0.0
-    shard_cv = cluster.router.shard_balance().coefficient_of_variation
+    shard_cv = cluster.shard_balance().coefficient_of_variation
     storage_cv = RingBalance.from_counts(
         cluster.storage_by_pool()
     ).coefficient_of_variation
@@ -55,7 +55,7 @@ def _run_cluster(num_pools: int):
         "throughput": throughput,
         "shard_cv": shard_cv,
         "storage_cv": storage_cv,
-        "shards": len(cluster.router.shards),
+        "shards": len(cluster.shards),
     }
 
 

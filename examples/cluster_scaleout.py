@@ -37,10 +37,10 @@ def main() -> None:
     )
     report = KeyedWorkloadRunner(cluster).run(workload)
     counts = cluster.shard_counts()
-    print(f"\nphase 1: {len(workload)} operations over {len(cluster.router.shards)} "
+    print(f"\nphase 1: {len(workload)} operations over {len(cluster.shards)} "
           f"shards ({workload.description})")
     print(f"  shard counts by pool: {counts}")
-    balance = cluster.router.shard_balance()
+    balance = cluster.shard_balance()
     print(f"  placement balance: cv={balance.coefficient_of_variation:.3f}, "
           f"max/mean={balance.max_over_mean:.2f}")
     print(f"  write latency p50/p95: {report.write_latency.p50:.1f}/"
@@ -57,7 +57,7 @@ def main() -> None:
     # -- phase 2: fail one back-end node of the busiest pool -------------------
     busiest = max(counts, key=counts.get)
     victim = f"{busiest}/l2-0"
-    affected = cluster.router.shards_on_pool(busiest)
+    affected = cluster.shards_on_pool(busiest)
     print(f"\nphase 2: failing node {victim} "
           f"({len(affected)} shards lose one coded element)")
     cluster.fail_node(victim)  # stamped "now": every shard degrades at once
@@ -73,7 +73,7 @@ def main() -> None:
 
     # -- phase 3: verify the repair restored full redundancy ------------------
     stats = cluster.repair.stats
-    still_degraded = [s.key for s in cluster.router.shards_on_pool(busiest)
+    still_degraded = [s.key for s in cluster.shards_on_pool(busiest)
                       if s.system.alive_l2_count() < config.n2]
     times = cluster.repair.scheduled_times()
     print(f"\nphase 3: background repair")
@@ -83,7 +83,7 @@ def main() -> None:
     if times:
         print(f"  rate limiting: first at t={times[0]:.1f}, last at t={times[-1]:.1f}, "
               f"{len(times)} repairs spread over {times[-1] - times[0]:.1f} time units")
-    print(f"  node {victim} status: {cluster.node(victim).status}")
+    print(f"  node {victim} status: {cluster.membership.node(victim).status}")
     print(f"  shards still degraded: {still_degraded or 'none'}")
 
     violation = cluster.check_atomicity()

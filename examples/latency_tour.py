@@ -102,8 +102,8 @@ def freeze_wait_scenario():
     group = simulation.replicas.groups[key]
     simulation.fail_pool(group.primary_pool, time=simulation.kernel.now)
     for reader in range(3):
-        simulation.router.invoke_read(key, reader=reader,
-                                      session=f"r{reader}")
+        simulation.invoke_read(key, reader=reader,
+                               session=f"r{reader}")
     simulation.run_until_idle()
     return telemetry.latency
 

@@ -83,8 +83,8 @@ def online_session_detection() -> None:
     first = min((op for op in simulation.history()
                  if op.kind == WRITE and op.is_complete),
                 key=lambda op: op.invoked_at)
-    now = simulation.now
-    simulation.router.notify_replica_completion(Operation(
+    now = simulation.kernel.now
+    simulation.notify_replica_completion(Operation(
         op_id="k/replica:drill/read-0", client_id="replica:drill/reader-0",
         kind=READ, object_id=first.object_id, value=first.value,
         invoked_at=now + 1.0, responded_at=now + 2.0, tag=first.tag,
@@ -109,7 +109,7 @@ def online_availability_detection() -> None:
         simulation.invoke_write(key, b"v", at=float(index))
     simulation.run_until_idle()
     drill = inject_under_replication(simulation, count=len(KEYS))
-    start = simulation.now
+    start = simulation.kernel.now
     for index, key in enumerate(KEYS):
         simulation.invoke_write(key, b"w", at=start + 20.0 * (index + 1))
     simulation.run_until_idle()

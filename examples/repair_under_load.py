@@ -65,7 +65,7 @@ def main() -> None:
           f"(skipped {rstats.repairs_skipped}, retries {rstats.retries}), "
           f"rate-limited over {times[-1] - times[0]:.1f} time units")
     print(f"  node {VICTIM} status: "
-          f"{simulation.node(VICTIM).status}")
+          f"{simulation.membership.node(VICTIM).status}")
 
     # -- correctness -------------------------------------------------------------
     violation = simulation.check_atomicity()

@@ -68,7 +68,7 @@ def main() -> None:
               f"sessions={sessions.sessions_checked} "
               f"ops={sessions.operations_checked} "
               f"pairs={sessions.pairs_checked} "
-              f"migrations={simulation.router.stats.migrations} "
+              f"migrations={simulation.stats.migrations} "
               f"repairs={simulation.repair.stats.repairs_completed}")
         if not report.ok:
             failed = True

@@ -443,7 +443,7 @@ class ReplicaCoordinator:
             if group.primary_in_flight > 0:
                 group.primary_in_flight -= 1
             return
-        if self.router._shards.get(group.key) is not shard:
+        if self.router.shards.get(group.key) is not shard:
             return  # a retired epoch draining; its writes were already logged
         record = self._append(group, epoch, result.tag, result.value)
         if self._trace is not None:

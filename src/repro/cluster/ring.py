@@ -61,8 +61,8 @@ class HashRing:
 
     def add_node(self, name: str, weight: float = 1.0) -> None:
         """Add (or re-weight) a node; ``weight`` scales its virtual-node count."""
-        if weight <= 0:
-            raise ValueError("node weight must be positive")
+        if not 0 < weight < math.inf:
+            raise ValueError("node weight must be positive and finite")
         self._weights[name] = float(weight)
         self._rebuild()
 

@@ -39,12 +39,17 @@ into it.  The carry is the retiring epoch's **hand-off read** (for a
 failover, invoked when the pool was reported down and answering at
 promotion); :meth:`ObjectRouter.check_atomicity` checks it and that the
 next epoch starts from its value, so a key's epochs form one register.
+
+:class:`~repro.sim.harness.ClusterSimulation` is an :class:`ObjectRouter`:
+it adds the seeded wiring (membership, repair, telemetry, scenarios)
+around this driving API rather than a second copy of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace as dc_replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.cluster.membership import FAIL, L1_ROLE, Membership, MembershipEvent
 from repro.cluster.placement import (
@@ -246,6 +251,8 @@ class ObjectRouter:
             )
         self._latency_factory = latency_factory
         self._shards: Dict[str, Shard] = {}
+        #: key -> its live shard: a read-only view of the router's own map.
+        self.shards: Mapping[str, Shard] = MappingProxyType(self._shards)
         #: Handles are ``<key>/op-<n>``; each epoch maps the ones flushed
         #: into it to op ids (``Shard.op_ids``).
         self._handle_counter = 0
@@ -295,10 +302,6 @@ class ObjectRouter:
         membership.subscribe(self._on_membership_event)
 
     # -- shard management -----------------------------------------------------
-
-    @property
-    def shards(self) -> Dict[str, Shard]:
-        return dict(self._shards)
 
     def shard(self, key: str) -> Shard:
         """The shard serving ``key``, created on first use."""
@@ -528,10 +531,10 @@ class ObjectRouter:
         """Schedule a keyed workload's operations as kernel arrival events.
 
         This is the single implementation of arrival semantics, shared by
-        :class:`~repro.sim.harness.ClusterSimulation` and the keyed
-        workload runner.  Each operation is injected into its shard --
-        creating the shard at that instant if the key is new -- when the
-        global clock reaches ``start + operation.at``.  A window that
+        scenario workload phases and the keyed workload runner.  Each
+        operation is injected into its shard -- creating the shard at that
+        instant if the key is new -- when the global clock reaches
+        ``start + operation.at``.  A window that
         already passed is shifted forward *uniformly* (preserving relative
         spacing, hence per-client well-formedness, exactly like the
         per-shard batch ratchet).  Every arrival is stamped with the operation's
@@ -719,7 +722,7 @@ class ObjectRouter:
 
     # -- histories and atomicity -----------------------------------------------------------
 
-    def history(self) -> History:
+    def history(self, global_clock: bool = True) -> History:
         """All operations across all shards and epochs, in one merged history.
 
         Operation and client ids are qualified with the epoch's object id so
@@ -737,7 +740,10 @@ class ObjectRouter:
         Timestamps are the epochs' recorders' own: every epoch runs on the
         kernel's one queue, so operations from different shards and
         epochs (and follower-served reads, stamped by the kernel) are
-        comparable as they stand.
+        comparable as they stand.  ``global_clock`` is accepted and
+        ignored (there is one clock) only because
+        ``benchmarks/lds_bench/repetition.py`` still passes it; ROADMAP
+        item 1 (ii) retires it.
         """
         merged = History(initial_value=self.config.initial_value)
         for history in self._all_histories():

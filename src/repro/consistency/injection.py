@@ -332,8 +332,7 @@ def inject_under_replication(simulation, count: int = 1,
     """
     if count < 1:
         raise ValueError("at least one hole is required")
-    router = simulation.router
-    shards = router._shards
+    shards = simulation.shards
     index = simulation.config.n2 - 1 if l2_index is None else l2_index
     holes = []
     for key in sorted(shards):
@@ -370,10 +369,9 @@ def inject_withheld_repair(simulation,
     no failure would schedule any repair (no shards exist yet).
     """
     membership = simulation.membership
-    router = simulation.router
     when = simulation.kernel.now
     if node_id is None:
-        pools_with_shards = {shard.pool for shard in router._shards.values()}
+        pools_with_shards = {shard.pool for shard in simulation.shards.values()}
         for pool in sorted(membership.pools):
             if pool not in pools_with_shards:
                 continue

@@ -101,7 +101,7 @@ class AvailabilityAssessment:
 class AvailabilityMonitor:
     """Periodic fragment-presence sampling over a ``ClusterSimulation``.
 
-    Duck-typed over the harness (needs ``kernel``, ``router``,
+    Duck-typed over the cluster (needs ``kernel``, ``shards``,
     ``repair``, ``membership``); a family of the kernel's one periodic
     probe loop, like the sampler.
     """
@@ -164,8 +164,7 @@ class AvailabilityMonitor:
         samples the cluster's current state at ``kernel.now``.
         """
         simulation = self.simulation
-        router = simulation.router
-        shards = router._shards
+        shards = simulation.shards
         keys = sorted(shards)
         if not keys:
             return []
@@ -244,8 +243,7 @@ class AvailabilityMonitor:
     def assessment(self) -> AvailabilityAssessment:
         confidence: Dict[str, float] = {}
         minimum = 1.0 if self.samples_by_object else 0.0
-        router = self.simulation.router
-        shards = router._shards
+        shards = self.simulation.shards
         for key, samples in sorted(self.samples_by_object.items()):
             shard = shards.get(key)
             slots = len(shard.system.l2_servers) if shard is not None else 1

@@ -56,7 +56,7 @@ DEFAULT_AUDIT_INTERVAL = 25.0
 class LiveAuditProbe:
     """Online session auditing over a ``ClusterSimulation``.
 
-    Duck-typed over the harness (needs ``kernel``, ``router``,
+    Duck-typed over the cluster (needs ``kernel``, ``shards``,
     ``replicas``); register before the first shard exists -- the
     constructor subscribes to the router's operation observers, and
     shards install their completion hook at build time.
@@ -102,8 +102,7 @@ class LiveAuditProbe:
         self._g_entries_peak = registry.gauge(
             "audit_tracked_entries_peak",
             "high-water mark of per-operation audit state (retention bound)")
-        router = simulation.router
-        router.operation_observers.append(self._on_completion)
+        simulation.operation_observers.append(self._on_completion)
 
     # -- the feed ---------------------------------------------------------------
 
@@ -115,8 +114,7 @@ class LiveAuditProbe:
         """Consume everything the feed buffered, in merged-history form."""
         if not self._buffer:
             return
-        router = self.simulation.router
-        internal = router._internal_ops
+        internal = self.simulation._internal_ops
         buffered, self._buffer = self._buffer, []
         for shard, payload in buffered:
             if shard is None:
@@ -135,7 +133,6 @@ class LiveAuditProbe:
 
     def _watermarks(self, keys) -> dict:
         simulation = self.simulation
-        router = simulation.router
         kernel = simulation.kernel
         replica_floor: dict = {}
         replicas = simulation.replicas
@@ -145,7 +142,7 @@ class LiveAuditProbe:
                 if current is None or invoked < current:
                     replica_floor[key] = invoked
         marks = {}
-        shards = router._shards
+        shards = simulation.shards
         for key in keys:
             mark = kernel.now
             shard = shards.get(key)
@@ -219,8 +216,7 @@ class LiveAuditProbe:
     def _incomplete_skips(self) -> tuple:
         """Skip counts of operations with no response: the auditor's
         eligibility rules applied to everything the feed never delivers."""
-        router = self.simulation.router
-        internal = router._internal_ops
+        internal = self.simulation._internal_ops
         unsessioned = 0
         unlinearized = 0
 
@@ -233,7 +229,7 @@ class LiveAuditProbe:
             else:
                 unlinearized += 1
 
-        shards = router._shards
+        shards = self.simulation.shards
         for key in sorted(shards):
             shard = shards[key]
             for history in shard.retired_histories:

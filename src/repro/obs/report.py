@@ -23,7 +23,7 @@ def render_run_report(simulation, telemetry) -> str:
     lines: List[str] = ["== run report =="]
     lines.append(simulation.describe())
 
-    stats = simulation.router.stats
+    stats = simulation.stats
     lines.append("")
     lines.append("-- routing --")
     lines.append(

@@ -41,7 +41,7 @@ DEFAULT_INTERVAL = 25.0
 class ClusterSampler:
     """Periodic cluster-health probe over a ``ClusterSimulation``.
 
-    Duck-typed over the harness (needs ``kernel``, ``router``,
+    Duck-typed over the cluster (needs ``kernel``, ``stats``, ``shards``,
     ``replicas``, ``repair``, ``membership``), so anything exposing that
     surface samples the same way.
     """
@@ -73,15 +73,15 @@ class ClusterSampler:
 
     def tick(self, at: float) -> None:
         """Append one cluster-health row at virtual time ``at``."""
-        router = self.simulation.router
-        stats = router.stats
+        simulation = self.simulation
+        stats = simulation.stats
 
-        queue_total = (self.simulation.kernel.simulator.pending_events
-                       + router.arrivals_waiting)
+        queue_total = (simulation.kernel.simulator.pending_events
+                       + simulation.arrivals_waiting)
 
         # Every figure below is an order-independent integer sum or
         # maximum, so the groups are walked in dict order, unsorted.
-        replicas = self.simulation.replicas
+        replicas = simulation.replicas
         lags = [] if replicas is None else [
             len(group.log) - store.log_position
             for group in replicas.groups.values()
@@ -90,17 +90,17 @@ class ClusterSampler:
         lag_mean = sum(lags) / len(lags) if lags else 0.0
         stale = sum(1 for lag in lags if lag > 0)
 
-        repair = self.simulation.repair
+        repair = simulation.repair
         backlog = repair.outstanding_repairs()
 
-        membership = self.simulation.membership
+        membership = simulation.membership
         live_pools = sum(1 for pool in membership.pools
                          if membership.pool_alive(pool))
 
         routed = stats.routed_reads
         row = {
             "t": at,
-            "shards": len(router.shards),
+            "shards": len(simulation.shards),
             "queue_depth": {"total": queue_total},
             "replication_lag": {
                 "max": lag_max,

@@ -106,7 +106,7 @@ class Telemetry:
         counters register first; then each probe becomes a
         :meth:`GlobalScheduler.every` family, in the order below.
         """
-        stats = simulation.router.stats
+        stats = simulation.stats
         for stat in fields(stats):
             name, label = _ROUTER_SERIES.get(
                 stat.name, (f"router_{stat.name}", None))

@@ -11,10 +11,11 @@ away:
   (:class:`Scenario` / :class:`ScenarioEngine`) of crash/recover, pool
   join/leave, latency-regime shifts and workload phases, with eight
   shipped scenarios;
-* :mod:`repro.sim.harness` -- :class:`ClusterSimulation`, the cluster
-  facade wiring seeded membership, router and repair scheduler to the
-  kernel and exposing keyed driving, failure injection, workload arrival
-  scheduling, scenario application and the merged global timeline;
+* :mod:`repro.sim.harness` -- :class:`ClusterSimulation`, the cluster's
+  :class:`~repro.cluster.router.ObjectRouter` with seeded membership,
+  repair scheduler, telemetry and scenarios wired to the kernel, adding
+  failure injection, scenario application, the audit and the merged
+  global timeline to the router's keyed driving API;
 * :mod:`repro.sim.kernel` -- only a re-export of the pump's names that
   ``lds_bench`` reads by this path (ROADMAP item 20 retires it).
 """

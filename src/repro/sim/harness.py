@@ -1,28 +1,21 @@
-"""The cluster facade: membership + router + repair on one global clock.
+"""The cluster: membership + router + repair on one global clock.
 
-:class:`ClusterSimulation` is the one-stop entry point for cluster
-experiments: it builds a :class:`~repro.cluster.membership.Membership`
-with one full node set per named pool, an
-:class:`~repro.cluster.router.ObjectRouter` over it driven by a
-:class:`~repro.net.kernel.GlobalScheduler`, and a
-:class:`~repro.cluster.repair.RepairScheduler` subscribed to failures.
-Every stochastic component derives from one root seed, and every
-per-shard latency model is scaled by a shared
+:class:`ClusterSimulation` is the one object cluster experiments drive.
+It is the cluster's :class:`~repro.cluster.router.ObjectRouter`, built
+over a :class:`~repro.cluster.membership.Membership` with one full node
+set per named pool and a :class:`~repro.net.kernel.GlobalScheduler`, and
+it wires a :class:`~repro.cluster.repair.RepairScheduler` to the
+failures.  Every stochastic component derives from one root seed, and
+every per-shard latency model is scaled by a shared
 :class:`~repro.net.latency.LatencyRegime` (so scenarios can shift the
-whole cluster between latency regimes).  It exposes:
+whole cluster between latency regimes).  On top of the router's keyed
+driving API (``write`` / ``read`` / ``invoke_*`` / ``add_workload`` /
+``run_until_idle`` / ``history`` / ``check_atomicity`` / ...) it adds:
 
-* the keyed driving API (``write`` / ``read`` / ``invoke_write`` /
-  ``invoke_read`` / ``run_until_idle`` / ``history`` /
-  ``check_atomicity`` / ...), so
-  :class:`~repro.workloads.runner.KeyedWorkloadRunner` drives it exactly
-  like a router, with arrivals, repairs and migrations interleaving on
-  the global clock;
 * node failure injection and pool join/leave with automatic rebalancing
   (``fail_node`` / ``fail_pool`` / ``add_pool`` / ``remove_pool``);
-* :meth:`add_workload` -- schedule a keyed workload's operations as timed
-  *arrival events* on the kernel (each operation is injected into its
-  shard at its nominal global time, creating the shard then if needed);
 * :meth:`apply` -- run a declarative :class:`~repro.sim.scenario.Scenario`;
+* :meth:`audit` -- atomicity plus the cross-shard session audit;
 * :meth:`timeline` -- the merged global timeline of foreground operations,
   background repairs, migrations and scenario actions, which is what the
   examples print and the interleaving tests assert on.
@@ -31,32 +24,24 @@ whole cluster between latency regimes).  It exposes:
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
-from repro.cluster.membership import ClusterNode, Membership, MembershipEvent
+from repro.cluster.membership import Membership, MembershipEvent
 from repro.cluster.placement import RebalancePlan
 from repro.cluster.repair import GAVE_UP, RepairScheduler
 from repro.cluster.read_policy import ReadRoutingPolicy, ReplicationConfig
 from repro.cluster.ring import derive_seed
 from repro.cluster.router import ObjectRouter
-from repro.consistency.history import History
 from repro.core.config import LDSConfig
-from repro.core.results import OperationResult
-from repro.net.latency import (
-    BoundedLatencyModel,
-    LatencyModel,
-    LatencyRegime,
-)
+from repro.net.latency import BoundedLatencyModel, LatencyModel, LatencyRegime
 from repro.net.kernel import GlobalScheduler
 from repro.sim.scenario import Scenario, ScenarioEngine
-from repro.workloads.generator import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.consistency.linearizability import AtomicityViolation
     from repro.consistency.sessions import ClusterAuditReport
 
 
-def seeded_latency_factory(seed, regime: LatencyRegime
+def seeded_latency_factory(seed: int, regime: LatencyRegime
                            ) -> Callable[[str, str], LatencyModel]:
     """The seeded per-shard latency factory.
 
@@ -72,9 +57,15 @@ def seeded_latency_factory(seed, regime: LatencyRegime
     return factory
 
 
-class ClusterSimulation:
+class ClusterSimulation(ObjectRouter):
     """A multi-pool, multi-object LDS deployment with background repair,
-    driven end to end by one global simulation kernel."""
+    driven end to end by one global simulation kernel.
+
+    It *is* the cluster's :class:`~repro.cluster.router.ObjectRouter`, so
+    the keyed driving API (``write`` / ``invoke_read`` / ``add_workload``
+    / ``run_until_idle`` / ``history`` / ``check_atomicity`` / ...) is the
+    router's own; this class adds the wiring, seeding, membership
+    operations, scenarios, the audit and the timeline."""
 
     def __init__(self, config: LDSConfig, pool_names: List[str], *,
                  seed: int = 0, vnodes: int = 128,
@@ -88,27 +79,26 @@ class ClusterSimulation:
                  telemetry=None, sanitize: bool = False) -> None:
         if not pool_names:
             raise ValueError("a cluster needs at least one pool")
-        self.config = config
+        if not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, not {type(seed).__name__}")
         #: Root RNG seed.  Every stochastic component (per-shard latency
         #: models, replica distances, repair jitter) derives its own seed
         #: from it, so one seed fixes the entire global event order.
         self.seed = seed
-        self.kernel = GlobalScheduler()
         self.latency_regime = LatencyRegime()
         #: Optional :class:`repro.obs.Telemetry` bundle.  Purely
         #: observational: a run with telemetry attached produces the same
         #: kernel fingerprint and histories as the same seed without it.
         self.telemetry = telemetry
-        self.membership = Membership.for_pools(pool_names, n1=config.n1,
-                                               n2=config.n2, vnodes=vnodes)
-        if replication is not None and seed is not None \
-                and replication.seed is None:
+        membership = Membership.for_pools(pool_names, n1=config.n1,
+                                          n2=config.n2, vnodes=vnodes)
+        if replication is not None and replication.seed is None:
             # Thread the root seed into replica distances unless the
             # caller pinned one explicitly.
             replication = dc_replace(replication,
                                      seed=derive_seed(seed, "replicas"))
-        self.router = ObjectRouter(
-            config, self.membership, self.kernel,
+        super().__init__(
+            config, membership, GlobalScheduler(),
             writers_per_shard=writers_per_shard,
             readers_per_shard=readers_per_shard,
             latency_factory=seeded_latency_factory(seed, self.latency_regime),
@@ -117,12 +107,12 @@ class ClusterSimulation:
             telemetry=telemetry,
         )
         self.repair = RepairScheduler(
-            self.router,
+            self,
             min_interval=repair_min_interval,
             max_concurrent=repair_max_concurrent,
             detection_delay=repair_detection_delay,
             slot_jitter=repair_slot_jitter,
-            seed=None if seed is None else derive_seed(seed, "repair"),
+            seed=derive_seed(seed, "repair"),
         )
         if self.replicas is not None:
             # Follower-read latency scales with the shared regime, so a
@@ -142,105 +132,33 @@ class ClusterSimulation:
                     sanitizer.watch_map(name, mapping)
         self.engine = ScenarioEngine(self)
 
-    # -- conveniences over the wired parts ---------------------------------------
-
     @property
-    def replicas(self):
-        """The replica-group coordinator (None when replication is off)."""
-        return self.router.replicas
+    def router(self) -> "ClusterSimulation":
+        """The simulation itself, for ``benchmarks/lds_bench/repetition.py``'s
+        ``simulation.router``; ROADMAP item 1 (ii) retires it."""
+        return self
 
     def read_distribution(self):
         """Per-replica read counts / routing hit rates of the run so far."""
         from repro.workloads.metrics import ReadDistribution
-        return ReadDistribution.from_router_stats(self.router.stats)
-
-    @property
-    def now(self) -> float:
-        return self.kernel.now
+        return ReadDistribution.from_router_stats(self.stats)
 
     def set_latency_scale(self, scale: float) -> None:
         """Shift the whole cluster's latency regime (takes effect on the
         next message of every shard)."""
         self.latency_regime.set(scale)
 
-    def ensure_shards(self, keys) -> None:
-        """Pre-warm shards at the current global time.
-
-        Shards are otherwise created lazily at their first arrival, so a
-        failure scripted early in a scenario would only touch the few
-        shards that happen to exist by then.
-        """
-        self.router.ensure_shards(keys)
-
-    # -- workload arrivals ----------------------------------------------------------
-
-    @property
-    def arrivals(self) -> int:
-        """Count of operations injected through kernel arrival events."""
-        return self.router.stats.arrivals
-
-    def add_workload(self, workload: Workload, start: float = 0.0,
-                     on_handle=None) -> int:
-        """Schedule a keyed workload's operations as kernel arrival events
-        (see :meth:`ObjectRouter.add_workload`, the single implementation)."""
-        return self.router.add_workload(workload, start=start,
-                                        on_handle=on_handle)
-
-    def check_workload_clients(self, workload: Workload) -> None:
-        """Reject a workload addressing more per-shard clients than exist
-        (e.g. the flash-crowd scenario's second client population on a
-        default one-client simulation) -- see the router's check."""
-        self.router.check_workload_clients(workload)
-
-    # -- the keyed driving API (KeyedDrivableSystem) ----------------------------------
-
-    def write(self, key: str, value: bytes,
-              writer: Union[int, str] = 0) -> OperationResult:
-        """Write ``key`` and pump the global clock until the write completes."""
-        return self.router.write(key, value, writer=writer)
-
-    def read(self, key: str, reader: Union[int, str] = 0) -> OperationResult:
-        """Read ``key`` and pump the global clock until the read completes."""
-        return self.router.read(key, reader=reader)
-
-    def invoke_write(self, key: str, value: bytes, writer=0,
-                     at: Optional[float] = None,
-                     session: Optional[str] = None,
-                     via: Optional[str] = None) -> str:
-        return self.router.invoke_write(key, value, writer=writer, at=at,
-                                        session=session, via=via)
-
-    def invoke_read(self, key: str, reader=0,
-                    at: Optional[float] = None,
-                    session: Optional[str] = None) -> str:
-        return self.router.invoke_read(key, reader=reader, at=at,
-                                       session=session)
-
-    def flush_key(self, key: str) -> int:
-        return self.router.flush_key(key)
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        self.router.flush()
+        """Flush every queued batch, then pump the kernel (to ``until``)."""
+        self.flush()
         self.kernel.run(until=until, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        self.router.run_until_idle(max_events=max_events)
 
     def run_report(self) -> str:
         """The telemetry run report (requires a telemetry bundle)."""
         if self.telemetry is None:
             raise ValueError("this simulation was built without telemetry")
         return self.telemetry.report(self)
-
-    def history(self, global_clock: bool = True) -> History:
-        # The keyword is accepted and ignored (there is one clock) only
-        # because benchmarks/lds_bench/repetition.py still passes it;
-        # ROADMAP item 1 (ii) retires it.
-        return self.router.history()
-
-    def check_atomicity(self) -> Optional[AtomicityViolation]:
-        return self.router.check_atomicity()
 
     def audit(self) -> ClusterAuditReport:
         """The post-run correctness verdict of the whole simulation.
@@ -276,19 +194,6 @@ class ClusterSimulation:
                           if availability is not None else None),
         )
 
-    def operation_cost(self, handle: str) -> float:
-        return self.router.operation_cost(handle)
-
-    @property
-    def communication_cost(self) -> float:
-        return self.router.communication_cost
-
-    def shard_counts(self) -> Dict[str, int]:
-        return self.router.shard_counts()
-
-    def storage_by_pool(self) -> Dict[str, float]:
-        return self.router.storage_by_pool()
-
     # -- membership operations -----------------------------------------------------------
     #
     # ``time`` is a global time and defaults to the current one: a
@@ -296,7 +201,7 @@ class ClusterSimulation:
     # on the timeline before the failure that caused them.
 
     def _time(self, time: Optional[float]) -> float:
-        return self.now if time is None else time
+        return self.kernel.now if time is None else time
 
     def fail_node(self, node_id: str,
                   time: Optional[float] = None) -> MembershipEvent:
@@ -325,17 +230,14 @@ class ClusterSimulation:
         time = self._time(time)
         self.membership.join_pool(pool, n1=self.config.n1, n2=self.config.n2,
                                   weight=weight, time=time)
-        return self.router.rebalance(reason=f"join {pool}", time=time)
+        return self.rebalance(reason=f"join {pool}", time=time)
 
     def remove_pool(self, pool: str,
                     time: Optional[float] = None) -> RebalancePlan:
         """Drain a pool out of the ring and migrate its shards away."""
         time = self._time(time)
         self.membership.leave_pool(pool, time=time)
-        return self.router.rebalance(reason=f"leave {pool}", time=time)
-
-    def node(self, node_id: str) -> ClusterNode:
-        return self.membership.node(node_id)
+        return self.rebalance(reason=f"leave {pool}", time=time)
 
     # -- scenarios -----------------------------------------------------------------------
 
@@ -377,7 +279,7 @@ class ClusterSimulation:
             if task.completed_at is not None:
                 entries.append((task.completed_at, "repair-done",
                                 f"{task.key} l2-{task.l2_index}"))
-        for time, key, source, target in self.router.migration_log:
+        for time, key, source, target in self.migration_log:
             entries.append((time, "migrate", f"{key}: {source} -> {target}"))
         if self.replicas is not None:
             # primary-down / promote / follower-lost / follower-provisioned
@@ -393,7 +295,7 @@ class ClusterSimulation:
             f"ClusterSimulation(seed={self.seed}, now={self.kernel.now:.1f}, "
             f"events={self.kernel.stats.events_total}, "
             f"pools={len(self.membership.pools)}, "
-            f"shards={len(self.router.shards)}, {self.config.describe()})"
+            f"shards={len(self.shards)}, {self.config.describe()})"
         )
 
 

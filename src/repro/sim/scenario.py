@@ -33,6 +33,7 @@ a per-shard run-to-idle loop could never exhibit:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import List, Optional, Tuple
 
@@ -75,8 +76,13 @@ class ScenarioAction:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario action kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError("scenario actions cannot be scheduled in the past")
+        if not 0 <= self.at < math.inf:
+            raise ValueError("a scenario action's time must be finite and "
+                             "not negative")
+        if self.kind == LATENCY_SHIFT and not 0 < self.scale < math.inf:
+            raise ValueError("the latency scale must be positive and finite")
+        if self.kind == JOIN_POOL and not 0 < self.weight < math.inf:
+            raise ValueError("a pool's weight must be positive and finite")
         if self.kind == WORKLOAD_PHASE and self.workload is None:
             raise ValueError("a workload phase needs a workload")
         if self.kind in (FAIL_NODE, RECOVER_NODE, JOIN_POOL, LEAVE_POOL,
@@ -136,7 +142,7 @@ class ScenarioEngine:
         elif action.kind == RECOVER_NODE:
             # The repair scheduler usually beats scripted recovery; only
             # flip nodes that are actually still down.
-            node = simulation.node(action.target)
+            node = simulation.membership.node(action.target)
             if node.status == FAILED:
                 simulation.membership.recover(action.target, time=now)
             else:

@@ -5,19 +5,22 @@ driving API of :class:`~repro.core.system.RegisterSystem`, the base of
 :class:`~repro.core.system.LDSSystem`,
 :class:`~repro.baselines.abd.ABDSystem` and
 :class:`~repro.baselines.cas.CASSystem`.  :class:`KeyedWorkloadRunner`
-drives the keyed API of the cluster router (:class:`KeyedDrivableSystem`).
+drives the keyed API of an :class:`~repro.cluster.router.ObjectRouter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.consistency.history import History, READ, WRITE
 from repro.consistency.linearizability import AtomicityViolation, check_atomicity
 from repro.core.system import RegisterSystem
 from repro.workloads.generator import Workload
 from repro.workloads.metrics import LatencySummary, summarize_latencies
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.router import ObjectRouter
 
 
 @dataclass
@@ -90,31 +93,6 @@ class WorkloadRunner:
                                 write_ops, read_ops)
 
 
-class KeyedDrivableSystem(Protocol):
-    """The keyed driving API of the cluster router (and its facade)."""
-
-    def invoke_write(self, key: str, value: bytes, writer=0,
-                     at: Optional[float] = None,
-                     session: Optional[str] = None) -> str: ...
-
-    def invoke_read(self, key: str, reader=0, at: Optional[float] = None,
-                    session: Optional[str] = None) -> str: ...
-
-    def add_workload(self, workload: "Workload", start: float = 0.0,
-                     on_handle=None) -> int: ...
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None: ...
-
-    def history(self) -> History: ...
-
-    def check_atomicity(self) -> Optional[AtomicityViolation]: ...
-
-    def operation_cost(self, handle: str) -> float: ...
-
-    @property
-    def communication_cost(self) -> float: ...
-
-
 class KeyedWorkloadRunner:
     """Executes a keyed :class:`Workload` against an object router.
 
@@ -122,12 +100,11 @@ class KeyedWorkloadRunner:
     epoch), so unlike :class:`WorkloadRunner` this runner delegates the
     check instead of running the checker over the merged history.
 
-    Operations are scheduled as timed *arrival events* on the system's
-    global kernel (``add_workload`` on an
-    :class:`~repro.cluster.router.ObjectRouter` or a
-    :class:`~repro.sim.harness.ClusterSimulation`), so the workload
-    interleaves with background repairs, migrations and other shards'
-    traffic on one global clock.  Arrival semantics (per-operation timed
+    Operations are scheduled as timed *arrival events* on the router's
+    global kernel (:meth:`~repro.cluster.router.ObjectRouter.add_workload`;
+    a :class:`~repro.sim.harness.ClusterSimulation` is a router), so the
+    workload interleaves with background repairs, migrations and other
+    shards' traffic on one global clock.  Arrival semantics (per-operation timed
     injection, uniform forward shift of past-due windows, key and client
     validation, arrival counting) live in that one place; this runner only
     collects the handles for cost reporting.
@@ -140,7 +117,7 @@ class KeyedWorkloadRunner:
     per-client guarantees across keys and shards.
     """
 
-    def __init__(self, system: "KeyedDrivableSystem") -> None:
+    def __init__(self, system: "ObjectRouter") -> None:
         self.system = system
 
     def run(self, workload: Workload, max_events: int = 10_000_000) -> WorkloadReport:
@@ -159,7 +136,6 @@ class KeyedWorkloadRunner:
 
 
 __all__ = [
-    "KeyedDrivableSystem",
     "KeyedWorkloadRunner",
     "WorkloadReport",
     "WorkloadRunner",

@@ -33,12 +33,12 @@ def test_zipf_workload_end_to_end(cluster):
     generator = WorkloadGenerator(seed=3, client_spacing=60.0)
     workload = generator.zipf_keyed(keys, num_operations=80,
                                     write_fraction=0.5, duration=300.0, s=1.1)
-    report = KeyedWorkloadRunner(cluster.router).run(workload)
+    report = KeyedWorkloadRunner(cluster).run(workload)
     assert report.is_atomic
     assert report.incomplete_operations == 0
     assert report.write_latency.count + report.read_latency.count == 80
     assert report.total_communication_cost > 0
-    assert cluster.router.stats.operations_flushed == 80
+    assert cluster.stats.operations_flushed == 80
 
 
 def test_zipf_sampler_skews_toward_low_ranks():
@@ -54,7 +54,7 @@ def test_keyed_runner_rejects_keyless_operations(cluster):
     generator = WorkloadGenerator(seed=1)
     workload = generator.sequential(num_writes=1, num_reads=1)
     with pytest.raises(ValueError, match="must carry one"):
-        KeyedWorkloadRunner(cluster.router).run(workload)
+        KeyedWorkloadRunner(cluster).run(workload)
 
 
 def test_failure_and_pool_growth_scenario(cluster):
@@ -66,9 +66,9 @@ def test_failure_and_pool_growth_scenario(cluster):
     # One back-end node fails; the background scheduler repairs everything.
     cluster.fail_node("pool-0/l2-0", time=0.0)
     cluster.run_until_idle()
-    for shard in cluster.router.shards_on_pool("pool-0"):
+    for shard in cluster.shards_on_pool("pool-0"):
         assert shard.system.alive_l2_count() == config.n2
-    assert cluster.node("pool-0/l2-0").status == "alive"
+    assert cluster.membership.node("pool-0/l2-0").status == "alive"
 
     # Then the cluster grows; shards migrate and values survive.
     plan = cluster.add_pool("pool-3")

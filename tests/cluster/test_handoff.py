@@ -35,10 +35,10 @@ def acked_writes_then_pool_kill(config) -> ClusterSimulation:
     for value in (b"v1", b"v2"):
         handle = simulation.invoke_write("k", value, session="s")
         simulation.flush_key("k")
-        simulation.run(until=simulation.now + 40.0)
-        assert simulation.router.result(handle) is not None
+        simulation.run(until=simulation.kernel.now + 40.0)
+        assert simulation.result(handle) is not None
     group = simulation.replicas.groups["k"]
-    simulation.fail_pool(group.primary_pool, time=simulation.now)
+    simulation.fail_pool(group.primary_pool, time=simulation.kernel.now)
     simulation.invoke_read("k", session="s2")
     simulation.run_until_idle()
     return simulation
@@ -47,7 +47,7 @@ def acked_writes_then_pool_kill(config) -> ClusterSimulation:
 class TestAudit:
     def test_a_failover_records_its_hand_off_read(self, config):
         simulation = acked_writes_then_pool_kill(config)
-        shard = simulation.router.shards["k"]
+        shard = simulation.shards["k"]
         [handoff] = shard.handoffs
         assert (handoff.op_id, handoff.value) == ("handoff", b"v2")
         assert handoff in shard.retired_histories[0].operations
@@ -110,30 +110,29 @@ def spare_pool(simulation) -> str:
 class TestOneHandOff:
     def test_a_failover_takes_over_a_migration_under_way(self, config):
         simulation = replicated(config)
-        router = simulation.router
         group = simulation.replicas.groups["k"]
         primary = group.primary_pool
         successor = group.live_followers()[0].pool
-        in_flight = router.invoke_write("k", b"v2")
-        router.flush_key("k")
-        router.migrate(ShardMove("k", primary, spare_pool(simulation)))
-        simulation.fail_pool(primary, time=simulation.now)
+        in_flight = simulation.invoke_write("k", b"v2")
+        simulation.flush_key("k")
+        simulation.migrate(ShardMove("k", primary, spare_pool(simulation)))
+        simulation.fail_pool(primary, time=simulation.kernel.now)
         simulation.run_until_idle()
-        shard = router.shards["k"]
+        shard = simulation.shards["k"]
         assert (shard.pool, shard.epoch) == (successor, 1)
-        assert router.stats.migrations == 0
+        assert simulation.stats.migrations == 0
         assert [read.op_id for read in shard.handoffs] == ["handoff"]
         assert simulation.audit().ok
         # The write in flight at the crash never completes.
-        assert router.result(in_flight) is None
-        assert router.incomplete_operations() == 1
+        assert simulation.result(in_flight) is None
+        assert simulation.incomplete_operations() == 1
 
     def test_a_key_failing_over_cannot_migrate(self, config):
         simulation = replicated(config)
         primary = simulation.replicas.groups["k"].primary_pool
-        simulation.fail_pool(primary, time=simulation.now)
+        simulation.fail_pool(primary, time=simulation.kernel.now)
         with pytest.raises(ValueError, match="failing over"):
-            simulation.router.migrate(
+            simulation.migrate(
                 ShardMove("k", primary, spare_pool(simulation)))
         simulation.run_until_idle()
         assert simulation.audit().ok
@@ -142,10 +141,10 @@ class TestOneHandOff:
         telemetry = Telemetry.full()
         simulation = replicated(config, telemetry=telemetry)
         group = simulation.replicas.groups["k"]
-        simulation.fail_pool(group.primary_pool, time=simulation.now)
-        write = simulation.router.invoke_write("k", b"v2", at=simulation.now)
+        simulation.fail_pool(group.primary_pool, time=simulation.kernel.now)
+        write = simulation.invoke_write("k", b"v2", at=simulation.kernel.now)
         simulation.run_until_idle()
-        assert simulation.router.result(write) is not None
+        assert simulation.result(write) is not None
         span, = telemetry.trace.spans("freeze-wait")
         assert span["args"]["parent"] == write
         assert span["args"]["promoted"] == group.primary_pool
@@ -156,14 +155,13 @@ class TestOneHandOff:
             self, config):
         telemetry = Telemetry.full()
         simulation = replicated(config, telemetry=telemetry)
-        router = simulation.router
         target = spare_pool(simulation)
-        router.invoke_write("k", b"v2")
-        router.flush_key("k")
-        router.migrate(ShardMove("k", router.shards["k"].pool, target))
-        read = router.invoke_read("k", at=simulation.now)
+        simulation.invoke_write("k", b"v2")
+        simulation.flush_key("k")
+        simulation.migrate(ShardMove("k", simulation.shards["k"].pool, target))
+        read = simulation.invoke_read("k", at=simulation.kernel.now)
         simulation.run_until_idle()
-        assert router.result(read).value == b"v2"
+        assert simulation.result(read).value == b"v2"
         span, = telemetry.trace.spans("freeze-wait")
         assert span["args"]["parent"] == read
         assert span["args"]["promoted"] == target

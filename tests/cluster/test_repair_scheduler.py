@@ -130,7 +130,7 @@ def test_removing_a_pool_with_pending_repairs_does_not_crash(config):
     cluster = ClusterSimulation(config, ["pool-0", "pool-1"])
     for i in range(8):
         cluster.write(f"obj-{i}", f"v{i}".encode())
-    victims = cluster.router.shards_on_pool("pool-0")
+    victims = cluster.shards_on_pool("pool-0")
     assert victims
     cluster.fail_node("pool-0/l2-0", time=0.0)
     # Drain the pool before the scheduled repairs ran: the drain executes

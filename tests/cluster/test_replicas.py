@@ -109,7 +109,7 @@ class TestReadRouting:
         cluster.run_until_idle()
         for _ in range(4):
             assert cluster.read("obj-0").value == b"v1"
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.primary_reads == 4
         assert stats.follower_reads == 0
         assert stats.policy_hit_rate == 1.0
@@ -121,7 +121,7 @@ class TestReadRouting:
         for _ in range(6):
             assert cluster.read("obj-0").value == b"v1"
         group = cluster.replicas.groups["obj-0"]
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.primary_reads == 2
         assert stats.follower_reads == 4
         for pool in group.pools():
@@ -138,7 +138,7 @@ class TestReadRouting:
         expected = min(distances, key=distances.get)
         for _ in range(3):
             assert cluster.read("obj-0").value == b"v1"
-        assert cluster.router.stats.reads_by_replica == {expected: 3}
+        assert cluster.stats.reads_by_replica == {expected: 3}
 
     def test_least_loaded_balances_serve_counts(self, config):
         cluster, _ = build_cluster(config, policy="least-loaded")
@@ -146,7 +146,7 @@ class TestReadRouting:
         cluster.run_until_idle()
         for _ in range(9):
             assert cluster.read("obj-0").value == b"v1"
-        counts = cluster.router.stats.reads_by_replica
+        counts = cluster.stats.reads_by_replica
         assert sorted(counts.values()) == [3, 3, 3]
 
     def test_follower_read_carries_the_replica_client_id(self, config):
@@ -181,11 +181,11 @@ class TestSessionGuard:
     def test_guard_routes_stale_follower_choices_to_the_primary(self, config):
         cluster, kernel = build_cluster(config, policy="round-robin",
                                         replication_lag=500.0)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
         # Pump only until the write is acknowledged -- running to idle
         # would fast-forward virtual time past the replication lag.
-        while cluster.router.result(write) is None:
+        while cluster.result(write) is None:
             kernel.step()
         # Round-robin would now send reads to follower 1 and 2 -- but the
         # session already wrote v1, which no follower has applied: each
@@ -195,14 +195,14 @@ class TestSessionGuard:
         # strictly after the write's response so the session order is
         # unambiguous.
         # Spaced out: the fallbacks all land on the same physical reader.
-        handles = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + 60.0 * i)
+        handles = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + 60.0 * i)
                    for i in range(3)]
         cluster.run_until_idle()
-        written = cluster.router.result(write)
+        written = cluster.result(write)
         for handle in handles:
-            assert cluster.router.result(handle).tag == written.tag
-        stats = cluster.router.stats
+            assert cluster.result(handle).tag == written.tag
+        stats = cluster.stats
         assert stats.session_fallbacks == 3  # one per rejected choice
         assert stats.follower_reads == 0
         assert stats.policy_hit_rate < 1.0
@@ -216,12 +216,12 @@ class TestSessionGuard:
         cluster, kernel = build_cluster(config, policy="round-robin",
                                         replication_lag=500.0,
                                         session_guard=False)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
-        while cluster.router.result(write) is None:
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
+        while cluster.result(write) is None:
             kernel.step()
-        handles = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + i)
+        handles = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + i)
                    for i in range(3)]
         cluster.run_until_idle()
         del handles
@@ -248,16 +248,16 @@ class TestFailover:
         cluster.fail_pool(victim, time=kernel.now)
         assert group.status == FAILING_OVER
         # Primary-bound traffic freezes: the read defers, the write queues.
-        read = cluster.router.invoke_read("k", session="r")
-        write = cluster.router.invoke_write("k", b"v2", session="w")
-        assert cluster.router.stats.failover_deferrals == 1
+        read = cluster.invoke_read("k", session="r")
+        write = cluster.invoke_write("k", b"v2", session="w")
+        assert cluster.stats.failover_deferrals == 1
         cluster.run_until_idle()
         assert group.status == NORMAL
         assert group.epoch == 1
         assert group.primary_pool == successor
         assert cluster.replicas.stats.promotions == 1
-        assert cluster.router.result(write).value == b"v2"
-        assert cluster.router.result(read) is not None
+        assert cluster.result(write).value == b"v2"
+        assert cluster.result(read) is not None
         assert cluster.check_atomicity() is None
         assert check_sessions(cluster.history()).ok
         # Redundancy is restored: a replacement follower was provisioned.
@@ -271,12 +271,12 @@ class TestFailover:
         cluster.run_until_idle()
         group = cluster.replicas.groups["k"]
         cluster.fail_pool(group.primary_pool, time=kernel.now)
-        before = cluster.router.stats.follower_reads
-        handles = [cluster.router.invoke_read("k") for _ in range(4)]
+        before = cluster.stats.follower_reads
+        handles = [cluster.invoke_read("k") for _ in range(4)]
         cluster.run_until_idle()
         for handle in handles:
-            assert cluster.router.result(handle).value == b"v1"
-        assert cluster.router.stats.follower_reads == before + 4
+            assert cluster.result(handle).value == b"v1"
+        assert cluster.stats.follower_reads == before + 4
         assert group.status == NORMAL  # failover completed afterwards
 
     def test_catch_up_applies_unreplicated_acked_writes(self, config):
@@ -290,17 +290,17 @@ class TestFailover:
         for value in (b"v1", b"v2"):
             handle = simulation.invoke_write("k", value, session="s")
             simulation.flush_key("k")
-            simulation.run(until=simulation.now + 40.0)
-            assert simulation.router.result(handle) is not None
+            simulation.run(until=simulation.kernel.now + 40.0)
+            assert simulation.result(handle) is not None
         group = simulation.replicas.groups["k"]
         victim = group.primary_pool
         # No apply event has fired (lag 1000), yet both writes were acked.
         assert all(s.version == (0, INITIAL_TAG) for s in group.live_followers())
-        simulation.fail_pool(victim, time=simulation.now)
+        simulation.fail_pool(victim, time=simulation.kernel.now)
         read = simulation.invoke_read("k", session="s2")
         simulation.run_until_idle()
         assert simulation.replicas.stats.catch_up_records == 2
-        assert simulation.router.result(read).value == b"v2"
+        assert simulation.result(read).value == b"v2"
         assert simulation.audit().ok
 
     def test_dead_pool_is_not_falsely_recovered_by_repair(self, config):
@@ -326,18 +326,18 @@ class TestFailover:
         group = cluster.replicas.groups["k"]
         # Reads 1-3: primary, follower A, follower B (round robin).
         cluster.read("k")
-        h_a = cluster.router.invoke_read("k")
+        h_a = cluster.invoke_read("k")
         pool_a = group.live_followers()[0].pool
         cluster.fail_pool(pool_a, time=kernel.now)
         cluster.run_until_idle()
-        assert cluster.router.result(h_a) is None
-        assert cluster.router.incomplete_operations() >= 1
+        assert cluster.result(h_a) is None
+        assert cluster.incomplete_operations() >= 1
         stranded = [op for op in cluster.history()
                     if op.client_id.startswith(f"replica:{pool_a}")
                     and not op.is_complete]
         assert len(stranded) == 1
         # The routing counter still records the dispatch.
-        assert cluster.router.stats.reads_by_replica[pool_a] == 1
+        assert cluster.stats.reads_by_replica[pool_a] == 1
 
     def test_losing_a_follower_pool_reprovisions_elsewhere(self, config):
         cluster, kernel = build_cluster(config, r=2, policy="round-robin",
@@ -384,12 +384,12 @@ class TestFailover:
         follower_pool = group.live_followers()[0].pool
         cluster.fail_pool(follower_pool, time=kernel.now)
         cluster.fail_pool(group.primary_pool, time=kernel.now)
-        read = cluster.router.invoke_read("k")
+        read = cluster.invoke_read("k")
         cluster.run_until_idle()  # the deferred read strands, no leak
         assert group.status == UNSERVICEABLE
         assert cluster.kernel.sanitizer.ok
-        assert cluster.router.result(read) is None
-        assert cluster.router.incomplete_operations() >= 1
+        assert cluster.result(read) is None
+        assert cluster.incomplete_operations() >= 1
         # A stranded read pins no live-audit watermark, and the history
         # holds it without a response.
         assert cluster.replicas.pending_read_invocations() == []
@@ -397,10 +397,10 @@ class TestFailover:
                     if op.kind == READ and not op.is_complete]
         assert len(stranded) == 1
         # A read arriving at the unserviceable group strands at once.
-        late = cluster.router.invoke_read("k")
+        late = cluster.invoke_read("k")
         assert cluster.replicas.pending_read_invocations() == []
         cluster.run_until_idle()
-        assert cluster.router.result(late) is None
+        assert cluster.result(late) is None
         assert cluster.replicas.incomplete_reads() == 2
 
     def test_a_write_queued_at_an_unserviceable_group_is_incomplete(
@@ -412,11 +412,11 @@ class TestFailover:
         group = cluster.replicas.groups["k"]
         cluster.fail_pool(group.primary_pool, time=kernel.now)
         cluster.fail_pool(group.live_followers()[0].pool, time=kernel.now)
-        write = cluster.router.invoke_write("k", b"v2")
+        write = cluster.invoke_write("k", b"v2")
         cluster.run_until_idle()
         assert group.status == UNSERVICEABLE
-        assert cluster.router.result(write) is None
-        assert cluster.router.incomplete_operations() == 1
+        assert cluster.result(write) is None
+        assert cluster.incomplete_operations() == 1
 
     def test_successor_pool_dying_during_catch_up_repromotes(self, config):
         # The successor is chosen at detection time but only seated after
@@ -433,21 +433,21 @@ class TestFailover:
         for value in (b"v1", b"v2"):
             handle = simulation.invoke_write("k", value, session="s")
             simulation.flush_key("k")
-            simulation.run(until=simulation.now + 40.0)
-            assert simulation.router.result(handle) is not None
+            simulation.run(until=simulation.kernel.now + 40.0)
+            assert simulation.result(handle) is not None
         group = simulation.replicas.groups["k"]
         first, second = [s.pool for s in group.live_followers()]
-        kill_at = simulation.now
+        kill_at = simulation.kernel.now
         simulation.fail_pool(group.primary_pool, time=kill_at)
         # Promotion starts at kill+5 and seats at kill+15 (2 records x 5);
         # the chosen successor's pool dies in between.
         simulation.run(until=kill_at + 8.0)
-        simulation.fail_pool(first, time=simulation.now)
+        simulation.fail_pool(first, time=simulation.kernel.now)
         write = simulation.invoke_write("k", b"v3", session="s")
         simulation.run_until_idle()
         assert group.status == NORMAL
         assert group.primary_pool == second
-        assert simulation.router.result(write).value == b"v3"
+        assert simulation.result(write).value == b"v3"
         assert simulation.audit().ok
 
     def test_provision_target_dying_in_the_delay_retries_elsewhere(self, config):
@@ -492,9 +492,9 @@ class TestFailover:
         for _ in range(6):
             cluster.read(key)
         assert "pool-0" not in {
-            pool for pool in cluster.router.stats.reads_by_replica
+            pool for pool in cluster.stats.reads_by_replica
             if pool in group.pools()
-        } or cluster.router.stats.reads_by_replica.get("pool-0", 0) == 0
+        } or cluster.stats.reads_by_replica.get("pool-0", 0) == 0
 
     def test_rebalance_skips_keys_owned_by_the_failover_path(self, config):
         # add_pool right after a pool kill: migrating a dead-pool primary
@@ -606,17 +606,17 @@ class TestFailover:
         for value in (b"v1", b"v2"):
             handle = simulation.invoke_write("k", value, session="s")
             simulation.flush_key("k")
-            simulation.run(until=simulation.now + 40.0)
-            assert simulation.router.result(handle) is not None
+            simulation.run(until=simulation.kernel.now + 40.0)
+            assert simulation.result(handle) is not None
         group = simulation.replicas.groups["k"]
-        kill_at = simulation.now
+        kill_at = simulation.kernel.now
         simulation.fail_pool(group.primary_pool, time=kill_at)
         # Promotion starts at kill+5 and seats at kill+25 (2 records x 10);
         # a fresh-session read in between is served by a follower that has
         # applied nothing yet.
         degraded = simulation.invoke_read("k", session="fresh")
         simulation.run(until=kill_at + 15.0)
-        result = simulation.router.result(degraded)
+        result = simulation.result(degraded)
         assert result is not None
         assert result.tag == INITIAL_TAG, "catch-up must not leak early"
         simulation.run_until_idle()
@@ -635,12 +635,12 @@ class TestFailover:
         cluster.write(sacrificial, b"seed")
         cluster.run_until_idle()
         cluster.fail_pool("pool-0", time=kernel.now)
-        write = cluster.router.invoke_write(key, b"v1")
+        write = cluster.invoke_write(key, b"v1")
         cluster.run_until_idle()
         group = cluster.replicas.groups[key]
         assert group.status == NORMAL
         assert group.primary_pool != "pool-0"
-        assert cluster.router.result(write).value == b"v1"
+        assert cluster.result(write).value == b"v1"
 
 
 class TestReplicaAwareRebalance:
@@ -692,7 +692,7 @@ class TestQuorumReads:
         read = cluster.read("obj-0")
         assert read.value == b"v2"
         assert read.tag == result.tag
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.quorum_reads == 1
         assert stats.quorum_depths == {2: 1}
 
@@ -710,7 +710,7 @@ class TestQuorumReads:
                     if s.version == group.latest_version]
         assert len(repaired) == 1
         assert repaired[0].value == b"v1"
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.read_repairs == 1
         assert cluster.replicas.stats.read_repair_records == 1
         assert cluster.replicas.replication_cost == before + 1.0
@@ -737,7 +737,7 @@ class TestQuorumReads:
         assert kernel.now < 900.0
         assert all(s.version == (0, INITIAL_TAG)
                    for s in group.live_followers())
-        assert cluster.router.stats.read_repairs == 0
+        assert cluster.stats.read_repairs == 0
         cluster.run_until_idle()  # the lag fan-out eventually applies
         assert all(s.value == b"v1" for s in group.live_followers())
 
@@ -745,23 +745,23 @@ class TestQuorumReads:
         cluster, kernel = build_cluster(config, policy="quorum",
                                         replication_lag=900.0, read_quorum=2,
                                         read_repair=False)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
-        while cluster.router.result(write) is None:
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
+        while cluster.result(write) is None:
             kernel.step()
-        written = cluster.router.result(write)
+        written = cluster.result(write)
         # Windows rotate [P,F1], [F1,F2], [F2,P]: the second sessioned read
         # merges a follower-only quorum below the session's floor and must
         # fall back to a protocol read at the primary.
-        handles = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + 60.0 * i)
+        handles = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + 60.0 * i)
                    for i in range(2)]
         cluster.run_until_idle()
         for handle in handles:
-            assert cluster.router.result(handle).tag == written.tag
-        stats = cluster.router.stats
+            assert cluster.result(handle).tag == written.tag
+        stats = cluster.stats
         assert stats.session_fallbacks == 1
-        assert cluster.router.incomplete_operations() == 0
+        assert cluster.incomplete_operations() == 0
         assert check_sessions(cluster.history()).ok
 
     def test_guardless_stale_quorum_is_caught_by_the_auditor(self, config):
@@ -769,12 +769,12 @@ class TestQuorumReads:
                                         replication_lag=900.0, read_quorum=1,
                                         read_repair=False,
                                         session_guard=False)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
-        while cluster.router.result(write) is None:
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
+        while cluster.result(write) is None:
             kernel.step()
-        handles = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + 60.0 * i)
+        handles = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + 60.0 * i)
                    for i in range(2)]
         cluster.run_until_idle()
         del handles
@@ -791,16 +791,16 @@ class TestQuorumReads:
         cluster.write("obj-0", b"v1")
         cluster.run_until_idle()
         group = cluster.replicas.groups["obj-0"]
-        handle = cluster.router.invoke_read("obj-0")
+        handle = cluster.invoke_read("obj-0")
         # The window was [primary, follower-1]; kill the follower's pool
         # while its leg is still in flight.
         victim = group.live_followers()[0].pool
         cluster.fail_pool(victim, time=kernel.now)
         cluster.run_until_idle()
-        result = cluster.router.result(handle)
+        result = cluster.result(handle)
         assert result is not None, "the quorum read must degrade, not hang"
         assert result.value == b"v1"
-        assert cluster.router.stats.quorum_depths.get(1) == 1
+        assert cluster.stats.quorum_depths.get(1) == 1
         assert cluster.replicas.incomplete_reads() == 0
 
     def test_quorum_with_every_member_dead_strands_truthfully(self, config):
@@ -811,13 +811,13 @@ class TestQuorumReads:
         cluster.write("obj-0", b"v1")
         cluster.run_until_idle()
         group = cluster.replicas.groups["obj-0"]
-        handle = cluster.router.invoke_read("obj-0")
+        handle = cluster.invoke_read("obj-0")
         follower_pool = group.live_followers()[0].pool
         cluster.fail_pool(follower_pool, time=kernel.now)
         cluster.fail_pool(group.primary_pool, time=kernel.now)
         cluster.run_until_idle()  # must terminate: the merge resolves empty
         assert group.status == UNSERVICEABLE
-        assert cluster.router.result(handle) is None
+        assert cluster.result(handle) is None
         assert cluster.replicas.incomplete_reads() == 1
         stranded = [op for op in cluster.history()
                     if op.client_id.startswith("replica:quorum")
@@ -848,16 +848,16 @@ class TestWriteForwarding:
         group = cluster.replicas.groups["obj-0"]
         follower_pool = group.live_followers()[0].pool
         started = kernel.now
-        handle = cluster.router.invoke_write("obj-0", b"v2",
-                                             via=follower_pool)
-        assert cluster.router.incomplete_operations() >= 1  # hop in flight
+        handle = cluster.invoke_write("obj-0", b"v2",
+                                      via=follower_pool)
+        assert cluster.incomplete_operations() >= 1  # hop in flight
         cluster.run_until_idle()
-        result = cluster.router.result(handle)
+        result = cluster.result(handle)
         assert result.value == b"v2"
         # The forwarding hop is charged on the kernel clock before the
         # primary even sees the write.
         assert result.invoked_at >= started + 5.0 * 0.5  # distance >= 0.5
-        assert cluster.router.stats.forwarded_writes == 1
+        assert cluster.stats.forwarded_writes == 1
         assert cluster.read("obj-0").value == b"v2"
 
     def test_via_primary_queues_directly(self, config):
@@ -865,11 +865,11 @@ class TestWriteForwarding:
         cluster.write("obj-0", b"v1")
         cluster.run_until_idle()
         group = cluster.replicas.groups["obj-0"]
-        handle = cluster.router.invoke_write("obj-0", b"v2",
-                                             via=group.primary_pool)
+        handle = cluster.invoke_write("obj-0", b"v2",
+                                      via=group.primary_pool)
         cluster.run_until_idle()
-        assert cluster.router.result(handle).value == b"v2"
-        assert cluster.router.stats.forwarded_writes == 0
+        assert cluster.result(handle).value == b"v2"
+        assert cluster.stats.forwarded_writes == 0
 
     def test_nearest_ingress_forwards_follower_arrivals(self, config):
         cluster, _ = build_cluster(config, policy="primary",
@@ -878,7 +878,7 @@ class TestWriteForwarding:
         for i in range(8):
             cluster.write(f"obj-{i}", b"x")
         cluster.run_until_idle()
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.forwarded_writes > 0
         for i in range(8):
             assert cluster.read(f"obj-{i}").value == b"x"
@@ -894,14 +894,14 @@ class TestWriteForwarding:
         follower_pool = group.live_followers()[0].pool
         cluster.fail_pool(group.primary_pool, time=kernel.now)
         assert group.status == FAILING_OVER
-        handle = cluster.router.invoke_write("k", b"v2", via=follower_pool,
-                                             session="w")
+        handle = cluster.invoke_write("k", b"v2", via=follower_pool,
+                                      session="w")
         cluster.run_until_idle()
         assert group.status == NORMAL
         assert group.epoch == 1
-        result = cluster.router.result(handle)
+        result = cluster.result(handle)
         assert result is not None and result.value == b"v2"
-        assert cluster.router.stats.forwarded_writes == 1
+        assert cluster.stats.forwarded_writes == 1
         assert cluster.read("k").value == b"v2"
         assert cluster.check_atomicity() is None
         assert check_sessions(cluster.history()).ok
@@ -932,11 +932,11 @@ class TestRoutingFallbackAccounting:
         cluster.write("obj-0", b"v1")
         cluster.run_until_idle()
         t = kernel.now
-        late = cluster.router.invoke_read("obj-0", at=t - 100.0)
-        future = cluster.router.invoke_read("obj-0", at=t + 200.0)
+        late = cluster.invoke_read("obj-0", at=t - 100.0)
+        future = cluster.invoke_read("obj-0", at=t + 200.0)
         cluster.run_until_idle()
-        assert cluster.router.result(late) is not None
-        assert cluster.router.result(future) is not None
+        assert cluster.result(late) is not None
+        assert cluster.result(future) is not None
         history = cluster.history()
         invoked = sorted(op.invoked_at for op in history if op.kind == READ)
         assert len(invoked) == 2
@@ -962,7 +962,7 @@ class TestRoutingFallbackAccounting:
         # back to the primary and be counted as a *retired* fallback,
         # distinct from the session-guard counter.
         assert cluster.read("obj-0").value == b"v1"
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.retired_fallbacks == 1
         assert stats.session_fallbacks == 0
         assert stats.primary_reads == 1
@@ -972,16 +972,16 @@ class TestRoutingFallbackAccounting:
         # retired-fallback counter.
         cluster, kernel = build_cluster(config, policy="round-robin",
                                         replication_lag=900.0)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
-        while cluster.router.result(write) is None:
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
+        while cluster.result(write) is None:
             kernel.step()
-        handles = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + 60.0 * i)
+        handles = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + 60.0 * i)
                    for i in range(3)]
         cluster.run_until_idle()
         del handles
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.session_fallbacks >= 1
         assert stats.retired_fallbacks == 0
 
@@ -1001,32 +1001,32 @@ class TestRoutingFallbackAccounting:
     def test_round_robin_cycle_stays_fair_across_guard_rejections(self, config):
         cluster, kernel = build_cluster(config, policy="round-robin",
                                         replication_lag=200.0)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
-        while cluster.router.result(write) is None:
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
+        while cluster.result(write) is None:
             kernel.step()
         # Both follower turns are rejected by the guard while the lag
         # holds (and re-offered, not consumed): reads 1-3 all hit the
         # primary, with the cycle parked on the first follower.
-        stalled = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + 60.0 * i)
+        stalled = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + 60.0 * i)
                    for i in range(3)]
         cluster.run_until_idle()  # runs past the lag: followers catch up
         for handle in stalled:
-            assert cluster.router.result(handle) is not None
-        fallbacks = cluster.router.stats.session_fallbacks
+            assert cluster.result(handle) is not None
+        fallbacks = cluster.stats.session_fallbacks
         assert fallbacks >= 2
         # Post-catch-up, the cycle resumes exactly where it was parked and
         # serves every replica its fair share: 3 reads -> one each.
         group = cluster.replicas.groups["obj-0"]
-        before = dict(cluster.router.stats.reads_by_replica)
+        before = dict(cluster.stats.reads_by_replica)
         for i in range(3):
             assert cluster.read("obj-0", reader=0).value == b"v1"
-        after = cluster.router.stats.reads_by_replica
+        after = cluster.stats.reads_by_replica
         gained = {pool: after.get(pool, 0) - before.get(pool, 0)
                   for pool in group.pools()}
         assert sorted(gained.values()) == [1, 1, 1], gained
-        assert cluster.router.stats.session_fallbacks == fallbacks
+        assert cluster.stats.session_fallbacks == fallbacks
 
 
 class TestStrandedReadAccounting:
@@ -1038,15 +1038,15 @@ class TestStrandedReadAccounting:
         cluster.run_until_idle()
         group = cluster.replicas.groups["k"]
         cluster.read("k")  # round robin: primary first
-        handle = cluster.router.invoke_read("k")  # then follower A
+        handle = cluster.invoke_read("k")  # then follower A
         pool_a = group.live_followers()[0].pool
         cluster.fail_pool(pool_a, time=kernel.now)
         # The kill must not wedge the kernel: the pump drains everything
         # else and goes idle with the read still pending.
         cluster.run_until_idle()
         assert cluster.replicas.incomplete_reads() == 1
-        assert cluster.router.result(handle) is None
-        assert cluster.router.incomplete_operations() >= 1
+        assert cluster.result(handle) is None
+        assert cluster.incomplete_operations() >= 1
         # Idle detection is stable: pumping again is an immediate no-op.
         now = kernel.now
         cluster.run_until_idle()
@@ -1062,17 +1062,17 @@ class TestReviewRegressions:
         cluster, kernel = build_cluster(config, policy="quorum",
                                         replication_lag=900.0, read_quorum=2,
                                         read_repair=False)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
-        while cluster.router.result(write) is None:
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
+        while cluster.result(write) is None:
             kernel.step()
-        handles = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + 60.0 * i)
+        handles = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + 60.0 * i)
                    for i in range(3)]
         cluster.run_until_idle()
         for handle in handles:
-            assert cluster.router.result(handle) is not None
-        stats = cluster.router.stats
+            assert cluster.result(handle) is not None
+        stats = cluster.stats
         assert stats.session_fallbacks == 1
         assert stats.quorum_reads == 3
         assert stats.primary_reads == 0  # the fallback stays a quorum read
@@ -1083,8 +1083,8 @@ class TestReviewRegressions:
         cluster.write("obj-0", b"v1")
         cluster.run_until_idle()
         with pytest.raises(ValueError, match="no replica"):
-            cluster.router.invoke_write("obj-0", b"v2", via="pool-nope")
-        assert cluster.router.stats.forwarded_writes == 0
+            cluster.invoke_write("obj-0", b"v2", via="pool-nope")
+        assert cluster.stats.forwarded_writes == 0
 
     def test_via_requires_replica_groups(self, config):
         cluster = ClusterSimulation(config, ["pool-0", "pool-1"])
@@ -1102,12 +1102,12 @@ class TestReviewRegressions:
         cluster.write("obj-0", b"v1")
         cluster.run_until_idle()
         group = cluster.replicas.groups["obj-0"]
-        handle = cluster.router.invoke_read("obj-0")  # leg at the primary
+        handle = cluster.invoke_read("obj-0")  # leg at the primary
         old_primary = group.primary_pool
         cluster.remove_pool(old_primary, time=0.0)  # migrates mid-flight
         cluster.run_until_idle()
         assert group.primary_pool != old_primary
-        result = cluster.router.result(handle)
+        result = cluster.result(handle)
         assert result is not None, "a migration must not strand the leg"
         assert result.value == b"v1"
         assert cluster.replicas.incomplete_reads() == 0
@@ -1121,12 +1121,12 @@ class TestReviewRegressions:
         cluster.run_until_idle()
         group = cluster.replicas.groups["obj-0"]
         t = kernel.now
-        late = cluster.router.invoke_write("obj-0", b"v2",
-                                           via=group.primary_pool,
-                                           at=t - 100.0)
-        future = cluster.router.invoke_read("obj-0", at=t + 200.0)
+        late = cluster.invoke_write("obj-0", b"v2",
+                                    via=group.primary_pool,
+                                    at=t - 100.0)
+        future = cluster.invoke_read("obj-0", at=t + 200.0)
         cluster.run_until_idle()
-        assert cluster.router.result(late).value == b"v2"
+        assert cluster.result(late).value == b"v2"
         history = cluster.history()
         read_at = [op.invoked_at for op in history if op.kind == READ]
         assert read_at == [pytest.approx(t + 200.0)]
@@ -1143,13 +1143,13 @@ class TestReviewRegressions:
         cluster.write("k", b"v1")
         cluster.run_until_idle()
         group = cluster.replicas.groups["k"]
-        handle = cluster.router.invoke_read("k")  # window = [primary]
+        handle = cluster.invoke_read("k")  # window = [primary]
         victim = group.primary_pool
         cluster.fail_pool(victim, time=kernel.now)
         for node in cluster.membership.pool_nodes(victim):
             cluster.membership.recover(node.node_id, time=kernel.now)
         cluster.run_until_idle()
-        assert cluster.router.result(handle) is None
+        assert cluster.result(handle) is None
         assert cluster.replicas.incomplete_reads() == 1
         stranded = [op for op in cluster.history()
                     if op.client_id.startswith("replica:quorum")
@@ -1170,11 +1170,11 @@ class TestReviewRegressions:
             cluster.run_until_idle()
             group = cluster.replicas.groups["obj-0"]
             cluster.read("obj-0")  # tick the cycle onto the follower
-            handle = cluster.router.invoke_read("obj-0")
+            handle = cluster.invoke_read("obj-0")
             follower_pool = group.live_followers()[0].pool
             cluster.remove_pool(follower_pool, time=0.0)  # graceful
             cluster.run_until_idle()
-            result = cluster.router.result(handle)
+            result = cluster.result(handle)
             assert result is not None, (policy, "graceful drop must answer")
             assert result.value == b"v1"
             assert cluster.replicas.incomplete_reads() == 0
@@ -1186,22 +1186,22 @@ class TestReviewRegressions:
         # instead of every read collapsing onto the primary.
         cluster, kernel = build_cluster(config, policy="round-robin",
                                         replication_lag=10_000.0)
-        write = cluster.router.invoke_write("obj-0", b"v1", session="s")
-        cluster.router.flush()
-        while cluster.router.result(write) is None:
+        write = cluster.invoke_write("obj-0", b"v1", session="s")
+        cluster.flush()
+        while cluster.result(write) is None:
             kernel.step()
         group = cluster.replicas.groups["obj-0"]
         lagging, healthy = group.live_followers()
         healthy.apply(group.log[-1])  # caught up; the other stays stale
-        handles = [cluster.router.invoke_read("obj-0", session="s",
-                                              at=kernel.now + 1.0 + 60.0 * i)
+        handles = [cluster.invoke_read("obj-0", session="s",
+                                       at=kernel.now + 1.0 + 60.0 * i)
                    for i in range(6)]
         cluster.run_until_idle()
         for handle in handles:
-            assert cluster.router.result(handle) is not None
+            assert cluster.result(handle) is not None
         assert healthy.reads_served > 0, "healthy follower was starved"
         assert lagging.reads_served == 0
-        stats = cluster.router.stats
+        stats = cluster.stats
         assert stats.follower_reads == healthy.reads_served
         assert check_sessions(cluster.history()).ok
 
@@ -1231,9 +1231,9 @@ class TestReviewRegressions:
         victim = group.primary_pool
         cluster.fail_pool(victim, time=kernel.now)
         assert group.status == FAILING_OVER
-        handle = cluster.router.invoke_write("k", b"v2", via=victim,
-                                             session="w")
+        handle = cluster.invoke_write("k", b"v2", via=victim,
+                                      session="w")
         cluster.run_until_idle()
         assert group.status == NORMAL
-        assert cluster.router.result(handle).value == b"v2"
-        assert cluster.router.stats.forwarded_writes == 0
+        assert cluster.result(handle).value == b"v2"
+        assert cluster.stats.forwarded_writes == 0

@@ -105,9 +105,16 @@ class TestEdgeCases:
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
             HashRing(vnodes=0)
-        ring = HashRing()
-        with pytest.raises(ValueError):
-            ring.add_node("pool-0", weight=0.0)
+        ring = build_ring(POOLS)
+        before = [ring.node_for(key) for key in KEYS_10K[:200]]
+        for weight in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ring.add_node("pool-9", weight=weight)
+        # A rejected weight leaves the ring as it was, and usable.
+        assert "pool-9" not in ring
+        ring.add_node("pool-4")
+        ring.remove_node("pool-4")
+        assert [ring.node_for(key) for key in KEYS_10K[:200]] == before
 
     def test_membership_queries(self):
         ring = build_ring(POOLS)

@@ -231,9 +231,9 @@ class TestMigration:
             simulation.write(f"k{i}", b"v")
         simulation.run(until=1000.0)
         simulation.membership.join_pool("p3", n1=config.n1, n2=config.n2,
-                                        time=simulation.now)
-        assert simulation.router.pending_rebalance().time == 1000.0
-        plan = simulation.router.rebalance(reason="bare")
+                                        time=simulation.kernel.now)
+        assert simulation.pending_rebalance().time == 1000.0
+        plan = simulation.rebalance(reason="bare")
         simulation.run_until_idle()
         assert plan.time == 1000.0
         provisioned = [time for time, kind, _ in simulation.replicas.failover_log
@@ -325,12 +325,12 @@ class TestAsynchronousMigration:
         simulation = ClusterSimulation(config, POOLS, seed=5,
                                        repair_detection_delay=100.0)
         simulation.write("obj-0", b"v")
-        shard = simulation.router.shards["obj-0"]
+        shard = simulation.shards["obj-0"]
         simulation.fail_node(f"{shard.pool}/l2-0")
         [task] = simulation.repair.tasks
-        target = self._move(simulation.router)
+        target = self._move(simulation)
         simulation.run_until_idle()
-        assert simulation.router.shards["obj-0"].pool == target
+        assert simulation.shards["obj-0"].pool == target
         assert (task.status, task.attempts) == (GAVE_UP, 0)
         assert simulation.repair.stats.moot == 1
         assert shard.system.alive_l2_count() == config.n2 - 1
@@ -340,7 +340,7 @@ class TestAsynchronousMigration:
         simulation.ensure_shards([f"obj-{i}" for i in range(12)])
         simulation.run(until=50.0)  # every shard idle since t = 0
         simulation.fail_node("pool-0/l2-1")
-        shards = simulation.router.shards_on_pool("pool-0")
+        shards = simulation.shards_on_pool("pool-0")
         assert shards
         for shard in shards:
             assert shard.system.alive_l2_count() == config.n2 - 1
@@ -374,7 +374,7 @@ class TestOneTimeDomain:
     def _epoch_births(simulation) -> dict:
         """(key, epoch) -> the instant the logs say the epoch began."""
         starts = [(time, key) for time, key, _source, _target
-                  in simulation.router.migration_log]
+                  in simulation.migration_log]
         if simulation.replicas is not None:
             starts += [(time, detail.split(":")[0]) for time, kind, detail
                        in simulation.replicas.failover_log
@@ -389,12 +389,11 @@ class TestOneTimeDomain:
                                                "replica_failover_under_load"])
     def test_epochs_record_global_time_from_their_birth(self, scenario_name):
         simulation = self._run(scenario_name)
-        router = simulation.router
         births = self._epoch_births(simulation)
         assert births and min(births.values()) > 0.0
-        merged = {op.op_id: op for op in router.history()}
+        merged = {op.op_id: op for op in simulation.history()}
         late_operations = 0
-        for shard in router.shards.values():
+        for shard in simulation.shards.values():
             epochs = shard.retired_histories + [shard.system.history()]
             assert len(epochs) == shard.epoch + 1
             for epoch, recorded in enumerate(epochs):
@@ -413,9 +412,8 @@ class TestOneTimeDomain:
     def test_every_epoch_runs_on_the_kernels_one_simulator(
             self, scenario_name):
         simulation = self._run(scenario_name)
-        router = simulation.router
-        assert any(shard.epoch for shard in router.shards.values())
-        for shard in router.shards.values():
+        assert any(shard.epoch for shard in simulation.shards.values())
+        for shard in simulation.shards.values():
             assert shard.system.kernel is simulation.kernel
 
     def test_a_shard_first_used_late_starts_at_the_global_instant(

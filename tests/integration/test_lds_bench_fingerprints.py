@@ -97,7 +97,7 @@ def pinned(simulation) -> tuple:
     of timestamps."""
     history = simulation.history()
     completed = sum(op.responded_at is not None for op in history)
-    shards = simulation.router.shards.values()
+    shards = simulation.shards.values()
     return (simulation.kernel.fingerprint,
             simulation.kernel.stats.events_total,
             sum(shard.system.network.costs.messages_sent for shard in shards),
@@ -109,7 +109,7 @@ def replica_digest(simulation) -> int:
     """CRC32 of the replica layer's counters, costs and failover log."""
     replicas = simulation.replicas
     stats = {name: sorted(value.items()) if isinstance(value, dict) else value
-             for name, value in simulation.router.stats.as_dict().items()}
+             for name, value in simulation.stats.as_dict().items()}
     record = (sorted(stats.items()), sorted(asdict(replicas.stats).items()),
               replicas.replication_cost, replicas.read_cost,
               replicas.incomplete_reads(), replicas.failover_log)
@@ -135,14 +135,13 @@ def replica_results_digest(simulation, handles) -> int:
 def results_digest(simulation, handles) -> int:
     """CRC32 of what the router answers for every handle, in handle order:
     ``result(handle)`` field by field and ``operation_cost(handle)``."""
-    router = simulation.router
     digest = 0
     for handle in handles:
-        result = router.result(handle)
+        result = simulation.result(handle)
         fields = None if result is None else (
             result.op_id, result.client_id, result.kind, str(result.tag),
             result.value, repr(result.invoked_at), repr(result.responded_at))
-        record = (handle, fields, repr(router.operation_cost(handle)))
+        record = (handle, fields, repr(simulation.operation_cost(handle)))
         digest = zlib.crc32(repr(record).encode(), digest)
     return digest
 
@@ -221,7 +220,7 @@ def test_smoke_scale_run_is_unchanged(workload, monkeypatch, handed_out):
 
     def build(*args, **options):  # keeps the simulation run_repetition drops
         built.append(original(*args, **options))
-        handles.append(handed_out(built[-1][0].router))
+        handles.append(handed_out(built[-1][0]))
         return built[-1]
 
     monkeypatch.setattr(repetition, "build", build)
@@ -258,7 +257,7 @@ def test_stepping_drains_like_run_until_idle(workload, monkeypatch):
     pumped.apply(scenario)
     stepped, scenario, _attempted = build(spec, 1, sanitize=True)
     stepped.apply(scenario, run=False)
-    stepped.router.flush()
+    stepped.flush()
     while stepped.kernel.step():
         pass
     assert stepped.kernel.sanitizer.check_leaks() == []
@@ -380,7 +379,7 @@ def run_scenario(name: str, handed_out) -> tuple:
     pools = POOLS if "replication" in options else POOLS[:2]
     simulation = ClusterSimulation(CONFIG, pools, sanitize=True, **options)
     simulation.ensure_shards(KEYS)
-    handles = handed_out(simulation.router)
+    handles = handed_out(simulation)
     simulation.apply(scenario)
     return simulation, handles
 
@@ -397,11 +396,11 @@ def test_shipped_scenario_is_unchanged(name, handed_out):
         assert replica_results_digest(simulation, handles) == \
             REPLICA_RESULTS[name]
     if name == "migration-under-load":
-        assert simulation.router.stats.migrations == 4
-        assert simulation.router.incomplete_operations() == 0
+        assert simulation.stats.migrations == 4
+        assert simulation.incomplete_operations() == 0
     if name == "failover-holds-primary-reads":
-        assert simulation.router.stats.failover_deferrals == 1
+        assert simulation.stats.failover_deferrals == 1
     if name == "replicated-migration":
-        assert simulation.router.stats.migrations == 1
+        assert simulation.stats.migrations == 1
     if name in TIMED:
         assert timed_digest(simulation.history()) == TIMED[name]

@@ -69,7 +69,7 @@ def drained(workload, monkeypatch, handed_out):
     from lds_bench.workloads import BY_NAME, build
 
     simulation, scenario, _attempted = build(BY_NAME[workload].scaled(1 / 40), 1)
-    handles = handed_out(simulation.router)
+    handles = handed_out(simulation)
     simulation.apply(scenario)
     return simulation, handles
 
@@ -99,9 +99,8 @@ def reachable(root) -> list:
 def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch,
                                                        handed_out):
     simulation, _handles = drained(workload, monkeypatch, handed_out)
-    router = simulation.router
-    systems = [shard.system for shard in router.shards.values()]
-    systems += [shard.system for shard in router._retired.values()]
+    systems = [shard.system for shard in simulation.shards.values()]
+    systems += [shard.system for shard in simulation._retired.values()]
     servers = [server for system in systems for server in system.l1_servers]
 
     assert sum(len(kept) for server in servers
@@ -116,18 +115,17 @@ def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch,
 def test_a_drained_run_keeps_one_record_per_operation(workload, monkeypatch,
                                                       handed_out):
     simulation, handles = drained(workload, monkeypatch, handed_out)
-    router = simulation.router
     kept = reachable(simulation)
     history = simulation.history()
     assert all(op.responded_at is not None for op in history)
     # One Operation per completed operation -- the history's own record --
     # plus each epoch hand-off read, and no OperationResult beside it.
     records = [obj for obj in kept if isinstance(obj, Operation)]
-    assert len(records) == len(history) + len(router._internal_ops)
+    assert len(records) == len(history) + len(simulation._internal_ops)
     assert not [obj for obj in kept if isinstance(obj, OperationResult)]
     # The router maps a flushed handle to the op id its epoch's recorder
     # files the record under: that very string, not a copy or a list.
-    shards = [*router.shards.values(), *router._retired.values()]
+    shards = [*simulation.shards.values(), *simulation._retired.values()]
     for shard in shards:
         ids = {op_id: op_id for op_id in shard.system.recorder.completed}
         assert all(ids[op_id] is op_id for op_id in shard.op_ids.values())

@@ -73,7 +73,7 @@ class TestSilentHoles:
         assert drill.holes  # the failure did schedule (withheld) repairs
         # The crash has landed on every shard of the pool; the withheld
         # repairs never run.
-        simulation.kernel.run(until=simulation.now + 0.5)
+        simulation.kernel.run(until=simulation.kernel.now + 0.5)
         monitor = sample(simulation, epochs=20)
         assessment = monitor.assessment()
         assert not assessment.ok
@@ -86,7 +86,7 @@ class TestSilentHoles:
         # the run enough foreground work for sampling epochs to fire.
         simulation = build()
         inject_under_replication(simulation, count=len(KEYS))
-        start = simulation.now
+        start = simulation.kernel.now
         for index, key in enumerate(KEYS):
             simulation.invoke_write(key, b"w", at=start + 20.0 * (index + 1))
         simulation.run_until_idle()
@@ -99,10 +99,10 @@ class TestSilentHoles:
 class TestCalibratedQuiet:
     def test_a_pending_repair_is_protected_not_silent(self):
         simulation = build()
-        simulation.fail_node("pool-0/l2-0", time=simulation.now)
+        simulation.fail_node("pool-0/l2-0", time=simulation.kernel.now)
         # Pump short of the repair's detection delay: fragments missing,
         # backlog still covering them.
-        simulation.kernel.run(until=simulation.now + 0.5)
+        simulation.kernel.run(until=simulation.kernel.now + 0.5)
         monitor = simulation.telemetry.availability
         outcomes = []
         for _ in range(10):
@@ -116,8 +116,8 @@ class TestCalibratedQuiet:
 
     def test_a_dead_pool_is_an_outage_not_silent_decay(self):
         simulation = build()
-        simulation.fail_pool("pool-0", time=simulation.now)
-        simulation.kernel.run(until=simulation.now + 0.5)
+        simulation.fail_pool("pool-0", time=simulation.kernel.now)
+        simulation.kernel.run(until=simulation.kernel.now + 0.5)
         monitor = sample(simulation)
         assessment = monitor.assessment()
         assert assessment.ok
@@ -169,8 +169,8 @@ class TestBacklogAgeWeighting:
         """Fail a node, let the monitor see its backlog, then withhold
         the repair -- an *aged* silent hole the watchlist remembers."""
         simulation = monitor.simulation
-        simulation.fail_node("pool-0/l2-0", time=simulation.now)
-        simulation.kernel.run(until=simulation.now + 0.5)
+        simulation.fail_node("pool-0/l2-0", time=simulation.kernel.now)
+        simulation.kernel.run(until=simulation.kernel.now + 0.5)
         assert simulation.repair.pending_slots()
         outcomes = monitor.tick()  # backlog observed -> watchlist stamped
         assert SILENT not in outcomes
@@ -207,8 +207,8 @@ class TestBacklogAgeWeighting:
         simulation = build()
         monitor = AvailabilityMonitor(simulation, samples_per_epoch=4,
                                       backlog_priority=2, seed=5)
-        simulation.fail_node("pool-0/l2-0", time=simulation.now)
-        simulation.kernel.run(until=simulation.now + 0.5)
+        simulation.fail_node("pool-0/l2-0", time=simulation.kernel.now)
+        simulation.kernel.run(until=simulation.kernel.now + 0.5)
         monitor.tick()
         assert monitor._watchlist
         simulation.run_until_idle()  # the repair completes

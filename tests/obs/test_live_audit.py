@@ -124,7 +124,7 @@ class TestOnlineDetection:
                          if op.kind == WRITE and op.is_complete),
                         key=lambda op: op.invoked_at)
         first = writes[0]
-        now = simulation.now
+        now = simulation.kernel.now
         stale = Operation(
             op_id="k/replica:drill/read-0",
             client_id="replica:drill/reader-0",
@@ -132,7 +132,7 @@ class TestOnlineDetection:
             invoked_at=now + 1.0, responded_at=now + 2.0, tag=first.tag,
             session="s",
         )
-        simulation.router.notify_replica_completion(stale)
+        simulation.notify_replica_completion(stale)
         # Foreground work well past the stale read's invocation, so a
         # probe tick checks it online (watermark = kernel.now).
         simulation.invoke_write("other", b"x", at=now + 80.0)

@@ -127,7 +127,7 @@ class TestRouterStatsReadThrough:
         simulation.ensure_shards(keys)
         simulation.apply(quorum_reads_under_lag(keys, seed=5, operations=30,
                                                 burst_operations=30))
-        stats = simulation.router.stats
+        stats = simulation.stats
         exported = {name: value
                     for name, value in telemetry.registry.to_dict().items()
                     if name.startswith("router_")}

@@ -70,8 +70,8 @@ def stale_drill() -> tuple:
     first = min((op for op in simulation.history()
                  if op.kind == WRITE and op.is_complete),
                 key=lambda op: op.invoked_at)
-    now = simulation.now
-    simulation.router.notify_replica_completion(Operation(
+    now = simulation.kernel.now
+    simulation.notify_replica_completion(Operation(
         op_id="k/replica:drill/read-0", client_id="replica:drill/reader-0",
         kind=READ, object_id=first.object_id, value=first.value,
         invoked_at=now + 1.0, responded_at=now + 2.0, tag=first.tag,

@@ -75,9 +75,9 @@ def test_a_workload_keeps_one_arrival_on_the_queue():
     simulation.add_workload(_workload("obj-0"))
     simulation.add_workload(_workload("obj-1"), start=30.0)
     assert queue.pending_events == arrivals_queued() == 2
-    assert simulation.router.arrivals_waiting == 14
+    assert simulation.arrivals_waiting == 14
     while simulation.kernel.step():
         assert arrivals_queued() <= 2
-    assert simulation.arrivals == 16
-    assert simulation.router.arrivals_waiting == 0
+    assert simulation.stats.arrivals == 16
+    assert simulation.arrivals_waiting == 0
     assert simulation.check_atomicity() is None

@@ -9,6 +9,8 @@ kernel's rolling fingerprint, its event count and the per-op histories.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster.ring import derive_seed
 from repro.core.config import LDSConfig
 from repro.sim import ClusterSimulation, ScenarioAction, repair_under_load
@@ -100,14 +102,9 @@ class TestGlobalDeterminism:
             == [(t.key, t.scheduled_at, t.status) for t in second.repair.tasks]
         assert first.repair.tasks  # repairs actually ran
 
-    def test_unseeded_cluster_repair_jitter_is_not_secretly_seeded(self):
-        """seed=None must yield a genuinely unseeded jitter RNG, not the
-        fixed sequence of derive_seed(None, 'repair')."""
-        import random
-
+    def test_an_unseeded_cluster_is_rejected(self):
+        """The root seed is an int: with ``seed=None`` the latency models
+        and replica distances would still derive from ``None``."""
         config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
-        cluster = ClusterSimulation(config, POOLS, seed=None,
-                                    repair_slot_jitter=2.0)
-        buggy_constant = random.Random(derive_seed(None, "repair")).random()
-        draws = [cluster.repair._rng.random() for _ in range(3)]
-        assert draws[0] != buggy_constant  # collision odds ~2^-53
+        with pytest.raises(TypeError, match="seed must be an int"):
+            ClusterSimulation(config, POOLS, seed=None)

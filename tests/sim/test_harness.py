@@ -21,11 +21,10 @@ def config() -> LDSConfig:
 class TestDriving:
     def test_synchronous_reads_and_writes_on_the_global_clock(self, config):
         simulation = ClusterSimulation(config, POOLS, seed=1)
-        router = simulation.router
         for i, key in enumerate(KEYS):
-            router.write(key, f"value-{i}".encode())
+            simulation.write(key, f"value-{i}".encode())
         for i, key in enumerate(KEYS):
-            assert router.read(key).value == f"value-{i}".encode()
+            assert simulation.read(key).value == f"value-{i}".encode()
         assert simulation.kernel.events_processed > 0
         assert simulation.check_atomicity() is None
 
@@ -35,7 +34,7 @@ class TestDriving:
         workload = generator.keyed_random(KEYS, 40, 0.5, 300.0)
         simulation.add_workload(workload)
         simulation.run_until_idle()
-        assert simulation.arrivals == 40
+        assert simulation.stats.arrivals == 40
         history = simulation.history()
         nominal = {op.at for op in workload.operations}
         # Global invocation times equal the nominal workload times (each
@@ -57,7 +56,7 @@ class TestDriving:
         # The workload really ran through the kernel's one queue, via the
         # harness's own arrival machinery.
         assert simulation.kernel.stats.events_total > len(workload)
-        assert simulation.arrivals == len(workload)
+        assert simulation.stats.arrivals == len(workload)
 
     def test_runner_reuse_after_clock_advanced_shifts_uniformly(self, config):
         """A second workload whose nominal window already passed must be
@@ -68,7 +67,7 @@ class TestDriving:
         first = KeyedWorkloadRunner(simulation).run(
             generator.keyed_random(KEYS, 30, 0.5, 300.0))
         assert first.is_atomic
-        advanced = simulation.now
+        advanced = simulation.kernel.now
         second = KeyedWorkloadRunner(simulation).run(
             generator.keyed_random(KEYS, 30, 0.5, 300.0))
         assert second.is_atomic
@@ -102,7 +101,7 @@ class TestDriving:
         with pytest.raises(ValueError, match="writers_per_shard"):
             simulation.apply(scenario)
         # nothing ran: the rejection happened at schedule time
-        assert simulation.arrivals == 0
+        assert simulation.stats.arrivals == 0
 
     def test_runner_rejects_oversized_client_indices_on_every_surface(self, config):
         from dataclasses import replace
@@ -111,9 +110,8 @@ class TestDriving:
         workload.operations = [replace(op, client_index=op.client_index + 1)
                                for op in workload.operations]
         simulation = ClusterSimulation(config, POOLS, seed=5)
-        for system in (simulation, simulation.router):
-            with pytest.raises(ValueError, match="per_shard"):
-                KeyedWorkloadRunner(system).run(workload)
+        with pytest.raises(ValueError, match="per_shard"):
+            KeyedWorkloadRunner(simulation).run(workload)
 
     def test_past_due_shift_survives_float_rounding(self, config):
         """(now - a) + a can round below now; the arrival must be clamped,
@@ -128,7 +126,7 @@ class TestDriving:
             kind="write", at=op_at, value=b"x", key="obj-0"))
         simulation.add_workload(workload)  # must not raise
         simulation.run_until_idle()
-        assert simulation.arrivals == 1
+        assert simulation.stats.arrivals == 1
         assert simulation.check_atomicity() is None
 
     def test_drain_time_inflation_does_not_delay_the_new_epoch(self, config):
@@ -140,7 +138,7 @@ class TestDriving:
                                        repair_detection_delay=1.0)
         keys = [f"d-{i}" for i in range(12)]
         simulation.ensure_shards(keys)
-        pool0_keys = [s.key for s in simulation.router.shards_on_pool("pool-0")]
+        pool0_keys = [s.key for s in simulation.shards_on_pool("pool-0")]
         assert pool0_keys
         simulation.kernel.schedule_at(
             50.0, lambda: simulation.fail_node("pool-0/l2-0", time=50.0))
@@ -150,15 +148,15 @@ class TestDriving:
             leave_at, lambda: simulation.remove_pool("pool-0", time=leave_at))
         simulation.run_until_idle()
         moved = [(t, key) for t, key, source, _ in
-                 simulation.router.migration_log if source == "pool-0"]
+                 simulation.migration_log if source == "pool-0"]
         assert moved
         # every migration is logged at (or very near) the leave instant,
         # not after the drained repair slots at t=171/221/...
         assert all(leave_at <= t < leave_at + 40.0 for t, _ in moved)
         # and new-epoch traffic is not silently postponed either
         key = moved[0][1]
-        write_at = simulation.now
-        simulation.router.write(key, b"after-migration")
+        write_at = simulation.kernel.now
+        simulation.write(key, b"after-migration")
         late = [op for op in simulation.history()
                 if op.value == b"after-migration"]
         assert late and late[0].invoked_at <= write_at + 1e-6
@@ -171,18 +169,18 @@ class TestDriving:
         simulation = ClusterSimulation(config, POOLS, seed=13)
         keys = [f"lag-{i}" for i in range(12)]
         for key in keys:
-            simulation.router.write(key, b"early")  # shards idle from ~t=30
-        drained = simulation.now
+            simulation.write(key, b"early")  # shards idle from ~t=30
+        drained = simulation.kernel.now
         join_at = drained + 500.0
         simulation.kernel.schedule_at(
             join_at, lambda: simulation.add_pool("pool-late", time=join_at))
         simulation.run_until_idle()
-        moved = [entry for entry in simulation.router.migration_log]
+        moved = [entry for entry in simulation.migration_log]
         assert moved, "expected at least one shard to move to the new pool"
         assert all(time >= join_at for time, *_ in moved)
         # a write after the migration lands after the join on the global clock
         key = moved[0][1]
-        simulation.router.write(key, b"late")
+        simulation.write(key, b"late")
         late_ops = [op for op in simulation.history()
                     if op.value == b"late"]
         assert late_ops and all(op.invoked_at >= join_at for op in late_ops)
@@ -193,12 +191,12 @@ class TestDriving:
         generator = WorkloadGenerator(seed=3, client_spacing=60.0)
         simulation.add_workload(generator.keyed_random(KEYS, 30, 0.5, 400.0))
         simulation.run(until=200.0)
-        assert simulation.now == 200.0
+        assert simulation.kernel.now == 200.0
         mid_flight = [op for op in simulation.history() if not op.is_complete]
         simulation.run_until_idle()
         assert all(op.is_complete for op in simulation.history())
         # the bounded run stopped somewhere inside the workload
-        assert simulation.arrivals == 30
+        assert simulation.stats.arrivals == 30
         assert mid_flight or True  # presence depends on timing; no flake
 
 
@@ -211,7 +209,7 @@ class TestMembershipTimeDefaults:
         simulation.ensure_shards(KEYS)
         simulation.kernel.schedule_at(200.0, lambda: None)
         simulation.run_until_idle()
-        assert simulation.now == 200.0
+        assert simulation.kernel.now == 200.0
         event = simulation.fail_node("pool-0/l2-0")
         assert event.time == 200.0
         simulation.run_until_idle()
@@ -237,8 +235,8 @@ class TestCompatibilityShim:
             cluster.write(key, b"epoch0")
         cluster.add_pool("pool-extra")
         cluster.run_until_idle()  # the migrations finish on the kernel
-        assert cluster.router.stats.migrations >= 1
-        moved = {key for _, key, _, _ in cluster.router.migration_log}
+        assert cluster.stats.migrations >= 1
+        moved = {key for _, key, _, _ in cluster.migration_log}
         for key in moved:
             cluster.write(key, b"epoch1")
         history = cluster.history()

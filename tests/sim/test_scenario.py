@@ -51,6 +51,18 @@ class TestActionValidation:
         with pytest.raises(ValueError):
             ScenarioAction(at=0.0, kind=FAIL_NODE)
 
+    @pytest.mark.parametrize("at", [-1.0, float("inf"), float("nan")])
+    def test_action_times_must_be_finite_and_not_negative(self, at):
+        with pytest.raises(ValueError, match="finite and not negative"):
+            ScenarioAction(at=at, kind=LATENCY_SHIFT, scale=2.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("inf"), float("nan")])
+    def test_scales_and_weights_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ScenarioAction(at=1.0, kind=LATENCY_SHIFT, scale=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ScenarioAction(at=1.0, kind=JOIN_POOL, target="pool-9", weight=bad)
+
     def test_scenario_orders_actions_by_time(self):
         scenario = Scenario(name="s")
         scenario.add(ScenarioAction(at=5.0, kind=LATENCY_SHIFT, scale=2.0))
@@ -81,10 +93,10 @@ class TestRepairUnderLoadInterleaving:
 
     def test_repairs_happened_and_node_recovered(self, simulation):
         assert simulation.repair.stats.repairs_completed >= 1
-        assert simulation.node("pool-0/l2-0").status == "alive"
+        assert simulation.membership.node("pool-0/l2-0").status == "alive"
 
     def test_migrations_happened(self, simulation):
-        assert simulation.router.stats.migrations >= 1
+        assert simulation.stats.migrations >= 1
         assert "pool-2" in simulation.membership.pools
 
     def test_repair_and_migration_interleave_with_foreground_ops(self, simulation):
@@ -136,12 +148,12 @@ class TestShippedScenarios:
             KEYS, "pool-9", seed=3, operations=60, duration=400.0, join_at=150.0,
         ))
         assert simulation.check_atomicity() is None
-        assert simulation.router.stats.migrations >= 1
+        assert simulation.stats.migrations >= 1
         # Migrated epochs preserved their values: spot-check via reads.
-        moved = [key for _, key, _, _ in simulation.router.migration_log]
+        moved = [key for _, key, _, _ in simulation.migration_log]
         assert moved
         for key in moved:
-            assert simulation.router.shards[key].epoch >= 1
+            assert simulation.shards[key].epoch >= 1
 
     def test_correlated_pool_failure(self, config):
         simulation = ClusterSimulation(config, POOLS, seed=4)
@@ -153,8 +165,8 @@ class TestShippedScenarios:
         assert all(op.is_complete for op in simulation.history())
         # The L2 node was repaired and recovered; the L1 node needs no
         # repair (the protocol tolerates f1 edge crashes natively).
-        assert simulation.node("pool-0/l2-0").status == "alive"
-        assert simulation.node("pool-0/l1-0").status == "failed"
+        assert simulation.membership.node("pool-0/l2-0").status == "alive"
+        assert simulation.membership.node("pool-0/l1-0").status == "failed"
         assert simulation.repair.stats.repairs_completed >= 1
 
     def test_flash_crowd(self, config):

@@ -60,7 +60,7 @@ class TestScenariosAuditClean:
             join_at=150.0,
         ))
         # The audit must span migration epochs, not dodge them.
-        assert simulation.router.stats.migrations >= 1
+        assert simulation.stats.migrations >= 1
         report = _audited(simulation)
         epochs = {op.object_id for op in simulation.history()}
         assert any("@e" in object_id for object_id in epochs)

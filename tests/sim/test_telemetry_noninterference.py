@@ -135,8 +135,8 @@ class TestTelemetryActuallyObserved:
         simulation.run_until_idle()
         group = simulation.replicas.groups["k"]
         simulation.fail_pool(group.primary_pool, time=simulation.kernel.now)
-        read = simulation.router.invoke_read("k", session="r")
-        assert simulation.router.stats.failover_deferrals == 1
+        read = simulation.invoke_read("k", session="r")
+        assert simulation.stats.failover_deferrals == 1
         simulation.run_until_idle()
         span, = telemetry.trace.spans("freeze-wait")
         assert span["args"]["parent"] == read

@@ -95,8 +95,8 @@ class ReplicationConfig:
         for name in ("replication_lag", "follower_read_latency",
                      "failover_detection_delay", "catch_up_per_record",
                      "provision_delay", "forward_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < float("inf"):  # and not NaN
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.read_quorum is not None and \
                 not 1 <= self.read_quorum <= self.r:
             raise ValueError("read_quorum must be within [1, r]")
@@ -185,17 +185,21 @@ class RoundRobinPolicy(ReadRoutingPolicy):
 class QuorumReadPolicy(ReadRoutingPolicy):
     """Reads fan out to a quorum of stores and merge their versions.
 
-    The paper resolves every read by querying a *quorum* of servers,
-    taking the maximum tag and reading that version; this policy is the
-    replica layer's analogue: each read queries ``read_quorum`` of the
-    group's r stores (the primary answers from its committed log head at
+    The paper's reader asks a *quorum* of servers for tags (metadata) and
+    only then fetches the maximum tag's value; this policy is the replica
+    layer's analogue: each read queries ``read_quorum`` of the group's r
+    stores (the primary answers from its committed log head at
     store-read latency, followers from their applied state), the
     coordinator merges the ``(epoch, tag)`` versions and returns the
-    maximum-version value.  The quorum *window* rotates deterministically
-    over the canonical replica order per key, so successive reads spread
-    load and periodically form follower-only quorums -- the case where a
-    lagging store loses the merge and (with ``read_repair``) is caught up
-    on the spot.
+    maximum-version value.  **Cost:** a leg's version is free and one
+    *data leg* (the primary if queried, else the nearest follower) moves
+    the value, so a served quorum read costs one ``TRANSFER_COST``, or
+    two when its data leg answered stale and a second store read fetched
+    the merged version, whatever ``read_quorum`` is.  The quorum *window*
+    rotates deterministically over the canonical replica order per key,
+    so successive reads spread load and periodically form follower-only
+    quorums -- the case where a lagging store loses the merge and (with
+    ``read_repair``) is caught up on the spot.
     """
 
     name = "quorum"

@@ -20,11 +20,13 @@ execution order.
 **Reads** are dispatched by a pluggable
 :class:`~repro.cluster.read_policy.ReadRoutingPolicy` (``primary``,
 ``round-robin``, ``nearest``, ``least-loaded`` or ``quorum``).  Under
-``quorum``, a merge that observes a store *below* the merged maximum
-triggers **read repair** -- the lagging store is caught up from the
-replication log at the merge instant instead of waiting out the
-replication lag (``read_repair=False`` restores lag-only catch-up for
-comparison).
+``quorum``, each leg answers its store's version (metadata, which costs
+nothing) and only the *data leg* also moves the value; a stale or lost
+data leg costs a second store read.  A merge that observes a store
+*below* the merged maximum triggers **read repair** -- the lagging store
+is caught up from the replication log at the merge instant instead of
+waiting out the replication lag (``read_repair=False`` restores lag-only
+catch-up for comparison).
 
 **Write forwarding.**  With ``write_ingress="nearest"`` (or an explicit
 ``via=`` pool on ``invoke_write``) a write arrives at the client's
@@ -99,8 +101,9 @@ from repro.core.tags import INITIAL_TAG, Tag
 #: lexicographically -- identical to the session auditor's versions.
 Version = Tuple[int, Tag]
 
-#: Normalised communication cost of one store read served, and of one log
-#: record applied or copied to a follower.
+#: Normalised communication cost of one value moved: a store read that
+#: returns the value, or one log record applied or copied to a follower.
+#: A version (metadata) moves for free.
 TRANSFER_COST = 1.0
 
 
@@ -128,8 +131,8 @@ class FollowerStore:
     ``(epoch, tag, value)`` and serve reads at replica-read latency.
     """
 
-    def __init__(self, group: "ReplicaGroup", pool: str, distance: float,
-                 created_at: float = 0.0) -> None:
+    def __init__(self, group: "ReplicaGroup", pool: str,
+                 distance: float) -> None:
         self.key = group.key
         self.pool = pool
         #: Seeded, unitless closeness factor; effective read latency is
@@ -139,7 +142,6 @@ class FollowerStore:
         #: record logged so far (it *is* their net effect).
         self.version = group.latest_version
         self.value = group.latest_value
-        self.created_at = created_at
         #: The group's replication log, and the watermark: the store has
         #: applied ``log[:log_position]`` and nothing after it.  Lag
         #: applies arrive in log order, because every record waits the
@@ -241,6 +243,8 @@ class ReplicaStats:
     #: Log records applied by quorum-merge read repair (outside the
     #: normal lag applies counted in ``records_applied``).
     read_repair_records: int = 0
+    #: Quorum reads whose stale or lost data leg took a second store read.
+    second_store_reads: int = 0
 
 
 @dataclass
@@ -255,11 +259,12 @@ class _ReplicaRead:
     invoked_at: float
     #: Quorum legs still in flight.
     legs: int = 0
-    #: ``(version, value, store)`` per answered quorum leg (``store`` is
-    #: None for the primary leg); None unless the read fanned out, so a
-    #: list here means the read already counted in ``quorum_reads``.
-    responses: Optional[List[Tuple[Version, Optional[bytes],
-                                   Optional[FollowerStore]]]] = None
+    #: ``(version, store)`` per answered leg (``store`` None: the primary);
+    #: a list means the read already counted in ``quorum_reads``.
+    responses: Optional[List[Tuple[Version, Optional[FollowerStore]]]] = None
+    #: The data leg's pool, and its ``(version, value)`` once it answers.
+    data_pool: Optional[str] = None
+    data: Optional[Tuple[Version, Optional[bytes]]] = None
 
 
 class ReplicaCoordinator:
@@ -296,11 +301,8 @@ class ReplicaCoordinator:
         self._pending_reads: Dict[str, _ReplicaRead] = {}
         #: Handle -> completed replica read: its group history's record.
         self._completed: Dict[str, Operation] = {}
-        #: Store reads answering an undegraded replica read: 1 for a
-        #: follower serve, ``read_quorum`` for a quorum merge; and handle
-        #: -> depth of each completed merge that got fewer answers.
-        self._full_depth = 1 if self.read_quorum is None else self.read_quorum
-        self._shallow: Dict[str, int] = {}
+        #: Served quorum reads that moved two values (every other moved one).
+        self._two_transfers: Set[str] = set()
         #: (label, reader) -> ``replica:<label>/reader-<reader>``.
         self._client_ids: Dict[Tuple[str, Union[int, str]], str] = {}
         #: Replica reads stranded by a crash or an unserviceable group.
@@ -392,7 +394,7 @@ class ReplicaCoordinator:
             if not self.membership.pool_alive(pool):
                 continue
             group.followers.append(FollowerStore(
-                group, pool, self._distance(key, pool), created_at=now))
+                group, pool, self._distance(key, pool)))
         self.groups[key] = group
         self.stats.groups_created += 1
         self._hook_primary(group, shard)
@@ -685,9 +687,8 @@ class ReplicaCoordinator:
                                       self._now(), args=args)
 
     def _respond(self, read: _ReplicaRead, op_id: str, client_id: str,
-                 version: Version, value: Optional[bytes], legs: int) -> None:
-        """Complete a read with ``value`` at ``version``, answered by
-        ``legs`` store reads."""
+                 version: Version, value: Optional[bytes]) -> None:
+        """Complete a read with ``value`` at ``version``; end its trace."""
         group = read.group
         now = self._now()
         epoch, tag = version
@@ -700,10 +701,13 @@ class ReplicaCoordinator:
         group.history.add(operation)
         self.router.notify_replica_completion(operation)
         self._completed[read.handle] = operation
-        if legs != self._full_depth:
-            self._shallow[read.handle] = legs
         del self._pending_reads[read.handle]
         self._bump_floor(read.session, group.key, version)
+        if self._trace is not None:
+            args = {"tag": str(tag)}
+            if read.responses is not None:
+                args["depth"] = len(read.responses)
+            self._trace.end_op(read.handle, now, args=args)
 
     def _serve_follower_read(self, group: ReplicaGroup, store: FollowerStore,
                              handle: str, reader: Union[int, str],
@@ -741,15 +745,11 @@ class ReplicaCoordinator:
             return
         store.reads_served += 1
         self.read_cost += TRANSFER_COST
-        self._respond(read, op_id, client_id, store.version, store.value, 1)
-        tracer = self._trace
-        if tracer is not None:
-            now = self._now()
-            tracer.child_span(read.handle, f"store-read {store.pool}",
-                              "replica", read.invoked_at, now,
-                              args={"pool": store.pool})
-            tracer.end_op(read.handle, now,
-                          args={"tag": str(store.version[1])})
+        if self._trace is not None:
+            self._trace.child_span(read.handle, f"store-read {store.pool}",
+                                   "replica", read.invoked_at, self._now(),
+                                   args={"pool": store.pool})
+        self._respond(read, op_id, client_id, store.version, store.value)
 
     # -- quorum reads --------------------------------------------------------------------
 
@@ -763,7 +763,9 @@ class ReplicaCoordinator:
         (``group.latest_*``), each at store-read latency scaled by its
         seeded distance and the shared latency regime -- the paper's
         query-a-quorum-of-servers discovery, not a full protocol read.
-        The read completes when the last leg resolves; a leg whose store
+        Only the *data leg* -- the primary if queried (its log head is never
+        behind), else the nearest follower -- also moves the value.
+        The read merges when the last leg resolves; a leg whose store
         dies mid-flight resolves as *failed*, so the merge degrades to the
         surviving answers instead of hanging.
         """
@@ -782,6 +784,8 @@ class ReplicaCoordinator:
         views = {view.pool: view for view in candidates}
         read.legs = len(pools)
         read.responses = []
+        read.data_pool = min(pools, key=lambda p: (
+            not views[p].is_primary, views[p].distance, views[p].order))
         self._pending_reads[handle] = read
         now = self._now()
         for pool in pools:
@@ -817,14 +821,16 @@ class ReplicaCoordinator:
         # so the answer stands.
         answered = self._pool_crashes.get(pool, 0) == crashes_at_dispatch
         if answered:
-            self.read_cost += TRANSFER_COST
-            if store is not None:
-                store.reads_served += 1
-                read.responses.append((store.version, store.value, store))
-            else:
+            if store is None:
                 group = read.group
-                read.responses.append(
-                    (group.latest_version, group.latest_value, None))
+                answer = (group.latest_version, group.latest_value)
+            else:
+                store.reads_served += 1
+                answer = (store.version, store.value)
+            read.responses.append((answer[0], store))
+            if pool == read.data_pool:
+                self.read_cost += TRANSFER_COST
+                read.data = answer
         tracer = self._trace
         if tracer is not None:
             tracer.child_span(read.handle, f"quorum-leg {pool}", "replica",
@@ -848,7 +854,7 @@ class ReplicaCoordinator:
             self._strand(read, op_id, client_id, group.epoch,
                          "quorum-stranded", {"depth": depth})
             return
-        version, value, _ = max(read.responses, key=lambda r: r[0])
+        version, freshest = max(read.responses, key=lambda r: r[0])
         if self.config.read_repair:
             self._read_repair(group, read.responses, version, now,
                               handle=handle)
@@ -857,20 +863,49 @@ class ReplicaCoordinator:
                 and version < floor:
             # The whole quorum lags what this session already observed
             # (a follower-only window): fall back to a full protocol read
-            # at the primary.  The legs' transfer cost was still paid.
+            # at the primary.  The data leg's transfer was still paid.
             stats.session_fallbacks += 1
             if tracer is not None:
                 tracer.child_instant(handle, "quorum-fallback", "replica",
                                      now, args={"depth": depth})
-            del self._pending_reads[handle]
-            self._dispatch_primary_read(read, now, counted=True)
-            self.router.flush_key(group.key)
+            self._read_at_primary(read)
             return
-        stats.policy_honored += 1
-        self._respond(read, op_id, client_id, version, value, depth)
-        if tracer is not None:
-            tracer.end_op(handle, now,
-                          args={"tag": str(version[1]), "depth": depth})
+        if read.data is not None and read.data[0] == version:
+            stats.policy_honored += 1
+            self._respond(read, op_id, client_id, *read.data)
+            return
+        # A stale or lost data leg: read the value from the freshest store,
+        # a follower (an answering primary leg is the data leg, and fresh),
+        # under the legs' crash rule (a pool already down loses it too).
+        self.stats.second_store_reads += 1
+        crashes = (None if freshest.pool in self._dead_pools
+                   else self._pool_crashes.get(freshest.pool, 0))
+        self.kernel.schedule_at(
+            now + self._read_latency(freshest),
+            lambda: self._complete_second_read(read, freshest, crashes,
+                                               op_id, client_id, now))
+
+    def _complete_second_read(self, read: _ReplicaRead, store: FollowerStore,
+                              crashes_at_dispatch: Optional[int], op_id: str,
+                              client_id: str, merged_at: float) -> None:
+        if self._pool_crashes.get(store.pool, 0) != crashes_at_dispatch:
+            self._read_at_primary(read)  # that store died too
+            return
+        self.read_cost += TRANSFER_COST
+        if read.data is not None:
+            self._two_transfers.add(read.handle)
+        if self._trace is not None:
+            self._trace.child_span(read.handle, f"store-read {store.pool}",
+                                   "replica", merged_at, self._now(),
+                                   args={"pool": store.pool})
+        self.router.stats.policy_honored += 1
+        self._respond(read, op_id, client_id, store.version, store.value)
+
+    def _read_at_primary(self, read: _ReplicaRead) -> None:
+        """Serve a quorum read at the primary, still one quorum read."""
+        del self._pending_reads[read.handle]
+        self._dispatch_primary_read(read, self._now(), counted=True)
+        self.router.flush_key(read.group.key)
 
     def _catch_up(self, store: FollowerStore) -> int:
         """Apply every logged record ``store`` has not applied yet, charged
@@ -896,7 +931,7 @@ class ReplicaCoordinator:
         alternative to waiting out the lag.
         """
         stats = self.router.stats
-        for _, _, store in responses:
+        for _, store in responses:
             if store is None or store.retired or store.version >= merged:
                 continue
             applied = self._catch_up(store)
@@ -1018,11 +1053,12 @@ class ReplicaCoordinator:
         return None if op is None else OperationResult.of(op)
 
     def operation_cost(self, handle: str) -> float:
-        """Cost of one served replica read (0 while pending or stranded):
-        one store-read cost per merged quorum leg, or a single store-read
-        cost for a follower serve."""
-        depth = self._shallow.get(handle, self._full_depth)
-        return depth * TRANSFER_COST if handle in self._completed else 0.0
+        """Values one served replica read moved (0 while pending or
+        stranded): one, or two for a quorum read whose data leg answered
+        stale before the second store read."""
+        if handle not in self._completed:
+            return 0.0
+        return (2 if handle in self._two_transfers else 1) * TRANSFER_COST
 
     def incomplete_reads(self) -> int:
         """Replica reads in flight (follower serves and quorum fan-outs)
@@ -1255,8 +1291,7 @@ class ReplicaCoordinator:
             return
         now = self._now()
         # Seeding copies the object once; only future commits replicate.
-        store = FollowerStore(group, pool, self._distance(group.key, pool),
-                              created_at=now)
+        store = FollowerStore(group, pool, self._distance(group.key, pool))
         group.followers.append(store)
         self.replication_cost += TRANSFER_COST
         self.stats.followers_provisioned += 1

@@ -39,9 +39,6 @@ from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.net.process import Process
 
-#: Distinct values whose backend encoding each system memoises (oldest out).
-ENCODE_CACHE_SIZE = 64
-
 P = TypeVar("P", bound=Process)
 
 
@@ -239,7 +236,7 @@ class LDSSystem(RegisterSystem):
         self.config = config
         self.code: LayeredCode = config.build_code()
         self._encode_cache: Dict[bytes, Dict[int, object]] = {}
-        self._wrap_encode_cache()
+        self._wrap_encode_cache(num_writers + 1)
         self.storage = StorageCostTracker(object_id=object_id)
 
         # -- the two server layers, then the clients ---------------------------------
@@ -263,11 +260,18 @@ class LDSSystem(RegisterSystem):
             for index in range(num_readers)
         )
 
-    def _wrap_encode_cache(self) -> None:
+    def _wrap_encode_cache(self, capacity: int) -> None:
         """Memoise backend encodes: every L1 server encodes the same value,
         so for simulation efficiency the (deterministic) encoding is shared.
         This is purely an engineering optimisation -- it does not change any
-        message or state of the protocol."""
+        message or state of the protocol.
+
+        An L1 server encodes a value when it commits the value's tag, so the
+        values still to be encoded are those of the writes in flight (one
+        per writer) and of the last committed one, which slower servers may
+        still be offloading: ``capacity`` entries, oldest out.  A value
+        evicted early is only encoded again.
+        """
         original = self.code.encode_for_backend
 
         def cached(value: bytes):
@@ -276,7 +280,7 @@ class LDSSystem(RegisterSystem):
             if hit is not None:
                 return hit
             encoded = original(key)
-            if len(self._encode_cache) >= ENCODE_CACHE_SIZE:
+            if len(self._encode_cache) >= capacity:
                 self._encode_cache.pop(next(iter(self._encode_cache)))
             self._encode_cache[key] = encoded
             return encoded

@@ -36,6 +36,8 @@ class ScheduledOperation:
     def __post_init__(self) -> None:
         if self.kind not in (READ, WRITE):
             raise ValueError("operation kind must be 'read' or 'write'")
+        if not math.isfinite(self.at):
+            raise ValueError(f"at must be a finite time, got {self.at!r}")
         if self.at < 0:
             raise ValueError("operations cannot be scheduled in the past")
         if self.kind == WRITE and self.value is None:

@@ -819,10 +819,105 @@ class TestQuorumReads:
         assert group.status == UNSERVICEABLE
         assert cluster.result(handle) is None
         assert cluster.replicas.incomplete_reads() == 1
+        assert cluster.operation_cost(handle) == 0.0
         stranded = [op for op in cluster.history()
                     if op.client_id.startswith("replica:quorum")
                     and not op.is_complete]
         assert len(stranded) == 1
+
+    def test_a_quorum_whose_legs_agree_moves_one_value(self, config):
+        cluster, _ = build_cluster(config, policy="quorum", read_quorum=2)
+        cluster.write("obj-0", b"v1")
+        cluster.run_until_idle()  # every follower applied v1
+        replicas = cluster.replicas
+        before = replicas.read_cost
+        handle = cluster.invoke_read("obj-0")
+        cluster.run_until_idle()
+        assert cluster.result(handle).value == b"v1"
+        assert cluster.stats.quorum_depths == {2: 1}
+        # Both legs answered a version; only the data leg moved the value.
+        assert replicas.read_cost == before + 1.0
+        assert cluster.operation_cost(handle) == 1.0
+        assert replicas.stats.second_store_reads == 0
+
+    def _stale_data_leg(self, config):
+        """obj-0 after a read that repaired follower 1 only: the next
+        window [follower 1, follower 2] has the nearer, stale follower 2
+        as its data leg and the fresh follower 1 as its freshest store."""
+        cluster, kernel = build_cluster(config, policy="quorum",
+                                        replication_lag=900.0, read_quorum=2)
+        cluster.write("obj-0", b"v1")
+        cluster.read("obj-0")  # window [primary, follower 1]
+        fresh, stale = cluster.replicas.groups["obj-0"].live_followers()
+        assert stale.distance < fresh.distance
+        assert fresh.value == b"v1" and stale.version < fresh.version
+        return cluster, kernel, fresh
+
+    def test_a_stale_data_leg_costs_a_second_store_read(self, config):
+        cluster, kernel, fresh = self._stale_data_leg(config)
+        handle = cluster.invoke_read("obj-0")
+        invoked_at = kernel.now
+        cluster.run_until_idle()
+        result = cluster.result(handle)
+        assert result.value == b"v1"
+        # The merge waits for the farther (fresh) leg, then reads the value
+        # from that store: one more store-read latency.
+        latency = 2.0 * fresh.distance
+        assert result.responded_at == pytest.approx(invoked_at + 2 * latency)
+        assert cluster.operation_cost(handle) == 2.0
+        assert cluster.replicas.stats.second_store_reads == 1
+        assert cluster.audit().ok
+
+    def test_a_data_leg_dying_in_flight_still_answers(self, config):
+        cluster, kernel = build_cluster(config, policy="quorum",
+                                        read_quorum=2)
+        cluster.write("obj-0", b"v1")
+        cluster.run_until_idle()
+        cluster.read("obj-0")  # tick the window onto [follower 1, follower 2]
+        far, near = cluster.replicas.groups["obj-0"].live_followers()
+        handle = cluster.invoke_read("obj-0")
+        invoked_at = kernel.now
+        cluster.fail_pool(near.pool, time=kernel.now)  # the data leg
+        cluster.run_until_idle()
+        result = cluster.result(handle)
+        assert result is not None, "a live leg answered: the read must too"
+        assert result.value == b"v1"
+        latency = 2.0 * far.distance
+        assert result.responded_at == pytest.approx(invoked_at + 2 * latency)
+        assert cluster.stats.quorum_depths.get(1) == 1
+        assert cluster.replicas.stats.second_store_reads == 1
+        # The dead data leg moved nothing: the second read is the transfer.
+        assert cluster.operation_cost(handle) == 1.0
+        assert cluster.replicas.incomplete_reads() == 0
+
+    def test_a_second_store_read_that_dies_goes_to_the_primary(self, config):
+        cluster, kernel, fresh = self._stale_data_leg(config)
+        handle = cluster.invoke_read("obj-0")
+        while cluster.replicas.stats.second_store_reads == 0:
+            kernel.step()
+        cluster.fail_pool(fresh.pool, time=kernel.now)
+        cluster.run_until_idle()
+        result = cluster.result(handle)
+        assert result.value == b"v1"
+        assert not result.client_id.startswith("replica:")
+        stats = cluster.stats
+        assert stats.quorum_reads == 2 and stats.primary_reads == 0
+        assert cluster.replicas.incomplete_reads() == 0
+        assert cluster.audit().ok
+
+    def test_a_single_leg_quorum_keeps_its_cost_and_timing(self, config):
+        cluster, kernel = build_cluster(config, policy="quorum",
+                                        read_quorum=1)
+        cluster.write("obj-0", b"v1")
+        cluster.run_until_idle()
+        group = cluster.replicas.groups["obj-0"]
+        handle = cluster.invoke_read("obj-0")  # window = [primary]
+        invoked_at = kernel.now
+        cluster.run_until_idle()
+        result = cluster.result(handle)
+        assert result.responded_at == pytest.approx(
+            invoked_at + 2.0 * group.primary_distance)
+        assert cluster.operation_cost(handle) == 1.0
 
     def test_read_quorum_requires_the_quorum_policy(self, config):
         with pytest.raises(ValueError, match="read_quorum"):
@@ -833,6 +928,17 @@ class TestQuorumReads:
             ReplicationConfig(r=3, read_quorum=4)
         with pytest.raises(ValueError, match="read_quorum"):
             ReplicationConfig(r=3, read_quorum=0)
+
+    @pytest.mark.parametrize("name", [
+        "replication_lag", "follower_read_latency",
+        "failover_detection_delay", "catch_up_per_record",
+        "provision_delay", "forward_latency"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_time_fields_must_be_finite_and_non_negative(self, name, value):
+        # An infinite lag once ran to a clean audit with the clock at
+        # infinity, and a NaN failed mid-run.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ReplicationConfig(r=3, **{name: value})
 
     def test_read_quorum_defaults_to_a_majority(self, config):
         cluster, _ = build_cluster(config, r=3, policy="quorum")

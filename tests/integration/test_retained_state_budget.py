@@ -109,6 +109,10 @@ def test_a_drained_run_keeps_no_finished_protocol_state(workload, monkeypatch,
             for name in PER_TAG} == dict.fromkeys(PER_TAG, 0)
     assert sum(len(server.list_storage) for server in servers) == \
         LIST_TAGS[workload]
+    # The encode cache keeps only values that can still be offloading: one
+    # write in flight per writer, and the last committed value.
+    assert all(len(system._encode_cache) <= len(system.writers) + 1
+               for system in systems)
 
 
 @pytest.mark.parametrize("workload", sorted(LIST_TAGS))
@@ -135,17 +139,17 @@ def test_a_drained_run_keeps_one_record_per_operation(workload, monkeypatch,
     prefixes = ["client-"]
     if replicas is not None:
         # A replica-served read's handle maps to its record in the group's
-        # history.  No other map keeps the handle, but for the depth of a
-        # degraded quorum merge.
+        # history.  No other container keeps the handle, but for a quorum
+        # read that moved two values.
         served = replicas._completed
         in_history = {id(op) for history in replicas.histories()
                       for op in history}
         assert all(id(op) in in_history for op in served.values())
-        assert set(replicas._shallow) <= set(served)
-        assert sum(len(served.keys() & held.keys())
+        assert replicas._two_transfers <= set(served)
+        assert sum(len(served.keys() & set(held))
                    for held in containers(replicas)
-                   if isinstance(held, dict)) == \
-            len(served) + len(replicas._shallow)
+                   if isinstance(held, (dict, set))) == \
+            len(served) + len(replicas._two_transfers)
         prefixes.append(REPLICA_CLIENT_PREFIX)
     assert len(served) == REPLICA_SERVED[workload]
     assert flushed + len(served) == len(handles)

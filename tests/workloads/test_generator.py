@@ -30,6 +30,12 @@ class TestScheduledOperation:
         with pytest.raises(ValueError):
             ScheduledOperation(kind=READ, at=-1.0)
 
+    @pytest.mark.parametrize("at", [NAN, INF])
+    def test_non_finite_time_rejected_naming_the_field(self, at):
+        # Accepted once, the run failed mid-pump with a misleading message.
+        with pytest.raises(ValueError, match="^at must be a finite time"):
+            ScheduledOperation(kind=READ, at=at)
+
 
 class TestWorkload:
     def test_counts_and_sorting(self):

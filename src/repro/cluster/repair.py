@@ -25,6 +25,7 @@ crashes natively and L1 state is temporary by design.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -94,8 +95,11 @@ class RepairScheduler:
                  max_attempts: int = 8, slot_jitter: float = 0.0,
                  seed: Optional[int] = None,
                  membership: Optional[Membership] = None) -> None:
-        if min_interval < 0 or detection_delay < 0 or slot_jitter < 0:
-            raise ValueError("intervals must be non-negative")
+        for name, value in (("min_interval", min_interval),
+                            ("detection_delay", detection_delay),
+                            ("slot_jitter", slot_jitter)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and not negative")
         if max_concurrent < 1:
             raise ValueError("at least one concurrent repair slot is required")
         if max_attempts < 1:

@@ -1,6 +1,6 @@
 """Runtime sanitizer for the event pump.
 
-The static pass in :mod:`repro.lint` catches hazard *patterns*; this
+The determinism rules scanned in tier-1 catch hazard *patterns*; this
 module catches hazard *executions*.  :meth:`GlobalScheduler.enable_sanitizer
 <repro.net.kernel.GlobalScheduler.enable_sanitizer>` attaches a
 :class:`KernelSanitizer` to the pump, which then checks four invariants

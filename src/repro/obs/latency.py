@@ -140,12 +140,6 @@ class QuantileSketch:
                 self._maximum = bound
         return self
 
-    def copy(self) -> "QuantileSketch":
-        out = QuantileSketch(self.name, self.help,
-                             relative_error=self.relative_error)
-        out.merge(self)
-        return out
-
     # -- queries -----------------------------------------------------------------
 
     def quantile(self, q: float) -> float:

@@ -37,6 +37,7 @@ byte-identical with telemetry on or off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from functools import partial
 from typing import Optional
@@ -64,6 +65,8 @@ class Telemetry:
                  availability_interval: Optional[float] = None,
                  latency: bool = False,
                  slo_interval: Optional[float] = None) -> None:
+        if sample_interval is not None and not 0 < sample_interval < math.inf:
+            raise ValueError("sample_interval must be positive and finite")
         self.registry = MetricsRegistry()
         self.trace: Optional[TraceRecorder] = \
             TraceRecorder() if trace else None

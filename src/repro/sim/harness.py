@@ -23,6 +23,7 @@ driving API (``write`` / ``read`` / ``invoke_*`` / ``add_workload`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
@@ -201,7 +202,11 @@ class ClusterSimulation(ObjectRouter):
     # on the timeline before the failure that caused them.
 
     def _time(self, time: Optional[float]) -> float:
-        return self.kernel.now if time is None else time
+        if time is None:
+            return self.kernel.now
+        if not -math.inf < time < math.inf:
+            raise ValueError("time must be finite")
+        return time
 
     def fail_node(self, node_id: str,
                   time: Optional[float] = None) -> MembershipEvent:

@@ -91,9 +91,9 @@ class ZipfKeySampler:
                  seed: Optional[int] = None) -> None:
         if not keys:
             raise ValueError("the sampler needs at least one key")
-        # Written so that a NaN exponent, which compares false, fails.
-        if not s >= 0:
-            raise ValueError("the Zipf exponent must be non-negative")
+        if not 0 <= s < math.inf:
+            raise ValueError("the Zipf exponent s must be finite and not "
+                             "negative")
         self.keys = list(keys)
         self.s = s
         self._rng = random.Random(seed)

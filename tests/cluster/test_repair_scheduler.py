@@ -36,6 +36,15 @@ def build_cluster(config, *, min_interval=5.0, max_concurrent=1,
     return router, scheduler
 
 
+@pytest.mark.parametrize("name", ["min_interval", "detection_delay",
+                                  "slot_jitter"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_intervals_must_be_finite_and_not_negative(config, name, value):
+    # A NaN interval once ran its repairs as if nothing were wrong.
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ClusterSimulation(config, POOLS, seed=1, **{f"repair_{name}": value})
+
+
 def test_failure_burst_is_rate_limited(config):
     router, scheduler = build_cluster(config, min_interval=5.0, max_concurrent=1)
     victims = router.shards_on_pool("pool-0")

@@ -81,6 +81,13 @@ def run():
 
 
 class TestClusterSampler:
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_sample_interval_must_be_positive_and_finite(self, interval):
+        # Each of these was accepted at construction.
+        with pytest.raises(ValueError, match="^sample_interval must be"):
+            Telemetry(sample_interval=interval)
+
     def test_samples_on_the_configured_cadence(self, run):
         _, telemetry = run
         ticks = [row["t"] for row in telemetry.sampler.samples]

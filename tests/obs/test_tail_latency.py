@@ -147,8 +147,9 @@ class TestQuantileSketchMergeLaws:
 
     def test_merge_is_associative(self):
         a, b, c = self._sketches(45)
-        left = a.copy().merge(b).merge(c)
-        right = a.copy().merge(b.copy().merge(c))
+        left = QuantileSketch("s").merge(a).merge(b).merge(c)
+        right = QuantileSketch("s").merge(a).merge(
+            QuantileSketch("s").merge(b).merge(c))
         assert sketch_signature(left) == sketch_signature(right)
         assert left.sum == pytest.approx(right.sum)
 
@@ -172,7 +173,7 @@ class TestQuantileSketchMergeLaws:
         for i, v in enumerate(values):
             direct.observe(v)
             (half_a if i % 2 else half_b).observe(v)
-        merged = half_a.copy().merge(half_b)
+        merged = QuantileSketch("s").merge(half_a).merge(half_b)
         assert sketch_signature(merged) == sketch_signature(direct)
         assert merged.sum == pytest.approx(direct.sum)
 

@@ -81,9 +81,9 @@ LDS_BENCH_IMPORT_SET = [
 
 #: Modules no benchmark run may load eagerly: telemetry, the baselines,
 #: the injection drills, the replica coordinator (built only when
-#: ``r > 1``), the sanitizer and the linter.
+#: ``r > 1``) and the sanitizer.
 NEVER_EAGER = ("repro.obs", "repro.baselines", "repro.consistency.injection",
-               "repro.cluster.replicas", "repro.net.sanitizer", "repro.lint")
+               "repro.cluster.replicas", "repro.net.sanitizer")
 
 PROBE = """
 import json, sys

@@ -14,8 +14,9 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__)))), "src")
+from source_tree import ROOT, modules
+
+SRC = os.path.join(ROOT, "src")
 
 #: layer -> the layers it must never import (None: every other layer).
 FORBIDDEN = {
@@ -37,11 +38,9 @@ ALLOWED_ONLY = {
 }
 
 
-def imported_modules(path: str):
-    """Every ``repro`` module an import statement in ``path`` names, with
+def imported_modules(tree: ast.Module):
+    """Every ``repro`` module an import statement in ``tree`` names, with
     ``from package import submodule`` resolved to the submodule."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
@@ -57,17 +56,13 @@ def imported_modules(path: str):
 
 def imported_layers(layer: str):
     """``(file, imported layer)`` for every cross-layer import in ``layer``."""
-    root = os.path.join(SRC, "repro", layer)
-    for directory, _, files in sorted(os.walk(root)):
-        for name in sorted(files):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(directory, name)
-            for module in imported_modules(path):
-                parts = module.split(".")
-                if parts[0] == "repro" and len(parts) > 1 \
-                        and parts[1] != layer:
-                    yield os.path.relpath(path, SRC), parts[1]
+    for path, _, tree in modules("src/repro"):
+        if not path.startswith(f"src/repro/{layer}/"):
+            continue
+        for module in imported_modules(tree):
+            parts = module.split(".")
+            if parts[0] == "repro" and len(parts) > 1 and parts[1] != layer:
+                yield path, parts[1]
 
 
 @pytest.mark.parametrize("layer", sorted(FORBIDDEN))
@@ -86,5 +81,6 @@ def test_layer_imports_only_the_layers_below_it(layer):
 
 def test_the_scan_sees_function_local_imports():
     # obs.registry imports obs.latency inside a method.
-    assert "repro.obs.latency" in imported_modules(
-        os.path.join(SRC, "repro", "obs", "registry.py"))
+    [registry] = [tree for path, _, tree in modules("src/repro")
+                  if path == "src/repro/obs/registry.py"]
+    assert "repro.obs.latency" in imported_modules(registry)

@@ -16,38 +16,23 @@ import ast
 import os
 import sys
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
+from source_tree import ROOT, modules
+
 SCANNED = ("src/repro", "tests", "examples", "benchmarks")
 EXEMPT = ("src/repro/cluster/", "benchmarks/lds_bench/")
-HARNESS = os.path.join(REPO_ROOT, "src", "repro", "sim", "harness.py")
-BENCHMARKS = os.path.join(REPO_ROOT, "benchmarks")
+HARNESS = "src/repro/sim/harness.py"
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
 if BENCHMARKS not in sys.path:
     sys.path.insert(0, BENCHMARKS)
 
 from lds_bench.trace import WRAP_POINTS  # noqa: E402
 
 
-def python_files():
-    for top in SCANNED:
-        for directory, _, files in sorted(os.walk(os.path.join(REPO_ROOT, top))):
-            for name in sorted(files):
-                if name.endswith(".py"):
-                    path = os.path.join(directory, name)
-                    relative = os.path.relpath(path, REPO_ROOT).replace(os.sep, "/")
-                    if not relative.startswith(EXEMPT):
-                        yield relative, path
-
-
-def parse(path: str) -> ast.Module:
-    with open(path, encoding="utf-8") as fh:
-        return ast.parse(fh.read(), path)
-
-
 def test_nothing_outside_the_cluster_reaches_through_router():
-    found = [f"{relative}:{node.lineno}"
-             for relative, path in python_files()
-             for node in ast.walk(parse(path))
+    found = [f"{path}:{node.lineno}"
+             for top in SCANNED for path, _, tree in modules(top)
+             if not path.startswith(EXEMPT)
+             for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "router"
              and isinstance(node.ctx, ast.Load)]
     assert found == []
@@ -84,7 +69,9 @@ def forwarded_member(function: ast.FunctionDef):
 
 
 def test_the_simulation_keeps_no_pass_through_methods():
-    [cls] = [node for node in ast.walk(parse(HARNESS))
+    [harness] = [tree for path, _, tree in modules("src/repro")
+                 if path == HARNESS]
+    [cls] = [node for node in ast.walk(harness)
              if isinstance(node, ast.ClassDef)
              and node.name == "ClusterSimulation"]
     forwards = {node.name: forwarded_member(node) for node in cls.body

@@ -11,11 +11,11 @@ code.  A name kept on purpose goes in ``KEPT`` with its reason.
 """
 
 import ast
-import os
 
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-PACKAGE = os.path.join(ROOT, "src", "repro")
-CALLERS = [PACKAGE, os.path.join(ROOT, "benchmarks"), os.path.join(ROOT, "examples")]
+from source_tree import modules
+
+PACKAGE = "src/repro"
+CALLERS = [PACKAGE, "benchmarks", "examples"]
 TABLES = {"__all__", "_EXPORTS"}
 DEFS = (ast.FunctionDef, ast.ClassDef)
 
@@ -34,17 +34,8 @@ KEPT = {
 }
 
 
-def _modules(top):
-    for folder, _, files in sorted(os.walk(top)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(folder, name)
-                with open(path) as handle:
-                    yield path, ast.parse(handle.read(), path)
-
-
 def _definitions():
-    for path, tree in _modules(PACKAGE):
+    for path, _, tree in modules(PACKAGE):
         for node in tree.body:
             if isinstance(node, DEFS):
                 members = node.body if isinstance(node, ast.ClassDef) else []
@@ -55,7 +46,7 @@ def _definitions():
 
 def _references():
     found = {}
-    for path, tree in (module for top in CALLERS for module in _modules(top)):
+    for path, _, tree in (module for top in CALLERS for module in modules(top)):
         tables = {line for node in ast.walk(tree) if isinstance(node, ast.Assign)
                   and any(getattr(target, "id", None) in TABLES for target in node.targets)
                   for line in range(node.lineno, node.end_lineno + 1)}

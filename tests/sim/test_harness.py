@@ -221,6 +221,20 @@ class TestMembershipTimeDefaults:
         # an explicit time keeps its meaning
         assert simulation.fail_node("pool-1/l2-0", time=250.0).time == 250.0
 
+    @pytest.mark.parametrize("change", [
+        lambda simulation, time: simulation.fail_node("pool-0/l2-0", time=time),
+        lambda simulation, time: simulation.fail_pool("pool-0", time=time),
+        lambda simulation, time: simulation.add_pool("pool-2", time=time),
+        lambda simulation, time: simulation.remove_pool("pool-1", time=time),
+    ], ids=["fail_node", "fail_pool", "add_pool", "remove_pool"])
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_an_explicit_time_must_be_finite(self, config, change, time):
+        # A NaN was accepted and then failed mid-pump as "cannot schedule
+        # an event in the past".
+        simulation = ClusterSimulation(config, POOLS, seed=4)
+        with pytest.raises(ValueError, match="^time must be finite"):
+            change(simulation, time)
+
 
 class TestCompatibilityShim:
     """What the removed attach-a-kernel-later shim promised about epochs,

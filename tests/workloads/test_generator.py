@@ -84,6 +84,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("s", [NAN, INF, -1.0])
+    def test_zipf_exponent_must_be_finite_and_not_negative(self, s):
+        # An infinite exponent once passed the check.
+        with pytest.raises(ValueError, match="exponent s must be finite"):
+            ZipfKeySampler(["a", "b"], s=s)
+
     def test_mixed_random_keeps_clients_well_formed(self):
         generator = WorkloadGenerator(seed=5, client_spacing=20)
         workload = generator.mixed_random(num_operations=30, write_fraction=0.5,

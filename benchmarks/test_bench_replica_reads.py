@@ -1,14 +1,14 @@
 """Replica-read benchmark: read throughput and balance vs replication factor.
 
 Drives the same seeded Zipf workload (fixed write load, read-heavy mix)
-through clusters with r = 1, 2, 3 and the round-robin routing policy, and
+through clusters with r = 1, 2, 3 and the round-robin routing mode, and
 reports how the replica layer spreads the read traffic: follower share,
 per-pool balance (CV of serves), mean read latency (follower stores answer
 in store-read time instead of a full two-layer protocol read), and the
 replication traffic the extra copies cost at the fixed write load.
 
 There is no paper analogue; this characterises the cluster's scale-out
-read path (the ROADMAP's "route reads to the nearest replica" item).
+read path.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ with every substrate it depends on:
 * ``repro.cluster`` -- the scale-out layer: consistent-hash placement of
   object shards onto server pools, a keyed object router fanning out to
   per-shard LDS instances, rate-limited background repair, and r-way
-  replica groups with pluggable read routing and pool-loss failover;
+  replica groups with three read-routing modes and pool-loss failover;
 * ``repro.sim`` -- the cluster on the global clock: a declarative
   scenario engine and :class:`ClusterSimulation`, the cluster facade
   (membership + router + repair, pre-wired on one event pump);
@@ -116,7 +116,6 @@ _EXPORTS = {
     "RebalancePlan": "cluster.placement",
     "RepairScheduler": "cluster.repair",
     "ReplicationConfig": "cluster.read_policy",
-    "make_read_policy": "cluster.read_policy",
     "GlobalScheduler": "net.kernel",
     "ClusterSimulation": "sim.harness",
     "Scenario": "sim.scenario",

@@ -18,11 +18,12 @@ serve millions of objects:
   background L2 repairs driven by failure events;
 * :mod:`repro.cluster.replicas` -- :class:`ReplicaCoordinator`, the
   replica-group layer: r-way placement via ``HashRing.nodes_for``,
-  follower stores fed by kernel-scheduled replication lag, pluggable
-  read-routing policies, and deterministic failover on pool loss;
+  follower stores fed by kernel-scheduled replication lag, three
+  read-routing modes (``primary``, ``round-robin``, ``quorum``), and
+  deterministic failover on pool loss;
 * :mod:`repro.cluster.read_policy` -- :class:`ReplicationConfig` and the
-  :class:`ReadRoutingPolicy` family, kept apart from the coordinator so
-  a run without replication never loads it.
+  mode names, kept apart from the coordinator so a run without
+  replication never loads it.
 
 :class:`repro.sim.harness.ClusterSimulation` is the facade wiring all of
 the above together on the global simulation kernel.
@@ -51,16 +52,9 @@ _EXPORTS = {
     "RepairStats": "repair",
     "RepairTask": "repair",
     "FollowerStore": "replicas",
-    "LeastLoadedPolicy": "read_policy",
-    "NearestPolicy": "read_policy",
-    "PrimaryOnlyPolicy": "read_policy",
-    "QuorumReadPolicy": "read_policy",
-    "ReadRoutingPolicy": "read_policy",
     "ReplicaCoordinator": "replicas",
     "ReplicaGroup": "replicas",
     "ReplicationConfig": "read_policy",
-    "RoundRobinPolicy": "read_policy",
-    "make_read_policy": "read_policy",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

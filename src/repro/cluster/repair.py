@@ -100,10 +100,12 @@ class RepairScheduler:
                             ("slot_jitter", slot_jitter)):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and not negative")
-        if max_concurrent < 1:
-            raise ValueError("at least one concurrent repair slot is required")
-        if max_attempts < 1:
-            raise ValueError("at least one attempt is required")
+        for name, value in (("max_concurrent", max_concurrent),
+                            ("max_attempts", max_attempts)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         self.router = router
         self.min_interval = min_interval
         self.max_concurrent = max_concurrent

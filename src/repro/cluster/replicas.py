@@ -17,9 +17,11 @@ replication log and schedules one apply event per follower at
 staleness is a first-class, simulated quantity rather than an accident of
 execution order.
 
-**Reads** are dispatched by a pluggable
-:class:`~repro.cluster.read_policy.ReadRoutingPolicy` (``primary``,
-``round-robin``, ``nearest``, ``least-loaded`` or ``quorum``).  Under
+**Reads** are routed by one of three built-in modes
+(:data:`~repro.cluster.read_policy.READ_POLICIES`): ``primary`` runs
+every read at the primary, ``round-robin`` takes each group's stores in
+turn, and ``quorum`` fans each read out to a rotating window of
+``read_quorum`` stores and merges their versions.  Under
 ``quorum``, each leg answers its store's version (metadata, which costs
 nothing) and only the *data leg* also moves the value; a stale or lost
 data leg costs a second store read.  A merge that observes a store
@@ -43,9 +45,10 @@ already seen something newer.  The coordinator therefore keeps a
 session has observed per key, maintained from operation completions) and
 overrides any follower choice whose applied version is below the floor
 back to the primary.  That is exactly the discipline that keeps the
-cross-shard session auditor (:mod:`repro.consistency.sessions`) clean:
-with the guard disabled (``session_guard=False``) a lagging follower
-serves stale reads and the auditor provably reports them.
+cross-shard session auditor (:mod:`repro.consistency.sessions`) clean;
+the history-level drills ``inject_stale_follower_read`` and
+``inject_quorum_version_drop`` (:mod:`repro.consistency.injection`)
+plant the stale reads the guard prevents, and the auditor reports them.
 
 **Failover.**  Node failures within a pool degrade redundancy and are
 repaired in the background as before.  When a pool loses its *last*
@@ -87,9 +90,7 @@ from repro.cluster.membership import (
 )
 from repro.cluster.placement import DROP_FOLLOWER
 from repro.cluster.read_policy import (  # re-exported (see __all__)
-    FAILING_OVER, NORMAL, UNSERVICEABLE, LeastLoadedPolicy,
-    NearestPolicy, PrimaryOnlyPolicy, QuorumReadPolicy, ReadRoutingPolicy,
-    ReplicaView, ReplicationConfig, RoundRobinPolicy, make_read_policy)
+    FAILING_OVER, NORMAL, UNSERVICEABLE, ReplicationConfig)
 from repro.cluster.ring import derive_seed
 from repro.consistency.history import (
     READ, REPLICA_CLIENT_PREFIX, WRITE, History, Operation, join_object_id,
@@ -150,8 +151,6 @@ class FollowerStore:
         #: log head, and the lag applies they overtook are skipped.
         self.log = group.log
         self.log_position = len(group.log)
-        self.reads_in_flight = 0
-        self.reads_served = 0
         #: True once the store was dropped (pool died, promoted, rebalance).
         self.retired = False
 
@@ -198,12 +197,10 @@ class ReplicaGroup:
         #: Follower-served reads (kept outside the shard histories so the
         #: per-epoch atomicity check stays primary-only).
         self.history = History()
-        #: Reads the coordinator routed to the primary and that have not
-        #: completed yet (a load heuristic, decremented on READ completions
-        #: of the live epoch, so it is approximate around migrations).
-        self.primary_in_flight = 0
-        #: Reads dispatched per pool over the group's lifetime.
-        self.dispatched: Dict[str, int] = {}
+        #: Routing turns taken: a round-robin read serves
+        #: ``candidates[turn % n]``, a quorum read queries the window
+        #: starting there.
+        self.turn = 0
         #: Pools with a replacement-follower provision scheduled but not
         #: yet seated (keeps multi-deficit provisioning from piling onto
         #: one target and lets the deficit be filled in one pass).
@@ -276,11 +273,12 @@ class ReplicaCoordinator:
     """
 
     def __init__(self, router, config: ReplicationConfig,
-                 read_policy: Union[str, ReadRoutingPolicy] = "primary") -> None:
+                 read_policy: str = "primary") -> None:
         self.router = router
         self.config = config
-        self.policy = make_read_policy(read_policy)
-        if isinstance(self.policy, QuorumReadPolicy):
+        #: One of READ_POLICIES (the router checked the name).
+        self.read_policy = read_policy
+        if read_policy == "quorum":
             self.read_quorum = (config.read_quorum
                                 if config.read_quorum is not None
                                 else config.r // 2 + 1)
@@ -288,7 +286,7 @@ class ReplicaCoordinator:
             if config.read_quorum is not None:
                 raise ValueError(
                     "read_quorum only applies to the 'quorum' read policy; "
-                    f"the configured policy is {self.policy.name!r}"
+                    f"the configured policy is {read_policy!r}"
                 )
             self.read_quorum = None
         self.membership: Membership = router.membership
@@ -442,8 +440,6 @@ class ReplicaCoordinator:
         version = (epoch, result.tag)
         self._bump_floor(session, group.key, version)
         if result.kind != WRITE:
-            if group.primary_in_flight > 0:
-                group.primary_in_flight -= 1
             return
         if self.router.shards.get(group.key) is not shard:
             return  # a retired epoch draining; its writes were already logged
@@ -508,28 +504,12 @@ class ReplicaCoordinator:
 
     # -- read routing --------------------------------------------------------------------
 
-    def _candidates(self, group: ReplicaGroup) -> List[ReplicaView]:
-        """The replicas able to serve right now, in canonical order (the
-        primary is absent while the group is failing over)."""
-        candidates: List[ReplicaView] = []
-        order = 0
-        if group.status == NORMAL:
-            candidates.append(ReplicaView(
-                pool=group.primary_pool, is_primary=True,
-                distance=group.primary_distance,
-                reads_in_flight=group.primary_in_flight,
-                reads_served=group.dispatched.get(group.primary_pool, 0),
-                order=order,
-            ))
-            order += 1
-        for store in group.live_followers():
-            candidates.append(ReplicaView(
-                pool=store.pool, is_primary=False, distance=store.distance,
-                reads_in_flight=store.reads_in_flight,
-                reads_served=store.reads_served, order=order,
-            ))
-            order += 1
-        return candidates
+    def _candidates(self, group: ReplicaGroup) -> List[Optional[FollowerStore]]:
+        """The stores able to serve right now, in canonical order: ``None``
+        for the primary (absent while the group is failing over), then the
+        live followers."""
+        primary = [None] if group.status == NORMAL else []
+        return primary + group.live_followers()
 
     def invoke_read(self, key: str, reader: Union[int, str] = 0,
                     at: Optional[float] = None,
@@ -558,64 +538,47 @@ class ReplicaCoordinator:
             return self._invoke_quorum_read(group, handle, reader,
                                             dispatch_at, session)
 
-        candidates = self._candidates(group)
-        choice = self.policy.choose(key, candidates)
+        read = _ReplicaRead(handle, group, reader, session, dispatch_at)
         stats = self.router.stats
-        if choice is not None:
-            stats.policy_choices += 1
-        routed = choice
-        store = None
-        rejected: Set[str] = set()
-        remaining = candidates
-        while routed is not None and routed != group.primary_pool:
-            if routed in rejected:
-                # A policy ignoring the reduced list (e.g. a stale cache)
-                # re-named an already-rejected pool: stop retrying.
-                routed = None
-                break
-            store = group.follower(routed)
-            floor = (self.session_floor(session, key)
-                     if self.config.session_guard else None)
-            if store is None:
-                # The policy named a pool without a live store (e.g. a
-                # stale cache of a just-retired follower): reject, but
-                # visibly.
-                stats.retired_fallbacks += 1
-            elif floor is not None and store.version < floor:
-                # The follower has not caught up to what this session
-                # already observed.
-                stats.session_fallbacks += 1
-                if self._trace is not None:
-                    self._trace.child_instant(handle, "session-fallback",
-                                              "read", dispatch_at,
-                                              args={"pool": routed,
-                                                    "floor": floor})
-                store = None
-            else:
-                break  # a serviceable follower
-            # Rejected: give the policy its turn back and re-offer the
-            # *reduced* candidate list, so the turn passes to the next
-            # replica instead of collapsing straight onto the primary (a
-            # lagging follower must not starve its healthy peers).
-            self.policy.rejected(key, routed)
-            rejected.add(routed)
-            remaining = [view for view in remaining if view.pool != routed]
-            routed = self.policy.choose(key, remaining)
-        if routed is not None and routed != group.primary_pool \
-                and store is not None:
-            if routed == choice:
+        if self.read_policy == "primary":
+            if group.status == NORMAL:
+                stats.policy_choices += 1
                 stats.policy_honored += 1
-            self._serve_follower_read(group, store, handle, reader,
-                                      dispatch_at, session)
+            self._dispatch_primary_read(read, clamped_at)
             return handle
 
-        # Primary-bound (explicitly, by fallback, or because nothing else
-        # can serve).
-        if routed == choice and choice is not None:
-            stats.policy_honored += 1
-        self._dispatch_primary_read(
-            _ReplicaRead(handle, group, reader, session, dispatch_at),
-            clamped_at)
+        # Round-robin: the store at the group's turn serves.
+        candidates = self._candidates(group)
+        if candidates:
+            stats.policy_choices += 1
+        honored = True
+        floor = self.session_floor(session, key)
+        while candidates:
+            store = candidates[group.turn % len(candidates)]
+            if store is None or floor is None or store.version >= floor:
+                group.turn += 1
+                if honored:
+                    stats.policy_honored += 1
+                break
+            # The follower has not caught up to what this session already
+            # observed: it gives its turn back and leaves the list, so the
+            # turn passes to the next store instead of collapsing onto the
+            # primary (a lagging follower must not starve its healthy
+            # peers) and it keeps its place once it catches up.
+            stats.session_fallbacks += 1
+            if self._trace is not None:
+                self._trace.child_instant(handle, "session-fallback", "read",
+                                          dispatch_at,
+                                          args={"pool": store.pool,
+                                                "floor": floor})
+            candidates.remove(store)
+            honored = False
+        else:
+            store = None  # nothing left to serve: wait for the primary
+        if store is not None:
+            self._serve_follower_read(read, store)
+        else:
+            self._dispatch_primary_read(read, clamped_at)
         return handle
 
     def _dispatch_primary_read(self, read: _ReplicaRead, at: Optional[float],
@@ -640,10 +603,6 @@ class ReplicaCoordinator:
         if not counted:
             stats.primary_reads += 1
         stats.count_replica_read(group.primary_pool)
-        group.primary_in_flight += 1
-        group.dispatched[group.primary_pool] = (
-            group.dispatched.get(group.primary_pool, 0) + 1
-        )
         self.router._queue_read(group.key, reader=read.reader, at=at,
                                 session=read.session, handle=read.handle)
 
@@ -709,20 +668,16 @@ class ReplicaCoordinator:
                 args["depth"] = len(read.responses)
             self._trace.end_op(read.handle, now, args=args)
 
-    def _serve_follower_read(self, group: ReplicaGroup, store: FollowerStore,
-                             handle: str, reader: Union[int, str],
-                             at: float, session: Optional[str]) -> None:
-        store.reads_in_flight += 1
-        group.dispatched[store.pool] = group.dispatched.get(store.pool, 0) + 1
-        read = _ReplicaRead(handle, group, reader, session, at)
-        self._pending_reads[handle] = read
+    def _serve_follower_read(self, read: _ReplicaRead,
+                             store: FollowerStore) -> None:
+        self._pending_reads[read.handle] = read
         # Routing counters are symmetric with the primary path: both count
         # at dispatch.  A read stranded by a crash mid-flight therefore
         # still counts as *routed* to its replica (see RouterStats).
         stats = self.router.stats
         stats.follower_reads += 1
         stats.count_replica_read(store.pool)
-        respond_at = at + self._read_latency(store)
+        respond_at = read.invoked_at + self._read_latency(store)
         self.kernel.schedule_at(
             max(respond_at, self._now()),
             lambda crashes=self._pool_crashes.get(store.pool, 0):
@@ -732,7 +687,6 @@ class ReplicaCoordinator:
     def _complete_follower_read(self, read: _ReplicaRead,
                                 store: FollowerStore,
                                 crashes_at_dispatch: int) -> None:
-        store.reads_in_flight -= 1
         op_id, client_id = self._read_ids(read.group, store.pool, read.reader)
         if self._pool_crashes.get(store.pool, 0) != crashes_at_dispatch:
             # The store's pool *crashed* while the read was in flight:
@@ -743,7 +697,6 @@ class ReplicaCoordinator:
             self._strand(read, op_id, client_id, store.version[0],
                          f"store-crashed {store.pool}", {"pool": store.pool})
             return
-        store.reads_served += 1
         self.read_cost += TRANSFER_COST
         if self._trace is not None:
             self._trace.child_span(read.handle, f"store-read {store.pool}",
@@ -758,16 +711,24 @@ class ReplicaCoordinator:
                             session: Optional[str]) -> str:
         """Fan one read out to ``read_quorum`` stores and merge the answers.
 
-        Every leg is a *store read*: followers answer from their applied
-        state, the primary from its committed log head
+        The paper's reader asks a *quorum* of servers for tags (metadata)
+        and only then fetches the maximum tag's value; this is the replica
+        layer's analogue.  Every leg is a *store read*: followers answer
+        from their applied state, the primary from its committed log head
         (``group.latest_*``), each at store-read latency scaled by its
-        seeded distance and the shared latency regime -- the paper's
-        query-a-quorum-of-servers discovery, not a full protocol read.
-        Only the *data leg* -- the primary if queried (its log head is never
-        behind), else the nearest follower -- also moves the value.
-        The read merges when the last leg resolves; a leg whose store
-        dies mid-flight resolves as *failed*, so the merge degrades to the
-        surviving answers instead of hanging.
+        seeded distance and the shared latency regime -- not a full
+        protocol read.  **Cost:** a leg's version is free and one *data
+        leg* -- the primary if queried (its log head is never behind), else
+        the nearest follower -- moves the value, so a served quorum read
+        costs one ``TRANSFER_COST``, or two when its data leg answered stale
+        and a second store read fetched the merged version, whatever
+        ``read_quorum`` is.  The window starts at the group's turn and
+        rotates over the canonical store order, so successive reads spread
+        load and periodically form follower-only quorums -- the case where
+        a lagging store loses the merge and (with ``read_repair``) is caught
+        up on the spot.  The read merges when the last leg resolves; a leg
+        whose store dies mid-flight resolves as *failed*, so the merge
+        degrades to the surviving answers instead of hanging.
         """
         read = _ReplicaRead(handle, group, reader, session, dispatch_at)
         candidates = self._candidates(group)
@@ -776,26 +737,29 @@ class ReplicaCoordinator:
             # primary like any other primary-bound read.
             self._dispatch_primary_read(read, dispatch_at)
             return handle
-        pools = self.policy.choose_quorum(group.key, candidates,
-                                          self.read_quorum)
+        # (store, pool, distance, canonical position) per leg.
+        legs = []
+        for i in range(min(self.read_quorum, len(candidates))):
+            position = (group.turn + i) % len(candidates)
+            store = candidates[position]
+            if store is None:
+                legs.append((None, group.primary_pool, group.primary_distance,
+                             position))
+            else:
+                legs.append((store, store.pool, store.distance, position))
+        group.turn += 1
         stats = self.router.stats
         stats.quorum_reads += 1
         stats.policy_choices += 1
-        views = {view.pool: view for view in candidates}
-        read.legs = len(pools)
+        read.legs = len(legs)
         read.responses = []
-        read.data_pool = min(pools, key=lambda p: (
-            not views[p].is_primary, views[p].distance, views[p].order))
+        read.data_pool = min(legs, key=lambda leg: (leg[0] is not None,
+                                                    leg[2], leg[3]))[1]
         self._pending_reads[handle] = read
         now = self._now()
-        for pool in pools:
-            view = views[pool]
-            store = None if view.is_primary else group.follower(pool)
-            if store is not None:
-                store.reads_in_flight += 1
-            group.dispatched[pool] = group.dispatched.get(pool, 0) + 1
+        for store, pool, distance, _ in legs:
             stats.count_replica_read(pool)
-            latency = self._scaled_latency(view.distance,
+            latency = self._scaled_latency(distance,
                                            self.config.follower_read_latency)
             self.kernel.schedule_at(
                 max(dispatch_at + latency, now),
@@ -809,8 +773,6 @@ class ReplicaCoordinator:
                              store: Optional[FollowerStore],
                              crashes_at_dispatch: int) -> None:
         read.legs -= 1
-        if store is not None:
-            store.reads_in_flight -= 1
         # Same crash-generation rule as the single-store path: only a crash
         # of the queried pool while the leg was in flight silences it, so
         # a crash-then-recover inside the window stays silent (recovery
@@ -825,7 +787,6 @@ class ReplicaCoordinator:
                 group = read.group
                 answer = (group.latest_version, group.latest_value)
             else:
-                store.reads_served += 1
                 answer = (store.version, store.value)
             read.responses.append((answer[0], store))
             if pool == read.data_pool:
@@ -859,8 +820,7 @@ class ReplicaCoordinator:
             self._read_repair(group, read.responses, version, now,
                               handle=handle)
         floor = self.session_floor(read.session, group.key)
-        if self.config.session_guard and floor is not None \
-                and version < floor:
+        if floor is not None and version < floor:
             # The whole quorum lags what this session already observed
             # (a follower-only window): fall back to a full protocol read
             # at the primary.  The data leg's transfer was still paid.
@@ -1349,18 +1309,10 @@ __all__ = [
     "NORMAL",
     "UNSERVICEABLE",
     "FollowerStore",
-    "LeastLoadedPolicy",
-    "NearestPolicy",
-    "PrimaryOnlyPolicy",
-    "QuorumReadPolicy",
-    "ReadRoutingPolicy",
     "ReplicaCoordinator",
     "ReplicaGroup",
     "ReplicaRecord",
     "ReplicaStats",
-    "ReplicaView",
     "ReplicationConfig",
-    "RoundRobinPolicy",
     "Version",
-    "make_read_policy",
 ]

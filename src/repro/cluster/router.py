@@ -58,7 +58,7 @@ from repro.cluster.placement import (
     diff_placements,
     diff_replica_placements,
 )
-from repro.cluster.read_policy import ReadRoutingPolicy, ReplicationConfig
+from repro.cluster.read_policy import READ_POLICIES, ReplicationConfig
 from repro.cluster.ring import RingBalance, stable_hash
 from repro.consistency.history import (
     EPOCH_SUFFIX, History, Operation, READ, WRITE, join_object_id)
@@ -159,9 +159,7 @@ class RouterStats:
       as routed, and a read held by a failover counts at arrival, against
       the dead primary's pool;
     * ``session_fallbacks`` -- follower choices overridden to the primary
-      by the session guard; ``retired_fallbacks`` -- policy choices naming
-      a pool without a live store, rerouted like a session fallback but
-      counted apart so stale-policy behaviour is visible;
+      by the session guard;
     * ``failover_deferrals`` -- primary-bound reads that arrived during a
       failover and wait in the frozen queue for the promoted epoch;
     * ``quorum_reads`` -- reads resolved by quorum fan-out (each counts
@@ -170,8 +168,8 @@ class RouterStats:
     * ``forwarded_writes`` -- writes that arrived at a non-primary pool
       and were forwarded (one hop on the kernel clock);
     * ``policy_choices`` / ``policy_honored`` -- reads for which the
-      routing policy expressed a concrete choice / ... that the chosen
-      replica actually served.
+      routing mode made a concrete choice / ... that the chosen replica
+      actually served.
 
     Dict-shaped series:
 
@@ -190,7 +188,6 @@ class RouterStats:
     primary_reads: int = 0
     follower_reads: int = 0
     session_fallbacks: int = 0
-    retired_fallbacks: int = 0
     failover_deferrals: int = 0
     quorum_reads: int = 0
     read_repairs: int = 0
@@ -236,11 +233,14 @@ class ObjectRouter:
                  writers_per_shard: int = 1, readers_per_shard: int = 1,
                  latency_factory: Optional[Callable[[str, str], LatencyModel]] = None,
                  replication: Optional[ReplicationConfig] = None,
-                 read_policy: Union[str, ReadRoutingPolicy] = "primary",
+                 read_policy: str = "primary",
                  telemetry=None) -> None:
         if writers_per_shard < 1 or readers_per_shard < 1:
             raise ValueError("each shard needs at least one writer and one reader "
                              "(reads also implement shard migration)")
+        if read_policy not in READ_POLICIES:
+            raise ValueError(f"unknown read routing policy {read_policy!r}; "
+                             f"choose one of {', '.join(READ_POLICIES)}")
         self.config = config
         self.membership = membership
         self.writers_per_shard = writers_per_shard

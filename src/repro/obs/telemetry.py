@@ -65,8 +65,11 @@ class Telemetry:
                  availability_interval: Optional[float] = None,
                  latency: bool = False,
                  slo_interval: Optional[float] = None) -> None:
-        if sample_interval is not None and not 0 < sample_interval < math.inf:
-            raise ValueError("sample_interval must be positive and finite")
+        for name, value in (("sample_interval", sample_interval),
+                            ("availability_interval", availability_interval),
+                            ("slo_interval", slo_interval)):
+            if value is not None and not 0 < value < math.inf:  # and not NaN
+                raise ValueError(f"{name} must be positive and finite")
         self.registry = MetricsRegistry()
         self.trace: Optional[TraceRecorder] = \
             TraceRecorder() if trace else None

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace as dc_replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.cluster.membership import Membership, MembershipEvent
 from repro.cluster.placement import RebalancePlan
 from repro.cluster.repair import GAVE_UP, RepairScheduler
-from repro.cluster.read_policy import ReadRoutingPolicy, ReplicationConfig
+from repro.cluster.read_policy import ReplicationConfig
 from repro.cluster.ring import derive_seed
 from repro.cluster.router import ObjectRouter
 from repro.core.config import LDSConfig
@@ -76,7 +76,7 @@ class ClusterSimulation(ObjectRouter):
                  repair_detection_delay: float = 1.0,
                  repair_slot_jitter: float = 0.0,
                  replication: Optional[ReplicationConfig] = None,
-                 read_policy: Union[str, ReadRoutingPolicy] = "primary",
+                 read_policy: str = "primary",
                  telemetry=None, sanitize: bool = False) -> None:
         if not pool_names:
             raise ValueError("a cluster needs at least one pool")

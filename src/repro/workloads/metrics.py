@@ -67,7 +67,6 @@ class ReadDistribution:
     primary_reads: int = 0
     follower_reads: int = 0
     session_fallbacks: int = 0
-    retired_fallbacks: int = 0
     failover_deferrals: int = 0
     policy_hit_rate: float = 0.0
     #: Reads resolved by quorum fan-out (each counted once, not per leg).
@@ -87,7 +86,6 @@ class ReadDistribution:
             primary_reads=stats.primary_reads,
             follower_reads=stats.follower_reads,
             session_fallbacks=stats.session_fallbacks,
-            retired_fallbacks=stats.retired_fallbacks,
             failover_deferrals=stats.failover_deferrals,
             policy_hit_rate=stats.policy_hit_rate,
             quorum_reads=stats.quorum_reads,

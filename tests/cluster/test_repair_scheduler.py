@@ -45,6 +45,14 @@ def test_intervals_must_be_finite_and_not_negative(config, name, value):
         ClusterSimulation(config, POOLS, seed=1, **{f"repair_{name}": value})
 
 
+@pytest.mark.parametrize("name", ["max_concurrent", "max_attempts"])
+@pytest.mark.parametrize("value", [0, 2.5, float("nan"), True])
+def test_slot_and_attempt_counts_are_positive_ints(config, name, value):
+    router, _ = build_cluster(config, num_keys=0)
+    with pytest.raises((TypeError, ValueError), match=f"^{name} must be"):
+        RepairScheduler(router, **{name: value})
+
+
 def test_failure_burst_is_rate_limited(config):
     router, scheduler = build_cluster(config, min_interval=5.0, max_concurrent=1)
     victims = router.shards_on_pool("pool-0")

@@ -9,12 +9,8 @@ from repro.cluster.replicas import (
     FAILING_OVER,
     NORMAL,
     UNSERVICEABLE,
-    QuorumReadPolicy,
-    ReadRoutingPolicy,
-    ReplicaView,
+    ReplicaCoordinator,
     ReplicationConfig,
-    RoundRobinPolicy,
-    make_read_policy,
 )
 from repro.consistency.history import READ
 from repro.consistency.sessions import check_sessions
@@ -61,9 +57,13 @@ class TestPlacement:
         cluster_none = ClusterSimulation(config, ["pool-0", "pool-1"])
         assert cluster_none.replicas is None
 
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown read routing policy"):
-            make_read_policy("fastest")
+    @pytest.mark.parametrize("policy", ["fastest", "nearest", "least-loaded"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_unknown_policy_is_rejected(self, config, policy, r):
+        # Also at r=1, where no coordinator is built to notice the typo.
+        with pytest.raises(ValueError,
+                           match="primary, round-robin, quorum"):
+            build_cluster(config, r=r, policy=policy)
 
 
 class TestReplicationLag:
@@ -127,28 +127,6 @@ class TestReadRouting:
         for pool in group.pools():
             assert stats.reads_by_replica[pool] == 2
 
-    def test_nearest_prefers_the_smallest_distance(self, config):
-        cluster, _ = build_cluster(config, policy="nearest")
-        cluster.write("obj-0", b"v1")
-        cluster.run_until_idle()
-        group = cluster.replicas.groups["obj-0"]
-        distances = {group.primary_pool: group.primary_distance}
-        for store in group.live_followers():
-            distances[store.pool] = store.distance
-        expected = min(distances, key=distances.get)
-        for _ in range(3):
-            assert cluster.read("obj-0").value == b"v1"
-        assert cluster.stats.reads_by_replica == {expected: 3}
-
-    def test_least_loaded_balances_serve_counts(self, config):
-        cluster, _ = build_cluster(config, policy="least-loaded")
-        cluster.write("obj-0", b"v1")
-        cluster.run_until_idle()
-        for _ in range(9):
-            assert cluster.read("obj-0").value == b"v1"
-        counts = cluster.stats.reads_by_replica
-        assert sorted(counts.values()) == [3, 3, 3]
-
     def test_follower_read_carries_the_replica_client_id(self, config):
         cluster, _ = build_cluster(config, policy="round-robin")
         cluster.write("obj-0", b"v1")
@@ -209,13 +187,15 @@ class TestSessionGuard:
         report = check_sessions(cluster.history())
         assert report.ok
 
-    def test_disabling_the_guard_makes_stale_reads_detectable(self, config):
-        # The end-to-end injection drill: with the guard off, a genuinely
-        # lagging follower serves a session a version below its own write
-        # and the auditor must catch it.
+    def test_disabling_the_guard_makes_stale_reads_detectable(
+            self, config, monkeypatch):
+        # The end-to-end injection drill: with the guard planted off, a
+        # genuinely lagging follower serves a session a version below its
+        # own write and the auditor must catch it.
+        monkeypatch.setattr(ReplicaCoordinator, "session_floor",
+                            lambda self, session, key: None)
         cluster, kernel = build_cluster(config, policy="round-robin",
-                                        replication_lag=500.0,
-                                        session_guard=False)
+                                        replication_lag=500.0)
         write = cluster.invoke_write("obj-0", b"v1", session="s")
         cluster.flush()
         while cluster.result(write) is None:
@@ -764,11 +744,13 @@ class TestQuorumReads:
         assert cluster.incomplete_operations() == 0
         assert check_sessions(cluster.history()).ok
 
-    def test_guardless_stale_quorum_is_caught_by_the_auditor(self, config):
+    def test_guardless_stale_quorum_is_caught_by_the_auditor(
+            self, config, monkeypatch):
+        monkeypatch.setattr(ReplicaCoordinator, "session_floor",
+                            lambda self, session, key: None)
         cluster, kernel = build_cluster(config, policy="quorum",
                                         replication_lag=900.0, read_quorum=1,
-                                        read_repair=False,
-                                        session_guard=False)
+                                        read_repair=False)
         write = cluster.invoke_write("obj-0", b"v1", session="s")
         cluster.flush()
         while cluster.result(write) is None:
@@ -929,6 +911,14 @@ class TestQuorumReads:
         with pytest.raises(ValueError, match="read_quorum"):
             ReplicationConfig(r=3, read_quorum=0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(r=2.5), dict(r=True), dict(r=3, read_quorum=1.5),
+        dict(r=3, read_quorum=True)])
+    def test_replica_counts_must_be_ints(self, fields):
+        name = list(fields)[-1]
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            ReplicationConfig(**fields)
+
     @pytest.mark.parametrize("name", [
         "replication_lag", "follower_read_latency",
         "failover_detection_delay", "catch_up_per_record",
@@ -1013,22 +1003,6 @@ class TestWriteForwarding:
         assert check_sessions(cluster.history()).ok
 
 
-class _StickyPolicy(ReadRoutingPolicy):
-    """Always returns its first follower choice -- even after the pool
-    retires, modelling a policy with a stale replica cache."""
-
-    name = "sticky"
-
-    def __init__(self) -> None:
-        self.pinned = None
-
-    def choose(self, key, candidates):
-        if self.pinned is None:
-            followers = [v for v in candidates if not v.is_primary]
-            self.pinned = followers[0].pool if followers else None
-        return self.pinned
-
-
 class TestRoutingFallbackAccounting:
     def test_late_arrivals_are_clamped_on_both_read_paths(self, config):
         # A nominal time already in the past must dispatch at the clock on
@@ -1052,30 +1026,9 @@ class TestRoutingFallbackAccounting:
         assert invoked[0] == pytest.approx(t)
         assert invoked[1] == pytest.approx(t + 200.0)
 
-    def test_retired_choice_falls_back_visibly(self, config):
-        policy = _StickyPolicy()
-        cluster, kernel = build_cluster(config, r=3, policy=policy,
-                                        provision_delay=500.0)
-        cluster.write("obj-0", b"v1")
-        cluster.run_until_idle()
-        group = cluster.replicas.groups["obj-0"]
-        assert cluster.read("obj-0").value == b"v1"  # pins a follower
-        pinned = policy.pinned
-        assert pinned is not None
-        cluster.fail_pool(pinned, time=kernel.now)
-        assert group.follower(pinned) is None
-        # The sticky policy still names the dead pool: the read must fall
-        # back to the primary and be counted as a *retired* fallback,
-        # distinct from the session-guard counter.
-        assert cluster.read("obj-0").value == b"v1"
-        stats = cluster.stats
-        assert stats.retired_fallbacks == 1
-        assert stats.session_fallbacks == 0
-        assert stats.primary_reads == 1
-
     def test_both_fallback_kinds_are_counted_apart(self, config):
-        # Session-guard fallbacks keep their own counter next to the new
-        # retired-fallback counter.
+        # Session-guard fallbacks keep their own counter: every rejected
+        # follower turn counts once, and none of them serves.
         cluster, kernel = build_cluster(config, policy="round-robin",
                                         replication_lag=900.0)
         write = cluster.invoke_write("obj-0", b"v1", session="s")
@@ -1089,20 +1042,7 @@ class TestRoutingFallbackAccounting:
         del handles
         stats = cluster.stats
         assert stats.session_fallbacks >= 1
-        assert stats.retired_fallbacks == 0
-
-    def test_round_robin_gives_a_rejected_turn_back(self):
-        policy = RoundRobinPolicy()
-        views = [ReplicaView(pool=f"pool-{i}", is_primary=(i == 0),
-                             distance=1.0, reads_in_flight=0,
-                             reads_served=0, order=i) for i in range(3)]
-        assert policy.choose("k", views) == "pool-0"
-        choice = policy.choose("k", views)
-        assert choice == "pool-1"
-        policy.rejected("k", choice)
-        # The lagging replica keeps its place in the cycle.
-        assert policy.choose("k", views) == "pool-1"
-        assert policy.choose("k", views) == "pool-2"
+        assert stats.follower_reads == 0
 
     def test_round_robin_cycle_stays_fair_across_guard_rejections(self, config):
         cluster, kernel = build_cluster(config, policy="round-robin",
@@ -1305,10 +1245,11 @@ class TestReviewRegressions:
         cluster.run_until_idle()
         for handle in handles:
             assert cluster.result(handle) is not None
-        assert healthy.reads_served > 0, "healthy follower was starved"
-        assert lagging.reads_served == 0
         stats = cluster.stats
-        assert stats.follower_reads == healthy.reads_served
+        served = stats.reads_by_replica
+        assert served.get(healthy.pool, 0) > 0, "healthy follower was starved"
+        assert lagging.pool not in served
+        assert stats.follower_reads == served[healthy.pool]
         assert check_sessions(cluster.history()).ok
 
     def test_the_quorum_pool_name_is_reserved(self, config):

@@ -257,7 +257,7 @@ def scenario_simulations():
             replication=failover_replication)),
         ("degraded-reads-during-catch-up", replicated(
             degraded_reads_during_catch_up(KEYS, "pool-1", seed=3),
-            seed=3, read_policy="least-loaded",
+            seed=3, read_policy="round-robin",
             writers_per_shard=2, readers_per_shard=2,
             replication=ReplicationConfig(r=3, replication_lag=30.0,
                                           failover_detection_delay=20.0,

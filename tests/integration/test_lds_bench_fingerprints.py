@@ -176,18 +176,20 @@ TIMED = {
 #: replicated run -> replica_digest at the end of the run.  Every row
 #: moved when quorum legs came to answer versions and only the data leg a
 #: value (``ReplicaStats`` gained ``second_store_reads``; the quorum rows'
-#: read cost fell too); the old values are listed in CHANGES.md.
+#: read cost fell too), and again when ``RouterStats`` dropped the
+#: always-zero ``retired_fallbacks``; the old values are listed in
+#: CHANGES.md.
 REPLICA_COUNTERS = {
-    "replica_faults": 21905030,
-    "replica-failover-under-load": 1438236629,
+    "replica_faults": 3567528991,
+    "replica-failover-under-load": 914524741,
     # 2054185893 while the row routed least-loaded
-    "degraded-reads-during-catch-up": 1176297338,
-    "quorum-reads-under-lag": 3000047761,
-    "forwarded-writes-during-failover": 3493922525,
+    "degraded-reads-during-catch-up": 1280029218,
+    "quorum-reads-under-lag": 3586885279,
+    "forwarded-writes-during-failover": 1098108875,
     # 3687235881 before a read held by a failover counted at arrival,
     # against the dead primary's pool, instead of at promotion
-    "failover-holds-primary-reads": 1884616051,
-    "replicated-migration": 153866216,
+    "failover-holds-primary-reads": 3147647731,
+    "replicated-migration": 666556479,
 }
 
 #: replicated run -> replica_results_digest at the end of the run

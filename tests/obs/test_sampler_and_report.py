@@ -81,12 +81,14 @@ def run():
 
 
 class TestClusterSampler:
+    @pytest.mark.parametrize("name", ["sample_interval",
+                                      "availability_interval", "slo_interval"])
     @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
                                           float("inf")])
-    def test_sample_interval_must_be_positive_and_finite(self, interval):
+    def test_sample_interval_must_be_positive_and_finite(self, name, interval):
         # Each of these was accepted at construction.
-        with pytest.raises(ValueError, match="^sample_interval must be"):
-            Telemetry(sample_interval=interval)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Telemetry(**{name: interval})
 
     def test_samples_on_the_configured_cadence(self, run):
         _, telemetry = run

@@ -102,15 +102,17 @@ def digests(simulation, telemetry) -> dict:
 
 PINNED = {
     # latency 0x70AED0E1, trace 0x2C0B8C2F, registry 0x09F92726 and
-    # report 0xEB18C8D8 while every quorum leg moved a value
+    # report 0xEB18C8D8 while every quorum leg moved a value; registry
+    # 0xE7F63027 (stale_drill 0xC95FABC9) while RouterStats carried the
+    # always-zero retired_fallbacks
     "all_pillars": {
         "sampler": 0x7187EBA4, "slo": 0xD20F391B, "audit": 0x84C03776,
         "availability": 0x626EFE39, "latency": 0x6511117B,
-        "trace": 0xA4152DC2, "registry": 0xE7F63027, "report": 0x76844BB7,
+        "trace": 0xA4152DC2, "registry": 0xA39D2FF0, "report": 0x76844BB7,
     },
     "stale_drill": {
         "audit": 0x64276C1E, "availability": 0xACCE1993,
-        "registry": 0xC95FABC9, "report": 0x9EDE7CCC,
+        "registry": 0x372397F8, "report": 0x9EDE7CCC,
     },
 }
 

@@ -33,12 +33,12 @@ def config() -> LDSConfig:
     return LDSConfig(n1=3, n2=4, f1=1, f2=1)
 
 
-def run_failover(config, policy: str, seed: int = 7) -> ClusterSimulation:
+def run_failover(config, seed: int = 7) -> ClusterSimulation:
     simulation = ClusterSimulation(
         config, POOLS, seed=seed,
         replication=ReplicationConfig(r=3, replication_lag=25.0,
                                       failover_detection_delay=12.0),
-        read_policy=policy,
+        read_policy="round-robin",
     )
     simulation.ensure_shards(KEYS)
     simulation.apply(replica_failover_under_load(KEYS, "pool-0", seed=seed))
@@ -46,10 +46,8 @@ def run_failover(config, policy: str, seed: int = 7) -> ClusterSimulation:
 
 
 class TestReplicaFailoverUnderLoad:
-    @pytest.mark.parametrize("policy", ["round-robin", "nearest"])
-    def test_followers_carry_at_least_30_percent_and_audit_clean(self, config,
-                                                                 policy):
-        simulation = run_failover(config, policy)
+    def test_followers_carry_at_least_30_percent_and_audit_clean(self, config):
+        simulation = run_failover(config)
         distribution = simulation.read_distribution()
         assert distribution.follower_fraction >= 0.30, distribution.describe()
         # The kill triggered deterministic promotion for every group whose
@@ -61,7 +59,7 @@ class TestReplicaFailoverUnderLoad:
         assert report.ok, report.describe()
 
     def test_promotion_is_visible_on_the_timeline(self, config):
-        simulation = run_failover(config, "round-robin")
+        simulation = run_failover(config)
         timeline = simulation.timeline()
         kinds = [kind for _, kind, _ in timeline]
         assert "kill-pool" in kinds
@@ -74,8 +72,8 @@ class TestReplicaFailoverUnderLoad:
                 assert t >= kill_at
 
     def test_same_seed_replays_identically(self, config):
-        first = run_failover(config, "round-robin")
-        second = run_failover(config, "round-robin")
+        first = run_failover(config)
+        second = run_failover(config)
         assert first.kernel.fingerprint == second.kernel.fingerprint
         assert first.kernel.stats.events_total \
             == second.kernel.stats.events_total
@@ -85,7 +83,7 @@ class TestReplicaFailoverUnderLoad:
             == [e for e in second.replicas.failover_log]
 
     def test_stale_follower_injection_is_detected(self, config):
-        simulation = run_failover(config, "round-robin")
+        simulation = run_failover(config)
         history = simulation.history()
         assert any(is_follower_read(op) for op in history)
         injection = inject_stale_follower_read(history)
@@ -104,7 +102,7 @@ class TestDegradedReadsDuringCatchUp:
             replication=ReplicationConfig(r=3, replication_lag=30.0,
                                           failover_detection_delay=20.0,
                                           catch_up_per_record=2.0),
-            read_policy="least-loaded",
+            read_policy="round-robin",
         )
         simulation.ensure_shards(KEYS)
         simulation.apply(degraded_reads_during_catch_up(KEYS, "pool-1",

@@ -138,7 +138,6 @@ class TestQuorumDistribution:
         stats.quorum_depths = {2: 6, 1: 2}
         stats.read_repairs = 3
         stats.forwarded_writes = 5
-        stats.retired_fallbacks = 1
         stats.session_fallbacks = 4
         distribution = ReadDistribution.from_router_stats(stats)
         assert distribution.total == 10  # quorum reads count once each
@@ -146,7 +145,6 @@ class TestQuorumDistribution:
         assert distribution.mean_quorum_depth == pytest.approx(14 / 8)
         assert distribution.read_repairs == 3
         assert distribution.forwarded_writes == 5
-        assert distribution.retired_fallbacks == 1
         assert distribution.session_fallback_rate == pytest.approx(0.4)
         assert "quorum_reads=8" in distribution.describe()
         assert "forwarded_writes=5" in distribution.describe()
